@@ -16,10 +16,18 @@ Pins the PR-4 acceptance bar end to end:
 3. **accuracy holds** — on a trained demo system, fused accuracy under
    ``q8`` (and ``f16``) stays within 0.01 of ``raw32``;
 4. **plans carry codecs** — a ``DeploymentPlan`` JSON round trip
-   preserves the codec and boots a serving stack with that codec active.
+   preserves the codec and boots a serving stack with that codec active;
+5. **no Nagle stall on the TCP hop** — a 32 KiB message (sent by
+   ``multiprocessing.connection`` as header + body) echoes over the
+   ``tcp`` transport in a median under 10 ms; without ``TCP_NODELAY`` on
+   both ends it takes ~45 ms (delayed ACK of the header, each way).
 
 Exits non-zero on any violation, so CI fails loudly.
 """
+
+import statistics
+import time
+import types
 
 import numpy as np
 
@@ -27,6 +35,7 @@ from repro.core.metrics import format_table
 from repro.edge.device import DeviceModel
 from repro.edge.network import tc_capped_link
 from repro.edge.runtime import EdgeCluster, WorkerSpec
+from repro.edge.transport import TcpTransport
 from repro.models.fusion import build_fusion_for
 from repro.models.vit import ViTConfig, VisionTransformer
 from repro.serving import (
@@ -41,6 +50,9 @@ from repro.serving.demo import fused_labels
 
 ACCURACY_DROP_BOUND = 0.01
 CLOSED_REQUESTS = 120
+ECHO_BYTES = 32 * 1024                 # > 16 KiB: goes out as two send()s
+ECHO_ROUND_TRIPS = 20
+ECHO_MEDIAN_BOUND_S = 0.010
 
 
 def tcp_loopback_end_to_end() -> dict:
@@ -61,6 +73,41 @@ def tcp_loopback_end_to_end() -> dict:
     assert result.errors == 0 and result.dropped == 0, result
     assert result.completed == CLOSED_REQUESTS, result
     return {"scenario": "tcp loopback", **result.row()}
+
+
+def _echo_worker(spec, conn, time_scale) -> None:
+    """``worker_main`` stand-in: send every message straight back."""
+    while True:
+        try:
+            conn.send(conn.recv())
+        except (EOFError, OSError):
+            return
+
+
+def tcp_large_message_round_trip() -> dict:
+    transport = TcpTransport()
+    # The transport itself reads nothing of a spec but its worker id.
+    handle = transport.spawn(types.SimpleNamespace(worker_id="echo"), 0.0,
+                             _echo_worker)
+    payload = bytes(ECHO_BYTES)
+    round_trips = []
+    try:
+        for _ in range(ECHO_ROUND_TRIPS):
+            start = time.perf_counter()
+            handle.send(payload)
+            assert handle.poll(5.0), "echo worker never answered"
+            assert handle.recv() == payload
+            round_trips.append(time.perf_counter() - start)
+    finally:
+        handle.close()
+        handle.join(5.0)
+        transport.close()
+    median = statistics.median(round_trips)
+    assert median < ECHO_MEDIAN_BOUND_S, \
+        f"32 KiB TCP round trip took {median * 1e3:.1f} ms (median of " \
+        f"{ECHO_ROUND_TRIPS}); bound {ECHO_MEDIAN_BOUND_S * 1e3:.0f} ms — " \
+        "is TCP_NODELAY still set on both ends?"
+    return {"scenario": "tcp 32 KiB echo", "p50_ms": round(median * 1e3, 3)}
 
 
 def _wide_fleet(codec: str):
@@ -147,7 +194,7 @@ def plan_codec_round_trip() -> dict:
 
 
 def main() -> None:
-    rows = [tcp_loopback_end_to_end()]
+    rows = [tcp_loopback_end_to_end(), tcp_large_message_round_trip()]
 
     capped_rows, raw32, q8 = codec_latency_on_capped_link()
     rows.extend(capped_rows)

@@ -189,9 +189,11 @@ def _make_server(args):
                           build_demo_system)
 
     _apply_backend(args)
+    # No --max-wait-ms: BatchingConfig's own default decides the policy.
+    wait = {} if args.max_wait_ms is None \
+        else {"max_wait_s": args.max_wait_ms / 1e3}
     config = ServerConfig(
-        batching=BatchingConfig(max_batch_samples=args.batch,
-                                max_wait_s=args.max_wait_ms / 1e3),
+        batching=BatchingConfig(max_batch_samples=args.batch, **wait),
         worker_timeout_s=args.worker_timeout_s)
     store = _artifact_store(args)
     plan_path = getattr(args, "plan", None)
@@ -616,8 +618,11 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
                              "--plan (the plan's build recipe decides)")
     parser.add_argument("--batch", type=int, default=16,
                         help="dynamic batcher max samples per dispatch")
-    parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                        help="dynamic batcher flush deadline")
+    parser.add_argument("--max-wait-ms", type=float, default=None,
+                        help="hold a batch below --batch open this long "
+                             "for late arrivals (default: BatchingConfig's, "
+                             "0 = no wait for a request that finds the "
+                             "server idle)")
     parser.add_argument("--worker-timeout-s", type=float, default=5.0)
     parser.add_argument("--requests", type=int, default=200)
     parser.add_argument("--time-scale", type=float, default=0.0)

@@ -152,10 +152,20 @@ class MultiprocessTransport(_ConnectionTransport):
         return _ConnectionHandle(spec.worker_id, process, parent)
 
 
+def _set_tcp_nodelay(conn) -> None:
+    """Disable Nagle's algorithm on a socket-backed ``Connection``."""
+    sock = socket.socket(fileno=conn.fileno())
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    finally:
+        sock.detach()                  # the Connection keeps owning the fd
+
+
 def _tcp_worker_entry(worker_main: WorkerMain, spec, address,
                       authkey: bytes, time_scale: float) -> None:
     """Child-process entry: dial back to the parent, then run the loop."""
     conn = mp_connection.Client(address, authkey=authkey)
+    _set_tcp_nodelay(conn)
     worker_main(spec, conn, time_scale)
 
 
@@ -168,6 +178,17 @@ class TcpTransport(_ConnectionTransport):
     connection always belongs to the worker just started.  The same
     framing would carry to real multi-host deployments — only the spawn
     step (here ``multiprocessing``) is machine-local.
+
+    Both ends of every connection set ``TCP_NODELAY``.
+    ``multiprocessing.connection`` writes any message over 16 KiB as two
+    ``send()`` calls (4-byte length header, then body); under Nagle's
+    algorithm the body is held until the header is acknowledged, and the
+    peer — with nothing to send back yet — sits on that ACK for its
+    delayed-ACK timer (~40 ms on Linux).  Left on, Nagle costs every
+    >16 KiB input or feature reply (6+ rows at ViT-Base width) ~40 ms per
+    hop on an otherwise idle link.  Messages are whole requests or
+    replies, never a trickle of small writes, so there is nothing for it
+    to coalesce.
     """
 
     name = "tcp"
@@ -247,6 +268,7 @@ class TcpTransport(_ConnectionTransport):
             raise RuntimeError(
                 f"worker {spec.worker_id} never connected back over TCP: "
                 f"{exc}") from exc
+        _set_tcp_nodelay(conn)
         return _ConnectionHandle(spec.worker_id, process, conn)
 
     def close(self) -> None:

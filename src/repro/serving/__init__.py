@@ -1,7 +1,9 @@
 """Asynchronous request-level serving over the emulated edge fleet.
 
-Pipeline: clients ``submit()`` requests -> a dynamic batcher coalesces
-them (max batch size / max wait deadline) -> the dispatcher scatters each
+Pipeline: clients ``submit()`` requests -> the batcher hands a request
+that finds the fleet idle over at once and coalesces whatever queued up
+behind the batch in flight (up to the max batch size) -> the dispatcher
+scatters each
 batch to every live worker concurrently and gathers by polling all pipes
 at once -> dead or timed-out workers are marked down and zero-filled
 (degraded fusion) -> the fusion MLP classifies -> per-request futures

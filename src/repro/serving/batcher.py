@@ -1,21 +1,38 @@
-"""Request queue and dynamic batcher.
+"""Request queue and dynamic batcher: no timer on an idle serve loop.
 
 Clients submit single requests (one or a few images each) and get a
 :class:`ServedFuture` back immediately.  The serving loop pulls
-:class:`Batch` objects from the :class:`DynamicBatcher`: it blocks for the
-first pending request, then keeps coalescing arrivals until either
-``max_batch_samples`` images are collected or ``max_wait_s`` has elapsed
-since the batch opened — the classic dynamic-batching policy (max batch
-size + max wait deadline) from Clipper-style serving systems.  With
-``max_batch_samples=1`` / ``max_wait_s=0`` it degenerates to FIFO
-one-request-at-a-time dispatch, which is the baseline the benchmarks
-compare against.
+:class:`Batch` objects from the :class:`DynamicBatcher`, whose policy is:
+block for the first pending request, take whatever else is *already
+queued* up to ``max_batch_samples`` images, dispatch.  A request that
+finds the serve loop idle is never held back by a timer for company that
+is not coming; requests that arrive while the loop is busy with the
+previous batch coalesce behind it, where waiting costs nothing, so a
+backlog drains in cap-sized batches.
+
+One window is left, anchored on the serve loop rather than on the
+request: a batch still below the cap is not dispatched before
+:data:`LINGER_S` after the loop came back for work.  The clients the
+previous batch just answered (closed loops, frame streams) send their
+next request a fraction of a millisecond later; dispatching the first of
+them alone makes two clients alternate half-size batches, which pays the
+per-batch cost twice per round and leaves the saturated throughput to a
+thread race.  A request that arrives more than ``LINGER_S`` after the
+loop went idle — the lightly-loaded case — does not see the window.
+
+``max_wait_s`` (default ``0.0``) is the Clipper-style max-delay knob for
+callers that want it: a batch below the cap is then held open that long
+after it was *opened*, idle loop or not.  It trades the latency of every
+lightly-loaded request for batch size, which is why it is off by
+default.  Requests never split across batches and a batch never exceeds
+the cap — the request that would overshoot opens the next batch — except
+that a single request larger than the cap still dispatches, alone.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
-import queue
 import threading
 import time
 
@@ -28,6 +45,11 @@ from .telemetry import RequestTelemetry
 # Batch occupancy is small-integer valued; these bounds make the
 # histogram read as "how often did we flush at size <= N".
 BATCH_SAMPLES_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
+# A batch below the cap is not dispatched before this long after the serve
+# loop came back for work (see the module docstring); a constant of the
+# policy, deliberately not a BatchingConfig field.
+LINGER_S = 0.002
 
 
 class RequestError(RuntimeError):
@@ -95,19 +117,21 @@ class Batch:
 
 @dataclasses.dataclass(frozen=True)
 class BatchingConfig:
-    max_batch_samples: int = 16    # flush when this many images are pending
-    max_wait_s: float = 0.002      # ...or this long after the batch opened
+    max_batch_samples: int = 16    # never coalesce past this many images
+    max_wait_s: float = 0.0        # hold every short batch open this long
     queue_capacity: int = 4096     # admission-control bound on pending requests
 
 
 class DynamicBatcher:
-    """Thread-safe request queue with deadline-based batch formation."""
+    """Thread-safe request queue; forms batches for one serve loop."""
 
     def __init__(self, config: BatchingConfig | None = None):
         self.config = config or BatchingConfig()
-        self._queue: "queue.Queue[ServedFuture]" = queue.Queue(
-            maxsize=self.config.queue_capacity)
-        self._closed = threading.Event()
+        self._pending: "collections.deque[ServedFuture]" = collections.deque()
+        # One condition guards the deque and the closed flag; submit() and
+        # close() notify it, so a blocked next_batch() never has to poll.
+        self._cond = threading.Condition()
+        self._closed = False
         registry = get_registry()
         self._queue_depth = registry.gauge("serving.queue_depth")
         self._occupancy = registry.histogram("serving.batch_samples",
@@ -115,70 +139,89 @@ class DynamicBatcher:
 
     # -- client side ----------------------------------------------------
     def submit(self, future: ServedFuture) -> None:
-        if self._closed.is_set():
-            raise RequestError("server is shut down")
-        try:
-            self._queue.put_nowait(future)
-        except queue.Full:
-            raise QueueFullError(
-                f"queue at capacity ({self.config.queue_capacity})") from None
+        with self._cond:
+            if self._closed:
+                raise RequestError("server is shut down")
+            if len(self._pending) >= self.config.queue_capacity:
+                raise QueueFullError(
+                    f"queue at capacity ({self.config.queue_capacity})")
+            self._pending.append(future)
+            self._cond.notify()
 
     def close(self) -> None:
-        self._closed.set()
+        """Refuse new requests and wake a blocked :meth:`next_batch`."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
 
     @property
     def closed(self) -> bool:
-        return self._closed.is_set()
+        with self._cond:
+            return self._closed
 
     def pending(self) -> int:
-        return self._queue.qsize()
+        with self._cond:
+            return len(self._pending)
 
     def drain(self) -> list[ServedFuture]:
         """Remove and return everything still queued (used at shutdown)."""
-        out = []
-        while True:
-            try:
-                out.append(self._queue.get_nowait())
-            except queue.Empty:
-                return out
+        with self._cond:
+            out = list(self._pending)
+            self._pending.clear()
+            return out
 
     # -- server side ----------------------------------------------------
-    def next_batch(self, poll_interval: float = 0.05) -> Batch | None:
+    def next_batch(self, poll_interval: float | None = None) -> Batch | None:
         """Block for the next batch; ``None`` once closed and drained.
 
-        The batch opens when the first request arrives; further requests
-        join until the sample cap or the wait deadline is hit.  Requests
-        never split across batches, so one oversized request (more samples
-        than ``max_batch_samples``) still dispatches — alone.
+        ``poll_interval`` is ignored and only accepted for callers that
+        still pass it: :meth:`close` wakes a blocked call directly, so
+        there is nothing left to poll for.
+
+        The batch opens with the first pending request and takes what is
+        already queued behind it, in FIFO order, while the sample cap
+        holds; the request that would overshoot the cap stays queued and
+        opens the next batch.  A batch below the cap then waits for late
+        arrivals only until ``LINGER_S`` after this call was entered or
+        ``max_wait_s`` after the batch opened, whichever is later (and
+        never past close()): with the default ``max_wait_s`` of 0 a
+        request that finds this call parked for longer than ``LINGER_S``
+        is handed over at once.  Requests never split across batches, so
+        one oversized request (more samples than ``max_batch_samples``)
+        still dispatches — alone.
         """
         config = self.config
-        while True:
-            try:
-                first = self._queue.get(timeout=poll_interval)
-                break
-            except queue.Empty:
-                if self._closed.is_set():
+        entered = time.perf_counter()
+        with self._cond:
+            while not self._pending:
+                if self._closed:
                     return None
-        form_wall = time.time()
-        form_t0 = time.perf_counter()
-        requests = [first]
-        num_samples = len(first.x)
-        deadline = form_t0 + config.max_wait_s
-        while num_samples < config.max_batch_samples:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0 and self._queue.empty():
-                break
-            try:
-                nxt = self._queue.get(timeout=max(0.0, remaining))
-            except queue.Empty:
-                break
-            requests.append(nxt)
-            num_samples += len(nxt.x)
-        self._queue_depth.set(self._queue.qsize())
+                self._cond.wait()
+            first = self._pending.popleft()
+            form_wall = time.time()
+            form_t0 = time.perf_counter()
+            requests = [first]
+            num_samples = len(first.x)
+            deadline = max(entered + LINGER_S, form_t0 + config.max_wait_s)
+            while num_samples < config.max_batch_samples:
+                if not self._pending:
+                    remaining = deadline - time.perf_counter()
+                    if remaining <= 0 or self._closed:
+                        break
+                    self._cond.wait(remaining)
+                    continue
+                if num_samples + len(self._pending[0].x) \
+                        > config.max_batch_samples:
+                    break
+                nxt = self._pending.popleft()
+                requests.append(nxt)
+                num_samples += len(nxt.x)
+            depth = len(self._pending)
+        self._queue_depth.set(depth)
         self._occupancy.observe(num_samples)
         if tracing_enabled():
             # Batch formation belongs to the trace of the request that
-            # opened the batch (the one that waited for coalescing).
+            # opened the batch.
             get_tracer().emit(
                 "batch.form", trace_id=first.request_id,
                 ts=form_wall, duration_s=time.perf_counter() - form_t0,

@@ -4,7 +4,12 @@ Two canonical client models:
 
 * **open loop** — requests arrive on a Poisson process at a configured
   offered rate, independent of completions (models external traffic; the
-  honest way to measure tail latency under load); and
+  honest way to measure tail latency under load).  Latency counts from
+  the instant a request was **due** on the schedule, not from when the
+  generator got round to submitting it, so a stall that holds up the
+  generator raises the latency of every request due during it instead
+  of hiding; how late the generator ran is reported beside it
+  (``late_p95_s``); and
 * **closed loop** — a fixed number of concurrent clients each submit,
   wait, and immediately submit again (models a worker pool; measures
   sustainable throughput).
@@ -25,7 +30,7 @@ import dataclasses
 import math
 import threading
 import time
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,6 +76,13 @@ class LoadgenResult:
     # Resolved futures in submission order (open loop) — lets callers
     # match per-request telemetry/labels back to their inputs.
     futures: list[ServedFuture] = dataclasses.field(default_factory=list)
+    # Open loop / trace: how long after its due time each request was
+    # submitted (generator lateness).  Empty for closed-loop runs.
+    lateness_s: list[float] = dataclasses.field(default_factory=list)
+
+    @property
+    def late_p95_s(self) -> float | None:
+        return percentile(self.lateness_s, 95)
 
     @property
     def p50_s(self) -> float | None:
@@ -99,6 +111,7 @@ class LoadgenResult:
             "p50_ms": _round(self.p50_s, 3, 1e3),
             "p95_ms": _round(self.p95_s, 3, 1e3),
             "p99_ms": _round(self.p99_s, 3, 1e3),
+            "late_p95_s": _round(self.late_p95_s, 6),
             "wire_in_kb": round(self.report.wire_bytes_in / 1024, 1),
             "bw_mbps": round(self.report.effective_bw_mbps, 3),
         }
@@ -134,15 +147,23 @@ def _collect(server: InferenceServer, config: LoadgenConfig,
              futures: list[ServedFuture], dropped: int,
              wall_seconds: float, offered_rps: float,
              records_before: int,
-             started_at: float | None = None) -> LoadgenResult:
+             started_at: float | None = None,
+             due: list[float] | None = None,
+             lateness: Sequence[float] = ()) -> LoadgenResult:
+    """Resolve ``futures`` into a result.  ``due`` (open loop / trace)
+    holds each future's scheduled send time, and latency counts from it;
+    without it (closed loop) latency counts from the enqueue stamp."""
     latencies: list[float] = []
     errors = 0
-    for future in futures:
+    for k, future in enumerate(futures):
         try:
             future.result(config.request_timeout_s)
-            latencies.append(future.telemetry.total_s)
         except Exception:
             errors += 1
+            continue
+        telemetry = future.telemetry
+        latencies.append(telemetry.total_s if due is None
+                         else telemetry.completed_at - due[k])
     # Scope the report to THIS run's records (the server may have served
     # earlier runs — e.g. previous rates of a sweep — on the same stats).
     run_records = server.records()[records_before:]
@@ -159,6 +180,7 @@ def _collect(server: InferenceServer, config: LoadgenConfig,
             worker_health=server.worker_health(),
             started_at=started_at),
         futures=futures,
+        lateness_s=list(lateness),
     )
 
 
@@ -180,6 +202,8 @@ def _run_open_loop(server: InferenceServer, config: LoadgenConfig,
     offsets = _trace_offsets(config) if config.mode == "trace" else None
     rng = np.random.default_rng(config.seed)
     futures: list[ServedFuture] = []
+    due: list[float] = []              # per admitted future, same order
+    lateness: list[float] = []
     dropped = 0
     records_before = len(server.records())
     started_at = time.time()
@@ -191,12 +215,16 @@ def _run_open_loop(server: InferenceServer, config: LoadgenConfig,
             next_arrival += rng.exponential(1.0 / config.offered_rps)
         else:
             next_arrival = start + offsets[k]
+        # Build the payload before the sleep: its cost belongs to the
+        # generator's idle time, not to the request's lateness.
+        x = make_input(rng, config.images_per_request)
         delay = next_arrival - time.perf_counter()
         if delay > 0:
             time.sleep(delay)
+        lateness.append(time.perf_counter() - next_arrival)
         try:
-            futures.append(server.submit(
-                make_input(rng, config.images_per_request)))
+            futures.append(server.submit(x))
+            due.append(next_arrival)
         except RequestError:
             dropped += 1
     for future in futures:             # wall clock covers full drain
@@ -211,7 +239,8 @@ def _run_open_loop(server: InferenceServer, config: LoadgenConfig,
         offered = (len(offsets) / offsets[-1]) if offsets[-1] > 0 else None
     return _collect(server, config, futures, dropped, wall,
                     offered_rps=offered,
-                    records_before=records_before, started_at=started_at)
+                    records_before=records_before, started_at=started_at,
+                    due=due, lateness=lateness)
 
 
 def _run_closed_loop(server: InferenceServer, config: LoadgenConfig,

@@ -2,8 +2,11 @@
 
 The server owns three moving parts:
 
-* a :class:`~repro.serving.batcher.DynamicBatcher` that coalesces
-  concurrent single-image requests into fused batches;
+* a :class:`~repro.serving.batcher.DynamicBatcher` with no timer on an
+  idle server: a request arriving there is dispatched at once, requests
+  arriving while a batch is in flight coalesce into the next one, and a
+  short batch waits at most ``batcher.LINGER_S`` after the loop came back
+  for the clients it has just answered;
 * a dispatcher thread that scatters each batch to every live worker at
   once and gathers replies by polling all pipes concurrently
   (``EdgeCluster.submit`` / ``EdgeCluster.poll``), so one slow device
@@ -322,7 +325,7 @@ class InferenceServer:
     # ------------------------------------------------------------------
     def _serve_loop(self) -> None:
         while True:
-            batch = self._batcher.next_batch(self.config.poll_interval_s)
+            batch = self._batcher.next_batch()
             if batch is None:
                 return
             try:

@@ -5,6 +5,8 @@
 only appears in the shared contract matrix.
 """
 
+import socket
+import statistics
 import time
 
 import numpy as np
@@ -46,6 +48,25 @@ def local_features(model, x):
     model.eval()
     with nn.no_grad():
         return model.forward_features(nn.Tensor(x)).data
+
+
+def tcp_nodelay(conn) -> int:
+    sock = socket.socket(fileno=conn.fileno())
+    try:
+        return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    finally:
+        sock.detach()
+
+
+def echo_worker(spec, conn, time_scale):
+    """``worker_main`` stand-in: reports its end's TCP_NODELAY, then
+    echoes every message back until the parent hangs up."""
+    conn.send(tcp_nodelay(conn))
+    while True:
+        try:
+            conn.send(conn.recv())
+        except (EOFError, OSError):
+            return
 
 
 class TestGetTransport:
@@ -251,3 +272,29 @@ class TestTcpTransport:
 
     def test_is_a_transport(self):
         assert isinstance(TcpTransport(), Transport)
+
+    def test_large_messages_do_not_stall_on_nagle(self):
+        """Regression: a message over 16 KiB goes out as two send()s
+        (header, body); without TCP_NODELAY the body waited ~40 ms for
+        the peer's delayed ACK of the header, in each direction."""
+        transport = TcpTransport()
+        spec, _ = make_worker("echo")
+        handle = transport.spawn(spec, 0.0, echo_worker)
+        try:
+            assert handle.poll(30.0)
+            assert handle.recv() != 0              # worker (dialled) end
+            assert tcp_nodelay(handle.conn) != 0   # parent (accepted) end
+            payload = bytes(32 * 1024)
+            round_trips = []
+            for _ in range(20):
+                start = time.perf_counter()
+                handle.send(payload)
+                assert handle.poll(5.0)
+                assert handle.recv() == payload
+                round_trips.append(time.perf_counter() - start)
+            assert statistics.median(round_trips) < 0.010
+        finally:
+            handle.close()
+            handle.join(5.0)
+            transport.close()
+        assert not handle.alive()

@@ -1,5 +1,8 @@
 """Load-generator tests: open/closed loops, drops, and the batching win."""
 
+import time
+
+import numpy as np
 import pytest
 
 from repro.serving import (
@@ -12,6 +15,8 @@ from repro.serving import (
     run_load,
     sweep_offered_load,
 )
+from repro.serving.batcher import ServedFuture
+from repro.serving.telemetry import RequestTelemetry
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +135,78 @@ class TestTraceMode:
                 with pytest.raises(ValueError):
                     run_load(server, system.input_shape,
                              LoadgenConfig(mode="trace", arrivals=bad))
+
+
+class StallingServer:
+    """Replies at once, except that the first ``submit`` entered after
+    ``stall_at`` blocks for ``stall_s``: a stall that holds up the
+    generator itself."""
+
+    def __init__(self, stall_at: float, stall_s: float):
+        self.stall_at, self.stall_s = stall_at, stall_s
+        self.stalled = False
+        self.started = time.perf_counter()
+
+    def submit(self, x):
+        if not self.stalled \
+                and time.perf_counter() - self.started >= self.stall_at:
+            self.stalled = True
+            time.sleep(self.stall_s)
+        now = time.perf_counter()
+        telemetry = RequestTelemetry(0, len(x), enqueued_at=now)
+        telemetry.completed_at = now
+        future = ServedFuture(0, x, telemetry)
+        future.set_result(np.zeros(len(x), dtype=np.int64))
+        return future
+
+    def records(self):
+        return []
+
+    def worker_health(self):
+        return {}
+
+
+class TestDueTimeClock:
+    def test_a_stall_shows_in_the_requests_due_during_it(self):
+        """Regression: latency was clocked from ``enqueued_at`` — read
+        after the generator got through the stalled ``submit`` — so every
+        request here reported ~0 s."""
+        offsets = tuple(i * 0.01 for i in range(40))   # due every 10 ms
+        result = run_load(
+            StallingServer(stall_at=0.1, stall_s=0.2), (1,),
+            LoadgenConfig(mode="trace", arrivals=offsets))
+        assert result.completed == 40
+        latencies = np.array(result.latencies_s)
+        # ~20 requests fell due while submit() was stuck; each waited
+        # for what was left of the stall.
+        assert (latencies > 0.05).sum() >= 10
+        assert latencies.max() > 0.15
+        assert result.late_p95_s > 0.1
+        assert result.row()["late_p95_s"] == pytest.approx(
+            result.late_p95_s, abs=1e-6)
+
+    def test_input_is_built_before_the_sleep(self):
+        """A slow ``make_input`` eats the generator's idle time, not the
+        request's punctuality."""
+        def slow_input(rng, count):
+            time.sleep(0.01)
+            return np.zeros((count, 1), dtype=np.float32)
+
+        offsets = tuple(0.03 * (i + 1) for i in range(10))
+        result = run_load(
+            StallingServer(stall_at=float("inf"), stall_s=0.0), (1,),
+            LoadgenConfig(mode="trace", arrivals=offsets),
+            make_input=slow_input)
+        assert result.completed == 10
+        assert result.late_p95_s < 0.008
+
+    def test_closed_loop_has_no_schedule_to_be_late_for(self, system):
+        with make_server(system) as server:
+            result = run_load(server, system.input_shape,
+                              LoadgenConfig(num_requests=4, mode="closed",
+                                            concurrency=2))
+        assert result.late_p95_s is None
+        assert result.row()["late_p95_s"] is None
 
 
 class TestRowSerialization:

@@ -187,6 +187,22 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             server.submit(inputs(system, 1))
 
+    def test_stop_wakes_an_idle_serve_loop_directly(self, system):
+        """Regression: the idle loop woke every ``poll_interval_s`` only
+        to look at the closed flag, so stop() waited that interval out."""
+        server = InferenceServer(
+            system.make_cluster(), system.fusion,
+            ServerConfig(poll_interval_s=5.0))
+        server.start()
+        try:
+            server.infer(inputs(system, 1))
+            time.sleep(0.05)                       # loop parked, queue empty
+            start = time.perf_counter()
+            server.stop(shutdown_cluster=False)
+            assert time.perf_counter() - start < 0.5
+        finally:
+            server.cluster.shutdown()
+
     def test_submit_before_start_raises(self, system):
         server = make_server(system)
         with pytest.raises(RuntimeError):
