@@ -10,10 +10,9 @@ Four gates, exit 1 on any failure:
   actually innovates, at ViT-Base batch-8 @224 shapes.  ``softmax`` on
   the (8, 12, 197, 197) attention scores must be >= 1.5x faster
   (clip-instead-of-max-shift + GEMV normalizer + cache-blocked row
-  sweeps; observed 1.7x+ across hosts).  ``layer_norm`` on the
-  (1576, 768) token matrix must not regress (its GEMV-reduction win is
-  host-dependent: 1.1-1.3x depending on how the VM's BLAS handles
-  short-row reductions).  Both must agree numerically (rtol 2e-4).
+  sweeps; observed 1.7x+ across hosts), and must agree numerically
+  (rtol 2e-4).  (``layer_norm`` is the reference kernel on both
+  backends, so there is nothing to compare.)
   The GEMMs themselves already run at the BLAS roofline under the
   reference backend, so they are covered by the E2E gates instead.
   All speedups are gated on the **median** of interleaved A/B timing
@@ -59,7 +58,6 @@ from repro.planning import plan_demo_system
 from repro.store import ArtifactStore
 
 SOFTMAX_MIN_SPEEDUP = 1.5      # hard gate: attention softmax median
-NO_REGRESSION = 0.95           # kernels: do no harm
 LONGSEQ_MIN_SPEEDUP = 1.0      # attention-heavy E2E must not lose
 E2E_NO_REGRESSION = 0.85       # whole-model latency noise allowance
 INT8_MIN_RATIO = 2.0           # artifact bytes fp32 / int8
@@ -98,21 +96,16 @@ def speedup_of(baseline, candidate, pairs: int = 9,
 
 
 # ----------------------------------------------------------------------
-# Gate 1: serving kernels (hard: softmax >= 1.5x, layer_norm no worse)
+# Gate 1: serving kernels (hard: softmax >= 1.5x)
 # ----------------------------------------------------------------------
 def gate_serving_kernels(rows: list[dict]) -> bool:
     rng = np.random.default_rng(0)
-    tokens = rng.normal(size=(1576, 768)).astype(np.float32)    # 8*197 rows
-    w = rng.normal(size=768).astype(np.float32)
-    b = rng.normal(size=768).astype(np.float32)
     scores = (rng.normal(size=(8, 12, 197, 197)) * 3).astype(np.float32)
 
     reference, blocked = NumpyBackend(), BlockedBackend()
     cases = [
         ("softmax (hard)",
          lambda be: be.softmax(scores, axis=-1), SOFTMAX_MIN_SPEEDUP),
-        ("layer_norm",
-         lambda be: be.layer_norm(tokens, w, b, 1e-5), NO_REGRESSION),
     ]
     ok = True
     for name, kernel, bar in cases:

@@ -13,8 +13,12 @@ Run as a script for the CI perf-smoke job::
 which prints the seed-style graph-building ViT-Base forward latency next
 to the current ``no_grad``/``inference_mode`` fast-path latency and fails
 (exit 1) if the fast path drops below the 2x acceptance bar or diverges
-numerically from the autograd path.
+numerically from the autograd path.  It then runs the serving-shape
+sub-model (see :func:`serving_shape_smoke`) at batch 1 and 8 and gates
+its speed, its scratch footprint and its resident weight bytes.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -209,8 +213,98 @@ def run_smoke(repeats: int = 5, min_speedup: float = 2.0,
     if speedup < min_speedup:
         print(f"FAIL: inference_mode speedup {speedup:.2f}x < {min_speedup}x")
         return 1
+    failures = serving_shape_smoke(repeats, min_speedup)
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    if failures:
+        return 1
     print("OK")
     return 0
+
+
+SERVING_SCRATCH_LIMIT = 8 << 20      # the per-module workspaces held 30.3 MiB
+
+
+def _resident_weight_bytes(model) -> int:
+    """Bytes of weights held for ``model``: its parameters and buffers,
+    plus any layout copies the active backend cached of them."""
+    own = sum(p.data.nbytes for p in model.parameters()) \
+        + sum(buf.nbytes for _, buf in model.named_buffers())
+    packed = getattr(nn.get_backend(), "_packed", {})
+    return own + sum(copy.nbytes for _, copy in packed.values())
+
+
+def serving_shape_smoke(repeats: int = 5, min_speedup: float = 2.0) -> list:
+    """The sub-model the e2e benchmark's ``compute_bound`` fleet serves
+    (32 px / patch 4 / depth 6 / dim 192), at the batch sizes it serves.
+
+    Prints the graph-building and graph-free ``forward_features`` at batch
+    1 and 8 and returns the violated gates: batch-1 graph-free at least
+    ``min_speedup`` x the seed's graph forward (the same replayed baseline
+    as the ViT-Base rows above), outputs equal, the model's scratch after
+    a batch-8 forward within ``SERVING_SCRATCH_LIMIT``, and no weight
+    bytes resident after serving that were not there before.
+    """
+    from unittest import mock
+
+    from repro.core.inference import extract_features
+    from repro.nn import ops
+
+    config = ViTConfig(image_size=32, patch_size=4, num_classes=10, depth=6,
+                       embed_dim=192, num_heads=6)
+    model = VisionTransformer(config, rng=np.random.default_rng(0))
+    model.eval()
+    pool = np.random.default_rng(0).normal(
+        size=(8, 3, 32, 32)).astype(np.float32)
+    weights_before = _resident_weight_bytes(model)
+
+    def best_of(fn):
+        fn()                                        # warm-up
+        times = []
+        for _ in range(max(repeats, 5) * 4):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    failures = []
+    print("serving-shape sub-model 32px/p4/d6/dim192 forward_features")
+    for batch in (1, 8):
+        x = pool[:batch]
+        tensor = nn.Tensor(x)
+        with mock.patch.object(ops, "gelu", _seed_gelu):
+            seed_s = best_of(lambda: model.forward_features(tensor))
+        graph_s = best_of(lambda: model.forward_features(tensor))
+        free_s = best_of(lambda: extract_features(model, x,
+                                                  keep_workspaces=True))
+        close = np.allclose(extract_features(model, x, keep_workspaces=True),
+                            model.forward_features(tensor).data,
+                            rtol=1e-5, atol=1e-5)
+        print(f"  batch {batch}: seed graph {seed_s * 1e3:7.2f} ms   "
+              f"graph {graph_s * 1e3:7.2f} ms   "
+              f"graph-free {free_s * 1e3:7.2f} ms   "
+              f"{seed_s / free_s:5.2f}x vs seed graph, "
+              f"{graph_s / free_s:5.2f}x vs graph")
+        if not close:
+            failures.append(f"batch {batch} graph-free features diverged "
+                            "from the autograd forward")
+        if batch == 1 and seed_s / free_s < min_speedup:
+            failures.append(f"batch-1 graph-free speedup "
+                            f"{seed_s / free_s:.2f}x < {min_speedup}x")
+    scratch = sum(module.workspace.nbytes() for module in model.modules()
+                  if "_workspace" in module.__dict__)
+    weights_after = _resident_weight_bytes(model)
+    print(f"  scratch after batch 8: {scratch / 2**20:.2f} MiB "
+          f"(limit {SERVING_SCRATCH_LIMIT / 2**20:.0f})")
+    print(f"  weight bytes resident: {weights_before} before serving, "
+          f"{weights_after} after")
+    if scratch > SERVING_SCRATCH_LIMIT:
+        failures.append(f"model scratch {scratch} B > "
+                        f"{SERVING_SCRATCH_LIMIT} B after a batch-8 forward")
+    if weights_after != weights_before:
+        failures.append(f"weight bytes resident moved: {weights_before} -> "
+                        f"{weights_after}")
+    return failures
 
 
 if __name__ == "__main__":

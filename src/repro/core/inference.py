@@ -52,7 +52,8 @@ def predict(model: nn.Module, data, batch_size: int = 64, *,
     the same batch shape (e.g. the edge runtime workers) pass
     ``keep_workspaces=True`` to retain the warm buffers.
     """
-    model.eval()
+    if model.training:                 # a served model is already in eval
+        model.eval()
     apply = forward if forward is not None else model
     outputs = []
     try:
@@ -67,6 +68,8 @@ def predict(model: nn.Module, data, batch_size: int = 64, *,
             model.clear_workspaces()
     if not outputs:
         raise ValueError("predict() received no data")
+    if len(outputs) == 1:
+        return outputs[0]
     return np.concatenate(outputs, axis=0)
 
 

@@ -15,6 +15,32 @@ paper's three-stage structured pruning (Fig. 2) has well-defined targets:
 Standard configurations (ViT-Small/Base/Large at 224×224, patch 16) match
 Table I of the paper; scaled-down configurations are provided for trainable
 experiments on synthetic data.
+
+Two forwards, one of each
+-------------------------
+The module classes' ``forward`` methods are the **autograd forward**: they
+build the graph training needs and are the reference every test compares
+against.  With gradients disabled, ``Block.forward`` and
+``VisionTransformer.forward_features`` run the **flat graph-free
+schedule** instead — :func:`_block_forward` and
+:meth:`VisionTransformer._infer_features`, the only graph-free ViT
+implementation — which touches raw arrays only and issues every kernel
+through the active ``ArrayBackend``:
+
+* **K-major weights.**  Each GEMM goes through ``Linear.infer`` /
+  ``QuantizedLinear.infer``, which hold the weight F-contiguous (rebound
+  once, at ``eval()``), so ``x @ W.T`` is the NN GEMM and an output-row
+  slice of ``W`` is a free view.  The parameter itself is the only copy;
+  nothing derived is cached, so nothing can go stale.
+* **CLS-only tail.**  ``forward_features`` reads one row of the last
+  block, so that block runs with a query-row restriction: K and V for
+  every token, everything else for the CLS row.
+* **One arena.**  Blocks run in sequence and share the model's per-thread
+  ``Workspace`` (under ``inference_mode()``; fresh arrays otherwise).  The
+  residual stream is updated in place inside it.
+* **Aliasing.**  The arena is scratch only.  What ``forward_features`` and
+  ``Block.forward`` return is always a fresh array, and ``Block.forward``
+  copies its input before the in-place schedule runs on it.
 """
 
 from __future__ import annotations
@@ -26,7 +52,7 @@ import numpy as np
 
 from .. import nn
 from ..nn import ops
-from ..nn.backend import get_backend
+from ..nn.backend import get_backend, scratch
 from ..nn.tensor import Tensor, concat, is_grad_enabled, is_inference
 
 
@@ -92,6 +118,26 @@ class PatchEmbed(nn.Module):
         b, d = feat.shape[0], feat.shape[1]
         return feat.reshape(b, d, -1).swapaxes(1, 2)
 
+    def infer(self, bk, x: np.ndarray, ws) -> np.ndarray:
+        """Graph-free ``forward`` on raw arrays: ``(B, P, D)`` patch rows.
+
+        The patches do not overlap (stride == kernel, no padding), so
+        gathering the receptive fields is one reshaped copy and the whole
+        convolution one GEMM whose rows are already in token order.
+        """
+        b, c, h, w = x.shape
+        ps = self.config.patch_size
+        gh, gw = h // ps, w // ps
+        fields = scratch(ws, "fields", (b, gh, gw, c, ps, ps), x.dtype)
+        np.copyto(fields, x.reshape(b, c, gh, ps, gw, ps)
+                  .transpose(0, 2, 4, 1, 3, 5))
+        dtype = np.result_type(x.dtype, np.float32)
+        rows = self.proj.infer_patches(
+            bk, fields.reshape(b * gh * gw, c * ps * ps),
+            out=scratch(ws, "branch", (b * gh * gw, self.config.embed_dim),
+                        dtype))
+        return rows.reshape(b, gh * gw, self.config.embed_dim)
+
 
 class MultiHeadSelfAttention(nn.Module):
     """MHSA with a decoupled internal width so pruning can shrink it.
@@ -116,8 +162,6 @@ class MultiHeadSelfAttention(nn.Module):
         self.proj = nn.Linear(attn_dim, embed_dim, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            return Tensor._noback(self._fused_forward(x.data))
         b, p, _ = x.shape
         h, dh = self.num_heads, self.head_dim
         qkv = self.qkv(x)                              # (B, P, 3*A)
@@ -129,32 +173,6 @@ class MultiHeadSelfAttention(nn.Module):
         out = attn.matmul(v)                           # (B, H, P, dh)
         out = out.transpose(0, 2, 1, 3).reshape(b, p, h * dh)
         return self.proj(out)
-
-    def _fused_forward(self, x):
-        """Graph-free attention on raw arrays: one QKV GEMM, in-place scaled
-        softmax, workspace-cached score/projection buffers."""
-        bk = get_backend()
-        ws = self.workspace if is_inference() else None
-        b, p, _ = x.shape
-        h, dh = self.num_heads, self.head_dim
-        qkv = self.qkv.infer(
-            bk, x,
-            out=None if ws is None else ws.buffer(
-                "qkv", (b, p, 3 * self.attn_dim), x.dtype))
-        qkv = qkv.reshape(b, p, 3, h, dh).transpose(2, 0, 3, 1, 4)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        scores = bk.matmul(
-            q, k.swapaxes(-1, -2),
-            out=None if ws is None else ws.buffer("scores", (b, h, p, p),
-                                                  x.dtype))
-        scores *= self.scale
-        bk.softmax(scores, axis=-1, out=scores)
-        ctx = bk.matmul(scores, v)                     # (B, H, P, dh)
-        ctx = bk.ascontiguous(ctx.transpose(0, 2, 1, 3)).reshape(b, p, h * dh)
-        return self.proj.infer(
-            bk, ctx,
-            out=None if ws is None else ws.buffer("proj", (b, p, self.embed_dim),
-                                                  x.dtype))
 
     def attention_weights(self, x: Tensor) -> np.ndarray:
         """Return softmax attention maps (B, H, P, P) without building a graph."""
@@ -177,24 +195,7 @@ class FeedForward(nn.Module):
         self.fc2 = nn.Linear(hidden_dim, embed_dim, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            return Tensor._noback(self._fused_forward(x.data))
         return self.fc2(ops.gelu(self.fc1(x), self.workspace))
-
-    def _fused_forward(self, x):
-        """Graph-free FFN on raw arrays with the GELU fused as a GEMM
-        epilogue (``Linear.infer``/``QuantizedLinear.infer``)."""
-        bk = get_backend()
-        ws = self.workspace if is_inference() else None
-        h = self.fc1.infer(
-            bk, x, activation="gelu",
-            out=None if ws is None else ws.buffer(
-                "ffn_hidden", x.shape[:-1] + (self.fc1.out_features,),
-                x.dtype))
-        return self.fc2.infer(
-            bk, h,
-            out=None if ws is None else ws.buffer(
-                "ffn_out", x.shape[:-1] + (self.fc2.out_features,), x.dtype))
 
 
 class Block(nn.Module):
@@ -210,24 +211,79 @@ class Block(nn.Module):
 
     def forward(self, x: Tensor) -> Tensor:
         if not is_grad_enabled():
-            return Tensor._noback(self._fused_forward(x.data))
+            ws = self.workspace if is_inference() else None
+            # The schedule updates the residual stream in place; the
+            # caller's input stays its own and the output is fresh.
+            return Tensor._noback(
+                _block_forward(self, get_backend(), x.data.copy(), ws))
         x = x + self.attn(self.norm1(x))
         x = x + self.mlp(self.norm2(x))
         return x
 
-    def _fused_forward(self, x):
-        """Graph-free block forward on raw arrays with in-place residuals.
 
-        The second residual accumulates in place into the array freshly
-        allocated by the first, so each block allocates exactly one
-        residual-stream array; everything else lives in module workspaces
-        under ``inference_mode()``.
-        """
-        h1 = self.norm1(Tensor._noback(x))
-        x = x + self.attn._fused_forward(h1.data)
-        h2 = self.norm2(Tensor._noback(x))
-        x += self.mlp(h2).data
-        return x
+def _block_forward(block: Block, bk, x: np.ndarray, ws,
+                   cls_only: bool = False) -> np.ndarray:
+    """The graph-free schedule of one pre-norm block, flat on raw arrays.
+
+    ``x`` is the ``(B, P, D)`` residual stream and is updated **in
+    place**; every other array is scratch from the arena ``ws`` (fresh
+    allocations when ``ws`` is ``None``) whose tags are shared by all
+    blocks, since blocks run one after another.  ``"branch"`` holds each
+    LayerNorm output and then, once the GEMM reading it is done, that
+    residual branch's result.  Every kernel is issued through the backend
+    ``bk`` (the layers' ``infer`` methods; ``QuantizedLinear`` has the same
+    one as ``Linear``).
+
+    With ``cls_only`` the block is evaluated for the CLS query row alone:
+    K and V still cover every token, but Q, the scores, the context,
+    ``proj`` and the whole MLP shrink to one row per image, and the
+    result is a fresh ``(B, 1, D)`` array (``x`` is left untouched).
+    The Q / KV split is an output-row slice of the one ``qkv`` layer.
+    """
+    attn, mlp = block.attn, block.mlp
+    b, p, d = x.shape
+    nh, dh, a = attn.num_heads, attn.head_dim, attn.attn_dim
+    nq = 1 if cls_only else p
+    dtype = x.dtype
+
+    normed = block.norm1.infer(bk, x,
+                               out=scratch(ws, "branch", (b, p, d), dtype))
+    if cls_only:
+        q = attn.qkv.infer(bk, normed[:, :1], rows=slice(0, a),
+                           out=scratch(ws, "query", (b, 1, a), dtype))
+        kv = attn.qkv.infer(bk, normed, rows=slice(a, 3 * a),
+                            out=scratch(ws, "qkv", (b, p, 2 * a), dtype))
+        kv = kv.reshape(b, p, 2, nh, dh)
+        k, v = kv[:, :, 0], kv[:, :, 1]
+    else:
+        qkv = attn.qkv.infer(bk, normed,
+                             out=scratch(ws, "qkv", (b, p, 3 * a), dtype))
+        qkv = qkv.reshape(b, p, 3, nh, dh)
+        q, k, v = qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]
+    q = q.reshape(b, nq, nh, dh)
+    q *= attn.scale                     # on P x dh per head, not P x P
+    scores = bk.matmul(q.transpose(0, 2, 1, 3), k.transpose(0, 2, 3, 1),
+                       out=scratch(ws, "scores", (b, nh, nq, p), dtype))
+    bk.softmax(scores, axis=-1, out=scores)
+    # Written head-interleaved, so (B, nq, h * dh) is a plain reshape.
+    context = scratch(ws, "context", (b, nq, nh, dh), dtype)
+    bk.matmul(scores, v.transpose(0, 2, 1, 3),
+              out=context.transpose(0, 2, 1, 3))
+    branch = attn.proj.infer(bk, context.reshape(b, nq, a),
+                             out=scratch(ws, "branch", (b, nq, d), dtype))
+    if cls_only:
+        x = x[:, :1] + branch
+    else:
+        x += branch
+
+    normed = block.norm2.infer(bk, x,
+                               out=scratch(ws, "branch", (b, nq, d), dtype))
+    hidden = mlp.fc1.infer(
+        bk, normed, activation="gelu",
+        out=scratch(ws, "hidden", (b, nq, mlp.fc1.out_features), dtype))
+    x += mlp.fc2.infer(bk, hidden,
+                       out=scratch(ws, "branch", (b, nq, d), dtype))
+    return x
 
 
 class VisionTransformer(nn.Module):
@@ -251,16 +307,40 @@ class VisionTransformer(nn.Module):
     def _embed(self, x: Tensor) -> Tensor:
         tokens = self.patch_embed(x)                    # (B, P, D)
         b = tokens.shape[0]
-        if not is_grad_enabled():
-            bk = get_backend()
-            cls = bk.broadcast_to(self.cls_token.data,
-                                  (b, 1, self.config.embed_dim))
-            data = bk.concatenate([cls, tokens.data], axis=1)
-            data += self.pos_embed.data
-            return self.dropout(Tensor._noback(data))
         cls = self.cls_token + nn.zeros((b, 1, self.config.embed_dim))
         tokens = concat([cls, tokens], axis=1)
         return self.dropout(tokens + self.pos_embed)
+
+    def _infer_features(self, x: np.ndarray,
+                        token_keep_ratio: float | None) -> np.ndarray:
+        """Graph-free ``forward_features`` on raw arrays.
+
+        One arena (this module's workspace, per thread, under
+        ``inference_mode()``; fresh allocations otherwise) serves the
+        embedding and every block.  The residual stream lives in its
+        ``"tokens"`` buffer and is updated in place; the last block runs
+        for the CLS row only, which is all the final norm reads.  The
+        returned ``(B, D)`` array is always fresh.
+        """
+        bk = get_backend()
+        ws = self.workspace if is_inference() else None
+        pos = self.pos_embed.data
+        patches = self.patch_embed.infer(bk, x, ws)
+        tokens = scratch(ws, "tokens", (x.shape[0],) + pos.shape[1:],
+                         patches.dtype)
+        np.add(self.cls_token.data, pos[:, :1], out=tokens[:, :1])
+        np.add(patches, pos[:, 1:], out=tokens[:, 1:])
+        if self.dropout.training and self.dropout.p > 0.0:
+            tokens = self.dropout(Tensor._noback(tokens)).data
+        last = len(self.blocks) - 1
+        for i, block in enumerate(self.blocks):
+            tokens = _block_forward(block, bk, tokens, ws, cls_only=i == last)
+            if (token_keep_ratio is not None and token_keep_ratio < 1.0
+                    and i == 0 and last > 0):
+                tokens = self._prune_tokens(Tensor._noback(tokens),
+                                            token_keep_ratio,
+                                            next_block=self.blocks[1]).data
+        return self.norm.infer(bk, tokens[:, :1])[:, 0]
 
     def forward_features(self, x: Tensor,
                          token_keep_ratio: float | None = None) -> Tensor:
@@ -276,6 +356,9 @@ class VisionTransformer(nn.Module):
         kept — an EViT/Evo-ViT-style speedup that composes with ED-ViT's
         structural pruning.  ``None`` or ``1.0`` disables it.
         """
+        if not is_grad_enabled():
+            return Tensor._noback(self._infer_features(x.data,
+                                                       token_keep_ratio))
         tokens = self._embed(x)
         for i, block in enumerate(self.blocks):
             tokens = block(tokens)

@@ -23,18 +23,37 @@ import time (default ``"numpy"``).
 
 Workspaces
 ----------
-:class:`Workspace` is a shape-keyed cache of pre-allocated scratch buffers
-(im2col columns, attention score matrices, MLP hidden activations).  Modules
+:class:`Workspace` is a tag-keyed cache of pre-allocated scratch buffers
+(im2col columns, a ``Linear``'s output, the ViT schedule's arena).  Modules
 own one workspace each; ops accept it optionally and only *reuse* buffers
 while :func:`repro.nn.tensor.is_inference` is true.  Invariants:
 
-* a buffer is keyed by ``(tag, shape, dtype)`` — same key, same storage;
+* a buffer is keyed by ``(tag, dtype)`` per thread — same key, same
+  storage, grown to the largest shape asked for;
 * a buffer's contents are only valid until the owning module's next
-  forward call: under ``inference_mode()`` outputs may alias workspace
+  forward call: under ``inference_mode()`` op outputs may alias workspace
   storage, so callers must copy anything they keep across calls
   (:func:`repro.core.predict` does);
 * under plain ``no_grad()`` (without ``inference_mode()``) every op output
   is freshly allocated, so seed semantics are unchanged.
+
+The ViT's graph-free schedule (:mod:`repro.models.vit`) uses one workspace
+as an **arena** for the whole model — blocks run in sequence, so they
+share its tags — and hands none of it out: its results are fresh arrays.
+
+Weight layout
+-------------
+``linear`` / ``linear_act`` / ``linear_q8`` take the weight ``(out, in)``
+in **any** layout and compute ``x @ weight.T``.  ``Linear`` holds its
+weight K-major (F-contiguous) once it serves, which makes that the NN GEMM
+here without a copy; a C-ordered weight is the NT GEMM (or, on the
+``blocked`` backend, packed once into a cache).  Kernels must therefore
+not assume contiguity of ``weight``, nor of a row slice of it.
+
+The reference kernels worth knowing the cost of: ``layer_norm`` is four
+full-size passes (centre, scale, weight, bias) around two row reductions;
+``apply_activation("gelu")`` is seven in-place passes;
+``einsum("ok,nkp->nop")``, the conv lowering, is a broadcast ``matmul``.
 """
 
 from __future__ import annotations
@@ -185,6 +204,11 @@ class ArrayBackend:
         return np.matmul(a, b, out=out)
 
     def einsum(self, spec, *operands) -> np.ndarray:
+        # The convolution lowering "ok,nkp->nop" is a plain broadcast
+        # matmul; np.einsum spends more time planning a contraction path
+        # per call than the tiny GEMM itself takes.
+        if spec == "ok,nkp->nop" and len(operands) == 2:
+            return np.matmul(operands[0], operands[1])
         return np.einsum(spec, *operands, optimize=True)
 
     def linear(self, x, weight, bias=None, out=None) -> np.ndarray:
@@ -208,7 +232,7 @@ class ArrayBackend:
         """Apply a named activation to ``buf`` **in place**.
 
         ``tmp`` is optional same-shape scratch; only ``gelu`` needs it
-        (its tanh argument must be built while ``buf`` still holds x).
+        (its exponent must be built while ``buf`` still holds x).
         """
         if name == "relu":
             return np.maximum(buf, 0.0, out=buf)
@@ -217,17 +241,21 @@ class ArrayBackend:
         if name == "tanh":
             return np.tanh(buf, out=buf)
         if name == "gelu":
+            # 0.5 x (1 + tanh u) == x / (1 + exp(-2u)) with
+            # u = sqrt(2/pi) x (1 + 0.044715 x^2): seven in-place passes
+            # with the constants folded, against nine for the tanh form.
             if tmp is None:
                 tmp = np.empty_like(buf)
             np.multiply(buf, buf, out=tmp)
-            tmp *= buf                 # x*x*x (generic float pow is ~70x slower)
-            tmp *= 0.044715
-            tmp += buf
-            tmp *= _SQRT_2_OVER_PI
-            np.tanh(tmp, out=tmp)
+            tmp *= -2.0 * _SQRT_2_OVER_PI * 0.044715
+            tmp -= 2.0 * _SQRT_2_OVER_PI
+            tmp *= buf
+            # exp overflows to inf below x ~ -10, where x / inf = -0.0 is
+            # the right limit; only the warning is unwanted.
+            with np.errstate(over="ignore"):
+                np.exp(tmp, out=tmp)
             tmp += 1.0
-            buf *= tmp
-            buf *= 0.5
+            buf /= tmp
             return buf
         raise ValueError(f"unknown activation {name!r}; "
                          f"supported: {list(self.ACTIVATIONS)}")
@@ -392,12 +420,18 @@ class ArrayBackend:
         return shifted
 
     def layer_norm(self, x, weight, bias, eps: float, out=None) -> np.ndarray:
-        mu = x.mean(axis=-1, keepdims=True)
+        """Four full-size passes (centre, scale, weight, bias); the two
+        row reductions allocate nothing the size of ``x``."""
+        inv_d = 1.0 / x.shape[-1]
+        mu = np.add.reduce(x, axis=-1, keepdims=True)
+        mu *= inv_d
         centered = np.subtract(x, mu, out=out)
-        var = (centered * centered).mean(axis=-1, keepdims=True)
+        var = np.einsum("...d,...d->...", centered, centered)[..., None]
+        var *= inv_d
         var += eps
         np.sqrt(var, out=var)
-        centered /= var
+        np.divide(1.0, var, out=var)
+        centered *= var
         centered *= weight
         centered += bias
         return centered

@@ -8,12 +8,14 @@ everything around the GEMM:
 
 * **Pre-transposed weight packing.**  ``linear`` computes ``x @ W.T`` with
   ``W`` stored ``(out, in)``; for the skinny matrices of edge sub-models the
-  BLAS transposed-B path costs up to 2x over a plain NN GEMM.  Weights small
-  enough to pack (``pack_limit``, default 1 MiB) are cached once in
-  ``(in, out)`` contiguous layout, keyed by array identity and dropped via
-  weakref when the weight is released.  Large weights keep the NT path: at
-  ViT-Base scale the forward is weight-*streaming* bound and a second
-  resident copy only adds cache pressure.
+  BLAS transposed-B path costs up to 2x over a plain NN GEMM.  A weight
+  that is already K-major (``Linear`` holds its own that way once it
+  serves) or a row slice of one is used as ``W.T`` as it stands.  C-ordered
+  weights small enough to pack (``pack_limit``, default 1 MiB) are cached
+  once in ``(in, out)`` contiguous layout, keyed by array identity and
+  dropped via weakref when the weight is released.  Large ones keep the NT
+  path: at ViT-Base scale the forward is weight-*streaming* bound and a
+  second resident copy only adds cache pressure.
 * **Fused bias + activation epilogues.**  ``linear_act`` applies
   gelu/relu/sigmoid/tanh on row blocks of the GEMM output while they are
   cache-hot, with a per-thread scratch instead of per-call allocations.
@@ -27,8 +29,11 @@ everything around the GEMM:
   scheduler affinity, so a single-core container degrades to the sequential
   path with zero overhead.
 
-Everything else (conv lowering, softmax, reductions) inherits the reference
-kernels, so the backend stays a drop-in: ``nn.set_backend("blocked")``.
+It also carries a clip-softmax (see :meth:`BlockedBackend.softmax`).
+Everything else (conv lowering, layer norm, batched matmul, reductions)
+inherits the reference kernels — the ViT schedule hands ``matmul`` views
+BLAS takes as they are, and the reference layer norm is already four
+passes — so the backend stays a drop-in: ``nn.set_backend("blocked")``.
 """
 
 from __future__ import annotations
@@ -55,6 +60,13 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):   # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+def _is_kmajor(weight: np.ndarray) -> bool:
+    """Whether ``(out, in)`` ``weight`` has unit stride along ``out``, i.e.
+    ``weight.T`` is row-major up to a row pitch (an F-contiguous weight or
+    a row slice of one) and ``x @ weight.T`` is already the NN GEMM."""
+    return weight.ndim == 2 and weight.strides[0] == weight.itemsize
 
 
 class BlockedBackend(NumpyBackend):
@@ -94,7 +106,16 @@ class BlockedBackend(NumpyBackend):
 
     def _packed_transpose(self, weight: np.ndarray) -> np.ndarray | None:
         """The cached ``(in, out)`` contiguous copy of ``weight``, or
-        ``None`` when the weight is too large to be worth packing."""
+        ``None`` when the weight is too large to be worth packing.
+
+        A weight that is already K-major (``Linear`` holds its own that
+        way once it serves), or a row slice of one, *is* its packed
+        layout transposed: it is returned as ``weight.T`` with no cache
+        entry — row slices are fresh views on every call, which the
+        ``id()``-keyed cache could only ever miss.
+        """
+        if _is_kmajor(weight):
+            return weight.T
         if weight.nbytes > self._pack_limit * weight.dtype.itemsize // 4:
             # itemsize-aware limit: an int8 weight is 4x denser, so the
             # same parameter count packs at 4x the fp32 byte budget.
@@ -202,7 +223,7 @@ class BlockedBackend(NumpyBackend):
                 block += bias if block.shape[-1] == n_out \
                     else bias[: block.shape[-1]]
 
-        if packed is not None:
+        if packed is not None and weight_q8.nbytes <= self._pack_limit:
             # Small weight: widen the whole packed transpose into
             # per-thread scratch once per call, NN GEMM, scale the output.
             wt = self._tmp("q8_deq", packed.shape, np.float32)
@@ -219,16 +240,19 @@ class BlockedBackend(NumpyBackend):
             # Large weight: tile over output columns so only one
             # ``tile_cols x in`` fp32 image exists at a time — resident
             # memory stays int8-sized no matter the model.
+            n_in = weight_q8.shape[1]
             tile_cols = max(64, min(n_out,
-                                    (self._pack_limit // 4)
-                                    // max(1, weight_q8.shape[1])))
-            tile = None
+                                    (self._pack_limit // 4) // max(1, n_in)))
             for j in range(0, n_out, tile_cols):
                 hi = min(j + tile_cols, n_out)
-                tile = self._tmp("q8_tile",
-                                 (hi - j, weight_q8.shape[1]), np.float32)
-                np.copyto(tile, weight_q8[j:hi], casting="safe")
-                np.matmul(x2, tile.T, out=y[:, j:hi])
+                # The (in, cols) tile takes the weight's own layout, so
+                # widening into it is a straight copy either way.
+                if packed is not None:
+                    tile = self._tmp("q8_tile", (n_in, hi - j), np.float32)
+                else:
+                    tile = self._tmp("q8_tile", (hi - j, n_in), np.float32).T
+                np.copyto(tile, weight_q8[j:hi].T, casting="safe")
+                np.matmul(x2, tile, out=y[:, j:hi])
                 y[:, j:hi] *= scale[j:hi]
                 if bias is not None:
                     y[:, j:hi] += bias[j:hi]
@@ -277,65 +301,3 @@ class BlockedBackend(NumpyBackend):
         ones = self._tmp("ones", (n,), dtype)
         ones.fill(1.0)
         return ones
-
-    # -- fused layer norm --------------------------------------------------
-    def layer_norm(self, x, weight, bias, eps: float, out=None) -> np.ndarray:
-        """Two-pass layer norm with GEMV reductions and merged affine.
-
-        The reference kernel makes ~7 elementwise/reduce passes; this one
-        computes the mean as a GEMV, E[x^2] as a row self-dot, merges
-        ``inv_std`` with the affine ``weight`` into one per-row scale
-        matrix, and writes the output in three in-place sweeps.
-        ``max(var, 0)`` guards the E[x^2] - mean^2 cancellation from
-        going negative in fp32.
-        """
-        d = x.shape[-1]
-        x2 = np.ascontiguousarray(x.reshape(-1, d))
-        inv_d = np.float32(1.0 / d)
-        mu = np.matmul(x2, self._ones(d, x2.dtype))
-        mu *= inv_d
-        ss = np.einsum("rd,rd->r", x2, x2, optimize=False)
-        ss *= inv_d
-        var = ss - mu * mu
-        np.maximum(var, 0.0, out=var)
-        var += eps
-        np.sqrt(var, out=var)
-        inv = np.divide(1.0, var, out=var)
-        scale = self._tmp("ln_scale", x2.shape, x2.dtype)
-        np.multiply(inv[:, None], weight, out=scale)
-        y = np.subtract(x2, mu[:, None],
-                        out=out.reshape(-1, d) if out is not None else None)
-        y *= scale
-        y += bias
-        return y.reshape(x.shape)
-
-    # -- batched matmul / einsum -------------------------------------------
-    def matmul(self, a, b, out=None) -> np.ndarray:
-        """Batched matmul with contiguity repair for strided operands.
-
-        Attention feeds transposed Q/K/V *views* here; BLAS falls off its
-        fast path on non-unit inner strides, so smallish strided operands
-        are first gathered into per-thread scratch.  (``b`` keeps a plain
-        last-axis transpose as-is — that maps to the GEMM's NT case.)
-        """
-        if a.ndim > 2 and not a.flags.c_contiguous and a.nbytes <= (1 << 22):
-            packed = self._tmp("mm_a", a.shape, a.dtype)
-            np.copyto(packed, a)
-            a = packed
-        if (b.ndim > 2 and b.nbytes <= (1 << 22)
-                and not b.flags.c_contiguous
-                and not b.transpose(
-                    tuple(range(b.ndim - 2)) + (b.ndim - 1, b.ndim - 2)
-                ).flags.c_contiguous):
-            packed = self._tmp("mm_b", b.shape, b.dtype)
-            np.copyto(packed, b)
-            b = packed
-        return np.matmul(a, b, out=out)
-
-    def einsum(self, spec, *operands) -> np.ndarray:
-        # The convolution lowering "ok,nkp->nop" is a plain broadcast
-        # matmul; np.einsum spends more time planning a contraction path
-        # per call than the tiny GEMM itself takes.
-        if spec == "ok,nkp->nop" and len(operands) == 2:
-            return np.matmul(operands[0], operands[1])
-        return super().einsum(spec, *operands)

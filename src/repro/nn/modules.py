@@ -123,7 +123,9 @@ class Module:
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {name: p.data.copy() for name, p in self.named_parameters()}
         for name, buf in self.named_buffers():
-            state[name] = np.array(buf, copy=True)
+            # order="C" like ``ndarray.copy()`` above: a K-major buffer
+            # must serialize to the same bytes as before it was served.
+            state[name] = np.array(buf, copy=True, order="C")
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True) -> None:
@@ -199,16 +201,45 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops.linear(x, self.weight, self.bias, self.workspace)
 
+    def train(self, mode: bool = True) -> "Module":
+        if not mode:
+            # eval() is where serving starts: change the layout here,
+            # before a worker reports ready, not on its first request.
+            self.kmajor_weight()
+        return super().train(mode)
+
+    def kmajor_weight(self) -> np.ndarray:
+        """``weight.data``, rebound K-major (F-contiguous) if it is not.
+
+        Same shape, same values, the parameter's only storage: ``x @ W.T``
+        is then the NN GEMM on every backend and a row slice of ``W`` is a
+        unit-stride column view of ``W.T``, so nothing derived is cached
+        and nothing can go stale.  Whatever rebinds the parameter
+        (``load_state_dict``, an optimizer step, pruning surgery) leaves a
+        C-ordered array that the next call here converts again;
+        ``state_dict()`` copies in C order either way.
+        """
+        weight = self.weight.data
+        if not weight.flags.f_contiguous:
+            weight = self.weight.data = np.asfortranarray(weight)
+        return weight
+
     def infer(self, backend, x: np.ndarray, out=None,
-              activation: str | None = None) -> np.ndarray:
+              activation: str | None = None,
+              rows: slice | None = None) -> np.ndarray:
         """Raw-array fast path with an optional fused activation epilogue.
 
-        Polymorphic with ``QuantizedLinear.infer`` so fused model forwards
-        (e.g. ViT attention) work unchanged on int8-surgered modules.
+        ``rows`` restricts the layer to a slice of its output features.
+        Polymorphic with ``QuantizedLinear.infer`` so the ViT block
+        schedule works unchanged on int8-surgered modules.
         """
-        return backend.linear_act(x, self.weight.data,
-                                  self.bias.data if self.bias is not None else None,
-                                  activation=activation, out=out)
+        weight = self.kmajor_weight()
+        bias = self.bias.data if self.bias is not None else None
+        if rows is not None:
+            weight = weight[rows]
+            bias = bias[rows] if bias is not None else None
+        return backend.linear_act(x, weight, bias, activation=activation,
+                                  out=out)
 
     def __repr__(self):
         return f"Linear(in={self.in_features}, out={self.out_features})"
@@ -226,6 +257,11 @@ class LayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.layer_norm(x, self.weight, self.bias, self.eps, self.workspace)
+
+    def infer(self, backend, x: np.ndarray, out=None) -> np.ndarray:
+        """Raw-array fast path (cf. ``Linear.infer``)."""
+        return backend.layer_norm(x, self.weight.data, self.bias.data,
+                                  self.eps, out=out)
 
     def __repr__(self):
         return f"LayerNorm({self.normalized_shape})"
@@ -258,9 +294,30 @@ class Conv2d(Module):
         return ops.conv2d(x, self.weight, self.bias, self.stride, self.padding,
                           self.workspace)
 
+    def infer_patches(self, backend, fields: np.ndarray,
+                      out=None) -> np.ndarray:
+        """Raw-array conv over already-gathered receptive fields.
+
+        ``fields`` is ``(N, C*kh*kw)``, one row per output position; the
+        result is ``(N, out_channels)`` with the bias added.  Polymorphic
+        with ``QuantizedConv2d.infer_patches``.
+        """
+        return patch_gemm(backend, fields, self.weight.data,
+                          self.bias.data if self.bias is not None else None,
+                          out)
+
     def __repr__(self):
         return (f"Conv2d({self.in_channels}, {self.out_channels}, "
                 f"k={self.kernel_size}, s={self.stride}, p={self.padding})")
+
+
+def patch_gemm(backend, fields: np.ndarray, kernel: np.ndarray,
+               bias: np.ndarray | None, out=None) -> np.ndarray:
+    """``fields @ kernel.reshape(O, -1).T + bias`` as one backend GEMM."""
+    y = backend.matmul(fields, kernel.reshape(kernel.shape[0], -1).T, out=out)
+    if bias is not None:
+        y += bias
+    return y
 
 
 class BatchNorm2d(Module):

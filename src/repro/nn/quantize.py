@@ -33,7 +33,8 @@ import numpy as np
 
 from . import ops
 from .backend import get_backend, scratch
-from .modules import Conv2d, Linear, Module, ModuleList, Sequential
+from .modules import (Conv2d, Linear, Module, ModuleList, Sequential,
+                      patch_gemm)
 from .tensor import Tensor, is_grad_enabled, is_inference
 
 SCHEMES = ("int8",)
@@ -112,12 +113,30 @@ class QuantizedLinear(Module):
             np.copyto(q.bias, linear.bias.data)
         return q
 
+    def train(self, mode: bool = True) -> "Module":
+        if not mode:
+            self.kmajor_weight()       # see Linear.train
+        return super().train(mode)
+
+    def kmajor_weight(self) -> np.ndarray:
+        """``weight_q8``, rebound K-major if it is not (the int8 twin of
+        ``Linear.kmajor_weight``: one resident copy, in GEMM order)."""
+        weight = self.weight_q8
+        if not weight.flags.f_contiguous:
+            weight = np.asfortranarray(weight)
+            self.register_buffer("weight_q8", weight)
+        return weight
+
     def infer(self, backend, x: np.ndarray, out=None,
-              activation: str | None = None) -> np.ndarray:
+              activation: str | None = None,
+              rows: slice | None = None) -> np.ndarray:
         """Raw-array fast path; the polymorphic twin of ``Linear.infer``."""
-        return backend.linear_q8(x, self.weight_q8, self.weight_scale,
-                                 bias=self.bias, activation=activation,
-                                 out=out)
+        weight, scale, bias = self.kmajor_weight(), self.weight_scale, self.bias
+        if rows is not None:
+            weight, scale = weight[rows], scale[rows]
+            bias = bias[rows] if bias is not None else None
+        return backend.linear_q8(x, weight, scale, bias=bias,
+                                 activation=activation, out=out)
 
     def forward(self, x: Tensor) -> Tensor:
         if is_grad_enabled():
@@ -182,13 +201,21 @@ class QuantizedConv2d(Module):
                 "QuantizedConv2d is inference-only; run it under "
                 "no_grad()/inference_mode() or keep the fp32 model for "
                 "training")
-        ws = self.workspace if is_inference() else None
-        w = dequantize_array(self.weight_q8, self.weight_scale,
-                             out=scratch(ws, "deq_weight",
-                                         self.weight_q8.shape, np.float32))
         bias = Tensor._noback(self.bias) if self.bias is not None else None
-        return ops.conv2d(x, Tensor._noback(w), bias, self.stride,
-                          self.padding, self.workspace)
+        return ops.conv2d(x, Tensor._noback(self._dequantized()), bias,
+                          self.stride, self.padding, self.workspace)
+
+    def _dequantized(self) -> np.ndarray:
+        """The fp32 kernel, in workspace scratch under ``inference_mode()``."""
+        ws = self.workspace if is_inference() else None
+        return dequantize_array(self.weight_q8, self.weight_scale,
+                                out=scratch(ws, "deq_weight",
+                                            self.weight_q8.shape, np.float32))
+
+    def infer_patches(self, backend, fields: np.ndarray,
+                      out=None) -> np.ndarray:
+        """Raw-array twin of ``Conv2d.infer_patches``."""
+        return patch_gemm(backend, fields, self._dequantized(), self.bias, out)
 
     def __repr__(self):
         return (f"QuantizedConv2d({self.in_channels}, {self.out_channels}, "

@@ -67,6 +67,31 @@ def test_predict_outputs_are_caller_owned(model, data):
     np.testing.assert_allclose(first, second, rtol=0, atol=0)
 
 
+def test_single_batch_output_survives_the_next_forward(model, data):
+    """One batch skips the concatenate, not the copy out of the warm
+    workspaces a server keeps."""
+    x, _ = data
+    first = inference.predict(model, x, keep_workspaces=True)
+    kept = first.copy()
+    inference.predict(model, x[::-1].copy(), keep_workspaces=True)
+    model.clear_workspaces()
+    np.testing.assert_array_equal(first, kept)
+
+
+def test_predict_puts_only_a_training_model_into_eval(model, data, monkeypatch):
+    x, _ = data
+    model.train()
+    inference.predict(model, x)
+    assert not model.training
+    assert not any(m.training for m in model.modules())
+
+    def no_walk():
+        raise AssertionError("eval() re-walked a model already in eval")
+
+    monkeypatch.setattr(model, "eval", no_walk, raising=False)
+    inference.predict(model, x)
+
+
 def test_predict_empty_raises(model):
     with pytest.raises(ValueError):
         inference.predict(model, [])

@@ -242,6 +242,36 @@ def test_gelu_kernel_matches_reference(b):
     np.testing.assert_allclose(b.gelu(x), ref, rtol=1e-6, atol=1e-7)
 
 
+def test_gelu_epilogue_matches_the_tanh_form_without_warnings(b):
+    """``apply_activation("gelu")`` is the sigmoid form x / (1 + exp(-2u))
+    of the same function; far in the negative tail exp overflows to inf,
+    which must come out as (minus) zero and raise no warning."""
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.normal(size=64) * 3.0,
+                        [-40.0, -12.0, -10.0, 0.0, 10.0, 40.0]]
+                       ).astype(np.float32).reshape(10, 7)
+    x64 = x.astype(np.float64)
+    ref = 0.5 * x64 * (1.0 + np.tanh(np.sqrt(2 / np.pi)
+                                      * (x64 + 0.044715 * x64 ** 3)))
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        out = b.apply_activation("gelu", x.copy())
+        out_tmp = b.apply_activation("gelu", x.copy(), tmp=np.empty_like(x))
+    np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-6)
+    np.testing.assert_array_equal(out, out_tmp)
+
+
+def test_conv_lowering_einsum_is_a_plain_matmul(b, monkeypatch):
+    """Every conv forward issues "ok,nkp->nop"; the default backend must
+    not plan a contraction path for it on each call."""
+    rng = np.random.default_rng(6)
+    w = rng.normal(size=(4, 6)).astype(np.float32)
+    cols = rng.normal(size=(2, 6, 5)).astype(np.float32)
+    ref = np.einsum("ok,nkp->nop", w, cols)
+    monkeypatch.setattr(np, "einsum", None)         # must not be reached
+    np.testing.assert_allclose(b.einsum("ok,nkp->nop", w, cols), ref,
+                               rtol=1e-5, atol=1e-6)
+
+
 def test_softmax_kernel(b):
     x = np.random.default_rng(1).normal(size=(4, 9)).astype(np.float32)
     out = b.softmax(x, axis=-1)
