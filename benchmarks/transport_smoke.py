@@ -20,12 +20,21 @@ Pins the PR-4 acceptance bar end to end:
 5. **no Nagle stall on the TCP hop** — a 32 KiB message (sent by
    ``multiprocessing.connection`` as header + body) echoes over the
    ``tcp`` transport in a median under 10 ms; without ``TCP_NODELAY`` on
-   both ends it takes ~45 ms (delayed ACK of the header, each way).
+   both ends it takes ~45 ms (delayed ACK of the header, each way);
+6. **boot is concurrent and holds the model once** — on ``tcp`` and
+   ``multiprocess``, a 4-worker cluster of serving-shape sub-models
+   starts in at most 0.75 x 4 x the start of a 1-worker cluster (median
+   of 3: the children import side by side instead of one after another),
+   and a worker's peak resident set after a batch-8 request is at most
+   that of a worker hosting a dim-8 model plus twice its weights (3.0x
+   when the blob rode in the process arguments).
 
 Exits non-zero on any violation, so CI fails loudly.
 """
 
+import multiprocessing
 import statistics
+import sys
 import time
 import types
 
@@ -33,7 +42,7 @@ import numpy as np
 
 from repro.core.metrics import format_table
 from repro.edge.device import DeviceModel
-from repro.edge.network import tc_capped_link
+from repro.edge.network import LinkModel, tc_capped_link
 from repro.edge.runtime import EdgeCluster, WorkerSpec
 from repro.edge.transport import TcpTransport
 from repro.models.fusion import build_fusion_for
@@ -53,6 +62,11 @@ CLOSED_REQUESTS = 120
 ECHO_BYTES = 32 * 1024                 # > 16 KiB: goes out as two send()s
 ECHO_ROUND_TRIPS = 20
 ECHO_MEDIAN_BOUND_S = 0.010
+BOOT_TRANSPORTS = ("tcp", "multiprocess")
+BOOT_FLEET = 4
+BOOT_REPEATS = 3
+BOOT_SCALING_BOUND = 0.75              # of BOOT_FLEET sequential boots
+BOOT_WEIGHT_COPIES_BOUND = 2.0
 
 
 def tcp_loopback_end_to_end() -> dict:
@@ -108,6 +122,74 @@ def tcp_large_message_round_trip() -> dict:
         f"{ECHO_ROUND_TRIPS}); bound {ECHO_MEDIAN_BOUND_S * 1e3:.0f} ms — " \
         "is TCP_NODELAY still set on both ends?"
     return {"scenario": "tcp 32 KiB echo", "p50_ms": round(median * 1e3, 3)}
+
+
+def _serving_shape_spec(worker_id: str, embed_dim: int, seed: int):
+    """32px / patch 4 / depth 6: the e2e benchmark's compute-fleet shape
+    at ``embed_dim=192``, its interpreter-only baseline at 8."""
+    model = VisionTransformer(
+        ViTConfig(image_size=32, patch_size=4, num_classes=10, depth=6,
+                  embed_dim=embed_dim, num_heads=max(2, embed_dim // 64)),
+        rng=np.random.default_rng(seed))
+    return WorkerSpec.from_model(
+        worker_id, model, "vit", flops_per_sample=1e6,
+        device=DeviceModel(device_id=worker_id, macs_per_second=1e12),
+        link=LinkModel(bandwidth_bps=1e9, overhead_seconds=0.0))
+
+
+def _start_s(specs, transport: str) -> float:
+    cluster = EdgeCluster(specs, transport=transport)
+    start = time.perf_counter()
+    cluster.start()
+    elapsed = time.perf_counter() - start
+    cluster.shutdown()
+    return elapsed
+
+
+def _worker_peak_rss(spec, transport: str) -> int:
+    """``VmHWM`` (bytes) of the one worker hosting ``spec``, after it has
+    served a batch-8 request."""
+    x = np.zeros((8, 3, 32, 32), dtype=np.float32)
+    with EdgeCluster([spec], transport=transport) as cluster:
+        cluster.infer_features(x)
+        worker, = multiprocessing.active_children()
+        with open(f"/proc/{worker.pid}/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    raise AssertionError("no VmHWM line in /proc/<pid>/status")
+
+
+def boot_gate() -> list[dict]:
+    specs = [_serving_shape_spec(f"w{i}", 192, seed=i)
+             for i in range(BOOT_FLEET)]
+    base = _serving_shape_spec("base", 8, seed=0)
+    weights = len(specs[0].state_blob)
+    rows = []
+    for transport in BOOT_TRANSPORTS:
+        one = statistics.median(_start_s(specs[:1], transport)
+                                for _ in range(BOOT_REPEATS))
+        fleet = statistics.median(_start_s(specs, transport)
+                                  for _ in range(BOOT_REPEATS))
+        scaling = fleet / (BOOT_FLEET * one)
+        assert scaling <= BOOT_SCALING_BOUND, \
+            f"{transport}: {BOOT_FLEET} workers start in {fleet:.3f} s, " \
+            f"{scaling:.2f} x {BOOT_FLEET} x the {one:.3f} s of one worker " \
+            f"(bound {BOOT_SCALING_BOUND}) — is the launch sequential again?"
+        row = {"scenario": f"boot {transport}", "one_s": round(one, 3),
+               f"fleet{BOOT_FLEET}_s": round(fleet, 3),
+               "scaling": round(scaling, 2)}
+        if sys.platform.startswith("linux"):
+            copies = (_worker_peak_rss(specs[0], transport)
+                      - _worker_peak_rss(base, transport)) / weights
+            assert copies <= BOOT_WEIGHT_COPIES_BOUND, \
+                f"{transport}: a worker peaks {copies:.2f} x its " \
+                f"{weights / 2**20:.1f} MiB of weights above an empty " \
+                f"one (bound {BOOT_WEIGHT_COPIES_BOUND}) — is it holding " \
+                "a blob or a second state dict?"
+            row["weight_copies"] = round(copies, 2)
+        rows.append(row)
+    return rows
 
 
 def _wide_fleet(codec: str):
@@ -207,6 +289,7 @@ def main() -> None:
     plan_row = plan_codec_round_trip()
 
     print(format_table(rows))
+    print(format_table(boot_gate()))
     print(f"\nwire bytes raw32 {raw32['wire_in']} -> q8 {q8['wire_in']} "
           f"({raw32['wire_in'] / q8['wire_in']:.2f}x smaller), "
           f"p95 {raw32['p95_s'] * 1e3:.1f} ms -> {q8['p95_s'] * 1e3:.1f} ms")

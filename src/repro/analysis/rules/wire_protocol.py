@@ -28,8 +28,11 @@ WIRE_MODULE = "repro.edge.wire"
 # Mirrors repro.edge.wire.ARITY on purpose: WIRE003 cross-checks the two
 # copies, so protocol evolution forces a conscious analyzer update.
 EXPECTED_ARITY: dict[str, tuple[int, int]] = {
+    "spec": (2, 2),
+    "weights": (3, 3),
     "infer": (3, 4),
     "stop": (1, 1),
+    "hello": (2, 2),
     "ready": (2, 2),
     "failed": (3, 3),
     "features": (4, 4),

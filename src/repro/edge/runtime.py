@@ -23,15 +23,32 @@ blocks on a dead worker: every receive goes through poll-with-timeout plus
 a worker-liveness check, and failures surface as the typed
 :class:`WorkerFailure` instead of a hang.
 
+Boot is a handshake over the worker's own channel — the only one, used
+by :meth:`EdgeCluster.start` for the whole fleet and by
+:meth:`EdgeCluster.add_worker` for one worker.  The transport launches
+the batch at once and hands each worker its ``spec`` (sent with an empty
+``state_blob``: no weights travel as a process argument); the cluster
+then streams each worker's state dict as one ``weights`` message per
+array, decoded lazily from the blob the parent keeps, and waits — for a
+bounded time, watching for children that died — until every worker has
+answered ``ready``.  The worker adopts each array into its model as it
+arrives, so it holds its parameters once: no blob, no second state dict,
+no copy.  Any failure tears down every worker of the batch before it is
+raised.
+
 Messages parent -> worker (built/read only via :mod:`repro.edge.wire`,
 which owns the protocol's shape table)::
 
+    ("spec", spec)                      # once, first; sent by the transport
+    ("weights", name, array)            # one per state-dict entry
+    ("weights", None, None)             # end of the weights
     ("infer", request_id, x[, trace])   # run forward_features over x
     ("stop",)                           # drain and exit
 
 Messages worker -> parent::
 
-    ("ready", worker_id)                        # once, after model build
+    ("hello", worker_id)                        # tcp only: names the dial-back
+    ("ready", worker_id)                        # once, after the last weights
     ("failed", worker_id, detail)               # startup failure
     ("features", request_id, encoded, stats)    # per-request success
     ("error", request_id | None, message)       # per-request failure
@@ -69,7 +86,7 @@ from . import wire
 from .codec import EncodedFeatures, get_codec
 from .device import DeviceModel
 from .network import LinkModel, tc_capped_link
-from .transport import Transport, WorkerHandle, get_transport
+from .transport import Transport, WorkerHandle, get_transport, reap
 
 
 class WorkerFailure(RuntimeError):
@@ -215,10 +232,45 @@ class WorkerSpec:
         )
 
 
+def _send_weights(handle: WorkerHandle, state_blob: bytes) -> None:
+    """Stream a state blob to a booting worker, one array at a time.
+
+    Sends are paced by the worker (a full pipe blocks until it reads).
+    A worker that is gone is not reported here: the wait for its READY
+    finds the EOF, or the FAILED reply it left behind.  A blob that does
+    not decode is this worker's start-up failure.
+    """
+    try:
+        for name, array in nn.iter_state_dict_from_bytes(state_blob):
+            handle.send(wire.weights_message(name, array))
+        handle.send(wire.weights_end_message())
+    except ConnectionError:            # broken pipe, reset: the worker died
+        pass
+    except Exception as exc:
+        raise RuntimeError(
+            f"worker {handle.worker_id} failed to start: "
+            f"{type(exc).__name__}: {exc}") from exc
+
+
+def _received_weights(conn):
+    """The ``(name, array)`` pairs a booting worker is sent, as they
+    arrive, up to the end marker."""
+    while True:
+        message = conn.recv()
+        if wire.command(message) != wire.WEIGHTS:
+            raise wire.WireError(
+                f"expected weights, got {wire.command(message)!r}")
+        entry = wire.weights_entry(message)
+        if entry is None:
+            return
+        yield entry
+
+
 def _worker_main(spec: WorkerSpec, conn, time_scale: float) -> None:
     """Entry point of an emulated device worker (any transport)."""
     from ..core.inference import extract_features
 
+    weights = _received_weights(conn)
     try:
         # Process transports re-import this module fresh, so a model kind
         # or codec registered only at runtime in the parent is unknown
@@ -229,14 +281,19 @@ def _worker_main(spec: WorkerSpec, conn, time_scale: float) -> None:
         quant = getattr(spec, "quant", "fp32")  # pre-quant specs lack it
         if quant != "fp32":
             model = nn.quantize_module(model, scheme=quant)
-        model.load_state_dict(nn.state_dict_from_bytes(spec.state_blob))
+        # Each array becomes the model's own storage as it arrives and
+        # the random-init one it replaces is released: parameters plus
+        # one array in flight is all this worker ever holds.
+        model.load_state_dict(weights, adopt=True)
         model.eval()
         codec = get_codec(spec.codec)
     except Exception as exc:
         try:
+            for _ in weights:          # the parent streams to the end marker
+                pass
             conn.send(wire.failed_message(spec.worker_id,
                                           f"{type(exc).__name__}: {exc}"))
-        except (BrokenPipeError, OSError):
+        except (BrokenPipeError, EOFError, OSError, wire.WireError):
             pass
         return
     conn.send(wire.ready_message(spec.worker_id))
@@ -467,22 +524,21 @@ class EdgeCluster:
             return self._request_counter
 
     # ------------------------------------------------------------------
-    def start(self) -> None:
+    def start(self, ready_timeout: float = 30.0) -> None:
+        """Boot the whole fleet; on any failure nothing is left running
+        (no worker, no listener) and the cluster can be started again."""
         if self._started:
             raise RuntimeError("cluster already started")
-        for spec in self._specs:
-            self._handles[spec.worker_id] = self._transport.spawn(
-                spec, self._time_scale, _worker_main)
-        for spec in self._specs:
-            message = self._handles[spec.worker_id].recv()
-            if wire.command(message) != wire.READY:
-                detail = wire.startup_detail(message)
-                raise RuntimeError(
-                    f"worker {spec.worker_id} failed to start: {detail}")
+        try:
+            handles = self._boot(self._specs, ready_timeout)
+        except BaseException:
+            self._transport.close()
+            raise
+        self._handles = {handle.worker_id: handle for handle in handles}
         self._started = True
 
     def add_worker(self, spec: WorkerSpec, ready_timeout: float = 30.0) -> None:
-        """Register one more worker; spawn it immediately if running.
+        """Register one more worker; boot it immediately if running.
 
         This is the replanning primitive: after a device failure the
         planning layer reassigns the orphaned sub-models and adds fresh
@@ -494,39 +550,73 @@ class EdgeCluster:
             raise ValueError(f"duplicate worker id {spec.worker_id!r}")
         self._specs.append(spec)
         if not self._started:
-            return                     # start() will spawn it with the rest
+            return                     # start() will boot it with the rest
         # The handle stays private until the worker reports ready: once
         # registered in _handles a concurrently-polling serving thread
         # would race this handshake for the channel and could consume
         # the "ready" message itself.
-        handle = self._transport.spawn(spec, self._time_scale, _worker_main)
         try:
-            if not handle.poll(ready_timeout):
-                raise RuntimeError(
-                    f"worker {spec.worker_id} not ready within "
-                    f"{ready_timeout}s")
-            message = handle.recv()
-            if wire.command(message) != wire.READY:
-                detail = wire.startup_detail(message)
-                raise RuntimeError(
-                    f"worker {spec.worker_id} failed to start: {detail}")
-        except (EOFError, OSError) as exc:
-            self._retire_unready(spec.worker_id, handle,
-                                 f"failed to start: {exc}")
-            raise RuntimeError(
-                f"worker {spec.worker_id} died during startup") from exc
+            handle, = self._boot([spec], ready_timeout)
         except RuntimeError as exc:
-            self._retire_unready(spec.worker_id, handle, str(exc))
+            self._down[spec.worker_id] = str(exc)
             raise
         self._handles[spec.worker_id] = handle
 
-    def _retire_unready(self, worker_id: str, handle: WorkerHandle,
-                        reason: str) -> None:
-        """Mark a never-registered worker down and reap its handle."""
-        self._down[worker_id] = reason
-        handle.close()
-        if handle.alive():
-            handle.kill()
+    def _boot(self, specs: list[WorkerSpec],
+              ready_timeout: float) -> list[WorkerHandle]:
+        """The one start-up handshake: launch the batch, stream each
+        worker its weights, wait for every READY.  Returns the handles in
+        the order of ``specs``; tears all of them down if any step fails.
+        """
+        headers = [dataclasses.replace(spec, state_blob=b"")
+                   for spec in specs]
+        handles = self._transport.launch(headers, self._time_scale,
+                                         _worker_main)
+        try:
+            for handle, spec in zip(handles, specs):
+                _send_weights(handle, spec.state_blob)
+            self._await_ready(handles, ready_timeout)
+        except BaseException:
+            reap(handles)
+            raise
+        return handles
+
+    def _await_ready(self, handles: list[WorkerHandle],
+                     ready_timeout: float) -> None:
+        """Block until every handle has answered READY with its own id.
+
+        Raises ``RuntimeError`` naming the worker on a FAILED (or any
+        other) reply, on a child that died without one (EOF, or not alive
+        with nothing buffered), and when ``ready_timeout`` seconds pass
+        with a worker still silent.
+        """
+        deadline = time.monotonic() + ready_timeout
+        pending = {handle.worker_id: handle for handle in handles}
+        while pending:
+            remaining = deadline - time.monotonic()
+            ready = self._transport.wait(list(pending.values()),
+                                         min(max(remaining, 0.0), 0.05))
+            for handle in ready:
+                worker_id = handle.worker_id
+                try:
+                    message = handle.recv()
+                except (EOFError, OSError) as exc:
+                    raise RuntimeError(f"worker {worker_id} died during "
+                                       f"startup") from exc
+                if wire.command(message) != wire.READY \
+                        or wire.worker_id(message) != worker_id:
+                    raise RuntimeError(
+                        f"worker {worker_id} failed to start: "
+                        f"{wire.startup_detail(message)}")
+                del pending[worker_id]
+            for worker_id, handle in pending.items():
+                if not handle.alive() and not handle.poll(0):
+                    raise RuntimeError(
+                        f"worker {worker_id} died during startup")
+            if pending and remaining <= 0:
+                raise RuntimeError(
+                    f"worker {sorted(pending)[0]} not ready within "
+                    f"{ready_timeout}s")
 
     def shutdown(self) -> None:
         """Stop all workers.  Idempotent, and tolerant of dead workers."""

@@ -15,11 +15,24 @@
   handshake).  Loopback by default, but the address is real — the
   multi-host-capable substrate.
 
-A transport hands back one :class:`WorkerHandle` per spawn; the handle is
+A transport hands back one :class:`WorkerHandle` per worker; the handle is
 the only thing the cluster talks to (``send``/``recv``/``poll``/
 ``alive``/``kill``).  ``Transport.wait`` multiplexes many handles the way
 ``multiprocessing.connection.wait`` multiplexes pipes, so one slow worker
 never serializes a gather.
+
+Boot is a handshake over the worker's own channel, not a process
+argument.  :meth:`Transport.launch` starts every worker of a batch with a
+constant-size payload (its end of the pipe, or the dial-back address,
+authkey and worker id, plus ``time_scale`` and the loop to run), so each
+``Process.start()`` returns in milliseconds and the children import
+numpy and ``repro`` side by side; it then connects them (on ``tcp`` a
+dialled-back connection opens with ``HELLO worker_id`` and is matched to
+its handle by that id, in whatever order the children arrive) and sends
+each its ``SPEC``.  The child reads the spec off the channel and only
+then enters ``worker_main(spec, conn, time_scale)``.  Whatever else a
+worker needs — its weights — the caller sends over the returned handle;
+a transport never sees them.  ``spawn`` is the one-worker case.
 """
 
 from __future__ import annotations
@@ -29,13 +42,37 @@ import multiprocessing as mp
 import multiprocessing.connection as mp_connection
 import os
 import socket
+import struct
 import threading
 import time
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
+
+from . import wire
 
 # The worker loop body lives in runtime.py (_worker_main); transports
 # receive it as a callable so this module stays import-cycle-free.
 WorkerMain = Callable[[Any, Any, float], None]
+
+
+def _run_worker(worker_main: WorkerMain, conn, time_scale: float) -> None:
+    """Worker side of the boot handshake: take the spec off the channel,
+    then run the loop.  A parent that went away first ends the worker."""
+    try:
+        spec = wire.spec(conn.recv())
+    except (EOFError, OSError):
+        return
+    worker_main(spec, conn, time_scale)
+
+
+def reap(handles: Iterable["WorkerHandle"]) -> None:
+    """Tear down workers that will not be used: close, kill, join."""
+    handles = list(handles)
+    for handle in handles:
+        handle.close()
+        if handle.alive():
+            handle.kill()
+    for handle in handles:
+        handle.join(timeout=5)
 
 
 class WorkerHandle:
@@ -73,8 +110,31 @@ class Transport:
 
     name = "abstract"
 
+    def launch(self, specs: Sequence, time_scale: float,
+               worker_main: WorkerMain) -> list[WorkerHandle]:
+        """Start one worker per spec, all at once, and hand each its spec.
+
+        Handles come back in the order of ``specs``, connected, with the
+        ``SPEC`` message sent; nothing has been read from them.  A worker
+        that is already gone is not an error here — whoever waits on its
+        handle sees the EOF.  If the batch cannot be connected, every
+        worker it started is torn down before ``RuntimeError`` is raised.
+        """
+        handles = self._start(specs, time_scale, worker_main)
+        for handle, spec in zip(handles, specs):
+            try:
+                handle.send(wire.spec_message(spec))
+            except (BrokenPipeError, OSError):
+                pass
+        return handles
+
     def spawn(self, spec, time_scale: float,
               worker_main: WorkerMain) -> WorkerHandle:
+        return self.launch([spec], time_scale, worker_main)[0]
+
+    def _start(self, specs: Sequence, time_scale: float,
+               worker_main: WorkerMain) -> list[WorkerHandle]:
+        """Start the workers and return their connected handles."""
         raise NotImplementedError
 
     def wait(self, handles: Iterable[WorkerHandle],
@@ -143,40 +203,70 @@ class MultiprocessTransport(_ConnectionTransport):
     def __init__(self):
         self._context = mp.get_context("spawn")
 
-    def spawn(self, spec, time_scale: float,
-              worker_main: WorkerMain) -> WorkerHandle:
-        parent, child = self._context.Pipe()
-        process = self._context.Process(
-            target=worker_main, args=(spec, child, time_scale), daemon=True)
-        process.start()
-        return _ConnectionHandle(spec.worker_id, process, parent)
+    def _start(self, specs: Sequence, time_scale: float,
+               worker_main: WorkerMain) -> list[WorkerHandle]:
+        handles: list[WorkerHandle] = []
+        try:
+            for spec in specs:
+                parent, child = self._context.Pipe()
+                process = self._context.Process(
+                    target=_run_worker, args=(worker_main, child, time_scale),
+                    daemon=True)
+                process.start()
+                child.close()          # the worker's end: EOF when it dies
+                handles.append(
+                    _ConnectionHandle(spec.worker_id, process, parent))
+        except BaseException:
+            reap(handles)
+            raise
+        return handles
 
 
-def _set_tcp_nodelay(conn) -> None:
-    """Disable Nagle's algorithm on a socket-backed ``Connection``."""
+def _setsockopt(conn, level: int, option: int, value) -> None:
+    """``setsockopt`` on a socket-backed ``Connection``."""
     sock = socket.socket(fileno=conn.fileno())
     try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setsockopt(level, option, value)
     finally:
         sock.detach()                  # the Connection keeps owning the fd
 
 
-def _tcp_worker_entry(worker_main: WorkerMain, spec, address,
-                      authkey: bytes, time_scale: float) -> None:
-    """Child-process entry: dial back to the parent, then run the loop."""
+def _set_tcp_nodelay(conn) -> None:
+    """Disable Nagle's algorithm on a socket-backed ``Connection``."""
+    _setsockopt(conn, socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def _set_receive_timeout(conn, seconds: float) -> None:
+    """Make a blocking read of ``conn`` fail with ``BlockingIOError``
+    after ``seconds`` (0 = never).  ``SO_RCVTIMEO``, because ``Connection``
+    reads the descriptor directly, out of ``socket.settimeout``'s reach."""
+    _setsockopt(conn, socket.SOL_SOCKET, socket.SO_RCVTIMEO,
+                struct.pack("ll", int(seconds), int(seconds % 1 * 1e6)))
+
+
+def _tcp_worker_entry(worker_main: WorkerMain, address, authkey: bytes,
+                      worker_id: str, time_scale: float) -> None:
+    """Child-process entry: dial back to the parent, say who this is,
+    then boot like any other worker."""
     conn = mp_connection.Client(address, authkey=authkey)
     _set_tcp_nodelay(conn)
-    worker_main(spec, conn, time_scale)
+    conn.send(wire.hello_message(worker_id))
+    _run_worker(worker_main, conn, time_scale)
 
 
 class TcpTransport(_ConnectionTransport):
     """One OS process per worker, connected back over a TCP socket.
 
     The parent listens on ``host:port`` (an ephemeral loopback port by
-    default); every spawned worker dials back and authenticates with the
-    transport's random authkey.  Spawns are sequential, so the accepted
-    connection always belongs to the worker just started.  The same
-    framing would carry to real multi-host deployments — only the spawn
+    default); every launched worker dials back and authenticates with the
+    transport's random authkey (the ``multiprocessing.connection``
+    challenge, both ways), then greets with ``HELLO worker_id``.  That
+    greeting, not arrival order, decides which handle a connection
+    belongs to: a batch is accepted in whatever order its children come
+    up, and one launch at a time holds the listener, so a greeting with
+    an id the batch does not contain, or one already connected, is a
+    stranger — its connection is closed and the launch fails.  The same
+    framing would carry to real multi-host deployments — only the launch
     step (here ``multiprocessing``) is machine-local.
 
     Both ends of every connection set ``TCP_NODELAY``.
@@ -192,6 +282,12 @@ class TcpTransport(_ConnectionTransport):
     """
 
     name = "tcp"
+    # How often a launch waiting for dial-backs looks for a child that
+    # died before it could dial.
+    _LIVENESS_STEP_S = 0.2
+    # Longest wait for any one message of a connection's opening exchange
+    # (challenge, response, greeting).
+    _GREETING_TIMEOUT_S = 5.0
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  accept_timeout_s: float = 30.0):
@@ -200,83 +296,123 @@ class TcpTransport(_ConnectionTransport):
         self._port = port
         self._accept_timeout_s = accept_timeout_s
         self._authkey = os.urandom(16)
-        self._listener: mp_connection.Listener | None = None
+        self._listener: socket.socket | None = None
+        self._launch_lock = threading.Lock()
 
     @property
     def address(self) -> tuple[str, int] | None:
-        return None if self._listener is None else self._listener.address
+        listener = self._listener
+        return None if listener is None else listener.getsockname()
 
-    def _ensure_listener(self) -> mp_connection.Listener:
+    def _ensure_listener(self) -> socket.socket:
         if self._listener is None:
-            self._listener = mp_connection.Listener(
-                (self._host, self._port), family="AF_INET",
-                authkey=self._authkey)
+            self._listener = socket.create_server((self._host, self._port))
         return self._listener
 
-    def _accept(self, listener: mp_connection.Listener):
-        """``listener.accept()`` bounded by the accept timeout.
+    def _accept(self, listener: socket.socket, timeout: float | None = None):
+        """One authenticated dial-back, or ``TimeoutError``.
 
-        ``Listener`` has no public timeout, so the accept runs in a
-        watchdog thread; on expiry a dummy self-connection completes the
-        pending accept (closing the socket would not wake a thread
-        already blocked in ``accept()``), its connection is discarded,
-        and ``TimeoutError`` is raised.
+        ``timeout`` (default: the transport's accept timeout) bounds the
+        wait for a connection.  The connection comes back with a receive
+        timeout still set, which bounds each read of the challenge and of
+        the greeting the caller reads next: a peer that connects and says
+        nothing cannot park the launch.  The challenge is
+        ``multiprocessing.connection.Listener``'s own; the listening
+        socket is ours only because ``Listener`` has no timeouts.
         """
-        result: dict = {}
-
-        def do_accept() -> None:
-            try:
-                result["conn"] = listener.accept()
-            except Exception as exc:   # surfaced to the spawning thread
-                result["error"] = exc
-
-        thread = threading.Thread(target=do_accept, daemon=True)
-        thread.start()
-        thread.join(self._accept_timeout_s)
-        if thread.is_alive():
-            try:
-                dummy = mp_connection.Client(listener.address,
-                                             authkey=self._authkey)
-                dummy.close()
-            except OSError:
-                self.close()           # last resort: tear the listener down
-            thread.join(timeout=5)
-            conn = result.pop("conn", None)
-            if conn is not None:       # the dummy (or a late worker) landed
-                conn.close()
-            raise TimeoutError(
-                f"no TCP dial-back within {self._accept_timeout_s}s")
-        if "error" in result:
-            raise result["error"]
-        return result["conn"]
-
-    def spawn(self, spec, time_scale: float,
-              worker_main: WorkerMain) -> WorkerHandle:
-        listener = self._ensure_listener()
-        process = self._context.Process(
-            target=_tcp_worker_entry,
-            args=(worker_main, spec, listener.address, self._authkey,
-                  time_scale),
-            daemon=True)
-        process.start()
+        if timeout is None:
+            timeout = self._accept_timeout_s
+        listener.settimeout(max(timeout, 0.0))
         try:
-            conn = self._accept(listener)
-        except (TimeoutError, socket.timeout, OSError,
-                mp.AuthenticationError) as exc:
-            process.terminate()
-            process.join(timeout=5)
-            raise RuntimeError(
-                f"worker {spec.worker_id} never connected back over TCP: "
-                f"{exc}") from exc
-        _set_tcp_nodelay(conn)
-        return _ConnectionHandle(spec.worker_id, process, conn)
+            sock, _ = listener.accept()
+        except (socket.timeout, BlockingIOError):
+            raise TimeoutError(
+                f"no TCP dial-back within {timeout}s") from None
+        sock.setblocking(True)
+        conn = mp_connection.Connection(sock.detach())
+        try:
+            _set_tcp_nodelay(conn)
+            _set_receive_timeout(conn, self._GREETING_TIMEOUT_S)
+            mp_connection.deliver_challenge(conn, self._authkey)
+            mp_connection.answer_challenge(conn, self._authkey)
+        except BaseException:
+            conn.close()
+            raise
+        return conn
+
+    def _start(self, specs: Sequence, time_scale: float,
+               worker_main: WorkerMain) -> list[WorkerHandle]:
+        with self._launch_lock:
+            listener = self._ensure_listener()
+            processes = {spec.worker_id: self._context.Process(
+                target=_tcp_worker_entry,
+                kwargs=dict(worker_main=worker_main,
+                            address=listener.getsockname(),
+                            authkey=self._authkey,
+                            worker_id=spec.worker_id, time_scale=time_scale),
+                daemon=True) for spec in specs}
+            if len(processes) != len(specs):
+                raise ValueError("worker ids must be unique within a launch")
+            handles: dict[str, WorkerHandle] = {}
+            try:
+                for process in processes.values():
+                    process.start()
+                for worker_id, conn in self._connect(listener, processes):
+                    handles[worker_id] = _ConnectionHandle(
+                        worker_id, processes[worker_id], conn)
+            except BaseException:
+                reap(handles.values())
+                for worker_id, process in processes.items():
+                    if worker_id not in handles and process.pid is not None:
+                        process.terminate()
+                        process.join(timeout=5)
+                raise
+        return [handles[spec.worker_id] for spec in specs]
+
+    def _connect(self, listener: socket.socket, processes: dict):
+        """Yield ``(worker_id, connection)`` as each launched child dials
+        back and greets; ``RuntimeError`` if one cannot."""
+        waiting = set(processes)
+        deadline = time.monotonic() + self._accept_timeout_s
+        while waiting:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise RuntimeError(
+                    f"workers {sorted(waiting)} never connected back over "
+                    f"TCP: no dial-back within {self._accept_timeout_s}s")
+            try:
+                conn = self._accept(listener,
+                                    min(remaining, self._LIVENESS_STEP_S))
+            except TimeoutError:
+                dead = sorted(worker_id for worker_id in waiting
+                              if not processes[worker_id].is_alive())
+                if dead:
+                    raise RuntimeError(
+                        f"workers {dead} never connected back over TCP: "
+                        f"exited before dialling") from None
+                continue
+            except (EOFError, OSError, mp.AuthenticationError):
+                continue               # not one of ours: it failed the challenge
+            try:
+                message = conn.recv()
+                _set_receive_timeout(conn, 0.0)
+            except (EOFError, OSError):
+                conn.close()
+                continue               # authenticated, then silent or gone
+            greeted = wire.worker_id(message) \
+                if wire.command(message) == wire.HELLO else None
+            if greeted not in waiting:
+                conn.close()
+                raise RuntimeError(
+                    f"a TCP connection greeted as {greeted!r}; this launch "
+                    f"still expects {sorted(waiting)} of {sorted(processes)}")
+            waiting.discard(greeted)
+            yield greeted, conn
 
     def close(self) -> None:
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            finally:
-                self._listener = None
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            listener.close()
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +517,9 @@ class _InProcHandle(WorkerHandle):
 class InProcessTransport(Transport):
     """Worker threads instead of processes: no spawn cost, same protocol.
 
-    The emulated-link sleeps and the codec encode/decode round trip still
+    The boot handshake runs over the mailboxes as it does over a pipe
+    (objects cross by reference, so nothing is copied), and the
+    emulated-link sleeps and the codec encode/decode round trip still
     happen, so measured proportions stay meaningful; only process
     isolation (and its startup latency) is gone.  Ideal for tests and
     for simulating fleets far larger than the host's process budget.
@@ -394,22 +532,27 @@ class InProcessTransport(Transport):
         # spin-polling every mailbox.
         self._event = threading.Event()
 
-    def spawn(self, spec, time_scale: float,
-              worker_main: WorkerMain) -> WorkerHandle:
+    def _start(self, specs: Sequence, time_scale: float,
+               worker_main: WorkerMain) -> list[WorkerHandle]:
+        return [self._start_one(spec.worker_id, time_scale, worker_main)
+                for spec in specs]
+
+    def _start_one(self, worker_id: str, time_scale: float,
+                   worker_main: WorkerMain) -> WorkerHandle:
         to_worker = _Mailbox()
         from_worker = _Mailbox(notify=self._event)
         endpoint = _InProcEndpoint(to_worker, from_worker)
 
         def run() -> None:
             try:
-                worker_main(spec, endpoint, time_scale)
+                _run_worker(worker_main, endpoint, time_scale)
             except (BrokenPipeError, EOFError, OSError):
                 pass                   # parent closed the channel mid-send
 
         thread = threading.Thread(target=run, daemon=True,
-                                  name=f"edge-worker-{spec.worker_id}")
+                                  name=f"edge-worker-{worker_id}")
         thread.start()
-        return _InProcHandle(spec.worker_id, thread, to_worker, from_worker)
+        return _InProcHandle(worker_id, thread, to_worker, from_worker)
 
     def wait(self, handles: Iterable[WorkerHandle],
              timeout: float | None) -> list[WorkerHandle]:

@@ -13,12 +13,18 @@ else, so the protocol cannot drift one call site at a time.
 
 Wire shapes (see :data:`ARITY` for the machine-readable form)::
 
+    worker -> parent, before anything else (tcp only):
+        (HELLO, worker_id)                 # names the dialled-back connection
+    parent -> worker, start-up:
+        (SPEC, spec)                       # the WorkerSpec, state_blob empty
+        (WEIGHTS, name, array)             # one state-dict entry, in order
+        (WEIGHTS, None, None)              # end of the weights
     parent -> worker:
         (INFER, request_id, x)             # legacy 3-tuple, tracing off
         (INFER, request_id, x, trace)      # trace context propagated
         (STOP,)
     worker -> parent:
-        (READY, worker_id)                 # once, after model build
+        (READY, worker_id)                 # once, after the last WEIGHTS
         (FAILED, worker_id, detail)        # startup failure, then exit
         (FEATURES, request_id, encoded, stats)
         (ERROR, request_id | None, detail)
@@ -30,23 +36,30 @@ from __future__ import annotations
 from typing import Any
 
 # Command tags, parent -> worker.
+SPEC = "spec"
+WEIGHTS = "weights"
 INFER = "infer"
 STOP = "stop"
 # Command tags, worker -> parent.
+HELLO = "hello"
 READY = "ready"
 FAILED = "failed"
 FEATURES = "features"
 ERROR = "error"
 STOPPED = "stopped"
 
-COMMANDS = frozenset({INFER, STOP, READY, FAILED, FEATURES, ERROR, STOPPED})
+COMMANDS = frozenset({SPEC, WEIGHTS, INFER, STOP,
+                      HELLO, READY, FAILED, FEATURES, ERROR, STOPPED})
 
 # command -> (min_len, max_len) including the command element itself.
 # INFER's optional 4th element is the trace context; its absence keeps
 # the wire byte-identical to the pre-tracing protocol.
 ARITY: dict[str, tuple[int, int]] = {
+    SPEC: (2, 2),
+    WEIGHTS: (3, 3),
     INFER: (3, 4),
     STOP: (1, 1),
+    HELLO: (2, 2),
     READY: (2, 2),
     FAILED: (3, 3),
     FEATURES: (4, 4),
@@ -61,6 +74,27 @@ class WireError(ValueError):
 
 # ----------------------------------------------------------------------
 # Constructors (the only sanctioned way to build a wire tuple).
+def hello_message(worker_id: str) -> tuple:
+    """A dialled-back connection's first message: whose it is."""
+    return (HELLO, worker_id)
+
+
+def spec_message(spec) -> tuple:
+    """The worker's spec; the cluster sends it with an empty blob and
+    streams the weights after it."""
+    return (SPEC, spec)
+
+
+def weights_message(name: str, array) -> tuple:
+    """One ``(name, array)`` entry of the worker's state dict."""
+    return (WEIGHTS, name, array)
+
+
+def weights_end_message() -> tuple:
+    """End of the weights: the worker may finish booting."""
+    return (WEIGHTS, None, None)
+
+
 def infer_message(request_id: int, x, trace: dict | None = None) -> tuple:
     """An inference dispatch; ``trace`` rides as the optional 4th element."""
     if trace is None:
@@ -100,6 +134,21 @@ def stopped_message(worker_id: str) -> tuple:
 def command(message: tuple) -> Any:
     """The message's command tag (its first element)."""
     return message[0]
+
+
+def worker_id(message: tuple) -> Any:
+    """Worker id of a HELLO/READY/FAILED/STOPPED message."""
+    return message[1]
+
+
+def spec(message: tuple) -> Any:
+    """The spec a SPEC message carries."""
+    return message[1]
+
+
+def weights_entry(message: tuple) -> tuple | None:
+    """``(name, array)`` of a WEIGHTS message; ``None`` for the end marker."""
+    return None if message[1] is None else (message[1], message[2])
 
 
 def request_id(message: tuple) -> Any:

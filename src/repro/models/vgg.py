@@ -98,16 +98,16 @@ class VGG(nn.Module):
             nn.ReLU(),
             nn.Linear(hidden, config.num_classes, rng=rng),
         )
-        # Pre-split classifier views (parameters stay registered under
-        # ``classifier`` so state-dict keys are unchanged): the penultimate
-        # stack feeds the fusion device, the last layer produces logits.
-        self._feature_head = list(self.classifier)[1:-1]
 
     def forward_features(self, x: nn.Tensor) -> nn.Tensor:
         """Penultimate activations transmitted to the fusion device."""
         feat = self.features(x)
         out = nn.ops.flatten(feat, 1)
-        for layer in self._feature_head:
+        # The penultimate stack of ``classifier`` (its last layer makes the
+        # logits), read from the Sequential on every call: a list taken at
+        # construction would keep serving the fp32 layers that
+        # ``quantize_module`` has since replaced.
+        for layer in list(self.classifier)[1:-1]:
             out = layer(out)
         return out
 

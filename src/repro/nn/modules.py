@@ -7,6 +7,7 @@ authors would have written.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 import numpy as np
@@ -128,40 +129,52 @@ class Module:
             state[name] = np.array(buf, copy=True, order="C")
         return state
 
-    def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True) -> None:
+    def load_state_dict(self, state, strict: bool = True,
+                        adopt: bool = False) -> None:
+        """Load parameters and buffers from ``(name, array)`` pairs.
+
+        ``state`` is a mapping or any iterable of pairs; it is consumed
+        once, in its own order, and each entry lands before the next is
+        asked for — a generator that decodes (or receives) one array at a
+        time never has two of them alive.  The array a slot held before
+        is released as its replacement lands.
+
+        ``adopt=True`` makes an entry that already has the slot's dtype
+        and C order the slot's storage instead of a copy of it: for a
+        caller that hands its arrays over and keeps no reference.
+        """
+        pairs = state.items() if hasattr(state, "items") else state
+        # name -> (dtype, shape, bind).  ``bind`` rebinds the slot rather
+        # than copying into the array it holds: backends may cache derived
+        # layouts (e.g. packed transposes) keyed by array identity, and an
+        # in-place overwrite would serve stale weights.  The table holds no
+        # reference to that array, so rebinding is also its release.
         params = dict(self.named_parameters())
-        buffers = dict(self.named_buffers())
-        missing = []
-        for name, param in params.items():
-            if name not in state:
-                missing.append(name)
-                continue
-            value = np.asarray(state[name], dtype=param.data.dtype)
-            if value.shape != param.shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: checkpoint {value.shape} vs model {param.shape}")
-            param.data = value.copy()
-        owners = {}
+        slots = {name: (param.data.dtype, param.shape,
+                        functools.partial(setattr, param, "data"))
+                 for name, param in params.items()}
         for prefix, module in self.named_modules():
-            for local in module._buffers:
-                full = f"{prefix}.{local}" if prefix else local
-                owners[full] = (module, local)
-        for name, buf in buffers.items():
-            if name not in state:
+            for local, buf in module._buffers.items():
+                slots[f"{prefix}.{local}" if prefix else local] = (
+                    buf.dtype, buf.shape,
+                    functools.partial(module.register_buffer, local))
+        convert = np.asarray if adopt else np.array
+        seen, extra = set(), []
+        for name, value in pairs:
+            seen.add(name)
+            if name not in slots:
+                extra.append(name)
                 continue
-            value = np.asarray(state[name], dtype=buf.dtype)
-            if value.shape != buf.shape:
+            dtype, shape, bind = slots[name]
+            value = convert(value, dtype=dtype, order="C")
+            if value.shape != shape:
                 raise ValueError(
-                    f"shape mismatch for {name}: checkpoint {value.shape} vs model {buf.shape}")
-            # Rebind rather than copy into the existing array: backends may
-            # cache derived layouts (e.g. packed transposes) keyed by array
-            # identity, and an in-place overwrite would serve stale weights.
-            module, local = owners[name]
-            module.register_buffer(local, value.copy())
+                    f"shape mismatch for {name}: checkpoint {value.shape} vs model {shape}")
+            bind(value)
         if strict:
+            missing = [name for name in params if name not in seen]
             if missing:
                 raise KeyError(f"missing keys in state dict: {missing}")
-            extra = set(state) - set(params) - set(buffers)
             if extra:
                 raise KeyError(f"unexpected keys in state dict: {sorted(extra)}")
 

@@ -8,6 +8,10 @@ from repro.edge import wire
 class TestConstructors:
     def test_every_constructor_matches_declared_arity(self):
         messages = [
+            wire.hello_message("w0"),
+            wire.spec_message(object()),
+            wire.weights_message("blocks.0.norm1.weight", b"array"),
+            wire.weights_end_message(),
             wire.infer_message(7, "x"),
             wire.infer_message(7, "x", {"trace_id": 9}),
             wire.stop_message(),
@@ -31,6 +35,40 @@ class TestConstructors:
 
     def test_trace_context_is_none_on_legacy_tuples(self):
         assert wire.trace_context(wire.infer_message(3, "x")) is None
+
+
+class TestBootMessages:
+    def test_hello_names_its_worker(self):
+        message = wire.hello_message("w3")
+        assert wire.command(message) == wire.HELLO
+        assert wire.worker_id(message) == "w3"
+
+    def test_worker_id_reads_every_reply_that_carries_one(self):
+        for message in (wire.ready_message("w1"),
+                        wire.failed_message("w1", "boom"),
+                        wire.stopped_message("w1")):
+            assert wire.worker_id(message) == "w1"
+
+    def test_spec_round_trips_the_object_it_was_given(self):
+        spec = object()
+        message = wire.spec_message(spec)
+        assert wire.command(message) == wire.SPEC
+        assert wire.spec(message) is spec
+
+    def test_weights_entry_is_the_pair(self):
+        array = object()
+        message = wire.weights_message("head.weight", array)
+        assert wire.command(message) == wire.WEIGHTS
+        assert wire.weights_entry(message) == ("head.weight", array)
+
+    def test_weights_end_marker_has_no_entry(self):
+        message = wire.weights_end_message()
+        assert wire.command(message) == wire.WEIGHTS
+        assert wire.weights_entry(message) is None
+
+    def test_an_entry_with_an_empty_array_is_not_the_end(self):
+        entry = wire.weights_entry(wire.weights_message("scalar", None))
+        assert entry == ("scalar", None)
 
 
 class TestAccessors:
