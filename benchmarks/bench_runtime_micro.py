@@ -158,8 +158,7 @@ def _seed_gelu(x, workspace=None):
     return Tensor._make(out_data, (x,), backward)
 
 
-def run_smoke(repeats: int = 5, min_speedup: float = 2.0,
-              backend: str = "numpy") -> int:
+def run_smoke(repeats: int = 5, min_speedup: float = 2.0) -> int:
     """Print seed-vs-current ViT-Base forward latency; 0 iff healthy.
 
     The baseline is the seed's graph-building forward (its op set replayed
@@ -168,13 +167,7 @@ def run_smoke(repeats: int = 5, min_speedup: float = 2.0,
     Each mode is timed as the **minimum over ``repeats`` single-shot
     passes** — the standard noise-robust microbenchmark estimator, so one
     slow repeat on a shared CI runner cannot flip the verdict.
-
-    ``backend`` installs a registered compute backend for the whole
-    comparison, so CI can assert the fast-path bar holds under every
-    backend a fleet might select — not just the numpy reference.
     """
-    nn.set_backend(backend)
-    print(f"compute backend: {backend}")
     from unittest import mock
 
     from repro.core.inference import benchmark_forward
@@ -226,12 +219,9 @@ SERVING_SCRATCH_LIMIT = 8 << 20      # the per-module workspaces held 30.3 MiB
 
 
 def _resident_weight_bytes(model) -> int:
-    """Bytes of weights held for ``model``: its parameters and buffers,
-    plus any layout copies the active backend cached of them."""
-    own = sum(p.data.nbytes for p in model.parameters()) \
+    """Bytes of weights held for ``model``: its parameters and buffers."""
+    return sum(p.data.nbytes for p in model.parameters()) \
         + sum(buf.nbytes for _, buf in model.named_buffers())
-    packed = getattr(nn.get_backend(), "_packed", {})
-    return own + sum(copy.nbytes for _, copy in packed.values())
 
 
 def serving_shape_smoke(repeats: int = 5, min_speedup: float = 2.0) -> list:
@@ -316,11 +306,7 @@ if __name__ == "__main__":
                         help="run the CI perf-smoke comparison and exit")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--min-speedup", type=float, default=2.0)
-    parser.add_argument("--backend", default="numpy",
-                        choices=available_backends(),
-                        help="compute backend to run the smoke under")
     args = parser.parse_args()
     if not args.smoke:
         parser.error("run with --smoke (or via pytest for the full benches)")
-    sys.exit(run_smoke(repeats=args.repeats, min_speedup=args.min_speedup,
-                       backend=args.backend))
+    sys.exit(run_smoke(repeats=args.repeats, min_speedup=args.min_speedup))

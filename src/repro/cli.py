@@ -13,7 +13,6 @@ Usage::
     python -m repro.cli serve --transport inprocess --codec q8
     python -m repro.cli serve --plan plan.json --kill-after 0.3
     python -m repro.cli serve --plan plan.json --store ./artifacts --swap-after 0.3
-    python -m repro.cli serve --backend blocked --workers 2
     python -m repro.cli plan --quant auto --memory-headroom 0.5 --store ./artifacts
     python -m repro.cli quantize --plan plan.json --store ./artifacts --out plan-int8.json
     python -m repro.cli loadgen --rates 50,100,200 --compare-batching
@@ -166,29 +165,10 @@ def cmd_schedule(args) -> None:
           f"{point.num_devices} devices (budget {budget} MB)")
 
 
-def _apply_backend(args) -> None:
-    """Activate ``--backend`` in-process and for spawned workers."""
-    backend = getattr(args, "backend", None)
-    if not backend:
-        return
-    import os
-
-    from . import nn
-
-    try:
-        nn.set_backend(backend)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    # Worker processes re-import repro.nn fresh; the env var is how the
-    # selection crosses the process boundary.
-    os.environ["REPRO_BACKEND"] = backend
-
-
 def _make_server(args):
     from .serving import (BatchingConfig, InferenceServer, ServerConfig,
                           build_demo_system)
 
-    _apply_backend(args)
     # No --max-wait-ms: BatchingConfig's own default decides the policy.
     wait = {} if args.max_wait_ms is None \
         else {"max_wait_s": args.max_wait_ms / 1e3}
@@ -608,10 +588,6 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
                         help="artifact-store directory: warm-boot weights "
                              "from it when populated, populate it on a "
                              "cold boot")
-    parser.add_argument("--backend", default=None,
-                        help="nn array backend for this process and all "
-                             "spawned workers (numpy, blocked); default: "
-                             "REPRO_BACKEND or numpy")
     parser.add_argument("--train-fusion", action="store_true",
                         help="train the demo fleet (the expensive step an "
                              "artifact store amortizes). Ignored with "

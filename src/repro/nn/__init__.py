@@ -39,7 +39,6 @@ from .backend import (
     set_backend,
     use_backend,
 )
-from .blocked import BlockedBackend
 from .losses import accuracy, cross_entropy, kl_divergence, mse
 from .modules import (
     AvgPool2d,
@@ -97,7 +96,6 @@ __all__ = [
     "ArrayBackend",
     "AvgPool2d",
     "BatchNorm2d",
-    "BlockedBackend",
     "Conv2d",
     "DecayingLR",
     "Dropout",

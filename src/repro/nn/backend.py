@@ -46,9 +46,8 @@ Weight layout
 ``linear`` / ``linear_act`` / ``linear_q8`` take the weight ``(out, in)``
 in **any** layout and compute ``x @ weight.T``.  ``Linear`` holds its
 weight K-major (F-contiguous) once it serves, which makes that the NN GEMM
-here without a copy; a C-ordered weight is the NT GEMM (or, on the
-``blocked`` backend, packed once into a cache).  Kernels must therefore
-not assume contiguity of ``weight``, nor of a row slice of it.
+here without a copy; a C-ordered weight is the NT GEMM.  Kernels must
+therefore not assume contiguity of ``weight``, nor of a row slice of it.
 
 The reference kernels worth knowing the cost of: ``layer_norm`` is four
 full-size passes (centre, scale, weight, bias) around two row reductions;
@@ -264,8 +263,8 @@ class ArrayBackend:
                    out=None) -> np.ndarray:
         """:meth:`linear` with an optional fused activation epilogue.
 
-        The reference implementation just chains the two; tuned backends
-        override it to apply the epilogue on cache-hot output blocks.
+        The two are chained; the epilogue runs in place on the GEMM's
+        output.
         """
         y = self.linear(x, weight, bias, out=out)
         if activation is not None:
@@ -495,27 +494,16 @@ class NumpyBackend(ArrayBackend):
 # ----------------------------------------------------------------------
 # Registry and selection
 # ----------------------------------------------------------------------
-def _blocked_factory() -> ArrayBackend:
-    from .blocked import BlockedBackend   # deferred: blocked imports this module
-
-    return BlockedBackend()
-
-
 def _profiled_factory() -> ArrayBackend:
     # Deferred: repro.obs imports this module.  Registered by name so
-    # REPRO_BACKEND=profiled reaches spawned worker processes too; the
-    # wrapped backend comes from REPRO_PROFILE_INNER (default numpy).
+    # REPRO_BACKEND=profiled reaches spawned worker processes too.
     from ..obs.profile import ProfilingBackend
 
-    inner = os.environ.get("REPRO_PROFILE_INNER", "numpy")
-    if inner == "profiled":            # would recurse into this factory
-        inner = "numpy"
-    return ProfilingBackend(_resolve(inner))
+    return ProfilingBackend(_resolve("numpy"))
 
 
 _REGISTRY: dict[str, Callable[[], ArrayBackend]] = {
     "numpy": NumpyBackend,
-    "blocked": _blocked_factory,
     "profiled": _profiled_factory,
 }
 _state = threading.local()
@@ -532,11 +520,11 @@ def available_backends() -> list[str]:
     return sorted(_REGISTRY)
 
 
-# Default-constructed singleton per registered name.  Backends carry warm
-# state (packed-weight caches, scratch arenas, thread pools), so resolving
-# a *name* must return the same instance every time — a fresh instance per
-# ``use_backend("blocked")`` entry would silently repack every weight on
-# every scoped switch.  Explicitly constructed instances bypass this.
+# Default-constructed singleton per registered name.  A backend may carry
+# state (``ProfilingBackend``'s instruments), so resolving a *name* must
+# return the same instance every time — a fresh instance per
+# ``use_backend("profiled")`` entry would scatter one run's kernel timings
+# over as many objects.  Explicitly constructed instances bypass this.
 _INSTANCES: dict[str, ArrayBackend] = {}
 
 

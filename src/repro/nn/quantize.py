@@ -17,8 +17,10 @@ Scheme (per output channel, symmetric, no zero point)::
 
 Because the scale is per *output* channel it commutes with the GEMM —
 ``(x @ Q.T) * scale == x @ (Q * scale[:, None]).T`` — so inference never
-materializes a scaled fp32 weight: :meth:`ArrayBackend.linear_q8`
-widens int8 tiles and folds ``scale`` into the output columns.
+multiplies the weight by its scale: :meth:`ArrayBackend.linear_q8`
+widens one whole layer's ``Q`` to fp32 per call (a transient copy the
+size of the fp32 weight, freed on return) and folds ``scale`` into the
+output columns.  What stays resident is int8.
 
 Quantized weights live in **buffers** (``weight_q8`` int8 +
 ``weight_scale`` fp32), not Parameters: they are not trainable, and

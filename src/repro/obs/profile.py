@@ -1,9 +1,9 @@
 """Kernel profiling on the ``ArrayBackend`` seam.
 
-:class:`ProfilingBackend` wraps any registered backend (numpy, blocked,
-...) and records per-kernel wall time and bytes moved for the kernels
-that dominate transformer inference — matmul/einsum, the fused linear
-family, softmax/log-softmax, layer-norm, and the im2col lowering.  All
+:class:`ProfilingBackend` wraps an :class:`ArrayBackend` and records
+per-kernel wall time and bytes moved for the kernels that dominate
+transformer inference — matmul/einsum, the fused linear family,
+softmax/log-softmax, layer-norm, and the im2col lowering.  All
 other primitives delegate straight to the wrapped backend with no
 overhead: the constructor binds the inner backend's bound methods as
 *instance attributes*, which shadow the class methods, so untimed calls
@@ -15,8 +15,8 @@ as ``kernel.<op>_seconds{backend=<inner>}`` histograms and
 kernel's array traffic (operands in + result out) — the roofline-style
 companion to the timing.
 
-Select it like any backend (``REPRO_BACKEND=profiled``, inner chosen by
-``REPRO_PROFILE_INNER``, default ``numpy``), or wrap explicitly::
+Select it like any backend (``REPRO_BACKEND=profiled`` wraps ``numpy``),
+or wrap explicitly::
 
     from repro import nn, obs
     nn.set_backend(obs.ProfilingBackend(nn.get_backend()))

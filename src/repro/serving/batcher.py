@@ -171,12 +171,8 @@ class DynamicBatcher:
             return out
 
     # -- server side ----------------------------------------------------
-    def next_batch(self, poll_interval: float | None = None) -> Batch | None:
+    def next_batch(self) -> Batch | None:
         """Block for the next batch; ``None`` once closed and drained.
-
-        ``poll_interval`` is ignored and only accepted for callers that
-        still pass it: :meth:`close` wakes a blocked call directly, so
-        there is nothing left to poll for.
 
         The batch opens with the first pending request and takes what is
         already queued behind it, in FIFO order, while the sample cap

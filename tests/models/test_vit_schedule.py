@@ -63,7 +63,7 @@ def _dequantized_twin(model, qmodel) -> VisionTransformer:
        head_dim=st.integers(1, 4), embed_dim=st.integers(6, 14),
        mlp_hidden=st.sampled_from([3, 5, 9, 13]), batch=st.integers(1, 5),
        image_size=st.sampled_from([8, 12]),
-       backend=st.sampled_from(["numpy", "blocked"]),
+       backend=st.sampled_from(nn.available_backends()),
        quantized=st.booleans(), keep_ratio=st.sampled_from([None, 0.5]))
 def test_flat_path_equals_autograd_forward(depth, heads, head_dim, embed_dim,
                                            mlp_hidden, batch, image_size,
@@ -126,7 +126,7 @@ def _autograd_features(model, x) -> np.ndarray:
     return model.forward_features(nn.Tensor(x)).data
 
 
-@pytest.mark.parametrize("backend", ["numpy", "blocked"])
+@pytest.mark.parametrize("backend", nn.available_backends())
 class TestServedWeightsAreNeverStale:
     def test_load_state_dict(self, backend):
         model, other = _vit(seed=0), _vit(seed=5)
@@ -203,7 +203,7 @@ def test_serving_a_model_does_not_move_its_bytes(tmp_path, quantized):
 
     blob = nn.state_dict_to_bytes(model.state_dict())
     store.put(digests[0], model, config=config, kind="vit")
-    for backend in ("numpy", "blocked"):
+    for backend in nn.available_backends():
         _serve(model, _images(model, 2), backend)
     qkv = model.blocks[0].attn.qkv
     assert qkv.kmajor_weight().flags.f_contiguous        # it was rebound

@@ -186,18 +186,17 @@ class TestAdmissionAndShutdown:
     def test_close_unblocks_next_batch_and_rejects_submits(self):
         batcher = DynamicBatcher(BatchingConfig())
         batcher.close()
-        assert batcher.next_batch(poll_interval=0.01) is None
+        assert batcher.next_batch() is None
         with pytest.raises(RequestError):
             batcher.submit(make_future(0))
 
     def test_close_wakes_a_blocked_next_batch_directly(self):
-        """No idle poll: a parked serve loop is woken by close() itself,
-        whatever poll interval a caller still passes."""
+        """No idle poll: a parked serve loop is woken by close() itself."""
         batcher = DynamicBatcher()
         woke = {}
 
         def serve():
-            woke["batch"] = batcher.next_batch(poll_interval=10)
+            woke["batch"] = batcher.next_batch()
             woke["at"] = time.perf_counter()
 
         thread = threading.Thread(target=serve)

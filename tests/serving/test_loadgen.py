@@ -187,7 +187,9 @@ class TestDueTimeClock:
 
     def test_input_is_built_before_the_sleep(self):
         """A slow ``make_input`` eats the generator's idle time, not the
-        request's punctuality."""
+        request's punctuality: built after the sleep, the 10 ms input
+        would make *every* request at least 10 ms late, so the median is
+        the witness (the maximum is whatever the scheduler did)."""
         def slow_input(rng, count):
             time.sleep(0.01)
             return np.zeros((count, 1), dtype=np.float32)
@@ -198,7 +200,7 @@ class TestDueTimeClock:
             LoadgenConfig(mode="trace", arrivals=offsets),
             make_input=slow_input)
         assert result.completed == 10
-        assert result.late_p95_s < 0.008
+        assert np.median(result.lateness_s) < 0.008
 
     def test_closed_loop_has_no_schedule_to_be_late_for(self, system):
         with make_server(system) as server:
