@@ -27,7 +27,9 @@ Pins the PR-4 acceptance bar end to end:
    of 3: the children import side by side instead of one after another),
    and a worker's peak resident set after a batch-8 request is at most
    that of a worker hosting a dim-8 model plus twice its weights (3.0x
-   when the blob rode in the process arguments).
+   when the blob rode in the process arguments).  That empty worker's
+   peak is printed beside this process's own: a worker imports the
+   inference path only and does not replay this script.
 
 Exits non-zero on any violation, so CI fails loudly.
 """
@@ -146,6 +148,15 @@ def _start_s(specs, transport: str) -> float:
     return elapsed
 
 
+def _peak_rss(pid) -> int:
+    """``VmHWM`` (bytes) of process ``pid`` (or ``"self"``)."""
+    with open(f"/proc/{pid}/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("no VmHWM line in /proc/<pid>/status")
+
+
 def _worker_peak_rss(spec, transport: str) -> int:
     """``VmHWM`` (bytes) of the one worker hosting ``spec``, after it has
     served a batch-8 request."""
@@ -153,11 +164,7 @@ def _worker_peak_rss(spec, transport: str) -> int:
     with EdgeCluster([spec], transport=transport) as cluster:
         cluster.infer_features(x)
         worker, = multiprocessing.active_children()
-        with open(f"/proc/{worker.pid}/status", encoding="ascii") as status:
-            for line in status:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) * 1024
-    raise AssertionError("no VmHWM line in /proc/<pid>/status")
+        return _peak_rss(worker.pid)
 
 
 def boot_gate() -> list[dict]:
@@ -180,14 +187,19 @@ def boot_gate() -> list[dict]:
                f"fleet{BOOT_FLEET}_s": round(fleet, 3),
                "scaling": round(scaling, 2)}
         if sys.platform.startswith("linux"):
+            empty = _worker_peak_rss(base, transport)
             copies = (_worker_peak_rss(specs[0], transport)
-                      - _worker_peak_rss(base, transport)) / weights
+                      - empty) / weights
             assert copies <= BOOT_WEIGHT_COPIES_BOUND, \
                 f"{transport}: a worker peaks {copies:.2f} x its " \
                 f"{weights / 2**20:.1f} MiB of weights above an empty " \
                 f"one (bound {BOOT_WEIGHT_COPIES_BOUND}) — is it holding " \
                 "a blob or a second state dict?"
             row["weight_copies"] = round(copies, 2)
+            # What a device's process holds beside its model, next to
+            # what this driver (planner, serving stack and all) holds.
+            row["empty_worker_mb"] = round(empty / 2**20, 1)
+            row["parent_mb"] = round(_peak_rss("self") / 2**20, 1)
         rows.append(row)
     return rows
 

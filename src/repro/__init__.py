@@ -34,43 +34,14 @@ for Distributed Inference" (ICDCS 2025).  Subpackages:
   comparator systems.
 """
 
-from . import (
-    assignment,
-    baselines,
-    core,
-    data,
-    edge,
-    models,
-    nn,
-    obs,
-    planning,
-    profiling,
-    pruning,
-    serving,
-    splitting,
-    store,
-)
-from .core import EDViTConfig, EDViTSystem, build_edvit
+from ._lazy import lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EDViTConfig",
-    "EDViTSystem",
-    "assignment",
-    "baselines",
-    "build_edvit",
-    "core",
-    "data",
-    "edge",
-    "models",
-    "nn",
-    "obs",
-    "planning",
-    "profiling",
-    "pruning",
-    "serving",
-    "splitting",
-    "store",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".core": ("EDViTConfig", "EDViTSystem", "build_edvit"),
+}, submodules=(
+    "assignment", "baselines", "core", "data", "edge", "models", "nn", "obs",
+    "planning", "profiling", "pruning", "serving", "splitting", "store",
+))
+__all__.append("__version__")

@@ -1,23 +1,10 @@
 """Sub-model-to-device assignment (Algorithm 3) and optimal reference."""
 
-from .greedy import greedy_assign, try_greedy_assign
-from .optimal import brute_force_assign, optimal_assign
-from .problem import (
-    AssignmentPlan,
-    DeviceSpec,
-    InfeasibleAssignment,
-    SubModelSpec,
-    validate_plan,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AssignmentPlan",
-    "DeviceSpec",
-    "InfeasibleAssignment",
-    "SubModelSpec",
-    "brute_force_assign",
-    "greedy_assign",
-    "optimal_assign",
-    "try_greedy_assign",
-    "validate_plan",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".greedy": ("greedy_assign", "try_greedy_assign"),
+    ".optimal": ("brute_force_assign", "optimal_assign"),
+    ".problem": ("AssignmentPlan", "DeviceSpec", "InfeasibleAssignment",
+                 "SubModelSpec", "validate_plan"),
+})

@@ -1,39 +1,13 @@
 """ED-ViT core: orchestrator, training loops, inference engine, metrics,
 experiment harness."""
 
-from .edvit import EDViTConfig, EDViTSystem, build_edvit
-from .inference import (
-    benchmark_forward,
-    evaluate,
-    extract_features,
-    iter_batches,
-    predict,
-    predict_labels,
-    predict_logits,
-    predict_probabilities,
-    split_batch,
-)
-from .metrics import format_mean_std, format_table, mean_std, ratio
-from .training import TrainConfig, TrainResult, train_classifier
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EDViTConfig",
-    "EDViTSystem",
-    "TrainConfig",
-    "TrainResult",
-    "benchmark_forward",
-    "build_edvit",
-    "evaluate",
-    "extract_features",
-    "format_mean_std",
-    "format_table",
-    "iter_batches",
-    "mean_std",
-    "predict",
-    "predict_labels",
-    "predict_logits",
-    "predict_probabilities",
-    "ratio",
-    "split_batch",
-    "train_classifier",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".edvit": ("EDViTConfig", "EDViTSystem", "build_edvit"),
+    ".inference": ("benchmark_forward", "evaluate", "extract_features",
+                   "iter_batches", "predict", "predict_labels",
+                   "predict_logits", "predict_probabilities", "split_batch"),
+    ".metrics": ("format_mean_std", "format_table", "mean_std", "ratio"),
+    ".training": ("TrainConfig", "TrainResult", "train_classifier"),
+})

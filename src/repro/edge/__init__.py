@@ -1,112 +1,25 @@
 """Edge-device substrate: calibrated device models, network models, a
 discrete-event simulator, and process-based device emulation."""
 
-from .codec import (
-    CODECS,
-    EncodedFeatures,
-    FeatureCodec,
-    codec_names,
-    get_codec,
-    register_codec,
-)
-from .device import (
-    DeviceModel,
-    PI4B_ENERGY_FLOPS,
-    PI4B_MACS_PER_SECOND,
-    PI4B_MEMORY_BYTES,
-    heterogeneous_fleet,
-    make_fleet,
-    raspberry_pi_4b,
-)
-from .network import (
-    FLOAT32_BYTES,
-    GIGABIT_BPS,
-    LinkModel,
-    RAW_IMAGE_BYTES,
-    StarTopology,
-    TC_CAP_BPS,
-    communication_reduction,
-    feature_bytes,
-    gigabit_link,
-    tc_capped_link,
-    uniform_star,
-)
-from .runtime import (
-    EdgeCluster,
-    InferenceTiming,
-    MODEL_KINDS,
-    WorkerFailure,
-    WorkerSpec,
-    register_model_kind,
-)
-from .sim_core import Barrier, FifoResource, Simulator
-from .transport import (
-    InProcessTransport,
-    MultiprocessTransport,
-    TRANSPORTS,
-    TcpTransport,
-    Transport,
-    WorkerHandle,
-    get_transport,
-)
-from .simulator import (
-    DeploymentSpec,
-    ENGINES,
-    SimulationResult,
-    SubModelProfile,
-    energy_report,
-    simulate_inference,
-    single_device_latency,
-    utilization_report,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Barrier",
-    "CODECS",
-    "DeploymentSpec",
-    "DeviceModel",
-    "ENGINES",
-    "EdgeCluster",
-    "EncodedFeatures",
-    "FLOAT32_BYTES",
-    "FeatureCodec",
-    "FifoResource",
-    "GIGABIT_BPS",
-    "InProcessTransport",
-    "InferenceTiming",
-    "LinkModel",
-    "MODEL_KINDS",
-    "MultiprocessTransport",
-    "PI4B_ENERGY_FLOPS",
-    "PI4B_MACS_PER_SECOND",
-    "PI4B_MEMORY_BYTES",
-    "RAW_IMAGE_BYTES",
-    "SimulationResult",
-    "Simulator",
-    "StarTopology",
-    "SubModelProfile",
-    "TC_CAP_BPS",
-    "TRANSPORTS",
-    "TcpTransport",
-    "Transport",
-    "WorkerFailure",
-    "WorkerHandle",
-    "WorkerSpec",
-    "codec_names",
-    "communication_reduction",
-    "energy_report",
-    "feature_bytes",
-    "get_codec",
-    "get_transport",
-    "gigabit_link",
-    "heterogeneous_fleet",
-    "make_fleet",
-    "raspberry_pi_4b",
-    "register_codec",
-    "register_model_kind",
-    "simulate_inference",
-    "single_device_latency",
-    "tc_capped_link",
-    "uniform_star",
-    "utilization_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".codec": ("CODECS", "EncodedFeatures", "FeatureCodec", "codec_names",
+               "get_codec", "register_codec"),
+    ".device": ("DeviceModel", "PI4B_ENERGY_FLOPS", "PI4B_MACS_PER_SECOND",
+                "PI4B_MEMORY_BYTES", "heterogeneous_fleet", "make_fleet",
+                "raspberry_pi_4b"),
+    ".network": ("FLOAT32_BYTES", "GIGABIT_BPS", "LinkModel",
+                 "RAW_IMAGE_BYTES", "StarTopology", "TC_CAP_BPS",
+                 "communication_reduction", "feature_bytes", "gigabit_link",
+                 "tc_capped_link", "uniform_star"),
+    ".runtime": ("EdgeCluster", "InferenceTiming", "MODEL_KINDS",
+                 "WorkerFailure", "WorkerSpec", "register_model_kind"),
+    ".sim_core": ("Barrier", "FifoResource", "Simulator"),
+    ".transport": ("InProcessTransport", "MultiprocessTransport",
+                   "TRANSPORTS", "TcpTransport", "Transport", "WorkerHandle",
+                   "get_transport"),
+    ".simulator": ("DeploymentSpec", "ENGINES", "SimulationResult",
+                   "SubModelProfile", "energy_report", "simulate_inference",
+                   "single_device_latency", "utilization_report"),
+})

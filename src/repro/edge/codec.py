@@ -167,7 +167,9 @@ def register_codec(codec: FeatureCodec) -> None:
 
     Call at import time (module top level) if workers on the
     process-based transports need it — spawned processes re-import this
-    module and only see import-time registrations.
+    module and only see import-time registrations (the launching
+    script's included: a codec class defined outside this package makes
+    its workers replay ``__main__``, see ``transport.needs_main``).
     """
     CODECS[codec.name] = codec
 

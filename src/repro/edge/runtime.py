@@ -162,6 +162,22 @@ class WorkerSpec:
     codec: str = "raw32"               # repro.edge.codec name for features
     quant: str = "fp32"                # weight scheme of state_blob
 
+    def lookups(self) -> list:
+        """What a worker booting from this spec resolves by name: the
+        types it unpickles and the registry entries it calls (``None``
+        for a kind or codec not registered here).  Where these are
+        defined decides how its process is started — see
+        :func:`repro.edge.transport.needs_main`."""
+        kind = MODEL_KINDS.get(self.model_kind)
+        try:
+            codec = get_codec(self.codec)
+            # a "+zlib" wrapper is ours; the codec it wraps may not be
+            codecs = [type(codec), type(getattr(codec, "base", codec))]
+        except KeyError:
+            codecs = [None]
+        return [type(self), type(self.device), type(self.link),
+                kind and kind.build, kind and kind.config_from_dict, *codecs]
+
     @staticmethod
     def from_model(worker_id: str, model: nn.Module, kind: str,
                    flops_per_sample: float, device: DeviceModel,
@@ -272,18 +288,24 @@ def _worker_main(spec: WorkerSpec, conn, time_scale: float) -> None:
 
     weights = _received_weights(conn)
     try:
-        # Process transports re-import this module fresh, so a model kind
-        # or codec registered only at runtime in the parent is unknown
-        # here (registrations must happen at import time, like the
-        # built-ins).  Report that as a typed startup failure instead of
-        # dying and leaving the parent a bare EOFError.
-        model = _build_model(spec.model_kind, spec.model_config)
-        quant = getattr(spec, "quant", "fp32")  # pre-quant specs lack it
-        if quant != "fp32":
-            model = nn.quantize_module(model, scheme=quant)
-        # Each array becomes the model's own storage as it arrives and
-        # the random-init one it replaces is released: parameters plus
-        # one array in flight is all this worker ever holds.
+        # A worker process starts from a fresh interpreter that has
+        # imported this module's dependencies and, unless the launch
+        # needed the parent's __main__ (see transport.needs_main), nothing
+        # else: a model kind or codec the parent registered after import
+        # is unknown here.  That is a typed start-up failure, reported
+        # below, not a death that leaves the parent a bare EOFError.
+        #
+        # The model is built only to be loaded, so nothing is drawn for
+        # it: its parameters are unwritten storage until the strict load
+        # has put a received array in every slot (a state that misses
+        # one fails the start).  Each array becomes the model's own
+        # storage as it arrives: parameters plus one array in flight is
+        # all this worker ever holds.
+        with nn.init.unwritten():
+            model = _build_model(spec.model_kind, spec.model_config)
+            quant = getattr(spec, "quant", "fp32")  # pre-quant specs lack it
+            if quant != "fp32":
+                model = nn.quantize_module(model, scheme=quant)
         model.load_state_dict(weights, adopt=True)
         model.eval()
         codec = get_codec(spec.codec)

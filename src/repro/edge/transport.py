@@ -38,8 +38,14 @@ a transport never sees them.  ``spawn`` is the one-worker case.
 from __future__ import annotations
 
 import collections
+import io
 import multiprocessing as mp
 import multiprocessing.connection as mp_connection
+import multiprocessing.context as mp_context
+import multiprocessing.popen_spawn_posix as mp_popen
+import multiprocessing.resource_tracker as mp_resource_tracker
+import multiprocessing.spawn as mp_spawn
+import multiprocessing.util as mp_util
 import os
 import socket
 import struct
@@ -62,6 +68,96 @@ def _run_worker(worker_main: WorkerMain, conn, time_scale: float) -> None:
     except (EOFError, OSError):
         return
     worker_main(spec, conn, time_scale)
+
+
+# ----------------------------------------------------------------------
+# Starting a worker process.  ``spawn`` gives every child a fresh
+# interpreter and then re-executes the parent's ``__main__`` in it, so
+# that whatever the child unpickles or looks up by name can be found.
+# The built-in worker needs none of it: its loop, its spec and everything
+# the spec names are defined inside this package, which the child imports
+# on its own when it unpickles the loop.  Replaying a driver script or
+# the CLI there only loads the planner, the store and the serving stack
+# into a process that runs one forward loop.
+_PACKAGE = __name__.partition(".")[0]
+
+
+def _in_package(obj) -> bool:
+    module = getattr(obj, "__module__", None) or ""
+    return module.partition(".")[0] == _PACKAGE
+
+
+def needs_main(worker_main: WorkerMain, specs: Sequence) -> bool:
+    """Whether the children of this launch need the parent's ``__main__``.
+
+    They do not when the loop and every object the specs say a worker
+    resolves by name (``spec.lookups()``: its own type, its model kind's
+    builder and config loader, its codec class, the types of its device
+    and link) are defined in this package.  A stand-in loop from a test
+    module or a script, a kind or codec registered by user code, an
+    unregistered name, or a spec that cannot say: all keep stock
+    ``spawn``, which is how such definitions reach a child at all.
+    """
+    if not _in_package(worker_main):
+        return True
+    for spec in specs:
+        lookups = getattr(spec, "lookups", None)
+        if lookups is None or not all(map(_in_package, lookups())):
+            return True
+    return False
+
+
+class _NoMainPopen(mp_popen.Popen):
+    """``spawn``'s launcher, minus the instruction to replay ``__main__``.
+
+    ``_launch`` is the stock one (CPython 3.11, ``popen_spawn_posix``)
+    except for the two ``init_main_*`` keys dropped from the preparation
+    data; everything else the child is told — ``sys.path`` as it is now,
+    ``sys.argv``, the working directory, the authkey — is untouched.
+    """
+
+    def _launch(self, process_obj):
+        tracker_fd = mp_resource_tracker.getfd()
+        self._fds.append(tracker_fd)
+        prep_data = mp_spawn.get_preparation_data(process_obj._name)
+        prep_data.pop("init_main_from_name", None)
+        prep_data.pop("init_main_from_path", None)
+        fp = io.BytesIO()
+        mp_context.set_spawning_popen(self)
+        try:
+            mp_context.reduction.dump(prep_data, fp)
+            mp_context.reduction.dump(process_obj, fp)
+        finally:
+            mp_context.set_spawning_popen(None)
+
+        parent_r = child_w = child_r = parent_w = None
+        try:
+            parent_r, child_w = os.pipe()
+            child_r, parent_w = os.pipe()
+            cmd = mp_spawn.get_command_line(tracker_fd=tracker_fd,
+                                            pipe_handle=child_r)
+            self._fds.extend([child_r, child_w])
+            self.pid = mp_util.spawnv_passfds(mp_spawn.get_executable(),
+                                              cmd, self._fds)
+            self.sentinel = parent_r
+            with open(parent_w, "wb", closefd=False) as f:
+                f.write(fp.getbuffer())
+        finally:
+            self.finalizer = mp_util.Finalize(
+                self, mp_util.close_fds,
+                [fd for fd in (parent_r, parent_w) if fd is not None])
+            for fd in (child_r, child_w):
+                if fd is not None:
+                    os.close(fd)
+
+
+class _NoMainProcess(mp_context.SpawnProcess):
+    """A ``spawn`` child (listed by ``multiprocessing.active_children()``
+    like any other) that starts without the parent's ``__main__``."""
+
+    @staticmethod
+    def _Popen(process_obj):
+        return _NoMainPopen(process_obj)
 
 
 def reap(handles: Iterable["WorkerHandle"]) -> None:
@@ -186,6 +282,12 @@ class _ConnectionHandle(WorkerHandle):
 
 
 class _ConnectionTransport(Transport):
+    def _process_class(self, worker_main: WorkerMain, specs: Sequence):
+        """The ``Process`` class that starts this launch's children."""
+        if needs_main(worker_main, specs):
+            return mp_context.SpawnProcess
+        return _NoMainProcess
+
     def wait(self, handles: Iterable[WorkerHandle],
              timeout: float | None) -> list[WorkerHandle]:
         by_conn = {h.conn: h for h in handles}
@@ -200,16 +302,14 @@ class MultiprocessTransport(_ConnectionTransport):
 
     name = "multiprocess"
 
-    def __init__(self):
-        self._context = mp.get_context("spawn")
-
     def _start(self, specs: Sequence, time_scale: float,
                worker_main: WorkerMain) -> list[WorkerHandle]:
+        process_class = self._process_class(worker_main, specs)
         handles: list[WorkerHandle] = []
         try:
             for spec in specs:
-                parent, child = self._context.Pipe()
-                process = self._context.Process(
+                parent, child = mp.Pipe()
+                process = process_class(
                     target=_run_worker, args=(worker_main, child, time_scale),
                     daemon=True)
                 process.start()
@@ -291,7 +391,6 @@ class TcpTransport(_ConnectionTransport):
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  accept_timeout_s: float = 30.0):
-        self._context = mp.get_context("spawn")
         self._host = host
         self._port = port
         self._accept_timeout_s = accept_timeout_s
@@ -342,9 +441,10 @@ class TcpTransport(_ConnectionTransport):
 
     def _start(self, specs: Sequence, time_scale: float,
                worker_main: WorkerMain) -> list[WorkerHandle]:
+        process_class = self._process_class(worker_main, specs)
         with self._launch_lock:
             listener = self._ensure_listener()
-            processes = {spec.worker_id: self._context.Process(
+            processes = {spec.worker_id: process_class(
                 target=_tcp_worker_entry,
                 kwargs=dict(worker_main=worker_main,
                             address=listener.getsockname(),

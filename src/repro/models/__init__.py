@@ -1,47 +1,15 @@
 """Model zoo: Vision Transformers, the VGG/SNN comparators, and fusion MLP."""
 
-from .fusion import FusionConfig, FusionMLP, build_fusion_for
-from .snn import ConvSNN, LIFConvLayer, SNNConfig, csnn_tiny_config, spike_fn
-from .vgg import VGG, VGGConfig, vgg8_micro_config, vgg11_tiny_config, vgg16_config
-from .vit import (
-    Block,
-    FeedForward,
-    MultiHeadSelfAttention,
-    PatchEmbed,
-    STANDARD_CONFIGS,
-    ViTConfig,
-    VisionTransformer,
-    build_vit,
-    vit_base_config,
-    vit_large_config,
-    vit_small_config,
-    vit_tiny_config,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Block",
-    "ConvSNN",
-    "FeedForward",
-    "FusionConfig",
-    "FusionMLP",
-    "LIFConvLayer",
-    "MultiHeadSelfAttention",
-    "PatchEmbed",
-    "SNNConfig",
-    "STANDARD_CONFIGS",
-    "VGG",
-    "VGGConfig",
-    "ViTConfig",
-    "VisionTransformer",
-    "build_fusion_for",
-    "build_vit",
-    "csnn_tiny_config",
-    "spike_fn",
-    "vgg11_tiny_config",
-    "vgg16_config",
-    "vgg8_micro_config",
-    "vit_base_config",
-    "vit_large_config",
-    "vit_small_config",
-    "vit_tiny_config",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".fusion": ("FusionConfig", "FusionMLP", "build_fusion_for"),
+    ".snn": ("ConvSNN", "LIFConvLayer", "SNNConfig", "csnn_tiny_config",
+             "spike_fn"),
+    ".vgg": ("VGG", "VGGConfig", "vgg11_tiny_config", "vgg16_config",
+             "vgg8_micro_config"),
+    ".vit": ("Block", "FeedForward", "MultiHeadSelfAttention", "PatchEmbed",
+             "STANDARD_CONFIGS", "ViTConfig", "VisionTransformer",
+             "build_vit", "vit_base_config", "vit_large_config",
+             "vit_small_config", "vit_tiny_config"),
+})

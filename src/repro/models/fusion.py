@@ -42,7 +42,6 @@ class FusionMLP(nn.Module):
 
     def __init__(self, config: FusionConfig, rng: np.random.Generator | None = None):
         super().__init__()
-        rng = rng or nn.init.default_rng()
         self.config = config
         self.fc1 = nn.Linear(config.input_dim, config.hidden_dim, rng=rng)
         self.fc2 = nn.Linear(config.hidden_dim, config.num_classes, rng=rng)

@@ -113,7 +113,6 @@ class ConvSNN(nn.Module):
 
     def __init__(self, config: SNNConfig, rng: np.random.Generator | None = None):
         super().__init__()
-        rng = rng or nn.init.default_rng()
         self.config = config
 
         channels = config.scaled_channels()

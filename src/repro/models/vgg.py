@@ -66,7 +66,6 @@ class VGG(nn.Module):
 
     def __init__(self, config: VGGConfig, rng: np.random.Generator | None = None):
         super().__init__()
-        rng = rng or nn.init.default_rng()
         self.config = config
 
         layers: list[nn.Module] = []

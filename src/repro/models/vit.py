@@ -105,7 +105,8 @@ class ViTConfig:
 class PatchEmbed(nn.Module):
     """Non-overlapping patch projection implemented as a strided conv."""
 
-    def __init__(self, config: ViTConfig, rng: np.random.Generator):
+    def __init__(self, config: ViTConfig,
+                 rng: np.random.Generator | None = None):
         super().__init__()
         self.config = config
         self.proj = nn.Conv2d(config.in_channels, config.embed_dim,
@@ -201,7 +202,8 @@ class FeedForward(nn.Module):
 class Block(nn.Module):
     """Pre-norm transformer encoder block: x + MHSA(LN(x)); x + FFN(LN(x))."""
 
-    def __init__(self, config: ViTConfig, rng: np.random.Generator):
+    def __init__(self, config: ViTConfig,
+                 rng: np.random.Generator | None = None):
         super().__init__()
         self.norm1 = nn.LayerNorm(config.embed_dim)
         self.attn = MultiHeadSelfAttention(config.embed_dim, config.num_heads,
@@ -291,7 +293,6 @@ class VisionTransformer(nn.Module):
 
     def __init__(self, config: ViTConfig, rng: np.random.Generator | None = None):
         super().__init__()
-        rng = rng or nn.init.default_rng()
         self.config = config
         self.patch_embed = PatchEmbed(config, rng)
         self.cls_token = nn.Parameter(
@@ -398,7 +399,6 @@ class VisionTransformer(nn.Module):
                      rng: np.random.Generator | None = None) -> None:
         """Swap the classification head (used when a sub-model serves a
         class subset plus the implicit "other" bucket)."""
-        rng = rng or nn.init.default_rng()
         self.head = nn.Linear(self.config.embed_dim, num_classes, rng=rng)
         self.config = dataclasses.replace(self.config, num_classes=num_classes)
 

@@ -3,18 +3,32 @@
 All random state in the reproduction flows through explicit
 ``numpy.random.Generator`` objects so experiments are reproducible; the
 module-level default generator exists only as a convenience for ad-hoc use.
+It is created on first use: a process that only loads trained weights
+(an edge worker) never imports ``numpy.random``.
+
+Every initializer takes ``rng=None`` to mean that default generator, and
+inside :func:`unwritten` draws nothing at all.
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
+
 import numpy as np
 
 _DEFAULT_SEED = 0x5EED
-_default_rng = np.random.default_rng(_DEFAULT_SEED)
+_default_rng = None
+_default_rng_lock = threading.Lock()
+_local = threading.local()         # .unwritten: this thread builds to load
 
 
 def default_rng() -> np.random.Generator:
-    return _default_rng
+    global _default_rng
+    with _default_rng_lock:
+        if _default_rng is None:
+            _default_rng = np.random.default_rng(_DEFAULT_SEED)
+        return _default_rng
 
 
 def seed_all(seed: int) -> np.random.Generator:
@@ -24,26 +38,62 @@ def seed_all(seed: int) -> np.random.Generator:
     return _default_rng
 
 
-def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...],
+@contextlib.contextmanager
+def unwritten():
+    """Build modules whose weights are allocated but never written.
+
+    For a model that exists only to receive ``load_state_dict(strict=True)``:
+    inside the block (on this thread) every initializer returns
+    ``np.empty`` storage of the right shape and dtype and no generator is
+    consulted, so construction costs no draws and the pages stay
+    untouched until the real weights replace them.  Reading such a model
+    before it is loaded reads garbage, so ``quantize_module`` inside the
+    block sizes its int8 twins by shape and quantizes nothing.
+    """
+    previous = is_unwritten()
+    _local.unwritten = True
+    try:
+        yield
+    finally:
+        _local.unwritten = previous
+
+
+def is_unwritten() -> bool:
+    """Whether this thread is inside :func:`unwritten`."""
+    return getattr(_local, "unwritten", False)
+
+
+def uniform(rng: np.random.Generator | None, bound: float,
+            shape: int | tuple[int, ...]) -> np.ndarray:
+    """Float32 samples of U(-bound, bound)."""
+    if is_unwritten():
+        return np.empty(shape, dtype=np.float32)
+    rng = rng or default_rng()
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+
+
+def kaiming_uniform(rng: np.random.Generator | None, shape: tuple[int, ...],
                     fan_in: int | None = None) -> np.ndarray:
     """He-uniform init matching ``torch.nn.Linear``'s default (a=sqrt(5))."""
     if fan_in is None:
         fan_in = shape[1] if len(shape) >= 2 else shape[0]
     gain = np.sqrt(2.0 / (1.0 + 5.0))  # leaky relu gain with a = sqrt(5)
-    bound = gain * np.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+    return uniform(rng, gain * np.sqrt(3.0 / fan_in), shape)
 
 
-def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+def xavier_uniform(rng: np.random.Generator | None,
+                   shape: tuple[int, ...]) -> np.ndarray:
     fan_in = shape[1] if len(shape) >= 2 else shape[0]
     fan_out = shape[0]
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+    return uniform(rng, np.sqrt(6.0 / (fan_in + fan_out)), shape)
 
 
-def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...],
+def trunc_normal(rng: np.random.Generator | None, shape: tuple[int, ...],
                  std: float = 0.02, bound: float = 2.0) -> np.ndarray:
     """Truncated normal used by ViT for token/positional embeddings."""
+    if is_unwritten():
+        return np.empty(shape, dtype=np.float32)
+    rng = rng or default_rng()
     out = rng.normal(0.0, std, size=shape)
     np.clip(out, -bound * std, bound * std, out=out)
     return out.astype(np.float32)

@@ -203,11 +203,10 @@ class Linear(Module):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        rng = rng or init.default_rng()
         self.weight = Parameter(init.kaiming_uniform(rng, (out_features, in_features)))
         if bias:
-            bound = 1.0 / np.sqrt(in_features)
-            self.bias = Parameter(rng.uniform(-bound, bound, size=out_features).astype(np.float32))
+            self.bias = Parameter(
+                init.uniform(rng, 1.0 / np.sqrt(in_features), out_features))
         else:
             self.bias = None
 
@@ -292,14 +291,13 @@ class Conv2d(Module):
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        rng = rng or init.default_rng()
         fan_in = in_channels * kernel_size * kernel_size
         self.weight = Parameter(
             init.kaiming_uniform(rng, (out_channels, in_channels, kernel_size, kernel_size),
                                  fan_in=fan_in))
         if bias:
-            bound = 1.0 / np.sqrt(fan_in)
-            self.bias = Parameter(rng.uniform(-bound, bound, size=out_channels).astype(np.float32))
+            self.bias = Parameter(
+                init.uniform(rng, 1.0 / np.sqrt(fan_in), out_channels))
         else:
             self.bias = None
 
@@ -382,7 +380,7 @@ class Dropout(Module):
     def __init__(self, p: float = 0.0, rng: np.random.Generator | None = None):
         super().__init__()
         self.p = p
-        self._rng = rng or init.default_rng()
+        self._rng = rng
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.dropout(x, self.p, self.training, self._rng)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 
+from . import init
 from .backend import Workspace, get_backend, scratch
 from .tensor import Tensor, is_grad_enabled, is_inference
 
@@ -94,10 +95,12 @@ def log_softmax(x: Tensor, axis: int = -1,
     return Tensor._make(out_data, (x,), backward)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng) -> Tensor:
-    """Inverted dropout; identity when not training or p == 0."""
+def dropout(x: Tensor, p: float, training: bool, rng=None) -> Tensor:
+    """Inverted dropout; identity when not training or p == 0.  ``rng=None``
+    draws from :func:`repro.nn.init.default_rng`."""
     if not training or p <= 0.0:
         return x
+    rng = rng or init.default_rng()
     keep = 1.0 - p
     mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
     out_data = x.data * mask

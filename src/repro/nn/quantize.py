@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import ops
+from . import init, ops
 from .backend import get_backend, scratch
 from .modules import (Conv2d, Linear, Module, ModuleList, Sequential,
                       patch_gemm)
@@ -108,6 +108,8 @@ class QuantizedLinear(Module):
     def from_linear(linear: Linear) -> "QuantizedLinear":
         q = QuantizedLinear(linear.in_features, linear.out_features,
                             bias=linear.bias is not None)
+        if init.is_unwritten():
+            return q                   # garbage in: the int8 state loads next
         q8, scale = quantize_array(linear.weight.data)
         np.copyto(q.weight_q8, q8)
         np.copyto(q.weight_scale, scale)
@@ -190,6 +192,8 @@ class QuantizedConv2d(Module):
         q = QuantizedConv2d(conv.in_channels, conv.out_channels,
                             conv.kernel_size, stride=conv.stride,
                             padding=conv.padding, bias=conv.bias is not None)
+        if init.is_unwritten():
+            return q                   # see QuantizedLinear.from_linear
         q8, scale = quantize_array(conv.weight.data)
         np.copyto(q.weight_q8, q8)
         np.copyto(q.weight_scale, scale)

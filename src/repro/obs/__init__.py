@@ -23,54 +23,15 @@ Typical use::
     print(obs.get_registry().render_text())
 """
 
-from .trace import (
-    NOOP_SPAN,
-    SpanRecord,
-    TRACE_SCHEMA_VERSION,
-    Tracer,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
-    new_span_id,
-    span,
-    span_dict,
-    tracing_enabled,
-)
-from .metrics import (
-    Counter,
-    DEFAULT_SECONDS_BOUNDS,
-    Gauge,
-    Histogram,
-    METRICS_SCHEMA_VERSION,
-    MetricsRegistry,
-    get_registry,
-)
-from .profile import PROFILED_KERNELS, ProfilingBackend
-from .export import chrome_trace, jsonl_lines, write_chrome_trace, write_jsonl
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "DEFAULT_SECONDS_BOUNDS",
-    "Gauge",
-    "Histogram",
-    "METRICS_SCHEMA_VERSION",
-    "MetricsRegistry",
-    "NOOP_SPAN",
-    "PROFILED_KERNELS",
-    "ProfilingBackend",
-    "SpanRecord",
-    "TRACE_SCHEMA_VERSION",
-    "Tracer",
-    "chrome_trace",
-    "disable_tracing",
-    "enable_tracing",
-    "get_registry",
-    "get_tracer",
-    "jsonl_lines",
-    "new_span_id",
-    "span",
-    "span_dict",
-    "tracing_enabled",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".trace": ("NOOP_SPAN", "SpanRecord", "TRACE_SCHEMA_VERSION", "Tracer",
+               "disable_tracing", "enable_tracing", "get_tracer",
+               "new_span_id", "span", "span_dict", "tracing_enabled"),
+    ".metrics": ("Counter", "DEFAULT_SECONDS_BOUNDS", "Gauge", "Histogram",
+                 "METRICS_SCHEMA_VERSION", "MetricsRegistry", "get_registry"),
+    ".profile": ("PROFILED_KERNELS", "ProfilingBackend"),
+    ".export": ("chrome_trace", "jsonl_lines", "write_chrome_trace",
+                "write_jsonl"),
+})

@@ -1,55 +1,15 @@
 """Analytic FLOPs / memory / energy profiling (Section III of the paper)."""
 
-from .energy import (
-    JOULES_PER_MAC,
-    inference_energy_flops,
-    inference_energy_joules,
-    workload_energy_flops,
-)
-from .flops import (
-    FlopsBreakdown,
-    detailed_flops,
-    fusion_flops,
-    mlp_flops,
-    model_flops,
-    paper_flops,
-    paper_flops_breakdown,
-    snn_flops,
-    token_pruned_flops,
-    vgg_flops,
-)
-from .memory import (
-    BYTES_PER_PARAM,
-    module_param_count,
-    module_size_mb,
-    param_bytes,
-    size_mb,
-    snn_param_count,
-    vgg_param_count,
-    vit_param_count,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BYTES_PER_PARAM",
-    "FlopsBreakdown",
-    "JOULES_PER_MAC",
-    "detailed_flops",
-    "fusion_flops",
-    "inference_energy_flops",
-    "inference_energy_joules",
-    "mlp_flops",
-    "model_flops",
-    "module_param_count",
-    "module_size_mb",
-    "paper_flops",
-    "paper_flops_breakdown",
-    "param_bytes",
-    "size_mb",
-    "snn_flops",
-    "snn_param_count",
-    "token_pruned_flops",
-    "vgg_flops",
-    "vgg_param_count",
-    "vit_param_count",
-    "workload_energy_flops",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".energy": ("JOULES_PER_MAC", "inference_energy_flops",
+                "inference_energy_joules", "workload_energy_flops"),
+    ".flops": ("FlopsBreakdown", "detailed_flops", "fusion_flops",
+               "mlp_flops", "model_flops", "paper_flops",
+               "paper_flops_breakdown", "snn_flops", "token_pruned_flops",
+               "vgg_flops"),
+    ".memory": ("BYTES_PER_PARAM", "module_param_count", "module_size_mb",
+                "param_bytes", "size_mb", "snn_param_count",
+                "vgg_param_count", "vit_param_count"),
+})

@@ -57,7 +57,7 @@ class LoadgenConfig:
 # Supplies each request's input: (rng, images_per_request) -> array.
 # Lets callers stream real data (e.g. labelled test images) through the
 # generator's arrival pacing instead of synthetic noise.
-MakeInput = Callable[[np.random.Generator, int], np.ndarray]
+MakeInput = Callable[["np.random.Generator", int], np.ndarray]
 
 
 @dataclasses.dataclass

@@ -279,7 +279,7 @@ class ThreadProcess:
 
 
 class DelayedDialBack:
-    """Stands in for a ``TcpTransport``'s spawn context, so a test chooses
+    """Stands in for a ``TcpTransport``'s process class, so a test chooses
     the order in which the children's connections arrive."""
 
     def __init__(self, delays_s):
@@ -292,7 +292,8 @@ class DelayedDialBack:
 
 def tcp_with_dial_back_delays(delays_s):
     transport = TcpTransport(accept_timeout_s=10.0)
-    transport._context = DelayedDialBack(delays_s)
+    transport._process_class = \
+        lambda worker_main, specs: DelayedDialBack(delays_s).Process
     return transport
 
 

@@ -1,0 +1,261 @@
+"""What an emulated device's process holds, and how it is started.
+
+A built-in worker imports the inference path and nothing else, and its
+process starts without re-running the parent's ``__main__``; anything the
+child could only find through ``__main__`` (a stand-in loop, a codec or
+kind registered by user code) keeps stock ``spawn``.  Driver scripts run
+in subprocesses: what ``spawn`` replays is the *script*, so the test
+process itself cannot stand in for one.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+import types
+
+import numpy as np
+import pytest
+
+import repro
+from repro.edge.codec import CODECS, FeatureCodec, ZlibCodec, register_codec
+from repro.edge.device import DeviceModel
+from repro.edge.network import LinkModel
+from repro.edge.runtime import (MODEL_KINDS, EdgeCluster, WorkerSpec,
+                                _worker_main, register_model_kind)
+from repro.edge.transport import needs_main
+from repro.models.vit import ViTConfig, VisionTransformer
+
+SRC = str(pathlib.Path(repro.__file__).parents[1])
+PROCESS_TRANSPORTS = ["multiprocess", "tcp"]
+
+
+def run_python(*argv, cwd=None):
+    result = subprocess.run([sys.executable, *map(str, argv)], cwd=cwd,
+                            capture_output=True, text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": SRC})
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def make_spec(worker_id="w", codec="raw32", kind="vit"):
+    model = VisionTransformer(
+        ViTConfig(image_size=8, patch_size=4, num_classes=3, depth=1,
+                  embed_dim=8, num_heads=2), rng=np.random.default_rng(0))
+    return WorkerSpec.from_model(
+        worker_id, model, kind, flops_per_sample=1e6, codec=codec,
+        device=DeviceModel(device_id=worker_id, macs_per_second=1e12),
+        link=LinkModel(bandwidth_bps=1e9, overhead_seconds=0.0))
+
+
+# ----------------------------------------------------------------------
+IMPORT_CONTRACT = """
+import sys
+import multiprocessing.connection, repro.edge.runtime, repro.core.inference
+
+def loaded(prefix):
+    return sorted(m for m in sys.modules
+                  if m == prefix or m.startswith(prefix + "."))
+
+for unwanted in ("repro.planning", "repro.serving", "repro.store",
+                 "repro.pruning", "repro.splitting", "repro.baselines",
+                 "repro.data", "repro.analysis", "repro.core.edvit",
+                 "repro.core.experiments", "repro.edge.simulator",
+                 "repro.edge.fastsim", "numpy.random"):
+    assert not loaded(unwanted), loaded(unwanted)
+
+import numpy as np
+from repro import nn
+from repro.edge.runtime import _build_model
+from repro.models.vit import ViTConfig
+
+config = ViTConfig(image_size=8, patch_size=4, num_classes=3, depth=2,
+                   embed_dim=8, num_heads=2, attn_dim=4).to_dict()
+with nn.init.unwritten():
+    model = _build_model("vit", config)
+state = [(name, np.full(param.shape, 0.01, dtype=np.float32))
+         for name, param in model.named_parameters()]
+model.load_state_dict(state, strict=True, adopt=True)
+model.eval()
+features = repro.core.inference.extract_features(
+    model, np.ones((2, 3, 8, 8), dtype=np.float32), 64)
+assert features.shape == (2, 8) and np.isfinite(features).all()
+assert not loaded("numpy.random"), "a load-only worker drew random numbers"
+print("worker import set:", len(loaded("repro")), "repro modules,",
+      len(sys.modules), "modules in all")
+"""
+
+
+def test_a_worker_imports_the_inference_path_and_nothing_else(capsys):
+    out = run_python("-c", IMPORT_CONTRACT)
+    assert out.startswith("worker import set:")
+    with capsys.disabled():            # the count is this test's report
+        print(f"\n  {out.strip()}", end="")
+    # Import creep shows here first; raise the bound only on purpose.
+    assert int(out.split()[3]) <= 32
+
+
+# ----------------------------------------------------------------------
+DRIVER = """
+import sys
+with open(sys.argv[2], "a") as log:    # once per execution of this file
+    log.write("executed\\n")
+
+import multiprocessing
+import numpy as np
+from repro.edge.codec import CODECS, FeatureCodec, register_codec
+from repro.edge.device import DeviceModel
+from repro.edge.network import LinkModel
+from repro.edge.runtime import EdgeCluster, WorkerSpec
+from repro.edge.transport import get_transport
+from repro.models.vit import ViTConfig, VisionTransformer
+
+
+class MainOnly(FeatureCodec):
+    name = "main-only"
+
+
+register_codec(MainOnly())             # import time, but only in __main__
+
+
+def stand_in(spec, conn, time_scale):
+    conn.send(("codecs", sorted(CODECS)))
+
+
+def specs(codec):
+    config = ViTConfig(image_size=8, patch_size=4, num_classes=3, depth=1,
+                       embed_dim=8, num_heads=2)
+    return [WorkerSpec.from_model(
+        f"w{i}", VisionTransformer(config, rng=np.random.default_rng(i)),
+        "vit", flops_per_sample=1e6, codec=codec,
+        device=DeviceModel(device_id=f"d{i}", macs_per_second=1e12),
+        link=LinkModel(bandwidth_bps=1e9, overhead_seconds=0.0))
+        for i in range(2)]
+
+
+if __name__ == "__main__":
+    transport, _, scenario = sys.argv[1:]
+    x = np.ones((2, 3, 8, 8), dtype=np.float32)
+    if scenario == "stand-in":
+        handle = get_transport(transport).spawn(specs("raw32")[0], 0.0,
+                                                stand_in)
+        assert handle.poll(30)
+        print("stand-in sees", "main-only" in handle.recv()[1])
+        handle.join(timeout=10)
+        handle.close()
+    else:
+        codec = "main-only" if scenario == "main-codec" else "raw32"
+        with EdgeCluster(specs(codec), transport=transport) as cluster:
+            features, _ = cluster.infer_features(x)
+            print("served", sorted(features),
+                  "children", len(multiprocessing.active_children()))
+"""
+
+
+@pytest.fixture
+def driver(tmp_path):
+    script = tmp_path / "driver.py"
+    script.write_text(textwrap.dedent(DRIVER))
+    log = tmp_path / "executions.log"
+
+    def run(transport, scenario):
+        log.write_text("")
+        out = run_python(script, transport, log, scenario, cwd=tmp_path)
+        return out.strip(), len(log.read_text().splitlines())
+
+    return run
+
+
+@pytest.mark.parametrize("transport", PROCESS_TRANSPORTS)
+class TestHowAWorkerProcessStarts:
+    def test_builtin_workers_do_not_replay_the_driver_script(self, driver,
+                                                             transport):
+        out, executions = driver(transport, "builtin")
+        assert out == "served ['w0', 'w1'] children 2"
+        assert executions == 1         # stock spawn: 1 + one per worker
+
+    def test_a_codec_from_the_script_still_reaches_its_workers(self, driver,
+                                                               transport):
+        out, executions = driver(transport, "main-codec")
+        assert out == "served ['w0', 'w1'] children 2"
+        assert executions == 3
+
+    def test_a_stand_in_loop_still_sees_main_level_registrations(
+            self, driver, transport):
+        out, executions = driver(transport, "stand-in")
+        assert out == "stand-in sees True"
+        assert executions == 2
+
+    def test_runtime_registered_codec_is_a_typed_startup_failure(
+            self, transport):
+        class Runtime(FeatureCodec):
+            name = "runtime-only"
+
+        register_codec(Runtime())
+        cluster = EdgeCluster([make_spec(codec="runtime-only")],
+                              transport=transport)
+        try:
+            with pytest.raises(RuntimeError, match="failed to start.*"
+                                                   "unknown feature codec"):
+                cluster.start()
+        finally:
+            CODECS.pop("runtime-only", None)
+            cluster.shutdown()
+
+
+# ----------------------------------------------------------------------
+def outside_loop(spec, conn, time_scale):
+    """A ``worker_main`` defined outside the package."""
+
+
+class TestNeedsMain:
+    """The start is chosen from where the launch's objects are defined."""
+
+    def test_builtin_loop_and_specs_do_not(self):
+        assert not needs_main(_worker_main, [make_spec("a"), make_spec("b")])
+        assert not needs_main(_worker_main, [make_spec(codec="q8+zlib")])
+
+    def test_a_loop_defined_elsewhere_does(self):
+        assert needs_main(outside_loop, [make_spec()])
+
+    def test_a_spec_that_cannot_say_does(self):
+        assert needs_main(_worker_main,
+                          [types.SimpleNamespace(worker_id="echo")])
+
+    def test_an_unregistered_kind_or_codec_does(self):
+        for field in ("model_kind", "codec"):
+            spec = make_spec()
+            setattr(spec, field, "never-registered")
+            assert needs_main(_worker_main, [make_spec("ok"), spec])
+
+    def test_a_kind_built_elsewhere_does(self):
+        register_model_kind("outside", ViTConfig.from_dict,
+                            lambda config: VisionTransformer(config))
+        try:
+            assert needs_main(_worker_main, [make_spec(kind="outside")])
+        finally:
+            del MODEL_KINDS["outside"]
+
+    def test_a_codec_defined_elsewhere_does_even_wrapped(self):
+        class Outside(FeatureCodec):
+            name = "outside"
+
+        register_codec(Outside())
+        try:
+            assert needs_main(_worker_main, [make_spec(codec="outside")])
+            assert needs_main(_worker_main,
+                              [make_spec(codec="outside+zlib")])
+            # ... although the wrapper itself is the package's own class
+            assert type(CODECS["outside+zlib"]) is ZlibCodec
+        finally:
+            CODECS.pop("outside", None)
+            CODECS.pop("outside+zlib", None)
+
+    def test_device_and_link_types_defined_elsewhere_do(self):
+        class Device(DeviceModel):
+            pass
+
+        spec = make_spec()
+        spec.device = Device(device_id="d", macs_per_second=1e12)
+        assert needs_main(_worker_main, [spec])
