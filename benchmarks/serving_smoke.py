@@ -72,10 +72,12 @@ def main() -> None:
     assert open_result.p99_s < P99_CEILING_S, \
         f"p99 {open_result.p99_s:.3f}s exceeds {P99_CEILING_S}s"
 
-    # 2. Dynamic batching strictly beats batch=1 dispatch.
+    # 2. Dynamic batching strictly beats batch=1 dispatch.  "dynamic" is
+    # the default load-driven batcher: a 5 ms max_wait_s window capped it
+    # near 8 requests per 5 ms, below a fast host's batch=1 rate.
     throughput = {}
     for label, max_batch, max_wait in (("batch=1", 1, 0.0),
-                                       ("dynamic", 16, 0.005)):
+                                       ("dynamic", 16, 0.0)):
         system, server = make_server(max_batch, max_wait)
         with server:
             result = run_load(server, system.input_shape,

@@ -72,7 +72,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -87,6 +87,10 @@ from .codec import EncodedFeatures, get_codec
 from .device import DeviceModel
 from .network import LinkModel, tc_capped_link
 from .transport import Transport, WorkerHandle, get_transport, reap
+
+# Longest single wait of EdgeCluster.gather: bounds how late it notices a
+# worker that died without a word (a reply ends the wait at once).
+_GATHER_STEP_S = 0.02
 
 
 class WorkerFailure(RuntimeError):
@@ -420,10 +424,11 @@ class EdgeCluster:
     * the synchronous scatter/gather pair :meth:`infer_features` /
       :meth:`infer_fused`, which raises :class:`WorkerFailure` on a dead,
       erroring, or timed-out worker instead of hanging; and
-    * the non-blocking primitives :meth:`submit` / :meth:`poll` /
-      :meth:`mark_down`, which the serving layer
-      (:mod:`repro.serving`) uses to drive all workers concurrently and
-      keep answering in degraded mode when some of them die.
+    * the primitives :meth:`submit` / :meth:`gather` / :meth:`mark_down`,
+      which the serving layer (:mod:`repro.serving`) uses to drive all
+      workers concurrently and keep answering in degraded mode when some
+      of them die.  :meth:`gather` is also what :meth:`infer_features`
+      waits with, so both sides share one reply policy.
 
     ``transport`` selects the worker substrate (see
     :mod:`repro.edge.transport`): ``"multiprocess"`` (default, one OS
@@ -853,12 +858,61 @@ class EdgeCluster:
         return replies
 
     # ------------------------------------------------------------------
+    def gather(self, request_id: int, workers: Iterable[str],
+               deadline: float | None,
+               ) -> tuple[dict[str, np.ndarray], dict[str, dict[str, float]],
+                          dict[str, str]]:
+        """Collect what ``workers`` owe request ``request_id``.
+
+        Returns ``(features, stats, failed)``, ``failed`` mapping every
+        worker without features to the reason.  The one reply policy: a
+        FEATURES or ERROR reply carrying ``request_id`` settles its worker
+        (an ERROR does not mark it down); a pending worker that is marked
+        down, or dead with nothing buffered, is marked down and failed; at
+        ``deadline`` (a ``time.perf_counter()`` instant, ``None`` = never)
+        every worker still pending is marked down; any other reply is
+        stale and dropped.
+        """
+        started = time.perf_counter()
+        pending = set(workers)
+        features, stats, failed = {}, {}, {}
+        while pending:
+            step = _GATHER_STEP_S if deadline is None else min(
+                _GATHER_STEP_S, max(0.0, deadline - time.perf_counter()))
+            for worker_id, message in self.poll(step):
+                command = wire.command(message)
+                if worker_id not in pending \
+                        or command not in (wire.FEATURES, wire.ERROR) \
+                        or wire.request_id(message) != request_id:
+                    continue
+                pending.discard(worker_id)
+                if command == wire.FEATURES:
+                    features[worker_id] = wire.payload(message)
+                    stats[worker_id] = wire.stats(message)
+                else:
+                    failed[worker_id] = str(wire.payload(message))
+            for worker_id in sorted(pending):
+                if not self.is_alive(worker_id) \
+                        and not self.has_buffered_reply(worker_id):
+                    self.mark_down(worker_id, "process died mid-request")
+                    failed[worker_id] = self._down[worker_id]
+                    pending.discard(worker_id)
+            if pending and deadline is not None \
+                    and time.perf_counter() >= deadline:
+                reason = f"no reply within {max(0.0, deadline - started):.3g}s"
+                for worker_id in sorted(pending):
+                    self.mark_down(worker_id, reason)
+                    failed[worker_id] = reason
+                pending.clear()
+        return features, stats, failed
+
     def infer_features(self, x: np.ndarray, timeout: float | None = 60.0,
                        ) -> tuple[dict[str, np.ndarray], InferenceTiming]:
         """Scatter ``x`` to all workers; gather per-worker feature arrays.
 
-        Raises :class:`WorkerFailure` if any worker is already down, dies
-        mid-request, replies with an error, or fails to answer within
+        Raises :class:`WorkerFailure` for the first worker, in spec order,
+        that is already down or fails the :meth:`gather` — dies
+        mid-request, replies with an error, or does not answer within
         ``timeout`` seconds (``None`` disables the deadline but dead
         processes are still detected).
         """
@@ -866,52 +920,17 @@ class EdgeCluster:
             raise RuntimeError("cluster not started; use start() or a with-block")
         start = time.perf_counter()
         request_id = self.next_request_id()
-        pending: set[str] = set()
-        for spec in self._specs:
-            worker_id = spec.worker_id
-            if worker_id in self._down:
-                raise WorkerFailure(worker_id, self._down[worker_id])
+        for worker_id in self.worker_ids:
+            # A worker marked down has no handle: submit refuses it.
             if not self.submit(worker_id, request_id, x):
                 raise WorkerFailure(worker_id,
                                     self._down.get(worker_id, "dispatch failed"))
-            pending.add(worker_id)
-        deadline = None if timeout is None else start + timeout
-
-        features: dict[str, np.ndarray] = {}
-        per_worker: dict[str, dict[str, float]] = {}
-        while pending:
-            step = 0.05
-            if deadline is not None:
-                step = min(step, max(0.0, deadline - time.perf_counter()))
-            for worker_id, message in self.poll(step):
-                if worker_id not in pending:
-                    continue
-                if wire.command(message) == wire.ERROR:
-                    # Stale errors from an earlier aborted request carry
-                    # that request's id — skip them, they already raised.
-                    reply_id = wire.request_id(message)
-                    if reply_id is not None and reply_id != request_id:
-                        continue
-                    raise WorkerFailure(worker_id, str(wire.payload(message)))
-                if wire.command(message) != wire.FEATURES \
-                        or wire.request_id(message) != request_id:
-                    continue           # stale reply from an aborted request
-                features[worker_id] = wire.payload(message)
-                per_worker[worker_id] = wire.stats(message)
-                pending.discard(worker_id)
-            for worker_id in sorted(pending):
-                if worker_id in self._down:
-                    raise WorkerFailure(worker_id, self._down[worker_id])
-                if not self.is_alive(worker_id) \
-                        and not self.has_buffered_reply(worker_id):
-                    # Dead worker with nothing buffered: it can never reply.
-                    self.mark_down(worker_id, "process died mid-request")
-                    raise WorkerFailure(worker_id, "process died mid-request")
-            if pending and deadline is not None \
-                    and time.perf_counter() >= deadline:
-                worker_id = sorted(pending)[0]
-                self.mark_down(worker_id, f"no reply within {timeout}s")
-                raise WorkerFailure(worker_id, f"no reply within {timeout}s")
+        features, per_worker, failed = self.gather(
+            request_id, self.worker_ids,
+            None if timeout is None else start + timeout)
+        for worker_id in self.worker_ids:
+            if worker_id in failed:
+                raise WorkerFailure(worker_id, failed[worker_id])
         timing = InferenceTiming(wall_seconds=time.perf_counter() - start,
                                  per_worker=per_worker)
         return features, timing

@@ -8,9 +8,9 @@ The server owns three moving parts:
   short batch waits at most ``batcher.LINGER_S`` after the loop came back
   for the clients it has just answered;
 * a dispatcher thread that scatters each batch to every live worker at
-  once and gathers replies by polling all pipes concurrently
-  (``EdgeCluster.submit`` / ``EdgeCluster.poll``), so one slow device
-  never serializes the gather; and
+  once and gathers the replies with ``EdgeCluster.gather`` — the same
+  wait, over all workers at once, that ``EdgeCluster.infer_features``
+  uses — so one slow device never serializes the gather; and
 * failure-aware fusion: a worker that times out, errors, or dies is
   marked down and its feature slot is zero-filled, so the fleet keeps
   answering in degraded mode — the runtime version of
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
 import threading
 import time
 from typing import Callable
@@ -41,7 +42,6 @@ from typing import Callable
 import numpy as np
 
 from ..core.inference import predict, split_batch
-from ..edge import wire
 from ..edge.runtime import EdgeCluster, WorkerSpec
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer, new_span_id, tracing_enabled
@@ -59,8 +59,27 @@ from .telemetry import RequestTelemetry, ServingReport
 class ServerConfig:
     batching: BatchingConfig = dataclasses.field(default_factory=BatchingConfig)
     worker_timeout_s: float = 5.0      # per-batch gather deadline
-    poll_interval_s: float = 0.02      # pipe-poll granularity
     max_records: int = 100_000         # telemetry ring-buffer bound
+
+
+@dataclasses.dataclass
+class _BatchContext:
+    """One batch from scatter to completion; each serve step fills its part."""
+
+    batch: Batch
+    x: np.ndarray | None = None
+    hosting: dict[str, str] = dataclasses.field(default_factory=dict)
+    request_id: int | None = None      # dispatch id shared by every worker
+    span_id: str | None = None         # set only when the batch is traced
+    dispatched_at: float | None = None  # None: never dispatched
+    dispatched_wall: float = 0.0
+    bytes_out: int = 0
+    features: dict[str, np.ndarray] = dataclasses.field(default_factory=dict)
+    stats: dict[str, dict] = dataclasses.field(default_factory=dict)
+    gather_s: float = 0.0
+    missing: tuple[str, ...] = ()      # slots answered without features
+    fusion_start: float = 0.0
+    fusion_s: float = 0.0
 
 
 class InferenceServer:
@@ -88,11 +107,13 @@ class InferenceServer:
         # each hosted by some worker.  Replanning rewrites the hosting;
         # rolling swaps retarget single slots from other threads, so all
         # hosting reads/writes go through _hosting_lock and the serve
-        # loop works from a per-batch snapshot.
+        # loop works from a per-batch snapshot.  _drained is notified
+        # when the serve loop clears the in-flight hosts.
         self._replanner = replanner
         self._slots: list[str] = []
         self._hosting: dict[str, str] = {}
         self._hosting_lock = threading.Lock()
+        self._drained = threading.Condition(self._hosting_lock)
         self._inflight_hosts: set[str] = set()
         self._slot_dims: dict[str, int] = {}
         self._replan_attempted: set[str] = set()
@@ -151,10 +172,8 @@ class InferenceServer:
         # Cluster shutdown clears its down-map; freeze health for
         # post-stop stats()/worker_health() calls.
         self._health_snapshot = self.worker_health()
-        for future in self._batcher.drain():
-            future.telemetry.completed_at = time.perf_counter()
-            future.set_error(RequestError("server stopped"))
-            self._record(future.telemetry)
+        self._complete(_BatchContext(Batch(self._batcher.drain())),
+                       "server stopped")
         if shutdown_cluster:
             self._cluster.shutdown()
 
@@ -281,13 +300,9 @@ class InferenceServer:
         # Drain: wait for the serve loop to finish any batch the old
         # worker was dispatched in, then retire it.  Even on timeout the
         # batch merely degrades (zero-fill) — it is never dropped.
-        deadline = time.perf_counter() + drain_timeout_s
-        while time.perf_counter() < deadline:
-            with self._hosting_lock:
-                busy = old in self._inflight_hosts
-            if not busy:
-                break
-            time.sleep(min(0.002, self.config.poll_interval_s))
+        with self._drained:
+            self._drained.wait_for(lambda: old not in self._inflight_hosts,
+                                   drain_timeout_s)
         self._cluster.mark_down(old, "retired by rolling swap")
         self._m_swaps.inc()
         return spec.worker_id
@@ -318,219 +333,183 @@ class InferenceServer:
             worker_health=self.worker_health(),
             started_at=self._started_wall, metrics=metrics)
 
-    def _record(self, telemetry: RequestTelemetry) -> None:
-        with self._lock:
-            self._records.append(telemetry)
-
     # ------------------------------------------------------------------
     def _serve_loop(self) -> None:
         while True:
             batch = self._batcher.next_batch()
             if batch is None:
                 return
+            ctx = _BatchContext(batch)
             try:
-                self._serve_batch(batch)
+                self._serve_batch(ctx)
             except Exception as exc:   # a bad batch must not kill the server
-                now = time.perf_counter()
-                for future in batch.requests:
-                    future.telemetry.completed_at = now
-                    future.set_error(RequestError(f"serving failed: {exc}"))
-                    self._record(future.telemetry)
-                self._m_failed.inc(len(batch.requests))
+                self._complete(ctx, f"serving failed: {exc}")
             finally:
-                with self._hosting_lock:
+                with self._drained:
                     self._inflight_hosts = set()
+                    self._drained.notify_all()
 
-    def _trace_requests(self, batch: Batch, batch_id: int) -> None:
-        """Retroactively emit per-request spans from telemetry the serve
-        path measured anyway (no double timing)."""
-        tracer = get_tracer()
-        for future in batch.requests:
-            t = future.telemetry
-            root = new_span_id()
-            attrs = {"batch_id": batch_id, "samples": t.num_samples}
-            if t.degraded:
-                attrs["degraded"] = True
-            if t.error is not None:
-                attrs["error"] = t.error
-            tracer.emit("request", trace_id=t.request_id, span_id=root,
-                        ts=t.enqueued_wall, duration_s=t.total_s,
-                        attrs=attrs)
-            tracer.emit("request.queue", trace_id=t.request_id,
-                        parent_id=root, ts=t.enqueued_wall,
-                        duration_s=t.queue_s)
+    def _serve_batch(self, ctx: _BatchContext) -> None:
+        """Scatter -> gather -> zero-fill + fuse -> complete."""
+        pending = self._scatter(ctx)
+        if not pending:
+            # Whole fleet down: answering from an all-zeros fusion input
+            # would be a constant-label lie — fail loudly instead.
+            ctx.missing = tuple(self._slots)
+            outcome = "no live workers"
+        else:
+            ctx.features, ctx.stats, _ = self._cluster.gather(
+                ctx.request_id, pending,
+                ctx.dispatched_at + self.config.worker_timeout_s)
+            ctx.gather_s = time.perf_counter() - ctx.dispatched_at
+            # Every dispatched worker errored (or died) on this batch: an
+            # all-zeros fusion would fabricate a constant label too.
+            outcome = self._fuse(ctx) if ctx.features \
+                else "no worker produced features for this batch"
+        self._complete(ctx, outcome)
+        # Answers went out above; now try to recover the failed slots so
+        # the *next* batch fuses real features again.
+        if ctx.missing:
+            self._maybe_replan()
 
-    def _serve_batch(self, batch: Batch) -> None:
-        traced = tracing_enabled()
-        dispatched_at = time.perf_counter()
-        dispatched_wall = time.time()
-        for future in batch.requests:
-            telemetry = future.telemetry
-            telemetry.dispatched_at = dispatched_at
-            telemetry.queue_s = dispatched_at - telemetry.enqueued_at
-            telemetry.batch_requests = len(batch.requests)
-            telemetry.batch_samples = batch.num_samples
-        x = batch.concatenated()
-
+    def _scatter(self, ctx: _BatchContext) -> list[str]:
+        """Send the batch to every live hosting worker under one request
+        id; returns the workers that took it."""
+        ctx.dispatched_at = time.perf_counter()
+        ctx.dispatched_wall = time.time()
+        ctx.x = ctx.batch.concatenated()
         # Snapshot the hosting map for this whole batch: a rolling swap
         # landing mid-batch must not change which worker's features fill
         # which slot after dispatch already happened.  _inflight_hosts
         # tells swap_worker which workers still owe this batch a reply.
         with self._hosting_lock:
-            hosting = dict(self._hosting)
-            self._inflight_hosts = set(hosting.values())
-
-        # Scatter to every live hosting worker under one shared request id.
+            ctx.hosting = dict(self._hosting)
+            self._inflight_hosts = set(ctx.hosting.values())
         # The batch span id is minted *before* dispatch so worker-process
         # spans can parent to it via the propagated trace context; the
         # span itself is emitted retroactively once the batch resolves.
-        request_id = self._cluster.next_request_id()
-        batch_span_id = new_span_id() if traced else None
-        trace_ctx = {"trace_id": request_id,
-                     "parent_id": batch_span_id} if traced else None
-        hosts = sorted(set(hosting.values()))
-        pending: set[str] = set()
-        for worker_id in hosts:
-            # submit() detects dead processes / closed pipes itself and
-            # marks the worker down, so no liveness pre-check here.
-            if self._cluster.submit(worker_id, request_id, x,
-                                    trace=trace_ctx):
-                pending.add(worker_id)
-        bytes_out = x.nbytes * len(pending)
-        if not pending:
-            # Whole fleet down: answering from an all-zeros fusion input
-            # would be a constant-label lie — fail loudly instead.
-            now = time.perf_counter()
-            for future in batch.requests:
-                future.telemetry.completed_at = now
-                future.telemetry.workers_down = tuple(self._slots)
-                future.set_error(RequestError("no live workers"))
-                self._record(future.telemetry)
-            self._m_failed.inc(len(batch.requests))
-            if traced:
-                self._trace_requests(batch, request_id)
-            self._maybe_replan()
-            return
+        ctx.request_id = self._cluster.next_request_id()
+        ctx.span_id = new_span_id() if tracing_enabled() else None
+        trace = None if ctx.span_id is None else {
+            "trace_id": ctx.request_id, "parent_id": ctx.span_id}
+        # submit() detects dead processes / closed pipes itself and marks
+        # the worker down, so no liveness pre-check here.
+        hosts = sorted(set(ctx.hosting.values()))
+        pending = [worker_id for worker_id in hosts
+                   if self._cluster.submit(worker_id, ctx.request_id, ctx.x,
+                                           trace=trace)]
+        ctx.bytes_out = ctx.x.nbytes * len(pending)
+        return pending
 
-        # Gather concurrently: poll all pipes, detect deaths and deadline
-        # misses, and degrade instead of hanging.
-        features: dict[str, np.ndarray] = {}
-        stats: dict[str, dict[str, float]] = {}
-        deadline = dispatched_at + self.config.worker_timeout_s
-        while pending:
-            step = min(self.config.poll_interval_s,
-                       max(0.0, deadline - time.perf_counter()))
-            for worker_id, message in self._cluster.poll(step):
-                if worker_id not in pending:
-                    continue           # stale reply from an aborted batch
-                if wire.command(message) == wire.FEATURES \
-                        and wire.request_id(message) == request_id:
-                    features[worker_id] = wire.payload(message)
-                    stats[worker_id] = wire.stats(message)
-                    pending.discard(worker_id)
-                elif wire.command(message) == wire.ERROR \
-                        and wire.request_id(message) == request_id:
-                    # Per-request failure: the worker itself survives (its
-                    # loop keeps serving), so only this batch degrades —
-                    # its feature slot is zero-filled below.
-                    pending.discard(worker_id)
-            for worker_id in list(pending):
-                if not self._cluster.is_alive(worker_id) \
-                        and not self._cluster.has_buffered_reply(worker_id):
-                    self._cluster.mark_down(worker_id, "process died mid-request")
-                    pending.discard(worker_id)
-            if pending and time.perf_counter() >= deadline:
-                for worker_id in pending:
-                    self._cluster.mark_down(
-                        worker_id,
-                        f"no reply within {self.config.worker_timeout_s}s")
-                pending.clear()
-        gather_s = time.perf_counter() - dispatched_at
-
-        if not features:
-            # Every dispatched worker errored (or died) on this batch —
-            # answering from an all-zeros fusion would fabricate a
-            # constant label, so fail these requests loudly instead.
-            now = time.perf_counter()
-            for future in batch.requests:
-                future.telemetry.completed_at = now
-                future.telemetry.gather_s = gather_s
-                future.set_error(RequestError(
-                    "no worker produced features for this batch"))
-                self._record(future.telemetry)
-            self._m_failed.inc(len(batch.requests))
-            if traced:
-                self._trace_requests(batch, request_id)
-            return
-
-        # Degraded fusion: zero-fill the feature slot of every sub-model
-        # whose hosting worker did not answer, preserving the concatenation
-        # layout the fusion MLP was trained on.
-        missing = tuple(slot for slot in self._slots
-                        if hosting[slot] not in features)
+    def _fuse(self, ctx: _BatchContext) -> np.ndarray:
+        """Degraded fusion: zero-fill the feature slot of every sub-model
+        whose hosting worker did not answer, preserving the concatenation
+        layout the fusion MLP was trained on.  Returns the labels."""
+        ctx.missing = tuple(slot for slot in self._slots
+                            if ctx.hosting[slot] not in ctx.features)
         ordered = []
         for slot in self._slots:
-            host = hosting[slot]
-            if host in features:
-                ordered.append(features[host])
+            host = ctx.hosting[slot]
+            if host in ctx.features:
+                ordered.append(ctx.features[host])
             else:
                 ordered.append(np.zeros(
-                    (len(x), self._slot_dims[slot]), dtype=np.float32))
-        fusion_start = time.perf_counter()
+                    (len(ctx.x), self._slot_dims[slot]), dtype=np.float32))
+        ctx.fusion_start = time.perf_counter()
         logits = predict(self._fusion, np.concatenate(ordered, axis=-1),
                          keep_workspaces=True)
-        fusion_s = time.perf_counter() - fusion_start
+        ctx.fusion_s = time.perf_counter() - ctx.fusion_start
+        return logits.argmax(axis=-1)
 
-        emulated_compute = max((s["emulated_compute_s"]
-                                for s in stats.values()), default=0.0)
-        emulated_transfer = max((s["emulated_transfer_s"]
-                                 for s in stats.values()), default=0.0)
+    def _complete(self, ctx: _BatchContext, outcome: np.ndarray | str) -> None:
+        """Answer every unanswered request of the batch with its slice of
+        the labels, or with ``RequestError(outcome)``: the one place that
+        writes telemetry, resolves futures, appends records, counts failed
+        and degraded requests and emits spans, so each request is answered
+        and recorded once.  Spans go out after the futures resolve, while
+        closed-loop clients resubmit."""
+        batch = ctx.batch
+        failed = isinstance(outcome, str)
+        answers = itertools.repeat(outcome) if failed \
+            else split_batch(outcome, batch.sizes)
+        stats = ctx.stats.values()
+        emulated_compute = max((s["emulated_compute_s"] for s in stats),
+                               default=0.0)
+        emulated_transfer = max((s["emulated_transfer_s"] for s in stats),
+                                default=0.0)
         # Wire accounting: inputs out to every dispatched worker, encoded
         # features back from every answering one — apportioned to the
         # coalesced requests by their share of the batch's samples.
-        wire_in = int(sum(s.get("bytes_out", 0.0) for s in stats.values()))
+        wire_in = int(sum(s.get("bytes_out", 0.0) for s in stats))
         completed_at = time.perf_counter()
-        labels = logits.argmax(axis=-1)
-        for future, chunk in zip(batch.requests,
-                                 split_batch(labels, batch.sizes)):
+        resolved = []
+        for future, answer in zip(batch.requests, answers):
+            if future.done():
+                continue
             telemetry = future.telemetry
             telemetry.completed_at = completed_at
-            telemetry.gather_s = gather_s
-            telemetry.fusion_s = fusion_s
-            telemetry.emulated_compute_s = emulated_compute
-            telemetry.emulated_transfer_s = emulated_transfer
-            share = telemetry.num_samples / max(batch.num_samples, 1)
-            telemetry.bytes_out = int(round(bytes_out * share))
-            telemetry.bytes_in = int(round(wire_in * share))
-            telemetry.degraded = bool(missing)
-            telemetry.workers_down = missing
-            future.set_result(chunk.copy())
-            self._record(telemetry)
-        if missing:
-            self._m_degraded.inc(len(batch.requests))
-
-        if traced:
-            tracer = get_tracer()
-            tracer.emit("batch.serve", trace_id=request_id,
-                        span_id=batch_span_id, ts=dispatched_wall,
-                        duration_s=completed_at - dispatched_at,
+            if ctx.dispatched_at is not None:
+                telemetry.dispatched_at = ctx.dispatched_at
+                telemetry.queue_s = ctx.dispatched_at - telemetry.enqueued_at
+                telemetry.batch_requests = len(batch.requests)
+                telemetry.batch_samples = batch.num_samples
+                telemetry.gather_s = ctx.gather_s
+                telemetry.workers_down = ctx.missing
+            if failed:
+                future.set_error(RequestError(answer))
+            else:
+                telemetry.fusion_s = ctx.fusion_s
+                telemetry.emulated_compute_s = emulated_compute
+                telemetry.emulated_transfer_s = emulated_transfer
+                share = telemetry.num_samples / max(batch.num_samples, 1)
+                telemetry.bytes_out = int(round(ctx.bytes_out * share))
+                telemetry.bytes_in = int(round(wire_in * share))
+                telemetry.degraded = bool(ctx.missing)
+                future.set_result(answer.copy())
+            with self._lock:
+                self._records.append(telemetry)
+            resolved.append(telemetry)
+        if not resolved:
+            return
+        if failed:
+            self._m_failed.inc(len(resolved))
+        elif ctx.missing:
+            self._m_degraded.inc(len(resolved))
+        if ctx.span_id is None:
+            return
+        tracer = get_tracer()
+        if not failed:
+            tracer.emit("batch.serve", trace_id=ctx.request_id,
+                        span_id=ctx.span_id, ts=ctx.dispatched_wall,
+                        duration_s=completed_at - ctx.dispatched_at,
                         attrs={"requests": len(batch.requests),
                                "samples": batch.num_samples,
-                               "workers": len(hosts),
-                               "degraded": bool(missing)})
-            tracer.emit("batch.gather", trace_id=request_id,
-                        parent_id=batch_span_id, ts=dispatched_wall,
-                        duration_s=gather_s)
-            tracer.emit("batch.fusion", trace_id=request_id,
-                        parent_id=batch_span_id,
-                        ts=dispatched_wall + (fusion_start - dispatched_at),
-                        duration_s=fusion_s)
-            self._trace_requests(batch, request_id)
-
-        # Degraded answers went out above; now try to recover the failed
-        # slots so the *next* batch fuses real features again.
-        if missing:
-            self._maybe_replan()
+                               "workers": len(set(ctx.hosting.values())),
+                               "degraded": bool(ctx.missing)})
+            tracer.emit("batch.gather", trace_id=ctx.request_id,
+                        parent_id=ctx.span_id, ts=ctx.dispatched_wall,
+                        duration_s=ctx.gather_s)
+            tracer.emit("batch.fusion", trace_id=ctx.request_id,
+                        parent_id=ctx.span_id,
+                        ts=ctx.dispatched_wall
+                        + (ctx.fusion_start - ctx.dispatched_at),
+                        duration_s=ctx.fusion_s)
+        # Per-request spans, retroactively from the telemetry measured
+        # anyway (no double timing).
+        for telemetry in resolved:
+            root = new_span_id()
+            attrs = {"batch_id": ctx.request_id,
+                     "samples": telemetry.num_samples}
+            if telemetry.degraded:
+                attrs["degraded"] = True
+            if telemetry.error is not None:
+                attrs["error"] = telemetry.error
+            tracer.emit("request", trace_id=telemetry.request_id,
+                        span_id=root, ts=telemetry.enqueued_wall,
+                        duration_s=telemetry.total_s, attrs=attrs)
+            tracer.emit("request.queue", trace_id=telemetry.request_id,
+                        parent_id=root, ts=telemetry.enqueued_wall,
+                        duration_s=telemetry.queue_s)
 
     def _maybe_replan(self) -> None:
         """Invoke the replanner once per newly-down hosting worker.

@@ -5,6 +5,8 @@ died mid-request; these tests pin the fixed behavior — every failure mode
 surfaces as a typed :exc:`WorkerFailure` within a bounded time.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -62,15 +64,37 @@ class TestWorkerCrash:
             assert reply is not None
             np.testing.assert_allclose(reply[2], healthy["b"])
 
-    def test_slow_worker_times_out(self):
-        # 1e9 MACs at 1e6 MACs/s = 1000 s emulated; time_scale=1 sleeps it.
+    @pytest.mark.parametrize("transport", ["inprocess", "multiprocess", "tcp"])
+    def test_slow_worker_times_out(self, transport):
+        # A hung worker is alive but silent: 2 x 1.5e6 MACs at 1e6 MACs/s
+        # is 3 s of emulated compute, which time_scale=1 sleeps — far past
+        # the deadline, yet short enough that an in-process worker thread
+        # (threads cannot be killed) exits soon after.
         spec = make_worker("slow", macs_per_second=1e6)
-        spec.flops_per_sample = 1e9
-        with EdgeCluster([spec], time_scale=1.0) as cluster:
+        spec.flops_per_sample = 1.5e6
+        timeout = 0.3
+        with EdgeCluster([spec], time_scale=1.0,
+                         transport=transport) as cluster:
+            start = time.perf_counter()
+            with pytest.raises(WorkerFailure) as info:
+                cluster.infer_features(X, timeout=timeout)
+            assert time.perf_counter() - start < timeout + 0.5
+            assert info.value.worker_id == "slow"
+            assert info.value.reason.startswith("no reply within")
+            assert "slow" in cluster.down_workers
+
+    def test_timeout_marks_every_late_worker_down(self):
+        late = []
+        for worker_id in ("a", "b"):
+            spec = make_worker(worker_id, macs_per_second=1e6)
+            spec.flops_per_sample = 1.5e6
+            late.append(spec)
+        with EdgeCluster(late + [make_worker("c", seed=1)], time_scale=1.0,
+                         transport="inprocess") as cluster:
             with pytest.raises(WorkerFailure) as info:
                 cluster.infer_features(X, timeout=0.3)
-            assert "no reply" in info.value.reason
-            assert "slow" in cluster.down_workers
+            assert info.value.worker_id == "a"        # first in spec order
+            assert set(cluster.down_workers) == {"a", "b"}
 
 
 class TestBadReplies:
@@ -94,9 +118,9 @@ class TestBadReplies:
             assert features["a"].shape[0] == len(X)
 
     def test_stale_error_from_second_worker_does_not_poison_next_request(self):
-        # Both workers error on the bad input; infer_features raises on the
-        # first reply and the second stays buffered.  The next (valid)
-        # request must skip that stale error instead of raising on it.
+        # Both workers error on the bad input; infer_features raises once
+        # the gather has settled both.  The next (valid) request must not
+        # trip over anything the failed one left behind.
         with EdgeCluster([make_worker("a"), make_worker("b", seed=1)]) as cluster:
             bad = np.zeros((1, 5, 8, 8), dtype=np.float32)
             with pytest.raises(WorkerFailure):

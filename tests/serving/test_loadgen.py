@@ -57,9 +57,13 @@ class TestClosedLoop:
         assert result.report.completed == 40
 
     def test_dynamic_batching_beats_batch_one(self, system):
-        """Acceptance criterion: batching strictly increases throughput."""
+        """Acceptance criterion: batching strictly increases throughput.
+
+        The batched server runs the default load-driven batcher: a 5 ms
+        ``max_wait_s`` window pinned it near 8 requests per 5 ms, which a
+        fast host's batch-one server outran."""
         with make_server(system, max_batch_samples=16,
-                         max_wait_s=0.005) as server:
+                         max_wait_s=0.0) as server:
             batched = run_load(server, system.input_shape,
                                LoadgenConfig(num_requests=150, mode="closed",
                                              concurrency=8))

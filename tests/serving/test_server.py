@@ -6,9 +6,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.obs import disable_tracing, enable_tracing, get_registry
 from repro.serving import (
     BatchingConfig,
     InferenceServer,
+    RequestError,
     ServerConfig,
     build_demo_system,
 )
@@ -31,6 +33,10 @@ def make_server(system, max_batch_samples=8, max_wait_s=0.002,
 def inputs(system, count, seed=0):
     return np.random.default_rng(seed).normal(
         size=(count, *system.input_shape)).astype(np.float32)
+
+
+def counter(name):
+    return get_registry().counter(f"serving.{name}_total").value
 
 
 class TestServing:
@@ -112,6 +118,8 @@ class TestDegradedServing:
         assert report.failed == 0                  # degraded, never dropped
 
     def test_mid_stream_kill_keeps_every_request_answered(self, system):
+        names = ("requests", "failed", "degraded")
+        before = {name: counter(name) for name in names}
         with make_server(system, worker_timeout_s=5.0) as server:
             threading.Timer(0.05, server.cluster.kill_worker,
                             ("w1",)).start()
@@ -121,10 +129,15 @@ class TestDegradedServing:
                 time.sleep(0.005)
             labels = [f.result(30.0) for f in futures]
             report = server.stats()
+        delta = {name: counter(name) - before[name] for name in names}
         assert len(labels) == 40
         assert report.failed == 0
         assert report.degraded_requests > 0
         assert any(f.telemetry.workers_down == ("w1",) for f in futures)
+        # Counters conserve: every admitted request is answered once.
+        assert delta["requests"] == report.completed + report.failed
+        assert delta["failed"] == report.failed
+        assert delta["degraded"] == report.degraded_requests
 
     def test_all_workers_down_fails_loudly_not_silently(self, system):
         from repro.serving import RequestError
@@ -141,6 +154,53 @@ class TestDegradedServing:
             report = server.stats()
         assert all(h != "up" for h in report.worker_health.values())
         assert report.failed >= 1
+
+
+class TestCompletion:
+    def test_an_answered_request_is_never_failed_afterwards(
+            self, system, monkeypatch):
+        """Regression: an exception after the labels were set (here: the
+        ``batch.serve`` span) sent the whole batch through the serve
+        loop's catch-all, which failed and re-recorded the answered
+        request."""
+        tracer = enable_tracing()
+        emit = tracer.emit
+
+        def emit_but_not_batch_serve(name, *args, **kwargs):
+            if name == "batch.serve":
+                raise RuntimeError("span sink broke")
+            return emit(name, *args, **kwargs)
+
+        monkeypatch.setattr(tracer, "emit", emit_but_not_batch_serve)
+        failed_before = counter("failed")
+        x = inputs(system, 3)
+        try:
+            with make_server(system) as server:
+                future = server.submit(x)
+                future.result(30.0)
+            # stop() joined the serve loop: the batch is fully handled.
+            labels = future.result(0)
+        finally:
+            disable_tracing()
+        report = server.stats()
+        np.testing.assert_array_equal(labels, system.local_fused_labels(x))
+        assert [r.request_id for r in server.records()] == [future.request_id]
+        assert future.telemetry.error is None
+        assert report.completed == 1 and report.failed == 0
+        assert counter("failed") == failed_before
+
+    def test_catch_all_fails_an_unanswered_request_once(self, system):
+        # A fusion MLP trained for three workers cannot fuse two: the
+        # batch raises inside the serve loop, after the gather.
+        fusion = build_demo_system(num_workers=3).fusion
+        failed_before = counter("failed")
+        with InferenceServer(system.make_cluster(), fusion) as server:
+            future = server.submit(inputs(system, 2))
+            with pytest.raises(RequestError, match="serving failed"):
+                future.result(30.0)
+        assert len(server.records()) == 1
+        assert server.stats().failed == 1
+        assert counter("failed") == failed_before + 1
 
 
 class TestBadRequests:
@@ -188,11 +248,10 @@ class TestLifecycle:
             server.submit(inputs(system, 1))
 
     def test_stop_wakes_an_idle_serve_loop_directly(self, system):
-        """Regression: the idle loop woke every ``poll_interval_s`` only
-        to look at the closed flag, so stop() waited that interval out."""
-        server = InferenceServer(
-            system.make_cluster(), system.fusion,
-            ServerConfig(poll_interval_s=5.0))
+        """Regression: the idle loop used to wake on a timer only to look
+        at the closed flag, so stop() waited that interval out."""
+        server = InferenceServer(system.make_cluster(), system.fusion,
+                                 ServerConfig())
         server.start()
         try:
             server.infer(inputs(system, 1))

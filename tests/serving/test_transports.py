@@ -4,11 +4,13 @@ One parametrized suite — if a transport can't serve, degrade, and
 account wire bytes exactly like the others, it fails here.
 """
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
+from repro.edge.device import DeviceModel
 from repro.serving import (
     BatchingConfig,
     InferenceServer,
@@ -73,6 +75,32 @@ class TestServingAcrossTransports:
             assert victim in degraded.workers_down
         health = server.worker_health()
         assert sum(1 for status in health.values() if status != "up") == 1
+
+    def test_hung_worker_degrades_within_the_gather_deadline(self, transport):
+        # w0 is alive but silent: 6 x 5e5 MACs at 1e6 MACs/s is 3 s of
+        # emulated compute, slept at time_scale=1 — far past the deadline.
+        system = build_demo_system(num_workers=2, transport=transport)
+        hung = dataclasses.replace(
+            system.specs[0], flops_per_sample=5e5,
+            device=DeviceModel(device_id="w0", macs_per_second=1e6))
+        system = dataclasses.replace(system, time_scale=1.0,
+                                     specs=[hung, *system.specs[1:]])
+        timeout = 0.5
+        server = InferenceServer(system.make_cluster(), system.fusion,
+                                 ServerConfig(worker_timeout_s=timeout))
+        with server:
+            start = time.perf_counter()
+            future = server.submit(X)
+            labels = future.result(timeout=15.0)
+            elapsed = time.perf_counter() - start
+            health = server.worker_health()
+        assert elapsed < timeout + 0.5
+        assert future.telemetry.degraded
+        assert future.telemetry.workers_down == ("w0",)
+        np.testing.assert_array_equal(
+            labels, system.local_fused_labels(X, zero_workers=(0,)))
+        assert health["w0"].startswith("no reply within")
+        assert health["w1"] == "up"
 
 
 class TestWireTelemetry:
