@@ -2,8 +2,9 @@
 
 Benchmarks regenerate every table and figure of the paper at reproduction
 scale: analytic/simulated experiments use the full-size ViT configs, while
-trained experiments use scaled-down models on synthetic data (see
-DESIGN.md).  Each bench prints the rows/series the paper reports; run with
+trained experiments use scaled-down models on synthetic data (sizes are
+the constants below; docs/architecture.md describes the stack they run
+on).  Each bench prints the rows/series the paper reports; run with
 ``pytest benchmarks/ --benchmark-only -s`` to see them.
 """
 

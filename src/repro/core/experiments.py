@@ -297,10 +297,8 @@ def runtime_speedup_rows(config: ViTConfig | None = None, *,
 
     Compares the autograd graph-building forward against the graph-free
     ``no_grad`` path and the workspace-cached ``inference_mode`` path on
-    one model, asserting nothing.  (The CI perf-smoke job is the separate
-    ``benchmarks/bench_runtime_micro.py --smoke``, which additionally
-    replays the seed op set as its baseline and uses min-of-N timing;
-    this function is the library-level mean-latency counterpart.)
+    one model, asserting nothing.  The served forward is timed by the e2e
+    benchmark's ``worker.forward_b1_ms`` / ``worker.forward_b8_ms`` rows.
     """
     from .inference import benchmark_forward
 

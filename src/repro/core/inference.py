@@ -131,8 +131,8 @@ def benchmark_forward(model: nn.Module, x: np.ndarray, *, repeats: int = 3,
 
     ``mode`` is one of ``"graph"`` (autograd graph construction),
     ``"no_grad"`` (graph-free, fresh allocations), or ``"inference"``
-    (graph-free plus workspace reuse).  Used by the runtime
-    micro-benchmarks and the CI perf-smoke job.
+    (graph-free plus workspace reuse).  Used by
+    :func:`repro.core.experiments.runtime_speedup_rows`.
     """
     import contextlib
     import time

@@ -14,8 +14,8 @@ adds, one short numpy step per (sample, sub-model slot) instead of ~4
 Python events per (sample, sub-model, device).  The operations are applied
 in the exact order and with the exact float64 arithmetic the event loop
 uses (``max`` then ``+``), so latencies, busy totals, and busy segments are
-**bit-identical** to the event-loop DES, not merely close — the CI
-capacity smoke and the property suite assert this.
+**bit-identical** to the event-loop DES, not merely close — the fastsim
+tests (up to 1000 devices) and the property suite assert this.
 
 Applicability: the pattern must be closed-form FIFO, which holds whenever
 

@@ -13,7 +13,7 @@ See :mod:`repro.serving.loadgen` for the Poisson open-loop / concurrent
 closed-loop / trace-replay load generator, :mod:`repro.serving.traffic`
 for the arrival-trace model and traffic-shape generators it shares with
 the fleet simulator, and :mod:`repro.serving.demo` for one-call demo
-fleets used by the CLI, CI smoke job, and benchmarks.
+fleets used by the CLI, the tests and the benchmarks.
 """
 
 from .batcher import (

@@ -2,7 +2,7 @@
 
 Builds a small N-worker split (one tiny sub-model per emulated device plus
 a fusion MLP) without the full ED-ViT pipeline, so the CLI subcommands,
-the CI serving-smoke job, the benchmarks, and the examples can all stand
+the tests, the benchmarks, and the examples can all stand
 up a serveable fleet in well under a second.  Any registered model kind
 ("vit", "vgg", "snn") can be served; ``train_fusion=True`` additionally
 fits the fusion MLP on synthetic data so degraded-mode accuracy is

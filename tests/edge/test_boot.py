@@ -443,11 +443,11 @@ class TestNoWeightsInTheLaunch:
                     reason="reads /proc/<pid>/status")
 class TestWorkerHoldsItsModelOnce:
     @staticmethod
-    def peak_rss_bytes(spec):
-        """VmHWM of a multiprocess worker hosting ``spec``, after one
-        batch-1 request."""
-        x = np.zeros((1, 3, 32, 32), dtype=np.float32)
-        with EdgeCluster([spec], transport="multiprocess") as cluster:
+    def peak_rss_bytes(spec, transport, batch):
+        """VmHWM of a worker hosting ``spec``, after one request of
+        ``batch`` images."""
+        x = np.zeros((batch, 3, 32, 32), dtype=np.float32)
+        with EdgeCluster([spec], transport=transport) as cluster:
             cluster.infer_features(x)
             pid = cluster._handles[spec.worker_id].process.pid
             with open(f"/proc/{pid}/status", encoding="ascii") as status:
@@ -456,7 +456,11 @@ class TestWorkerHoldsItsModelOnce:
                         return int(line.split()[1]) * 1024
         raise AssertionError("no VmHWM line")
 
-    def test_peak_is_the_interpreter_plus_well_under_two_copies(self):
+    # Batch 8 adds the 4.7 MiB scratch arena to the peak.
+    @pytest.mark.parametrize("transport, batch, bound",
+                             [("multiprocess", 1, 1.6), ("tcp", 8, 2.0)])
+    def test_peak_is_the_interpreter_plus_well_under_two_copies(
+            self, transport, batch, bound):
         # The serving shape of the benchmark's compute fleet (10.3 MB of
         # weights) against a dim-8 model of the same depth and input.
         shape = dict(image_size=32, patch_size=4, num_classes=10, depth=6)
@@ -464,10 +468,11 @@ class TestWorkerHoldsItsModelOnce:
         base, _ = make_worker("base", embed_dim=8, num_heads=2, **shape)
         weights = len(big.state_blob)
         assert weights > 10 << 20
-        over_base = self.peak_rss_bytes(big) - self.peak_rss_bytes(base)
+        over_base = self.peak_rss_bytes(big, transport, batch) \
+            - self.peak_rss_bytes(base, transport, batch)
         # 3.0x when the blob rode in the process arguments and the loader
         # copied a whole decoded state dict.
-        assert over_base <= 1.6 * weights, over_base / weights
+        assert over_base <= bound * weights, over_base / weights
 
 
 # ----------------------------------------------------------------------

@@ -77,14 +77,17 @@ class TestDispatch:
 
 
 class TestExactEquivalence:
-    @pytest.mark.parametrize("kwargs", [
-        dict(num_samples=1),
-        dict(num_samples=8),
-        dict(num_samples=8, arrival_interval=0.005),
-        dict(arrival_times=[0.0, 0.0, 0.001, 0.02, 0.02, 0.5]),
+    @pytest.mark.parametrize("n_devices, models_per_device, kwargs", [
+        (5, 2, dict(num_samples=1)),
+        (5, 2, dict(num_samples=8)),
+        (5, 2, dict(num_samples=8, arrival_interval=0.005)),
+        (5, 2, dict(arrival_times=[0.0, 0.0, 0.001, 0.02, 0.02, 0.5])),
+        # The fleet scale the capacity sweep scores.
+        (1000, 1, dict(num_samples=64, arrival_interval=0.001)),
     ])
-    def test_engines_bit_identical(self, kwargs):
-        spec = build_spec(n_devices=5, models_per_device=2)
+    def test_engines_bit_identical(self, n_devices, models_per_device,
+                                   kwargs):
+        spec = build_spec(n_devices, models_per_device)
         event = simulate_inference(spec, engine="event", **kwargs)
         vector = simulate_inference(spec, engine="vector", **kwargs)
         assert vector.engine == "vector"

@@ -217,6 +217,19 @@ def test_serving_a_model_does_not_move_its_bytes(tmp_path, quantized):
     assert all(v.flags.c_contiguous for v in model.state_dict().values())
 
 
+def test_serving_shape_arena_after_batch_8_stays_under_8_mib():
+    """The sub-model the e2e ``compute_bound`` fleet serves (32 px / patch
+    4 / depth 6 / dim 192) keeps one scratch arena: 4.7 MiB after a batch-8
+    forward."""
+    model = _vit(depth=6, embed_dim=192, heads=6, head_dim=32,
+                 mlp_hidden=768, image_size=32)
+    model.eval()
+    extract_features(model, _images(model, 8), keep_workspaces=True)
+    arena = sum(m.workspace.nbytes() for m in model.modules()
+                if "_workspace" in m.__dict__)
+    assert arena <= 8 << 20, f"{arena / 2**20:.1f} MiB"
+
+
 def test_kmajor_rebind_happens_at_eval_not_on_a_request():
     model = _vit()
     qkv = model.blocks[0].attn.qkv

@@ -39,10 +39,13 @@ class TestPlanCapacity:
         for p in report.feasible_points():
             by_config.setdefault(
                 (p.device_class, p.group_count, p.codec), []).append(p)
+        pairs = 0
         for series in by_config.values():
             series.sort(key=lambda p: p.devices_used)
             for smaller, bigger in zip(series, series[1:]):
                 assert bigger.p95_s <= smaller.p95_s * 1.0001
+                pairs += 1
+        assert pairs == 4              # one per (class, groups) config
 
     def test_faster_class_is_faster(self, report):
         def p95(cls):
@@ -97,6 +100,7 @@ class TestFrontier:
     def test_frontier_is_pareto(self, report):
         costs = [p.cost_usd for p in report.frontier]
         p95s = [p.p95_s for p in report.frontier]
+        assert len(costs) >= 2
         assert costs == sorted(costs)
         assert all(b > a for a, b in zip(costs, costs[1:]))
         assert all(b < a for a, b in zip(p95s, p95s[1:]))

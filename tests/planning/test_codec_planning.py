@@ -47,8 +47,16 @@ class TestPlanCarriesCodec:
             assert profile.feature_bytes < 4 * submodel.feature_dim
 
     def test_worker_specs_inherit_the_plan_codec(self, q8_system):
-        cluster = q8_system.make_cluster()
-        assert all(spec.codec == "q8" for spec in cluster.specs)
+        x = np.random.default_rng(1).normal(
+            size=(8, *q8_system.input_shape)).astype(np.float32)
+        with q8_system.make_server() as server:
+            labels = server.infer(x)
+            report = server.stats()
+        assert all(spec.codec == "q8" for spec in server.cluster.specs)
+        np.testing.assert_array_equal(labels,
+                                      q8_system.local_fused_labels(x))
+        # 2 workers x 8 samples x (8 one-byte features + 8 B row header).
+        assert report.wire_bytes_in == 2 * 8 * (8 + 8)
 
     def test_replanning_keeps_the_codec(self, q8_system):
         from repro.planning import replan_on_failure

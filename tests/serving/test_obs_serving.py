@@ -7,6 +7,7 @@ swap-attribution guarantee: a retired worker's series must not leak
 into its replacement's.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -67,7 +68,9 @@ def counter_value(name, **labels):
 
 
 class TestSpanTree:
-    def test_request_tree_spans_both_processes(self, system):
+    @pytest.mark.parametrize("transport", ["inprocess", "multiprocess", "tcp"])
+    def test_request_tree_spans_both_processes(self, system, transport):
+        system = dataclasses.replace(system, transport=transport)
         enable_tracing()
         with make_server(system) as server:
             for seed in range(3):
@@ -85,6 +88,11 @@ class TestSpanTree:
             queue = [s for s in by_name["request.queue"]
                      if s.trace_id == root.trace_id]
             assert queue and queue[0].parent_id == root.span_id
+            # Every request's batch has its whole tree, worker side too.
+            assert {s.name for s in spans
+                    if s.trace_id == root.attrs["batch_id"]} >= \
+                {"batch.gather", "batch.fusion", "worker.request",
+                 "codec.decode"}
 
         # Worker spans are emitted in the worker and joined to the
         # server-side batch span by the propagated trace context.

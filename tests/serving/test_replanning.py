@@ -45,6 +45,8 @@ def test_replan_recovers_accuracy_above_zero_fill_floor(trained_system,
     x, y = test_set
     healthy = trained_system.local_accuracy(x, y)
     zero_fill_floor = trained_system.local_accuracy(x, y, zero_models=(0,))
+    # The rebuild reproduces the accuracy the plan recorded when trained.
+    assert healthy == trained_system.plan.prediction.accuracy > 0.15
     assert healthy > zero_fill_floor   # else recovery would be unobservable
 
     victim = trained_system.plan.model_ids[0]

@@ -97,12 +97,19 @@ class TestWarmBoot:
         bad = ArtifactStore(tmp_path / "bad")
         PlannedSystem.from_plan(DeploymentPlan.from_json(system.plan.to_json()),
                                 store=bad)
-        victim = bad.object_path(plan.artifacts[plan.model_ids[0]])
+        digest = plan.artifacts[plan.model_ids[0]]
+        victim = bad.object_path(digest)
         raw = bytearray(victim.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
         victim.write_bytes(bytes(raw))
         with pytest.raises(ArtifactCorrupt):
             PlannedSystem.from_plan(plan, store=bad)
+        # Removing the corrupt artifact heals the store: the next boot
+        # rebuilds that module cold and writes it back intact.
+        bad.remove(digest)
+        healed = PlannedSystem.from_plan(plan, store=bad)
+        assert not healed.warm_booted
+        bad.verify(digest)
 
     def test_plan_demo_system_warm_boots(self, populated):
         system, store = populated
