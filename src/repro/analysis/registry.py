@@ -4,8 +4,8 @@ A rule is a class with a stable ``name`` (used by ``repro check
 --rules``), a prose ``description``, and ``check_module`` /
 ``check_project`` hooks returning :class:`~repro.analysis.finding.
 Finding` lists.  Registration mirrors the project's other extension
-points (``register_backend``, ``register_codec``, ``register_model_kind``):
-decorate the class with :func:`register_rule` at import time.
+points (``register_codec``, ``register_model_kind``): decorate the class
+with :func:`register_rule` at import time.
 
 Built-in rules live in :mod:`repro.analysis.rules` and self-register
 when that package imports; :func:`rule_classes` triggers the import

@@ -1,7 +1,6 @@
 """Built-in analysis rules; importing this package registers them all."""
 
 from . import (  # noqa: F401  (import for registration side effect)
-    backend_protocol,
     digest,
     hygiene,
     locks,

@@ -691,8 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_quant.set_defaults(func=cmd_quantize)
 
     p_check = sub.add_parser(
-        "check", help="static invariant analysis (locks, wire protocol, "
-                      "backend conformance, naming, hygiene)")
+        "check", help="static invariant analysis (locks, recipe digests, "
+                      "wire protocol, naming, hygiene)")
     p_check.add_argument("--path", default=None, metavar="DIR",
                          help="package tree to scan (default: the "
                               "installed repro package)")

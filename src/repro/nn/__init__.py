@@ -21,24 +21,14 @@ Execution is layered:
   what you keep (``repro.core.predict`` does).
 * **Array backend** (:mod:`repro.nn.backend`): all primitive array math
   (matmul, einsum, im2col convolution, reductions, fused
-  softmax/layernorm/GELU kernels) is routed through a pluggable
-  :class:`~repro.nn.backend.ArrayBackend`.  Select with
-  ``nn.set_backend(...)`` / ``nn.use_backend(...)`` or the
-  ``REPRO_BACKEND`` environment variable; register new engines with
-  ``nn.register_backend``.
+  softmax/layernorm/GELU kernels) is routed through the one
+  :class:`~repro.nn.backend.ArrayBackend`; ``nn.use_backend(...)``
+  installs a subclass (e.g. :class:`repro.obs.ProfilingBackend`) for a
+  scope.
 """
 
 from . import init, ops
-from .backend import (
-    ArrayBackend,
-    NumpyBackend,
-    Workspace,
-    available_backends,
-    get_backend,
-    register_backend,
-    set_backend,
-    use_backend,
-)
+from .backend import ArrayBackend, Workspace, get_backend, use_backend
 from .losses import accuracy, cross_entropy, kl_divergence, mse
 from .modules import (
     AvgPool2d,
@@ -107,7 +97,6 @@ __all__ = [
     "MaxPool2d",
     "Module",
     "ModuleList",
-    "NumpyBackend",
     "Optimizer",
     "Parameter",
     "QuantizedConv2d",
@@ -120,7 +109,6 @@ __all__ = [
     "Workspace",
     "accuracy",
     "as_tensor",
-    "available_backends",
     "checkpoint_path",
     "clip_grad_norm",
     "concat",
@@ -142,9 +130,7 @@ __all__ = [
     "quantize_array",
     "quantize_module",
     "quantize_state_dict",
-    "register_backend",
     "save_checkpoint",
-    "set_backend",
     "stack",
     "state_dict_from_bytes",
     "state_dict_num_bytes",

@@ -7,19 +7,18 @@ is routed through an :class:`ArrayBackend` instance instead of calling
 the original ``autograd`` package (``autograd.numpy`` re-exports the array
 namespace and the differentiation machinery never touches it directly): the
 differentiation rules in :mod:`repro.nn.ops` compose *named primitives*, so
-an alternative backend (BLAS-threaded, fused-kernel, GPU, ...) can be
-plugged in by implementing this surface and registering it.
+a subclass that overrides some of them (:class:`repro.obs.ProfilingBackend`
+times the hot ones) sees every call the ops make.
 
 Selection::
 
-    from repro import nn
-    nn.set_backend("numpy")            # by registered name
-    nn.set_backend(MyBackend())        # or an instance
-    with nn.use_backend("numpy"):      # scoped override
+    from repro import nn, obs
+    nn.get_backend()                   # the reference instance by default
+    with nn.use_backend(obs.ProfilingBackend()):   # scoped override
         ...
 
-The ``REPRO_BACKEND`` environment variable picks the initial backend at
-import time (default ``"numpy"``).
+``use_backend("numpy")`` names the reference instance; no other name
+exists.
 
 Workspaces
 ----------
@@ -59,10 +58,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
 import threading
-import warnings
-from typing import Callable
 
 import numpy as np
 
@@ -162,16 +158,14 @@ def scratch(workspace: Workspace | None, tag: str, shape, dtype) -> np.ndarray:
 
 
 class ArrayBackend:
-    """Abstract array-primitive surface.
+    """The array-primitive surface and its one implementation: numpy with
+    the fused kernels below.
 
-    :class:`NumpyBackend` is the reference implementation; subclasses may
-    override any subset (e.g. just ``matmul``/``einsum`` for a BLAS-tuned
-    variant) since the base class implements everything over numpy already.
-    Methods accept and return plain ``np.ndarray`` — Tensors never cross
-    this boundary.
+    Subclasses override a subset and inherit the rest.  Methods accept and
+    return plain ``np.ndarray`` — Tensors never cross this boundary.
     """
 
-    name = "abstract"
+    name = "numpy"
 
     # -- creation / casting ------------------------------------------------
     def asarray(self, value, dtype=None) -> np.ndarray:
@@ -485,106 +479,36 @@ class ArrayBackend:
         return padded
 
 
-class NumpyBackend(ArrayBackend):
-    """The default backend: plain numpy with the fused kernels above."""
-
-    name = "numpy"
-
-
-# ----------------------------------------------------------------------
-# Registry and selection
-# ----------------------------------------------------------------------
-def _profiled_factory() -> ArrayBackend:
-    # Deferred: repro.obs imports this module.  Registered by name so
-    # REPRO_BACKEND=profiled reaches spawned worker processes too.
-    from ..obs.profile import ProfilingBackend
-
-    return ProfilingBackend(_resolve("numpy"))
-
-
-_REGISTRY: dict[str, Callable[[], ArrayBackend]] = {
-    "numpy": NumpyBackend,
-    "profiled": _profiled_factory,
-}
+_reference = ArrayBackend()
 _state = threading.local()
-
-
-def register_backend(name: str, factory: Callable[[], ArrayBackend]) -> None:
-    """Register a backend factory under ``name`` for :func:`set_backend`."""
-    if not callable(factory):
-        raise TypeError("factory must be callable")
-    _REGISTRY[name] = factory
-
-
-def available_backends() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-# Default-constructed singleton per registered name.  A backend may carry
-# state (``ProfilingBackend``'s instruments), so resolving a *name* must
-# return the same instance every time — a fresh instance per
-# ``use_backend("profiled")`` entry would scatter one run's kernel timings
-# over as many objects.  Explicitly constructed instances bypass this.
-_INSTANCES: dict[str, ArrayBackend] = {}
-
-
-def _resolve(backend: str | ArrayBackend) -> ArrayBackend:
-    if isinstance(backend, ArrayBackend):
-        return backend
-    if backend not in _REGISTRY:
-        raise ValueError(
-            f"unknown backend {backend!r}; registered backends: "
-            f"{available_backends()}")
-    instance = _INSTANCES.get(backend)
-    if instance is None:
-        instance = _INSTANCES[backend] = _REGISTRY[backend]()
-    return instance
-
-
-def _initial_backend() -> ArrayBackend:
-    """Resolve ``REPRO_BACKEND`` at import time, surviving bad values.
-
-    A typo in the environment must degrade to the numpy reference with a
-    warning — raising here would make ``import repro`` itself crash.
-    """
-    name = os.environ.get("REPRO_BACKEND", "numpy")
-    try:
-        return _resolve(name)
-    except ValueError as exc:
-        warnings.warn(f"ignoring REPRO_BACKEND: {exc}; "
-                      f"falling back to 'numpy'", RuntimeWarning,
-                      stacklevel=2)
-        return NumpyBackend()
-
-
-_default_backend: ArrayBackend = _initial_backend()
-
-
-def set_backend(backend: str | ArrayBackend) -> ArrayBackend:
-    """Install the process-wide default backend (name or instance)."""
-    global _default_backend
-    _default_backend = _resolve(backend)
-    return _default_backend
 
 
 def get_backend() -> ArrayBackend:
     """The active backend: innermost :func:`use_backend` override, else the
-    process default."""
+    reference instance."""
     override = getattr(_state, "stack", None)
     if override:
         return override[-1]
-    return _default_backend
+    return _reference
 
 
 @contextlib.contextmanager
-def use_backend(backend: str | ArrayBackend):
-    """Scoped (and thread-local) backend override."""
-    resolved = _resolve(backend)
+def use_backend(backend: ArrayBackend | str):
+    """Scoped (and thread-local) backend override.
+
+    The string ``"numpy"`` names the reference instance; any other string
+    is a ``ValueError``.
+    """
+    if isinstance(backend, str):
+        if backend != _reference.name:
+            raise ValueError(f"unknown backend {backend!r}; the only named "
+                             f"backend is {_reference.name!r}")
+        backend = _reference
     stack = getattr(_state, "stack", None)
     if stack is None:
         stack = _state.stack = []
-    stack.append(resolved)
+    stack.append(backend)
     try:
-        yield resolved
+        yield backend
     finally:
         stack.pop()

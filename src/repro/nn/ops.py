@@ -5,9 +5,9 @@ registers an analytic backward rule.  Convolution and pooling use an
 im2col/col2im lowering so the heavy lifting stays inside backend matmuls.
 
 Array math never touches numpy directly: every primitive goes through the
-active :class:`~repro.nn.backend.ArrayBackend` (see :func:`repro.nn.set_backend`),
-so alternative execution backends plug in underneath these rules without
-changing them.  When gradients are disabled each op takes a **graph-free
+active :class:`~repro.nn.backend.ArrayBackend` (see :func:`repro.nn.use_backend`),
+so a subclass that instruments the kernels sees every call these rules
+make.  When gradients are disabled each op takes a **graph-free
 fast path**: no backward closure is allocated, and — under
 ``inference_mode()`` — outputs and scratch live in the caller's shape-keyed
 :class:`~repro.nn.backend.Workspace`.

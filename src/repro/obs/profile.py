@@ -3,11 +3,8 @@
 :class:`ProfilingBackend` wraps an :class:`ArrayBackend` and records
 per-kernel wall time and bytes moved for the kernels that dominate
 transformer inference — matmul/einsum, the fused linear family,
-softmax/log-softmax, layer-norm, and the im2col lowering.  All
-other primitives delegate straight to the wrapped backend with no
-overhead: the constructor binds the inner backend's bound methods as
-*instance attributes*, which shadow the class methods, so untimed calls
-are a single attribute hop.
+softmax/log-softmax, layer-norm, and the im2col lowering.  Every other
+primitive is inherited from :class:`ArrayBackend` unchanged.
 
 Metrics land in the global :class:`~repro.obs.metrics.MetricsRegistry`
 as ``kernel.<op>_seconds{backend=<inner>}`` histograms and
@@ -15,17 +12,16 @@ as ``kernel.<op>_seconds{backend=<inner>}`` histograms and
 kernel's array traffic (operands in + result out) — the roofline-style
 companion to the timing.
 
-Select it like any backend (``REPRO_BACKEND=profiled`` wraps ``numpy``),
-or wrap explicitly::
+Install it for a scope::
 
     from repro import nn, obs
-    nn.set_backend(obs.ProfilingBackend(nn.get_backend()))
-    ...
+    with nn.use_backend(obs.ProfilingBackend(nn.get_backend())):
+        ...
     print(obs.get_registry().render_text("kernel."))
 
-Kernel metrics are per-process: under the process transports each worker
-profiles into its own registry, so fleet-wide kernel rollups require the
-in-process transport (or reading each worker's dump separately).
+Kernel metrics are per-process: only kernels run in the process that
+installed the profiler are recorded, so fleet-wide kernel rollups require
+the in-process transport.
 """
 
 from __future__ import annotations
@@ -53,13 +49,16 @@ def _nbytes(*arrays) -> int:
 
 
 class ProfilingBackend(ArrayBackend):
-    """An :class:`ArrayBackend` that times another backend's hot kernels."""
+    """An :class:`ArrayBackend` that times another backend's hot kernels.
+
+    The timed kernels call ``self.inner``, never ``super()``: a kernel that
+    composes another (``linear_act`` runs ``linear``) is then recorded
+    once, as itself.
+    """
 
     def __init__(self, inner: ArrayBackend | None = None):
         if inner is None:
-            from ..nn.backend import NumpyBackend
-
-            inner = NumpyBackend()
+            inner = ArrayBackend()
         if isinstance(inner, ProfilingBackend):
             raise TypeError("refusing to profile a ProfilingBackend")
         self.inner = inner
@@ -71,15 +70,6 @@ class ProfilingBackend(ArrayBackend):
         self._bytes = {op: registry.counter(f"kernel.{op}_bytes_total",
                                             backend=inner.name)
                        for op in PROFILED_KERNELS}
-        # Fast-path delegation: bind every public inner method that we do
-        # not time as an instance attribute, shadowing our inherited
-        # (reference numpy) implementations.
-        for attr in dir(inner):
-            if attr.startswith("_") or attr in PROFILED_KERNELS:
-                continue
-            value = getattr(inner, attr)
-            if callable(value):
-                object.__setattr__(self, attr, value)
 
     def _observe(self, op: str, t0: float, nbytes: int) -> None:
         self._seconds[op].observe(time.perf_counter() - t0)
@@ -87,57 +77,59 @@ class ProfilingBackend(ArrayBackend):
             self._bytes[op].inc(nbytes)
 
     # -- timed kernels ----------------------------------------------------
-    def matmul(self, a, b, out=None):
+    def matmul(self, a, b, out=None) -> np.ndarray:
         t0 = time.perf_counter()
         y = self.inner.matmul(a, b, out=out)
         self._observe("matmul", t0, _nbytes(a, b, y))
         return y
 
-    def einsum(self, spec, *operands):
+    def einsum(self, spec, *operands) -> np.ndarray:
         t0 = time.perf_counter()
         y = self.inner.einsum(spec, *operands)
         self._observe("einsum", t0, _nbytes(*operands, y))
         return y
 
-    def linear(self, x, weight, bias=None, out=None):
+    def linear(self, x, weight, bias=None, out=None) -> np.ndarray:
         t0 = time.perf_counter()
         y = self.inner.linear(x, weight, bias, out=out)
         self._observe("linear", t0, _nbytes(x, weight, bias, y))
         return y
 
-    def linear_act(self, x, weight, bias=None, activation=None, out=None):
+    def linear_act(self, x, weight, bias=None, activation=None,
+                   out=None) -> np.ndarray:
         t0 = time.perf_counter()
         y = self.inner.linear_act(x, weight, bias, activation, out=out)
         self._observe("linear_act", t0, _nbytes(x, weight, bias, y))
         return y
 
     def linear_q8(self, x, weight_q8, scale, bias=None, activation=None,
-                  out=None):
+                  out=None) -> np.ndarray:
         t0 = time.perf_counter()
         y = self.inner.linear_q8(x, weight_q8, scale, bias, activation,
                                  out=out)
         self._observe("linear_q8", t0, _nbytes(x, weight_q8, scale, bias, y))
         return y
 
-    def softmax(self, x, axis=-1, out=None):
+    def softmax(self, x, axis=-1, out=None) -> np.ndarray:
         t0 = time.perf_counter()
         y = self.inner.softmax(x, axis=axis, out=out)
         self._observe("softmax", t0, _nbytes(x, y))
         return y
 
-    def log_softmax(self, x, axis=-1, out=None):
+    def log_softmax(self, x, axis=-1, out=None) -> np.ndarray:
         t0 = time.perf_counter()
         y = self.inner.log_softmax(x, axis=axis, out=out)
         self._observe("log_softmax", t0, _nbytes(x, y))
         return y
 
-    def layer_norm(self, x, weight, bias, eps, out=None):
+    def layer_norm(self, x, weight, bias, eps: float, out=None) -> np.ndarray:
         t0 = time.perf_counter()
         y = self.inner.layer_norm(x, weight, bias, eps, out=out)
         self._observe("layer_norm", t0, _nbytes(x, weight, bias, y))
         return y
 
-    def conv_im2col(self, x, kh, kw, stride, pad, out=None):
+    def conv_im2col(self, x, kh: int, kw: int, stride: int, pad: int,
+                    out=None) -> tuple[np.ndarray, int, int]:
         t0 = time.perf_counter()
         cols, out_h, out_w = self.inner.conv_im2col(x, kh, kw, stride, pad,
                                                     out=out)

@@ -104,6 +104,6 @@ class TestOutput:
     def test_list_rules_names_all_builtins(self, capsys):
         assert main(["check", "--list-rules"]) == 0
         out, _ = capsys.readouterr()
-        for name in ("lock-discipline", "backend-protocol", "digest-schema",
-                     "wire-protocol", "obs-naming", "hygiene"):
+        for name in ("lock-discipline", "digest-schema", "wire-protocol",
+                     "obs-naming", "hygiene"):
             assert name in out

@@ -116,88 +116,6 @@ class TestLockDiscipline:
         assert findings == []
 
 
-class TestBackendProtocol:
-    BASE = """
-        class ArrayBackend:
-            def matmul(self, a, b):
-                return a @ b
-
-            def softmax(self, x, axis=-1):
-                return x
-        """
-
-    def test_signature_drift_is_backend002(self):
-        findings = scan("backend-protocol", base=self.BASE, sub="""
-            from base import ArrayBackend
-
-            class FastBackend(ArrayBackend):
-                def softmax(self, x, dim=-1):
-                    return x
-        """)
-        assert ids(findings) == ["BACKEND002"]
-        assert "FastBackend.softmax" in findings[0].message
-
-    def test_matching_override_is_clean(self):
-        findings = scan("backend-protocol", base=self.BASE, sub="""
-            from base import ArrayBackend
-
-            class FastBackend(ArrayBackend):
-                def softmax(self, x, axis=-1):
-                    return x * 2
-        """)
-        assert findings == []
-
-    def test_registered_non_subclass_is_backend001(self):
-        findings = scan("backend-protocol", base=self.BASE, reg="""
-            class Imposter:
-                pass
-
-            _REGISTRY = {"imposter": Imposter}
-        """)
-        assert ids(findings) == ["BACKEND001"]
-
-    def test_factory_resolving_to_subclass_is_clean(self):
-        findings = scan("backend-protocol", base=self.BASE, reg="""
-            from base import ArrayBackend
-
-            class Fast(ArrayBackend):
-                pass
-
-            def _fast_factory():
-                return Fast()
-
-            _REGISTRY = {"fast": _fast_factory}
-
-            def register_backend(name, factory):
-                _REGISTRY[name] = factory
-
-            register_backend("fast2", _fast_factory)
-        """)
-        assert findings == []
-
-    def test_dynamic_binding_is_backend003(self):
-        findings = scan("backend-protocol", base=self.BASE, sub="""
-            from base import ArrayBackend
-
-            class SneakyBackend(ArrayBackend):
-                def __init__(self, inner):
-                    for op in ("matmul",):
-                        object.__setattr__(self, op, getattr(inner, op))
-        """)
-        assert ids(findings) == ["BACKEND003"]
-
-    def test_profiling_backend_dynamic_binding_is_allowed(self):
-        findings = scan("backend-protocol", base=self.BASE, sub="""
-            from base import ArrayBackend
-
-            class ProfilingBackend(ArrayBackend):
-                def __init__(self, inner):
-                    for op in ("matmul",):
-                        object.__setattr__(self, op, getattr(inner, op))
-        """)
-        assert findings == []
-
-
 class TestDigestSchema:
     def test_uncoerced_value_is_digest001(self):
         findings = scan("digest-schema", m="""

@@ -1,20 +1,23 @@
-"""Every registered backend must produce the same model outputs.
+"""Profiling a forward must not change it.
 
-Golden check: for each model family, the forward pass under every
-registered backend is compared against the NumpyBackend reference —
-fp32 backends bit-close, quantized weights within the int8 tolerance.
-A new backend that silently diverges on any architecture fails here
-before it can corrupt a serving fleet.
+Golden check: for each model family, the forward pass under a fresh
+``ArrayBackend`` and under the ``ProfilingBackend`` that wraps one is
+compared against the reference instance (``use_backend("numpy")``) —
+fp32 bit-close, quantized weights within the int8 tolerance.
 """
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.backend import available_backends, use_backend
+from repro.nn.backend import ArrayBackend, use_backend
+from repro.obs import ProfilingBackend
 from repro.models.snn import ConvSNN, SNNConfig
 from repro.models.vgg import VGG, VGGConfig
 from repro.models.vit import ViTConfig, VisionTransformer
+
+BACKENDS = pytest.mark.parametrize(
+    "backend", (ArrayBackend(), ProfilingBackend()), ids=("numpy", "profiled"))
 
 
 def _build(kind: str):
@@ -43,7 +46,7 @@ def _forward(model, x):
         return model(nn.Tensor(x)).data.copy()
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@BACKENDS
 @pytest.mark.parametrize("kind", ["vit", "vgg", "snn"])
 def test_fp32_forward_matches_numpy_reference(kind, backend):
     model, x = _build(kind)
@@ -52,10 +55,10 @@ def test_fp32_forward_matches_numpy_reference(kind, backend):
     with use_backend(backend):
         out = _forward(model, x)
     np.testing.assert_allclose(out, ref, rtol=2e-4, atol=2e-5,
-                               err_msg=f"{kind} under {backend!r}")
+                               err_msg=f"{kind} under {backend.name!r}")
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@BACKENDS
 @pytest.mark.parametrize("kind", ["vit", "vgg", "snn"])
 def test_int8_forward_within_quantization_tolerance(kind, backend):
     model, x = _build(kind)
@@ -67,14 +70,14 @@ def test_int8_forward_within_quantization_tolerance(kind, backend):
     # int8 weights change the numbers; the error must stay quantization-
     # sized, and identical-scheme backends must agree with each other.
     assert np.abs(out - ref).max() < 0.5, (
-        f"{kind} int8 under {backend!r}: {np.abs(out - ref).max()}")
+        f"{kind} int8 under {backend.name!r}: {np.abs(out - ref).max()}")
     with use_backend("numpy"):
         ref_q = _forward(qmodel, x)
     np.testing.assert_allclose(out, ref_q, rtol=2e-3, atol=2e-3,
-                               err_msg=f"{kind} int8 under {backend!r}")
+                               err_msg=f"{kind} int8 under {backend.name!r}")
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@BACKENDS
 def test_predicted_labels_are_backend_invariant(backend):
     """The end-to-end serving contract: argmax labels never depend on
     which fp32 backend computed them."""

@@ -25,6 +25,8 @@ from repro.pruning.surgery import prune_ffn_hidden
 from repro.store import ArtifactStore, recipe_digest
 
 TOL = dict(rtol=1e-5, atol=1e-5)
+# The reference kernels, and the same kernels under the profiler.
+BACKENDS = (nn.ArrayBackend(), obs.ProfilingBackend())
 
 
 def _vit(depth=2, embed_dim=16, heads=2, head_dim=4, mlp_hidden=21,
@@ -63,7 +65,7 @@ def _dequantized_twin(model, qmodel) -> VisionTransformer:
        head_dim=st.integers(1, 4), embed_dim=st.integers(6, 14),
        mlp_hidden=st.sampled_from([3, 5, 9, 13]), batch=st.integers(1, 5),
        image_size=st.sampled_from([8, 12]),
-       backend=st.sampled_from(nn.available_backends()),
+       backend=st.sampled_from(BACKENDS),
        quantized=st.booleans(), keep_ratio=st.sampled_from([None, 0.5]))
 def test_flat_path_equals_autograd_forward(depth, heads, head_dim, embed_dim,
                                            mlp_hidden, batch, image_size,
@@ -126,7 +128,7 @@ def _autograd_features(model, x) -> np.ndarray:
     return model.forward_features(nn.Tensor(x)).data
 
 
-@pytest.mark.parametrize("backend", nn.available_backends())
+@pytest.mark.parametrize("backend", BACKENDS, ids=("numpy", "profiled"))
 class TestServedWeightsAreNeverStale:
     def test_load_state_dict(self, backend):
         model, other = _vit(seed=0), _vit(seed=5)
@@ -203,7 +205,7 @@ def test_serving_a_model_does_not_move_its_bytes(tmp_path, quantized):
 
     blob = nn.state_dict_to_bytes(model.state_dict())
     store.put(digests[0], model, config=config, kind="vit")
-    for backend in nn.available_backends():
+    for backend in BACKENDS:
         _serve(model, _images(model, 2), backend)
     qkv = model.blocks[0].attn.qkv
     assert qkv.kmajor_weight().flags.f_contiguous        # it was rebound
@@ -288,7 +290,7 @@ def test_profiler_sees_the_schedules_kernel_calls(quantized):
         model = nn.quantize_module(model)
     model.eval()
     x = _images(model, 2)
-    inner = nn.backend.NumpyBackend()
+    inner = nn.ArrayBackend()
     registry = obs.get_registry()
 
     def counts() -> dict[str, int]:

@@ -1,7 +1,4 @@
-"""Backend layer: registry/selection, workspaces, fused-kernel correctness."""
-
-import subprocess
-import sys
+"""Backend layer: selection, workspaces, fused-kernel correctness."""
 
 import numpy as np
 import pytest
@@ -9,68 +6,43 @@ import pytest
 from repro import nn
 from repro.nn.backend import (
     ArrayBackend,
-    NumpyBackend,
     Workspace,
-    available_backends,
     get_backend,
-    register_backend,
     scratch,
-    set_backend,
     use_backend,
 )
 
 
 # ----------------------------------------------------------------------
-# Registry and selection
+# Selection
 # ----------------------------------------------------------------------
 def test_numpy_backend_is_default():
-    assert "numpy" in available_backends()
-    assert isinstance(get_backend(), NumpyBackend)
+    assert type(get_backend()) is ArrayBackend
+    assert get_backend().name == "numpy"
 
 
-def test_set_backend_rejects_unknown_name():
-    with pytest.raises(ValueError, match="registered backends"):
-        set_backend("no-such-backend")
+def test_use_backend_by_name_yields_the_reference_instance():
+    """``use_backend("numpy")`` (the e2e benchmark's reference labels use
+    it) is the default instance itself, even under another override."""
+    reference = get_backend()
+    with use_backend("numpy") as active:
+        assert active is reference and get_backend() is reference
+    with use_backend(ArrayBackend()):
+        with use_backend("numpy") as active:
+            assert active is reference
 
 
-def _import_nn_with_env(**env) -> tuple[str, str]:
-    """``(warning verdict, backend name)`` of a fresh ``import repro.nn``."""
-    def run(code, *flags):
-        return subprocess.run(
-            [sys.executable, *flags, "-c", code],
-            capture_output=True, text=True, check=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin", **env},
-            cwd=__file__.rsplit("/tests/", 1)[0],
-        ).stdout.strip()
-
-    verdict = run("import warnings; warnings.simplefilter('error'); "
-                  "import sys; "
-                  "\ntry:\n    import repro.nn\nexcept RuntimeWarning as w:\n"
-                  "    print('warned:', 'REPRO_BACKEND' in str(w))\n"
-                  "    sys.exit(0)\nprint('no warning')")
-    name = run("import repro.nn as nn; print(nn.get_backend().name)",
-               "-W", "ignore::RuntimeWarning")
-    return verdict, name
-
-
-def test_bad_env_var_falls_back_to_numpy_with_warning():
-    """A typo in REPRO_BACKEND must degrade, not crash the import — and so
-    must the name of a backend that no longer exists."""
-    # Spelled in two pieces: the acceptance grep for the retired backend's
-    # name and variable is run over tests/ too.
-    retired = "block" + "ed"
-    for value in ("no-such", retired):
-        assert _import_nn_with_env(REPRO_BACKEND=value) \
-            == ("warned: True", "numpy")
-    # The retired inner-selection variable is not read: ``profiled`` wraps
-    # the reference whatever it says.
-    assert _import_nn_with_env(
-        REPRO_BACKEND="profiled", **{"REPRO_PROFILE_" + "INNER": retired}) \
-        == ("no warning", "profiled[numpy]")
+@pytest.mark.parametrize("name", ["profiled", "no-such-backend"])
+def test_use_backend_rejects_every_other_name(name):
+    default = get_backend()
+    with pytest.raises(ValueError, match=name):
+        with use_backend(name):
+            pass
+    assert get_backend() is default
 
 
 def test_use_backend_scoped_override():
-    class Tagged(NumpyBackend):
+    class Tagged(ArrayBackend):
         name = "tagged"
 
     default = get_backend()
@@ -83,41 +55,14 @@ def test_use_backend_scoped_override():
 def test_use_backend_restores_on_exception():
     default = get_backend()
     with pytest.raises(RuntimeError):
-        with use_backend(NumpyBackend()):
+        with use_backend(ArrayBackend()):
             raise RuntimeError("boom")
     assert get_backend() is default
 
 
-def test_register_backend_and_set_by_name():
-    class Custom(NumpyBackend):
-        name = "custom-test"
-
-    register_backend("custom-test", Custom)
-    assert "custom-test" in available_backends()
-    previous = get_backend()
-    try:
-        active = set_backend("custom-test")
-        assert isinstance(active, Custom)
-        assert get_backend() is active
-    finally:
-        set_backend(previous)
-
-
-def test_env_var_selects_initial_backend():
-    code = ("import repro.nn as nn; "
-            "print(nn.get_backend().name)")
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": "src", "REPRO_BACKEND": "numpy", "PATH": "/usr/bin:/bin"},
-        cwd=__file__.rsplit("/tests/", 1)[0],
-    )
-    assert out.stdout.strip() == "numpy"
-
-
 def test_ops_route_through_active_backend():
     """A custom backend's primitives are what nn ops actually execute."""
-    class Counting(NumpyBackend):
+    class Counting(ArrayBackend):
         name = "counting"
 
         def __init__(self):
@@ -245,7 +190,7 @@ def test_module_workspace_is_lazy_and_clearable():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def b() -> ArrayBackend:
-    return NumpyBackend()
+    return ArrayBackend()
 
 
 def test_gelu_kernel_matches_reference(b):

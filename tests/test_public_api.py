@@ -29,7 +29,7 @@ MODULES = SUBPACKAGES + [
     "repro.nn.losses", "repro.nn.serialization", "repro.nn.init",
     "repro.nn.gradcheck",
     "repro.models.vit", "repro.models.vgg", "repro.models.snn",
-    "repro.models.fusion", "repro.models.analysis",
+    "repro.models.fusion",
     "repro.profiling.flops", "repro.profiling.memory",
     "repro.profiling.energy",
     "repro.data.synthetic", "repro.data.datasets", "repro.data.loaders",
