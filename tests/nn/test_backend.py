@@ -52,6 +52,42 @@ def test_use_backend_scoped_override():
     assert get_backend() is default
 
 
+def test_nested_overrides_unwind_innermost_first():
+    default, outer, inner = get_backend(), ArrayBackend(), ArrayBackend()
+    with use_backend(outer):
+        with use_backend(inner):
+            assert get_backend() is inner
+        assert get_backend() is outer
+    assert get_backend() is default
+
+
+def test_use_backend_override_is_thread_local():
+    """A worker thread's override is invisible to the caller's thread and
+    the caller's to the worker (the server's threads share one process)."""
+    import threading
+
+    default, mine, theirs = get_backend(), ArrayBackend(), ArrayBackend()
+    seen = {}
+    entered, release = threading.Event(), threading.Event()
+
+    def worker():
+        seen["before"] = get_backend()
+        with use_backend(theirs):
+            seen["inside"] = get_backend()
+            entered.set()
+            release.wait(timeout=10)
+
+    with use_backend(mine):
+        t = threading.Thread(target=worker)
+        t.start()
+        assert entered.wait(timeout=10)
+        assert get_backend() is mine
+        release.set()
+        t.join(timeout=10)
+    assert not t.is_alive()
+    assert seen == {"before": default, "inside": theirs}
+
+
 def test_use_backend_restores_on_exception():
     default = get_backend()
     with pytest.raises(RuntimeError):

@@ -21,6 +21,33 @@ def kernel_bytes(op: str, backend: str = "numpy") -> float:
                                   backend=backend).value
 
 
+class _Inner(ArrayBackend):
+    """The reference kernels under a label no other test records to."""
+    name = "probe-inner"
+
+
+def _kernel_args(op: str) -> tuple:
+    """Small positional arguments for one timed kernel."""
+    rng = np.random.default_rng(1)
+
+    def arr(*shape):
+        return rng.normal(size=shape).astype(np.float32)
+
+    x, w, bias = arr(2, 3, 4), arr(5, 4), arr(5)
+    return {
+        "matmul": (arr(3, 4), arr(4, 2)),
+        "einsum": ("ok,nkp->nop", w, arr(2, 4, 3)),
+        "linear": (x, w, bias),
+        "linear_act": (x, w, bias, "gelu"),
+        "linear_q8": (x, rng.integers(-127, 128, size=(5, 4), dtype=np.int8),
+                      arr(5), bias, "relu"),
+        "softmax": (arr(3, 5),),
+        "log_softmax": (arr(3, 5),),
+        "layer_norm": (x, arr(4), arr(4), 1e-5),
+        "conv_im2col": (arr(1, 2, 5, 5), 3, 3, 1, 1),
+    }[op]
+
+
 class TestConstruction:
     def test_default_inner_is_numpy(self):
         backend = ProfilingBackend()
@@ -77,6 +104,73 @@ class TestTiming:
         np.testing.assert_allclose(backend.softmax(x),
                                    backend.inner.softmax(x))
         assert kernel_count("softmax") == before + 1
+
+    @pytest.mark.parametrize("op", PROFILED_KERNELS)
+    def test_timed_kernel_is_the_inner_kernel_recorded_once(self, op):
+        """Each timed kernel forwards its positional arguments in order,
+        returns the inner result unchanged, and records one observation of
+        itself only (``linear_act`` records no nested ``linear``), with
+        bytes = every array operand in + the result out."""
+        inner = _Inner()
+        backend = ProfilingBackend(inner)
+        args = _kernel_args(op)
+        counts = {k: kernel_count(k, "probe-inner") for k in PROFILED_KERNELS}
+        bytes_before = kernel_bytes(op, "probe-inner")
+        got = getattr(backend, op)(*args)
+        want = getattr(inner, op)(*args)
+        if op == "conv_im2col":               # (cols, out_h, out_w)
+            assert got[1:] == want[1:]
+            got, want = got[0], want[0]
+        np.testing.assert_array_equal(got, want)
+        assert {k: kernel_count(k, "probe-inner") - counts[k]
+                for k in PROFILED_KERNELS} \
+            == {k: int(k == op) for k in PROFILED_KERNELS}
+        operands = [a for a in args if isinstance(a, np.ndarray)]
+        assert kernel_bytes(op, "probe-inner") - bytes_before \
+            == sum(a.nbytes for a in operands) + got.nbytes
+
+    def test_timed_kernels_run_the_inner_override(self):
+        """A timed kernel is the inner instance's, override included, and is
+        recorded under the inner's name; untimed primitives are
+        ``ArrayBackend``'s whatever the inner."""
+        class Custom(ArrayBackend):
+            name = "probe-custom"
+
+            def __init__(self):
+                self.calls = []
+
+            def matmul(self, a, b, out=None):
+                self.calls.append("matmul")
+                return super().matmul(a, b, out=out)
+
+            def gelu(self, x, out=None):
+                self.calls.append("gelu")
+                return super().gelu(x, out=out)
+
+        inner = Custom()
+        backend = ProfilingBackend(inner)
+        assert backend.name == "profiled[probe-custom]"
+        a = np.ones((2, 3), dtype=np.float32)
+        before = kernel_count("matmul", "probe-custom")
+        backend.matmul(a, a.T)
+        backend.gelu(a)
+        assert inner.calls == ["matmul"]
+        assert kernel_count("matmul", "probe-custom") == before + 1
+
+    def test_untimed_primitives_record_nothing(self):
+        backend = ProfilingBackend(_Inner())
+        reference = ArrayBackend()
+        x = np.random.default_rng(2).normal(size=(2, 3, 4)).astype(np.float32)
+        counts = {k: kernel_count(k, "probe-inner") for k in PROFILED_KERNELS}
+        for op, args in [("gelu", (x,)), ("sigmoid", (x,)), ("exp", (x,)),
+                         ("sum", (x, -1)), ("one_hot", ([0, 2, 1], 3))]:
+            np.testing.assert_array_equal(getattr(backend, op)(*args),
+                                          getattr(reference, op)(*args))
+        np.testing.assert_array_equal(
+            backend.apply_activation("gelu", x.copy()),
+            reference.apply_activation("gelu", x.copy()))
+        assert {k: kernel_count(k, "probe-inner")
+                for k in PROFILED_KERNELS} == counts
 
 
 class TestEndToEnd:
