@@ -16,7 +16,7 @@ from benchmarks.conftest import print_table
 from repro.core.experiments import communication_rows
 from repro.edge.codec import get_codec
 from repro.edge.network import LinkModel, RAW_IMAGE_BYTES, TC_CAP_BPS, tc_capped_link
-from repro.serving import build_demo_system
+from repro.planning import plan_demo_system
 from repro.serving.demo import fused_labels
 
 SWEEP_CODECS = ("raw32", "f16", "q8", "q8+zlib")
@@ -47,7 +47,7 @@ def test_raw_image_transfer_dominates(benchmark):
 def _codec_sweep_rows() -> list[dict]:
     rng = np.random.default_rng(0)
     features = rng.normal(size=(64, FEATURE_DIM)).astype(np.float32)
-    system = build_demo_system(num_workers=2, seed=0)
+    system = plan_demo_system(num_workers=2, seed=0)
     x = rng.normal(size=(64, *system.input_shape)).astype(np.float32)
     reference = fused_labels(system.models, system.fusion, x)
 

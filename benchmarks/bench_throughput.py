@@ -12,12 +12,11 @@ about sustained throughput.  Two complementary measurements:
 """
 
 from benchmarks.conftest import print_table
+from repro.planning import plan_demo_system
 from repro.serving import (
     BatchingConfig,
-    InferenceServer,
     LoadgenConfig,
     ServerConfig,
-    build_demo_system,
     run_load,
     sweep_offered_load,
 )
@@ -91,11 +90,11 @@ def test_open_stream_stability(benchmark):
 
 
 def _demo_server(max_batch_samples: int, max_wait_s: float) -> tuple:
-    system = build_demo_system(num_workers=2)
-    server = InferenceServer(
-        system.make_cluster(), system.fusion,
+    system = plan_demo_system(num_workers=2)
+    server = system.make_server(
         ServerConfig(batching=BatchingConfig(
-            max_batch_samples=max_batch_samples, max_wait_s=max_wait_s)))
+            max_batch_samples=max_batch_samples, max_wait_s=max_wait_s)),
+        replan=False)
     return system, server
 
 
@@ -149,7 +148,7 @@ def test_served_degraded_after_worker_kill(benchmark):
 
         system, server = _demo_server(max_batch_samples=16, max_wait_s=0.002)
         with server:
-            victim = system.specs[0].worker_id
+            victim = system.plan.model_ids[0]
             threading.Timer(0.15, server.cluster.kill_worker,
                             (victim,)).start()
             result = run_load(server, system.input_shape,

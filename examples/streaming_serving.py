@@ -2,7 +2,7 @@
 
 Where ``examples/fault_tolerance.py`` analyses device failure *offline*
 (simulated latency, analytic accuracy), this demo exercises the runtime
-path: a 3-worker emulated fleet behind :class:`repro.serving.InferenceServer`
+path: a 3-worker planned fleet behind :class:`repro.serving.InferenceServer`
 serves a Poisson stream of frames while one worker is hard-killed mid-run.
 The server detects the death (pipe EOF + liveness), marks the worker down,
 zero-fills its feature slot, and keeps answering — so the stream sees
@@ -20,15 +20,8 @@ import threading
 import numpy as np
 
 from repro.core.metrics import format_table
-from repro.data import cifar10_like
-from repro.serving import (
-    BatchingConfig,
-    InferenceServer,
-    LoadgenConfig,
-    ServerConfig,
-    build_demo_system,
-    run_load,
-)
+from repro.planning import plan_demo_system
+from repro.serving import BatchingConfig, LoadgenConfig, ServerConfig, run_load
 
 NUM_WORKERS = 3
 OFFERED_RPS = 150.0
@@ -36,19 +29,20 @@ KILL_AFTER_S = 0.4
 
 
 def main() -> None:
-    system = build_demo_system(num_workers=NUM_WORKERS, image_size=16,
-                               train_fusion=True, fusion_epochs=12, seed=0)
-    dataset = cifar10_like(image_size=16, train_per_class=48,
-                           test_per_class=16, noise_std=0.3, seed=0)
+    system = plan_demo_system(num_workers=NUM_WORKERS, image_size=16,
+                              train_fusion=True, fusion_epochs=12, seed=0)
+    dataset = system.eval_dataset()
     x_test = dataset.x_test.astype(np.float32)
     y_test = np.asarray(dataset.y_test)
 
-    server = InferenceServer(
-        system.make_cluster(), system.fusion,
+    # No replanner: the dead worker's slot stays zero-filled, so the tail
+    # of the stream shows degraded accuracy rather than a recovery.
+    server = system.make_server(
         ServerConfig(batching=BatchingConfig(max_batch_samples=16,
-                                             max_wait_s=0.002)))
+                                             max_wait_s=0.002)),
+        replan=False)
     with server:
-        victim = system.specs[0].worker_id
+        victim = system.plan.model_ids[0]
         threading.Timer(KILL_AFTER_S, server.cluster.kill_worker,
                         (victim,)).start()
 

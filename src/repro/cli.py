@@ -12,7 +12,7 @@ Usage::
     python -m repro.cli serve --workers 2 --requests 200 --rps 200
     python -m repro.cli serve --transport inprocess --codec q8
     python -m repro.cli serve --plan plan.json --kill-after 0.3
-    python -m repro.cli serve --plan plan.json --store ./artifacts --swap-after 0.3
+    python -m repro.cli serve --store ./artifacts --swap-after 0.3
     python -m repro.cli plan --quant auto --memory-headroom 0.5 --store ./artifacts
     python -m repro.cli quantize --plan plan.json --store ./artifacts --out plan-int8.json
     python -m repro.cli loadgen --rates 50,100,200 --compare-batching
@@ -28,9 +28,10 @@ Usage::
 ``plan`` runs the deployment planner (:mod:`repro.planning`) over a small
 heterogeneous demo fleet and emits the scored
 :class:`~repro.planning.DeploymentPlan` as JSON.  ``serve`` stands up a
-fleet behind the asynchronous serving layer (:mod:`repro.serving`) —
-either a demo fleet or, with ``--plan``, a fleet booted from a plan file
-with online replanning enabled — drives Poisson traffic at it (optionally
+:class:`~repro.planning.PlannedSystem` behind the asynchronous serving
+layer (:mod:`repro.serving`) — booted from ``--plan`` or, without it,
+planned on the spot like ``plan`` does — with online replanning enabled
+(``--no-replan`` turns it off), drives Poisson traffic at it (optionally
 killing a worker mid-run to demonstrate degraded fusion and replan
 recovery, or rolling-swapping one with ``--swap-after``), and prints the
 telemetry report (``--json`` for machine-readable output).  ``loadgen``
@@ -166,8 +167,8 @@ def cmd_schedule(args) -> None:
 
 
 def _make_server(args):
-    from .serving import (BatchingConfig, InferenceServer, ServerConfig,
-                          build_demo_system)
+    from .planning import DeploymentPlan, PlannedSystem, plan_demo_system
+    from .serving import BatchingConfig, ServerConfig
 
     # No --max-wait-ms: BatchingConfig's own default decides the policy.
     wait = {} if args.max_wait_ms is None \
@@ -178,25 +179,21 @@ def _make_server(args):
     store = _artifact_store(args)
     plan_path = getattr(args, "plan", None)
     if plan_path:
-        from .planning import DeploymentPlan, PlannedSystem
-
         # The plan file carries the codec; only the transport (and the
         # artifact store to warm-boot from) is a runtime choice.
         system = PlannedSystem.from_plan(DeploymentPlan.load(plan_path),
                                          time_scale=args.time_scale,
                                          transport=args.transport,
                                          store=store)
-        return system, system.make_server(
-            config, replan=not getattr(args, "no_replan", False))
-    system = build_demo_system(num_workers=args.workers,
-                               model_kind=args.model_kind,
-                               seed=args.seed, time_scale=args.time_scale,
-                               transport=args.transport, codec=args.codec,
-                               train_fusion=getattr(args, "train_fusion",
-                                                    False),
-                               store=store)
-    return system, InferenceServer(system.make_cluster(), system.fusion,
-                                   config)
+    else:
+        system = plan_demo_system(num_workers=args.workers,
+                                  model_kind=args.model_kind, seed=args.seed,
+                                  train_fusion=args.train_fusion,
+                                  codec=args.codec,
+                                  time_scale=args.time_scale,
+                                  transport=args.transport, store=store)
+    return system, system.make_server(
+        config, replan=not getattr(args, "no_replan", False))
 
 
 def _maybe_enable_tracing(args) -> bool:
@@ -237,10 +234,9 @@ def cmd_serve(args) -> None:
 
     # Validate before _make_server: building (and possibly training) the
     # whole fleet only to exit with a usage error would waste minutes.
-    if args.swap_after is not None and not (args.plan and args.store):
-        raise SystemExit("--swap-after needs --plan and --store "
-                         "(the replacement worker boots from the "
-                         "plan's store artifact)")
+    if args.swap_after is not None and not args.store:
+        raise SystemExit("--swap-after needs --store (the replacement "
+                         "worker boots from the plan's store artifact)")
     _maybe_enable_tracing(args)
     system, server = _make_server(args)
     kill_timer = None
@@ -582,15 +578,16 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
                              "TCP-connected processes")
     parser.add_argument("--codec", default="raw32",
                         help="feature wire codec (raw32, f16, q8; any base "
-                             "+zlib). Ignored with --plan (the plan carries "
-                             "its codec)")
+                             "+zlib, or 'auto') the fleet is planned with. "
+                             "Ignored with --plan (the plan carries its "
+                             "codec)")
     parser.add_argument("--store", default=None,
                         help="artifact-store directory: warm-boot weights "
                              "from it when populated, populate it on a "
                              "cold boot")
     parser.add_argument("--train-fusion", action="store_true",
-                        help="train the demo fleet (the expensive step an "
-                             "artifact store amortizes). Ignored with "
+                        help="train the planned fleet (the expensive step "
+                             "an artifact store amortizes). Ignored with "
                              "--plan (the plan's build recipe decides)")
     parser.add_argument("--batch", type=int, default=16,
                         help="dynamic batcher max samples per dispatch")
@@ -739,18 +736,20 @@ def build_parser() -> argparse.ArgumentParser:
                          help="offered arrival rate (Poisson)")
     p_serve.add_argument("--kill-after", type=float, default=None,
                          help="kill one worker after this many seconds to "
-                              "demonstrate degraded fusion")
+                              "demonstrate degraded fusion, then replan its "
+                              "sub-model onto a survivor (unless "
+                              "--no-replan)")
     p_serve.add_argument("--plan", default=None,
                          help="boot the fleet from a DeploymentPlan JSON "
-                              "file (enables online replanning)")
+                              "file instead of planning a demo fleet")
     p_serve.add_argument("--no-replan", action="store_true",
-                         help="with --plan: disable replanning (zero-fill "
-                              "degraded mode only)")
+                         help="disable replanning (zero-fill degraded mode "
+                              "only)")
     p_serve.add_argument("--swap-after", type=float, default=None,
                          help="rolling-swap the first fusion slot's worker "
                               "from its store artifact after this many "
-                              "seconds (needs --plan and --store); zero "
-                              "requests are dropped")
+                              "seconds (needs --store); zero requests are "
+                              "dropped")
     p_serve.add_argument("--swap-quant", choices=("fp32", "int8"),
                          default=None,
                          help="with --swap-after: retarget the swapped "

@@ -247,8 +247,8 @@ class WorkerSpec:
             link=device.link_model(),
             batch_size=batch_size,
             feature_dim=int(sub.feature_dim),
-            codec=getattr(plan, "codec", "raw32"),
-            quant=str(getattr(sub, "quant", "fp32")),
+            codec=plan.codec,
+            quant=sub.quant,
         )
 
 
@@ -307,9 +307,8 @@ def _worker_main(spec: WorkerSpec, conn, time_scale: float) -> None:
         # all this worker ever holds.
         with nn.init.unwritten():
             model = _build_model(spec.model_kind, spec.model_config)
-            quant = getattr(spec, "quant", "fp32")  # pre-quant specs lack it
-            if quant != "fp32":
-                model = nn.quantize_module(model, scheme=quant)
+            if spec.quant != "fp32":
+                model = nn.quantize_module(model, scheme=spec.quant)
         model.load_state_dict(weights, adopt=True)
         model.eval()
         codec = get_codec(spec.codec)

@@ -26,7 +26,7 @@ from .. import nn
 from ..edge.device import DeviceModel
 from ..edge.network import LinkModel
 from ..edge.runtime import MODEL_KINDS, EdgeCluster, WorkerSpec
-from ..models.fusion import FusionConfig, FusionMLP, build_fusion_for
+from ..models.fusion import FusionConfig, FusionMLP
 from ..profiling import model_flops, module_param_count, param_bytes
 from ..serving.demo import (
     DEMO_RECIPE,
@@ -64,9 +64,8 @@ def _build_submodel(plan: DeploymentPlan, index: int) -> nn.Module:
     sub = plan.submodels[index]
     model = _build_model(sub.model_kind, sub.model_config,
                          np.random.default_rng(plan.seed + index))
-    quant = getattr(sub, "quant", "fp32")
-    if quant != "fp32":
-        model = nn.quantize_module(model, scheme=quant)
+    if sub.quant != "fp32":
+        model = nn.quantize_module(model, scheme=sub.quant)
     return model
 
 
@@ -110,21 +109,13 @@ def _populate_store(plan: DeploymentPlan, store: ArtifactStore,
         store.put(digests[sub.model_id], model,
                   config=dict(sub.model_config), kind=sub.model_kind,
                   meta={"model_id": sub.model_id,
-                        "quant": getattr(sub, "quant", "fp32"),
+                        "quant": sub.quant,
                         "recipe": recipes[sub.model_id]})
     store.put(digests[FUSION_ARTIFACT], fusion,
               config=dict(plan.fusion_config), kind=FUSION_ARTIFACT,
               meta={"model_id": FUSION_ARTIFACT,
                     "quant": "fp32",
                     "recipe": recipes[FUSION_ARTIFACT]})
-
-
-def _quantize_planned_models(plan: DeploymentPlan,
-                             models: list[nn.Module]) -> list[nn.Module]:
-    """Convert trained fp32 modules to each sub-model's serving scheme."""
-    return [nn.quantize_module(model, scheme=sub.quant)
-            if getattr(sub, "quant", "fp32") != "fp32" else model
-            for sub, model in zip(plan.submodels, models)]
 
 
 def quantize_plan_artifacts(plan: DeploymentPlan, store: ArtifactStore,
@@ -144,8 +135,7 @@ def quantize_plan_artifacts(plan: DeploymentPlan, store: ArtifactStore,
     for index, sub in enumerate(plan.submodels):
         fp32_digest = recipe_digest(
             plan.submodel_recipe(sub.model_id, quant="fp32"))
-        if getattr(sub, "quant", "fp32") == "fp32" \
-                and plan.artifacts.get(sub.model_id):
+        if sub.quant == "fp32" and plan.artifacts.get(sub.model_id):
             fp32_digest = plan.artifacts[sub.model_id]
         quant_recipe = plan.submodel_recipe(sub.model_id, quant=scheme)
         quant_digest = recipe_digest(quant_recipe)
@@ -314,7 +304,7 @@ class PlannedSystem:
         """
         index = self.plan.model_ids.index(model_id)
         sub = self.plan.submodels[index]
-        if quant is not None and quant != getattr(sub, "quant", "fp32"):
+        if quant is not None and quant != sub.quant:
             if quant != "fp32":
                 quantize_plan_artifacts(self.plan, store, scheme=quant)
             sub = dataclasses.replace(sub, quant=quant)
@@ -328,7 +318,7 @@ class PlannedSystem:
         state, config = store.get(digest)
         model = _build_model(sub.model_kind, config or sub.model_config,
                              np.random.default_rng(self.plan.seed + index))
-        if getattr(sub, "quant", "fp32") != "fp32":
+        if sub.quant != "fp32":
             model = nn.quantize_module(model, scheme=sub.quant)
         model.load_state_dict(state)
         size = nn.state_dict_num_bytes(state)
@@ -393,7 +383,9 @@ class PlannedSystem:
                               image_size=int(build["image_size"]),
                               seed=plan.seed,
                               fusion_epochs=int(build.get("fusion_epochs", 8)))
-        models = _quantize_planned_models(plan, models)
+        models = [nn.quantize_module(model, scheme=sub.quant)
+                  if sub.quant != "fp32" else model
+                  for sub, model in zip(plan.submodels, models)]
         if store is not None:
             _populate_store(plan, store, digests, models, fusion)
             plan.artifacts = dict(digests)
@@ -428,7 +420,8 @@ def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
     the trained system when ``train_fusion`` is set, by nominal codec
     drops otherwise.
 
-    ``store`` warm-boots the weights from artifacts when every ref of
+    The weights come from :meth:`PlannedSystem.from_plan` on the fresh
+    plan, so ``store`` warm-boots them from artifacts when every ref of
     the plan's rebuild recipe is present (skipping training), and
     populates the store after a cold build; the emitted plan records the
     artifact refs either way.
@@ -449,9 +442,6 @@ def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
     models = [_tiny_model(model_kind, num_classes, image_size,
                           np.random.default_rng(seed + index))
               for index in range(num_workers)]
-    fusion = build_fusion_for([m.feature_dim() for m in models],
-                              num_classes=num_classes,
-                              rng=np.random.default_rng(seed + 1000))
     build = {"recipe": DEMO_RECIPE, "model_kind": model_kind,
              "image_size": image_size, "train_fusion": bool(train_fusion),
              "fusion_epochs": fusion_epochs}
@@ -512,51 +502,26 @@ def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
                 nn.quantize_state_dict(model.state_dict()))
             for index, model in enumerate(models)}
     planner = Planner(devices, fusion_device, link, planner_config)
-    # The plan is assembled *before* training so its artifact recipes are
-    # the single source of digest truth for the store lookup below.
+    # The plan is assembled from untrained models; its artifact recipes
+    # are then the single source of truth for warm boot or training.
     plan = planner.plan_submodels(num_classes, partition, submodels,
                                   build=build,
                                   quant=None if quant == "fp32" else quant,
                                   int8_sizes=int8_sizes)
 
-    warm = False
-    digests: dict[str, str] = {}
-    if store is not None:
-        digests = plan_artifact_digests(plan)
-        loaded = _warm_boot_from_store(plan, store, digests)
-        if loaded is not None:
-            models, fusion = loaded
-            warm = True
-    dataset = None
+    system = PlannedSystem.from_plan(plan, time_scale=time_scale,
+                                     transport=transport, store=store)
     if train_fusion:
-        if warm:
-            dataset = demo_dataset(image_size, seed)
-        else:
-            dataset = train_demo_system(models, fusion, image_size, seed,
-                                        fusion_epochs)
-    if not warm:
-        # Post-training quantization to each sub-model's planned scheme
-        # (a no-op for fp32 plans); the store then receives — and the
-        # accuracy/codec measurements below see — exactly what serves.
-        models = _quantize_planned_models(plan, models)
-    if store is not None:
-        if not warm:
-            _populate_store(plan, store, digests, models, fusion)
-        plan.artifacts = dict(digests)
+        dataset = demo_dataset(image_size, seed)
 
-    if train_fusion:
-        labels = fused_labels(models, fusion, dataset.x_test)
-        accuracy = float((labels == dataset.y_test).mean())
+        def accuracy(codec_name: str | None = None) -> float:
+            labels = fused_labels(system.models, system.fusion,
+                                  dataset.x_test, codec=codec_name)
+            return float((labels == dataset.y_test).mean())
+
         plan.prediction = dataclasses.replace(plan.prediction,
-                                              accuracy=accuracy)
+                                              accuracy=accuracy())
     if select:
-        measure = None
-        if train_fusion:
-            def measure(codec_name: str) -> float:
-                labels = fused_labels(models, fusion, dataset.x_test,
-                                      codec=codec_name)
-                return float((labels == dataset.y_test).mean())
-        plan = planner.select_codec(plan, measure_accuracy=measure)
-    return PlannedSystem(plan=plan, models=models, fusion=fusion,
-                         time_scale=time_scale, transport=transport,
-                         warm_booted=warm)
+        system.plan = planner.select_codec(
+            plan, measure_accuracy=accuracy if train_fusion else None)
+    return system

@@ -262,20 +262,17 @@ class DeploymentPlan:
         training protocol, and the quantization scheme — and nothing
         that doesn't (codec, mapping, scoring), so a replanned or
         re-scored plan keeps its artifacts.  The shape is
-        :func:`repro.store.submodel_recipe` (shared with the demo
-        builder, so digest schemas cannot drift).  ``quant`` overrides
+        :func:`repro.store.submodel_recipe`.  ``quant`` overrides
         the sub-model's recorded scheme, letting callers address a
         sibling variant (e.g. the fp32 artifact an int8 one is derived
         from) without mutating the plan.
         """
         index = self.model_ids.index(model_id)
         sub = self.submodels[index]
-        if quant is None:
-            quant = getattr(sub, "quant", "fp32")
         return store_recipes.submodel_recipe(
             kind=sub.model_kind, config=sub.model_config, hp=sub.hp,
             classes=sub.classes, seed=self.seed + index,
-            train=self.train_recipe(), quant=quant)
+            train=self.train_recipe(), quant=quant or sub.quant)
 
     def fusion_recipe(self) -> dict:
         """The fusion MLP's rebuild recipe.

@@ -12,8 +12,11 @@ resolve with labels and a full latency breakdown.
 See :mod:`repro.serving.loadgen` for the Poisson open-loop / concurrent
 closed-loop / trace-replay load generator, :mod:`repro.serving.traffic`
 for the arrival-trace model and traffic-shape generators it shares with
-the fleet simulator, and :mod:`repro.serving.demo` for one-call demo
-fleets used by the CLI, the tests and the benchmarks.
+the fleet simulator, and :mod:`repro.serving.demo` for the demo training
+recipe and the in-process fusion reference.  A served fleet itself is a
+:class:`repro.planning.PlannedSystem` (``make_server()``); the CLI, the
+tests and the benchmarks stand one up with
+:func:`repro.planning.plan_demo_system`.
 """
 
 from .batcher import (
@@ -24,7 +27,6 @@ from .batcher import (
     RequestError,
     ServedFuture,
 )
-from .demo import DemoSystem, build_demo_system
 from .loadgen import (
     LoadgenConfig,
     LoadgenResult,
@@ -46,7 +48,6 @@ __all__ = [
     "ArrivalTrace",
     "Batch",
     "BatchingConfig",
-    "DemoSystem",
     "DynamicBatcher",
     "InferenceServer",
     "LoadgenConfig",
@@ -57,7 +58,6 @@ __all__ = [
     "ServedFuture",
     "ServerConfig",
     "ServingReport",
-    "build_demo_system",
     "burst_trace",
     "diurnal_trace",
     "flash_crowd_trace",

@@ -74,11 +74,9 @@ def submodel_recipe(kind: str, config: dict, hp: int | None,
                     quant: str = "fp32") -> dict:
     """The canonical rebuild-recipe shape for one sub-model.
 
-    Shared by the planning layer (:meth:`repro.planning.DeploymentPlan.
-    submodel_recipe`) and the demo builder so their digest schemas can
-    never drift — a silent schema divergence would turn every warm boot
-    into a full retrain.  ``classes`` is ``None`` when the sub-model
-    trains on all classes rather than a partition subset.
+    Called by :meth:`repro.planning.DeploymentPlan.submodel_recipe`;
+    the digest schema lives here, beside the store it keys — a silent
+    schema drift would turn every warm boot into a full retrain.
 
     ``quant`` names a post-training weight-quantization scheme (see
     :mod:`repro.nn.quantize`); a non-``"fp32"`` value extends the recipe
@@ -89,7 +87,7 @@ def submodel_recipe(kind: str, config: dict, hp: int | None,
     recipe = {"kind": str(kind),
               "config": dict(config),
               "hp": None if hp is None else int(hp),
-              "classes": None if classes is None else [int(c) for c in classes],
+              "classes": [int(c) for c in classes],
               "seed": int(seed),
               "train": dict(train)}
     if quant != "fp32":

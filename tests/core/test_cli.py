@@ -79,3 +79,54 @@ class TestCLI:
     def test_unknown_model_exits(self):
         with pytest.raises(SystemExit):
             main(["curve", "--model", "vit-giant"])
+
+
+class TestServingCommands:
+    """``serve`` / ``trace`` / ``loadgen`` on in-process workers."""
+
+    SERVE = ("--transport", "inprocess", "--requests")
+
+    def serve_json(self, capsys, *argv):
+        import json
+
+        return json.loads(run_cli(capsys, "serve", *self.SERVE, *argv,
+                                  "--json"))
+
+    def test_serve_completes_every_request(self, capsys):
+        report = self.serve_json(capsys, "30")["report"]
+        assert report["completed"] == 30 and report["failed"] == 0
+
+    def test_serve_plan_swaps_from_the_store(self, capsys, tmp_path):
+        store, plan = str(tmp_path / "store"), str(tmp_path / "p.json")
+        run_cli(capsys, "plan", "--store", store, "--out", plan)
+        data = self.serve_json(capsys, "60", "--plan", plan,
+                               "--store", store, "--swap-after", "0.05")
+        assert data["swap"]["worker"]
+
+    def test_serve_swaps_without_a_plan(self, capsys, tmp_path):
+        data = self.serve_json(capsys, "60", "--store",
+                               str(tmp_path / "store"),
+                               "--swap-after", "0.05")
+        assert data["swap"]["worker"]
+
+    def test_swap_after_needs_a_store(self):
+        with pytest.raises(SystemExit, match="--store"):
+            main(["serve", *self.SERVE, "10", "--swap-after", "0.05"])
+
+    def test_trace_writes_json(self, capsys, tmp_path):
+        import json
+
+        from repro.obs import disable_tracing
+
+        path = tmp_path / "t.json"
+        try:
+            run_cli(capsys, "trace", *self.SERVE, "10", "--out", str(path))
+        finally:
+            disable_tracing()
+        json.loads(path.read_text())
+
+    def test_loadgen_prints_one_row_per_rate(self, capsys):
+        out = run_cli(capsys, "loadgen", *self.SERVE, "10",
+                      "--rates", "100")
+        header, rule, *rows = out.strip().splitlines()
+        assert set(rule) <= {"-", " "} and len(rows) == 1

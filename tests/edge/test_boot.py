@@ -30,7 +30,7 @@ from repro.edge.transport import (
     reap,
 )
 from repro.models.vit import ViTConfig, VisionTransformer
-from repro.serving import InferenceServer, build_demo_system
+from repro.planning import plan_demo_system
 from repro.serving.demo import fused_labels
 
 TRANSPORTS = ["inprocess", "multiprocess", "tcp"]
@@ -478,10 +478,10 @@ class TestWorkerHoldsItsModelOnce:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_served_labels_equal_the_in_process_reference(transport):
-    system = build_demo_system(num_workers=3, transport=transport)
+    system = plan_demo_system(num_workers=3, transport=transport)
     x = np.random.default_rng(5).normal(
         size=(16, *system.input_shape)).astype(np.float32)
-    with InferenceServer(system.make_cluster(), system.fusion) as server:
+    with system.make_server() as server:
         served = server.infer(x)
     np.testing.assert_array_equal(
         served, fused_labels(system.models, system.fusion, x))

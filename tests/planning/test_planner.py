@@ -61,7 +61,7 @@ class TestPlanVit:
             Planner([])
 
 
-class TestPlanDemoSystem:
+class TestPlanDemoFleet:
     def test_heterogeneous_fleet_planned_and_scored(self):
         system = plan_demo_system(num_workers=3, seed=0,
                                   throughputs=[1.0, 0.5, 0.25])

@@ -11,30 +11,29 @@ chance level (0.1).
 import numpy as np
 import pytest
 
-from repro.data import cifar10_like
-from repro.serving import build_demo_system
+from repro.planning import plan_demo_system
 
 
 @pytest.fixture(scope="module")
 def trained_system():
-    return build_demo_system(num_workers=2, image_size=8, train_fusion=True,
-                             fusion_epochs=15, seed=0)
+    return plan_demo_system(num_workers=2, image_size=8, train_fusion=True,
+                            fusion_epochs=15, seed=0)
 
 
 @pytest.fixture(scope="module")
-def test_set():
-    dataset = cifar10_like(image_size=8, train_per_class=48,
-                           test_per_class=16, noise_std=0.3, seed=0)
+def test_set(trained_system):
+    dataset = trained_system.eval_dataset()
     return dataset.x_test.astype(np.float32), np.asarray(dataset.y_test)
 
 
 def test_served_accuracy_degrades_gracefully(trained_system, test_set):
     x, y = test_set
+    w0 = trained_system.plan.model_ids[0]
     with trained_system.make_cluster() as cluster:
         healthy, _ = cluster.infer_fused(x, trained_system.fusion)
         healthy_acc = float((healthy == y).mean())
 
-        cluster.kill_worker("w0")
+        cluster.kill_worker(w0)
         # The sync path refuses (typed failure) ...
         from repro.edge.runtime import WorkerFailure
 
@@ -46,14 +45,14 @@ def test_served_accuracy_degrades_gracefully(trained_system, test_set):
 
     with InferenceServer(trained_system.make_cluster(),
                          trained_system.fusion) as server:
-        server.cluster.kill_worker("w0")
+        server.cluster.kill_worker(w0)
         degraded = server.infer(x, timeout=60.0)
         report = server.stats()
     degraded_acc = float((degraded == y).mean())
 
     np.testing.assert_array_equal(
-        degraded, trained_system.local_fused_labels(x, zero_workers=(0,)))
+        degraded, trained_system.local_fused_labels(x, zero_models=(0,)))
     assert healthy_acc >= 0.2                  # well above 10-class chance
     assert degraded_acc >= 0.15                # degraded, but still sane
     assert report.failed == 0
-    assert report.worker_health["w0"] != "up"
+    assert report.worker_health[w0] != "up"

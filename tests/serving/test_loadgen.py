@@ -5,12 +5,12 @@ import time
 import numpy as np
 import pytest
 
+from repro.planning import plan_demo_system
 from repro.serving import (
     BatchingConfig,
     InferenceServer,
     LoadgenConfig,
     ServerConfig,
-    build_demo_system,
     percentile,
     run_load,
     sweep_offered_load,
@@ -21,7 +21,7 @@ from repro.serving.telemetry import RequestTelemetry
 
 @pytest.fixture(scope="module")
 def system():
-    return build_demo_system(num_workers=2)
+    return plan_demo_system(num_workers=2)
 
 
 def make_server(system, max_batch_samples=16, max_wait_s=0.002):

@@ -8,17 +8,13 @@ import numpy as np
 
 import pytest
 
-from repro.serving import (
-    BatchingConfig,
-    InferenceServer,
-    ServerConfig,
-    build_demo_system,
-)
+from repro.planning import plan_demo_system
+from repro.serving import BatchingConfig, InferenceServer, ServerConfig
 
 
 @pytest.fixture(scope="module")
 def system():
-    return build_demo_system(num_workers=2, transport="inprocess")
+    return plan_demo_system(num_workers=2, transport="inprocess")
 
 
 def make_server(system):

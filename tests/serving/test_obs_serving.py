@@ -22,12 +22,8 @@ from repro.obs import (
     get_registry,
     get_tracer,
 )
-from repro.serving import (
-    BatchingConfig,
-    InferenceServer,
-    ServerConfig,
-    build_demo_system,
-)
+from repro.planning import plan_demo_system
+from repro.serving import BatchingConfig, InferenceServer, ServerConfig
 from repro.serving.telemetry import (
     RequestTelemetry,
     SERVING_SCHEMA_VERSION,
@@ -41,7 +37,7 @@ WORKER_SPAN_NAMES = {"worker.request", "worker.forward", "codec.encode",
 
 @pytest.fixture(scope="module")
 def system():
-    return build_demo_system(num_workers=2, transport="inprocess")
+    return plan_demo_system(num_workers=2, transport="inprocess")
 
 
 @pytest.fixture(autouse=True)
@@ -98,7 +94,7 @@ class TestSpanTree:
         # server-side batch span by the propagated trace context.
         assert set(by_name) >= WORKER_SPAN_NAMES | {"codec.decode"}
         for s in by_name["worker.request"]:
-            assert s.process in {"w0", "w1"}
+            assert s.process in system.plan.model_ids
             assert s.parent_id == batch_spans[s.trace_id].span_id
         for s in by_name["worker.forward"]:
             parent_ids = {w.span_id for w in by_name["worker.request"]}
@@ -148,25 +144,26 @@ class TestReportSchema:
 
 class TestServingMetrics:
     def test_request_and_dispatch_counters_grow(self, system):
+        w0 = system.plan.model_ids[0]
         before_requests = counter_value("serving.requests_total")
-        before_w0 = counter_value("edge.dispatch_total", worker="w0")
-        before_bytes = counter_value("wire.bytes_out_total", worker="w0")
+        before_w0 = counter_value("edge.dispatch_total", worker=w0)
+        before_bytes = counter_value("wire.bytes_out_total", worker=w0)
         x = inputs(system, 2)
         with make_server(system) as server:
             for _ in range(3):
                 server.infer(x)
         assert counter_value("serving.requests_total") == \
             before_requests + 3
-        assert counter_value("edge.dispatch_total", worker="w0") == \
+        assert counter_value("edge.dispatch_total", worker=w0) == \
             before_w0 + 3
         # Each dispatch scatters the full input to every worker.
-        assert counter_value("wire.bytes_out_total", worker="w0") == \
+        assert counter_value("wire.bytes_out_total", worker=w0) == \
             before_bytes + 3 * x.nbytes
 
     def test_inflight_settles_to_zero(self, system):
         with make_server(system) as server:
             server.infer(inputs(system, 2))
-        for worker in ("w0", "w1"):
+        for worker in system.plan.model_ids:
             assert get_registry().gauge("edge.inflight",
                                         worker=worker).value == 0
 
@@ -179,35 +176,37 @@ class TestSwapAttribution:
             link=LinkModel(bandwidth_bps=1e9, overhead_seconds=0.0))
 
     def test_retired_series_frozen_replacement_starts_fresh(self, system):
+        w0 = system.plan.model_ids[0]
+        replacement = f"{w0}@obs"
         enable_tracing()
         with make_server(system) as server:
             server.infer(inputs(system, 2))
-            at_swap_old = counter_value("edge.dispatch_total", worker="w0")
+            at_swap_old = counter_value("edge.dispatch_total", worker=w0)
             at_swap_new = counter_value("edge.dispatch_total",
-                                        worker="w0@obs")
+                                        worker=replacement)
             assert at_swap_old > 0
             new_id = server.swap_worker(
-                "w0", self.replacement_spec(system, "w0@obs"))
-            assert new_id == "w0@obs"
+                w0, self.replacement_spec(system, replacement))
+            assert new_id == replacement
             for seed in range(2):
                 server.infer(inputs(system, 2, seed=seed))
             # The retired worker's series stop growing; the replacement
             # accrues its own — post-swap traffic is never attributed to
             # the old id (or vice versa).
-            assert counter_value("edge.dispatch_total", worker="w0") == \
+            assert counter_value("edge.dispatch_total", worker=w0) == \
                 at_swap_old
             assert counter_value("edge.dispatch_total",
-                                 worker="w0@obs") == at_swap_new + 2
+                                 worker=replacement) == at_swap_new + 2
             assert get_registry().gauge("edge.inflight",
-                                        worker="w0").value == 0
+                                        worker=w0).value == 0
             assert counter_value("serving.swaps_total") >= 1
 
         # Post-swap worker spans carry the replacement's process name.
         post_swap = [s for s in get_tracer().spans()
                      if s.name == "worker.request"
-                     and s.process == "w0@obs"]
+                     and s.process == replacement]
         assert len(post_swap) == 2
-        assert all(s.process != "w0" or s.ts > 0 for s in post_swap)
+        assert all(s.process != w0 or s.ts > 0 for s in post_swap)
 
 
 class TestVectorizedAggregation:

@@ -7,18 +7,18 @@ import numpy as np
 import pytest
 
 from repro.obs import disable_tracing, enable_tracing, get_registry
+from repro.planning import plan_demo_system
 from repro.serving import (
     BatchingConfig,
     InferenceServer,
     RequestError,
     ServerConfig,
-    build_demo_system,
 )
 
 
 @pytest.fixture(scope="module")
 def system():
-    return build_demo_system(num_workers=2)
+    return plan_demo_system(num_workers=2)
 
 
 def make_server(system, max_batch_samples=8, max_wait_s=0.002,
@@ -94,15 +94,17 @@ class TestServing:
         assert report.throughput_rps > 0
         assert report.latency_p50_s <= report.latency_p95_s \
             <= report.latency_p99_s
-        assert report.worker_health == {"w0": "up", "w1": "up"}
+        assert report.worker_health == {w: "up"
+                                        for w in system.plan.model_ids}
 
 
 class TestDegradedServing:
     def test_killed_worker_degrades_to_zero_filled_fusion(self, system):
+        w0, w1 = system.plan.model_ids
         x = inputs(system, 4)
         with make_server(system, worker_timeout_s=5.0) as server:
             healthy = server.infer(x)
-            server.cluster.kill_worker("w0")
+            server.cluster.kill_worker(w0)
             deadline = time.perf_counter() + 10.0
             degraded = server.infer(x)
             while not server.stats().degraded_requests \
@@ -111,18 +113,19 @@ class TestDegradedServing:
             report = server.stats()
         np.testing.assert_array_equal(healthy, system.local_fused_labels(x))
         np.testing.assert_array_equal(
-            degraded, system.local_fused_labels(x, zero_workers=(0,)))
-        assert report.worker_health["w0"] != "up"
-        assert report.worker_health["w1"] == "up"
+            degraded, system.local_fused_labels(x, zero_models=(0,)))
+        assert report.worker_health[w0] != "up"
+        assert report.worker_health[w1] == "up"
         assert report.degraded_requests > 0
         assert report.failed == 0                  # degraded, never dropped
 
     def test_mid_stream_kill_keeps_every_request_answered(self, system):
+        w1 = system.plan.model_ids[1]
         names = ("requests", "failed", "degraded")
         before = {name: counter(name) for name in names}
         with make_server(system, worker_timeout_s=5.0) as server:
             threading.Timer(0.05, server.cluster.kill_worker,
-                            ("w1",)).start()
+                            (w1,)).start()
             futures = []
             for i in range(40):
                 futures.append(server.submit(inputs(system, 1, seed=i)))
@@ -133,7 +136,7 @@ class TestDegradedServing:
         assert len(labels) == 40
         assert report.failed == 0
         assert report.degraded_requests > 0
-        assert any(f.telemetry.workers_down == ("w1",) for f in futures)
+        assert any(f.telemetry.workers_down == (w1,) for f in futures)
         # Counters conserve: every admitted request is answered once.
         assert delta["requests"] == report.completed + report.failed
         assert delta["failed"] == report.failed
@@ -145,8 +148,8 @@ class TestDegradedServing:
         x = inputs(system, 2)
         with make_server(system, worker_timeout_s=5.0) as server:
             server.infer(x)
-            server.cluster.kill_worker("w0")
-            server.cluster.kill_worker("w1")
+            for worker in system.plan.model_ids:
+                server.cluster.kill_worker(worker)
             # An all-zeros fusion answer would be a constant-label lie, so
             # a fully-dead fleet surfaces a typed error instead.
             with pytest.raises(RequestError, match="no live workers"):
@@ -192,7 +195,7 @@ class TestCompletion:
     def test_catch_all_fails_an_unanswered_request_once(self, system):
         # A fusion MLP trained for three workers cannot fuse two: the
         # batch raises inside the serve loop, after the gather.
-        fusion = build_demo_system(num_workers=3).fusion
+        fusion = plan_demo_system(num_workers=3).fusion
         failed_before = counter("failed")
         with InferenceServer(system.make_cluster(), fusion) as server:
             future = server.submit(inputs(system, 2))
@@ -228,12 +231,14 @@ class TestBadRequests:
             bad = np.zeros((2, 5, 8, 8), dtype=np.float32)
             with pytest.raises(RequestError, match="no worker produced"):
                 server.submit(bad).result(30.0)
-            assert all(server.cluster.is_alive(w) for w in ("w0", "w1"))
+            assert all(server.cluster.is_alive(w)
+                       for w in system.plan.model_ids)
             x = inputs(system, 3)
             healthy = server.infer(x)
             report = server.stats()
         np.testing.assert_array_equal(healthy, system.local_fused_labels(x))
-        assert report.worker_health == {"w0": "up", "w1": "up"}
+        assert report.worker_health == {w: "up"
+                                        for w in system.plan.model_ids}
         assert report.failed == 1 and report.degraded_requests == 0
 
 
@@ -290,9 +295,10 @@ class TestLifecycle:
         np.testing.assert_array_equal(labels, system.local_fused_labels(x))
 
     def test_post_stop_stats_keep_worker_health(self, system):
+        w0 = system.plan.model_ids[0]
         with make_server(system, worker_timeout_s=5.0) as server:
             server.infer(inputs(system, 1))
-            server.cluster.kill_worker("w0")
+            server.cluster.kill_worker(w0)
             deadline = time.perf_counter() + 10.0
             while not server.stats().degraded_requests \
                     and time.perf_counter() < deadline:
@@ -300,5 +306,5 @@ class TestLifecycle:
         # Cluster shutdown cleared its down-map, but the report read after
         # the with-block must still show the failure.
         report = server.stats()
-        assert report.worker_health["w0"] != "up"
+        assert report.worker_health[w0] != "up"
         assert report.degraded_requests > 0

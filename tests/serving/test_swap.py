@@ -10,14 +10,14 @@ from repro.edge.device import DeviceModel
 from repro.edge.network import LinkModel
 from repro.edge.runtime import WorkerSpec
 from repro.planning import plan_demo_system
-from repro.serving import InferenceServer, build_demo_system
+from repro.serving import InferenceServer
 from repro.store import ArtifactStore
 
 
 @pytest.fixture(scope="module")
 def system():
-    return build_demo_system(num_workers=2, train_fusion=True,
-                             fusion_epochs=2, transport="inprocess")
+    return plan_demo_system(num_workers=2, train_fusion=True,
+                            fusion_epochs=2, transport="inprocess")
 
 
 def replacement_spec(system, index: int, worker_id: str) -> WorkerSpec:
@@ -28,23 +28,25 @@ def replacement_spec(system, index: int, worker_id: str) -> WorkerSpec:
 
 
 def test_swap_retargets_slot_and_retires_old(system):
+    w0 = system.plan.model_ids[0]
     x = np.random.default_rng(0).normal(
         size=(4, *system.input_shape)).astype(np.float32)
     ref = system.local_fused_labels(x)
     with InferenceServer(system.make_cluster(), system.fusion) as server:
         np.testing.assert_array_equal(server.infer(x), ref)
-        new_id = server.swap_worker("w0", replacement_spec(system, 0,
-                                                           "w0@v2"))
-        assert new_id == "w0@v2"
-        assert server.hosting()["w0"] == "w0@v2"
-        assert server.worker_health()["w0"] == "retired by rolling swap"
+        new_id = server.swap_worker(w0, replacement_spec(system, 0,
+                                                         f"{w0}@v2"))
+        assert new_id == f"{w0}@v2"
+        assert server.hosting()[w0] == f"{w0}@v2"
+        assert server.worker_health()[w0] == "retired by rolling swap"
         # Slots are immutable; only the hosting changed.
-        assert server.slots == ["w0", "w1"]
+        assert server.slots == system.plan.model_ids
         np.testing.assert_array_equal(server.infer(x), ref)
         assert server.stats().failed == 0
 
 
 def test_swap_under_load_drops_nothing(system):
+    w0 = system.plan.model_ids[0]
     x = np.random.default_rng(1).normal(
         size=(2, *system.input_shape)).astype(np.float32)
     ref = system.local_fused_labels(x)
@@ -64,7 +66,7 @@ def test_swap_under_load_drops_nothing(system):
             thread.start()
         try:
             time.sleep(0.1)
-            server.swap_worker("w0", replacement_spec(system, 0, "w0@v2"))
+            server.swap_worker(w0, replacement_spec(system, 0, f"{w0}@v2"))
             time.sleep(0.1)
         finally:
             stop.set()
@@ -82,21 +84,22 @@ def test_swap_under_load_drops_nothing(system):
 def test_swap_rejects_wrong_feature_dim(system):
     from repro.models.vit import ViTConfig, VisionTransformer
 
+    w0 = system.plan.model_ids[0]
     wide = VisionTransformer(
         ViTConfig(image_size=8, patch_size=4, num_classes=10, depth=1,
                   embed_dim=16, num_heads=2),
         rng=np.random.default_rng(0))
     with InferenceServer(system.make_cluster(), system.fusion) as server:
         bad = WorkerSpec.from_model(
-            "w0@bad", wide, "vit", flops_per_sample=1e6,
-            device=DeviceModel(device_id="w0@bad", macs_per_second=1e12),
+            f"{w0}@bad", wide, "vit", flops_per_sample=1e6,
+            device=DeviceModel(device_id=f"{w0}@bad", macs_per_second=1e12),
             link=LinkModel(bandwidth_bps=1e9, overhead_seconds=0.0))
-        assert bad.feature_dim != server._slot_dims["w0"]
+        assert bad.feature_dim != server._slot_dims[w0]
         with pytest.raises(ValueError, match="feature"):
-            server.swap_worker("w0", bad)
+            server.swap_worker(w0, bad)
         # The old worker keeps serving.
-        assert server.hosting()["w0"] == "w0"
-        assert server.cluster.is_alive("w0")
+        assert server.hosting()[w0] == w0
+        assert server.cluster.is_alive(w0)
 
 
 def test_swap_unknown_slot_raises(system):
@@ -106,13 +109,14 @@ def test_swap_unknown_slot_raises(system):
 
 
 def test_swap_failed_startup_keeps_old_worker(system):
+    w0 = system.plan.model_ids[0]
     with InferenceServer(system.make_cluster(), system.fusion) as server:
-        spec = replacement_spec(system, 0, "w0@v2")
+        spec = replacement_spec(system, 0, f"{w0}@v2")
         spec.model_kind = "no-such-kind"   # worker will fail to build
         with pytest.raises(RuntimeError):
-            server.swap_worker("w0", spec)
-        assert server.hosting()["w0"] == "w0"
-        assert server.cluster.is_alive("w0")
+            server.swap_worker(w0, spec)
+        assert server.hosting()[w0] == w0
+        assert server.cluster.is_alive(w0)
         x = np.random.default_rng(2).normal(
             size=(2, *system.input_shape)).astype(np.float32)
         np.testing.assert_array_equal(server.infer(x),
@@ -120,9 +124,10 @@ def test_swap_failed_startup_keeps_old_worker(system):
 
 
 def test_swap_before_start_raises(system):
+    w0 = system.plan.model_ids[0]
     server = InferenceServer(system.make_cluster(), system.fusion)
     with pytest.raises(RuntimeError, match="start"):
-        server.swap_worker("w0", replacement_spec(system, 0, "w0@v2"))
+        server.swap_worker(w0, replacement_spec(system, 0, f"{w0}@v2"))
 
 
 def test_swap_from_store_full_cycle(tmp_path):

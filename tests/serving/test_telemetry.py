@@ -5,11 +5,11 @@ import time
 
 import numpy as np
 
+from repro.planning import plan_demo_system
 from repro.serving import (
     InferenceServer,
     RequestTelemetry,
     ServingReport,
-    build_demo_system,
     percentile,
 )
 
@@ -61,7 +61,7 @@ class TestEmptyWindow:
 
 class TestZeroCompletedServer:
     def test_server_with_no_requests_reports_cleanly(self):
-        system = build_demo_system(num_workers=1, transport="inprocess")
+        system = plan_demo_system(num_workers=1, transport="inprocess")
         server = InferenceServer(system.make_cluster(), system.fusion)
         with server:
             time.sleep(0.01)           # serve nothing

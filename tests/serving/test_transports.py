@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from repro.edge.device import DeviceModel
+from repro.edge.runtime import EdgeCluster
+from repro.planning import plan_demo_system
 from repro.serving import (
     BatchingConfig,
     InferenceServer,
     LoadgenConfig,
     ServerConfig,
-    build_demo_system,
     run_load,
 )
 
@@ -24,8 +25,8 @@ X = np.random.default_rng(3).normal(size=(6, 3, 8, 8)).astype(np.float32)
 
 
 def make_server(transport, codec="raw32", num_workers=2):
-    system = build_demo_system(num_workers=num_workers, transport=transport,
-                               codec=codec)
+    system = plan_demo_system(num_workers=num_workers, transport=transport,
+                              codec=codec)
     server = InferenceServer(
         system.make_cluster(), system.fusion,
         ServerConfig(batching=BatchingConfig(max_batch_samples=16,
@@ -57,7 +58,7 @@ class TestServingAcrossTransports:
         system, server = make_server(transport)
         with server:
             server.infer(X)            # warm: all workers answered once
-            victim = system.specs[0].worker_id
+            victim = system.plan.model_ids[0]
             server.cluster.kill_worker(victim)
             deadline = time.monotonic() + 5.0
             while server.cluster.is_alive(victim) \
@@ -79,15 +80,17 @@ class TestServingAcrossTransports:
     def test_hung_worker_degrades_within_the_gather_deadline(self, transport):
         # w0 is alive but silent: 6 x 5e5 MACs at 1e6 MACs/s is 3 s of
         # emulated compute, slept at time_scale=1 — far past the deadline.
-        system = build_demo_system(num_workers=2, transport=transport)
+        system = plan_demo_system(num_workers=2, transport=transport)
+        w0, w1 = system.plan.model_ids
+        specs = system.make_cluster().specs
         hung = dataclasses.replace(
-            system.specs[0], flops_per_sample=5e5,
-            device=DeviceModel(device_id="w0", macs_per_second=1e6))
-        system = dataclasses.replace(system, time_scale=1.0,
-                                     specs=[hung, *system.specs[1:]])
+            specs[0], flops_per_sample=5e5,
+            device=DeviceModel(device_id=w0, macs_per_second=1e6))
         timeout = 0.5
-        server = InferenceServer(system.make_cluster(), system.fusion,
-                                 ServerConfig(worker_timeout_s=timeout))
+        server = InferenceServer(
+            EdgeCluster([hung, *specs[1:]], time_scale=1.0,
+                        transport=transport),
+            system.fusion, ServerConfig(worker_timeout_s=timeout))
         with server:
             start = time.perf_counter()
             future = server.submit(X)
@@ -96,11 +99,11 @@ class TestServingAcrossTransports:
             health = server.worker_health()
         assert elapsed < timeout + 0.5
         assert future.telemetry.degraded
-        assert future.telemetry.workers_down == ("w0",)
+        assert future.telemetry.workers_down == (w0,)
         np.testing.assert_array_equal(
-            labels, system.local_fused_labels(X, zero_workers=(0,)))
-        assert health["w0"].startswith("no reply within")
-        assert health["w1"] == "up"
+            labels, system.local_fused_labels(X, zero_models=(0,)))
+        assert health[w0].startswith("no reply within")
+        assert health[w1] == "up"
 
 
 class TestWireTelemetry:

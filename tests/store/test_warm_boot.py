@@ -10,7 +10,6 @@ from repro.planning import (
     plan_artifact_digests,
     plan_demo_system,
 )
-from repro.serving import build_demo_system
 from repro.store import ArtifactCorrupt, ArtifactStore
 
 
@@ -79,6 +78,10 @@ class TestWarmBoot:
         assert warm.local_accuracy(x, y) == system.local_accuracy(x, y)
         np.testing.assert_array_equal(warm.local_fused_labels(x),
                                       system.local_fused_labels(x))
+        # The worker specs ship the warm-loaded weights too.
+        for spec_w, spec_c in zip(warm.make_cluster().specs,
+                                  system.make_cluster().specs):
+            assert spec_w.state_blob == spec_c.state_blob
 
     def test_missing_artifact_falls_back_to_cold(self, populated, tmp_path):
         system, store = populated
@@ -119,34 +122,12 @@ class TestWarmBoot:
         x, y = eval_xy(system)
         assert again.local_accuracy(x, y) == system.local_accuracy(x, y)
 
-    def test_different_seed_misses_store(self, populated):
+    # The populated store was trained at seed 0 for 2 epochs; another
+    # seed or more epochs means different weights, so a different digest.
+    @pytest.mark.parametrize("seed, fusion_epochs", [(7, 2), (0, 3)])
+    def test_different_seed_misses_store(self, populated, seed,
+                                         fusion_epochs):
         _, store = populated
-        other = plan_demo_system(num_workers=2, seed=7, train_fusion=True,
-                                 fusion_epochs=2, store=store)
+        other = plan_demo_system(num_workers=2, seed=seed, train_fusion=True,
+                                 fusion_epochs=fusion_epochs, store=store)
         assert not other.warm_booted
-
-
-class TestDemoSystemStore:
-    def test_demo_cold_then_warm(self, tmp_path):
-        store = ArtifactStore(tmp_path / "demo")
-        cold = build_demo_system(num_workers=2, train_fusion=True,
-                                 fusion_epochs=2, store=store)
-        assert not cold.warm_booted and len(store) == 3
-        warm = build_demo_system(num_workers=2, train_fusion=True,
-                                 fusion_epochs=2, store=store)
-        assert warm.warm_booted
-        x = np.random.default_rng(0).normal(
-            size=(4, *cold.input_shape)).astype(np.float32)
-        np.testing.assert_array_equal(warm.local_fused_labels(x),
-                                      cold.local_fused_labels(x))
-        # The worker specs ship the warm-loaded weights too.
-        for spec_w, spec_c in zip(warm.specs, cold.specs):
-            assert spec_w.state_blob == spec_c.state_blob
-
-    def test_demo_settings_change_digests(self, tmp_path):
-        store = ArtifactStore(tmp_path / "demo")
-        build_demo_system(num_workers=2, train_fusion=True,
-                          fusion_epochs=2, store=store)
-        other = build_demo_system(num_workers=2, train_fusion=True,
-                                  fusion_epochs=3, store=store)
-        assert not other.warm_booted   # more epochs = different weights
