@@ -57,6 +57,6 @@ def test_table3_baseline_accuracy(benchmark, trained_vit, trained_vgg,
     # paper's ED-ViT-first ordering relies on ImageNet-pretrained ViT
     # features, which are unavailable offline: un-pretrained tiny ViTs are
     # less sample-efficient than conv nets, so the conv baselines can lead
-    # at this scale (see EXPERIMENTS.md).
+    # at this scale.
     assert all(v > 0.2 for v in means.values())
     assert means["ED-ViT"] > 0.3  # ED-ViT still 3x above chance

@@ -65,8 +65,8 @@ def main() -> None:
     print(f"\nRunning the {DEVICE_COUNTS[-1]}-device system as real "
           f"processes (tc-capped links emulated)...")
     workers = [
-        WorkerSpec.from_vit(
-            f"edge-{i}", sm.model,
+        WorkerSpec.from_model(
+            f"edge-{i}", sm.model, "vit",
             flops_per_sample=float(paper_flops(sm.model.config)),
             device=DeviceModel(device_id=f"edge-{i}", macs_per_second=1e12),
             link=tc_capped_link())

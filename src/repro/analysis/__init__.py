@@ -1,7 +1,7 @@
 """Project-specific static analysis (``repro check``).
 
 Parses ``src/repro`` into per-module ASTs (:class:`Project`), runs a
-registry of pluggable rules (:mod:`repro.analysis.rules`), and reports
+fixed table of rules (:mod:`repro.analysis.rules`), and reports
 :class:`Finding`\\ s against a committed baseline of accepted
 pre-existing findings.  See ``docs/architecture.md`` ("Static analysis")
 for the rule catalogue and the baseline workflow.
@@ -24,7 +24,7 @@ from .driver import (
 )
 from .finding import Finding, sort_findings
 from .project import ModuleInfo, ParseFailure, Project
-from .registry import Rule, make_rules, register_rule, rule_classes
+from .registry import Rule, make_rules, rule_classes
 
 __all__ = [
     "BASELINE_FILENAME",
@@ -42,7 +42,6 @@ __all__ = [
     "default_root",
     "load_baseline",
     "make_rules",
-    "register_rule",
     "rule_classes",
     "run_check",
     "save_baseline",

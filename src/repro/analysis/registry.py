@@ -1,14 +1,10 @@
-"""Pluggable rule registry.
+"""The rule base class and the fixed rule table's lookups.
 
 A rule is a class with a stable ``name`` (used by ``repro check
 --rules``), a prose ``description``, and ``check_module`` /
 ``check_project`` hooks returning :class:`~repro.analysis.finding.
-Finding` lists.  Registration mirrors the project's other extension
-points (``register_codec``, ``register_model_kind``): decorate the class
-with :func:`register_rule` at import time.
-
-Built-in rules live in :mod:`repro.analysis.rules` and self-register
-when that package imports; :func:`rule_classes` triggers the import
+Finding` lists.  The rules ``repro check`` runs are exactly the
+:data:`repro.analysis.rules.RULES` tuple; :func:`rule_classes` imports it
 lazily so merely importing :mod:`repro.analysis` stays cheap.
 """
 
@@ -19,7 +15,7 @@ from .project import ModuleInfo, Project
 
 
 class Rule:
-    """Base class for analysis rules (subclass and register)."""
+    """Base class for analysis rules (subclass and list in ``RULES``)."""
 
     name = ""                          # stable selector, e.g. "lock-discipline"
     description = ""
@@ -37,21 +33,11 @@ class Rule:
         return []
 
 
-_RULES: dict[str, type[Rule]] = {}
-
-
-def register_rule(cls: type[Rule]) -> type[Rule]:
-    if not cls.name:
-        raise ValueError(f"rule class {cls.__name__} has no name")
-    _RULES[cls.name] = cls
-    return cls
-
-
 def rule_classes() -> dict[str, type[Rule]]:
-    """All registered rules (importing the built-ins on first use)."""
-    from . import rules as _builtin  # noqa: F401  (self-registering)
+    """Every rule, by name (the built-ins import on first use)."""
+    from .rules import RULES
 
-    return dict(sorted(_RULES.items()))
+    return {cls.name: cls for cls in RULES}
 
 
 def make_rules(names: list[str] | None = None) -> list[Rule]:

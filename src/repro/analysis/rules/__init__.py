@@ -1,9 +1,11 @@
-"""Built-in analysis rules; importing this package registers them all."""
+"""Built-in analysis rules: ``RULES`` is every rule ``repro check`` runs,
+in name order."""
 
-from . import (  # noqa: F401  (import for registration side effect)
-    digest,
-    hygiene,
-    locks,
-    naming,
-    wire_protocol,
-)
+from .digest import DigestSchemaRule
+from .hygiene import HygieneRule
+from .locks import LockDisciplineRule
+from .naming import ObsNamingRule
+from .wire_protocol import WireProtocolRule
+
+RULES = (DigestSchemaRule, HygieneRule, LockDisciplineRule, ObsNamingRule,
+         WireProtocolRule)

@@ -24,7 +24,7 @@ import ast
 
 from ..finding import Finding
 from ..project import ModuleInfo, Project
-from ..registry import Rule, register_rule
+from ..registry import Rule
 
 RECIPE_SUFFIX = "_recipe"
 
@@ -57,7 +57,6 @@ def _is_safe_value(node: ast.expr) -> bool:
     return False
 
 
-@register_rule
 class DigestSchemaRule(Rule):
     name = "digest-schema"
     description = ("recipe constructors must build canonical-JSON-safe "

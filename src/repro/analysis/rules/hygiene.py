@@ -24,7 +24,7 @@ import subprocess
 
 from ..finding import Finding
 from ..project import ModuleInfo, Project
-from ..registry import Rule, register_rule
+from ..registry import Rule
 
 
 def _has_keyword(node: ast.Call, name: str, value: object) -> bool:
@@ -56,7 +56,6 @@ def _has_join(scope: ast.AST) -> bool:
     return False
 
 
-@register_rule
 class HygieneRule(Rule):
     name = "hygiene"
     description = ("no pickle/eval/exec, no bare except, threads are "

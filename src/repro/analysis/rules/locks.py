@@ -33,7 +33,7 @@ import ast
 
 from ..finding import Finding
 from ..project import ModuleInfo, Project
-from ..registry import Rule, register_rule
+from ..registry import Rule
 
 LOCK_FACTORIES = frozenset({"Lock", "RLock", "Condition"})
 
@@ -239,7 +239,6 @@ class _ClassAnalysis:
         return self.findings
 
 
-@register_rule
 class LockDisciplineRule(Rule):
     name = "lock-discipline"
     description = ("infer lock-guarded attribute sets per class and flag "

@@ -22,7 +22,7 @@ import re
 
 from ..finding import Finding
 from ..project import ModuleInfo, Project
-from ..registry import Rule, register_rule
+from ..registry import Rule
 
 SEGMENT = r"[a-z][a-z0-9_]*"
 METRIC_RE = re.compile(rf"^{SEGMENT}(\.{SEGMENT})+$")   # >= 2 segments
@@ -60,7 +60,6 @@ def _callee_name(node: ast.Call) -> str | None:
     return None
 
 
-@register_rule
 class ObsNamingRule(Rule):
     name = "obs-naming"
     description = ("metric names must be dot.case with unit suffixes "

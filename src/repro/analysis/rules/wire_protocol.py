@@ -21,7 +21,7 @@ import ast
 
 from ..finding import Finding
 from ..project import ModuleInfo, Project
-from ..registry import Rule, register_rule
+from ..registry import Rule
 
 WIRE_MODULE = "repro.edge.wire"
 
@@ -57,7 +57,6 @@ def _is_index_zero_subscript(node: ast.expr) -> bool:
         and node.slice.value == 0
 
 
-@register_rule
 class WireProtocolRule(Rule):
     name = "wire-protocol"
     description = ("wire tuples must be built and inspected only through "

@@ -708,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="rewrite the baseline to the current scan, "
                               "keeping existing entries' reasons")
     p_check.add_argument("--list-rules", action="store_true",
-                         help="list registered rules and exit")
+                         help="list the analysis rules and exit")
     p_check.add_argument("--json", action="store_true",
                          help="machine-readable report on stdout "
                               "(notes stay on stderr)")

@@ -4,8 +4,7 @@ discrete-event simulator, and process-based device emulation."""
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".codec": ("CODECS", "EncodedFeatures", "FeatureCodec", "codec_names",
-               "get_codec", "register_codec"),
+    ".codec": ("CODECS", "EncodedFeatures", "FeatureCodec", "get_codec"),
     ".device": ("DeviceModel", "PI4B_ENERGY_FLOPS", "PI4B_MACS_PER_SECOND",
                 "PI4B_MEMORY_BYTES", "heterogeneous_fleet", "make_fleet",
                 "raspberry_pi_4b"),
@@ -14,7 +13,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                  "communication_reduction", "feature_bytes", "gigabit_link",
                  "tc_capped_link", "uniform_star"),
     ".runtime": ("EdgeCluster", "InferenceTiming", "MODEL_KINDS",
-                 "WorkerFailure", "WorkerSpec", "register_model_kind"),
+                 "WorkerFailure", "WorkerSpec"),
     ".sim_core": ("Barrier", "FifoResource", "Simulator"),
     ".transport": ("InProcessTransport", "MultiprocessTransport",
                    "TRANSPORTS", "TcpTransport", "Transport", "WorkerHandle",

@@ -9,24 +9,17 @@ server; the emulated link charges
 :meth:`~repro.edge.network.LinkModel.transfer_seconds` on the *encoded*
 byte count, so a smaller codec is a faster fleet.
 
-Built-in codecs:
+The fixed table :data:`CODECS` holds every codec a name may select
+(``WorkerSpec.codec``, ``DeploymentPlan.codec``, ``serve --codec``):
 
 * ``raw32`` — float32 verbatim (4 B/value), lossless, the default;
 * ``f16``  — IEEE half precision (2 B/value), ~1e-3 relative error;
 * ``q8``   — per-row affine int8 quantization (1 B/value + 8 B/row for
-  the row's min/scale), max abs error half a quantization step.
+  the row's min/scale), max abs error half a quantization step;
 
-Any codec name may carry a ``+zlib`` suffix (e.g. ``q8+zlib``) to wrap
-the payload in DEFLATE — data-dependent, so its *estimated* bytes (used
-by the planner's DES scoring) conservatively equal the base codec's.
-
-Custom codecs register via :func:`register_codec` and become usable
-everywhere a codec name is accepted (``WorkerSpec.codec``,
-``DeploymentPlan.codec``, ``serve --codec``).  Like model kinds,
-registrations must run at **import time** to reach workers on the
-process-based transports (which re-import this module); the in-process
-transport also sees runtime registrations.  A codec unknown inside a
-worker surfaces as a typed "failed to start" error, not a hang.
+and each one's ``+zlib`` wrapper (e.g. ``q8+zlib``), which DEFLATEs the
+payload — data-dependent, so its *estimated* bytes (used by the
+planner's DES scoring) conservatively equal the base codec's.
 """
 
 from __future__ import annotations
@@ -159,44 +152,16 @@ class ZlibCodec(FeatureCodec):
         return self.base.decode(inner)
 
 
-CODECS: dict[str, FeatureCodec] = {}
-
-
-def register_codec(codec: FeatureCodec) -> None:
-    """Make ``codec`` addressable by name (plans, specs, CLI flags).
-
-    Call at import time (module top level) if workers on the
-    process-based transports need it — spawned processes re-import this
-    module and only see import-time registrations (the launching
-    script's included: a codec class defined outside this package makes
-    its workers replay ``__main__``, see ``transport.needs_main``).
-    """
-    CODECS[codec.name] = codec
-
-
-for _codec in (FeatureCodec(), F16Codec(), Q8Codec()):
-    register_codec(_codec)
-
-ZLIB_SUFFIX = "+zlib"
+CODECS: dict[str, FeatureCodec] = {
+    codec.name: codec
+    for base in (FeatureCodec(), F16Codec(), Q8Codec())
+    for codec in (base, ZlibCodec(base))}
 
 
 def get_codec(name: str) -> FeatureCodec:
-    """Resolve a codec name; ``<base>+zlib`` wraps any registered base."""
-    if name in CODECS:
+    """The codec called ``name``; ``KeyError`` naming the known ones."""
+    try:
         return CODECS[name]
-    if name.endswith(ZLIB_SUFFIX):
-        base = name[:-len(ZLIB_SUFFIX)]
-        if base in CODECS:
-            codec = ZlibCodec(CODECS[base])
-            CODECS[name] = codec       # cache the wrapper
-            return codec
-    raise KeyError(f"unknown feature codec {name!r}; registered codecs: "
-                   f"{sorted(CODECS)} (any base also accepts '+zlib')")
-
-
-def codec_names(include_zlib: bool = True) -> list[str]:
-    """All addressable codec names (for CLI choices and sweeps)."""
-    bases = sorted(n for n in CODECS if not n.endswith(ZLIB_SUFFIX))
-    if not include_zlib:
-        return bases
-    return bases + [b + ZLIB_SUFFIX for b in bases]
+    except KeyError:
+        raise KeyError(f"unknown feature codec {name!r}; known codecs: "
+                       f"{sorted(CODECS)}") from None

@@ -14,6 +14,11 @@ the worker encodes its ``(N, D)`` float32 features, the emulated link is
 charged for the **encoded** byte count, and the parent decodes — so a
 smaller codec is directly a faster fleet on the paper's 2 Mbps links.
 
+A worker rebuilds its sub-model from ``WorkerSpec.model_kind``, a key of
+the fixed :data:`MODEL_KINDS` table: ``vit`` (the paper's sub-models),
+``vgg`` and ``snn`` (the Table III / Fig. 7 baselines).  A kind or codec
+name missing from its table fails the worker's start, typed.
+
 A ``time_scale`` knob shrinks emulated sleeps so tests stay fast while the
 measured proportions remain meaningful.
 
@@ -82,6 +87,7 @@ from ..obs.trace import get_tracer, new_span_id, span_dict, tracing_enabled
 from ..models.snn import ConvSNN, SNNConfig
 from ..models.vgg import VGG, VGGConfig
 from ..models.vit import ViTConfig, VisionTransformer
+from ..profiling.flops import paper_flops, snn_flops, vgg_flops
 from . import wire
 from .codec import EncodedFeatures, get_codec
 from .device import DeviceModel
@@ -103,51 +109,36 @@ class WorkerFailure(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Model-kind registry: maps the WorkerSpec.model_kind string to the pair
-# (config decoder, model constructor) needed to rebuild the sub-model
-# inside a worker process.  Registrations run at import time, so spawned
-# workers (which re-import this module) see the same table.
+# Model kinds: the WorkerSpec.model_kind string names the config decoder
+# and constructor that rebuild a sub-model inside a worker, and the
+# per-sample MAC profiler the planner scores it with.
 @dataclasses.dataclass(frozen=True)
 class ModelKind:
     config_from_dict: Callable[[dict], Any]
-    build: Callable[[Any], nn.Module]
-    flops: Callable[[Any], float] | None = None   # per-sample MACs profiler
+    build: Callable[..., nn.Module]    # (config, rng=None) -> module
+    flops: Callable[[Any], float]      # config -> per-sample MACs
 
 
-MODEL_KINDS: dict[str, ModelKind] = {}
+MODEL_KINDS: dict[str, ModelKind] = {
+    "vit": ModelKind(ViTConfig.from_dict, VisionTransformer, paper_flops),
+    "vgg": ModelKind(VGGConfig.from_dict, VGG, vgg_flops),
+    "snn": ModelKind(SNNConfig.from_dict, ConvSNN, snn_flops),
+}
 
 
-def register_model_kind(kind: str, config_from_dict: Callable[[dict], Any],
-                        build: Callable[[Any], nn.Module],
-                        flops: Callable[[Any], float] | None = None) -> None:
-    """Make ``kind`` servable by :class:`EdgeCluster` workers.
-
-    ``flops`` (config -> per-sample MACs) additionally makes the kind
-    *plannable*: :func:`repro.profiling.model_flops` consults it when the
-    planning layer profiles sub-models of this kind.
-    """
-    MODEL_KINDS[kind] = ModelKind(config_from_dict, build, flops)
-
-
-def _register_builtin_kinds() -> None:
-    from ..profiling.flops import paper_flops, snn_flops, vgg_flops
-
-    register_model_kind("vit", ViTConfig.from_dict, VisionTransformer,
-                        flops=paper_flops)
-    register_model_kind("vgg", VGGConfig.from_dict, VGG, flops=vgg_flops)
-    register_model_kind("snn", SNNConfig.from_dict, ConvSNN, flops=snn_flops)
-
-
-_register_builtin_kinds()
-
-
-def _build_model(kind: str, config: dict) -> nn.Module:
+def _kind(kind: str) -> ModelKind:
     try:
-        entry = MODEL_KINDS[kind]
+        return MODEL_KINDS[kind]
     except KeyError:
-        raise KeyError(f"unknown model kind {kind!r}; registered kinds: "
+        raise KeyError(f"unknown model kind {kind!r}; known kinds: "
                        f"{sorted(MODEL_KINDS)}") from None
-    return entry.build(entry.config_from_dict(config))
+
+
+def build_model(kind: str, config: dict,
+                rng: np.random.Generator | None = None) -> nn.Module:
+    """A fresh ``kind`` module from its config dict, drawn from ``rng``."""
+    entry = _kind(kind)
+    return entry.build(entry.config_from_dict(dict(config)), rng=rng)
 
 
 @dataclasses.dataclass
@@ -161,26 +152,10 @@ class WorkerSpec:
     flops_per_sample: float
     device: DeviceModel
     link: LinkModel
+    feature_dim: int                   # width of forward_features output
     batch_size: int = 64               # forward chunk size inside the worker
-    feature_dim: int | None = None     # width of forward_features output
     codec: str = "raw32"               # repro.edge.codec name for features
     quant: str = "fp32"                # weight scheme of state_blob
-
-    def lookups(self) -> list:
-        """What a worker booting from this spec resolves by name: the
-        types it unpickles and the registry entries it calls (``None``
-        for a kind or codec not registered here).  Where these are
-        defined decides how its process is started — see
-        :func:`repro.edge.transport.needs_main`."""
-        kind = MODEL_KINDS.get(self.model_kind)
-        try:
-            codec = get_codec(self.codec)
-            # a "+zlib" wrapper is ours; the codec it wraps may not be
-            codecs = [type(codec), type(getattr(codec, "base", codec))]
-        except KeyError:
-            codecs = [None]
-        return [type(self), type(self.device), type(self.link),
-                kind and kind.build, kind and kind.config_from_dict, *codecs]
 
     @staticmethod
     def from_model(worker_id: str, model: nn.Module, kind: str,
@@ -188,16 +163,14 @@ class WorkerSpec:
                    link: LinkModel | None = None,
                    batch_size: int = 64,
                    codec: str = "raw32") -> "WorkerSpec":
-        """Generic constructor for any registered model kind.
+        """Spec for a concrete module of any model kind.
 
         A quantized module is detected here (its state blob carries
         int8 weight buffers), so the worker knows to apply the same
         module surgery before loading.
         """
-        if kind not in MODEL_KINDS:
-            raise KeyError(f"unknown model kind {kind!r}; registered kinds: "
-                           f"{sorted(MODEL_KINDS)}")
-        get_codec(codec)               # fail fast on unknown codec names
+        _kind(kind)                    # fail fast on unknown names
+        get_codec(codec)
         return WorkerSpec(
             worker_id=worker_id,
             model_kind=kind,
@@ -211,16 +184,6 @@ class WorkerSpec:
             codec=codec,
             quant="int8" if nn.is_quantized(model) else "fp32",
         )
-
-    @staticmethod
-    def from_vit(worker_id: str, model: VisionTransformer,
-                 flops_per_sample: float, device: DeviceModel,
-                 link: LinkModel | None = None,
-                 batch_size: int = 64,
-                 codec: str = "raw32") -> "WorkerSpec":
-        return WorkerSpec.from_model(worker_id, model, "vit",
-                                     flops_per_sample, device, link,
-                                     batch_size, codec)
 
     @staticmethod
     def from_plan(plan, model_id: str, model: nn.Module,
@@ -292,12 +255,9 @@ def _worker_main(spec: WorkerSpec, conn, time_scale: float) -> None:
 
     weights = _received_weights(conn)
     try:
-        # A worker process starts from a fresh interpreter that has
-        # imported this module's dependencies and, unless the launch
-        # needed the parent's __main__ (see transport.needs_main), nothing
-        # else: a model kind or codec the parent registered after import
-        # is unknown here.  That is a typed start-up failure, reported
-        # below, not a death that leaves the parent a bare EOFError.
+        # A model kind or codec this module does not know is a typed
+        # start-up failure, reported below, not a death that leaves the
+        # parent a bare EOFError.
         #
         # The model is built only to be loaded, so nothing is drawn for
         # it: its parameters are unwritten storage until the strict load
@@ -306,7 +266,7 @@ def _worker_main(spec: WorkerSpec, conn, time_scale: float) -> None:
         # storage as it arrives: parameters plus one array in flight is
         # all this worker ever holds.
         with nn.init.unwritten():
-            model = _build_model(spec.model_kind, spec.model_config)
+            model = build_model(spec.model_kind, spec.model_config)
             if spec.quant != "fp32":
                 model = nn.quantize_module(model, scheme=spec.quant)
         model.load_state_dict(weights, adopt=True)
@@ -534,13 +494,7 @@ class EdgeCluster:
 
     def feature_dims(self) -> dict[str, int]:
         """Per-worker feature width (used for zero-filled degraded fusion)."""
-        dims: dict[str, int] = {}
-        for spec in self._specs:
-            if spec.feature_dim is None:
-                model = _build_model(spec.model_kind, spec.model_config)
-                spec.feature_dim = int(model.feature_dim())
-            dims[spec.worker_id] = spec.feature_dim
-        return dims
+        return {spec.worker_id: spec.feature_dim for spec in self._specs}
 
     def next_request_id(self) -> int:
         # Client threads (telemetry ids) and the serving loop (dispatch

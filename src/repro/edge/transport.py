@@ -33,6 +33,9 @@ each its ``SPEC``.  The child reads the spec off the channel and only
 then enters ``worker_main(spec, conn, time_scale)``.  Whatever else a
 worker needs — its weights — the caller sends over the returned handle;
 a transport never sees them.  ``spawn`` is the one-worker case.
+
+A process child replays the parent's ``__main__`` only when the loop it
+runs says so (:func:`needs_main`): the built-in loop never does.
 """
 
 from __future__ import annotations
@@ -73,38 +76,22 @@ def _run_worker(worker_main: WorkerMain, conn, time_scale: float) -> None:
 # ----------------------------------------------------------------------
 # Starting a worker process.  ``spawn`` gives every child a fresh
 # interpreter and then re-executes the parent's ``__main__`` in it, so
-# that whatever the child unpickles or looks up by name can be found.
-# The built-in worker needs none of it: its loop, its spec and everything
-# the spec names are defined inside this package, which the child imports
-# on its own when it unpickles the loop.  Replaying a driver script or
-# the CLI there only loads the planner, the store and the serving stack
-# into a process that runs one forward loop.
+# that whatever the child unpickles can be found.  The built-in worker
+# needs none of it: its loop and everything its spec names (the model
+# kind and codec tables included) are defined inside this package, which
+# the child imports on its own when it unpickles the loop.  Replaying a
+# driver script or the CLI there only loads the planner, the store and
+# the serving stack into a process that runs one forward loop.
 _PACKAGE = __name__.partition(".")[0]
 
 
-def _in_package(obj) -> bool:
-    module = getattr(obj, "__module__", None) or ""
-    return module.partition(".")[0] == _PACKAGE
-
-
-def needs_main(worker_main: WorkerMain, specs: Sequence) -> bool:
-    """Whether the children of this launch need the parent's ``__main__``.
-
-    They do not when the loop and every object the specs say a worker
-    resolves by name (``spec.lookups()``: its own type, its model kind's
-    builder and config loader, its codec class, the types of its device
-    and link) are defined in this package.  A stand-in loop from a test
-    module or a script, a kind or codec registered by user code, an
-    unregistered name, or a spec that cannot say: all keep stock
-    ``spawn``, which is how such definitions reach a child at all.
-    """
-    if not _in_package(worker_main):
-        return True
-    for spec in specs:
-        lookups = getattr(spec, "lookups", None)
-        if lookups is None or not all(map(_in_package, lookups())):
-            return True
-    return False
+def needs_main(worker_main: WorkerMain) -> bool:
+    """Whether the children of a launch running ``worker_main`` need the
+    parent's ``__main__``: exactly when the loop is defined outside this
+    package (a stand-in loop from a test or a script), which keeps stock
+    ``spawn`` — how such a definition reaches a child at all."""
+    module = getattr(worker_main, "__module__", None) or ""
+    return module.partition(".")[0] != _PACKAGE
 
 
 class _NoMainPopen(mp_popen.Popen):
@@ -282,9 +269,9 @@ class _ConnectionHandle(WorkerHandle):
 
 
 class _ConnectionTransport(Transport):
-    def _process_class(self, worker_main: WorkerMain, specs: Sequence):
+    def _process_class(self, worker_main: WorkerMain):
         """The ``Process`` class that starts this launch's children."""
-        if needs_main(worker_main, specs):
+        if needs_main(worker_main):
             return mp_context.SpawnProcess
         return _NoMainProcess
 
@@ -304,7 +291,7 @@ class MultiprocessTransport(_ConnectionTransport):
 
     def _start(self, specs: Sequence, time_scale: float,
                worker_main: WorkerMain) -> list[WorkerHandle]:
-        process_class = self._process_class(worker_main, specs)
+        process_class = self._process_class(worker_main)
         handles: list[WorkerHandle] = []
         try:
             for spec in specs:
@@ -441,7 +428,7 @@ class TcpTransport(_ConnectionTransport):
 
     def _start(self, specs: Sequence, time_scale: float,
                worker_main: WorkerMain) -> list[WorkerHandle]:
-        process_class = self._process_class(worker_main, specs)
+        process_class = self._process_class(worker_main)
         with self._launch_lock:
             listener = self._ensure_listener()
             processes = {spec.worker_id: process_class(

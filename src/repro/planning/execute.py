@@ -25,7 +25,7 @@ import numpy as np
 from .. import nn
 from ..edge.device import DeviceModel
 from ..edge.network import LinkModel
-from ..edge.runtime import MODEL_KINDS, EdgeCluster, WorkerSpec
+from ..edge.runtime import EdgeCluster, WorkerSpec, build_model
 from ..models.fusion import FusionConfig, FusionMLP
 from ..profiling import model_flops, module_param_count, param_bytes
 from ..serving.demo import (
@@ -43,15 +43,6 @@ from .planner import Planner, PlannerConfig
 from .replan import replan_on_failure
 
 
-def _build_model(kind: str, config: dict, rng: np.random.Generator):
-    entry = MODEL_KINDS[kind]
-    cfg = entry.config_from_dict(dict(config))
-    try:
-        return entry.build(cfg, rng=rng)
-    except TypeError:                  # custom kind without an rng kwarg
-        return entry.build(cfg)
-
-
 def _build_submodel(plan: DeploymentPlan, index: int) -> nn.Module:
     """Fresh module for one planned sub-model, in its serving scheme.
 
@@ -62,8 +53,8 @@ def _build_submodel(plan: DeploymentPlan, index: int) -> nn.Module:
     strictly.
     """
     sub = plan.submodels[index]
-    model = _build_model(sub.model_kind, sub.model_config,
-                         np.random.default_rng(plan.seed + index))
+    model = build_model(sub.model_kind, sub.model_config,
+                        np.random.default_rng(plan.seed + index))
     if sub.quant != "fp32":
         model = nn.quantize_module(model, scheme=sub.quant)
     return model
@@ -147,8 +138,8 @@ def quantize_plan_artifacts(plan: DeploymentPlan, store: ArtifactStore,
         state, config = store.get(fp32_digest)
         qstate = nn.quantize_state_dict(state)
         if not store.has(quant_digest):
-            model = _build_model(sub.model_kind, config or sub.model_config,
-                                 np.random.default_rng(plan.seed + index))
+            model = build_model(sub.model_kind, config or sub.model_config,
+                                np.random.default_rng(plan.seed + index))
             model = nn.quantize_module(model, scheme=scheme)
             model.load_state_dict(qstate)
             store.put(quant_digest, model,
@@ -316,8 +307,8 @@ class PlannedSystem:
             digest = self.plan.artifacts.get(model_id) \
                 or recipe_digest(self.plan.submodel_recipe(model_id))
         state, config = store.get(digest)
-        model = _build_model(sub.model_kind, config or sub.model_config,
-                             np.random.default_rng(self.plan.seed + index))
+        model = build_model(sub.model_kind, config or sub.model_config,
+                            np.random.default_rng(self.plan.seed + index))
         if sub.quant != "fp32":
             model = nn.quantize_module(model, scheme=sub.quant)
         model.load_state_dict(state)
@@ -369,8 +360,8 @@ class PlannedSystem:
         # Cold rebuild always trains in fp32; quantized serving schemes
         # are applied afterwards (quantization is post-training, and the
         # shared fusion artifact is defined over fp32 features).
-        models = [_build_model(sub.model_kind, sub.model_config,
-                               np.random.default_rng(plan.seed + index))
+        models = [build_model(sub.model_kind, sub.model_config,
+                              np.random.default_rng(plan.seed + index))
                   for index, sub in enumerate(plan.submodels)]
         fusion = FusionMLP(FusionConfig.from_dict(dict(plan.fusion_config)),
                            rng=np.random.default_rng(plan.seed + 1000))

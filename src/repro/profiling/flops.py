@@ -133,22 +133,15 @@ def snn_flops(config) -> int:
 
 
 def model_flops(kind: str, config) -> int:
-    """Per-sample MAC count for any registered model family.
+    """Per-sample MAC count for any model family.
 
-    ``kind`` matches the :data:`repro.edge.runtime.MODEL_KINDS` registry
-    keys; the planning layer uses this to profile heterogeneous sub-models
-    uniformly when building a :class:`~repro.planning.DeploymentPlan`.
-    Custom kinds become plannable by passing a ``flops`` profiler to
-    :func:`repro.edge.runtime.register_model_kind`.
+    ``kind`` is a :data:`repro.edge.runtime.MODEL_KINDS` key; the planning
+    layer uses this to profile heterogeneous sub-models uniformly when
+    building a :class:`~repro.planning.DeploymentPlan`.
     """
     from ..edge.runtime import MODEL_KINDS  # deferred: avoids an import cycle
 
-    entry = MODEL_KINDS.get(kind)
-    if entry is not None and entry.flops is not None:
-        return entry.flops(config)
-    raise KeyError(
-        f"model kind {kind!r} has no registered flops profiler; pass "
-        f"flops=... to register_model_kind (registered: {sorted(MODEL_KINDS)})")
+    return MODEL_KINDS[kind].flops(config)
 
 
 def token_pruned_flops(config: ViTConfig, token_keep_ratio: float) -> int:

@@ -185,15 +185,11 @@ class InferenceServer:
         self.stop()
 
     # ------------------------------------------------------------------
-    def _expected_input_shape(self) -> tuple[int, ...] | None:
+    def _expected_input_shape(self) -> tuple[int, ...]:
         """Per-sample input shape derived from the worker model configs."""
         config = self._cluster.specs[0].model_config
-        try:
-            size = int(config["image_size"])
-            channels = int(config["in_channels"])
-        except (KeyError, TypeError, ValueError):
-            return None                # custom kind without standard keys
-        return (channels, size, size)
+        size = int(config["image_size"])
+        return (int(config["in_channels"]), size, size)
 
     def submit(self, x: np.ndarray) -> ServedFuture:
         """Enqueue one request (a small stack of images); never blocks.
@@ -210,7 +206,7 @@ class InferenceServer:
         x = np.ascontiguousarray(x, dtype=np.float32)
         if x.ndim == 3:                # single image -> batch of one
             x = x[None]
-        if self._input_shape is not None and x.shape[1:] != self._input_shape:
+        if x.shape[1:] != self._input_shape:
             with self._lock:
                 self._dropped += 1
             self._m_dropped.inc()
@@ -275,9 +271,8 @@ class InferenceServer:
         if slot not in self._slots:
             raise KeyError(f"unknown fusion slot {slot!r}; "
                            f"slots: {self._slots}")
-        expected = self._slot_dims.get(slot)
-        if expected is not None and spec.feature_dim is not None \
-                and int(spec.feature_dim) != int(expected):
+        expected = self._slot_dims[slot]
+        if spec.feature_dim != expected:
             raise ValueError(
                 f"slot {slot!r} fuses {expected}-dim features but the "
                 f"replacement produces {spec.feature_dim}")

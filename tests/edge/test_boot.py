@@ -293,7 +293,7 @@ class DelayedDialBack:
 def tcp_with_dial_back_delays(delays_s):
     transport = TcpTransport(accept_timeout_s=10.0)
     transport._process_class = \
-        lambda worker_main, specs: DelayedDialBack(delays_s).Process
+        lambda worker_main: DelayedDialBack(delays_s).Process
     return transport
 
 

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.edge.codec import (
-    CODECS,
-    EncodedFeatures,
-    FeatureCodec,
-    codec_names,
-    get_codec,
-    register_codec,
-)
+from repro.edge.codec import CODECS, EncodedFeatures, ZlibCodec, get_codec
 
 RNG = np.random.default_rng(7)
 FEATURES = RNG.normal(scale=3.0, size=(17, 33)).astype(np.float32)
@@ -93,26 +86,15 @@ class TestZlibWrapper:
 
 class TestRegistry:
     def test_unknown_codec_raises_with_choices(self):
-        with pytest.raises(KeyError, match="unknown feature codec"):
+        with pytest.raises(KeyError, match="unknown feature codec.*q8\\+zlib"):
             get_codec("brotli")
 
-    def test_codec_names_cover_zlib_variants(self):
-        names = codec_names()
-        assert {"raw32", "f16", "q8", "q8+zlib"} <= set(names)
-        assert all(not n.endswith("+zlib")
-                   for n in codec_names(include_zlib=False))
-
-    def test_custom_codec_registers_and_resolves(self):
-        class Doubling(FeatureCodec):
-            name = "doubling"
-
-        register_codec(Doubling())
-        try:
-            assert get_codec("doubling").name == "doubling"
-            assert get_codec("doubling+zlib").name == "doubling+zlib"
-        finally:
-            CODECS.pop("doubling", None)
-            CODECS.pop("doubling+zlib", None)
+    def test_codec_table_covers_zlib_variants(self):
+        assert set(CODECS) == {"raw32", "f16", "q8", "raw32+zlib",
+                               "f16+zlib", "q8+zlib"}
+        for name, codec in CODECS.items():
+            assert codec.name == name
+            assert isinstance(codec, ZlibCodec) == name.endswith("+zlib")
 
     def test_non_2d_input_rejected(self):
         with pytest.raises(ValueError, match=r"\(N, D\)"):

@@ -27,10 +27,11 @@ def fast_device(device_id):
 
 def make_worker(worker_id, seed=0):
     model = tiny_model(seed=seed)
-    return WorkerSpec.from_vit(worker_id, model, flops_per_sample=1e6,
-                               device=fast_device(worker_id),
-                               link=LinkModel(bandwidth_bps=1e9,
-                                              overhead_seconds=0.0)), model
+    return WorkerSpec.from_model(worker_id, model, "vit",
+                                 flops_per_sample=1e6,
+                                 device=fast_device(worker_id),
+                                 link=LinkModel(bandwidth_bps=1e9,
+                                                overhead_seconds=0.0)), model
 
 
 @pytest.fixture(scope="module")

@@ -24,8 +24,8 @@ def tiny_model(seed=0):
 
 def make_worker(worker_id, seed=0, macs_per_second=1e12):
     model = tiny_model(seed=seed)
-    return WorkerSpec.from_vit(
-        worker_id, model, flops_per_sample=1e6,
+    return WorkerSpec.from_model(
+        worker_id, model, "vit", flops_per_sample=1e6,
         device=DeviceModel(device_id=worker_id,
                            macs_per_second=macs_per_second),
         link=LinkModel(bandwidth_bps=1e9, overhead_seconds=0.0))

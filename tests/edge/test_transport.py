@@ -207,43 +207,20 @@ class TestInProcessShutdownLatency:
 
 
 class TestStartupFailures:
-    def test_runtime_registered_codec_fails_loudly_on_spawn(self):
-        """A codec registered only at runtime is unknown inside a spawned
-        process; the worker must report a typed startup failure, not die
-        into a bare EOFError."""
-        from repro.edge.codec import CODECS, FeatureCodec, register_codec
-
-        class Runtime(FeatureCodec):
-            name = "runtime-only"
-
-        register_codec(Runtime())
+    @pytest.mark.parametrize("transport", ["inprocess", "multiprocess", "tcp"])
+    @pytest.mark.parametrize("field", ["model_kind", "codec"])
+    def test_unknown_name_is_a_typed_startup_failure(self, field, transport):
+        """A spec naming a kind or codec the worker's tables lack fails
+        the start with the name, not a bare EOFError or a timeout."""
+        spec, _ = make_worker("w")
+        setattr(spec, field, "never-known")
+        cluster = EdgeCluster([spec], transport=transport)
         try:
-            spec, _ = make_worker("w", codec="runtime-only")
-            cluster = EdgeCluster([spec], transport="multiprocess")
             with pytest.raises(RuntimeError,
-                               match="failed to start.*unknown feature "
-                                     "codec"):
-                cluster.start()
+                               match="w failed to start.*never-known"):
+                cluster.start(ready_timeout=30.0)
         finally:
-            CODECS.pop("runtime-only", None)
             cluster.shutdown()
-
-    def test_runtime_codec_works_on_inprocess_transport(self):
-        from repro.edge.codec import CODECS, FeatureCodec, register_codec
-
-        class Runtime(FeatureCodec):
-            name = "runtime-only"
-
-        register_codec(Runtime())
-        try:
-            spec, model = make_worker("w", codec="runtime-only")
-            with EdgeCluster([spec], transport="inprocess") as cluster:
-                features, _ = cluster.infer_features(X)
-                np.testing.assert_allclose(features["w"],
-                                           local_features(model, X),
-                                           atol=1e-5)
-        finally:
-            CODECS.pop("runtime-only", None)
 
 
 class TestTcpTransport:

@@ -84,8 +84,8 @@ class TestProcessEmulation:
         distributed prediction equals the local fused prediction."""
         workers = []
         for i, sm in enumerate(system_n2.submodels):
-            workers.append(WorkerSpec.from_vit(
-                f"w{i}", sm.model,
+            workers.append(WorkerSpec.from_model(
+                f"w{i}", sm.model, "vit",
                 flops_per_sample=float(paper_flops(sm.model.config)),
                 device=DeviceModel(device_id=f"w{i}", macs_per_second=1e12),
                 link=LinkModel(bandwidth_bps=1e9, overhead_seconds=0.0)))

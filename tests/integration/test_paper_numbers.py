@@ -1,5 +1,6 @@
 """Paper-anchor regression tests: every headline number the reproduction
-should land near, in one place.  See EXPERIMENTS.md for the full ledger."""
+should land near, in one place — one class per paper table or figure
+(Tables I-II, Figs. 4-6) plus the communication claim."""
 
 import pytest
 

@@ -92,17 +92,6 @@ class TestModelFlops:
 
         assert model_flops("vit", small_base()) > 0
 
-    def test_custom_kind_plannable_via_registry(self):
-        from repro.edge.runtime import MODEL_KINDS, register_model_kind
-        from repro.profiling import model_flops
-
-        register_model_kind("flops-test", dict, lambda config: None,
-                            flops=lambda config: 123.0)
-        try:
-            assert model_flops("flops-test", {}) == 123.0
-        finally:
-            del MODEL_KINDS["flops-test"]
-
     def test_kind_without_profiler_raises(self):
         from repro.profiling import model_flops
 

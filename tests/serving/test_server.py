@@ -227,10 +227,11 @@ class TestBadRequests:
         # must fail loudly (an all-zeros fusion would fabricate a constant
         # label), but the workers survive and keep serving valid requests.
         with make_server(system) as server:
-            server._input_shape = None
             bad = np.zeros((2, 5, 8, 8), dtype=np.float32)
+            good_shape, server._input_shape = server._input_shape, bad.shape[1:]
             with pytest.raises(RequestError, match="no worker produced"):
                 server.submit(bad).result(30.0)
+            server._input_shape = good_shape
             assert all(server.cluster.is_alive(w)
                        for w in system.plan.model_ids)
             x = inputs(system, 3)
