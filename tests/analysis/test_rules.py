@@ -370,3 +370,13 @@ class TestDriver:
         assert [f.file for f in findings] == ["a.py", "b.py"]
         assert findings == run_check(project=project,
                                      rule_names=["hygiene"])
+
+    def test_every_rule_in_the_table_runs_under_its_own_name(self):
+        from repro.analysis import make_rules
+        from repro.analysis.rules import RULES
+
+        names = [cls.name for cls in RULES]
+        assert len(set(names)) == len(names) == 5   # a repeat would shadow
+        assert [type(rule) for rule in make_rules()] == list(RULES)
+        assert [type(rule) for rule in make_rules(names[::-1])] \
+            == list(RULES[::-1])

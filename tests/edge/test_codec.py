@@ -89,7 +89,7 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown feature codec.*q8\\+zlib"):
             get_codec("brotli")
 
-    def test_codec_table_covers_zlib_variants(self):
+    def test_codec_names_cover_zlib_variants(self):
         assert set(CODECS) == {"raw32", "f16", "q8", "raw32+zlib",
                                "f16+zlib", "q8+zlib"}
         for name, codec in CODECS.items():

@@ -38,6 +38,32 @@ class TestRegistry:
             spec = make_spec("w", model, kind)
             assert spec.feature_dim == model.feature_dim()
 
+    def test_an_unstarted_cluster_knows_every_feature_width(self):
+        models = {kind: _tiny_model(kind, 10, 8, np.random.default_rng(0))
+                  for kind in ("vit", "vgg", "snn")}
+        cluster = EdgeCluster([make_spec(kind, model, kind)
+                               for kind, model in models.items()])
+        assert cluster.feature_dims() == {
+            kind: model.feature_dim() for kind, model in models.items()}
+
+
+@pytest.mark.parametrize("kind", ["vit", "vgg", "snn"])
+def test_build_model_draws_only_from_the_given_rng(kind):
+    """Same seed, same weights as the constructor called directly; the
+    process-global generator of ``nn.init`` plays no part."""
+    direct = _tiny_model(kind, 10, 8, np.random.default_rng(5))
+    config = direct.config.to_dict()
+
+    def weights(seed):
+        model = build_model(kind, config, rng=np.random.default_rng(seed))
+        assert type(model) is type(direct)
+        return nn.state_dict_to_bytes(model.state_dict())
+
+    first = weights(5)
+    nn.init.default_rng().random(16)   # move the process-global generator
+    assert weights(5) == first == nn.state_dict_to_bytes(direct.state_dict())
+    assert weights(6) != first
+
 
 @pytest.mark.parametrize("kind", ["vgg", "snn"])
 def test_non_vit_kinds_serve_through_cluster(kind):

@@ -101,12 +101,12 @@ def stand_in(spec, conn, time_scale):
     conn.send(("main", MAIN_LEVEL))
 
 
-def specs():
+def specs(codec="raw32"):
     config = ViTConfig(image_size=8, patch_size=4, num_classes=3, depth=1,
                        embed_dim=8, num_heads=2)
     return [WorkerSpec.from_model(
         f"w{i}", VisionTransformer(config, rng=np.random.default_rng(i)),
-        "vit", flops_per_sample=1e6,
+        "vit", flops_per_sample=1e6, codec=codec,
         device=DeviceModel(device_id=f"d{i}", macs_per_second=1e12),
         link=LinkModel(bandwidth_bps=1e9, overhead_seconds=0.0))
         for i in range(2)]
@@ -122,10 +122,14 @@ if __name__ == "__main__":
         handle.join(timeout=10)
         handle.close()
     else:
-        with EdgeCluster(specs(), transport=transport) as cluster:
-            features, _ = cluster.infer_features(x)
+        codec = "q8" if scenario == "q8" else "raw32"
+        with EdgeCluster(specs(codec), transport=transport) as cluster:
+            features, timing = cluster.infer_features(x)
             print("served", sorted(features),
                   "children", len(multiprocessing.active_children()))
+        if scenario == "q8":
+            print("bytes out", sorted(int(reply["bytes_out"])
+                                      for reply in timing.per_worker.values()))
 """
 
 
@@ -151,7 +155,14 @@ class TestHowAWorkerProcessStarts:
         assert out == "served ['w0', 'w1'] children 2"
         assert executions == 1         # stock spawn: 1 + one per worker
 
-    def test_a_stand_in_loop_still_replays_the_driver_script(
+    def test_a_codec_from_the_script_still_reaches_its_workers(self, driver,
+                                                               transport):
+        out, executions = driver(transport, "q8")
+        # q8 ships 2 rows x (8 B header + 8 dims x 1 B); raw32 would be 64 B
+        assert out == "served ['w0', 'w1'] children 2\nbytes out [32, 32]"
+        assert executions == 1         # a codec named by a spec needs no replay
+
+    def test_a_stand_in_loop_still_sees_main_level_registrations(
             self, driver, transport):
         out, executions = driver(transport, "stand-in")
         assert out == "stand-in sees defined in the driver script"

@@ -1,5 +1,6 @@
 """Planner pipeline: partition → schedule → assignment → DES scoring."""
 
+import numpy as np
 import pytest
 
 from repro.edge.device import DeviceModel
@@ -91,6 +92,17 @@ class TestModelFlops:
         from repro.profiling import model_flops
 
         assert model_flops("vit", small_base()) > 0
+
+    @pytest.mark.parametrize("kind", ["vit", "vgg", "snn"])
+    def test_each_kind_is_counted_by_its_own_profiler(self, kind):
+        from repro.profiling import model_flops, paper_flops, snn_flops, \
+            vgg_flops
+        from repro.serving.demo import _tiny_model
+
+        config = _tiny_model(kind, 10, 8, np.random.default_rng(0)).config
+        profiler = {"vit": paper_flops, "vgg": vgg_flops,
+                    "snn": snn_flops}[kind]
+        assert model_flops(kind, config) == profiler(config) > 0
 
     def test_kind_without_profiler_raises(self):
         from repro.profiling import model_flops
