@@ -4,8 +4,9 @@ Where :mod:`repro.edge.simulator` predicts timing analytically, this module
 actually *runs* the deployment: every emulated device is a worker (an OS
 process, a thread, or a TCP-connected process, depending on the
 :mod:`~repro.edge.transport` chosen) hosting its sub-model; inputs and
-features cross the worker boundary; link bandwidth is emulated by sleeping
-for the tc-equivalent transfer time of the bytes that would actually move.
+features cross the worker boundary; link bandwidth is emulated by delaying
+each reply by the tc-equivalent transfer time of the bytes that would
+actually move.
 This is the "emulate devices as processes" substitution for the paper's
 physical Raspberry Pi testbed.
 
@@ -13,6 +14,14 @@ Features ship through a :mod:`~repro.edge.codec` (``WorkerSpec.codec``):
 the worker encodes its ``(N, D)`` float32 features, the emulated link is
 charged for the **encoded** byte count, and the parent decodes — so a
 smaller codec is directly a faster fleet on the paper's 2 Mbps links.
+
+Compute and link are separate resources, as in the paper's deployment
+and both simulators.  A worker sleeps only its emulated compute and
+replies at once; each worker's link is a FIFO delay line on the
+receiving side (:meth:`EdgeCluster._deliver`), so a device computes
+batch *k+1* while batch *k* is on the wire, and two transfers on one
+link never overlap.  On an idle link a reply is delivered exactly when
+a worker sleeping compute + transfer would have replied.
 
 A worker rebuilds its sub-model from ``WorkerSpec.model_kind``, a key of
 the fixed :data:`MODEL_KINDS` table: ``vit`` (the paper's sub-models),
@@ -314,14 +323,15 @@ def _worker_main(spec: WorkerSpec, conn, time_scale: float) -> None:
             wall_compute = time.perf_counter() - wall_start
             encode_done = wall_start + wall_compute
 
-            # Emulate the Pi-4B compute time and the tc-capped transfer of
-            # the bytes that actually go on the wire (the encoded payload).
+            # Emulate the Pi-4B compute time, then reply at once.  The
+            # tc-capped transfer of the bytes that actually go on the wire
+            # (the encoded payload) is charged by the receiving side's
+            # delay line (EdgeCluster._deliver), so this device computes
+            # its next batch while this one is on the wire.
             emulated_compute = spec.device.compute_seconds(
                 spec.flops_per_sample * len(x))
             emulated_transfer = spec.link.transfer_seconds(encoded.nbytes)
-            sleep_for = max(0.0,
-                            (emulated_compute + emulated_transfer) * time_scale
-                            - wall_compute)
+            sleep_for = emulated_compute * time_scale - wall_compute
             if sleep_for > 0:
                 time.sleep(sleep_for)
             stats = {"emulated_compute_s": emulated_compute,
@@ -352,13 +362,21 @@ def _worker_main(spec: WorkerSpec, conn, time_scale: float) -> None:
                            {"codec": spec.codec,
                             "nbytes": int(encoded.nbytes)}),
                     _child("worker.emulate", encode_done, done,
-                           {"emulated_compute_s": emulated_compute,
-                            "emulated_transfer_s": emulated_transfer}),
+                           {"emulated_compute_s": emulated_compute}),
                 ]
             conn.send(wire.features_message(request_id, encoded, stats))
         except Exception as exc:       # an infer error must not kill the loop
             conn.send(wire.error_message(
                 request_id, f"{type(exc).__name__}: {exc}"))
+
+
+def await_delivery(stats: Iterable[dict]) -> None:
+    """Sleep until every reply whose ``stats`` :meth:`EdgeCluster.gather`
+    returned has been delivered over its emulated link."""
+    wait = max((s["delivered_at"] for s in stats), default=0.0) \
+        - time.perf_counter()
+    if wait > 0:
+        time.sleep(wait)
 
 
 @dataclasses.dataclass
@@ -419,6 +437,9 @@ class EdgeCluster:
         # lookup per worker lifetime instead of per dispatch.
         self._worker_metrics: dict[str, dict] = {}
         self._outstanding: dict[str, int] = {}
+        # worker_id -> perf_counter instant its link delivers its last
+        # reply: the tail of that worker's FIFO delay line.
+        self._link_free: dict[str, float] = {}
 
     def _metrics_for(self, worker_id: str) -> dict:
         metrics = self._worker_metrics.get(worker_id)
@@ -628,6 +649,7 @@ class EdgeCluster:
         self._handles.clear()
         self._transport.close()
         self._down.clear()
+        self._link_free.clear()
         self._started = False
 
     def __enter__(self) -> "EdgeCluster":
@@ -725,14 +747,39 @@ class EdgeCluster:
         metrics["inflight"].set(inflight)
         return True
 
+    def _deliver(self, worker_id: str, stats: dict, received: float) -> None:
+        """Put one FEATURES reply, received at ``received``, on its
+        worker's link: a FIFO delay line on the receiving side.
+
+        The worker already slept its emulated compute ``c·s``, so on an
+        idle link the reply is delivered ``max(0, (c+t)·s − max(host,
+        c·s))`` after receipt — the instant a worker sleeping compute +
+        transfer would have replied.  It is never delivered sooner than
+        the wire time ``t·s`` after the link's previous delivery, so two
+        transfers on one link never overlap.  Adds ``delivered_at`` (a
+        ``perf_counter`` instant), ``transfer_s`` (``t·s``) and
+        ``queued_s`` (the wait for the busy link) to ``stats``.
+        """
+        scale = self._time_scale
+        compute = stats["emulated_compute_s"] * scale
+        transfer = stats["emulated_transfer_s"] * scale
+        idle = received + max(0.0, compute + transfer
+                              - max(stats["host_compute_s"], compute))
+        delivered = max(idle, self._link_free.get(worker_id, 0.0) + transfer)
+        self._link_free[worker_id] = delivered
+        stats.update(delivered_at=delivered, transfer_s=transfer,
+                     queued_s=delivered - idle)
+
     def _decode_reply(self, worker_id: str, message: tuple) -> tuple:
         """Decode a ``features`` reply's payload back to a float32 array.
 
         Also the reply-side observability tap: per-worker reply/in-flight/
         wire-bytes accounting, merging piggybacked worker spans into the
         server-side tracer, and a ``codec.decode`` span (joined to the
-        batch trace by request id).
+        batch trace by request id); and the emulated link, which stamps
+        the reply's delivery (:meth:`_deliver`).
         """
+        received = time.perf_counter()
         if wire.command(message) == wire.ERROR:
             self._note_reply(worker_id)
             return message
@@ -742,10 +789,11 @@ class EdgeCluster:
         encoded = wire.payload(message)
         self._note_reply(worker_id, nbytes=int(encoded.nbytes))
         stats = wire.stats(message)
+        self._deliver(worker_id, stats, received)
         # Strip piggybacked spans unconditionally so consumers of the
         # stats dict never see the private key, even if tracing was
         # switched off between dispatch and reply.
-        spans = stats.pop("_spans", None) if isinstance(stats, dict) else None
+        spans = stats.pop("_spans", None)
         traced = tracing_enabled()
         if spans and traced:
             get_tracer().record_dicts(spans)
@@ -825,6 +873,13 @@ class EdgeCluster:
         ``deadline`` (a ``time.perf_counter()`` instant, ``None`` = never)
         every worker still pending is marked down; any other reply is
         stale and dropped.
+
+        It returns once the replies are *received*, so the workers are
+        free for the next request; each ``stats`` entry says when its
+        features are *delivered* over the emulated link
+        (``delivered_at``, see :meth:`_deliver`), which
+        :func:`await_delivery` waits for.  A received reply is delivered
+        even if its worker is marked down in between.
         """
         started = time.perf_counter()
         pending = set(workers)
@@ -861,7 +916,8 @@ class EdgeCluster:
 
     def infer_features(self, x: np.ndarray, timeout: float | None = 60.0,
                        ) -> tuple[dict[str, np.ndarray], InferenceTiming]:
-        """Scatter ``x`` to all workers; gather per-worker feature arrays.
+        """Scatter ``x`` to all workers; gather per-worker feature arrays,
+        returning once every one has been delivered over its link.
 
         Raises :class:`WorkerFailure` for the first worker, in spec order,
         that is already down or fails the :meth:`gather` — dies
@@ -884,6 +940,7 @@ class EdgeCluster:
         for worker_id in self.worker_ids:
             if worker_id in failed:
                 raise WorkerFailure(worker_id, failed[worker_id])
+        await_delivery(per_worker.values())
         timing = InferenceTiming(wall_seconds=time.perf_counter() - start,
                                  per_worker=per_worker)
         return features, timing

@@ -12,13 +12,17 @@ backlog drains in cap-sized batches.
 
 One window is left, anchored on the serve loop rather than on the
 request: a batch still below the cap is not dispatched before
-:data:`LINGER_S` after the loop came back for work.  The clients the
-previous batch just answered (closed loops, frame streams) send their
-next request a fraction of a millisecond later; dispatching the first of
-them alone makes two clients alternate half-size batches, which pays the
-per-batch cost twice per round and leaves the saturated throughput to a
-thread race.  A request that arrives more than ``LINGER_S`` after the
-loop went idle — the lightly-loaded case — does not see the window.
+:data:`LINGER_S` after the loop came back for work.  "Came back for
+work" means the devices have replied to the previous batch (it may still
+be on the emulated wire, its clients not yet answered) and fewer than
+:data:`MAX_INFLIGHT_BATCHES` batches await completion.  On a free link
+the previous batch completes within a fraction of a millisecond of that,
+and its clients (closed loops, frame streams) send their next requests a
+fraction of a millisecond later; dispatching the first of them alone
+makes two clients alternate half-size batches, which pays the per-batch
+cost twice per round and leaves the saturated throughput to a thread
+race.  A request that arrives more than ``LINGER_S`` after the loop went
+idle — the lightly-loaded case — does not see the window.
 
 ``max_wait_s`` (default ``0.0``) is the Clipper-style max-delay knob for
 callers that want it: a batch below the cap is then held open that long
@@ -50,6 +54,11 @@ BATCH_SAMPLES_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 # loop came back for work (see the module docstring); a constant of the
 # policy, deliberately not a BatchingConfig field.
 LINGER_S = 0.002
+
+# Batches between scatter and completion at once: one computing on the
+# devices, one on the emulated wire.  The serve loop takes a slot before it
+# asks for the next batch; completion gives it back.
+MAX_INFLIGHT_BATCHES = 2
 
 
 class RequestError(RuntimeError):

@@ -1,16 +1,23 @@
 """Asynchronous request-level inference server over an :class:`EdgeCluster`.
 
-The server owns three moving parts:
+The server owns four moving parts:
 
 * a :class:`~repro.serving.batcher.DynamicBatcher` with no timer on an
   idle server: a request arriving there is dispatched at once, requests
   arriving while a batch is in flight coalesce into the next one, and a
   short batch waits at most ``batcher.LINGER_S`` after the loop came back
-  for the clients it has just answered;
-* a dispatcher thread that scatters each batch to every live worker at
-  once and gathers the replies with ``EdgeCluster.gather`` — the same
-  wait, over all workers at once, that ``EdgeCluster.infer_features``
-  uses — so one slow device never serializes the gather; and
+  for the clients it is about to answer;
+* a serve loop that scatters each batch to every live worker at once and
+  gathers the replies with ``EdgeCluster.gather`` — the same wait, over
+  all workers at once, that ``EdgeCluster.infer_features`` uses — so one
+  slow device never serializes the gather.  It returns as soon as the
+  replies are *received*, so the devices compute the next batch while
+  this one is on the emulated wire;
+* one completion thread that takes the gathered batches in dispatch
+  order, waits until their features are *delivered* over the emulated
+  links, fuses them and answers the batch's requests.  At most
+  ``batcher.MAX_INFLIGHT_BATCHES`` batches sit between scatter and
+  completion; and
 * failure-aware fusion: a worker that times out, errors, or dies is
   marked down and its feature slot is zero-filled, so the fleet keeps
   answering in degraded mode — the runtime version of
@@ -35,6 +42,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import itertools
+import queue
 import threading
 import time
 from typing import Callable
@@ -42,10 +50,11 @@ from typing import Callable
 import numpy as np
 
 from ..core.inference import predict, split_batch
-from ..edge.runtime import EdgeCluster, WorkerSpec
+from ..edge.runtime import EdgeCluster, WorkerSpec, await_delivery
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer, new_span_id, tracing_enabled
 from .batcher import (
+    MAX_INFLIGHT_BATCHES,
     Batch,
     BatchingConfig,
     DynamicBatcher,
@@ -77,6 +86,7 @@ class _BatchContext:
     features: dict[str, np.ndarray] = dataclasses.field(default_factory=dict)
     stats: dict[str, dict] = dataclasses.field(default_factory=dict)
     gather_s: float = 0.0
+    outcome: str | None = None         # set when the batch cannot be fused
     missing: tuple[str, ...] = ()      # slots answered without features
     fusion_start: float = 0.0
     fusion_s: float = 0.0
@@ -94,6 +104,13 @@ class InferenceServer:
         self._fusion = fusion
         self._batcher = DynamicBatcher(self.config.batching)
         self._thread: threading.Thread | None = None
+        # The completion stage: gathered batches in dispatch order (None
+        # ends it), the thread that completes them, and the slots that
+        # bound how many batches sit between scatter and completion.
+        self._completions: "queue.SimpleQueue[_BatchContext | None]" = \
+            queue.SimpleQueue()
+        self._completer: threading.Thread | None = None
+        self._pipeline = threading.Semaphore(MAX_INFLIGHT_BATCHES)
         self._lock = threading.Lock()
         # Ring buffer: a long-lived server must not grow without bound.
         self._records: "collections.deque[RequestTelemetry]" = \
@@ -107,14 +124,15 @@ class InferenceServer:
         # each hosted by some worker.  Replanning rewrites the hosting;
         # rolling swaps retarget single slots from other threads, so all
         # hosting reads/writes go through _hosting_lock and the serve
-        # loop works from a per-batch snapshot.  _drained is notified
-        # when the serve loop clears the in-flight hosts.
+        # loop works from a per-batch snapshot.  _inflight_hosts maps each
+        # batch id to the workers that still owe it a reply; _drained is
+        # notified when the serve loop has received a batch's replies.
         self._replanner = replanner
         self._slots: list[str] = []
         self._hosting: dict[str, str] = {}
         self._hosting_lock = threading.Lock()
         self._drained = threading.Condition(self._hosting_lock)
-        self._inflight_hosts: set[str] = set()
+        self._inflight_hosts: dict[int, set[str]] = {}
         self._slot_dims: dict[str, int] = {}
         self._replan_attempted: set[str] = set()
         self._started_wall: float | None = None
@@ -157,17 +175,23 @@ class InferenceServer:
         self._health_snapshot = None
         self._started_at = time.perf_counter()
         self._started_wall = time.time()
+        self._completer = threading.Thread(target=self._completion_loop,
+                                           name="repro-completion",
+                                           daemon=True)
+        self._completer.start()
         self._thread = threading.Thread(target=self._serve_loop,
                                         name="repro-serving", daemon=True)
         self._thread.start()
 
     def stop(self, shutdown_cluster: bool = True) -> None:
-        """Stop serving.  Idempotent; pending requests fail cleanly."""
+        """Stop serving.  Idempotent.  Every batch already dispatched is
+        completed (or failed) once; requests still queued fail cleanly."""
         if self._thread is None:
             return
         self._batcher.close()
         self._thread.join(timeout=30)
-        self._thread = None
+        self._completer.join(timeout=30)
+        self._thread = self._completer = None
         self._stopped_at = time.perf_counter()
         # Cluster shutdown clears its down-map; freeze health for
         # post-stop stats()/worker_health() calls.
@@ -254,11 +278,13 @@ class InferenceServer:
 
         The rolling-deployment primitive: boot ``spec`` (e.g. a worker
         carrying a new model artifact), wait until it reports ready,
-        atomically retarget the fusion slot at it, drain any in-flight
-        batch still owed by the old worker, then retire the old worker.
-        Requests are never dropped: batches dispatched before the swap
-        gather from the old worker (still alive until drained), batches
-        after it from the new one.
+        atomically retarget the fusion slot at it, wait until no
+        in-flight batch still owes the old worker a reply, then retire
+        the old worker.  Requests are never dropped: batches dispatched
+        before the swap gather from the old worker (still alive until
+        drained), batches after it from the new one.  A reply already
+        received is delivered and fused even if its worker is retired
+        while it is on the emulated wire.
 
         The replacement must produce the slot's feature width (the
         fusion MLP's input layout is immutable).  Raises if the new
@@ -292,12 +318,15 @@ class InferenceServer:
             # The old worker still hosts another slot (co-hosted after a
             # replan); it must keep running.
             return spec.worker_id
-        # Drain: wait for the serve loop to finish any batch the old
-        # worker was dispatched in, then retire it.  Even on timeout the
-        # batch merely degrades (zero-fill) — it is never dropped.
+        # Drain: wait until the serve loop has received the old worker's
+        # reply to every batch it was dispatched in, then retire it.  Even
+        # on timeout the batch merely degrades (zero-fill) — it is never
+        # dropped.
         with self._drained:
-            self._drained.wait_for(lambda: old not in self._inflight_hosts,
-                                   drain_timeout_s)
+            self._drained.wait_for(
+                lambda: not any(old in hosts
+                                for hosts in self._inflight_hosts.values()),
+                drain_timeout_s)
         self._cluster.mark_down(old, "retired by rolling swap")
         self._m_swaps.inc()
         return spec.worker_id
@@ -330,40 +359,71 @@ class InferenceServer:
 
     # ------------------------------------------------------------------
     def _serve_loop(self) -> None:
-        while True:
-            batch = self._batcher.next_batch()
-            if batch is None:
-                return
-            ctx = _BatchContext(batch)
+        """Take a pipeline slot, then a batch; scatter it and gather until
+        its replies are received; hand it to the completion thread.
+
+        Batch *k*'s replies are in before batch *k+1* is dispatched, so
+        no reply can be matched to the wrong batch."""
+        try:
+            while True:
+                self._pipeline.acquire()
+                batch = self._batcher.next_batch()
+                if batch is None:
+                    self._pipeline.release()   # all slots free for a restart
+                    return
+                ctx = _BatchContext(batch)
+                try:
+                    self._dispatch(ctx)
+                except Exception as exc:   # a bad batch must not kill the server
+                    ctx.outcome = f"serving failed: {exc}"
+                finally:
+                    with self._drained:
+                        self._inflight_hosts.pop(ctx.request_id, None)
+                        self._drained.notify_all()
+                self._completions.put(ctx)
+        finally:
+            self._completions.put(None)
+
+    def _completion_loop(self) -> None:
+        """Complete the gathered batches in dispatch order until the serve
+        loop ends; each completion frees a pipeline slot."""
+        while (ctx := self._completions.get()) is not None:
             try:
-                self._serve_batch(ctx)
+                self._finish(ctx)
             except Exception as exc:   # a bad batch must not kill the server
                 self._complete(ctx, f"serving failed: {exc}")
             finally:
-                with self._drained:
-                    self._inflight_hosts = set()
-                    self._drained.notify_all()
+                self._pipeline.release()
 
-    def _serve_batch(self, ctx: _BatchContext) -> None:
-        """Scatter -> gather -> zero-fill + fuse -> complete."""
+    def _dispatch(self, ctx: _BatchContext) -> None:
+        """Scatter -> gather until the replies are received; sets
+        ``ctx.outcome`` when the batch cannot be fused."""
         pending = self._scatter(ctx)
         if not pending:
             # Whole fleet down: answering from an all-zeros fusion input
             # would be a constant-label lie — fail loudly instead.
             ctx.missing = tuple(self._slots)
-            outcome = "no live workers"
-        else:
-            ctx.features, ctx.stats, _ = self._cluster.gather(
-                ctx.request_id, pending,
-                ctx.dispatched_at + self.config.worker_timeout_s)
-            ctx.gather_s = time.perf_counter() - ctx.dispatched_at
+            ctx.outcome = "no live workers"
+            return
+        ctx.features, ctx.stats, _ = self._cluster.gather(
+            ctx.request_id, pending,
+            ctx.dispatched_at + self.config.worker_timeout_s)
+        ctx.gather_s = time.perf_counter() - ctx.dispatched_at
+        if not ctx.features:
             # Every dispatched worker errored (or died) on this batch: an
             # all-zeros fusion would fabricate a constant label too.
-            outcome = self._fuse(ctx) if ctx.features \
-                else "no worker produced features for this batch"
+            ctx.outcome = "no worker produced features for this batch"
+
+    def _finish(self, ctx: _BatchContext) -> None:
+        """Wait for delivery -> zero-fill + fuse -> complete -> replan."""
+        outcome = ctx.outcome
+        if outcome is None:
+            await_delivery(ctx.stats.values())
+            ctx.gather_s = time.perf_counter() - ctx.dispatched_at
+            outcome = self._fuse(ctx)
         self._complete(ctx, outcome)
         # Answers went out above; now try to recover the failed slots so
-        # the *next* batch fuses real features again.
+        # later batches fuse real features again.
         if ctx.missing:
             self._maybe_replan()
 
@@ -373,17 +433,17 @@ class InferenceServer:
         ctx.dispatched_at = time.perf_counter()
         ctx.dispatched_wall = time.time()
         ctx.x = ctx.batch.concatenated()
+        ctx.request_id = self._cluster.next_request_id()
         # Snapshot the hosting map for this whole batch: a rolling swap
         # landing mid-batch must not change which worker's features fill
         # which slot after dispatch already happened.  _inflight_hosts
         # tells swap_worker which workers still owe this batch a reply.
         with self._hosting_lock:
             ctx.hosting = dict(self._hosting)
-            self._inflight_hosts = set(ctx.hosting.values())
+            self._inflight_hosts[ctx.request_id] = set(ctx.hosting.values())
         # The batch span id is minted *before* dispatch so worker-process
         # spans can parent to it via the propagated trace context; the
         # span itself is emitted retroactively once the batch resolves.
-        ctx.request_id = self._cluster.next_request_id()
         ctx.span_id = new_span_id() if tracing_enabled() else None
         trace = None if ctx.span_id is None else {
             "trace_id": ctx.request_id, "parent_id": ctx.span_id}
@@ -484,6 +544,18 @@ class InferenceServer:
             tracer.emit("batch.gather", trace_id=ctx.request_id,
                         parent_id=ctx.span_id, ts=ctx.dispatched_wall,
                         duration_s=ctx.gather_s)
+            # One span per reply for its time on the emulated wire.
+            for worker, reply in ctx.stats.items():
+                tracer.emit("link.transfer", trace_id=ctx.request_id,
+                            parent_id=ctx.span_id,
+                            ts=ctx.dispatched_wall + (reply["delivered_at"]
+                                                      - reply["transfer_s"]
+                                                      - ctx.dispatched_at),
+                            duration_s=reply["transfer_s"],
+                            attrs={"worker": worker,
+                                   "nbytes": int(reply["bytes_out"]),
+                                   "queued_s": reply["queued_s"],
+                                   "transfer_s": reply["transfer_s"]})
             tracer.emit("batch.fusion", trace_id=ctx.request_id,
                         parent_id=ctx.span_id,
                         ts=ctx.dispatched_wall

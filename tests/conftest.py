@@ -3,11 +3,15 @@ whole suite runs on CPU in minutes."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.training import TrainConfig, train_classifier
 from repro.data import cifar10_like, gtzan_like
+from repro.edge.device import DeviceModel
+from repro.edge.network import LinkModel
 from repro.models.vit import ViTConfig, VisionTransformer
 
 
@@ -44,3 +48,21 @@ def trained_tiny_vit(tiny_dataset):
     train_classifier(model, tiny_dataset.x_train, tiny_dataset.y_train,
                      TrainConfig(epochs=12, lr=3e-3, seed=0))
     return model
+
+
+def _timed(spec, compute_s, transfer_s):
+    """``spec`` on a device and link where one image costs ``compute_s``
+    of emulated compute and ``transfer_s`` on the wire (raw32 features);
+    serve it at ``time_scale=1`` to sleep those times."""
+    return dataclasses.replace(
+        spec,
+        device=DeviceModel(device_id=spec.worker_id,
+                           macs_per_second=spec.flops_per_sample / compute_s),
+        link=LinkModel(bandwidth_bps=8 * 4 * spec.feature_dim / transfer_s,
+                       overhead_seconds=0.0))
+
+
+@pytest.fixture(scope="session")
+def timed_spec():
+    """``timed_spec(spec, compute_s, transfer_s)``: see :func:`_timed`."""
+    return _timed

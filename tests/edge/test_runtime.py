@@ -4,6 +4,8 @@ These spawn real OS processes; models are kept minuscule so the suite
 stays fast.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -122,10 +124,56 @@ class TestContextManager:
         # 1e6 MACs at 1e7 MACs/s = 0.1 s emulated; time_scale=1 sleeps it.
         spec.device = DeviceModel(device_id="slow", macs_per_second=1e7)
         with EdgeCluster([spec], time_scale=1.0) as cluster:
-            import time
-
             x = np.zeros((1, 3, 8, 8), dtype=np.float32)
             start = time.perf_counter()
             cluster.infer_features(x)
             elapsed = time.perf_counter() - start
         assert elapsed >= 0.08
+
+
+class TestEmulatedLink:
+    """Each worker's link is a FIFO delay line on the receiving side."""
+
+    COMPUTE_S, TRANSFER_S = 0.1, 0.2
+
+    def test_back_to_back_batches_are_delivered_one_transfer_apart(
+            self, timed_spec):
+        spec = timed_spec(make_worker("fifo")[0], self.COMPUTE_S,
+                          self.TRANSFER_S)
+        x = np.zeros((1, 3, 8, 8), dtype=np.float32)
+        received, delivered = [], []
+        with EdgeCluster([spec], time_scale=1.0,
+                         transport="inprocess") as cluster:
+            for _ in range(2):
+                request_id = cluster.next_request_id()
+                assert cluster.submit("fifo", request_id, x)
+                _, stats, failed = cluster.gather(request_id, ["fifo"], None)
+                received.append(time.perf_counter())
+                assert not failed
+                delivered.append(stats["fifo"]["delivered_at"])
+        transfer = stats["fifo"]["transfer_s"]
+        assert transfer == pytest.approx(self.TRANSFER_S)
+        # The device computed the second batch while the first was on the
+        # wire, and the link carried the two transfers back to back: one
+        # transfer apart, not compute + transfer.
+        assert received[1] < delivered[0]
+        assert delivered[1] - delivered[0] == pytest.approx(transfer)
+        assert stats["fifo"]["queued_s"] > 0
+
+    @pytest.mark.parametrize("time_scale", [1.0, 0.5])
+    def test_an_idle_link_keeps_the_compute_plus_transfer_timing(
+            self, timed_spec, time_scale):
+        spec = timed_spec(make_worker("idle")[0], self.COMPUTE_S,
+                          self.TRANSFER_S)
+        x = np.zeros((1, 3, 8, 8), dtype=np.float32)
+        with EdgeCluster([spec], time_scale=time_scale,
+                         transport="inprocess") as cluster:
+            # The first call warms the worker's arena; it returns once its
+            # features are delivered, so the link is idle again.
+            cluster.infer_features(x)
+            _, timing = cluster.infer_features(x)
+        report = timing.per_worker["idle"]
+        expected = max(report["host_compute_s"],
+                       (self.COMPUTE_S + self.TRANSFER_S) * time_scale)
+        assert report["queued_s"] == 0.0
+        assert expected <= timing.wall_seconds < expected + 0.05

@@ -2,7 +2,7 @@
 feasible, and the branch-and-bound optimum dominates greedy."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.assignment.greedy import try_greedy_assign
@@ -71,11 +71,31 @@ def test_greedy_finds_plan_when_optimal_does(instance):
         assert try_greedy_assign(devices, models, num_samples=1) is not None
 
 
+# Greedy feasibility is not monotone in the workload: here Alg. 3 finds no
+# plan for 1 sample but finds one for 2 (and 3).
+_NON_MONOTONE = (
+    [DeviceSpec("d0", memory_bytes=66, energy_flops=12.0),
+     DeviceSpec("d1", memory_bytes=10, energy_flops=10.0),
+     DeviceSpec("d2", memory_bytes=10, energy_flops=10.0)],
+    [SubModelSpec("m0", size_bytes=1, flops_per_sample=1.0),
+     SubModelSpec("m1", size_bytes=11, flops_per_sample=1.0),
+     SubModelSpec("m2", size_bytes=11, flops_per_sample=1.0),
+     SubModelSpec("m3", size_bytes=44, flops_per_sample=2.0)])
+
+
+def test_greedy_feasibility_is_not_monotone_in_workload():
+    devices, models = _NON_MONOTONE
+    assert try_greedy_assign(devices, models, num_samples=1) is None
+    assert try_greedy_assign(devices, models, num_samples=2) is not None
+
+
 @settings(max_examples=50, deadline=None)
 @given(instances(), st.integers(min_value=1, max_value=5))
-def test_feasibility_antitone_in_workload(instance, num_samples):
-    """If a plan exists for L samples, one exists for fewer samples."""
+@example(_NON_MONOTONE, 2)
+def test_a_plan_for_more_samples_is_feasible_for_one(instance, num_samples):
+    """A plan greedy finds for L samples also satisfies every constraint
+    at 1 sample (greedy itself may still find none there)."""
     devices, models = instance
-    plan_large = try_greedy_assign(devices, models, num_samples=num_samples)
-    if plan_large is not None:
-        assert try_greedy_assign(devices, models, num_samples=1) is not None
+    plan = try_greedy_assign(devices, models, num_samples=num_samples)
+    if plan is not None:
+        validate_plan(plan, devices, models, num_samples=1)

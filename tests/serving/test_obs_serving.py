@@ -15,7 +15,7 @@ import pytest
 
 from repro.edge.device import DeviceModel
 from repro.edge.network import LinkModel
-from repro.edge.runtime import WorkerSpec
+from repro.edge.runtime import EdgeCluster, WorkerSpec
 from repro.obs import (
     disable_tracing,
     enable_tracing,
@@ -88,7 +88,7 @@ class TestSpanTree:
             assert {s.name for s in spans
                     if s.trace_id == root.attrs["batch_id"]} >= \
                 {"batch.gather", "batch.fusion", "worker.request",
-                 "codec.decode"}
+                 "codec.decode", "link.transfer"}
 
         # Worker spans are emitted in the worker and joined to the
         # server-side batch span by the propagated trace context.
@@ -101,6 +101,15 @@ class TestSpanTree:
             assert s.parent_id in parent_ids
         for s in by_name["codec.decode"]:
             assert s.process == "server"
+        # One server-side link.transfer per worker reply, under its batch.
+        assert len(by_name["link.transfer"]) == \
+            len(by_name["worker.request"])
+        for s in by_name["link.transfer"]:
+            assert s.process == "server"
+            assert s.parent_id == batch_spans[s.trace_id].span_id
+            assert s.attrs["worker"] in system.plan.model_ids
+            assert set(s.attrs) == {"worker", "nbytes", "queued_s",
+                                    "transfer_s"}
 
     def test_no_spans_when_disabled(self, system):
         enable_tracing()
@@ -123,6 +132,53 @@ class TestSpanTree:
                 assert child.ts >= batch.ts - 0.05
                 assert child.ts + child.duration_s <= \
                     batch.ts + batch.duration_s + 0.05
+
+
+class TestPipelinedLink:
+    # Per image: 1 ms of emulated compute, 20 ms on the wire.
+    TIMING = (1e-3, 20e-3)
+
+    def test_next_batch_computes_while_the_previous_is_on_the_wire(
+            self, system, timed_spec):
+        specs = [timed_spec(spec, *self.TIMING)
+                 for spec in system.make_cluster().specs]
+        server = InferenceServer(
+            EdgeCluster(specs, time_scale=1.0, transport="inprocess"),
+            system.fusion,
+            ServerConfig(batching=BatchingConfig(max_batch_samples=8)))
+        enable_tracing()
+        with server:
+            # Queued at once: the second batch is dispatched as soon as
+            # the first one's replies are received.
+            futures = [server.submit(inputs(system, 4, seed=seed))
+                       for seed in range(4)]
+            for future in futures:
+                future.result(30.0)
+        batches = sorted({f.telemetry.dispatched_at: f for f in futures}
+                         .items())[:2]
+        batch_ids = [next(s.attrs["batch_id"] for s in get_tracer().spans()
+                          if s.name == "request"
+                          and s.trace_id == future.request_id)
+                     for _, future in batches]
+        samples = batches[0][1].telemetry.batch_samples
+        spans = [s for s in get_tracer().spans() if s.trace_id in batch_ids]
+        for worker in system.plan.model_ids:
+            link = next(s for s in spans if s.name == "link.transfer"
+                        and s.trace_id == batch_ids[0]
+                        and s.attrs["worker"] == worker)
+            forward = next(s for s in spans if s.name == "worker.forward"
+                           and s.trace_id == batch_ids[1]
+                           and s.process == worker)
+            emulate = next(s for s in spans if s.name == "worker.emulate"
+                           and s.trace_id == batch_ids[0]
+                           and s.process == worker)
+            wire_s = samples * self.TIMING[1]
+            assert link.duration_s == pytest.approx(wire_s)
+            assert link.attrs["transfer_s"] == link.duration_s
+            assert link.attrs["nbytes"] == samples * 4 * specs[0].feature_dim
+            assert forward.ts < link.ts + link.duration_s
+            # The worker sleeps its compute only: the wire is not its own.
+            assert emulate.duration_s < wire_s
 
 
 class TestReportSchema:

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.edge.runtime import EdgeCluster
 from repro.obs import disable_tracing, enable_tracing, get_registry
 from repro.planning import plan_demo_system
 from repro.serving import (
@@ -22,9 +23,9 @@ def system():
 
 
 def make_server(system, max_batch_samples=8, max_wait_s=0.002,
-                worker_timeout_s=10.0):
+                worker_timeout_s=10.0, cluster=None):
     return InferenceServer(
-        system.make_cluster(), system.fusion,
+        cluster or system.make_cluster(), system.fusion,
         ServerConfig(batching=BatchingConfig(
             max_batch_samples=max_batch_samples, max_wait_s=max_wait_s),
             worker_timeout_s=worker_timeout_s))
@@ -267,6 +268,39 @@ class TestLifecycle:
             assert time.perf_counter() - start < 0.5
         finally:
             server.cluster.shutdown()
+
+    @pytest.mark.parametrize("timing", [None, (1e-3, 4e-3)],
+                             ids=["plan-link", "time-scaled-link"])
+    def test_stop_answers_every_dispatched_request_once(
+            self, system, timed_spec, timing):
+        """stop() right after a burst: on a time-scaled link one batch is
+        then computing and one on the wire.  Every admitted request is
+        answered exactly once, with its own labels, and the counters
+        conserve."""
+        cluster = None if timing is None else EdgeCluster(
+            [timed_spec(spec, *timing)
+             for spec in system.make_cluster().specs],
+            time_scale=1.0, transport=system.transport)
+        server = make_server(system, cluster=cluster)
+        names = ("requests", "failed", "degraded")
+        before = {name: counter(name) for name in names}
+        chunks = [inputs(system, 1 + i % 3, seed=i) for i in range(24)]
+        server.start()
+        try:
+            futures = [server.submit(chunk) for chunk in chunks]
+            server.stop(shutdown_cluster=False)
+            done = [future.done() for future in futures]
+        finally:
+            server.cluster.shutdown()
+        delta = {name: counter(name) - before[name] for name in names}
+        assert all(done)
+        for chunk, future in zip(chunks, futures):
+            np.testing.assert_array_equal(future.result(0),
+                                          system.local_fused_labels(chunk))
+        assert sorted(r.request_id for r in server.records()) == \
+            sorted(f.request_id for f in futures)
+        assert delta == {"requests": len(futures), "failed": 0,
+                         "degraded": 0}
 
     def test_submit_before_start_raises(self, system):
         server = make_server(system)

@@ -8,7 +8,8 @@ import pytest
 
 from repro.edge.device import DeviceModel
 from repro.edge.network import LinkModel
-from repro.edge.runtime import WorkerSpec
+from repro.edge.runtime import EdgeCluster, WorkerSpec
+from repro.obs import get_registry
 from repro.planning import plan_demo_system
 from repro.serving import InferenceServer
 from repro.store import ArtifactStore
@@ -45,12 +46,34 @@ def test_swap_retargets_slot_and_retires_old(system):
         assert server.stats().failed == 0
 
 
-def test_swap_under_load_drops_nothing(system):
+# Per-image (compute_s, transfer_s) of every worker on a time-scaled link:
+# batches overlap, so the swap lands with one batch on the wire.
+TIME_SCALED = (1e-3, 4e-3)
+
+
+def served(system, timed_spec, timing):
+    """A server over ``system``: on the plan's links (``timing=None``), or
+    with every worker's one-image cost set to ``timing`` at time_scale 1."""
+    if timing is None:
+        return InferenceServer(system.make_cluster(), system.fusion)
+    specs = [timed_spec(spec, *timing)
+             for spec in system.make_cluster().specs]
+    return InferenceServer(EdgeCluster(specs, time_scale=1.0,
+                                       transport=system.transport),
+                           system.fusion)
+
+
+@pytest.mark.parametrize("timing", [None, TIME_SCALED],
+                         ids=["plan-link", "time-scaled-link"])
+def test_swap_under_load_drops_nothing(system, timed_spec, timing):
     w0 = system.plan.model_ids[0]
     x = np.random.default_rng(1).normal(
         size=(2, *system.input_shape)).astype(np.float32)
     ref = system.local_fused_labels(x)
-    with InferenceServer(system.make_cluster(), system.fusion) as server:
+    replacement = replacement_spec(system, 0, f"{w0}@v2")
+    if timing is not None:
+        replacement = timed_spec(replacement, *timing)
+    with served(system, timed_spec, timing) as server:
         stop = threading.Event()
         errors: list[Exception] = []
 
@@ -66,7 +89,7 @@ def test_swap_under_load_drops_nothing(system):
             thread.start()
         try:
             time.sleep(0.1)
-            server.swap_worker(w0, replacement_spec(system, 0, f"{w0}@v2"))
+            server.swap_worker(w0, replacement)
             time.sleep(0.1)
         finally:
             stop.set()
@@ -79,6 +102,32 @@ def test_swap_under_load_drops_nothing(system):
     # Zero-downtime: no batch was ever fused with a zero-filled slot.
     assert report.degraded_requests == 0
     np.testing.assert_array_equal(post, ref)
+
+
+def test_a_reply_on_the_wire_is_delivered_after_its_worker_retires(
+        system, timed_spec):
+    """The rule: a received reply is delivered.  The swap retires the old
+    worker once its reply is received, while that reply still has ~0.6 s
+    of emulated wire ahead; the batch is answered from the old worker's
+    features, not zero-filled."""
+    w0 = system.plan.model_ids[0]
+    timing = (1e-3, 0.3)
+    x = np.random.default_rng(3).normal(
+        size=(2, *system.input_shape)).astype(np.float32)
+    replies = get_registry().counter("edge.replies_total", worker=w0)
+    with served(system, timed_spec, timing) as server:
+        before = replies.value
+        future = server.submit(x)
+        deadline = time.perf_counter() + 10.0
+        while replies.value == before and time.perf_counter() < deadline:
+            time.sleep(1e-3)
+        server.swap_worker(
+            w0, timed_spec(replacement_spec(system, 0, f"{w0}@v2"), *timing))
+        assert server.worker_health()[w0] == "retired by rolling swap"
+        assert not future.done()                   # still on the wire
+        labels = future.result(10.0)
+    assert not future.telemetry.degraded
+    np.testing.assert_array_equal(labels, system.local_fused_labels(x))
 
 
 def test_swap_rejects_wrong_feature_dim(system):
