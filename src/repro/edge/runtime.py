@@ -1,35 +1,29 @@
 """Emulated edge-device runtime over pluggable transports.
 
 Where :mod:`repro.edge.simulator` predicts timing analytically, this module
-actually *runs* the deployment: every emulated device is a worker (an OS
+actually *runs* the deployment: every sub-model is a worker (an OS
 process, a thread, or a TCP-connected process, depending on the
-:mod:`~repro.edge.transport` chosen) hosting its sub-model; inputs and
-features cross the worker boundary; link bandwidth is emulated by delaying
-each reply by the tc-equivalent transfer time of the bytes that would
-actually move.
-This is the "emulate devices as processes" substitution for the paper's
-physical Raspberry Pi testbed.
+:mod:`~repro.edge.transport` chosen) that computes its features for real;
+inputs and features cross the worker boundary.  This is the "emulate
+devices as processes" substitution for the paper's physical Raspberry Pi
+testbed.
 
 Features ship through a :mod:`~repro.edge.codec` (``WorkerSpec.codec``):
 the worker encodes its ``(N, D)`` float32 features, the emulated link is
 charged for the **encoded** byte count, and the parent decodes — so a
 smaller codec is directly a faster fleet on the paper's 2 Mbps links.
 
-Compute and link are separate resources, as in the paper's deployment
-and both simulators.  A worker sleeps only its emulated compute and
-replies at once; each worker's link is a FIFO delay line on the
-receiving side (:meth:`EdgeCluster._deliver`), so a device computes
-batch *k+1* while batch *k* is on the wire, and two transfers on one
-link never overlap.  On an idle link a reply is delivered exactly when
-a worker sleeping compute + transfer would have replied.
+A worker only computes.  Emulated time lives in the cluster
+(:meth:`EdgeCluster._emulate`), keyed by ``spec.device.device_id``: as in
+the paper and both simulators, a device is one CPU and one uplink, FIFO
+resources every sub-model placed on it queues on (Alg. 3 with G > N, a
+replanned orphan, a rolling swap's two workers).  A device computes batch
+*k+1* while batch *k* is on the wire; transfers on one link never overlap.
 
 A worker rebuilds its sub-model from ``WorkerSpec.model_kind``, a key of
 the fixed :data:`MODEL_KINDS` table: ``vit`` (the paper's sub-models),
 ``vgg`` and ``snn`` (the Table III / Fig. 7 baselines).  A kind or codec
 name missing from its table fails the worker's start, typed.
-
-A ``time_scale`` knob shrinks emulated sleeps so tests stay fast while the
-measured proportions remain meaningful.
 
 The wire protocol is request-id tagged so several in-flight requests can be
 distinguished (the serving layer pipelines them) and the gather side never
@@ -74,7 +68,7 @@ handing the reply to callers, so consumers never see codec internals.
 
 The optional ``trace`` field is the propagated **trace context**
 (``{"trace_id", "parent_id"}``, see :mod:`repro.obs.trace`): when
-present the worker records spans for its forward/encode/emulate phases
+present the worker records spans for its forward and encode phases
 as plain dicts and piggybacks them on the reply under ``stats["_spans"]``;
 :meth:`EdgeCluster.poll` strips that key and merges the spans into the
 server-side tracer.  Absent trace context (tracing disabled), workers
@@ -84,6 +78,7 @@ record nothing — the server's switch is the only switch.
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 import time
 from typing import Any, Callable, Iterable
@@ -258,8 +253,8 @@ def _received_weights(conn):
         yield entry
 
 
-def _worker_main(spec: WorkerSpec, conn, time_scale: float) -> None:
-    """Entry point of an emulated device worker (any transport)."""
+def _worker_main(spec: WorkerSpec, conn) -> None:
+    """Entry point of a worker (any transport): pure compute."""
     from ..core.inference import extract_features
 
     weights = _received_weights(conn)
@@ -320,30 +315,15 @@ def _worker_main(spec: WorkerSpec, conn, time_scale: float) -> None:
                                         keep_workspaces=True)
             forward_done = time.perf_counter()
             encoded = codec.encode(features)
-            wall_compute = time.perf_counter() - wall_start
-            encode_done = wall_start + wall_compute
-
-            # Emulate the Pi-4B compute time, then reply at once.  The
-            # tc-capped transfer of the bytes that actually go on the wire
-            # (the encoded payload) is charged by the receiving side's
-            # delay line (EdgeCluster._deliver), so this device computes
-            # its next batch while this one is on the wire.
-            emulated_compute = spec.device.compute_seconds(
-                spec.flops_per_sample * len(x))
-            emulated_transfer = spec.link.transfer_seconds(encoded.nbytes)
-            sleep_for = emulated_compute * time_scale - wall_compute
-            if sleep_for > 0:
-                time.sleep(sleep_for)
-            stats = {"emulated_compute_s": emulated_compute,
-                     "emulated_transfer_s": emulated_transfer,
-                     "host_compute_s": wall_compute,
+            done = time.perf_counter()
+            # Reply at once: EdgeCluster._emulate charges the device time.
+            stats = {"host_compute_s": done - wall_start,
                      "bytes_out": float(encoded.nbytes),
                      "bytes_in": float(np.asarray(x).nbytes)}
             if trace is not None:
                 # Record this request's worker-side phases as plain span
                 # dicts (wall-clock anchored, so they align with server
                 # spans) and piggyback them on the reply.
-                done = time.perf_counter()
                 tid = trace.get("trace_id")
                 wid = spec.worker_id
                 root = new_span_id()
@@ -358,11 +338,9 @@ def _worker_main(spec: WorkerSpec, conn, time_scale: float) -> None:
                               trace.get("parent_id"), wid, wall_anchor,
                               done - wall_start, {"samples": len(x)}),
                     _child("worker.forward", wall_start, forward_done),
-                    _child("codec.encode", forward_done, encode_done,
+                    _child("codec.encode", forward_done, done,
                            {"codec": spec.codec,
                             "nbytes": int(encoded.nbytes)}),
-                    _child("worker.emulate", encode_done, done,
-                           {"emulated_compute_s": emulated_compute}),
                 ]
             conn.send(wire.features_message(request_id, encoded, stats))
         except Exception as exc:       # an infer error must not kill the loop
@@ -413,19 +391,21 @@ class EdgeCluster:
     tests and big simulated fleets), or ``"tcp"`` (processes dialing back
     over loopback TCP, the multi-host-capable wire).  A
     :class:`~repro.edge.transport.Transport` instance is also accepted.
+
+    ``time_scale`` is the share of emulated device time (:meth:`_emulate`)
+    really waited out: 0 serves at host speed, 1 at the modelled speed.
     """
 
     def __init__(self, workers: list[WorkerSpec], time_scale: float = 0.0,
                  transport: str | Transport = "multiprocess"):
         if not workers:
             raise ValueError("need at least one worker")
-        ids = [w.worker_id for w in workers]
-        if len(set(ids)) != len(ids):
-            raise ValueError("worker ids must be unique")
-        # Own copy: add_worker appends (replanning/rolling swaps), and
+        # Own copy: add_worker adds (replanning/rolling swaps), and
         # mutating the caller's list would leak replacement specs into
         # every cluster later built from it.
-        self._specs = list(workers)
+        self._specs = {w.worker_id: w for w in workers}
+        if len(self._specs) != len(workers):
+            raise ValueError("worker ids must be unique")
         self._time_scale = time_scale
         self._transport = get_transport(transport)
         self._handles: dict[str, WorkerHandle] = {}
@@ -437,9 +417,9 @@ class EdgeCluster:
         # lookup per worker lifetime instead of per dispatch.
         self._worker_metrics: dict[str, dict] = {}
         self._outstanding: dict[str, int] = {}
-        # worker_id -> perf_counter instant its link delivers its last
-        # reply: the tail of that worker's FIFO delay line.
-        self._link_free: dict[str, float] = {}
+        # device_id -> (cpu_free, link_free): the perf_counter instants
+        # that device's CPU and uplink finish the work already charged.
+        self._device_free: dict[str, tuple[float, float]] = {}
 
     def _metrics_for(self, worker_id: str) -> dict:
         metrics = self._worker_metrics.get(worker_id)
@@ -494,7 +474,7 @@ class EdgeCluster:
     # ------------------------------------------------------------------
     @property
     def specs(self) -> list[WorkerSpec]:
-        return list(self._specs)
+        return list(self._specs.values())
 
     @property
     def started(self) -> bool:
@@ -502,7 +482,7 @@ class EdgeCluster:
 
     @property
     def worker_ids(self) -> list[str]:
-        return [s.worker_id for s in self._specs]
+        return list(self._specs)
 
     @property
     def down_workers(self) -> dict[str, str]:
@@ -515,7 +495,7 @@ class EdgeCluster:
 
     def feature_dims(self) -> dict[str, int]:
         """Per-worker feature width (used for zero-filled degraded fusion)."""
-        return {spec.worker_id: spec.feature_dim for spec in self._specs}
+        return {wid: spec.feature_dim for wid, spec in self._specs.items()}
 
     def next_request_id(self) -> int:
         # Client threads (telemetry ids) and the serving loop (dispatch
@@ -531,7 +511,7 @@ class EdgeCluster:
         if self._started:
             raise RuntimeError("cluster already started")
         try:
-            handles = self._boot(self._specs, ready_timeout)
+            handles = self._boot(self.specs, ready_timeout)
         except BaseException:
             self._transport.close()
             raise
@@ -547,9 +527,9 @@ class EdgeCluster:
         serving.  Raises ``RuntimeError`` (and marks the worker down) if
         the new worker fails to report ready within ``ready_timeout``.
         """
-        if any(s.worker_id == spec.worker_id for s in self._specs):
+        if spec.worker_id in self._specs:
             raise ValueError(f"duplicate worker id {spec.worker_id!r}")
-        self._specs.append(spec)
+        self._specs[spec.worker_id] = spec
         if not self._started:
             return                     # start() will boot it with the rest
         # The handle stays private until the worker reports ready: once
@@ -571,8 +551,7 @@ class EdgeCluster:
         """
         headers = [dataclasses.replace(spec, state_blob=b"")
                    for spec in specs]
-        handles = self._transport.launch(headers, self._time_scale,
-                                         _worker_main)
+        handles = self._transport.launch(headers, _worker_main)
         try:
             for handle, spec in zip(handles, specs):
                 _send_weights(handle, spec.state_blob)
@@ -649,7 +628,7 @@ class EdgeCluster:
         self._handles.clear()
         self._transport.close()
         self._down.clear()
-        self._link_free.clear()
+        self._device_free.clear()
         self._started = False
 
     def __enter__(self) -> "EdgeCluster":
@@ -747,28 +726,40 @@ class EdgeCluster:
         metrics["inflight"].set(inflight)
         return True
 
-    def _deliver(self, worker_id: str, stats: dict, received: float) -> None:
-        """Put one FEATURES reply, received at ``received``, on its
-        worker's link: a FIFO delay line on the receiving side.
+    def _emulate(self, worker_id: str, stats: dict, samples: int,
+                 received: float) -> None:
+        """Charge one FEATURES reply, received at ``received`` after
+        ``host`` seconds of worker compute, to its device: one CPU and
+        one uplink, FIFO stages shared by every worker on that
+        ``device_id``.  All emulated time of the fleet is computed here::
 
-        The worker already slept its emulated compute ``c·s``, so on an
-        idle link the reply is delivered ``max(0, (c+t)·s − max(host,
-        c·s))`` after receipt — the instant a worker sleeping compute +
-        transfer would have replied.  It is never delivered sooner than
-        the wire time ``t·s`` after the link's previous delivery, so two
-        transfers on one link never overlap.  Adds ``delivered_at`` (a
-        ``perf_counter`` instant), ``transfer_s`` (``t·s``) and
-        ``queued_s`` (the wait for the busy link) to ``stats``.
+            computed  = max(received − host, cpu_free) + c·s
+            delivered = max(received, max(computed, link_free) + t·s)
+
+        ``c`` is ``samples`` × ``flops_per_sample`` on the spec's device,
+        ``t`` the encoded bytes on its link.  Stamps ``stats`` with them
+        (``emulated_*_s``) and with each stage's end, length and wait on
+        the ``perf_counter`` clock: ``computed_at`` / ``compute_s`` /
+        ``compute_queued_s`` and ``delivered_at`` / ``transfer_s`` /
+        ``queued_s``.
         """
+        spec = self._specs[worker_id]
         scale = self._time_scale
-        compute = stats["emulated_compute_s"] * scale
-        transfer = stats["emulated_transfer_s"] * scale
-        idle = received + max(0.0, compute + transfer
-                              - max(stats["host_compute_s"], compute))
-        delivered = max(idle, self._link_free.get(worker_id, 0.0) + transfer)
-        self._link_free[worker_id] = delivered
-        stats.update(delivered_at=delivered, transfer_s=transfer,
-                     queued_s=delivered - idle)
+        compute = spec.device.compute_seconds(spec.flops_per_sample * samples)
+        transfer = spec.link.transfer_seconds(int(stats["bytes_out"]))
+        device = spec.device.device_id
+        cpu_free, link_free = self._device_free.get(device, (0.0, 0.0))
+        start = received - stats["host_compute_s"]
+        computing = max(start, cpu_free)
+        computed = computing + compute * scale
+        sending = max(computed, link_free)
+        delivered = max(received, sending + transfer * scale)
+        self._device_free[device] = (computed, delivered)
+        stats.update(emulated_compute_s=compute, emulated_transfer_s=transfer,
+                     computed_at=computed, compute_s=compute * scale,
+                     compute_queued_s=computing - start,
+                     delivered_at=delivered, transfer_s=transfer * scale,
+                     queued_s=sending - computed)
 
     def _decode_reply(self, worker_id: str, message: tuple) -> tuple:
         """Decode a ``features`` reply's payload back to a float32 array.
@@ -776,8 +767,8 @@ class EdgeCluster:
         Also the reply-side observability tap: per-worker reply/in-flight/
         wire-bytes accounting, merging piggybacked worker spans into the
         server-side tracer, and a ``codec.decode`` span (joined to the
-        batch trace by request id); and the emulated link, which stamps
-        the reply's delivery (:meth:`_deliver`).
+        batch trace by request id); and the emulated device, which stamps
+        the reply's compute and delivery instants (:meth:`_emulate`).
         """
         received = time.perf_counter()
         if wire.command(message) == wire.ERROR:
@@ -789,7 +780,7 @@ class EdgeCluster:
         encoded = wire.payload(message)
         self._note_reply(worker_id, nbytes=int(encoded.nbytes))
         stats = wire.stats(message)
-        self._deliver(worker_id, stats, received)
+        self._emulate(worker_id, stats, encoded.shape[0], received)
         # Strip piggybacked spans unconditionally so consumers of the
         # stats dict never see the private key, even if tracing was
         # switched off between dispatch and reply.
@@ -867,50 +858,56 @@ class EdgeCluster:
 
         Returns ``(features, stats, failed)``, ``failed`` mapping every
         worker without features to the reason.  The one reply policy: a
-        FEATURES or ERROR reply carrying ``request_id`` settles its worker
-        (an ERROR does not mark it down); a pending worker that is marked
-        down, or dead with nothing buffered, is marked down and failed; at
-        ``deadline`` (a ``time.perf_counter()`` instant, ``None`` = never)
-        every worker still pending is marked down; any other reply is
-        stale and dropped.
+        FEATURES reply carrying ``request_id`` settles its worker once its
+        emulated compute is done (``computed_at``, see :meth:`_emulate`),
+        an ERROR reply at once (it does not mark the worker down); a
+        pending worker with nothing received that is marked down, or dead
+        with nothing buffered, is failed; at ``deadline`` (a
+        ``time.perf_counter()`` instant, ``None`` = never) every worker
+        still pending is marked down; any other reply is stale and dropped.
 
-        It returns once the replies are *received*, so the workers are
-        free for the next request; each ``stats`` entry says when its
-        features are *delivered* over the emulated link
-        (``delivered_at``, see :meth:`_deliver`), which
-        :func:`await_delivery` waits for.  A received reply is delivered
-        even if its worker is marked down in between.
+        It returns once the replies are settled, so the devices are free
+        for the next request; each ``stats`` entry says when its features
+        are *delivered* (``delivered_at``), which :func:`await_delivery`
+        waits for, even if the worker is marked down in between.
         """
         started = time.perf_counter()
+        end = math.inf if deadline is None else deadline
         pending = set(workers)
         features, stats, failed = {}, {}, {}
         while pending:
-            step = _GATHER_STEP_S if deadline is None else min(
-                _GATHER_STEP_S, max(0.0, deadline - time.perf_counter()))
+            # Wait no longer than the next emulated compute to finish.
+            wake = min([end] + [stats[w]["computed_at"] for w in pending
+                                if w in stats])
+            step = min(_GATHER_STEP_S, max(0.0, wake - time.perf_counter()))
             for worker_id, message in self.poll(step):
                 command = wire.command(message)
                 if worker_id not in pending \
                         or command not in (wire.FEATURES, wire.ERROR) \
                         or wire.request_id(message) != request_id:
                     continue
-                pending.discard(worker_id)
                 if command == wire.FEATURES:
                     features[worker_id] = wire.payload(message)
                     stats[worker_id] = wire.stats(message)
                 else:
+                    pending.discard(worker_id)
                     failed[worker_id] = str(wire.payload(message))
+            now = time.perf_counter()
+            pending -= {w for w in pending
+                        if w in stats and stats[w]["computed_at"] <= now}
             for worker_id in sorted(pending):
-                if not self.is_alive(worker_id) \
+                if worker_id not in stats and not self.is_alive(worker_id) \
                         and not self.has_buffered_reply(worker_id):
                     self.mark_down(worker_id, "process died mid-request")
                     failed[worker_id] = self._down[worker_id]
                     pending.discard(worker_id)
-            if pending and deadline is not None \
-                    and time.perf_counter() >= deadline:
-                reason = f"no reply within {max(0.0, deadline - started):.3g}s"
+            if pending and now >= end:
+                reason = f"no reply within {max(0.0, end - started):.3g}s"
                 for worker_id in sorted(pending):
                     self.mark_down(worker_id, reason)
                     failed[worker_id] = reason
+                    features.pop(worker_id, None)
+                    stats.pop(worker_id, None)
                 pending.clear()
         return features, stats, failed
 
@@ -952,7 +949,7 @@ class EdgeCluster:
         from ..core.inference import predict
 
         features, timing = self.infer_features(x, timeout=timeout)
-        ordered = [features[s.worker_id] for s in self._specs]
+        ordered = [features[worker_id] for worker_id in self._specs]
         # Long-lived serving path: keep the fusion MLP's scratch warm across
         # requests, mirroring the workers' keep_workspaces=True.
         logits = predict(fusion, np.concatenate(ordered, axis=-1),

@@ -1,15 +1,14 @@
 """Pluggable transports: how emulated edge workers are spawned and reached.
 
-:class:`~repro.edge.runtime.EdgeCluster` used to hard-code
-``multiprocessing.Pipe``; every spawn/submit/poll/kill now goes through a
-:class:`Transport`, so the same cluster code runs over three substrates:
+Every spawn/submit/poll/kill of :class:`~repro.edge.runtime.EdgeCluster`
+goes through a :class:`Transport`, so one cluster runs over three substrates:
 
 * ``multiprocess`` — one OS process per worker, spawn context, duplex
   pipes (the original behaviour, still the default: real process
   isolation, real serialization across the boundary);
 * ``inprocess``   — one daemon *thread* per worker with in-memory
   mailboxes: no fork/spawn cost, so tests and huge simulated fleets are
-  cheap, while the wire protocol and emulated link sleeps stay identical;
+  cheap, while the wire protocol stays identical;
 * ``tcp``         — one OS process per worker connected back over a
   TCP socket (``multiprocessing.connection`` framing with an authkey
   handshake).  Loopback by default, but the address is real — the
@@ -19,18 +18,19 @@ A transport hands back one :class:`WorkerHandle` per worker; the handle is
 the only thing the cluster talks to (``send``/``recv``/``poll``/
 ``alive``/``kill``).  ``Transport.wait`` multiplexes many handles the way
 ``multiprocessing.connection.wait`` multiplexes pipes, so one slow worker
-never serializes a gather.
+never serializes a gather.  A transport carries messages, never time:
+emulated device time is the cluster's, the same on every substrate.
 
 Boot is a handshake over the worker's own channel, not a process
 argument.  :meth:`Transport.launch` starts every worker of a batch with a
 constant-size payload (its end of the pipe, or the dial-back address,
-authkey and worker id, plus ``time_scale`` and the loop to run), so each
+authkey and worker id, plus the loop to run), so each
 ``Process.start()`` returns in milliseconds and the children import
 numpy and ``repro`` side by side; it then connects them (on ``tcp`` a
 dialled-back connection opens with ``HELLO worker_id`` and is matched to
 its handle by that id, in whatever order the children arrive) and sends
 each its ``SPEC``.  The child reads the spec off the channel and only
-then enters ``worker_main(spec, conn, time_scale)``.  Whatever else a
+then enters ``worker_main(spec, conn)``.  Whatever else a
 worker needs — its weights — the caller sends over the returned handle;
 a transport never sees them.  ``spawn`` is the one-worker case.
 
@@ -60,17 +60,17 @@ from . import wire
 
 # The worker loop body lives in runtime.py (_worker_main); transports
 # receive it as a callable so this module stays import-cycle-free.
-WorkerMain = Callable[[Any, Any, float], None]
+WorkerMain = Callable[[Any, Any], None]
 
 
-def _run_worker(worker_main: WorkerMain, conn, time_scale: float) -> None:
+def _run_worker(worker_main: WorkerMain, conn) -> None:
     """Worker side of the boot handshake: take the spec off the channel,
     then run the loop.  A parent that went away first ends the worker."""
     try:
         spec = wire.spec(conn.recv())
     except (EOFError, OSError):
         return
-    worker_main(spec, conn, time_scale)
+    worker_main(spec, conn)
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +193,7 @@ class Transport:
 
     name = "abstract"
 
-    def launch(self, specs: Sequence, time_scale: float,
+    def launch(self, specs: Sequence,
                worker_main: WorkerMain) -> list[WorkerHandle]:
         """Start one worker per spec, all at once, and hand each its spec.
 
@@ -203,7 +203,7 @@ class Transport:
         handle sees the EOF.  If the batch cannot be connected, every
         worker it started is torn down before ``RuntimeError`` is raised.
         """
-        handles = self._start(specs, time_scale, worker_main)
+        handles = self._start(specs, worker_main)
         for handle, spec in zip(handles, specs):
             try:
                 handle.send(wire.spec_message(spec))
@@ -211,11 +211,10 @@ class Transport:
                 pass
         return handles
 
-    def spawn(self, spec, time_scale: float,
-              worker_main: WorkerMain) -> WorkerHandle:
-        return self.launch([spec], time_scale, worker_main)[0]
+    def spawn(self, spec, worker_main: WorkerMain) -> WorkerHandle:
+        return self.launch([spec], worker_main)[0]
 
-    def _start(self, specs: Sequence, time_scale: float,
+    def _start(self, specs: Sequence,
                worker_main: WorkerMain) -> list[WorkerHandle]:
         """Start the workers and return their connected handles."""
         raise NotImplementedError
@@ -289,7 +288,7 @@ class MultiprocessTransport(_ConnectionTransport):
 
     name = "multiprocess"
 
-    def _start(self, specs: Sequence, time_scale: float,
+    def _start(self, specs: Sequence,
                worker_main: WorkerMain) -> list[WorkerHandle]:
         process_class = self._process_class(worker_main)
         handles: list[WorkerHandle] = []
@@ -297,7 +296,7 @@ class MultiprocessTransport(_ConnectionTransport):
             for spec in specs:
                 parent, child = mp.Pipe()
                 process = process_class(
-                    target=_run_worker, args=(worker_main, child, time_scale),
+                    target=_run_worker, args=(worker_main, child),
                     daemon=True)
                 process.start()
                 child.close()          # the worker's end: EOF when it dies
@@ -332,13 +331,13 @@ def _set_receive_timeout(conn, seconds: float) -> None:
 
 
 def _tcp_worker_entry(worker_main: WorkerMain, address, authkey: bytes,
-                      worker_id: str, time_scale: float) -> None:
+                      worker_id: str) -> None:
     """Child-process entry: dial back to the parent, say who this is,
     then boot like any other worker."""
     conn = mp_connection.Client(address, authkey=authkey)
     _set_tcp_nodelay(conn)
     conn.send(wire.hello_message(worker_id))
-    _run_worker(worker_main, conn, time_scale)
+    _run_worker(worker_main, conn)
 
 
 class TcpTransport(_ConnectionTransport):
@@ -426,7 +425,7 @@ class TcpTransport(_ConnectionTransport):
             raise
         return conn
 
-    def _start(self, specs: Sequence, time_scale: float,
+    def _start(self, specs: Sequence,
                worker_main: WorkerMain) -> list[WorkerHandle]:
         process_class = self._process_class(worker_main)
         with self._launch_lock:
@@ -436,7 +435,7 @@ class TcpTransport(_ConnectionTransport):
                 kwargs=dict(worker_main=worker_main,
                             address=listener.getsockname(),
                             authkey=self._authkey,
-                            worker_id=spec.worker_id, time_scale=time_scale),
+                            worker_id=spec.worker_id),
                 daemon=True) for spec in specs}
             if len(processes) != len(specs):
                 raise ValueError("worker ids must be unique within a launch")
@@ -605,9 +604,9 @@ class InProcessTransport(Transport):
     """Worker threads instead of processes: no spawn cost, same protocol.
 
     The boot handshake runs over the mailboxes as it does over a pipe
-    (objects cross by reference, so nothing is copied), and the
-    emulated-link sleeps and the codec encode/decode round trip still
-    happen, so measured proportions stay meaningful; only process
+    (objects cross by reference, so nothing is copied), and the codec
+    encode/decode round trip still happens, so measured proportions
+    stay meaningful; only process
     isolation (and its startup latency) is gone.  Ideal for tests and
     for simulating fleets far larger than the host's process budget.
     """
@@ -619,12 +618,12 @@ class InProcessTransport(Transport):
         # spin-polling every mailbox.
         self._event = threading.Event()
 
-    def _start(self, specs: Sequence, time_scale: float,
+    def _start(self, specs: Sequence,
                worker_main: WorkerMain) -> list[WorkerHandle]:
-        return [self._start_one(spec.worker_id, time_scale, worker_main)
+        return [self._start_one(spec.worker_id, worker_main)
                 for spec in specs]
 
-    def _start_one(self, worker_id: str, time_scale: float,
+    def _start_one(self, worker_id: str,
                    worker_main: WorkerMain) -> WorkerHandle:
         to_worker = _Mailbox()
         from_worker = _Mailbox(notify=self._event)
@@ -632,7 +631,7 @@ class InProcessTransport(Transport):
 
         def run() -> None:
             try:
-                _run_worker(worker_main, endpoint, time_scale)
+                _run_worker(worker_main, endpoint)
             except (BrokenPipeError, EOFError, OSError):
                 pass                   # parent closed the channel mid-send
 

@@ -11,8 +11,8 @@ The server owns four moving parts:
   gathers the replies with ``EdgeCluster.gather`` — the same wait, over
   all workers at once, that ``EdgeCluster.infer_features`` uses — so one
   slow device never serializes the gather.  It returns as soon as the
-  replies are *received*, so the devices compute the next batch while
-  this one is on the emulated wire;
+  devices' emulated compute of the batch is done, so they compute the
+  next batch while this one is on the emulated wire;
 * one completion thread that takes the gathered batches in dispatch
   order, waits until their features are *delivered* over the emulated
   links, fuses them and answers the batch's requests.  At most
@@ -126,7 +126,7 @@ class InferenceServer:
         # hosting reads/writes go through _hosting_lock and the serve
         # loop works from a per-batch snapshot.  _inflight_hosts maps each
         # batch id to the workers that still owe it a reply; _drained is
-        # notified when the serve loop has received a batch's replies.
+        # notified when the serve loop has settled a batch's replies.
         self._replanner = replanner
         self._slots: list[str] = []
         self._hosting: dict[str, str] = {}
@@ -318,7 +318,7 @@ class InferenceServer:
             # The old worker still hosts another slot (co-hosted after a
             # replan); it must keep running.
             return spec.worker_id
-        # Drain: wait until the serve loop has received the old worker's
+        # Drain: wait until the serve loop has settled the old worker's
         # reply to every batch it was dispatched in, then retire it.  Even
         # on timeout the batch merely degrades (zero-fill) — it is never
         # dropped.
@@ -360,7 +360,7 @@ class InferenceServer:
     # ------------------------------------------------------------------
     def _serve_loop(self) -> None:
         """Take a pipeline slot, then a batch; scatter it and gather until
-        its replies are received; hand it to the completion thread.
+        its replies are settled; hand it to the completion thread.
 
         Batch *k*'s replies are in before batch *k+1* is dispatched, so
         no reply can be matched to the wrong batch."""
@@ -396,7 +396,7 @@ class InferenceServer:
                 self._pipeline.release()
 
     def _dispatch(self, ctx: _BatchContext) -> None:
-        """Scatter -> gather until the replies are received; sets
+        """Scatter -> gather until the replies are settled; sets
         ``ctx.outcome`` when the batch cannot be fused."""
         pending = self._scatter(ctx)
         if not pending:
@@ -544,18 +544,22 @@ class InferenceServer:
             tracer.emit("batch.gather", trace_id=ctx.request_id,
                         parent_id=ctx.span_id, ts=ctx.dispatched_wall,
                         duration_s=ctx.gather_s)
-            # One span per reply for its time on the emulated wire.
+            # Per reply: its compute on its device's CPU, then its wire.
             for worker, reply in ctx.stats.items():
-                tracer.emit("link.transfer", trace_id=ctx.request_id,
-                            parent_id=ctx.span_id,
-                            ts=ctx.dispatched_wall + (reply["delivered_at"]
-                                                      - reply["transfer_s"]
-                                                      - ctx.dispatched_at),
-                            duration_s=reply["transfer_s"],
-                            attrs={"worker": worker,
-                                   "nbytes": int(reply["bytes_out"]),
-                                   "queued_s": reply["queued_s"],
-                                   "transfer_s": reply["transfer_s"]})
+                for name, end, took, attrs in (
+                        ("device.compute", "computed_at", "compute_s",
+                         {"queued_s": reply["compute_queued_s"]}),
+                        ("link.transfer", "delivered_at", "transfer_s",
+                         {"nbytes": int(reply["bytes_out"]),
+                          "queued_s": reply["queued_s"]})):
+                    tracer.emit(name, trace_id=ctx.request_id,
+                                parent_id=ctx.span_id,
+                                ts=ctx.dispatched_wall + (
+                                    reply[end] - reply[took]
+                                    - ctx.dispatched_at),
+                                duration_s=reply[took],
+                                attrs={"worker": worker, took: reply[took],
+                                       **attrs})
             tracer.emit("batch.fusion", trace_id=ctx.request_id,
                         parent_id=ctx.span_id,
                         ts=ctx.dispatched_wall

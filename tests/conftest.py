@@ -50,13 +50,14 @@ def trained_tiny_vit(tiny_dataset):
     return model
 
 
-def _timed(spec, compute_s, transfer_s):
+def _timed(spec, compute_s, transfer_s, device_id=None):
     """``spec`` on a device and link where one image costs ``compute_s``
     of emulated compute and ``transfer_s`` on the wire (raw32 features);
-    serve it at ``time_scale=1`` to sleep those times."""
+    serve it at ``time_scale=1`` to sleep those times.  The device is
+    ``device_id``, by default one of the worker's own."""
     return dataclasses.replace(
         spec,
-        device=DeviceModel(device_id=spec.worker_id,
+        device=DeviceModel(device_id=device_id or spec.worker_id,
                            macs_per_second=spec.flops_per_sample / compute_s),
         link=LinkModel(bandwidth_bps=8 * 4 * spec.feature_dim / transfer_s,
                        overhead_seconds=0.0))
@@ -64,5 +65,6 @@ def _timed(spec, compute_s, transfer_s):
 
 @pytest.fixture(scope="session")
 def timed_spec():
-    """``timed_spec(spec, compute_s, transfer_s)``: see :func:`_timed`."""
+    """``timed_spec(spec, compute_s, transfer_s, device_id=None)``: see
+    :func:`_timed`."""
     return _timed

@@ -84,11 +84,11 @@ def assert_nothing_left_behind(transport, address=None):
 
 # Stand-ins for ``_worker_main`` (module level: process transports pickle
 # them by name).
-def quitting_worker(spec, conn, time_scale):
+def quitting_worker(spec, conn):
     """Exits without a word."""
 
 
-def mute_worker(spec, conn, time_scale):
+def mute_worker(spec, conn):
     """Takes everything it is sent and never answers."""
     while True:
         try:
@@ -113,12 +113,12 @@ def biggest_bytes(obj, depth=0):
     return 0
 
 
-def process_args_worker(spec, conn, time_scale):
+def process_args_worker(spec, conn):
     """Reports what this process was started with, and the spec it got."""
     process = multiprocessing.current_process()
     conn.send({"args": biggest_bytes([process._args, process._kwargs]),
                "blob": len(spec.state_blob), "worker_id": spec.worker_id})
-    mute_worker(spec, conn, time_scale)
+    mute_worker(spec, conn)
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +388,7 @@ class TestTcpConnectionsBelongToTheirGreeting:
         spec, _ = make_worker("twin")
         transport = TcpTransport()
         with pytest.raises(ValueError, match="unique"):
-            transport.launch([spec, spec], 0.0, mute_worker)
+            transport.launch([spec, spec], mute_worker)
         transport.close()
 
 
@@ -398,9 +398,9 @@ class RecordingTransport(InProcessTransport):
         super().__init__()
         self.launched = []
 
-    def launch(self, specs, time_scale, worker_main):
+    def launch(self, specs, worker_main):
         self.launched.extend(specs)
-        return super().launch(specs, time_scale, worker_main)
+        return super().launch(specs, worker_main)
 
 
 class TestNoWeightsInTheLaunch:
@@ -427,7 +427,7 @@ class TestNoWeightsInTheLaunch:
         spec, _ = make_worker("fat", embed_dim=128, depth=2)
         assert len(spec.state_blob) > 1 << 20
         transport = transport_type()
-        handle = transport.spawn(spec, 0.0, process_args_worker)
+        handle = transport.spawn(spec, process_args_worker)
         try:
             assert handle.poll(30.0)
             report = handle.recv()

@@ -11,8 +11,13 @@ import pytest
 
 from repro import nn
 from repro.edge.device import DeviceModel
-from repro.edge.network import LinkModel
+from repro.edge.network import LinkModel, StarTopology
 from repro.edge.runtime import EdgeCluster, WorkerSpec
+from repro.edge.simulator import (
+    DeploymentSpec,
+    SubModelProfile,
+    simulate_inference,
+)
 from repro.models.fusion import build_fusion_for
 from repro.models.vit import ViTConfig, VisionTransformer
 
@@ -177,3 +182,35 @@ class TestEmulatedLink:
                        (self.COMPUTE_S + self.TRANSFER_S) * time_scale)
         assert report["queued_s"] == 0.0
         assert expected <= timing.wall_seconds < expected + 0.05
+
+    def test_two_workers_on_one_device_queue_on_its_cpu_and_link(
+            self, timed_spec):
+        specs = [timed_spec(make_worker(worker_id, seed=i)[0],
+                            self.COMPUTE_S, self.TRANSFER_S, device_id="pi")
+                 for i, worker_id in enumerate(("a", "b"))]
+        x = np.zeros((1, 3, 8, 8), dtype=np.float32)
+        with EdgeCluster(specs, time_scale=1.0,
+                         transport="inprocess") as cluster:
+            cluster.infer_features(x)      # warm; the device is idle again
+            start = time.perf_counter()
+            _, timing = cluster.infer_features(x)
+        first, last = sorted(report["delivered_at"] - start
+                             for report in timing.per_worker.values())
+        # The DES runs one CPU and one link per device: the second
+        # sub-model computes after the first (c), then waits for the
+        # first transfer to end (max(c, t)), then transfers (t).
+        device = specs[0].device
+        predicted = simulate_inference(DeploymentSpec(
+            devices=[device],
+            placement={s.worker_id: "pi" for s in specs},
+            profiles={s.worker_id: SubModelProfile(
+                s.worker_id, s.flops_per_sample, s.feature_dim)
+                for s in specs},
+            fusion_device=DeviceModel("fusion", macs_per_second=1e12),
+            fusion_flops=0.0,
+            topology=StarTopology({"pi": specs[0].link,
+                                   "fusion": specs[0].link}))).latencies[0]
+        c, t = self.COMPUTE_S, self.TRANSFER_S
+        assert predicted == pytest.approx(c + max(c, t) + t)
+        assert predicted <= last < predicted + 0.05
+        assert last - first == pytest.approx(t)    # one link, back to back

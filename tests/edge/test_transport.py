@@ -58,7 +58,7 @@ def tcp_nodelay(conn) -> int:
         sock.detach()
 
 
-def echo_worker(spec, conn, time_scale):
+def echo_worker(spec, conn):
     """``worker_main`` stand-in: reports its end's TCP_NODELAY, then
     echoes every message back until the parent hangs up."""
     conn.send(tcp_nodelay(conn))
@@ -256,7 +256,7 @@ class TestTcpTransport:
         the peer's delayed ACK of the header, in each direction."""
         transport = TcpTransport()
         spec, _ = make_worker("echo")
-        handle = transport.spawn(spec, 0.0, echo_worker)
+        handle = transport.spawn(spec, echo_worker)
         try:
             assert handle.poll(30.0)
             assert handle.recv() != 0              # worker (dialled) end

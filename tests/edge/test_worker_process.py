@@ -97,7 +97,7 @@ from repro.models.vit import ViTConfig, VisionTransformer
 MAIN_LEVEL = "defined in the driver script"
 
 
-def stand_in(spec, conn, time_scale):
+def stand_in(spec, conn):
     conn.send(("main", MAIN_LEVEL))
 
 
@@ -116,7 +116,7 @@ if __name__ == "__main__":
     transport, _, scenario = sys.argv[1:]
     x = np.ones((2, 3, 8, 8), dtype=np.float32)
     if scenario == "stand-in":
-        handle = get_transport(transport).spawn(specs()[0], 0.0, stand_in)
+        handle = get_transport(transport).spawn(specs()[0], stand_in)
         assert handle.poll(30)
         print("stand-in sees", handle.recv()[1])
         handle.join(timeout=10)
@@ -170,7 +170,7 @@ class TestHowAWorkerProcessStarts:
 
 
 # ----------------------------------------------------------------------
-def outside_loop(spec, conn, time_scale):
+def outside_loop(spec, conn):
     """A ``worker_main`` defined outside the package."""
 
 

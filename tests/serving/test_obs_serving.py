@@ -31,8 +31,7 @@ from repro.serving.telemetry import (
     percentile,
 )
 
-WORKER_SPAN_NAMES = {"worker.request", "worker.forward", "codec.encode",
-                     "worker.emulate"}
+WORKER_SPAN_NAMES = {"worker.request", "worker.forward", "codec.encode"}
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +87,7 @@ class TestSpanTree:
             assert {s.name for s in spans
                     if s.trace_id == root.attrs["batch_id"]} >= \
                 {"batch.gather", "batch.fusion", "worker.request",
-                 "codec.decode", "link.transfer"}
+                 "codec.decode", "device.compute", "link.transfer"}
 
         # Worker spans are emitted in the worker and joined to the
         # server-side batch span by the propagated trace context.
@@ -101,15 +100,16 @@ class TestSpanTree:
             assert s.parent_id in parent_ids
         for s in by_name["codec.decode"]:
             assert s.process == "server"
-        # One server-side link.transfer per worker reply, under its batch.
-        assert len(by_name["link.transfer"]) == \
-            len(by_name["worker.request"])
-        for s in by_name["link.transfer"]:
-            assert s.process == "server"
-            assert s.parent_id == batch_spans[s.trace_id].span_id
-            assert s.attrs["worker"] in system.plan.model_ids
-            assert set(s.attrs) == {"worker", "nbytes", "queued_s",
-                                    "transfer_s"}
+        # One server-side device.compute and link.transfer per worker
+        # reply, under its batch.
+        for name, attrs in (("device.compute", {"compute_s"}),
+                            ("link.transfer", {"nbytes", "transfer_s"})):
+            assert len(by_name[name]) == len(by_name["worker.request"])
+            for s in by_name[name]:
+                assert s.process == "server"
+                assert s.parent_id == batch_spans[s.trace_id].span_id
+                assert s.attrs["worker"] in system.plan.model_ids
+                assert set(s.attrs) == {"worker", "queued_s"} | attrs
 
     def test_no_spans_when_disabled(self, system):
         enable_tracing()
@@ -169,16 +169,18 @@ class TestPipelinedLink:
             forward = next(s for s in spans if s.name == "worker.forward"
                            and s.trace_id == batch_ids[1]
                            and s.process == worker)
-            emulate = next(s for s in spans if s.name == "worker.emulate"
+            compute = next(s for s in spans if s.name == "device.compute"
                            and s.trace_id == batch_ids[0]
-                           and s.process == worker)
+                           and s.attrs["worker"] == worker)
             wire_s = samples * self.TIMING[1]
             assert link.duration_s == pytest.approx(wire_s)
             assert link.attrs["transfer_s"] == link.duration_s
             assert link.attrs["nbytes"] == samples * 4 * specs[0].feature_dim
             assert forward.ts < link.ts + link.duration_s
-            # The worker sleeps its compute only: the wire is not its own.
-            assert emulate.duration_s < wire_s
+            # The device computes, then sends: one after the other.
+            assert compute.duration_s == pytest.approx(
+                samples * self.TIMING[0])
+            assert compute.ts + compute.duration_s <= link.ts + 1e-6
 
 
 class TestReportSchema:

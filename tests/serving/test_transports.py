@@ -10,8 +10,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.edge import runtime, wire
 from repro.edge.device import DeviceModel
 from repro.edge.runtime import EdgeCluster
+from repro.edge.runtime import _worker_main as real_worker_main
 from repro.planning import plan_demo_system
 from repro.serving import (
     BatchingConfig,
@@ -104,6 +106,47 @@ class TestServingAcrossTransports:
             labels, system.local_fused_labels(X, zero_models=(0,)))
         assert health[w0].startswith("no reply within")
         assert health[w1] == "up"
+
+    def test_silent_worker_degrades_within_the_gather_deadline(
+            self, transport, monkeypatch):
+        # The silent worker boots, answers READY and never replies to an
+        # INFER: only the gather's deadline can end the wait for it.
+        system = plan_demo_system(num_workers=2, transport=transport)
+        specs = system.make_cluster().specs
+        silent = dataclasses.replace(specs[0], worker_id=SILENT)
+        monkeypatch.setattr(runtime, "_worker_main", silent_or_real_worker)
+        timeout = 0.5
+        server = InferenceServer(
+            EdgeCluster([silent, *specs[1:]], transport=transport),
+            system.fusion, ServerConfig(worker_timeout_s=timeout))
+        with server:
+            start = time.perf_counter()
+            future = server.submit(X)
+            labels = future.result(timeout=15.0)
+            elapsed = time.perf_counter() - start
+            health = server.worker_health()
+        assert elapsed < timeout + 0.5
+        assert future.telemetry.workers_down == (SILENT,)
+        np.testing.assert_array_equal(
+            labels, system.local_fused_labels(X, zero_models=(0,)))
+        assert health[SILENT].startswith("no reply within")
+        assert health[specs[1].worker_id] == "up"
+
+
+# A stand-in for ``_worker_main`` (module level: process transports pickle
+# it by name) that keeps the worker named SILENT alive and silent.
+SILENT = "silent"
+
+
+def silent_or_real_worker(spec, conn):
+    if spec.worker_id != SILENT:
+        return real_worker_main(spec, conn)
+    for _ in runtime._received_weights(conn):
+        pass
+    conn.send(wire.ready_message(spec.worker_id))
+    while wire.command(conn.recv()) != wire.STOP:
+        pass                           # an INFER is taken and never answered
+    conn.send(wire.stopped_message(spec.worker_id))
 
 
 class TestWireTelemetry:
