@@ -22,8 +22,6 @@ Usage::
     python -m repro.cli capacity --trace-file arrivals.jsonl --json
     python -m repro.cli artifacts ls --store ./artifacts
     python -m repro.cli artifacts gc --store ./artifacts --max-mb 64
-    python -m repro.cli check --strict                  # static analysis
-    python -m repro.cli check --json --rules lock-discipline,hygiene
 
 ``plan`` runs the deployment planner (:mod:`repro.planning`) over a small
 heterogeneous demo fleet and emits the scored
@@ -301,74 +299,6 @@ def cmd_serve(args) -> None:
         from . import obs
 
         print(obs.get_registry().render_text())
-
-
-def cmd_check(args) -> None:
-    """``repro check``: static invariant analysis over the package.
-
-    Exit codes: 0 clean, 1 new findings (with ``--strict`` also stale
-    baseline entries), 2 usage error.  ``--json`` keeps stdout pure JSON
-    with notes on stderr, matching the other machine-readable commands.
-    """
-    import json
-    from pathlib import Path
-
-    from . import analysis
-
-    if args.list_rules:
-        for name, cls in analysis.rule_classes().items():
-            print(f"{name}  [{', '.join(cls.finding_ids)}]")
-            print(f"    {cls.description}")
-        return
-
-    rule_names = [r for r in args.rules.split(",") if r] if args.rules \
-        else None
-    root = Path(args.path).resolve() if args.path else analysis.default_root()
-    if not root.is_dir():
-        print(f"repro check: scan root {root} is not a directory",
-              file=sys.stderr)
-        raise SystemExit(2)
-    baseline_path = Path(args.baseline) if args.baseline \
-        else analysis.default_baseline_path(root)
-    try:
-        findings = analysis.run_check(root=root, rule_names=rule_names)
-        previous = analysis.load_baseline(baseline_path)
-    except (ValueError, OSError) as exc:
-        # Unknown rule, unreadable root, malformed baseline: usage errors.
-        print(f"repro check: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-    if args.update_baseline:
-        analysis.save_baseline(baseline_path, findings, previous)
-        print(f"# baseline rewritten: {len(findings)} entries -> "
-              f"{baseline_path}", file=sys.stderr)
-        return
-
-    comparison = analysis.compare(findings, previous)
-    failed = bool(comparison.new) \
-        or (args.strict and bool(comparison.stale))
-    if args.json:
-        print(json.dumps({
-            "root": str(root),
-            "baseline": str(baseline_path),
-            "new": [f.to_dict() for f in comparison.new],
-            "baselined": [f.to_dict() for f in comparison.baselined],
-            "stale": [e.to_dict() for e in comparison.stale],
-            "ok": not failed,
-        }, indent=2, sort_keys=True, allow_nan=False))
-    else:
-        for finding in comparison.new:
-            print(finding.render(str(root)))
-        for entry in comparison.stale:
-            print(f"stale baseline entry {entry.fingerprint} "
-                  f"({entry.rule_id} {entry.file}): no longer found"
-                  + (" [--strict fails on this]" if args.strict else ""))
-        print(f"# {len(comparison.new)} new, "
-              f"{len(comparison.baselined)} baselined, "
-              f"{len(comparison.stale)} stale "
-              f"({baseline_path.name})", file=sys.stderr)
-    if failed:
-        raise SystemExit(1)
 
 
 def cmd_quantize(args) -> None:
@@ -686,33 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write a copy of the plan retargeted to the "
                               "quantized artifacts here")
     p_quant.set_defaults(func=cmd_quantize)
-
-    p_check = sub.add_parser(
-        "check", help="static invariant analysis (locks, recipe digests, "
-                      "wire protocol, naming, hygiene)")
-    p_check.add_argument("--path", default=None, metavar="DIR",
-                         help="package tree to scan (default: the "
-                              "installed repro package)")
-    p_check.add_argument("--baseline", default=None, metavar="FILE",
-                         help="baseline file of accepted findings "
-                              "(default: analysis-baseline.json at the "
-                              "repo root)")
-    p_check.add_argument("--rules", default=None,
-                         help="comma-separated rule names to run "
-                              "(default: all; see --list-rules)")
-    p_check.add_argument("--strict", action="store_true",
-                         help="also fail (exit 1) on stale baseline "
-                              "entries, so the baseline can only shrink "
-                              "via --update-baseline")
-    p_check.add_argument("--update-baseline", action="store_true",
-                         help="rewrite the baseline to the current scan, "
-                              "keeping existing entries' reasons")
-    p_check.add_argument("--list-rules", action="store_true",
-                         help="list the analysis rules and exit")
-    p_check.add_argument("--json", action="store_true",
-                         help="machine-readable report on stdout "
-                              "(notes stay on stderr)")
-    p_check.set_defaults(func=cmd_check)
 
     sub.add_parser("communication",
                    help="Section V-D feature/transfer sizes").set_defaults(

@@ -7,9 +7,9 @@ dispatch/poll surface, the serving gather loop, and the trace-context
 propagation added in the observability layer.  This module is the single
 place that shape lives — everything else builds messages through the
 ``*_message`` constructors and reads fields through the accessors, and
-the static checker (:mod:`repro.analysis`, rule ``wire-protocol``) flags
-raw tuple literals or ``message[0] == "..."`` string matching anywhere
-else, so the protocol cannot drift one call site at a time.
+a tier-1 test over the source (``tests/test_source_invariants.py``)
+flags raw tuple literals or ``message[0] == "..."`` string matching
+anywhere else, so the protocol cannot drift one call site at a time.
 
 Wire shapes (see :data:`ARITY` for the machine-readable form)::
 

@@ -83,6 +83,8 @@ class _BatchContext:
     dispatched_at: float | None = None  # None: never dispatched
     dispatched_wall: float = 0.0
     bytes_out: int = 0
+    scatter_s: float = 0.0
+    send_s: dict[str, float] = dataclasses.field(default_factory=dict)
     features: dict[str, np.ndarray] = dataclasses.field(default_factory=dict)
     stats: dict[str, dict] = dataclasses.field(default_factory=dict)
     gather_s: float = 0.0
@@ -449,10 +451,14 @@ class InferenceServer:
             "trace_id": ctx.request_id, "parent_id": ctx.span_id}
         # submit() detects dead processes / closed pipes itself and marks
         # the worker down, so no liveness pre-check here.
-        hosts = sorted(set(ctx.hosting.values()))
-        pending = [worker_id for worker_id in hosts
-                   if self._cluster.submit(worker_id, ctx.request_id, ctx.x,
-                                           trace=trace)]
+        pending = []
+        for worker_id in sorted(set(ctx.hosting.values())):
+            sent = time.perf_counter()
+            if self._cluster.submit(worker_id, ctx.request_id, ctx.x,
+                                    trace=trace):
+                pending.append(worker_id)
+            ctx.send_s[worker_id] = time.perf_counter() - sent
+        ctx.scatter_s = time.perf_counter() - ctx.dispatched_at
         ctx.bytes_out = ctx.x.nbytes * len(pending)
         return pending
 
@@ -541,6 +547,10 @@ class InferenceServer:
                                "samples": batch.num_samples,
                                "workers": len(set(ctx.hosting.values())),
                                "degraded": bool(ctx.missing)})
+            tracer.emit("batch.scatter", trace_id=ctx.request_id,
+                        parent_id=ctx.span_id, ts=ctx.dispatched_wall,
+                        duration_s=ctx.scatter_s,
+                        attrs={"send_s": ctx.send_s})
             tracer.emit("batch.gather", trace_id=ctx.request_id,
                         parent_id=ctx.span_id, ts=ctx.dispatched_wall,
                         duration_s=ctx.gather_s)

@@ -80,6 +80,12 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["curve", "--model", "vit-giant"])
 
+    def test_check_is_an_unknown_command(self):
+        # Source invariants are tier-1 tests, not a subcommand.
+        with pytest.raises(SystemExit) as exc:
+            main(["check"])
+        assert exc.value.code == 2
+
 
 class TestServingCommands:
     """``serve`` / ``trace`` / ``loadgen`` on in-process workers."""

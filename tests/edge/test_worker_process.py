@@ -44,7 +44,7 @@ def loaded(prefix):
 
 for unwanted in ("repro.planning", "repro.serving", "repro.store",
                  "repro.pruning", "repro.splitting", "repro.baselines",
-                 "repro.data", "repro.analysis", "repro.core.edvit",
+                 "repro.data", "repro.core.edvit",
                  "repro.core.experiments", "repro.edge.simulator",
                  "repro.edge.fastsim", "numpy.random"):
     assert not loaded(unwanted), loaded(unwanted)

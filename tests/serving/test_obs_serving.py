@@ -86,8 +86,9 @@ class TestSpanTree:
             # Every request's batch has its whole tree, worker side too.
             assert {s.name for s in spans
                     if s.trace_id == root.attrs["batch_id"]} >= \
-                {"batch.gather", "batch.fusion", "worker.request",
-                 "codec.decode", "device.compute", "link.transfer"}
+                {"batch.scatter", "batch.gather", "batch.fusion",
+                 "worker.request", "codec.decode", "device.compute",
+                 "link.transfer"}
 
         # Worker spans are emitted in the worker and joined to the
         # server-side batch span by the propagated trace context.
@@ -100,6 +101,21 @@ class TestSpanTree:
             assert s.parent_id in parent_ids
         for s in by_name["codec.decode"]:
             assert s.process == "server"
+        # The scatter opens its batch and times one send per worker;
+        # each worker starts on the batch after the scatter began, and the
+        # gather ends after the scatter does.
+        assert len(by_name["batch.scatter"]) == len(batch_spans)
+        for s in by_name["batch.scatter"]:
+            batch = batch_spans[s.trace_id]
+            assert s.parent_id == batch.span_id and s.ts == batch.ts
+            workers = [w for w in by_name["worker.request"]
+                       if w.trace_id == s.trace_id]
+            assert set(s.attrs["send_s"]) == {w.process for w in workers}
+            assert 0 < sum(s.attrs["send_s"].values()) <= s.duration_s
+            assert all(w.ts >= s.ts - 0.05 for w in workers)
+            gather = next(g for g in by_name["batch.gather"]
+                          if g.trace_id == s.trace_id)
+            assert s.duration_s <= gather.duration_s
         # One server-side device.compute and link.transfer per worker
         # reply, under its batch.
         for name, attrs in (("device.compute", {"compute_s"}),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.edge.runtime import MODEL_KINDS
 from repro.planning import (
     FUSION_ARTIFACT,
     DeploymentPlan,
@@ -20,6 +21,29 @@ def populated(tmp_path_factory):
     system = plan_demo_system(num_workers=2, seed=0, train_fusion=True,
                               fusion_epochs=2, store=store)
     return system, store
+
+
+# A replan or re-score may change these without invalidating artifacts.
+DIGEST_EXCLUDED_KEYS = {"codec", "mapping", "scoring"}
+
+
+def recipe_problems(value, path="recipe"):
+    """What in a recipe is not plain JSON or names a digest-excluded knob.
+
+    Plain means exactly ``str``/``int``/``float``/``bool``/``None`` leaves:
+    a numpy scalar may encode today and drift (or raise) tomorrow."""
+    problems = []
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if type(key) is not str or key in DIGEST_EXCLUDED_KEYS:
+                problems.append(f"{path}: key {key!r}")
+            problems += recipe_problems(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            problems += recipe_problems(item, f"{path}[{index}]")
+    elif type(value) not in (str, int, float, bool, type(None)):
+        problems.append(f"{path}: {type(value).__name__}")
+    return problems
 
 
 def eval_xy(system):
@@ -55,6 +79,27 @@ class TestPlanArtifacts:
         plan.codec = "q8"
         plan.build["scoring"] = {"des_samples": 99}
         assert plan_artifact_digests(plan) == system.plan.artifacts
+
+
+class TestRecipeSchema:
+    @pytest.mark.parametrize("quant", ["fp32", "int8"])
+    @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+    def test_recipes_are_plain_json_without_excluded_keys(self, kind,
+                                                          quant):
+        plan = plan_demo_system(num_workers=2, model_kind=kind, quant=quant,
+                                transport="inprocess").plan
+        recipes = plan.artifact_recipes()
+        assert set(recipes) == set(plan.model_ids) | {FUSION_ARTIFACT}
+        assert {recipes[m].get("quant", "fp32") for m in plan.model_ids} \
+            == {quant}
+        assert recipe_problems(recipes) == []
+
+    def test_the_check_sees_numpy_scalars_and_excluded_keys(self):
+        recipe = {"seed": np.int64(1), "hp": np.float64(0.5),
+                  "train": {"codec": "q8", "epochs": 2},
+                  "classes": [1, np.bool_(True)]}
+        assert [p.partition(":")[0] for p in recipe_problems(recipe)] == [
+            "recipe.seed", "recipe.hp", "recipe.train", "recipe.classes[1]"]
 
 
 class TestWarmBoot:

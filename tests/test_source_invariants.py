@@ -1,0 +1,423 @@
+"""Invariants only the source shows, checked over the AST of ``src/repro``.
+
+Three small checkers, each run over every module and pinned by snippets
+of what it flags and the nearest pattern it must leave alone:
+
+* **lock discipline** (LOCK001 write / LOCK002 read): per class, the
+  ``self`` attributes it mutates inside ``with self.<lock>:`` are
+  *guarded*; touching one outside that lock is a race.  ``__init__`` is
+  exempt, a closure never inherits the locks around it (it may run on
+  another thread later), and a ``Condition.wait_for`` predicate runs
+  with its lock held;
+* **hygiene** (HYG001-HYG006): no ``pickle``, no ``eval``/``exec``, no
+  bare ``except:``, every ``Thread`` daemonic or joined in an enclosing
+  scope, every ``json.dump(s)`` passes ``allow_nan=False``, no tracked
+  bytecode;
+* **wire protocol** (WIRE001/WIRE002): outside ``edge/wire.py`` no raw
+  wire tuple (a command tag first, at an arity ``wire.ARITY`` allows)
+  and no ``message[0] == "<tag>"`` dispatch.
+
+Pure ``ast`` walks over ~80 files; the whole module runs in about a
+second.
+"""
+
+import ast
+import collections
+import functools
+import subprocess
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.edge import wire
+
+SRC = Path(repro.__file__).resolve().parent
+ROOT = SRC.parent.parent
+
+# Benign double-checked reads: the fast path peeks before taking the
+# lock and the slow path re-checks under it.
+LOCK_READS_ALLOWED = {
+    "Workspace._stores is guarded by _lock but read outside it in "
+    "_storage()",
+    "MetricsRegistry._instruments is guarded by _lock but read outside "
+    "it in _get()",
+}
+
+LOCK_FACTORIES = {"Lock", "RLock", "Condition"}
+MUTATORS = {"append", "appendleft", "extend", "insert", "add", "update",
+            "setdefault", "pop", "popleft", "popitem", "remove", "discard",
+            "clear"}
+
+Finding = collections.namedtuple("Finding", "rule where message")
+
+
+@functools.lru_cache(maxsize=None)
+def source_trees():
+    """``{path relative to src/: parsed module}`` for all of ``repro``."""
+    return {path.relative_to(SRC.parent).as_posix():
+            ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted(SRC.rglob("*.py"))}
+
+
+def scan(checker):
+    return [finding for path, tree in source_trees().items()
+            for finding in checker(tree, path)]
+
+
+def snippet(checker, source, path="m.py"):
+    """The rule ids ``checker`` reports on a dedented source snippet."""
+    return [f.rule for f in checker(ast.parse(textwrap.dedent(source)), path)]
+
+
+def _name(func):
+    """``f`` / ``obj.f`` -> ``"f"``."""
+    return func.attr if isinstance(func, ast.Attribute) \
+        else getattr(func, "id", None)
+
+
+def _self_attr(node):
+    """``self.X`` -> ``"X"``, else None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "self":
+        return node.attr
+    return None
+
+
+# -- lock discipline --------------------------------------------------------
+def _mutated(node):
+    """The ``self.X`` nodes one statement or call mutates in place."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in MUTATORS:
+        targets = [node.func.value]
+    else:
+        return []
+    bases = []
+    for target in targets:
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        if _self_attr(target) is not None:
+            bases.append(target)
+    return bases
+
+
+def _walk_held(node, held, locks, visit):
+    """Visit ``node`` and its subtree with the set of held locks."""
+    visit(node, held)
+    if isinstance(node, (ast.With, ast.AsyncWith)):
+        for item in node.items:
+            _walk_held(item.context_expr, held, locks, visit)
+        inner = held | {_self_attr(item.context_expr) for item in node.items
+                        if _self_attr(item.context_expr) in locks}
+        for stmt in node.body:
+            _walk_held(stmt, inner, locks, visit)
+        return
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        held = frozenset()             # may run later, on any thread
+    elif isinstance(node, ast.Call) and _name(node.func) == "wait_for" \
+            and _self_attr(node.func.value) in locks:
+        # Condition.wait_for runs its predicate with the lock held.
+        lock = _self_attr(node.func.value)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Lambda):
+                _walk_held(child.body, held | {lock}, locks, visit)
+            else:
+                _walk_held(child, held, locks, visit)
+        return
+    for child in ast.iter_child_nodes(node):
+        _walk_held(child, held, locks, visit)
+
+
+def lock_findings(tree, path):
+    findings = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = [n for n in cls.body
+                   if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        locks = {_self_attr(target) for method in methods
+                 for node in ast.walk(method)
+                 if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Call)
+                 and _name(node.value.func) in LOCK_FACTORIES
+                 for target in node.targets} - {None}
+        guarded = collections.defaultdict(set)
+
+        def infer(node, held):
+            if held:
+                for base in _mutated(node):
+                    if base.attr not in locks:
+                        guarded[base.attr] |= held
+
+        for method in methods:
+            for stmt in method.body:
+                _walk_held(stmt, frozenset(), locks, infer)
+
+        for method in methods:
+            if method.name == "__init__" or not guarded:
+                continue               # no other thread can hold self yet
+            written = set()
+
+            def check(node, held, method=method, written=written):
+                accesses = [("LOCK001", "written", base)
+                            for base in _mutated(node)]
+                written.update(id(base) for _, _, base in accesses)
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Load) \
+                        and id(node) not in written:
+                    accesses.append(("LOCK002", "read", node))
+                for rule, kind, base in accesses:
+                    attr = _self_attr(base)
+                    if attr in guarded and not held & guarded[attr]:
+                        findings.append(Finding(
+                            rule, f"{path}:{base.lineno}",
+                            f"{cls.name}.{attr} is guarded by "
+                            f"{'/'.join(sorted(guarded[attr]))} but {kind} "
+                            f"outside it in {method.name}()"))
+
+            for stmt in method.body:
+                _walk_held(stmt, frozenset(), locks, check)
+    return findings
+
+
+# -- hygiene ----------------------------------------------------------------
+def _keyword_is(call, name, value):
+    return any(k.arg == name and isinstance(k.value, ast.Constant)
+               and k.value.value is value for k in call.keywords)
+
+
+def _joins(scope):
+    """Any ``x.join(...)`` on a non-literal receiver (not ``", ".join``)."""
+    return any(isinstance(node, ast.Call) and _name(node.func) == "join"
+               and isinstance(node.func, ast.Attribute)
+               and not isinstance(node.func.value, ast.Constant)
+               for node in ast.walk(scope))
+
+
+def hygiene_findings(tree, path):
+    findings = []
+
+    def visit(node, scopes):
+        def flag(rule, message):
+            findings.append(Finding(rule, f"{path}:{node.lineno}", message))
+
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "pickle" in [a.name for a in node.names] + [
+                    getattr(node, "module", None)]:
+                flag("HYG001", "pickle imported; artifacts are npz/JSON")
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) \
+                    and node.func.id in ("eval", "exec"):
+                flag("HYG002", f"call to {node.func.id}()")
+            elif _name(node.func) == "Thread" \
+                    and not _keyword_is(node, "daemon", True) \
+                    and not any(_joins(scope) for scope in scopes):
+                flag("HYG004", "non-daemon Thread never joined in its scope")
+            elif isinstance(node.func, ast.Attribute) \
+                    and getattr(node.func.value, "id", None) == "json" \
+                    and node.func.attr in ("dump", "dumps") \
+                    and not _keyword_is(node, "allow_nan", False):
+                flag("HYG005",
+                     f"json.{node.func.attr} without allow_nan=False")
+        elif isinstance(node, ast.ExceptHandler) and node.type is None:
+            flag("HYG003", "bare except: swallows KeyboardInterrupt")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scopes = scopes + [node]
+        for child in ast.iter_child_nodes(node):
+            visit(child, scopes)
+
+    visit(tree, [tree])
+    return findings
+
+
+# -- wire protocol ----------------------------------------------------------
+def _tag(node):
+    if isinstance(node, ast.Constant) and node.value in wire.ARITY:
+        return node.value
+    return None
+
+
+def wire_findings(tree, path):
+    if path == "repro/edge/wire.py":
+        return []
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and node.elts \
+                and (tag := _tag(node.elts[0])) is not None:
+            lo, hi = wire.ARITY[tag]
+            # ("error", "warning") is no wire tuple: an ERROR has three.
+            if lo <= len(node.elts) <= hi:
+                findings.append(Finding(
+                    "WIRE001", f"{path}:{node.lineno}",
+                    f"raw {tag!r} tuple; build it with wire.{tag}_message"))
+        elif isinstance(node, ast.Compare) \
+                and isinstance(node.left, ast.Subscript) \
+                and getattr(node.left.slice, "value", None) == 0:
+            literals = [e for c in node.comparators
+                        for e in (c.elts if isinstance(c, ast.Tuple)
+                                  else [c])]
+            if any(_tag(lit) for lit in literals):
+                findings.append(Finding(
+                    "WIRE002", f"{path}:{node.lineno}",
+                    "message[0] compared to a command string; compare "
+                    "wire.command(message) to the wire constant"))
+    return findings
+
+
+# -- the source -------------------------------------------------------------
+class TestSource:
+    @pytest.mark.parametrize("checker", [lock_findings, hygiene_findings,
+                                         wire_findings],
+                             ids=["locks", "hygiene", "wire"])
+    def test_has_no_findings(self, checker):
+        findings = [f for f in scan(checker)
+                    if f.message not in LOCK_READS_ALLOWED]
+        assert findings == [], "\n".join(map(str, findings))
+
+    def test_scan_sees_the_whole_package(self):
+        assert {"repro/edge/wire.py", "repro/serving/server.py",
+                "repro/nn/backend.py", "repro/obs/metrics.py"} \
+            <= set(source_trees())
+
+    def test_allowed_reads_are_still_there(self):
+        # Drop an entry once its code is gone: the allowlist only shrinks.
+        found = {f.message for f in scan(lock_findings)}
+        assert LOCK_READS_ALLOWED <= found
+
+    def test_no_bytecode_is_tracked(self):
+        ignored = (ROOT / ".gitignore").read_text().split()
+        assert "__pycache__/" in ignored and "*.pyc" in ignored
+        listed = subprocess.run(["git", "ls-files"], cwd=ROOT,
+                                capture_output=True, text=True, check=False)
+        tracked = listed.stdout.splitlines() if listed.returncode == 0 \
+            else []
+        assert [f for f in tracked
+                if "__pycache__" in f or f.endswith(".pyc")] == []
+
+
+# -- the checkers -----------------------------------------------------------
+class TestLockDiscipline:
+    BOX = """
+        import threading
+
+        class Box:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._items = []
+
+            def put(self, item):
+                with self._lock:
+                    self._items.append(item)
+
+            def probe(self, item, timer):
+        """
+
+    def test_unlocked_write_names_class_attribute_and_method(self):
+        findings = lock_findings(ast.parse(textwrap.dedent(self.BOX)
+                                           + "        self._items = []"),
+                                 "m.py")
+        assert [f.rule for f in findings] == ["LOCK001"]
+        assert findings[0].message == ("Box._items is guarded by _lock but "
+                                       "written outside it in probe()")
+
+    @pytest.mark.parametrize("body, rules", [
+        ("return list(self._items)", ["LOCK002"]),
+        ("with self._lock:\n    return self._items.pop()", []),
+        ("pass", []),                  # __init__'s writes are exempt
+        ("self._items[0] = item", ["LOCK001"]),
+        ("del self._items[0]", ["LOCK001"]),
+        ("self._items.append(item)", ["LOCK001"]),
+        # The callback may run on another thread long after the with
+        # block exited: the enclosing lock must not excuse it.
+        ("with self._lock:\n    timer(lambda: self._items.pop())",
+         ["LOCK001"]),
+    ], ids=["read", "locked", "init-only", "item-store", "item-del",
+            "mutating-call", "closure"])
+    def test_box_method(self, body, rules):
+        source = textwrap.dedent(self.BOX) + textwrap.indent(body, " " * 8)
+        assert snippet(lock_findings, source) == rules
+
+    def test_condition_wait_for_predicate_counts_as_locked(self):
+        assert snippet(lock_findings, """
+            import threading
+
+            class Mailbox:
+                def __init__(self):
+                    self._cond = threading.Condition()
+                    self._items = []
+
+                def put(self, item):
+                    with self._cond:
+                        self._items.append(item)
+                        self._cond.notify_all()
+
+                def get(self):
+                    with self._cond:
+                        self._cond.wait_for(lambda: self._items)
+                        return self._items.pop()
+        """) == []
+
+    def test_attribute_never_mutated_under_lock_is_not_guarded(self):
+        assert snippet(lock_findings, """
+            import threading
+
+            class Stats:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._hits = 0
+                    self._name = "stats"
+
+                def hit(self):
+                    with self._lock:
+                        self._hits += 1
+
+                def label(self):
+                    return self._name      # never lock-mutated: fine
+        """) == []
+
+
+THREAD = "import threading\nthread = threading.Thread(target=print"
+
+
+@pytest.mark.parametrize("source, rules", [
+    ("import pickle", ["HYG001"]),
+    ("from pickle import loads", ["HYG001"]),
+    ("eval(s)", ["HYG002"]),
+    ("exec(s)", ["HYG002"]),
+    ("try:\n    f()\nexcept:\n    pass", ["HYG003"]),
+    ("try:\n    f()\nexcept Exception:\n    pass", []),
+    (THREAD + ")\nthread.start()", ["HYG004"]),
+    (THREAD + ", daemon=True)\nthread.start()", []),
+    (THREAD + ")\nthread.start()\nthread.join()", []),
+    # str.join is no Thread.join
+    (THREAD + ')\nthread.start()\n", ".join(parts)', ["HYG004"]),
+    ("import json\njson.dumps(data)", ["HYG005"]),
+    ("import json\njson.dumps(data, allow_nan=False)", []),
+], ids=["pickle", "from-pickle", "eval", "exec", "bare-except",
+        "narrow-except", "thread", "daemon-thread", "joined-thread",
+        "str-join", "json-nan", "json-allow-nan-false"])
+def test_hygiene_snippet(source, rules):
+    assert snippet(hygiene_findings, source) == rules
+
+
+@pytest.mark.parametrize("source, rules", [
+    ('reply = ("ready", worker_id)', ["WIRE001"]),
+    ('if message[0] == "infer":\n    pass', ["WIRE002"]),
+    ('if message[0] in ("infer", "stop"):\n    pass', ["WIRE002"]),
+    ('SEVERITIES = ("error", "warning")', []),
+    ("if wire.command(message) == wire.INFER:\n    pass", []),
+], ids=["raw-tuple", "dispatch", "dispatch-in", "other-tuple",
+        "wire-command"])
+def test_wire_snippet(source, rules):
+    assert snippet(wire_findings, source) == rules
+
+
+def test_the_wire_module_may_build_raw_tuples():
+    assert snippet(wire_findings, 'reply = ("ready", worker_id)',
+                   path="repro/edge/wire.py") == []
