@@ -23,6 +23,7 @@ from repro.splitting.class_assignment import (
     balanced_class_partition,
     unbalanced_class_partition,
 )
+from repro.splitting.fusion import fused_accuracy, train_fusion_mlp
 
 MB = 2 ** 20
 
@@ -92,7 +93,6 @@ def test_ablation_balanced_vs_skewed_partition(benchmark, trained_vit,
             # Rebuild ED-ViT but with an injected partition.
             from repro.splitting.schedule import plan_head_schedule
             from repro.pruning.pipeline import prune_submodel
-            from repro.splitting.fusion import fused_accuracy, train_fusion_mlp
 
             schedule = plan_head_schedule(trained_vit.config, groups, fleet,
                                           memory_budget_bytes=64 * MB,
@@ -100,12 +100,12 @@ def test_ablation_balanced_vs_skewed_partition(benchmark, trained_vit,
             cfg = PruneConfig(probe_size=12, head_adapt_epochs=2,
                               stage_finetune_epochs=0, retrain_epochs=3,
                               backend="magnitude", seed=0)
-            subs = [prune_submodel(trained_vit, bench_dataset, classes, hp,
-                                   config=cfg)
-                    for classes, hp in zip(groups, schedule.hps)]
-            fusion = train_fusion_mlp(subs, bench_dataset, epochs=12, lr=3e-3,
-                                      seed=0)
-            results[name] = fused_accuracy(subs, fusion, bench_dataset)
+            models = [prune_submodel(trained_vit, bench_dataset, classes, hp,
+                                     config=cfg).model
+                      for classes, hp in zip(groups, schedule.hps)]
+            fusion = train_fusion_mlp(models, bench_dataset, epochs=12,
+                                      lr=3e-3, seed=0)
+            results[name] = fused_accuracy(models, fusion, bench_dataset)
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -117,22 +117,25 @@ def test_ablation_fusion_shrink_sweep(benchmark, trained_vit, bench_dataset):
     """Sweep the tower-MLP shrink factor lambda around the paper's 0.5."""
 
     def run():
+        # The sub-models do not depend on lambda: build them once, then
+        # train one fusion MLP per shrink factor on their frozen features.
+        system = build_edvit(
+            trained_vit, bench_dataset, make_fleet(2),
+            EDViTConfig(num_devices=2, memory_budget_bytes=64 * MB,
+                        prune=PruneConfig(probe_size=12, head_adapt_epochs=2,
+                                          stage_finetune_epochs=0,
+                                          retrain_epochs=3,
+                                          backend="magnitude", seed=0),
+                        fusion_epochs=12, fusion_lr=3e-3, seed=0))
         rows = []
         for shrink in (0.25, 0.5, 1.0):
-            fleet = [d.to_spec() for d in make_fleet(2)]
-            system = build_edvit(
-                trained_vit, bench_dataset, fleet,
-                EDViTConfig(num_devices=2, memory_budget_bytes=64 * MB,
-                            prune=PruneConfig(probe_size=12,
-                                              head_adapt_epochs=2,
-                                              stage_finetune_epochs=0,
-                                              retrain_epochs=3,
-                                              backend="magnitude", seed=0),
-                            fusion_epochs=12, fusion_lr=3e-3,
-                            fusion_shrink=shrink, seed=0))
+            fusion = train_fusion_mlp(system.models, bench_dataset,
+                                      epochs=12, lr=3e-3, shrink=shrink,
+                                      seed=0)
             rows.append({"lambda": shrink,
-                         "accuracy": system.accuracy(bench_dataset),
-                         "fusion_hidden": system.fusion.config.hidden_dim})
+                         "accuracy": fused_accuracy(system.models, fusion,
+                                                    bench_dataset),
+                         "fusion_hidden": fusion.config.hidden_dim})
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

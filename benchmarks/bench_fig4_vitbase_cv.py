@@ -14,7 +14,11 @@ so absolute accuracies are lower but flat-in-N should hold).
 """
 
 from benchmarks.conftest import IMAGE, TEST_PER_CLASS, TRAIN_PER_CLASS, print_table
-from benchmarks.trained_runs import BENCH_DEVICE_COUNTS, build_edvit_system
+from benchmarks.trained_runs import (
+    BENCH_DEVICE_COUNTS,
+    build_edvit_system,
+    system_accuracy,
+)
 from repro.core.experiments import latency_memory_curve
 from repro.data import caltech_like, mnist_like
 from repro.models.vit import vit_base_config
@@ -65,7 +69,7 @@ def test_fig4a_accuracy_cv_datasets(benchmark, trained_vit, bench_dataset):
             row = {"Dataset": name}
             for n in BENCH_DEVICE_COUNTS:
                 system = build_edvit_system(base, ds, n, seed=0)
-                row[f"N={n}"] = system.accuracy(ds)
+                row[f"N={n}"] = system_accuracy(system, ds)
             rows.append(row)
         return rows
 

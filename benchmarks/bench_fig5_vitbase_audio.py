@@ -11,7 +11,11 @@ from benchmarks.conftest import (
     TRAIN_PER_CLASS,
     print_table,
 )
-from benchmarks.trained_runs import BENCH_DEVICE_COUNTS, build_edvit_system
+from benchmarks.trained_runs import (
+    BENCH_DEVICE_COUNTS,
+    build_edvit_system,
+    system_accuracy,
+)
 from repro.core.experiments import latency_memory_curve
 from repro.data import speech_command_like
 from repro.models.vit import vit_base_config
@@ -52,7 +56,7 @@ def test_fig5a_accuracy_audio_datasets(benchmark, trained_audio_vit,
             row = {"Dataset": name}
             for n in BENCH_DEVICE_COUNTS:
                 system = build_edvit_system(base, ds, n, seed=0)
-                row[f"N={n}"] = system.accuracy(ds)
+                row[f"N={n}"] = system_accuracy(system, ds)
             rows.append(row)
         return rows
 

@@ -18,6 +18,7 @@ from benchmarks.trained_runs import (
     build_cnn_system,
     build_edvit_system,
     build_snn_system,
+    system_accuracy,
 )
 from repro.edge.device import make_fleet, raspberry_pi_4b
 from repro.edge.simulator import DeploymentSpec, SubModelProfile, simulate_inference
@@ -42,8 +43,8 @@ def _simulate(flops_list, feature_dims, fusion_flops=1e6):
 
 
 def _row(name, system, flops_list):
-    sizes = [size_mb(sm.model.num_parameters()) for sm in system.submodels]
-    dims = [sm.model.feature_dim() for sm in system.submodels]
+    sizes = [size_mb(model.num_parameters()) for model in system.models]
+    dims = [model.feature_dim() for model in system.models]
     return {
         "Method": name,
         "latency_s": _simulate(flops_list, dims),
@@ -60,18 +61,13 @@ def test_fig7_three_method_comparison(benchmark, trained_vit, trained_vgg,
         snn = build_snn_system(trained_snn, bench_dataset, N_DEVICES, seed=0)
 
         rows = []
-        row, _ = _row("Split-CNN", cnn,
-                      [vgg_flops(sm.model.config) for sm in cnn.submodels])
-        row["accuracy"] = cnn.accuracy(bench_dataset)
-        rows.append(row)
-        row, _ = _row("Split-SNN", snn,
-                      [snn_flops(sm.model.config) for sm in snn.submodels])
-        row["accuracy"] = snn.accuracy(bench_dataset)
-        rows.append(row)
-        row, _ = _row("ED-ViT", edvit,
-                      [paper_flops(sm.model.config) for sm in edvit.submodels])
-        row["accuracy"] = edvit.accuracy(bench_dataset)
-        rows.append(row)
+        for name, system, flops in [("Split-CNN", cnn, vgg_flops),
+                                    ("Split-SNN", snn, snn_flops),
+                                    ("ED-ViT", edvit, paper_flops)]:
+            row, _ = _row(name, system,
+                          [flops(model.config) for model in system.models])
+            row["accuracy"] = system_accuracy(system, bench_dataset)
+            rows.append(row)
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

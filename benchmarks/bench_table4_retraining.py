@@ -12,8 +12,12 @@ recovers additional accuracy for N >= 2.
 """
 
 from benchmarks.conftest import print_table
-from benchmarks.trained_runs import BENCH_DEVICE_COUNTS, build_edvit_system
-from repro.splitting.fusion import entire_retrain, fused_accuracy
+from benchmarks.trained_runs import (
+    BENCH_DEVICE_COUNTS,
+    build_edvit_system,
+    system_accuracy,
+)
+from repro.splitting.fusion import entire_retrain, softmax_average_accuracy
 
 
 def _table(trained_vit, dataset):
@@ -23,12 +27,12 @@ def _table(trained_vit, dataset):
     for n in BENCH_DEVICE_COUNTS:
         system = build_edvit_system(trained_vit, dataset, n, seed=0)
         col = f"N={n}"
-        rows["ED-ViT"][col] = system.accuracy(dataset)
-        rows["wo"][col] = system.softmax_average_accuracy(dataset)
-        entire_retrain(system.submodels, system.fusion, dataset, epochs=2,
+        rows["ED-ViT"][col] = system_accuracy(system, dataset)
+        rows["wo"][col] = softmax_average_accuracy(
+            system.models, system.plan.partition, dataset)
+        entire_retrain(system.models, system.fusion, dataset, epochs=2,
                        batch_size=32)
-        rows["entire"][col] = fused_accuracy(system.submodels, system.fusion,
-                                             dataset)
+        rows["entire"][col] = system_accuracy(system, dataset)
     return list(rows.values())
 
 

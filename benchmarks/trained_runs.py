@@ -18,6 +18,7 @@ from repro.baselines import (
 from repro.core.edvit import EDViTConfig, build_edvit
 from repro.edge.device import make_fleet
 from repro.pruning.pipeline import PruneConfig
+from repro.splitting.fusion import fused_accuracy
 
 MB = 2 ** 20
 
@@ -33,9 +34,8 @@ def edvit_prune_config(seed: int) -> PruneConfig:
 
 def build_edvit_system(trained_vit, dataset, n: int, seed: int = 0,
                        budget_mb: float = 64.0):
-    fleet = [d.to_spec() for d in make_fleet(n)]
     return build_edvit(
-        trained_vit, dataset, fleet,
+        trained_vit, dataset, make_fleet(n),
         EDViTConfig(num_devices=n, memory_budget_bytes=int(budget_mb * MB),
                     prune=edvit_prune_config(seed), fusion_epochs=12,
                     fusion_lr=3e-3, seed=seed))
@@ -57,6 +57,11 @@ def build_snn_system(trained_snn, dataset, n: int, seed: int = 0,
                        finetune_epochs=3, fusion_epochs=12, seed=seed))
 
 
+def system_accuracy(system, dataset) -> float:
+    """Fused test accuracy of an ED-ViT, Split-CNN or Split-SNN system."""
+    return fused_accuracy(system.models, system.fusion, dataset)
+
+
 def accuracy_over_trials(builder, dataset, n: int, trials: int) -> list[float]:
-    return [builder(n=n, seed=trial).accuracy(dataset)
+    return [system_accuracy(builder(n=n, seed=trial), dataset)
             for trial in range(trials)]

@@ -8,9 +8,13 @@ share instead of collapsing to zero.
 
 This script builds a 5-device system, then kills devices one by one and
 reports fused accuracy plus the simulated latency of the degraded fleet.
+Finally it serves the system, hard-kills one worker process, and checks
+that the served answers are the zero-filled reference's.
 
 Run:  python examples/fault_tolerance.py
 """
+
+import time
 
 import numpy as np
 
@@ -18,7 +22,7 @@ from repro.core.edvit import EDViTConfig, build_edvit
 from repro.core.metrics import format_table
 from repro.core.training import TrainConfig, train_classifier
 from repro.data import cifar10_like
-from repro.edge.device import make_fleet, raspberry_pi_4b
+from repro.edge.device import make_fleet
 from repro.edge.simulator import simulate_inference
 from repro.models.vit import ViTConfig, VisionTransformer
 from repro.pruning.pipeline import PruneConfig
@@ -36,37 +40,59 @@ def main() -> None:
     train_classifier(model, dataset.x_train, dataset.y_train,
                      TrainConfig(epochs=12, lr=3e-3, seed=0))
 
-    fleet = make_fleet(NUM_DEVICES)
     system = build_edvit(
-        model, dataset, [d.to_spec() for d in fleet],
+        model, dataset, make_fleet(NUM_DEVICES),
         EDViTConfig(num_devices=NUM_DEVICES, memory_budget_bytes=64 * MB,
                     prune=PruneConfig(probe_size=12, head_adapt_epochs=2,
                                       stage_finetune_epochs=1,
                                       retrain_epochs=3, backend="kl"),
                     fusion_epochs=12, fusion_lr=3e-3, seed=0))
-    deployment = system.deployment(fleet, raspberry_pi_4b("fusion"))
+    plan = system.plan
+    deployment = plan.deployment_spec()
 
     rows = []
-    failed: set[int] = set()
+    failed: tuple[int, ...] = ()
     for step in range(NUM_DEVICES):
-        failed_devices = {fleet[i].device_id for i in failed}
-        sim = simulate_inference(deployment, num_samples=1,
-                                 failed_devices=failed_devices)
-        lost_classes = sorted(
-            c for i in failed for c in system.submodels[i].classes)
+        subs = [plan.submodels[i] for i in failed]
+        sim = simulate_inference(
+            deployment, num_samples=1,
+            failed_devices={plan.mapping[s.model_id] for s in subs})
+        lost_classes = sorted(c for s in subs for c in s.classes)
         rows.append({
             "failed devices": len(failed),
             "lost classes": ",".join(map(str, lost_classes)) or "-",
-            "fused accuracy": system.accuracy_under_failures(
-                dataset, failed) if failed else system.accuracy(dataset),
+            "fused accuracy": system.local_accuracy(
+                dataset.x_test, dataset.y_test, zero_models=failed),
             "sim latency (ms)": sim.max_latency * 1e3,
         })
-        failed.add(step)  # kill the next device for the following round
+        failed += (step,)  # kill the next device for the following round
 
     print(format_table(rows))
     print("\nAccuracy falls roughly in proportion to the crashed devices' "
           "class share; latency never increases, and the fusion barrier "
           "never deadlocks.")
+
+    # Live: serve the system, hard-kill the first worker process, and
+    # wait for the server to answer in degraded mode (no replanning, so
+    # the dead slot stays zero-filled).
+    x = dataset.x_test[:32]
+    victim = plan.model_ids[0]
+    with system.make_server(replan=False) as server:
+        np.testing.assert_array_equal(server.infer(x),
+                                      system.local_fused_labels(x))
+        server.cluster.kill_worker(victim)
+        deadline = time.monotonic() + 30.0
+        while True:
+            future = server.submit(x)
+            served = future.result(timeout=30.0)
+            if future.telemetry.degraded or time.monotonic() > deadline:
+                break
+    if not future.telemetry.degraded:
+        raise RuntimeError(f"killing {victim} never degraded an answer")
+    np.testing.assert_array_equal(
+        served, system.local_fused_labels(x, zero_models=(0,)))
+    print(f"\nServed with {victim} killed: every request answered, "
+          f"labels equal the zero-filled in-process reference.")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ Runs the entire ED-ViT pipeline (Fig. 1 of the paper) at laptop scale:
 2. split it into 3 class-specific sub-models, prune each with the
    three-stage KL pruner, and train the fusion MLP;
 3. report accuracy / size / FLOPs, and simulate deployment latency on a
-   fleet of Raspberry-Pi-class devices.
+   fleet of Raspberry-Pi-class devices;
+4. serve the built system on its planned placement (one worker process
+   per sub-model) and check the served labels against the in-process
+   reference.
 
 Run:  python examples/quickstart.py
 """
@@ -22,6 +25,7 @@ from repro.edge.simulator import simulate_inference
 from repro.models.vit import ViTConfig, VisionTransformer
 from repro.profiling import module_size_mb, paper_flops
 from repro.pruning.pipeline import PruneConfig
+from repro.splitting.fusion import softmax_average_accuracy
 
 MB = 2 ** 20
 NUM_DEVICES = 3
@@ -41,9 +45,8 @@ def main() -> None:
           f"size: {module_size_mb(model):.2f} MB")
 
     print(f"\n== 2. Build ED-ViT across {NUM_DEVICES} devices ==")
-    fleet = make_fleet(NUM_DEVICES)
     system = build_edvit(
-        model, dataset, [d.to_spec() for d in fleet],
+        model, dataset, make_fleet(NUM_DEVICES),
         EDViTConfig(num_devices=NUM_DEVICES,
                     memory_budget_bytes=64 * MB,
                     prune=PruneConfig(probe_size=16, head_adapt_epochs=2,
@@ -51,34 +54,44 @@ def main() -> None:
                                       retrain_epochs=3, backend="kl"),
                     fusion_epochs=12, fusion_lr=3e-3, seed=0))
 
+    plan = system.plan
     rows = []
-    for i, sm in enumerate(system.submodels):
+    for sub in plan.submodels:
         rows.append({
-            "sub-model": i,
-            "classes": ",".join(map(str, sm.classes)),
-            "kept heads": config.num_heads - sm.hp,
-            "size (MB)": module_size_mb(sm.model),
-            "GMACs": paper_flops(sm.model.config) / 1e9,
-            "device": system.plan.mapping[f"submodel-{i}"],
+            "sub-model": sub.model_id,
+            "classes": ",".join(map(str, sub.classes)),
+            "kept heads": config.num_heads - sub.hp,
+            "size (MB)": sub.size_bytes / MB,
+            "GMACs": sub.flops_per_sample / 1e9,
+            "device": plan.mapping[sub.model_id],
         })
     print(format_table(rows))
 
     print("\n== 3. Evaluate the distributed system ==")
-    fused = system.accuracy(dataset)
-    averaged = system.softmax_average_accuracy(dataset)
+    fused = system.local_accuracy(dataset.x_test, dataset.y_test)
+    averaged = softmax_average_accuracy(system.models, plan.partition,
+                                        dataset)
+    total_mb = sum(sub.size_bytes for sub in plan.submodels) / MB
     print(f"fused accuracy:       {fused:.3f}  (original {original_acc:.3f})")
     print(f"softmax-avg accuracy: {averaged:.3f}  (the 'w/o retrain' variant)")
-    print(f"total sub-model size: {system.total_size_mb():.2f} MB "
+    print(f"total sub-model size: {total_mb:.2f} MB "
           f"(original {module_size_mb(model):.2f} MB)")
 
     print("\n== 4. Simulate deployment latency on Raspberry-Pi devices ==")
-    deployment = system.deployment(fleet, raspberry_pi_4b("pi-fusion"))
-    result = simulate_inference(deployment, num_samples=1)
+    result = simulate_inference(plan.deployment_spec(), num_samples=1)
     original_latency = raspberry_pi_4b("ref").compute_seconds(
         paper_flops(config))
     print(f"simulated per-sample latency: {result.max_latency * 1e3:.2f} ms "
           f"(unsplit original: {original_latency * 1e3:.2f} ms, "
           f"{original_latency / result.max_latency:.1f}x faster)")
+
+    print("\n== 5. Serve it on the planned placement ==")
+    x = dataset.x_test[:32]
+    with system.make_server() as server:
+        served = server.infer(x)
+    np.testing.assert_array_equal(served, system.local_fused_labels(x))
+    print(f"served {len(x)} images from {len(plan.submodels)} worker "
+          f"processes; labels equal the in-process reference")
 
 
 if __name__ == "__main__":

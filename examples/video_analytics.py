@@ -3,8 +3,9 @@
 Sweeps the number of edge devices for a CIFAR-like video-frame
 classification workload, reproducing the shape of Fig. 4: accuracy stays
 roughly flat while latency and per-device memory fall as devices are
-added.  Finishes by actually running the N-device system as OS processes
-(the paper's Raspberry-Pi testbed, emulated).
+added.  Finishes by serving the N-device system on its planned placement,
+one worker process per sub-model (the paper's Raspberry-Pi testbed,
+emulated), and checks the served labels against the in-process reference.
 
 Run:  python examples/video_analytics.py
 """
@@ -15,12 +16,9 @@ from repro.core.edvit import EDViTConfig, build_edvit
 from repro.core.metrics import format_table
 from repro.core.training import TrainConfig, evaluate, train_classifier
 from repro.data import cifar10_like
-from repro.edge.device import DeviceModel, make_fleet, raspberry_pi_4b
-from repro.edge.network import tc_capped_link
-from repro.edge.runtime import EdgeCluster, WorkerSpec
+from repro.edge.device import make_fleet
 from repro.edge.simulator import simulate_inference
 from repro.models.vit import ViTConfig, VisionTransformer
-from repro.profiling import paper_flops
 from repro.pruning.pipeline import PruneConfig
 
 MB = 2 ** 20
@@ -41,44 +39,36 @@ def main() -> None:
     rows = []
     last_system = None
     for n in DEVICE_COUNTS:
-        fleet = make_fleet(n)
         system = build_edvit(
-            model, dataset, [d.to_spec() for d in fleet],
+            model, dataset, make_fleet(n),
             EDViTConfig(num_devices=n, memory_budget_bytes=64 * MB,
                         prune=PruneConfig(probe_size=12, head_adapt_epochs=2,
                                           stage_finetune_epochs=1,
                                           retrain_epochs=3, backend="kl"),
                         fusion_epochs=12, fusion_lr=3e-3, seed=0))
-        deployment = system.deployment(fleet, raspberry_pi_4b("pi-fusion"))
-        sim = simulate_inference(deployment, num_samples=1)
+        plan = system.plan
+        sim = simulate_inference(plan.deployment_spec(), num_samples=1)
         rows.append({
             "devices": n,
-            "accuracy": system.accuracy(dataset),
+            "accuracy": system.local_accuracy(dataset.x_test, dataset.y_test),
             "sim latency (ms)": sim.max_latency * 1e3,
-            "total size (MB)": system.total_size_mb(),
+            "total size (MB)": sum(s.size_bytes for s in plan.submodels) / MB,
         })
         last_system = system
 
     print("\nFig.-4-shaped sweep (reduced scale):")
     print(format_table(rows))
 
-    print(f"\nRunning the {DEVICE_COUNTS[-1]}-device system as real "
-          f"processes (tc-capped links emulated)...")
-    workers = [
-        WorkerSpec.from_model(
-            f"edge-{i}", sm.model, "vit",
-            flops_per_sample=float(paper_flops(sm.model.config)),
-            device=DeviceModel(device_id=f"edge-{i}", macs_per_second=1e12),
-            link=tc_capped_link())
-        for i, sm in enumerate(last_system.submodels)]
+    print(f"\nServing the {DEVICE_COUNTS[-1]}-device system on its planned "
+          f"Pi-4B placement, one worker process per sub-model...")
     x = dataset.x_test[:16]
-    with EdgeCluster(workers, time_scale=0.0) as cluster:
-        predictions, timing = cluster.infer_fused(x, last_system.fusion)
-    accuracy = float((predictions == dataset.y_test[:16]).mean())
-    print(f"process-emulated accuracy on 16 frames: {accuracy:.3f}")
-    print(f"gather wall time: {timing.wall_seconds * 1e3:.1f} ms; "
-          f"emulated critical path (Pi-4B scale): "
-          f"{timing.emulated_critical_path:.2f} s per batch")
+    with last_system.make_server() as server:
+        served = server.infer(x)
+    np.testing.assert_array_equal(served, last_system.local_fused_labels(x))
+    accuracy = float((served == dataset.y_test[:16]).mean())
+    print(f"placement: {last_system.plan.mapping}")
+    print(f"served accuracy on 16 frames: {accuracy:.3f} "
+          f"(labels equal the in-process reference)")
 
 
 if __name__ == "__main__":

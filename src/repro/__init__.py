@@ -27,9 +27,10 @@ for Distributed Inference" (ICDCS 2025).  Subpackages:
   :class:`repro.planning.DeploymentPlan` scored by the DES simulator,
   JSON round-tripping, plan→serving execution, and online replanning
   after device failures;
-* :mod:`repro.core` — the :func:`repro.core.build_edvit` orchestrator,
-  training loops, and the experiment harness regenerating every table and
-  figure;
+* :mod:`repro.core` — the :func:`repro.core.build_edvit` orchestrator
+  (plans through :class:`repro.planning.Planner` and returns a servable
+  :class:`repro.planning.PlannedSystem`), training loops, and the
+  experiment harness regenerating every table and figure;
 * :mod:`repro.baselines` — Split-CNN (NNFacet) and Split-SNN (EC-SNN)
   comparator systems.
 """
@@ -39,7 +40,7 @@ from ._lazy import lazy_exports
 __version__ = "0.1.0"
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".core": ("EDViTConfig", "EDViTSystem", "build_edvit"),
+    ".core": ("EDViTConfig", "build_edvit"),
 }, submodules=(
     "assignment", "baselines", "core", "data", "edge", "models", "nn", "obs",
     "planning", "profiling", "pruning", "serving", "splitting", "store",

@@ -45,12 +45,11 @@ class SplitCNNConfig:
 
 @dataclasses.dataclass
 class SplitCNNSubModel:
-    """Matches the PrunedSubModel interface the fusion helpers expect."""
+    """One class group's pruned VGG."""
 
     model: VGG
     classes: list[int]
     history: dict[str, float]
-    one_vs_rest: bool = False
 
 
 @dataclasses.dataclass
@@ -62,16 +61,21 @@ class SplitCNNSystem:
 
     def predict(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Fused class predictions via the batched graph-free engine."""
-        return fused_predict(self.submodels, self.fusion, x, batch_size)
+        return fused_predict(self.models, self.fusion, x, batch_size)
 
     def accuracy(self, dataset: Dataset) -> float:
-        return fused_accuracy(self.submodels, self.fusion, dataset)
+        return fused_accuracy(self.models, self.fusion, dataset)
 
     def softmax_average_accuracy(self, dataset: Dataset) -> float:
-        return softmax_average_accuracy(self.submodels, dataset)
+        return softmax_average_accuracy(self.models, self.partition,
+                                        dataset)
+
+    @property
+    def models(self) -> list[VGG]:
+        return [sm.model for sm in self.submodels]
 
     def total_params(self) -> int:
-        return sum(sm.model.num_parameters() for sm in self.submodels)
+        return sum(model.num_parameters() for model in self.models)
 
 
 def _adapt_head(base: VGG, num_classes: int, rng: np.random.Generator) -> VGG:
@@ -94,8 +98,7 @@ def build_split_cnn(base: VGG, dataset: Dataset,
                                          config.num_devices, rng)
     submodels: list[SplitCNNSubModel] = []
     for classes in partition:
-        one_vs_rest = len(classes) == 1
-        if one_vs_rest:
+        if len(classes) == 1:
             from ..data.synthetic import one_vs_rest_dataset
 
             subset = one_vs_rest_dataset(dataset, classes[0], rng)
@@ -123,11 +126,10 @@ def build_split_cnn(base: VGG, dataset: Dataset,
                             seed=config.seed))
             history["finetune_acc"] = result.final_accuracy
         submodels.append(SplitCNNSubModel(model=model, classes=list(classes),
-                                          history=history,
-                                          one_vs_rest=one_vs_rest))
+                                          history=history))
 
-    fusion = train_fusion_mlp(submodels, dataset, epochs=config.fusion_epochs,
-                              seed=config.seed)
+    fusion = train_fusion_mlp([sm.model for sm in submodels], dataset,
+                              epochs=config.fusion_epochs, seed=config.seed)
     return SplitCNNSystem(submodels=submodels, fusion=fusion,
                           partition=partition,
                           num_classes=dataset.num_classes)

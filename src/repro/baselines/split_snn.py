@@ -43,7 +43,6 @@ class SplitSNNSubModel:
     model: ConvSNN
     classes: list[int]
     history: dict[str, float]
-    one_vs_rest: bool = False
 
 
 @dataclasses.dataclass
@@ -55,16 +54,21 @@ class SplitSNNSystem:
 
     def predict(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Fused class predictions via the batched graph-free engine."""
-        return fused_predict(self.submodels, self.fusion, x, batch_size)
+        return fused_predict(self.models, self.fusion, x, batch_size)
 
     def accuracy(self, dataset: Dataset) -> float:
-        return fused_accuracy(self.submodels, self.fusion, dataset)
+        return fused_accuracy(self.models, self.fusion, dataset)
 
     def softmax_average_accuracy(self, dataset: Dataset) -> float:
-        return softmax_average_accuracy(self.submodels, dataset)
+        return softmax_average_accuracy(self.models, self.partition,
+                                        dataset)
+
+    @property
+    def models(self) -> list[ConvSNN]:
+        return [sm.model for sm in self.submodels]
 
     def total_params(self) -> int:
-        return sum(sm.model.num_parameters() for sm in self.submodels)
+        return sum(model.num_parameters() for model in self.models)
 
 
 def _adapt_head(base: ConvSNN, num_classes: int,
@@ -87,8 +91,7 @@ def build_split_snn(base: ConvSNN, dataset: Dataset,
                                          config.num_devices, rng)
     submodels: list[SplitSNNSubModel] = []
     for classes in partition:
-        one_vs_rest = len(classes) == 1
-        if one_vs_rest:
+        if len(classes) == 1:
             from ..data.synthetic import one_vs_rest_dataset
 
             subset = one_vs_rest_dataset(dataset, classes[0], rng)
@@ -116,11 +119,10 @@ def build_split_snn(base: ConvSNN, dataset: Dataset,
                             seed=config.seed))
             history["finetune_acc"] = result.final_accuracy
         submodels.append(SplitSNNSubModel(model=model, classes=list(classes),
-                                          history=history,
-                                          one_vs_rest=one_vs_rest))
+                                          history=history))
 
-    fusion = train_fusion_mlp(submodels, dataset, epochs=config.fusion_epochs,
-                              seed=config.seed)
+    fusion = train_fusion_mlp([sm.model for sm in submodels], dataset,
+                              epochs=config.fusion_epochs, seed=config.seed)
     return SplitSNNSystem(submodels=submodels, fusion=fusion,
                           partition=partition,
                           num_classes=dataset.num_classes)

@@ -3,42 +3,37 @@
 Ties the four steps together over a trained Vision Transformer:
 
 1. **Model splitting** — balanced class partition (Algorithm 1, lines 3–6)
-   and the head-pruning schedule loop (lines 7–20, via
-   :mod:`repro.splitting.schedule`);
-2. **Model pruning** — Algorithm 2 per sub-model
+   and the head-pruning schedule loop (lines 7–20), both run by
+   :meth:`repro.planning.Planner.plan_vit`;
+2. **Model pruning** — Algorithm 2 per planned sub-model
    (:mod:`repro.pruning.pipeline`);
-3. **Model assignment** — Algorithm 3 greedy placement
-   (:mod:`repro.assignment`);
+3. **Model assignment** — the Algorithm 3 greedy placement the planner
+   chose while scheduling;
 4. **Model fusion** — tower-MLP training (Section IV-E,
    :mod:`repro.splitting.fusion`).
 
-The result is an :class:`EDViTSystem` that can classify inputs, report its
-resource footprint, and export a deployment for the discrete-event
-simulator or the process-based edge emulation.
+The pipeline ends in a :class:`repro.planning.PlannedSystem`: the plan
+(partition, head numbers, placement, the pruned modules' configs) plus
+the pruned modules and the trained fusion MLP.  It serves on Alg. 3's
+placement through ``make_server()``, replans after a device failure,
+simulates through ``plan.deployment_spec()`` and round-trips through
+JSON like every other planned fleet.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
-from ..assignment import AssignmentPlan, DeviceSpec
 from ..data.synthetic import Dataset
 from ..edge.device import DeviceModel
-from ..edge.simulator import DeploymentSpec, SubModelProfile
-from ..models.fusion import FusionMLP
 from ..models.vit import VisionTransformer
-from ..profiling import fusion_flops, module_param_count, paper_flops, size_mb
-from ..pruning.pipeline import PruneConfig, PrunedSubModel, prune_submodel
-from ..splitting.class_assignment import balanced_class_partition, validate_partition
-from ..splitting.fusion import (
-    fused_accuracy,
-    fused_predict,
-    softmax_average_accuracy,
-    train_fusion_mlp,
-)
-from ..splitting.schedule import HeadSchedule, plan_head_schedule
+from ..planning import PlannedSystem, Planner, PlannerConfig
+from ..profiling import module_param_count, paper_flops, param_bytes
+from ..pruning.pipeline import PruneConfig, prune_submodel
+from ..splitting.fusion import train_fusion_mlp
+
+# Name of the ED-ViT build protocol, recorded in ``plan.build["recipe"]``.
+EDVIT_RECIPE = "edvit"
 
 
 @dataclasses.dataclass
@@ -47,117 +42,41 @@ class EDViTConfig:
 
     num_devices: int
     memory_budget_bytes: int
-    workload_samples: int = 1
-    initial_hp: int | None = None        # defaults to h/2 (see schedule.py)
     prune: PruneConfig = dataclasses.field(default_factory=PruneConfig)
     fusion_epochs: int = 5
     fusion_lr: float = 1e-3
-    fusion_shrink: float = 0.5
     seed: int = 0
 
 
-@dataclasses.dataclass
-class EDViTSystem:
-    """A built ED-ViT deployment: sub-models + fusion + placement."""
-
-    submodels: list[PrunedSubModel]
-    fusion: FusionMLP
-    partition: list[list[int]]
-    schedule: HeadSchedule
-    plan: AssignmentPlan
-    num_classes: int
-
-    # ------------------------------------------------------------------
-    # Inference
-    # ------------------------------------------------------------------
-    def predict(self, x: np.ndarray,
-                failed: set[int] | None = None) -> np.ndarray:
-        """Classify inputs; ``failed`` zero-fills crashed sub-models' slots."""
-        return fused_predict(self.submodels, self.fusion, x, failed=failed)
-
-    def accuracy(self, dataset: Dataset) -> float:
-        return fused_accuracy(self.submodels, self.fusion, dataset)
-
-    def accuracy_under_failures(self, dataset: Dataset,
-                                failed: set[int]) -> float:
-        """Fused test accuracy with the listed sub-models offline."""
-        pred = self.predict(dataset.x_test, failed=failed)
-        return float((pred == dataset.y_test).mean())
-
-    def softmax_average_accuracy(self, dataset: Dataset) -> float:
-        """The "(w/o) retrain" Table-IV variant."""
-        return softmax_average_accuracy(self.submodels, dataset)
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def total_size_mb(self) -> float:
-        return sum(size_mb(module_param_count(sm.model)) for sm in self.submodels)
-
-    def submodel_sizes_mb(self) -> list[float]:
-        return [size_mb(module_param_count(sm.model)) for sm in self.submodels]
-
-    def submodel_flops(self) -> list[int]:
-        return [paper_flops(sm.model.config) for sm in self.submodels]
-
-    def feature_dims(self) -> list[int]:
-        return [sm.model.feature_dim() for sm in self.submodels]
-
-    # ------------------------------------------------------------------
-    # Deployment export
-    # ------------------------------------------------------------------
-    def deployment(self, devices: list[DeviceModel],
-                   fusion_device: DeviceModel) -> DeploymentSpec:
-        """Export for :func:`repro.edge.simulator.simulate_inference`.
-
-        Placement follows the Algorithm-3 plan computed at build time.
-        """
-        profiles = {}
-        placement = {}
-        for i, sm in enumerate(self.submodels):
-            model_id = f"submodel-{i}"
-            profiles[model_id] = SubModelProfile(
-                model_id=model_id,
-                flops_per_sample=float(paper_flops(sm.model.config)),
-                feature_dim=sm.model.feature_dim(),
-            )
-            placement[model_id] = self.plan.mapping[model_id]
-        fusion_cost = fusion_flops(sum(self.feature_dims()), self.num_classes,
-                                   self.fusion.config.shrink)
-        return DeploymentSpec(devices=devices, placement=placement,
-                              profiles=profiles, fusion_device=fusion_device,
-                              fusion_flops=float(fusion_cost))
-
-
 def build_edvit(original: VisionTransformer, dataset: Dataset,
-                devices: list[DeviceSpec], config: EDViTConfig) -> EDViTSystem:
-    """Run the full ED-ViT pipeline (Fig. 1) and return the built system."""
-    rng = np.random.default_rng(config.seed)
+                devices: list[DeviceModel], config: EDViTConfig
+                ) -> PlannedSystem:
+    """Run the full ED-ViT pipeline (Fig. 1) and return the built system.
 
-    # Step 1a: balanced class partition.
-    partition = balanced_class_partition(dataset.num_classes,
-                                         config.num_devices, rng)
-    validate_partition(partition, dataset.num_classes)
+    ``devices`` is the edge fleet the sub-models are placed on; the
+    planner's Raspberry Pi 4B ``"fusion"`` device hosts the fusion MLP.
+    """
+    # Steps 1 + 3 (planning): class partition and the Algorithm-1
+    # scheduling loop, which embeds the Algorithm-3 placement.
+    planner = Planner(devices, config=PlannerConfig(
+        seed=config.seed, memory_budget_bytes=config.memory_budget_bytes))
+    plan = planner.plan_vit(original.config, num_groups=config.num_devices)
 
-    # Step 1b + 3 (planning): the Algorithm-1 scheduling loop, which embeds
-    # Algorithm-3 feasibility checks.
-    schedule = plan_head_schedule(
-        original.config, partition, devices,
-        memory_budget_bytes=config.memory_budget_bytes,
-        num_samples=config.workload_samples,
-        initial_hp=config.initial_hp)
-
-    # Step 2: Algorithm-2 pruning per sub-model with the converged hp.
-    submodels = []
-    for classes, hp in zip(partition, schedule.hps):
-        submodels.append(prune_submodel(original, dataset, classes, hp,
-                                        config=config.prune))
+    # Step 2: Algorithm-2 pruning per sub-model with the converged hp; the
+    # plan records each pruned module's own config (which workers rebuild),
+    # size and FLOPs (a singleton group's one-vs-rest head has two rows).
+    models = [prune_submodel(original, dataset, list(sub.classes), sub.hp,
+                             config=config.prune).model
+              for sub in plan.submodels]
+    plan.submodels = [
+        dataclasses.replace(
+            sub, model_config=model.config.to_dict(),
+            size_bytes=param_bytes(module_param_count(model)),
+            flops_per_sample=float(paper_flops(model.config)))
+        for sub, model in zip(plan.submodels, models)]
+    plan.build["recipe"] = EDVIT_RECIPE
 
     # Step 4: fusion MLP training on frozen features.
-    fusion = train_fusion_mlp(submodels, dataset, epochs=config.fusion_epochs,
-                              lr=config.fusion_lr, shrink=config.fusion_shrink,
-                              seed=config.seed)
-
-    return EDViTSystem(submodels=submodels, fusion=fusion, partition=partition,
-                       schedule=schedule, plan=schedule.plan,
-                       num_classes=dataset.num_classes)
+    fusion = train_fusion_mlp(models, dataset, epochs=config.fusion_epochs,
+                              lr=config.fusion_lr, seed=config.seed)
+    return PlannedSystem(plan=plan, models=models, fusion=fusion)

@@ -327,17 +327,18 @@ def accuracy_curve(dataset: Dataset, cfg: TrainedExperimentConfig,
                    budget_mb: float = 10.0) -> list[dict]:
     """Panel (a) of Figs. 4–6: fused accuracy vs number of devices."""
     from ..pruning.pipeline import PruneConfig
+    from ..splitting.fusion import softmax_average_accuracy
     from .edvit import EDViTConfig, build_edvit
 
     in_channels = dataset.image_shape[0]
     base = train_base_model(dataset, cfg, in_channels)
-    fleet_specs = [d.to_spec() for d in make_fleet(max(device_counts))]
+    fleet = make_fleet(max(device_counts))
     rows = []
     for n in device_counts:
         if n > dataset.num_classes:
             continue
         system = build_edvit(
-            base, dataset, fleet_specs[:n],
+            base, dataset, fleet[:n],
             EDViTConfig(
                 num_devices=n,
                 memory_budget_bytes=int(budget_mb * MB),
@@ -346,11 +347,14 @@ def accuracy_curve(dataset: Dataset, cfg: TrainedExperimentConfig,
                                   seed=cfg.seed),
                 fusion_epochs=cfg.fusion_epochs,
                 seed=cfg.seed))
+        plan = system.plan
         rows.append({
             "devices": n,
-            "accuracy": system.accuracy(dataset),
-            "softmax_avg_accuracy": system.softmax_average_accuracy(dataset),
-            "total_memory_mb": system.total_size_mb(),
-            "hps": tuple(system.schedule.hps),
+            "accuracy": system.local_accuracy(dataset.x_test, dataset.y_test),
+            "softmax_avg_accuracy": softmax_average_accuracy(
+                system.models, plan.partition, dataset),
+            "total_memory_mb": sum(sub.size_bytes
+                                   for sub in plan.submodels) / MB,
+            "hps": tuple(sub.hp for sub in plan.submodels),
         })
     return rows

@@ -153,7 +153,8 @@ def simulate_inference(spec: DeploymentSpec, num_samples: int = 1,
     ``failed_devices`` marks crashed workers: their sub-models never
     deliver features and the fusion barrier proceeds without them (the
     fusion device zero-fills the missing slots — see
-    :func:`repro.splitting.fusion.fused_predict` with ``failed``).
+    :meth:`repro.planning.PlannedSystem.local_fused_labels` with
+    ``zero_models``).
 
     ``engine`` selects the scorer: ``"event"`` runs the callback event
     loop, ``"vector"`` forces the numpy fast path (ValueError when its

@@ -10,10 +10,13 @@ plan-assigned devices), ``make_server()`` wraps it in a
 spawns replacement workers on the surviving devices — so fusion recovers
 real features instead of zero-filling the dead slots forever.
 
-Because every plan carries a deterministic ``build`` recipe (seeds,
+Because a demo plan carries a deterministic ``build`` recipe (seeds,
 training protocol), :meth:`PlannedSystem.from_plan` can rebuild the exact
 same weights from nothing but the JSON plan — the round trip
-``plan → JSON → plan → serve`` is lossless.
+``plan → JSON → plan → serve`` is lossless.  An ED-ViT plan
+(:func:`repro.core.build_edvit`) round-trips as a plan, but its pruned
+weights come only from the build, so ``from_plan`` refuses to cold-rebuild
+it.
 """
 
 from __future__ import annotations
@@ -339,7 +342,10 @@ class PlannedSystem:
         Every module is constructed from its stored config with the
         plan-seeded rng, then (for trained recipes) re-trained with the
         recorded deterministic protocol — so a JSON plan alone is enough
-        to reproduce the exact system that was planned.
+        to reproduce the exact system that was planned.  Only the
+        ``demo-v1`` recipe (and analytic plans, which record none) can be
+        rebuilt this way; any other recipe raises ``ValueError`` unless
+        ``store`` holds its artifacts.
 
         ``store`` short-circuits the expensive part: when every artifact
         the plan references is present, weights are checkpoint-loaded
@@ -357,6 +363,12 @@ class PlannedSystem:
                 return PlannedSystem(plan=plan, models=models, fusion=fusion,
                                      time_scale=time_scale,
                                      transport=transport, warm_booted=True)
+        build = plan.build
+        if build.get("recipe", DEMO_RECIPE) != DEMO_RECIPE:
+            # Only the demo recipe retrains from the plan alone; any other
+            # recipe would come back with untrained weights.
+            raise ValueError(f"cannot rebuild the weights of training "
+                             f"recipe {build['recipe']!r} from a plan")
         # Cold rebuild always trains in fp32; quantized serving schemes
         # are applied afterwards (quantization is post-training, and the
         # shared fusion artifact is defined over fp32 features).
@@ -365,11 +377,7 @@ class PlannedSystem:
                   for index, sub in enumerate(plan.submodels)]
         fusion = FusionMLP(FusionConfig.from_dict(dict(plan.fusion_config)),
                            rng=np.random.default_rng(plan.seed + 1000))
-        build = plan.build
         if build.get("train_fusion"):
-            if build.get("recipe") != DEMO_RECIPE:
-                raise ValueError(
-                    f"unknown training recipe {build.get('recipe')!r}")
             train_demo_system(models, fusion,
                               image_size=int(build["image_size"]),
                               seed=plan.seed,

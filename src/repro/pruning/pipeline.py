@@ -47,17 +47,16 @@ class PruneConfig:
 class PrunedSubModel:
     """The product of Algorithm 2 for one class subset.
 
-    ``one_vs_rest`` marks singleton-subset sub-models trained as binary
-    own-class-vs-rest classifiers (a 1-way softmax carries no training or
-    KL signal; see :func:`repro.data.one_vs_rest_dataset`).  Their head has
-    two outputs: index 1 scores the positive class.
+    A singleton subset is trained as a binary own-class-vs-rest classifier
+    (a 1-way softmax carries no training or KL signal; see
+    :func:`repro.data.one_vs_rest_dataset`): its head has two outputs and
+    index 1 scores the positive class.
     """
 
     model: VisionTransformer
     classes: list[int]
     hp: int
     history: dict[str, float]
-    one_vs_rest: bool = False
 
 
 def _probe_from(dataset: Dataset, model: VisionTransformer, size: int,
@@ -79,8 +78,7 @@ def prune_submodel(original: VisionTransformer, dataset: Dataset,
     # Line 1: resample (X_i, y_i) to the class subset.  A singleton subset
     # becomes a binary one-vs-rest task (a 1-way softmax has neither a
     # training gradient nor a KL-scoring signal).
-    one_vs_rest = len(classes) == 1
-    if one_vs_rest:
+    if len(classes) == 1:
         from ..data.synthetic import one_vs_rest_dataset
 
         subset = one_vs_rest_dataset(dataset, classes[0], rng)
@@ -123,7 +121,7 @@ def prune_submodel(original: VisionTransformer, dataset: Dataset,
         history["retrain_acc"] = result.final_accuracy
 
     return PrunedSubModel(model=model, classes=list(classes), hp=hp,
-                          history=history, one_vs_rest=one_vs_rest)
+                          history=history)
 
 
 def _finetune(model: VisionTransformer, subset: Dataset, config: PruneConfig,

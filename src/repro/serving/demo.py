@@ -70,6 +70,8 @@ def fused_labels(models: list[nn.Module], fusion: FusionMLP, x: np.ndarray,
     fuse — the hook the planner's codec selection measures accuracy
     with.
     """
+    if not set(zero_indices) <= set(range(len(models))):
+        raise IndexError(f"zero_indices out of range: {sorted(zero_indices)}")
     wire = None if codec in (None, "raw32") else get_codec(codec)
     chunks = []
     for index, model in enumerate(models):

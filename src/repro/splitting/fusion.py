@@ -22,84 +22,78 @@ from ..core.training import TrainConfig, train_classifier
 from ..data.loaders import DataLoader
 from ..data.synthetic import Dataset
 from ..models.fusion import FusionMLP, build_fusion_for
-from ..pruning.pipeline import PrunedSubModel
 
 
-def collect_features(submodels: list[PrunedSubModel], x: np.ndarray,
+def collect_features(models: list[nn.Module], x: np.ndarray,
                      batch_size: int = 64) -> np.ndarray:
     """Concatenated frozen features from every sub-model, shape (N, sum d_i)."""
-    feats = [extract_features(sm.model, x, batch_size) for sm in submodels]
+    feats = [extract_features(model, x, batch_size) for model in models]
     return np.concatenate(feats, axis=-1)
 
 
-def train_fusion_mlp(submodels: list[PrunedSubModel], dataset: Dataset,
+def train_fusion_mlp(models: list[nn.Module], dataset: Dataset,
                      epochs: int = 5, lr: float = 1e-3, batch_size: int = 32,
                      shrink: float = 0.5, seed: int = 0) -> FusionMLP:
     """Train the tower MLP on frozen concatenated sub-model features."""
     rng = np.random.default_rng(seed)
-    fusion = build_fusion_for([sm.model.feature_dim() for sm in submodels],
+    fusion = build_fusion_for([model.feature_dim() for model in models],
                               num_classes=dataset.num_classes, shrink=shrink,
                               rng=rng)
-    features = collect_features(submodels, dataset.x_train, batch_size)
+    features = collect_features(models, dataset.x_train, batch_size)
     train_classifier(fusion, features, dataset.y_train,
                      TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr,
                                  seed=seed))
     return fusion
 
 
-def fused_predict(submodels: list[PrunedSubModel], fusion: FusionMLP,
-                  x: np.ndarray, batch_size: int = 64,
-                  failed: set[int] | frozenset[int] | None = None) -> np.ndarray:
+def fused_predict(models: list[nn.Module], fusion: FusionMLP,
+                  x: np.ndarray, batch_size: int = 64) -> np.ndarray:
     """Full-pipeline class predictions for a batch of inputs.
 
-    ``failed`` lists sub-model indices whose device crashed: their feature
-    slots are zero-filled, letting the fusion MLP degrade gracefully
-    instead of stalling the whole system.
+    The degraded variant, with crashed sub-models' feature slots
+    zero-filled, is :meth:`repro.planning.PlannedSystem.local_fused_labels`
+    with ``zero_models``.
     """
-    failed = set(failed or ())
-    if not failed <= set(range(len(submodels))):
-        raise IndexError(f"failed indices out of range: {sorted(failed)}")
-    parts = []
-    for i, sm in enumerate(submodels):
-        if i in failed:
-            parts.append(np.zeros((len(x), sm.model.feature_dim()),
-                                  dtype=np.float32))
-        else:
-            parts.append(extract_features(sm.model, x, batch_size))
-    features = np.concatenate(parts, axis=-1)
+    features = collect_features(models, x, batch_size)
     return fusion.predict(features, batch_size).argmax(axis=-1)
 
 
-def fused_accuracy(submodels: list[PrunedSubModel], fusion: FusionMLP,
+def fused_accuracy(models: list[nn.Module], fusion: FusionMLP,
                    dataset: Dataset, batch_size: int = 64) -> float:
-    pred = fused_predict(submodels, fusion, dataset.x_test, batch_size)
+    pred = fused_predict(models, fusion, dataset.x_test, batch_size)
     return float((pred == dataset.y_test).mean())
 
 
-def softmax_average_predict(submodels: list[PrunedSubModel],
-                            num_classes: int, x: np.ndarray,
-                            batch_size: int = 64) -> np.ndarray:
-    """The "(w/o) retrain" fusion: concatenated per-subset softmax scores."""
+def softmax_average_predict(models: list[nn.Module],
+                            groups: list[list[int]], num_classes: int,
+                            x: np.ndarray, batch_size: int = 64) -> np.ndarray:
+    """The "(w/o) retrain" fusion: concatenated per-subset softmax scores.
+
+    ``groups[i]`` is the class subset ``models[i]`` covers.  A singleton
+    group's model is a binary one-vs-rest classifier whose column 1 is
+    the positive-class probability (see
+    :func:`repro.pruning.pipeline.prune_submodel`).
+    """
     scores = np.zeros((len(x), num_classes), dtype=np.float64)
-    for sm in submodels:
-        probs = predict_probabilities(sm.model, x, batch_size)
-        if getattr(sm, "one_vs_rest", False):
-            # Binary head: column 1 is the positive-class probability.
-            scores[:, sm.classes[0]] = probs[:, 1]
+    for model, classes in zip(models, groups):
+        probs = predict_probabilities(model, x, batch_size)
+        if len(classes) == 1:
+            scores[:, classes[0]] = probs[:, 1]
         else:
-            for local, global_cls in enumerate(sm.classes):
+            for local, global_cls in enumerate(classes):
                 scores[:, global_cls] = probs[:, local]
     return scores.argmax(axis=-1)
 
 
-def softmax_average_accuracy(submodels: list[PrunedSubModel],
-                             dataset: Dataset, batch_size: int = 64) -> float:
-    pred = softmax_average_predict(submodels, dataset.num_classes,
+def softmax_average_accuracy(models: list[nn.Module],
+                             groups: list[list[int]], dataset: Dataset,
+                             batch_size: int = 64) -> float:
+    pred = softmax_average_predict(models, groups, dataset.num_classes,
                                    dataset.x_test, batch_size)
     return float((pred == dataset.y_test).mean())
 
 
-def entire_retrain(submodels: list[PrunedSubModel], fusion: FusionMLP,
+def entire_retrain(models: list[nn.Module], fusion: FusionMLP,
                    dataset: Dataset, epochs: int = 2, lr: float = 5e-4,
                    batch_size: int = 32, seed: int = 0) -> None:
     """The "(w/) entire retrain" ablation: joint end-to-end finetuning.
@@ -109,9 +103,9 @@ def entire_retrain(submodels: list[PrunedSubModel], fusion: FusionMLP,
     deployments; we implement it for Table IV.
     """
     params = list(fusion.parameters())
-    for sm in submodels:
-        params.extend(sm.model.parameters())
-        sm.model.train()
+    for model in models:
+        params.extend(model.parameters())
+        model.train()
     fusion.train()
     optimizer = nn.Adam(params, lr=lr)
     rng = np.random.default_rng(seed)
@@ -120,13 +114,13 @@ def entire_retrain(submodels: list[PrunedSubModel], fusion: FusionMLP,
     for _ in range(epochs):
         for xb, yb in loader:
             xb_t = nn.Tensor(xb)
-            feats = [sm.model.forward_features(xb_t) for sm in submodels]
+            feats = [model.forward_features(xb_t) for model in models]
             logits = fusion.fuse(feats)
             loss = nn.cross_entropy(logits, yb)
             optimizer.zero_grad()
             loss.backward()
             nn.clip_grad_norm(params, 5.0)
             optimizer.step()
-    for sm in submodels:
-        sm.model.eval()
+    for model in models:
+        model.eval()
     fusion.eval()

@@ -33,19 +33,19 @@ class TestAudioPipeline:
         assert acc > 0.3  # chance is 0.1
 
     def test_audio_split_system(self, trained_audio_vit, tiny_audio_dataset):
-        fleet = [d.to_spec() for d in make_fleet(2)]
         system = build_edvit(
-            trained_audio_vit, tiny_audio_dataset, fleet,
+            trained_audio_vit, tiny_audio_dataset, make_fleet(2),
             EDViTConfig(num_devices=2, memory_budget_bytes=64 * MB,
                         prune=PruneConfig(probe_size=10, head_adapt_epochs=2,
                                           stage_finetune_epochs=0,
                                           retrain_epochs=3,
                                           backend="magnitude"),
                         fusion_epochs=10, fusion_lr=3e-3, seed=0))
-        assert system.accuracy(tiny_audio_dataset) > 0.15
+        assert system.local_accuracy(tiny_audio_dataset.x_test,
+                                     tiny_audio_dataset.y_test) > 0.15
         # Audio sub-models transmit the same tiny CLS features.
-        for dim in system.feature_dims():
-            assert feature_bytes(dim) < 200
+        for sub in system.plan.submodels:
+            assert feature_bytes(sub.feature_dim) < 200
 
     def test_single_channel_patch_embedding_cheaper(self):
         """The Table II CIFAR-vs-GTZAN delta comes only from channels."""

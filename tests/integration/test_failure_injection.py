@@ -65,9 +65,8 @@ class TestSimulatorFailures:
 class TestFusionZeroFill:
     @pytest.fixture(scope="class")
     def system(self, trained_tiny_vit, tiny_dataset):
-        fleet = [d.to_spec() for d in make_fleet(2)]
         return build_edvit(
-            trained_tiny_vit, tiny_dataset, fleet,
+            trained_tiny_vit, tiny_dataset, make_fleet(2),
             EDViTConfig(num_devices=2, memory_budget_bytes=64 * MB,
                         prune=PruneConfig(probe_size=8, head_adapt_epochs=1,
                                           stage_finetune_epochs=0,
@@ -76,22 +75,26 @@ class TestFusionZeroFill:
                         fusion_epochs=8, fusion_lr=3e-3, seed=0))
 
     def test_prediction_shape_under_failure(self, system, tiny_dataset):
-        pred = system.predict(tiny_dataset.x_test[:6], failed={0})
+        pred = system.local_fused_labels(tiny_dataset.x_test[:6],
+                                         zero_models=(0,))
         assert pred.shape == (6,)
 
     def test_accuracy_degrades_not_collapses(self, system, tiny_dataset):
-        healthy = system.accuracy(tiny_dataset)
-        degraded = system.accuracy_under_failures(tiny_dataset, failed={0})
+        x, y = tiny_dataset.x_test, tiny_dataset.y_test
+        healthy = system.local_accuracy(x, y)
+        degraded = system.local_accuracy(x, y, zero_models=(0,))
         assert degraded <= healthy + 0.05
         # Losing one of two sub-models should still leave signal from the
         # surviving half of the class space.
         assert degraded > 0.05
 
     def test_all_failed_is_prior_prediction(self, system, tiny_dataset):
-        pred = system.predict(tiny_dataset.x_test[:6], failed={0, 1})
+        pred = system.local_fused_labels(tiny_dataset.x_test[:6],
+                                         zero_models=(0, 1))
         # Zero features -> a constant fusion output -> one constant class.
         assert len(set(pred.tolist())) == 1
 
     def test_out_of_range_failed_index_raises(self, system, tiny_dataset):
         with pytest.raises(IndexError):
-            system.predict(tiny_dataset.x_test[:2], failed={7})
+            system.local_fused_labels(tiny_dataset.x_test[:2],
+                                      zero_models=(7,))

@@ -30,10 +30,16 @@ class TestFromPlan:
         np.testing.assert_array_equal(system.local_fused_labels(x),
                                       rebuilt.local_fused_labels(x))
 
-    def test_unknown_recipe_rejected(self):
+    @pytest.mark.parametrize("build", [
+        {"recipe": "mystery", "train_fusion": True},
+        # No training step to run, yet the weights were trained elsewhere:
+        # a cold rebuild would silently serve random modules.
+        {"recipe": "edvit"},
+    ], ids=["mystery-trained", "edvit"])
+    def test_unknown_recipe_rejected(self, build):
         system = plan_demo_system(num_workers=2, seed=0)
-        system.plan.build = {"recipe": "mystery", "train_fusion": True}
-        with pytest.raises(ValueError):
+        system.plan.build = build
+        with pytest.raises(ValueError, match=build["recipe"]):
             PlannedSystem.from_plan(system.plan)
 
     def test_eval_dataset_requires_demo_recipe(self):

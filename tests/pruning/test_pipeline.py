@@ -82,7 +82,6 @@ class TestOneVsRest:
                                              tiny_dataset):
         sub = prune_submodel(trained_tiny_vit, tiny_dataset, [3], hp=2,
                              config=FAST)
-        assert sub.one_vs_rest
         assert sub.model.config.num_classes == 2
         assert sub.classes == [3]
 
@@ -90,8 +89,8 @@ class TestOneVsRest:
                                            tiny_dataset):
         sub = prune_submodel(trained_tiny_vit, tiny_dataset, [3, 4], hp=1,
                              config=FAST)
-        assert not sub.one_vs_rest
-        assert sub.model.config.num_classes == 2
+        # One output per class of the subset, no extra "rest" output.
+        assert sub.model.config.num_classes == len(sub.classes) == 2
 
     def test_binary_submodel_detects_its_class(self, trained_tiny_vit,
                                                tiny_dataset):
