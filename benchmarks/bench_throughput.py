@@ -20,11 +20,7 @@ from repro.serving import (
     run_load,
     sweep_offered_load,
 )
-from repro.core.experiments import (
-    PAPER_BUDGETS_MB,
-    deployment_for_point,
-    plan_split,
-)
+from repro.core.experiments import PAPER_BUDGETS_MB, split_plans
 from repro.edge.simulator import energy_report, simulate_inference, utilization_report
 from repro.models.vit import vit_base_config
 
@@ -37,16 +33,15 @@ def test_throughput_vs_devices(benchmark):
     def run():
         rows = []
         for n in (1, 2, 3, 5, 10):
-            point = plan_split(base, n, 10, PAPER_BUDGETS_MB["vit-base"],
-                               "paper")
-            spec = deployment_for_point(point, num_classes=10)
+            paper_implied, _ = split_plans(base, n,
+                                           PAPER_BUDGETS_MB["vit-base"])
+            spec = paper_implied.deployment_spec()
             result = simulate_inference(spec, num_samples=FRAMES)
             util = utilization_report(result)
             energy = energy_report(spec, result)
-            worker_util = [u for d, u in util.items() if d.startswith("pi-")
-                           and d != "pi-fusion"]
-            worker_energy = [e for d, e in energy.items()
-                             if d != "pi-fusion"]
+            workers = [d.device_id for d in spec.devices]
+            worker_util = [util[d] for d in workers]
+            worker_energy = [energy[d] for d in workers]
             rows.append({
                 "devices": n,
                 "throughput_fps": result.throughput,
@@ -74,8 +69,8 @@ def test_throughput_vs_devices(benchmark):
 def test_open_stream_stability(benchmark):
     """An arrival rate below capacity keeps latency flat (no queue growth)."""
     base = vit_base_config(num_classes=10)
-    point = plan_split(base, 5, 10, 180, "paper")
-    spec = deployment_for_point(point, num_classes=10)
+    paper_implied, _ = split_plans(base, 5, PAPER_BUDGETS_MB["vit-base"])
+    spec = paper_implied.deployment_spec()
 
     def run():
         probe = simulate_inference(spec, num_samples=1)

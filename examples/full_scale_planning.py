@@ -1,10 +1,13 @@
 """Full-scale deployment planning for ViT-Base (no training required).
 
 Uses the analytic side of the library — Section III FLOPs/memory, the
-Algorithm-1 head schedule, Algorithm-3 assignment, and the calibrated
-Raspberry-Pi simulator — to plan the exact deployment the paper evaluates:
-ViT-Base (327 MB, 36.94 s/inference on one Pi 4B) split across 1–10
-devices under a 180 MB fleet budget.
+planner's Algorithm-1 head schedule and Algorithm-3 assignment, and the
+calibrated Raspberry-Pi simulator — to plan the exact deployment the
+paper evaluates: ViT-Base (327 MB, 36.94 s/inference on one Pi 4B) split
+across 1–10 devices under a 180 MB fleet budget.  Every table prints two
+column sets: the paper-implied head schedule (the one the paper's
+reported sizes imply) and the ``planned`` one, which is what the planner
+produces and the repo serves.
 
 Run:  python examples/full_scale_planning.py
 """
@@ -37,10 +40,15 @@ def main() -> None:
     print(format_table(communication_rows()))
 
     ten = next(r for r in rows if r["devices"] == 10)
-    print(f"\nHeadline: splitting ViT-Base across 10 Raspberry Pis cuts "
-          f"per-sample latency {ten['speedup_vs_original']:.1f}x "
-          f"(paper: 28.9x) and shrinks each deployed model to "
-          f"{ten['per_model_mb']:.2f} MB (paper: 9.60 MB).")
+    planned_speedup = ten["original_latency_s"] / ten["planned_latency_s"]
+    print(f"\nHeadline (paper-implied schedule): splitting ViT-Base across "
+          f"10 Raspberry Pis cuts per-sample latency "
+          f"{ten['speedup_vs_original']:.1f}x (paper: 28.9x) and shrinks "
+          f"each deployed model to {ten['per_model_mb']:.2f} MB "
+          f"(paper: 9.60 MB).")
+    print(f"Headline (planned schedule, the one served): "
+          f"{planned_speedup:.1f}x at hps {ten['planned_hps']}, "
+          f"{ten['planned_total_memory_mb']:.1f} MB in all.")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.cli profile                     # Table I
-    python -m repro.cli flops [--mode paper]        # Table II
+    python -m repro.cli flops                       # Table II
     python -m repro.cli curve --model vit-base --budget-mb 180  # Fig. 4 b/c
     python -m repro.cli communication               # Section V-D
     python -m repro.cli schedule --model vit-base --devices 5 --budget-mb 180
@@ -22,6 +22,11 @@ Usage::
     python -m repro.cli capacity --trace-file arrivals.jsonl --json
     python -m repro.cli artifacts ls --store ./artifacts
     python -m repro.cli artifacts gc --store ./artifacts --max-mb 64
+
+``flops``, ``curve``, ``communication`` and ``schedule`` print two
+column sets: the paper-implied head schedule, and beside it the
+``planned`` one that the planner produces and ``serve`` would run
+(:func:`repro.core.experiments.split_plans`).
 
 ``plan`` runs the deployment planner (:mod:`repro.planning`) over a small
 heterogeneous demo fleet and emits the scored
@@ -55,7 +60,7 @@ from .core.experiments import (
     PAPER_BUDGETS_MB,
     communication_rows,
     latency_memory_curve,
-    plan_split,
+    split_plans,
     table1_rows,
     table2_rows,
 )
@@ -75,8 +80,8 @@ def cmd_profile(_args) -> None:
     print(format_table(table1_rows()))
 
 
-def cmd_flops(args) -> None:
-    print(format_table(table2_rows(schedule_mode=args.mode)))
+def cmd_flops(_args) -> None:
+    print(format_table(table2_rows()))
 
 
 def cmd_curve(args) -> None:
@@ -84,8 +89,7 @@ def cmd_curve(args) -> None:
     if budget is None:
         budget = PAPER_BUDGETS_MB[args.model]
     rows = latency_memory_curve(_model_config(args.model, args.channels),
-                                budget_mb=budget,
-                                schedule_mode=args.mode)
+                                budget_mb=budget)
     print(format_table(rows))
 
 
@@ -147,21 +151,24 @@ def cmd_communication(_args) -> None:
 
 def cmd_schedule(args) -> None:
     budget = args.budget_mb or PAPER_BUDGETS_MB[args.model]
-    point = plan_split(_model_config(args.model, args.channels),
-                       args.devices, num_classes=10, budget_mb=budget,
-                       schedule_mode=args.mode)
+    paper_implied, planned = split_plans(
+        _model_config(args.model, args.channels), args.devices, budget)
     rows = [{
-        "sub-model": f.index,
-        "hp": f.hp,
-        "kept_heads": f.config.num_heads - f.hp if args.mode == "paper"
-        else f.config.num_heads - point.hps[f.index],
-        "embed_dim": f.config.embed_dim,
-        "size_mb": f.size_bytes / 2 ** 20,
-        "gmacs": f.flops_per_sample / 1e9,
-    } for f in point.footprints]
+        "sub-model": paper.model_id,
+        "hp": paper.hp,
+        "embed_dim": paper.feature_dim,
+        "size_mb": paper.size_bytes / 2 ** 20,
+        "gmacs": paper.flops_per_sample / 1e9,
+        "planned_hp": ours.hp,
+        "planned_size_mb": ours.size_bytes / 2 ** 20,
+        "planned_gmacs": ours.flops_per_sample / 1e9,
+    } for paper, ours in zip(paper_implied.submodels, planned.submodels)]
     print(format_table(rows))
-    print(f"total: {point.total_size_mb:.2f} MB across "
-          f"{point.num_devices} devices (budget {budget} MB)")
+    for label, plan in (("paper-implied", paper_implied),
+                        ("planned", planned)):
+        total = sum(sub.size_bytes for sub in plan.submodels) / 2 ** 20
+        print(f"{label} total: {total:.2f} MB across {args.devices} "
+              f"devices (budget {budget} MB)")
 
 
 def _make_server(args):
@@ -552,18 +559,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("profile", help="Table I model profiles").set_defaults(
         func=cmd_profile)
 
-    p_flops = sub.add_parser("flops", help="Table II sub-model FLOPs")
-    p_flops.add_argument("--mode", choices=("paper", "algorithm1"),
-                         default="paper")
-    p_flops.set_defaults(func=cmd_flops)
+    sub.add_parser("flops", help="Table II sub-model FLOPs").set_defaults(
+        func=cmd_flops)
 
     p_curve = sub.add_parser("curve", help="latency/memory curve (Figs. 4-6)")
     p_curve.add_argument("--model", choices=_FULL_SIZE_MODELS,
                          default="vit-base")
     p_curve.add_argument("--budget-mb", type=float, default=None)
     p_curve.add_argument("--channels", type=int, default=3)
-    p_curve.add_argument("--mode", choices=("paper", "algorithm1"),
-                         default="paper")
     p_curve.set_defaults(func=cmd_curve)
 
     p_plan = sub.add_parser(
@@ -628,8 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--devices", type=int, default=5)
     p_sched.add_argument("--budget-mb", type=float, default=None)
     p_sched.add_argument("--channels", type=int, default=3)
-    p_sched.add_argument("--mode", choices=("paper", "algorithm1"),
-                         default="paper")
     p_sched.set_defaults(func=cmd_schedule)
 
     p_serve = sub.add_parser(

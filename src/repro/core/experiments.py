@@ -1,56 +1,43 @@
-"""Experiment harness: regenerates every table and figure of the paper.
+"""Analytic experiment harness: the paper's tables and figure panels.
 
-Two experiment families:
+Model profiles (Table I), sub-model FLOPs (Table II), latency and memory
+curves (Figs. 4–6 panels b/c) and communication accounting (Section V-D)
+for the full-size ViT-S/B/L at 224×224.  None of them trains: sub-model
+architectures come from the head schedule, latency from the calibrated
+discrete-event simulator.  The trained panels (accuracy, baselines,
+retraining) are the ``benchmarks/bench_*`` scripts.
 
-* **Analytic/simulated** (full-size ViT-S/B/L at 224×224): model profiles
-  (Table I), sub-model FLOPs (Table II), latency and memory curves
-  (Figs. 4–6 panels b/c), communication accounting (Section V-D).  These
-  need no training — sub-model architectures come from the scheduling
-  loop, latency from the calibrated discrete-event simulator.
-
-* **Trained** (scaled-down ViTs on synthetic data): accuracy curves
-  (Figs. 4–6 panel a), baseline comparison (Table III / Fig. 7),
-  retraining ablation (Table IV).  These run the full pipeline end to end
-  at CPU-tractable scale.
-
-Head schedules: ``schedule_mode="algorithm1"`` runs the paper's Algorithm 1
-loop; ``schedule_mode="paper"`` pins the uniform per-N schedules implied by
-the paper's reported sub-model sizes/FLOPs (e.g. ViT-Base keeps 6/4/3/2 of
-12 heads at N=2/3/5/10), which Algorithm 1's increment-the-largest loop
-does not always land on exactly.
+Every row is read off two plans from one :class:`~repro.planning.Planner`
+(:func:`split_plans`).  The plain columns are the *paper-implied* split:
+the uniform per-N head schedule implied by the paper's reported
+sub-model sizes/FLOPs (e.g. ViT-Base keeps 6/4/3/2 of 12 heads at
+N=2/3/5/10, :func:`paper_hp`).  The ``planned`` columns are what the
+planner plans and the repo serves: Algorithm 1's increment-the-largest
+loop, which prunes less than that schedule at N ≥ 3.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-from ..assignment import DeviceSpec
-from ..data.synthetic import Dataset
-from ..edge.device import DeviceModel, make_fleet, raspberry_pi_4b
-from ..edge.network import RAW_IMAGE_BYTES, communication_reduction, feature_bytes
-from ..edge.simulator import (
-    DeploymentSpec,
-    SubModelProfile,
-    simulate_inference,
-    single_device_latency,
+from ..edge.device import make_fleet, raspberry_pi_4b
+from ..edge.network import (
+    RAW_IMAGE_BYTES,
+    communication_reduction,
+    feature_bytes,
+    tc_capped_link,
 )
+from ..edge.simulator import simulate_inference, single_device_latency
 from ..models.vit import (
     ViTConfig,
-    VisionTransformer,
     vit_base_config,
     vit_large_config,
     vit_small_config,
 )
-from ..profiling import fusion_flops, paper_flops, size_mb, vit_param_count
+from ..planning import DeploymentPlan, PlannedSubModel, Planner, PlannerConfig
+from ..profiling import paper_flops, size_mb, vit_param_count
 from ..splitting.class_assignment import balanced_class_partition
-from ..splitting.schedule import (
-    HeadSchedule,
-    SubModelFootprint,
-    footprint,
-    plan_head_schedule,
-)
+from ..splitting.schedule import footprint
 
 MB = 2 ** 20
 
@@ -107,69 +94,65 @@ def table1_rows(num_classes: int = 1000) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# Schedules and footprints for a (model, N) point
+# The two plans behind every analytic row
 # ----------------------------------------------------------------------
-@dataclasses.dataclass
-class SplitPlanPoint:
-    """The analytic outcome of splitting a model across N devices."""
+def split_plans(base: ViTConfig, num_devices: int,
+                budget_mb: float) -> tuple[DeploymentPlan, DeploymentPlan]:
+    """``(paper_implied, planned)`` splits of ``base`` over N Pi 4Bs.
 
-    num_devices: int
-    hps: list[int]
-    footprints: list[SubModelFootprint]
-    schedule: HeadSchedule | None   # None in "paper" mode
+    One :class:`~repro.planning.Planner` over ``make_fleet(num_devices)``
+    places both.  ``planned`` is the plan the repo serves:
+    :meth:`~repro.planning.Planner.plan_vit`, Algorithm 1's head schedule
+    under the ``budget_mb`` fleet budget.  ``paper_implied`` runs the
+    uniform ``paper_hp`` schedule on the class partition ``plan_vit``
+    draws (same seed) through
+    :meth:`~repro.planning.Planner.plan_submodels`.
+    """
+    planner = Planner(make_fleet(num_devices), config=PlannerConfig(
+        memory_budget_bytes=int(budget_mb * MB)))
+    groups = balanced_class_partition(
+        base.num_classes, num_devices,
+        np.random.default_rng(planner.config.seed))
+    hp = paper_hp(base.num_heads, num_devices)
+    paper_implied = planner.plan_submodels(base.num_classes, groups, [
+        PlannedSubModel.from_footprint(footprint(base, i, hp, len(group)),
+                                       group)
+        for i, group in enumerate(groups)])
+    return paper_implied, planner.plan_vit(base, num_groups=num_devices)
 
-    @property
-    def total_size_mb(self) -> float:
-        return sum(f.size_bytes for f in self.footprints) / MB
 
-    @property
-    def max_flops(self) -> float:
-        return max(f.flops_per_sample for f in self.footprints)
-
-    @property
-    def feature_dims(self) -> list[int]:
-        return [f.config.embed_dim for f in self.footprints]
+def _latency_s(plan: DeploymentPlan) -> float:
+    """Single-sample DES latency of ``plan`` (the paper's latency axis)."""
+    return simulate_inference(plan.deployment_spec(), num_samples=1).max_latency
 
 
-def plan_split(base: ViTConfig, num_devices: int, num_classes: int,
-               budget_mb: float, schedule_mode: str = "paper",
-               devices: list[DeviceSpec] | None = None,
-               workload_samples: int = 1,
-               seed: int = 0) -> SplitPlanPoint:
-    """Compute the sub-model architectures for one (model, N) point."""
-    rng = np.random.default_rng(seed)
-    groups = balanced_class_partition(num_classes, num_devices, rng)
-    if schedule_mode == "paper":
-        hp = paper_hp(base.num_heads, num_devices)
-        feet = [footprint(base, i, hp, len(group))
-                for i, group in enumerate(groups)]
-        return SplitPlanPoint(num_devices=num_devices, hps=[hp] * num_devices,
-                              footprints=feet, schedule=None)
-    if schedule_mode == "algorithm1":
-        if devices is None:
-            devices = [d.to_spec() for d in make_fleet(num_devices)]
-        schedule = plan_head_schedule(base, groups, devices,
-                                      memory_budget_bytes=int(budget_mb * MB),
-                                      num_samples=workload_samples)
-        return SplitPlanPoint(num_devices=num_devices, hps=schedule.hps,
-                              footprints=schedule.footprints, schedule=schedule)
-    raise ValueError(f"unknown schedule_mode {schedule_mode!r}")
+def _total_mb(plan: DeploymentPlan) -> float:
+    return sum(sub.size_bytes for sub in plan.submodels) / MB
+
+
+def _hps(plan: DeploymentPlan) -> tuple[int, ...]:
+    return tuple(sub.hp for sub in plan.submodels)
+
+
+def _max_gflops(plan: DeploymentPlan) -> float:
+    return max(sub.flops_per_sample for sub in plan.submodels) / 1e9
 
 
 # ----------------------------------------------------------------------
 # Table II — sub-model FLOPs vs number of devices
 # ----------------------------------------------------------------------
-def table2_rows(schedule_mode: str = "paper") -> list[dict]:
+def table2_rows() -> list[dict]:
     rows = []
     for dataset, channels in [("CIFAR-10", 3), ("GTZAN", 1)]:
         base = vit_base_config(num_classes=10, in_channels=channels)
+        plans = {n: split_plans(base, n, PAPER_BUDGETS_MB["vit-base"])
+                 for n in (2, 3, 5, 10)}
         row: dict = {"Dataset": dataset,
                      "Original (G)": paper_flops(base) / 1e9}
-        for n in (2, 3, 5, 10):
-            point = plan_split(base, n, num_classes=10,
-                               budget_mb=PAPER_BUDGETS_MB["vit-base"],
-                               schedule_mode=schedule_mode)
-            row[f"N={n} (G)"] = point.max_flops / 1e9
+        row.update({f"N={n} (G)": _max_gflops(paper_implied)
+                    for n, (paper_implied, _) in plans.items()})
+        row.update({f"N={n} planned (G)": _max_gflops(planned)
+                    for n, (_, planned) in plans.items()})
         rows.append(row)
     return rows
 
@@ -177,54 +160,29 @@ def table2_rows(schedule_mode: str = "paper") -> list[dict]:
 # ----------------------------------------------------------------------
 # Figures 4–6 — latency / memory panels (simulated)
 # ----------------------------------------------------------------------
-def deployment_for_point(point: SplitPlanPoint, num_classes: int,
-                         fleet: list[DeviceModel] | None = None,
-                         fusion_device: DeviceModel | None = None,
-                         shrink: float = 0.5) -> DeploymentSpec:
-    """Build a simulator deployment from an analytic split plan.
-
-    Sub-models are placed round-robin (one per device at N devices, which
-    is what the greedy plan degenerates to on a homogeneous fleet).
-    """
-    fleet = fleet or make_fleet(point.num_devices)
-    fusion_device = fusion_device or raspberry_pi_4b("pi-fusion")
-    profiles = {}
-    placement = {}
-    for i, foot in enumerate(point.footprints):
-        model_id = f"submodel-{i}"
-        profiles[model_id] = SubModelProfile(
-            model_id=model_id, flops_per_sample=foot.flops_per_sample,
-            feature_dim=foot.config.embed_dim)
-        placement[model_id] = fleet[i % len(fleet)].device_id
-    total_feature = sum(point.feature_dims)
-    return DeploymentSpec(
-        devices=fleet, placement=placement, profiles=profiles,
-        fusion_device=fusion_device,
-        fusion_flops=float(fusion_flops(total_feature, num_classes, shrink)))
-
-
 def latency_memory_curve(base: ViTConfig, budget_mb: float,
-                         num_classes: int = 10,
                          device_counts: tuple[int, ...] = PAPER_DEVICE_COUNTS,
-                         schedule_mode: str = "paper") -> list[dict]:
+                         ) -> list[dict]:
     """Panels (b) and (c) of Figs. 4–6 for one model/dataset."""
-    original_flops = paper_flops(base)
     original_latency = single_device_latency(raspberry_pi_4b("pi-ref"),
-                                             original_flops)
+                                             paper_flops(base))
     rows = []
     for n in device_counts:
-        point = plan_split(base, n, num_classes, budget_mb, schedule_mode)
-        deployment = deployment_for_point(point, num_classes)
-        result = simulate_inference(deployment, num_samples=1)
+        paper_implied, planned = split_plans(base, n, budget_mb)
+        latency = _latency_s(paper_implied)
+        hps = _hps(paper_implied)
         rows.append({
             "devices": n,
-            "latency_s": result.max_latency,
+            "latency_s": latency,
             "original_latency_s": original_latency,
-            "speedup_vs_original": original_latency / result.max_latency,
-            "total_memory_mb": point.total_size_mb,
-            "per_model_mb": point.footprints[0].size_bytes / MB,
-            "hps": tuple(point.hps),
-            "kept_heads": tuple(base.num_heads - hp for hp in point.hps),
+            "speedup_vs_original": original_latency / latency,
+            "total_memory_mb": _total_mb(paper_implied),
+            "per_model_mb": paper_implied.submodels[0].size_bytes / MB,
+            "hps": hps,
+            "kept_heads": tuple(base.num_heads - hp for hp in hps),
+            "planned_latency_s": _latency_s(planned),
+            "planned_total_memory_mb": _total_mb(planned),
+            "planned_hps": _hps(planned),
         })
     return rows
 
@@ -234,127 +192,21 @@ def latency_memory_curve(base: ViTConfig, budget_mb: float,
 # ----------------------------------------------------------------------
 def communication_rows(base: ViTConfig | None = None,
                        device_counts: tuple[int, ...] = PAPER_DEVICE_COUNTS,
-                       schedule_mode: str = "paper") -> list[dict]:
+                       ) -> list[dict]:
     base = base or vit_base_config(num_classes=10)
-    from ..edge.network import tc_capped_link
-
     link = tc_capped_link()
     rows = []
     for n in device_counts:
-        point = plan_split(base, n, base.num_classes,
-                           PAPER_BUDGETS_MB["vit-base"], schedule_mode)
-        fbytes = feature_bytes(point.feature_dims[0])
+        paper_implied, planned = split_plans(base, n,
+                                             PAPER_BUDGETS_MB["vit-base"])
+        fbytes = feature_bytes(paper_implied.submodels[0].feature_dim)
         rows.append({
             "devices": n,
             "feature_bytes": fbytes,
             "image_bytes": RAW_IMAGE_BYTES,
             "reduction_x": communication_reduction(fbytes),
             "transfer_ms": link.transfer_seconds(fbytes) * 1e3,
-        })
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Trained experiments (accuracy panels) — scaled-down models
-# ----------------------------------------------------------------------
-@dataclasses.dataclass
-class TrainedExperimentConfig:
-    """Scale knobs for the CPU-trained accuracy experiments."""
-
-    image_size: int = 16
-    patch_size: int = 4
-    depth: int = 2
-    embed_dim: int = 32
-    num_heads: int = 4
-    train_epochs: int = 8
-    train_per_class: int = 32
-    test_per_class: int = 16
-    prune_probe: int = 16
-    retrain_epochs: int = 2
-    fusion_epochs: int = 6
-    seed: int = 0
-
-
-def train_base_model(dataset: Dataset, cfg: TrainedExperimentConfig,
-                     in_channels: int) -> VisionTransformer:
-    from .training import TrainConfig, train_classifier
-
-    vit_cfg = ViTConfig(image_size=cfg.image_size, patch_size=cfg.patch_size,
-                        in_channels=in_channels, num_classes=dataset.num_classes,
-                        depth=cfg.depth, embed_dim=cfg.embed_dim,
-                        num_heads=cfg.num_heads, name="vit-tiny")
-    model = VisionTransformer(vit_cfg, rng=np.random.default_rng(cfg.seed))
-    train_classifier(model, dataset.x_train, dataset.y_train,
-                     TrainConfig(epochs=cfg.train_epochs, lr=2e-3,
-                                 seed=cfg.seed))
-    return model
-
-
-def runtime_speedup_rows(config: ViTConfig | None = None, *,
-                         batch_size: int = 1, repeats: int = 3,
-                         seed: int = 0) -> list[dict]:
-    """Engineering table: per-mode forward latency of the inference engine.
-
-    Compares the autograd graph-building forward against the graph-free
-    ``no_grad`` path and the workspace-cached ``inference_mode`` path on
-    one model, asserting nothing.  The served forward is timed by the e2e
-    benchmark's ``worker.forward_b1_ms`` / ``worker.forward_b8_ms`` rows.
-    """
-    from .inference import benchmark_forward
-
-    config = config or vit_base_config(num_classes=10)
-    model = VisionTransformer(config, rng=np.random.default_rng(seed))
-    x = np.random.default_rng(seed).normal(
-        size=(batch_size, config.in_channels, config.image_size,
-              config.image_size)).astype(np.float32)
-    rows = []
-    graph_s = benchmark_forward(model, x, repeats=repeats, mode="graph")
-    for mode in ("graph", "no_grad", "inference"):
-        mode_s = (graph_s if mode == "graph"
-                  else benchmark_forward(model, x, repeats=repeats, mode=mode))
-        rows.append({
-            "model": config.name,
-            "mode": mode,
-            "batch": batch_size,
-            "latency_s": mode_s,
-            "speedup_vs_graph": graph_s / mode_s,
-        })
-    return rows
-
-
-def accuracy_curve(dataset: Dataset, cfg: TrainedExperimentConfig,
-                   device_counts: tuple[int, ...] = PAPER_DEVICE_COUNTS,
-                   budget_mb: float = 10.0) -> list[dict]:
-    """Panel (a) of Figs. 4–6: fused accuracy vs number of devices."""
-    from ..pruning.pipeline import PruneConfig
-    from ..splitting.fusion import softmax_average_accuracy
-    from .edvit import EDViTConfig, build_edvit
-
-    in_channels = dataset.image_shape[0]
-    base = train_base_model(dataset, cfg, in_channels)
-    fleet = make_fleet(max(device_counts))
-    rows = []
-    for n in device_counts:
-        if n > dataset.num_classes:
-            continue
-        system = build_edvit(
-            base, dataset, fleet[:n],
-            EDViTConfig(
-                num_devices=n,
-                memory_budget_bytes=int(budget_mb * MB),
-                prune=PruneConfig(probe_size=cfg.prune_probe,
-                                  retrain_epochs=cfg.retrain_epochs,
-                                  seed=cfg.seed),
-                fusion_epochs=cfg.fusion_epochs,
-                seed=cfg.seed))
-        plan = system.plan
-        rows.append({
-            "devices": n,
-            "accuracy": system.local_accuracy(dataset.x_test, dataset.y_test),
-            "softmax_avg_accuracy": softmax_average_accuracy(
-                system.models, plan.partition, dataset),
-            "total_memory_mb": sum(sub.size_bytes
-                                   for sub in plan.submodels) / MB,
-            "hps": tuple(sub.hp for sub in plan.submodels),
+            "planned_feature_bytes": feature_bytes(
+                planned.submodels[0].feature_dim),
         })
     return rows

@@ -1,7 +1,7 @@
 """Batched graph-free inference entrypoints shared by every consumer.
 
 This module is the single place the reproduction runs models *forward
-only*: the experiment harness, the edge runtime workers, the fusion
+only*: the training loop's evaluation, the edge runtime workers, the fusion
 helpers, and both Split-CNN/Split-SNN baselines all route through
 :func:`predict` instead of hand-rolled per-sample loops.  It runs under
 ``nn.inference_mode()`` — the graph-free fast path with module workspace
@@ -123,33 +123,3 @@ def extract_features(model, x, batch_size: int = 64,
 def evaluate(model: nn.Module, x, y: np.ndarray, batch_size: int = 64) -> float:
     """Top-1 test accuracy."""
     return float((predict_labels(model, x, batch_size) == np.asarray(y)).mean())
-
-
-def benchmark_forward(model: nn.Module, x: np.ndarray, *, repeats: int = 3,
-                      mode: str = "inference") -> float:
-    """Mean seconds per forward pass in the given execution mode.
-
-    ``mode`` is one of ``"graph"`` (autograd graph construction),
-    ``"no_grad"`` (graph-free, fresh allocations), or ``"inference"``
-    (graph-free plus workspace reuse).  Used by
-    :func:`repro.core.experiments.runtime_speedup_rows`.
-    """
-    import contextlib
-    import time
-
-    contexts = {
-        "graph": contextlib.nullcontext,
-        "no_grad": nn.no_grad,
-        "inference": nn.inference_mode,
-    }
-    if mode not in contexts:
-        raise ValueError(f"unknown mode {mode!r}; choose from {sorted(contexts)}")
-    model.eval()
-    tensor = nn.Tensor(np.asarray(x))
-    with contexts[mode]():
-        model(tensor)                      # warm-up (fills workspaces)
-        start = time.perf_counter()
-        for _ in range(repeats):
-            model(tensor)
-        elapsed = time.perf_counter() - start
-    return elapsed / repeats

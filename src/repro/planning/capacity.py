@@ -10,11 +10,12 @@ replicas.  Every replica is scored with the bit-exact vectorized DES
 sweeping thousand-device fleets × traffic traces × codec/quant choices
 interactive instead of hours-long.
 
-:func:`plan_capacity` sweeps the configuration grid, checks per-device
-memory feasibility (falling back to int8 weights exactly like
-``Planner.plan(quant="auto")`` does), and returns every scored point plus
-the cost/latency Pareto frontier.  :func:`cheapest_within_slo` picks the
-cheapest frontier point meeting a p95 target.
+:func:`plan_capacity` sweeps the configuration grid, plans each replica
+with :meth:`Planner.plan_vit` — the plan that would be served, so a
+memory-starved class gets Algorithm 1's extra head pruning — and returns
+every scored point plus the cost/latency Pareto frontier.
+:func:`cheapest_within_slo` picks the cheapest frontier point meeting a
+p95 target.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from ..core.experiments import PAPER_BUDGETS_MB, plan_split
 from ..edge.device import PI4B_MACS_PER_SECOND, PI4B_MEMORY_BYTES, DeviceModel
-from ..edge.simulator import DeploymentSpec, SubModelProfile, simulate_inference
+from ..edge.simulator import DeploymentSpec, simulate_inference
 from ..models.vit import vit_base_config
-from ..profiling import fusion_flops
 from ..serving.telemetry import percentile
 from ..serving.traffic import ArrivalTrace
+from .planner import Planner, PlannerConfig, PlanningError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,11 +62,6 @@ DEVICE_CLASSES: dict[str, DeviceClass] = {
     "orin-nano": DeviceClass("orin-nano", speed_factor=8.0,
                              memory_bytes=8 * 2 ** 30, unit_cost_usd=249.0),
 }
-
-# Mirrors Planner._int8_variant's analytic fallback: per-channel int8
-# keeps biases/norms and scale vectors, landing near size/3 (not /4).
-_INT8_SHRINK = 3
-
 
 @dataclasses.dataclass(frozen=True)
 class CapacityPoint:
@@ -165,51 +160,6 @@ def cheapest_within_slo(report: CapacityReport,
     return min(meeting, key=lambda p: (p.cost_usd, p.p95_s), default=None)
 
 
-def _replica_spec(device_class: DeviceClass, group_count: int, codec: str,
-                  num_classes: int,
-                  split_cache: dict[int, object]) -> tuple[DeploymentSpec,
-                                                           int, str]:
-    """Build one replica's deployment; returns (spec, size/device, quant).
-
-    Raises ValueError when the per-worker sub-model does not fit the
-    class's memory even as int8 — the configuration is infeasible.
-    """
-    if group_count not in split_cache:
-        split_cache[group_count] = plan_split(
-            vit_base_config(num_classes=num_classes), group_count,
-            num_classes=num_classes, budget_mb=PAPER_BUDGETS_MB["vit-base"])
-    point = split_cache[group_count]
-
-    size_fp32 = max(f.size_bytes for f in point.footprints)
-    if size_fp32 <= device_class.memory_bytes:
-        quant, size = "fp32", size_fp32
-    elif size_fp32 // _INT8_SHRINK <= device_class.memory_bytes:
-        quant, size = "int8", size_fp32 // _INT8_SHRINK
-    else:
-        raise ValueError(
-            f"sub-model needs {size_fp32 // 2**20} MB fp32 "
-            f"({size_fp32 // _INT8_SHRINK // 2**20} MB int8); "
-            f"{device_class.name} has {device_class.memory_bytes // 2**20} MB")
-
-    workers = [device_class.device(f"{device_class.name}-{i}")
-               for i in range(group_count)]
-    fusion = device_class.device(f"{device_class.name}-fusion")
-    profiles = {}
-    placement = {}
-    for i, foot in enumerate(point.footprints):
-        model_id = f"submodel-{i}"
-        profiles[model_id] = SubModelProfile(
-            model_id=model_id, flops_per_sample=foot.flops_per_sample,
-            feature_dim=foot.config.embed_dim, codec=codec)
-        placement[model_id] = workers[i].device_id
-    total_feature = sum(point.feature_dims)
-    spec = DeploymentSpec(
-        devices=workers, placement=placement, profiles=profiles,
-        fusion_device=fusion,
-        fusion_flops=float(fusion_flops(total_feature, num_classes, 0.5)))
-    return spec, size, quant
-
-
 def plan_capacity(trace: ArrivalTrace,
                   device_classes: Sequence[str] = ("pi4b", "pi5"),
                   fleet_sizes: Sequence[int] = (12, 60, 300, 1000),
@@ -228,17 +178,24 @@ def plan_capacity(trace: ArrivalTrace,
         if name not in DEVICE_CLASSES:
             raise KeyError(f"unknown device class {name!r}; "
                            f"choose from {sorted(DEVICE_CLASSES)}")
-    split_cache: dict[int, object] = {}
+    # Lazy: core.experiments plans through this package.
+    from ..core.experiments import MB, PAPER_BUDGETS_MB
+
+    base = vit_base_config(num_classes=num_classes)
+    budget = PAPER_BUDGETS_MB["vit-base"] * MB
     points: list[CapacityPoint] = []
     for class_name in device_classes:
         device_class = DEVICE_CLASSES[class_name]
         for group_count in group_counts:
+            workers = [device_class.device(f"{class_name}-{i}")
+                       for i in range(group_count)]
+            fusion = device_class.device(f"{class_name}-fusion")
             for codec in codecs:
+                planner = Planner(workers, fusion, config=PlannerConfig(
+                    codec=codec, memory_budget_bytes=budget))
                 try:
-                    spec, _, quant = _replica_spec(
-                        device_class, group_count, codec, num_classes,
-                        split_cache)
-                except ValueError as exc:
+                    plan = planner.plan_vit(base, num_groups=group_count)
+                except PlanningError as exc:
                     for fleet_size in fleet_sizes:
                         points.append(CapacityPoint(
                             device_class=class_name, fleet_size=fleet_size,
@@ -247,10 +204,11 @@ def plan_capacity(trace: ArrivalTrace,
                             quant="-", cost_usd=0.0, feasible=False,
                             reason=str(exc)))
                     continue
+                spec = plan.deployment_spec()
                 for fleet_size in fleet_sizes:
                     points.append(_score_point(
                         trace, device_class, fleet_size, group_count,
-                        codec, quant, spec))
+                        codec, plan.submodels[0].quant, spec))
     return CapacityReport(
         trace_requests=trace.num_requests,
         trace_duration_s=trace.duration,

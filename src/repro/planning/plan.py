@@ -58,6 +58,19 @@ class PlannedSubModel:
     model_config: dict                 # exact config dict to rebuild the module
     quant: str = "fp32"                # weight scheme served ("fp32"/"int8")
 
+    @staticmethod
+    def from_footprint(foot, classes) -> "PlannedSubModel":
+        """The ViT sub-model a :class:`~repro.splitting.schedule.
+        SubModelFootprint` describes, covering ``classes``."""
+        return PlannedSubModel(model_id=f"submodel-{foot.index}",
+                               classes=tuple(classes),
+                               hp=foot.hp,
+                               size_bytes=foot.size_bytes,
+                               flops_per_sample=foot.flops_per_sample,
+                               feature_dim=foot.config.embed_dim,
+                               model_kind="vit",
+                               model_config=foot.config.to_dict())
+
     def to_spec(self) -> SubModelSpec:
         """The assignment-problem view of this sub-model."""
         return SubModelSpec(model_id=self.model_id,

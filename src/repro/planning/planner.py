@@ -148,16 +148,8 @@ class Planner:
         schedule = plan_head_schedule(
             base, partition, [d.to_spec() for d in self.devices],
             self._memory_budget(), config.num_samples)
-        submodels = [
-            PlannedSubModel(model_id=f"submodel-{foot.index}",
-                            classes=tuple(group),
-                            hp=foot.hp,
-                            size_bytes=foot.size_bytes,
-                            flops_per_sample=foot.flops_per_sample,
-                            feature_dim=foot.config.embed_dim,
-                            model_kind="vit",
-                            model_config=foot.config.to_dict())
-            for foot, group in zip(schedule.footprints, partition)]
+        submodels = [PlannedSubModel.from_footprint(foot, group)
+                     for foot, group in zip(schedule.footprints, partition)]
         return self._assemble(base.num_classes, partition, submodels,
                               mapping=dict(schedule.plan.mapping))
 

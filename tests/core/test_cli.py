@@ -21,8 +21,13 @@ class TestCLI:
         assert "CIFAR-10" in out and "GTZAN" in out
 
     def test_flops_algorithm1(self, capsys):
-        out = run_cli(capsys, "flops", "--mode", "algorithm1")
-        assert "N=10" in out
+        out = run_cli(capsys, "flops")
+        assert "N=10 (G)" in out and "N=10 planned (G)" in out
+
+    def test_flops_has_no_mode_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["flops", "--mode", "algorithm1"])
+        assert exc.value.code == 2
 
     def test_curve_default(self, capsys):
         out = run_cli(capsys, "curve")
@@ -68,9 +73,11 @@ class TestCLI:
         assert "total:" in out
 
     def test_schedule_algorithm1(self, capsys):
-        out = run_cli(capsys, "schedule", "--devices", "3",
-                      "--mode", "algorithm1")
-        assert "size_mb" in out
+        out = run_cli(capsys, "schedule", "--devices", "3")
+        header = out.splitlines()[0].split()
+        assert {"hp", "size_mb", "gmacs", "planned_hp", "planned_size_mb",
+                "planned_gmacs"} <= set(header)
+        assert "paper-implied total:" in out and "planned total:" in out
 
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):

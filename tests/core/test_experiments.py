@@ -3,14 +3,14 @@
 import pytest
 
 from repro.core.experiments import (
+    MB,
     PAPER_BUDGETS_MB,
     PAPER_DEVICE_COUNTS,
     communication_rows,
-    deployment_for_point,
     latency_memory_curve,
     paper_hp,
     paper_kept_heads,
-    plan_split,
+    split_plans,
     table1_rows,
     table2_rows,
 )
@@ -70,21 +70,26 @@ class TestTable2:
         assert gtzan["Original (G)"] < cifar["Original (G)"]
 
 
-class TestPlanSplit:
-    def test_paper_mode_uniform_hps(self):
-        point = plan_split(vit_base_config(num_classes=10), 5, 10,
-                           PAPER_BUDGETS_MB["vit-base"], "paper")
-        assert len(set(point.hps)) == 1
+class TestSplitPlans:
+    @pytest.fixture(scope="class")
+    def plans(self):
+        return split_plans(vit_base_config(num_classes=10), 5,
+                           PAPER_BUDGETS_MB["vit-base"])
 
-    def test_algorithm1_mode_respects_budget(self):
-        point = plan_split(vit_base_config(num_classes=10), 5, 10,
-                           PAPER_BUDGETS_MB["vit-base"], "algorithm1")
-        assert point.total_size_mb <= PAPER_BUDGETS_MB["vit-base"]
-        assert point.schedule is not None
+    def test_paper_implied_uniform_hps(self, plans):
+        paper_implied, _ = plans
+        assert {sub.hp for sub in paper_implied.submodels} == {paper_hp(12, 5)}
 
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError):
-            plan_split(vit_base_config(), 2, 10, 180, "magic")
+    def test_planned_respects_budget(self, plans):
+        _, planned = plans
+        total = sum(sub.size_bytes for sub in planned.submodels)
+        assert total <= PAPER_BUDGETS_MB["vit-base"] * MB
+
+    def test_same_partition_one_submodel_per_device(self, plans):
+        paper_implied, planned = plans
+        assert paper_implied.partition == planned.partition
+        for plan in plans:
+            assert len(set(plan.mapping.values())) == 5
 
 
 class TestLatencyMemoryCurve:
@@ -133,40 +138,3 @@ class TestCommunication:
     def test_transfer_under_10ms(self):
         rows = communication_rows()
         assert all(r["transfer_ms"] < 10 for r in rows)
-
-
-class TestDeploymentForPoint:
-    def test_round_robin_placement(self):
-        point = plan_split(vit_base_config(num_classes=10), 3, 10, 180,
-                           "paper")
-        spec = deployment_for_point(point, num_classes=10)
-        assert len(set(spec.placement.values())) == 3
-
-
-class TestTrainedAccuracyCurve:
-    def test_accuracy_curve_minimal(self):
-        """The trained harness runs end-to-end at minimal scale."""
-        from repro.core.experiments import TrainedExperimentConfig, accuracy_curve
-        from repro.data import cifar10_like
-
-        ds = cifar10_like(image_size=16, train_per_class=12, test_per_class=6)
-        cfg = TrainedExperimentConfig(train_epochs=3, prune_probe=6,
-                                      retrain_epochs=1, fusion_epochs=3)
-        rows = accuracy_curve(ds, cfg, device_counts=(1, 2), budget_mb=10.0)
-        assert [r["devices"] for r in rows] == [1, 2]
-        for row in rows:
-            assert 0.0 <= row["accuracy"] <= 1.0
-            assert row["total_memory_mb"] > 0
-
-
-class TestRuntimeSpeedupRows:
-    def test_modes_and_positive_latencies(self):
-        from repro.core.experiments import runtime_speedup_rows
-        from repro.models.vit import ViTConfig
-
-        cfg = ViTConfig(image_size=16, patch_size=4, num_classes=10,
-                        depth=1, embed_dim=16, num_heads=2)
-        rows = runtime_speedup_rows(cfg, repeats=1)
-        assert [r["mode"] for r in rows] == ["graph", "no_grad", "inference"]
-        assert all(r["latency_s"] > 0 for r in rows)
-        assert rows[0]["speedup_vs_graph"] == 1.0

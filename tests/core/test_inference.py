@@ -129,14 +129,6 @@ def test_iter_batches_shapes(data):
     assert [len(b) for b in inference.iter_batches(loader)] == [5, 5]
 
 
-def test_benchmark_forward_modes(model):
-    x = np.random.default_rng(2).normal(size=(1, 3, 16, 16)).astype(np.float32)
-    for mode in ("graph", "no_grad", "inference"):
-        assert inference.benchmark_forward(model, x, repeats=1, mode=mode) > 0
-    with pytest.raises(ValueError):
-        inference.benchmark_forward(model, x, mode="warp-speed")
-
-
 def test_predict_releases_workspaces_by_default(model, data):
     x, _ = data
     inference.predict(model, x, batch_size=4)

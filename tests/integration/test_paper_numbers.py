@@ -122,3 +122,33 @@ class TestCommunicationAnchors:
         assert rows[10]["feature_bytes"] == 512    # paper: 512 B
         assert rows[10]["reduction_x"] == pytest.approx(294.0, abs=0.5)
         assert rows[1]["transfer_ms"] < 7          # paper: max 5.86 ms
+
+
+class TestPlannedSchedule:
+    """The planner's own Algorithm-1 schedule — the one the repo serves —
+    beside the paper-implied rows above.  It prunes less at N >= 3, so its
+    latencies sit well above the paper's; this pins the divergence."""
+
+    @pytest.mark.parametrize("devices, hps, latency_s", [
+        (3, (7, 7, 7), 6.91),
+        (5, (9, 8, 8, 8, 8), 4.51),
+        (10, (10, 10, 10) + (9,) * 7, 2.67),
+    ])
+    def test_vit_base(self, fig4_rows, devices, hps, latency_s):
+        row = next(r for r in fig4_rows if r["devices"] == devices)
+        assert row["planned_hps"] == hps
+        assert row["planned_latency_s"] == pytest.approx(latency_s, rel=0.01)
+        assert row["planned_latency_s"] > row["latency_s"]
+
+    def test_vit_large_n10(self):
+        (row,) = latency_memory_curve(vit_large_config(num_classes=10),
+                                      budget_mb=600, device_counts=(10,))
+        assert row["planned_latency_s"] == pytest.approx(8.97, rel=0.01)
+
+    @pytest.mark.parametrize("devices", [1, 2])
+    def test_planned_equals_paper_implied_below_three(self, fig4_rows,
+                                                      devices):
+        row = next(r for r in fig4_rows if r["devices"] == devices)
+        assert row["planned_hps"] == row["hps"]
+        assert row["planned_latency_s"] == row["latency_s"]
+        assert row["planned_total_memory_mb"] == row["total_memory_mb"]

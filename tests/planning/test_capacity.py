@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.planning import Planner
 from repro.planning.capacity import (
     DEVICE_CLASSES,
     CapacityPoint,
+    DeviceClass,
     cheapest_within_slo,
     pareto_frontier,
     plan_capacity,
@@ -72,18 +74,46 @@ class TestPlanCapacity:
         assert not point.feasible
         assert "replica" in point.reason
 
-    def test_memory_starved_class_falls_back_or_fails(self):
-        # A ViT-Base fifth (~tens of MB fp32) fits the 512 MB pi-zero2,
-        # so the sweep plans fp32 there; the class is just slow, not
-        # infeasible.  The int8 fallback path is exercised through
-        # _replica_spec's size arithmetic in either case.
-        trace = poisson_trace(5, 2, seed=0)
-        report = plan_capacity(trace, device_classes=("pi-zero2",),
+    @staticmethod
+    def _sweep_g5(monkeypatch, memory_mb):
+        """One G=5 point on pi4b and one on a ``memory_mb`` class, plus
+        the plans the sweep drew them from."""
+        starved = DeviceClass("starved", speed_factor=1.0,
+                              memory_bytes=memory_mb * 2 ** 20,
+                              unit_cost_usd=55.0)
+        monkeypatch.setitem(DEVICE_CLASSES, starved.name, starved)
+        plans = []
+        plan_vit = Planner.plan_vit
+
+        def recording_plan_vit(self, *args, **kwargs):
+            plans.append(plan_vit(self, *args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(Planner, "plan_vit", recording_plan_vit)
+        report = plan_capacity(poisson_trace(5, 2, seed=0),
+                               device_classes=("pi4b", "starved"),
                                fleet_sizes=(6,), group_counts=(5,),
                                codecs=("raw32",))
-        (point,) = report.points
-        assert point.feasible
-        assert point.quant in ("fp32", "int8")
+        return report.points, plans
+
+    def test_memory_starved_class_prunes_more_heads(self, monkeypatch):
+        # 20 MB per device: Algorithm 1 prunes past pi4b's schedule until
+        # every fp32 sub-model fits, instead of falling back to int8.
+        (pi4b, starved), (pi4b_plan, starved_plan) = self._sweep_g5(
+            monkeypatch, 20)
+        assert pi4b.feasible and starved.feasible
+        assert starved.quant == "fp32"
+        assert all(sub.size_bytes <= 20 * 2 ** 20
+                   for sub in starved_plan.submodels)
+        assert (min(sub.hp for sub in starved_plan.submodels)
+                > max(sub.hp for sub in pi4b_plan.submodels))
+
+    def test_class_too_small_for_any_plan_is_infeasible(self, monkeypatch):
+        (pi4b, starved), _ = self._sweep_g5(monkeypatch, 2)
+        assert pi4b.feasible
+        assert not starved.feasible and starved.quant == "-"
+        assert starved.reason.startswith(
+            "no feasible plan for any candidate group count")
 
     def test_replicas_capped_by_trace_size(self):
         trace = poisson_trace(2, 1, seed=3)  # very few requests
