@@ -7,49 +7,36 @@ Paper shape (CIFAR-10, N=10):
   re-runs its conv stack every simulation time step);
 * memory: ED-ViT far below CNN and comparable to SNN.
 
-Reproduced with the three trained systems; latency comes from the
-calibrated simulator fed with each sub-model's analytic op count.
+Reproduced with the three trained systems, each a ``PlannedSystem`` placed
+on the fleet by Algorithm 3: latency is the calibrated simulator run on
+each method's own plan (its sub-models' measured op counts and feature
+widths, its placement and its fusion MLP's cost).
 """
-
-import numpy as np
 
 from benchmarks.conftest import print_table
 from benchmarks.trained_runs import (
-    build_cnn_system,
     build_edvit_system,
-    build_snn_system,
+    build_split_system,
     system_accuracy,
 )
-from repro.edge.device import make_fleet, raspberry_pi_4b
-from repro.edge.simulator import DeploymentSpec, SubModelProfile, simulate_inference
-from repro.profiling import paper_flops, size_mb, snn_flops, vgg_flops
+from repro.edge.simulator import simulate_inference
 
 N_DEVICES = 10
+MIB = 2 ** 20
+
+# Paper's Fig. 7 latency ratios against ED-ViT.
+PAPER_RATIOS = {"Split-CNN": 2.70, "Split-SNN": 4.36}
 
 
-def _simulate(flops_list, feature_dims, fusion_flops=1e6):
-    fleet = make_fleet(N_DEVICES)
-    profiles = {}
-    placement = {}
-    for i, (flops, dim) in enumerate(zip(flops_list, feature_dims)):
-        mid = f"m{i}"
-        profiles[mid] = SubModelProfile(mid, float(flops), int(dim))
-        placement[mid] = fleet[i % N_DEVICES].device_id
-    spec = DeploymentSpec(devices=fleet, placement=placement,
-                          profiles=profiles,
-                          fusion_device=raspberry_pi_4b("fusion"),
-                          fusion_flops=fusion_flops)
-    return simulate_inference(spec, num_samples=1).max_latency
-
-
-def _row(name, system, flops_list):
-    sizes = [size_mb(model.num_parameters()) for model in system.models]
-    dims = [model.feature_dim() for model in system.models]
+def _row(name, system):
+    subs = system.plan.submodels
+    spec = system.plan.deployment_spec()
     return {
         "Method": name,
-        "latency_s": _simulate(flops_list, dims),
-        "total_memory_mb": float(np.sum(sizes)),
-    }, dims
+        "latency_s": simulate_inference(spec, num_samples=1).max_latency,
+        "total_memory_mb": sum(sub.size_bytes for sub in subs) / MIB,
+        "total_mflops": sum(sub.flops_per_sample for sub in subs) / 1e6,
+    }
 
 
 def test_fig7_three_method_comparison(benchmark, trained_vit, trained_vgg,
@@ -57,15 +44,14 @@ def test_fig7_three_method_comparison(benchmark, trained_vit, trained_vgg,
     def run():
         edvit = build_edvit_system(trained_vit, bench_dataset, N_DEVICES,
                                    seed=0)
-        cnn = build_cnn_system(trained_vgg, bench_dataset, N_DEVICES, seed=0)
-        snn = build_snn_system(trained_snn, bench_dataset, N_DEVICES, seed=0)
-
+        cnn = build_split_system(trained_vgg, bench_dataset, N_DEVICES,
+                                 seed=0)
+        snn = build_split_system(trained_snn, bench_dataset, N_DEVICES,
+                                 seed=0)
         rows = []
-        for name, system, flops in [("Split-CNN", cnn, vgg_flops),
-                                    ("Split-SNN", snn, snn_flops),
-                                    ("ED-ViT", edvit, paper_flops)]:
-            row, _ = _row(name, system,
-                          [flops(model.config) for model in system.models])
+        for name, system in [("Split-CNN", cnn), ("Split-SNN", snn),
+                             ("ED-ViT", edvit)]:
+            row = _row(name, system)
             row["accuracy"] = system_accuracy(system, bench_dataset)
             rows.append(row)
         return rows
@@ -74,6 +60,9 @@ def test_fig7_three_method_comparison(benchmark, trained_vit, trained_vgg,
     print_table("Fig. 7: method comparison at N=10 (trained + simulated)",
                 rows)
     by = {r["Method"]: r for r in rows}
+    for name, paper in PAPER_RATIOS.items():
+        ratio = by[name]["latency_s"] / by["ED-ViT"]["latency_s"]
+        print(f"{name} / ED-ViT latency: {ratio:.2f}x (paper {paper:.2f}x)")
     # SNN pays a time-step multiplier: slowest of the conv-based methods.
     assert by["Split-SNN"]["latency_s"] > by["Split-CNN"]["latency_s"]
     # All methods produce working classifiers.

@@ -19,17 +19,18 @@ from benchmarks.trained_runs import (
     BENCH_DEVICE_COUNTS,
     BENCH_TRIALS,
     accuracy_over_trials,
-    build_cnn_system,
     build_edvit_system,
-    build_snn_system,
+    build_split_system,
 )
 from repro.core.metrics import format_mean_std, mean_std
 
 
 def _table(trained_vit, trained_vgg, trained_snn, dataset):
     builders = {
-        "Split-CNN": functools.partial(build_cnn_system, trained_vgg, dataset),
-        "Split-SNN": functools.partial(build_snn_system, trained_snn, dataset),
+        "Split-CNN": functools.partial(build_split_system, trained_vgg,
+                                       dataset),
+        "Split-SNN": functools.partial(build_split_system, trained_snn,
+                                       dataset),
         "ED-ViT": functools.partial(build_edvit_system, trained_vit, dataset),
     }
     rows = []

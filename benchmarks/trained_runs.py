@@ -9,12 +9,7 @@ bench wall-clock reasonable — pass wider lists to go deeper.
 
 from __future__ import annotations
 
-from repro.baselines import (
-    SplitCNNConfig,
-    SplitSNNConfig,
-    build_split_cnn,
-    build_split_snn,
-)
+from repro.baselines import SplitConfig, build_split
 from repro.core.edvit import EDViTConfig, build_edvit
 from repro.edge.device import make_fleet
 from repro.pruning.pipeline import PruneConfig
@@ -41,20 +36,13 @@ def build_edvit_system(trained_vit, dataset, n: int, seed: int = 0,
                     fusion_lr=3e-3, seed=seed))
 
 
-def build_cnn_system(trained_vgg, dataset, n: int, seed: int = 0,
-                     keep_ratio: float = 0.5):
-    return build_split_cnn(
-        trained_vgg, dataset,
-        SplitCNNConfig(num_devices=n, keep_ratio=keep_ratio, adapt_epochs=2,
-                       finetune_epochs=3, fusion_epochs=12, seed=seed))
-
-
-def build_snn_system(trained_snn, dataset, n: int, seed: int = 0,
-                     keep_ratio: float = 0.5):
-    return build_split_snn(
-        trained_snn, dataset,
-        SplitSNNConfig(num_devices=n, keep_ratio=keep_ratio, adapt_epochs=2,
-                       finetune_epochs=3, fusion_epochs=12, seed=seed))
+def build_split_system(trained_base, dataset, n: int, seed: int = 0,
+                       keep_ratio: float = 0.5):
+    """Split-CNN from a trained VGG, Split-SNN from a trained ConvSNN."""
+    return build_split(
+        trained_base, dataset, make_fleet(n),
+        SplitConfig(num_devices=n, keep_ratio=keep_ratio, adapt_epochs=2,
+                    finetune_epochs=3, fusion_epochs=12, seed=seed))
 
 
 def system_accuracy(system, dataset) -> float:

@@ -7,7 +7,7 @@ for Distributed Inference" (ICDCS 2025).  Subpackages:
   substitute everything else is built on);
 * :mod:`repro.models` — ViT (S/B/L + scaled), VGG and ConvSNN comparators,
   the tower fusion MLP;
-* :mod:`repro.profiling` — Section III analytic FLOPs/memory/energy;
+* :mod:`repro.profiling` — Section III analytic FLOPs/memory;
 * :mod:`repro.data` — synthetic stand-ins for the five benchmark datasets;
 * :mod:`repro.pruning` — the three-stage KL structured pruner (Alg. 2) and
   channel pruning for the baselines;
@@ -31,8 +31,9 @@ for Distributed Inference" (ICDCS 2025).  Subpackages:
   (plans through :class:`repro.planning.Planner` and returns a servable
   :class:`repro.planning.PlannedSystem`), training loops, and the
   experiment harness regenerating every table and figure;
-* :mod:`repro.baselines` — Split-CNN (NNFacet) and Split-SNN (EC-SNN)
-  comparator systems.
+* :mod:`repro.baselines` — Split-CNN (NNFacet) and Split-SNN (EC-SNN),
+  built by one :func:`repro.baselines.build_split` into servable
+  planned systems (:class:`repro.planning.PlannedSystem`) like ED-ViT's.
 """
 
 from ._lazy import lazy_exports

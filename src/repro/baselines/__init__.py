@@ -1,15 +1,10 @@
-"""Comparator systems: Split-CNN (NNFacet) and Split-SNN (EC-SNN)."""
+"""Comparator systems: Split-CNN (NNFacet) and Split-SNN (EC-SNN).
 
-from .split_cnn import SplitCNNConfig, SplitCNNSubModel, SplitCNNSystem, build_split_cnn
-from .split_snn import SplitSNNConfig, SplitSNNSubModel, SplitSNNSystem, build_split_snn
+:func:`build_split` builds either from its trained backbone (a VGG or a
+ConvSNN) and returns a :class:`repro.planning.PlannedSystem`, placed by
+Algorithm 3 like ED-ViT.
+"""
 
-__all__ = [
-    "SplitCNNConfig",
-    "SplitCNNSubModel",
-    "SplitCNNSystem",
-    "SplitSNNConfig",
-    "SplitSNNSubModel",
-    "SplitSNNSystem",
-    "build_split_cnn",
-    "build_split_snn",
-]
+from .split import SplitConfig, build_split
+
+__all__ = ["SplitConfig", "build_split"]

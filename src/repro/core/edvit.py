@@ -27,8 +27,8 @@ import dataclasses
 from ..data.synthetic import Dataset
 from ..edge.device import DeviceModel
 from ..models.vit import VisionTransformer
-from ..planning import PlannedSystem, Planner, PlannerConfig
-from ..profiling import module_param_count, paper_flops, param_bytes
+from ..planning import (PlannedSubModel, PlannedSystem, Planner,
+                        PlannerConfig)
 from ..pruning.pipeline import PruneConfig, prune_submodel
 from ..splitting.fusion import train_fusion_mlp
 
@@ -69,10 +69,8 @@ def build_edvit(original: VisionTransformer, dataset: Dataset,
                              config=config.prune).model
               for sub in plan.submodels]
     plan.submodels = [
-        dataclasses.replace(
-            sub, model_config=model.config.to_dict(),
-            size_bytes=param_bytes(module_param_count(model)),
-            flops_per_sample=float(paper_flops(model.config)))
+        PlannedSubModel.from_module(sub.model_id, model, "vit", sub.classes,
+                                    hp=sub.hp)
         for sub, model in zip(plan.submodels, models)]
     plan.build["recipe"] = EDVIT_RECIPE
 

@@ -5,7 +5,6 @@ from .datasets import (
     caltech_like,
     cifar10_like,
     gtzan_like,
-    load_dataset,
     mnist_like,
     speech_command_like,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "caltech_like",
     "cifar10_like",
     "gtzan_like",
-    "load_dataset",
     "make_image_dataset",
     "make_spectrogram_dataset",
     "mnist_like",

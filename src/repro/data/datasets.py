@@ -82,8 +82,3 @@ DATASET_FACTORIES = {
     "speech-command": speech_command_like,
 }
 
-
-def load_dataset(name: str, **kwargs) -> Dataset:
-    if name not in DATASET_FACTORIES:
-        raise KeyError(f"unknown dataset {name!r}; choose from {sorted(DATASET_FACTORIES)}")
-    return DATASET_FACTORIES[name](**kwargs)

@@ -29,6 +29,12 @@ PI4B_MEMORY_BYTES = 4 * 2 ** 30
 # workloads; experiments override it when studying energy pressure.
 PI4B_ENERGY_FLOPS = 100e9
 
+# Joules per MAC for a Raspberry-Pi-class in-order ARM core (the paper
+# treats energy as proportional to MAC count).  Only relative values matter
+# to the assignment's energy constraint; this sets a physical scale:
+# ~5 W at the calibrated throughput above.
+JOULES_PER_MAC = 1.1e-8
+
 
 @dataclasses.dataclass(frozen=True)
 class DeviceModel:

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from . import fastsim
 from .codec import get_codec
-from .device import DeviceModel
+from .device import JOULES_PER_MAC, DeviceModel
 from .network import StarTopology, uniform_star
 from .sim_core import Barrier, FifoResource, Simulator
 
@@ -299,8 +299,6 @@ def energy_report(spec: DeploymentSpec,
                   result: SimulationResult) -> dict[str, float]:
     """Per-device energy in joules, from executed MACs (Section III's
     energy-proportional-to-FLOPs model)."""
-    from ..profiling.energy import JOULES_PER_MAC
-
     devices = {d.device_id: d for d in spec.devices}
     devices[spec.fusion_device.device_id] = spec.fusion_device
     report = {}

@@ -14,9 +14,10 @@ Because a demo plan carries a deterministic ``build`` recipe (seeds,
 training protocol), :meth:`PlannedSystem.from_plan` can rebuild the exact
 same weights from nothing but the JSON plan — the round trip
 ``plan → JSON → plan → serve`` is lossless.  An ED-ViT plan
-(:func:`repro.core.build_edvit`) round-trips as a plan, but its pruned
-weights come only from the build, so ``from_plan`` refuses to cold-rebuild
-it.
+(:func:`repro.core.build_edvit`) or a baseline's
+(:func:`repro.baselines.build_split`) round-trips as a plan, but its
+pruned weights come only from the build, so ``from_plan`` refuses to
+cold-rebuild it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from ..edge.device import DeviceModel
 from ..edge.network import LinkModel
 from ..edge.runtime import EdgeCluster, WorkerSpec, build_model
 from ..models.fusion import FusionConfig, FusionMLP
-from ..profiling import model_flops, module_param_count, param_bytes
 from ..serving.demo import (
     DEMO_RECIPE,
     _tiny_model,
@@ -448,15 +448,8 @@ def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
     partition = balanced_class_partition(num_classes, num_workers,
                                          rng=np.random.default_rng(seed))
     submodels = [
-        PlannedSubModel(model_id=f"submodel-{index}",
-                        classes=tuple(int(c) for c in partition[index]),
-                        hp=0,
-                        size_bytes=param_bytes(module_param_count(model)),
-                        flops_per_sample=float(model_flops(model_kind,
-                                                           model.config)),
-                        feature_dim=int(model.feature_dim()),
-                        model_kind=model_kind,
-                        model_config=model.config.to_dict())
+        PlannedSubModel.from_module(f"submodel-{index}", model, model_kind,
+                                    partition[index])
         for index, model in enumerate(models)]
 
     # Budgets sized so every device can absorb one orphaned sub-model on

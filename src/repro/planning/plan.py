@@ -28,6 +28,7 @@ from ..edge.codec import get_codec
 from ..edge.device import DeviceModel
 from ..edge.network import DEFAULT_OVERHEAD_S, LinkModel, StarTopology, TC_CAP_BPS
 from ..edge.simulator import DeploymentSpec, SubModelProfile
+from ..profiling import model_flops, module_param_count, param_bytes
 from ..splitting.class_assignment import validate_partition
 from .. import store as store_recipes
 
@@ -70,6 +71,21 @@ class PlannedSubModel:
                                feature_dim=foot.config.embed_dim,
                                model_kind="vit",
                                model_config=foot.config.to_dict())
+
+    @staticmethod
+    def from_module(model_id: str, module, kind: str, classes,
+                    hp: int = 0) -> "PlannedSubModel":
+        """The sub-model a built ``kind`` module is, covering ``classes``:
+        size, FLOPs, feature width and config measured on the module."""
+        return PlannedSubModel(
+            model_id=model_id,
+            classes=tuple(int(c) for c in classes),
+            hp=hp,
+            size_bytes=param_bytes(module_param_count(module)),
+            flops_per_sample=float(model_flops(kind, module.config)),
+            feature_dim=int(module.feature_dim()),
+            model_kind=kind,
+            model_config=module.config.to_dict())
 
     def to_spec(self) -> SubModelSpec:
         """The assignment-problem view of this sub-model."""

@@ -1,15 +1,13 @@
-"""Analytic FLOPs / memory / energy profiling (Section III of the paper)."""
+"""Analytic FLOPs / memory profiling (Section III of the paper)."""
 
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".energy": ("JOULES_PER_MAC", "inference_energy_flops",
-                "inference_energy_joules", "workload_energy_flops"),
     ".flops": ("FlopsBreakdown", "detailed_flops", "fusion_flops",
                "mlp_flops", "model_flops", "paper_flops",
                "paper_flops_breakdown", "snn_flops", "token_pruned_flops",
                "vgg_flops"),
     ".memory": ("BYTES_PER_PARAM", "module_param_count", "module_size_mb",
-                "param_bytes", "size_mb", "snn_param_count",
-                "vgg_param_count", "vit_param_count"),
+                "param_bytes", "size_mb", "vgg_param_count",
+                "vit_param_count"),
 })

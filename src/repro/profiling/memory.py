@@ -9,7 +9,6 @@ analytic counter — usable for the full-size configs without materializing
 
 from __future__ import annotations
 
-from ..models.snn import SNNConfig
 from ..models.vgg import VGGConfig
 from ..models.vit import ViTConfig
 from ..nn.modules import Module
@@ -60,20 +59,6 @@ def vgg_param_count(config: VGGConfig) -> int:
     hidden = max(8, int(round(config.classifier_hidden * config.width_scale)))
     total += flat * hidden + hidden
     total += hidden * hidden + hidden
-    total += hidden * config.num_classes + config.num_classes
-    return total
-
-
-def snn_param_count(config: SNNConfig) -> int:
-    total = 0
-    in_ch = config.in_channels
-    for out_ch in config.scaled_channels():
-        total += in_ch * out_ch * 9 + out_ch
-        in_ch = out_ch
-    spatial = config.image_size // (2 ** len(config.scaled_channels()))
-    flat = in_ch * spatial * spatial
-    hidden = max(8, int(round(config.classifier_hidden * config.width_scale)))
-    total += flat * hidden + hidden
     total += hidden * config.num_classes + config.num_classes
     return total
 

@@ -75,13 +75,6 @@ def prune_residual_channels(model: VisionTransformer,
     return new
 
 
-def attention_unit_rows(config: ViTConfig, head: int, dim: int) -> tuple[int, int, int]:
-    """Row indices of one (head, dim) unit in the q, k and v sections."""
-    a = config.resolved_attn_dim
-    offset = head * config.head_dim + dim
-    return offset, a + offset, 2 * a + offset
-
-
 def prune_attention_dims(model: VisionTransformer,
                          keep_per_head: list[list[np.ndarray]]) -> VisionTransformer:
     """Stage 2 — keep per-head projection dims.

@@ -1,5 +1,6 @@
-"""Shared fixtures: tiny datasets and models kept small enough that the
-whole suite runs on CPU in minutes."""
+"""Shared fixtures: tiny datasets, models and the three built systems
+(ED-ViT, Split-CNN, Split-SNN), kept small enough that the whole suite
+runs on CPU in minutes."""
 
 from __future__ import annotations
 
@@ -8,11 +9,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.baselines import SplitConfig, build_split
+from repro.core.edvit import EDViTConfig, build_edvit
 from repro.core.training import TrainConfig, train_classifier
 from repro.data import cifar10_like, gtzan_like
-from repro.edge.device import DeviceModel
+from repro.edge.device import DeviceModel, make_fleet
 from repro.edge.network import LinkModel
+from repro.models.snn import ConvSNN, SNNConfig
+from repro.models.vgg import VGG, vgg8_micro_config
 from repro.models.vit import ViTConfig, VisionTransformer
+from repro.pruning.pipeline import PruneConfig
 
 
 TINY_IMAGE = 16
@@ -48,6 +54,64 @@ def trained_tiny_vit(tiny_dataset):
     train_classifier(model, tiny_dataset.x_train, tiny_dataset.y_train,
                      TrainConfig(epochs=12, lr=3e-3, seed=0))
     return model
+
+
+@pytest.fixture(scope="session")
+def trained_tiny_vgg(tiny_dataset):
+    """A tiny VGG trained for a few epochs (session-scoped, treat read-only)."""
+    model = VGG(vgg8_micro_config(num_classes=10, image_size=TINY_IMAGE,
+                                  width_scale=0.25),
+                rng=np.random.default_rng(0))
+    train_classifier(model, tiny_dataset.x_train, tiny_dataset.y_train,
+                     TrainConfig(epochs=6, lr=2e-3, seed=0))
+    return model
+
+
+@pytest.fixture(scope="session")
+def trained_tiny_snn(tiny_dataset):
+    """A tiny ConvSNN trained for a few epochs (session-scoped, read-only)."""
+    cfg = SNNConfig(image_size=TINY_IMAGE, num_classes=10, channels=(8, 16),
+                    time_steps=3, classifier_hidden=32)
+    model = ConvSNN(cfg, rng=np.random.default_rng(0))
+    train_classifier(model, tiny_dataset.x_train, tiny_dataset.y_train,
+                     TrainConfig(epochs=6, lr=2e-3, seed=0))
+    return model
+
+
+@pytest.fixture(scope="session")
+def fast_prune():
+    """An Alg. 2 configuration cheap enough for tier-1 ED-ViT builds."""
+    return PruneConfig(probe_size=12, head_adapt_epochs=2,
+                       stage_finetune_epochs=1, retrain_epochs=4,
+                       backend="kl")
+
+
+# The three methods' systems at N = 2, built once per session.  Each is a
+# ``PlannedSystem``; tests that serve or replan one work on a
+# ``dataclasses.replace`` copy and leave the fixture untouched.
+@pytest.fixture(scope="session")
+def edvit_system(trained_tiny_vit, tiny_dataset, fast_prune):
+    return build_edvit(
+        trained_tiny_vit, tiny_dataset, make_fleet(2),
+        EDViTConfig(num_devices=2, memory_budget_bytes=64 * 2 ** 20,
+                    prune=fast_prune, fusion_epochs=12, fusion_lr=3e-3,
+                    seed=0))
+
+
+SPLIT_CONFIG = SplitConfig(num_devices=2, keep_ratio=0.5, adapt_epochs=1,
+                           finetune_epochs=2, fusion_epochs=8, seed=0)
+
+
+@pytest.fixture(scope="session")
+def split_cnn_system(trained_tiny_vgg, tiny_dataset):
+    return build_split(trained_tiny_vgg, tiny_dataset, make_fleet(2),
+                       SPLIT_CONFIG)
+
+
+@pytest.fixture(scope="session")
+def split_snn_system(trained_tiny_snn, tiny_dataset):
+    return build_split(trained_tiny_snn, tiny_dataset, make_fleet(2),
+                       SPLIT_CONFIG)
 
 
 def _timed(spec, compute_s, transfer_s, device_id=None):

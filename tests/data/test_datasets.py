@@ -1,14 +1,12 @@
 """Named dataset factory tests: the five paper-benchmark analogues."""
 
 import numpy as np
-import pytest
 
 from repro.data.datasets import (
     DATASET_FACTORIES,
     caltech_like,
     cifar10_like,
     gtzan_like,
-    load_dataset,
     mnist_like,
     speech_command_like,
 )
@@ -48,15 +46,6 @@ class TestRegistry:
     def test_five_datasets_registered(self):
         assert set(DATASET_FACTORIES) == {"cifar10", "mnist", "caltech",
                                           "gtzan", "speech-command"}
-
-    def test_load_dataset(self):
-        ds = load_dataset("mnist", image_size=16, train_per_class=2,
-                          test_per_class=1)
-        assert ds.name == "mnist-like"
-
-    def test_unknown_raises(self):
-        with pytest.raises(KeyError):
-            load_dataset("imagenet")
 
     def test_distinct_datasets_have_distinct_content(self):
         a = cifar10_like(image_size=16, train_per_class=2, test_per_class=1)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.edge.device import (
+    JOULES_PER_MAC,
     DeviceModel,
     PI4B_MACS_PER_SECOND,
     heterogeneous_fleet,
@@ -28,6 +29,10 @@ class TestCalibration:
         pi = raspberry_pi_4b("pi")
         latency = pi.compute_seconds(paper_flops(vit_large_config()))
         assert latency == pytest.approx(118.828, rel=0.10)
+
+    def test_energy_scale_plausible_for_pi(self):
+        # A Pi-4B draws a few watts; ViT-Base at ~37 s should cost O(100) J.
+        assert 10 < paper_flops(vit_base_config()) * JOULES_PER_MAC < 1000
 
     def test_throughput_is_sub_gigaflop(self):
         # A Pi 4B runs large transformers at well under 1 GMAC/s.

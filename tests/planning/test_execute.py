@@ -35,7 +35,9 @@ class TestFromPlan:
         # No training step to run, yet the weights were trained elsewhere:
         # a cold rebuild would silently serve random modules.
         {"recipe": "edvit"},
-    ], ids=["mystery-trained", "edvit"])
+        {"recipe": "split-cnn"},
+        {"recipe": "split-snn"},
+    ], ids=["mystery-trained", "edvit", "split-cnn", "split-snn"])
     def test_unknown_recipe_rejected(self, build):
         system = plan_demo_system(num_workers=2, seed=0)
         system.plan.build = build

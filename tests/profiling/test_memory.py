@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.models.snn import ConvSNN, SNNConfig
 from repro.models.vgg import VGG, vgg11_tiny_config
 from repro.models.vit import ViTConfig, VisionTransformer, vit_base_config, vit_large_config, vit_small_config
 from repro.profiling.memory import (
@@ -11,7 +10,6 @@ from repro.profiling.memory import (
     module_size_mb,
     param_bytes,
     size_mb,
-    snn_param_count,
     vgg_param_count,
     vit_param_count,
 )
@@ -66,11 +64,6 @@ class TestAnalyticMatchesInstantiated:
         cfg = dataclasses.replace(vgg11_tiny_config(image_size=32),
                                   batch_norm=False)
         assert VGG(cfg).num_parameters() == vgg_param_count(cfg)
-
-    def test_snn(self):
-        cfg = SNNConfig(image_size=16, num_classes=4, channels=(4, 8),
-                        classifier_hidden=16)
-        assert ConvSNN(cfg).num_parameters() == snn_param_count(cfg)
 
     def test_module_helpers(self):
         cfg = ViTConfig(image_size=8, patch_size=4, num_classes=3, depth=1,

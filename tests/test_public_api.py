@@ -31,7 +31,6 @@ MODULES = SUBPACKAGES + [
     "repro.models.vit", "repro.models.vgg", "repro.models.snn",
     "repro.models.fusion",
     "repro.profiling.flops", "repro.profiling.memory",
-    "repro.profiling.energy",
     "repro.data.synthetic", "repro.data.datasets", "repro.data.loaders",
     "repro.pruning.surgery", "repro.pruning.importance",
     "repro.pruning.structured", "repro.pruning.pipeline",
@@ -44,7 +43,7 @@ MODULES = SUBPACKAGES + [
     "repro.edge.simulator", "repro.edge.runtime",
     "repro.core.training", "repro.core.edvit", "repro.core.metrics",
     "repro.core.experiments",
-    "repro.baselines.split_cnn", "repro.baselines.split_snn",
+    "repro.baselines.split",
     "repro.serving.batcher", "repro.serving.server", "repro.serving.loadgen",
     "repro.serving.telemetry", "repro.serving.demo",
     "repro.planning.plan", "repro.planning.planner", "repro.planning.replan",
