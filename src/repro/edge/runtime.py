@@ -35,9 +35,9 @@ Boot is a handshake over the worker's own channel — the only one, used
 by :meth:`EdgeCluster.start` for the whole fleet and by
 :meth:`EdgeCluster.add_worker` for one worker.  The transport launches
 the batch at once and hands each worker its ``spec`` (sent with an empty
-``state_blob``: no weights travel as a process argument); the cluster
-then streams each worker's state dict as one ``weights`` message per
-array, decoded lazily from the blob the parent keeps, and waits — for a
+``state``: no weights travel as a process argument); the cluster then
+streams each worker's state dict as one ``weights`` message per array,
+read from the module's own arrays that the spec views, and waits — for a
 bounded time, watching for children that died — until every worker has
 answered ``ready``.  The worker adopts each array into its model as it
 arrives, so it holds its parameters once: no blob, no second state dict,
@@ -81,7 +81,7 @@ import dataclasses
 import math
 import threading
 import time
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -145,21 +145,53 @@ def build_model(kind: str, config: dict,
     return entry.build(entry.config_from_dict(dict(config)), rng=rng)
 
 
+def _state_views(model: nn.Module) -> dict[str, np.ndarray]:
+    """Read-only views of ``model``'s own parameter and buffer arrays, in
+    ``Module.state_dict()`` order: the weights without a copy."""
+    views = {name: p.data.view() for name, p in model.named_parameters()}
+    views.update((name, buf.view()) for name, buf in model.named_buffers())
+    for view in views.values():
+        view.flags.writeable = False
+    return views
+
+
 @dataclasses.dataclass
 class WorkerSpec:
-    """Everything needed to reconstruct one sub-model inside a worker."""
+    """Everything needed to reconstruct one sub-model inside a worker.
+
+    ``state`` maps each state-dict name to a read-only view of the
+    module's own array (a K-major weight is viewed in that layout), so a
+    spec holds no weights of its own: building and booting a fleet keeps
+    nothing beyond the modules it was built from.  A slot the module
+    rebinds later (a training-mode ``Linear``'s first ``eval()``) leaves
+    the spec viewing, and keeping alive, the array it had.
+    """
 
     worker_id: str
     model_kind: str                    # any key of MODEL_KINDS
     model_config: dict
-    state_blob: bytes
+    state: Mapping[str, np.ndarray]
     flops_per_sample: float
     device: DeviceModel
     link: LinkModel
     feature_dim: int                   # width of forward_features output
     batch_size: int = 64               # forward chunk size inside the worker
     codec: str = "raw32"               # repro.edge.codec name for features
-    quant: str = "fp32"                # weight scheme of state_blob
+    quant: str = "fp32"                # weight scheme of state
+
+    def state_items(self) -> Iterator[tuple[str, np.ndarray]]:
+        """``(name, array)`` pairs of ``state`` in C order, as
+        ``Module.state_dict()`` gives them; a K-major array is copied
+        as it is asked for and never kept here."""
+        for name, array in self.state.items():
+            yield name, np.ascontiguousarray(array)
+
+    @property
+    def state_blob(self) -> bytes:
+        """``state`` as ``nn.state_dict_to_bytes`` npz bytes, built on
+        each call.  Nothing on the boot path reads it; the e2e
+        benchmark's state-load probe does."""
+        return nn.state_dict_to_bytes(dict(self.state_items()))
 
     @staticmethod
     def from_model(worker_id: str, model: nn.Module, kind: str,
@@ -169,9 +201,9 @@ class WorkerSpec:
                    codec: str = "raw32") -> "WorkerSpec":
         """Spec for a concrete module of any model kind.
 
-        A quantized module is detected here (its state blob carries
-        int8 weight buffers), so the worker knows to apply the same
-        module surgery before loading.
+        A quantized module is detected here (its state carries int8
+        weight buffers), so the worker knows to apply the same module
+        surgery before loading.
         """
         _kind(kind)                    # fail fast on unknown names
         get_codec(codec)
@@ -179,7 +211,7 @@ class WorkerSpec:
             worker_id=worker_id,
             model_kind=kind,
             model_config=model.config.to_dict(),
-            state_blob=nn.state_dict_to_bytes(model.state_dict()),
+            state=_state_views(model),
             flops_per_sample=flops_per_sample,
             device=device,
             link=link or tc_capped_link(),
@@ -208,7 +240,7 @@ class WorkerSpec:
             worker_id=worker_id or model_id,
             model_kind=sub.model_kind,
             model_config=dict(sub.model_config),
-            state_blob=nn.state_dict_to_bytes(model.state_dict()),
+            state=_state_views(model),
             flops_per_sample=sub.flops_per_sample,
             device=device.device_model(),
             link=device.link_model(),
@@ -219,16 +251,16 @@ class WorkerSpec:
         )
 
 
-def _send_weights(handle: WorkerHandle, state_blob: bytes) -> None:
-    """Stream a state blob to a booting worker, one array at a time.
+def _send_weights(handle: WorkerHandle, spec: WorkerSpec) -> None:
+    """Stream a spec's state to a booting worker, one array at a time.
 
     Sends are paced by the worker (a full pipe blocks until it reads).
     A worker that is gone is not reported here: the wait for its READY
-    finds the EOF, or the FAILED reply it left behind.  A blob that does
-    not decode is this worker's start-up failure.
+    finds the EOF, or the FAILED reply it left behind.  An entry that
+    cannot be sent is this worker's start-up failure.
     """
     try:
-        for name, array in nn.iter_state_dict_from_bytes(state_blob):
+        for name, array in spec.state_items():
             handle.send(wire.weights_message(name, array))
         handle.send(wire.weights_end_message())
     except ConnectionError:            # broken pipe, reset: the worker died
@@ -549,12 +581,11 @@ class EdgeCluster:
         worker its weights, wait for every READY.  Returns the handles in
         the order of ``specs``; tears all of them down if any step fails.
         """
-        headers = [dataclasses.replace(spec, state_blob=b"")
-                   for spec in specs]
+        headers = [dataclasses.replace(spec, state={}) for spec in specs]
         handles = self._transport.launch(headers, _worker_main)
         try:
             for handle, spec in zip(handles, specs):
-                _send_weights(handle, spec.state_blob)
+                _send_weights(handle, spec)
             self._await_ready(handles, ready_timeout)
         except BaseException:
             reap(handles)

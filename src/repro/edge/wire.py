@@ -16,7 +16,7 @@ Wire shapes (see :data:`ARITY` for the machine-readable form)::
     worker -> parent, before anything else (tcp only):
         (HELLO, worker_id)                 # names the dialled-back connection
     parent -> worker, start-up:
-        (SPEC, spec)                       # the WorkerSpec, state_blob empty
+        (SPEC, spec)                       # the WorkerSpec, state empty
         (WEIGHTS, name, array)             # one state-dict entry, in order
         (WEIGHTS, None, None)              # end of the weights
     parent -> worker:
@@ -80,7 +80,7 @@ def hello_message(worker_id: str) -> tuple:
 
 
 def spec_message(spec) -> tuple:
-    """The worker's spec; the cluster sends it with an empty blob and
+    """The worker's spec; the cluster sends it with an empty state and
     streams the weights after it."""
     return (SPEC, spec)
 

@@ -232,9 +232,10 @@ def _block_forward(block: Block, bk, x: np.ndarray, ws,
     allocations when ``ws`` is ``None``) whose tags are shared by all
     blocks, since blocks run one after another.  ``"branch"`` holds each
     LayerNorm output and then, once the GEMM reading it is done, that
-    residual branch's result.  Every kernel is issued through the backend
-    ``bk`` (the layers' ``infer`` methods; ``QuantizedLinear`` has the same
-    one as ``Linear``).
+    residual branch's result; ``"qkv"`` holds the projections and then,
+    once attention has read them, the MLP's hidden layer.  Every kernel is
+    issued through the backend ``bk`` (the layers' ``infer`` methods;
+    ``QuantizedLinear`` has the same one as ``Linear``).
 
     With ``cls_only`` the block is evaluated for the CLS query row alone:
     K and V still cover every token, but Q, the scores, the context,
@@ -282,7 +283,7 @@ def _block_forward(block: Block, bk, x: np.ndarray, ws,
                                out=scratch(ws, "branch", (b, nq, d), dtype))
     hidden = mlp.fc1.infer(
         bk, normed, activation="gelu",
-        out=scratch(ws, "hidden", (b, nq, mlp.fc1.out_features), dtype))
+        out=scratch(ws, "qkv", (b, nq, mlp.fc1.out_features), dtype))
     x += mlp.fc2.infer(bk, hidden,
                        out=scratch(ws, "branch", (b, nq, d), dtype))
     return x

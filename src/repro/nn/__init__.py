@@ -60,7 +60,6 @@ from .quantize import (
 )
 from .serialization import (
     checkpoint_path,
-    iter_state_dict_from_bytes,
     load_checkpoint,
     save_checkpoint,
     state_dict_from_bytes,
@@ -120,7 +119,6 @@ __all__ = [
     "is_grad_enabled",
     "is_inference",
     "is_quantized",
-    "iter_state_dict_from_bytes",
     "kl_divergence",
     "load_checkpoint",
     "mse",

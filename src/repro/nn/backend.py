@@ -50,7 +50,7 @@ therefore not assume contiguity of ``weight``, nor of a row slice of it.
 
 The reference kernels worth knowing the cost of: ``layer_norm`` is four
 full-size passes (centre, scale, weight, bias) around two row reductions;
-``apply_activation("gelu")`` is seven in-place passes;
+``apply_activation("gelu")`` is seven in-place passes, chunk by chunk;
 ``einsum("ok,nkp->nop")``, the conv lowering, is a broadcast ``matmul``.
 """
 
@@ -63,6 +63,10 @@ import threading
 import numpy as np
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+# Elements per pass of apply_activation("gelu") when the caller passes no
+# scratch: the one temporary it allocates is at most this long.
+GELU_CHUNK = 1 << 16
 
 
 class Workspace:
@@ -157,6 +161,24 @@ def scratch(workspace: Workspace | None, tag: str, shape, dtype) -> np.ndarray:
     return workspace.buffer(tag, shape, dtype)
 
 
+def _gelu(buf: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """GELU of ``buf`` in place, with ``tmp`` as same-shape scratch."""
+    # 0.5 x (1 + tanh u) == x / (1 + exp(-2u)) with
+    # u = sqrt(2/pi) x (1 + 0.044715 x^2): seven in-place passes
+    # with the constants folded, against nine for the tanh form.
+    np.multiply(buf, buf, out=tmp)
+    tmp *= -2.0 * _SQRT_2_OVER_PI * 0.044715
+    tmp -= 2.0 * _SQRT_2_OVER_PI
+    tmp *= buf
+    # exp overflows to inf below x ~ -10, where x / inf = -0.0 is
+    # the right limit; only the warning is unwanted.
+    with np.errstate(over="ignore"):
+        np.exp(tmp, out=tmp)
+    tmp += 1.0
+    buf /= tmp
+    return buf
+
+
 class ArrayBackend:
     """The array-primitive surface and its one implementation: numpy with
     the fused kernels below.
@@ -225,7 +247,9 @@ class ArrayBackend:
         """Apply a named activation to ``buf`` **in place**.
 
         ``tmp`` is optional same-shape scratch; only ``gelu`` needs it
-        (its exponent must be built while ``buf`` still holds x).
+        (its exponent must be built while ``buf`` still holds x).  Without
+        it, ``gelu`` walks a C-contiguous ``buf`` :data:`GELU_CHUNK`
+        elements at a time through one scratch of at most that length.
         """
         if name == "relu":
             return np.maximum(buf, 0.0, out=buf)
@@ -234,21 +258,15 @@ class ArrayBackend:
         if name == "tanh":
             return np.tanh(buf, out=buf)
         if name == "gelu":
-            # 0.5 x (1 + tanh u) == x / (1 + exp(-2u)) with
-            # u = sqrt(2/pi) x (1 + 0.044715 x^2): seven in-place passes
-            # with the constants folded, against nine for the tanh form.
-            if tmp is None:
-                tmp = np.empty_like(buf)
-            np.multiply(buf, buf, out=tmp)
-            tmp *= -2.0 * _SQRT_2_OVER_PI * 0.044715
-            tmp -= 2.0 * _SQRT_2_OVER_PI
-            tmp *= buf
-            # exp overflows to inf below x ~ -10, where x / inf = -0.0 is
-            # the right limit; only the warning is unwanted.
-            with np.errstate(over="ignore"):
-                np.exp(tmp, out=tmp)
-            tmp += 1.0
-            buf /= tmp
+            if tmp is not None or not buf.flags.c_contiguous:
+                return _gelu(buf, np.empty_like(buf) if tmp is None else tmp)
+            # Elementwise, so a pass over GELU_CHUNK elements at a time
+            # gives the same bits with a bounded scratch.
+            flat = buf.reshape(-1)
+            tmp = np.empty(min(flat.size, GELU_CHUNK), dtype=buf.dtype)
+            for start in range(0, flat.size, GELU_CHUNK):
+                part = flat[start:start + GELU_CHUNK]
+                _gelu(part, tmp[:part.size])
             return buf
         raise ValueError(f"unknown activation {name!r}; "
                          f"supported: {list(self.ACTIVATIONS)}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import io
 import json
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -78,18 +77,6 @@ def state_dict_to_bytes(state: dict[str, np.ndarray]) -> bytes:
     return buf.getvalue()
 
 
-def iter_state_dict_from_bytes(
-        payload: bytes) -> Iterator[tuple[str, np.ndarray]]:
-    """``(name, array)`` pairs of a :func:`state_dict_to_bytes` blob.
-
-    Lazy: each member is decoded when the consumer asks for it, so a
-    consumer that drops (or hands on) each array before taking the next
-    holds one array at a time beside the blob, never a whole state dict.
-    """
-    with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
-        for key in archive.files:
-            yield key, archive[key]
-
-
 def state_dict_from_bytes(payload: bytes) -> dict[str, np.ndarray]:
-    return dict(iter_state_dict_from_bytes(payload))
+    with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
+        return {key: archive[key] for key in archive.files}

@@ -146,7 +146,6 @@ def run_load(server: InferenceServer, input_shape: tuple[int, ...],
 def _collect(server: InferenceServer, config: LoadgenConfig,
              futures: list[ServedFuture], dropped: int,
              wall_seconds: float, offered_rps: float,
-             records_before: int,
              started_at: float | None = None,
              due: list[float] | None = None,
              lateness: Sequence[float] = ()) -> LoadgenResult:
@@ -164,9 +163,10 @@ def _collect(server: InferenceServer, config: LoadgenConfig,
         telemetry = future.telemetry
         latencies.append(telemetry.total_s if due is None
                          else telemetry.completed_at - due[k])
-    # Scope the report to THIS run's records (the server may have served
-    # earlier runs — e.g. previous rates of a sweep — on the same stats).
-    run_records = server.records()[records_before:]
+    # Scope the report to THIS run's requests: the server may have served
+    # earlier runs (e.g. previous rates of a sweep), and its telemetry
+    # ring stops growing once full, so no slice of it is this run's.
+    run_records = [f.telemetry for f in futures if f.done()]
     return LoadgenResult(
         config=config,
         offered_rps=offered_rps,
@@ -205,7 +205,6 @@ def _run_open_loop(server: InferenceServer, config: LoadgenConfig,
     due: list[float] = []              # per admitted future, same order
     lateness: list[float] = []
     dropped = 0
-    records_before = len(server.records())
     started_at = time.time()
     start = time.perf_counter()
     next_arrival = start
@@ -238,8 +237,7 @@ def _run_open_loop(server: InferenceServer, config: LoadgenConfig,
     else:                              # trace: mean rate over the span
         offered = (len(offsets) / offsets[-1]) if offsets[-1] > 0 else None
     return _collect(server, config, futures, dropped, wall,
-                    offered_rps=offered,
-                    records_before=records_before, started_at=started_at,
+                    offered_rps=offered, started_at=started_at,
                     due=due, lateness=lateness)
 
 
@@ -248,7 +246,6 @@ def _run_closed_loop(server: InferenceServer, config: LoadgenConfig,
     futures: list[ServedFuture] = []
     futures_lock = threading.Lock()
     counter = {"next": 0, "dropped": 0}
-    records_before = len(server.records())
 
     def client(seed: int) -> None:
         rng = np.random.default_rng(seed)
@@ -282,8 +279,7 @@ def _run_closed_loop(server: InferenceServer, config: LoadgenConfig,
         thread.join()
     wall = time.perf_counter() - start
     return _collect(server, config, futures, counter["dropped"], wall,
-                    offered_rps=None,
-                    records_before=records_before, started_at=started_at)
+                    offered_rps=None, started_at=started_at)
 
 
 def sweep_offered_load(server: InferenceServer, input_shape: tuple[int, ...],

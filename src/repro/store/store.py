@@ -35,11 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from ..nn.modules import Module
-from ..nn.serialization import (
-    load_checkpoint,
-    save_checkpoint,
-    state_dict_to_bytes,
-)
+from ..nn.serialization import load_checkpoint, save_checkpoint
 from ..obs.metrics import get_registry
 from ..obs.trace import span
 
@@ -324,19 +320,6 @@ class ArtifactStore:
         self._m_hits.inc()
         self._m_get_s.observe(time.perf_counter() - t0)
         return state, config
-
-    def state_blob(self, digest: str) -> bytes:
-        """The artifact's verified state dict in worker wire format.
-
-        Convenience for callers that ship weights straight into a
-        :class:`repro.edge.runtime.WorkerSpec` (whose ``state_blob``
-        field uses the same ``state_dict_to_bytes`` encoding, config
-        sentinel stripped) without materializing a module first.  The
-        built-in warm-boot paths instead :meth:`get` into modules they
-        need locally anyway.
-        """
-        state, _ = self.get(digest)
-        return state_dict_to_bytes(state)
 
     # -- retention -----------------------------------------------------
     def gc(self, max_bytes: int | None = None,

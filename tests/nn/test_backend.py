@@ -5,6 +5,7 @@ import pytest
 
 from repro import nn
 from repro.nn.backend import (
+    GELU_CHUNK,
     ArrayBackend,
     Workspace,
     get_backend,
@@ -251,6 +252,30 @@ def test_gelu_epilogue_matches_the_tanh_form_without_warnings(b):
         out_tmp = b.apply_activation("gelu", x.copy(), tmp=np.empty_like(x))
     np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-6)
     np.testing.assert_array_equal(out, out_tmp)
+
+
+@pytest.mark.parametrize("shape", [
+    (GELU_CHUNK - 3,),                 # below the chunk
+    (GELU_CHUNK,),                     # exactly one chunk
+    (4, GELU_CHUNK // 2),              # whole chunks
+    (2 * GELU_CHUNK + 5,),             # a ragged tail
+    (3, 65, 768),                      # a batch-3 serving-shape hidden layer
+])
+def test_gelu_without_scratch_equals_the_full_scratch_path(b, shape):
+    x = (np.random.default_rng(1).normal(size=shape) * 4.0).astype(
+        np.float32)
+    full = b.apply_activation("gelu", x.copy(), tmp=np.empty_like(x))
+    chunked = b.apply_activation("gelu", x.copy())
+    assert np.array_equal(chunked, full)
+
+
+def test_gelu_on_a_strided_view_is_applied_in_place(b):
+    x = np.random.default_rng(2).normal(size=(6, 8)).astype(np.float32)
+    expected = b.apply_activation("gelu", x[:, ::2].copy())
+    out = x.copy()
+    b.apply_activation("gelu", out[:, ::2])
+    assert np.array_equal(out[:, ::2], expected)
+    assert np.array_equal(out[:, 1::2], x[:, 1::2])
 
 
 def test_conv_lowering_einsum_is_a_plain_matmul(b, monkeypatch):

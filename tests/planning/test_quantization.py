@@ -107,12 +107,10 @@ def test_unknown_quant_scheme_rejected():
 def test_int8_artifacts_are_at_least_2x_smaller(fp32_system, int8_system,
                                                 store):
     for model_id in ("submodel-0", "submodel-1"):
-        fp32_blob = store.state_blob(fp32_system.plan.artifacts[model_id])
-        int8_blob = store.state_blob(int8_system.plan.artifacts[model_id])
-        fp32_bytes = nn.state_dict_num_bytes(
-            nn.state_dict_from_bytes(fp32_blob))
-        int8_bytes = nn.state_dict_num_bytes(
-            nn.state_dict_from_bytes(int8_blob))
+        fp32_state, _ = store.get(fp32_system.plan.artifacts[model_id])
+        int8_state, _ = store.get(int8_system.plan.artifacts[model_id])
+        fp32_bytes = nn.state_dict_num_bytes(fp32_state)
+        int8_bytes = nn.state_dict_num_bytes(int8_state)
         assert fp32_bytes >= 2 * int8_bytes, (model_id, fp32_bytes,
                                               int8_bytes)
 

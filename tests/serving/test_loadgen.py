@@ -107,6 +107,26 @@ class TestOpenLoop:
             # Each rate's report covers only that run, not the whole sweep.
             assert result.report.completed == 25
 
+    def test_report_covers_the_run_once_the_telemetry_ring_is_full(
+            self, system):
+        """The server keeps its last ``max_records`` records; a run's
+        report is built from that run's own requests, so a full ring
+        (whose length no longer grows) does not empty it."""
+        server = InferenceServer(
+            system.make_cluster(), system.fusion,
+            ServerConfig(max_records=8, batching=BatchingConfig(
+                max_batch_samples=16, max_wait_s=0.002)))
+        with server:
+            results = [run_load(server, system.input_shape,
+                                LoadgenConfig(num_requests=20, mode="open",
+                                              offered_rps=400.0, seed=seed))
+                       for seed in (0, 1)]
+            assert len(server.records()) == 8
+        for result in results:
+            assert result.completed == 20
+            assert result.report.completed == 20
+            assert result.report.latency_p50_s is not None
+
 
 def test_unknown_mode_rejected(system):
     with make_server(system) as server:

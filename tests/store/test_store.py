@@ -78,14 +78,14 @@ class TestPutGet:
             store.get("0" * 64)
         assert not store.has("0" * 64)
 
-    def test_state_blob_is_wire_format(self, tmp_path):
+    def test_get_returns_the_state_without_the_config(self, tmp_path):
         store = ArtifactStore(tmp_path)
         model = small_model()
         digest = recipe_digest({"seed": 0})
         store.put(digest, model, config={"layers": [4, 8, 3]})
-        blob = store.state_blob(digest)
-        restored = nn.state_dict_from_bytes(blob)
+        restored, config = store.get(digest)
         # Config sentinel must be stripped; only parameters ship.
+        assert config == {"layers": [4, 8, 3]}
         assert set(restored) == set(model.state_dict())
         for key, value in model.state_dict().items():
             np.testing.assert_array_equal(restored[key], value)

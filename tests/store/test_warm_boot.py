@@ -123,10 +123,14 @@ class TestWarmBoot:
         assert warm.local_accuracy(x, y) == system.local_accuracy(x, y)
         np.testing.assert_array_equal(warm.local_fused_labels(x),
                                       system.local_fused_labels(x))
-        # The worker specs ship the warm-loaded weights too.
+        # The worker specs stream the warm-loaded weights too.
         for spec_w, spec_c in zip(warm.make_cluster().specs,
                                   system.make_cluster().specs):
-            assert spec_w.state_blob == spec_c.state_blob
+            warm_items = list(spec_w.state_items())
+            cold_items = list(spec_c.state_items())
+            assert [n for n, _ in warm_items] == [n for n, _ in cold_items]
+            for (name, a), (_, b) in zip(warm_items, cold_items):
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_missing_artifact_falls_back_to_cold(self, populated, tmp_path):
         system, store = populated
