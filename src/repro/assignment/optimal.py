@@ -9,8 +9,6 @@ gap (an ablation DESIGN.md calls out).
 
 from __future__ import annotations
 
-import itertools
-
 from .problem import AssignmentPlan, DeviceSpec, InfeasibleAssignment, SubModelSpec
 
 
@@ -75,29 +73,3 @@ def optimal_assign(devices: list[DeviceSpec], submodels: list[SubModelSpec],
     if best_plan is None:
         raise InfeasibleAssignment("no feasible assignment exists")
     return best_plan
-
-
-def brute_force_assign(devices: list[DeviceSpec], submodels: list[SubModelSpec],
-                       num_samples: int) -> AssignmentPlan | None:
-    """Plain product enumeration (tiny instances only; used to test B&B)."""
-    device_ids = [d.device_id for d in devices]
-    best: AssignmentPlan | None = None
-    for combo in itertools.product(device_ids, repeat=len(submodels)):
-        memory = {d.device_id: d.memory_bytes for d in devices}
-        energy = {d.device_id: float(d.energy_flops) for d in devices}
-        ok = True
-        for model, device_id in zip(submodels, combo):
-            need = model.workload_flops(num_samples)
-            if memory[device_id] < model.size_bytes or energy[device_id] < need:
-                ok = False
-                break
-            memory[device_id] -= model.size_bytes
-            energy[device_id] -= need
-        if not ok:
-            continue
-        plan = AssignmentPlan(
-            mapping={m.model_id: d for m, d in zip(submodels, combo)},
-            residual_memory=memory, residual_energy=energy)
-        if best is None or plan.objective > best.objective:
-            best = plan
-    return best

@@ -16,7 +16,7 @@ Usage::
     python -m repro.cli plan --quant auto --memory-headroom 0.5 --store ./artifacts
     python -m repro.cli quantize --plan plan.json --store ./artifacts --out plan-int8.json
     python -m repro.cli loadgen --rates 50,100,200 --compare-batching
-    python -m repro.cli trace --out trace.json --transport inprocess
+    python -m repro.cli serve --trace trace.json --transport inprocess
     python -m repro.cli loadgen --rates 100 --trace trace.json --metrics
     python -m repro.cli capacity --traffic burst --slo-p95-ms 8000
     python -m repro.cli capacity --trace-file arrivals.jsonl --json
@@ -66,6 +66,7 @@ from .core.experiments import (
 )
 from .core.metrics import format_table
 from .models.vit import STANDARD_CONFIGS
+from .planning import PlanningError
 
 _FULL_SIZE_MODELS = ("vit-small", "vit-base", "vit-large")
 
@@ -84,12 +85,16 @@ def cmd_flops(_args) -> None:
     print(format_table(table2_rows()))
 
 
+def _budget_mb(args) -> float:
+    """``--budget-mb`` as given (0 included), else the paper's budget."""
+    if args.budget_mb is None:
+        return PAPER_BUDGETS_MB[args.model]
+    return args.budget_mb
+
+
 def cmd_curve(args) -> None:
-    budget = args.budget_mb
-    if budget is None:
-        budget = PAPER_BUDGETS_MB[args.model]
     rows = latency_memory_curve(_model_config(args.model, args.channels),
-                                budget_mb=budget)
+                                budget_mb=_budget_mb(args))
     print(format_table(rows))
 
 
@@ -150,7 +155,7 @@ def cmd_communication(_args) -> None:
 
 
 def cmd_schedule(args) -> None:
-    budget = args.budget_mb or PAPER_BUDGETS_MB[args.model]
+    budget = _budget_mb(args)
     paper_implied, planned = split_plans(
         _model_config(args.model, args.channels), args.devices, budget)
     rows = [{
@@ -203,8 +208,7 @@ def _make_server(args):
 
 def _maybe_enable_tracing(args) -> bool:
     """Turn on span collection when a trace export was requested."""
-    if not (getattr(args, "trace", None)
-            or getattr(args, "trace_jsonl", None)):
+    if not (args.trace or args.trace_jsonl):
         return False
     from . import obs
 
@@ -214,8 +218,7 @@ def _maybe_enable_tracing(args) -> bool:
 
 def _export_observability(args) -> None:
     """Write requested trace exports; progress notes go to stderr."""
-    trace_path = getattr(args, "trace", None)
-    jsonl_path = getattr(args, "trace_jsonl", None)
+    trace_path, jsonl_path = args.trace, args.trace_jsonl
     if not trace_path and not jsonl_path:
         return
     from . import obs
@@ -380,13 +383,6 @@ def cmd_artifacts(args) -> None:
               f"{store.total_bytes / 2 ** 20:.2f} MiB remain")
 
 
-def cmd_trace(args) -> None:
-    """``repro trace``: a traced serve run with the export always on."""
-    if not args.trace:
-        args.trace = args.out
-    cmd_serve(args)
-
-
 def cmd_loadgen(args) -> None:
     from .serving import LoadgenConfig, run_load
 
@@ -503,29 +499,37 @@ def cmd_capacity(args) -> None:
                   f"at ${best.cost_usd:,.0f} — p95 {best.p95_s * 1e3:.0f} ms")
 
 
-def _add_serving_options(parser: argparse.ArgumentParser) -> None:
-    from .edge.transport import TRANSPORTS
-
+def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
+    """The demo-fleet flags ``plan`` and the serving commands share."""
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--model-kind", choices=("vit", "vgg", "snn"),
                         default="vit")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--codec", default="raw32",
+                        help="feature wire codec the fleet is planned with "
+                             "(raw32, f16, q8, any base +zlib), or 'auto' "
+                             "to DES-score candidates and keep the fastest "
+                             "within the accuracy-drop bound. Ignored with "
+                             "--plan (the plan carries its codec)")
+    parser.add_argument("--store", default=None,
+                        help="artifact-store directory: warm-boot the "
+                             "planned weights when populated, populate it "
+                             "on a cold boot; plan JSON records the refs")
+    parser.add_argument("--train-fusion", action="store_true",
+                        help="train the planned fleet, so the plan carries "
+                             "a real accuracy prediction (the expensive "
+                             "step an artifact store amortizes). Ignored "
+                             "with --plan (the plan's build recipe decides)")
+
+
+def _add_serving_options(parser: argparse.ArgumentParser) -> None:
+    from .edge.transport import TRANSPORTS
+
+    _add_fleet_options(parser)
     parser.add_argument("--transport", choices=sorted(TRANSPORTS),
                         default="multiprocess",
                         help="worker substrate: OS processes, threads, or "
                              "TCP-connected processes")
-    parser.add_argument("--codec", default="raw32",
-                        help="feature wire codec (raw32, f16, q8; any base "
-                             "+zlib, or 'auto') the fleet is planned with. "
-                             "Ignored with --plan (the plan carries its "
-                             "codec)")
-    parser.add_argument("--store", default=None,
-                        help="artifact-store directory: warm-boot weights "
-                             "from it when populated, populate it on a "
-                             "cold boot")
-    parser.add_argument("--train-fusion", action="store_true",
-                        help="train the planned fleet (the expensive step "
-                             "an artifact store amortizes). Ignored with "
-                             "--plan (the plan's build recipe decides)")
     parser.add_argument("--batch", type=int, default=16,
                         help="dynamic batcher max samples per dispatch")
     parser.add_argument("--max-wait-ms", type=float, default=None,
@@ -536,7 +540,6 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--worker-timeout-s", type=float, default=5.0)
     parser.add_argument("--requests", type=int, default=200)
     parser.add_argument("--time-scale", type=float, default=0.0)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="enable tracing and write a Chrome trace-"
                              "event/Perfetto JSON timeline here (open at "
@@ -571,26 +574,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser(
         "plan", help="plan a demo fleet and emit the DeploymentPlan JSON")
-    p_plan.add_argument("--workers", type=int, default=2)
-    p_plan.add_argument("--model-kind", choices=("vit", "vgg", "snn"),
-                        default="vit")
-    p_plan.add_argument("--seed", type=int, default=0)
+    _add_fleet_options(p_plan)
     p_plan.add_argument("--throughputs", default=None,
                         help="comma-separated per-device throughput "
                              "multipliers (heterogeneous fleet)")
-    p_plan.add_argument("--train-fusion", action="store_true",
-                        help="train the demo system so the plan carries a "
-                             "real accuracy prediction")
     p_plan.add_argument("--fusion-epochs", type=int, default=8)
-    p_plan.add_argument("--codec", default="raw32",
-                        help="feature wire codec recorded in the plan "
-                             "(raw32, f16, q8, any base +zlib), or 'auto' "
-                             "to DES-score candidates and keep the fastest "
-                             "within the accuracy-drop bound")
-    p_plan.add_argument("--store", default=None,
-                        help="artifact-store directory: warm-boot the "
-                             "planned weights when populated, populate it "
-                             "cold; refs are recorded in the plan JSON")
     p_plan.add_argument("--quant", choices=("fp32", "int8", "auto"),
                         default="fp32",
                         help="served weight scheme: int8 = per-channel "
@@ -664,18 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the run report as JSON (machine-"
                               "readable; empty-window stats are null)")
     p_serve.set_defaults(func=cmd_serve)
-
-    p_trace = sub.add_parser(
-        "trace", help="serve traffic with tracing on and render the run "
-                      "as a Perfetto/Chrome trace timeline")
-    _add_serving_options(p_trace)
-    p_trace.add_argument("--rps", type=float, default=200.0,
-                         help="offered arrival rate (Poisson)")
-    p_trace.add_argument("--out", default="trace.json", metavar="FILE",
-                         help="trace-event JSON output path")
-    p_trace.set_defaults(func=cmd_trace, kill_after=None, swap_after=None,
-                         plan=None, no_replan=False, swap_quant=None,
-                         json=False)
 
     p_load = sub.add_parser(
         "loadgen", help="latency-vs-offered-load sweep over the serving layer")
@@ -757,7 +733,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except PlanningError as exc:
+        raise SystemExit(str(exc)) from exc
     return 0
 
 

@@ -15,16 +15,17 @@ from .. import nn
 from ..data.loaders import DataLoader
 
 
+# The learning rate decays by this factor after every epoch, and the
+# gradient norm is clipped to GRAD_CLIP before every step.
+LR_DECAY = 0.95
+GRAD_CLIP = 5.0
+
+
 @dataclasses.dataclass
 class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     lr: float = 1e-3
-    lr_decay: float = 0.95
-    weight_decay: float = 0.0
-    grad_clip: float | None = 5.0
-    label_smoothing: float = 0.0
-    verbose: bool = False
     seed: int = 0
 
 
@@ -49,26 +50,23 @@ def train_classifier(model: nn.Module, x: np.ndarray, y: np.ndarray,
     config = config or TrainConfig()
     rng = np.random.default_rng(config.seed)
     loader = DataLoader(x, y, batch_size=config.batch_size, shuffle=True, rng=rng)
-    optimizer = nn.Adam(model.parameters(), lr=config.lr,
-                        weight_decay=config.weight_decay)
-    schedule = nn.DecayingLR(optimizer, decay=config.lr_decay)
+    optimizer = nn.Adam(model.parameters(), lr=config.lr)
+    schedule = nn.DecayingLR(optimizer, decay=LR_DECAY)
 
     model.train()
     losses: list[float] = []
     accuracies: list[float] = []
     start = time.perf_counter()
-    for epoch in range(config.epochs):
+    for _ in range(config.epochs):
         epoch_loss = 0.0
         correct = 0
         seen = 0
         for xb, yb in loader:
             logits = model(nn.Tensor(xb))
-            loss = nn.cross_entropy(logits, yb,
-                                    label_smoothing=config.label_smoothing)
+            loss = nn.cross_entropy(logits, yb)
             optimizer.zero_grad()
             loss.backward()
-            if config.grad_clip is not None:
-                nn.clip_grad_norm(model.parameters(), config.grad_clip)
+            nn.clip_grad_norm(model.parameters(), GRAD_CLIP)
             optimizer.step()
             batch = len(yb)
             epoch_loss += loss.item() * batch
@@ -77,9 +75,6 @@ def train_classifier(model: nn.Module, x: np.ndarray, y: np.ndarray,
         schedule.step()
         losses.append(epoch_loss / max(1, seen))
         accuracies.append(correct / max(1, seen))
-        if config.verbose:
-            print(f"epoch {epoch + 1}/{config.epochs} "
-                  f"loss={losses[-1]:.4f} acc={accuracies[-1]:.3f}")
     model.eval()
     return TrainResult(losses, accuracies, time.perf_counter() - start)
 

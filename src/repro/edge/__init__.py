@@ -7,10 +7,10 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".codec": ("CODECS", "EncodedFeatures", "FeatureCodec", "get_codec"),
     ".device": ("DeviceModel", "JOULES_PER_MAC", "PI4B_ENERGY_FLOPS",
                 "PI4B_MACS_PER_SECOND", "PI4B_MEMORY_BYTES",
-                "heterogeneous_fleet", "make_fleet", "raspberry_pi_4b"),
+                "make_fleet", "raspberry_pi_4b"),
     ".network": ("FLOAT32_BYTES", "GIGABIT_BPS", "LinkModel",
                  "RAW_IMAGE_BYTES", "StarTopology", "TC_CAP_BPS",
-                 "communication_reduction", "feature_bytes", "gigabit_link",
+                 "communication_reduction", "feature_bytes",
                  "tc_capped_link", "uniform_star"),
     ".runtime": ("EdgeCluster", "InferenceTiming", "MODEL_KINDS",
                  "WorkerFailure", "WorkerSpec"),

@@ -65,11 +65,3 @@ def make_fleet(count: int, prefix: str = "pi", **overrides) -> list[DeviceModel]
     """A homogeneous fleet of Raspberry-Pi-class devices."""
     return [DeviceModel(device_id=f"{prefix}-{i}", **overrides)
             for i in range(count)]
-
-
-def heterogeneous_fleet(throughputs: list[float],
-                        prefix: str = "dev") -> list[DeviceModel]:
-    """A fleet with per-device throughput multipliers (e.g. mixed Pi models)."""
-    return [DeviceModel(device_id=f"{prefix}-{i}",
-                        macs_per_second=PI4B_MACS_PER_SECOND * factor)
-            for i, factor in enumerate(throughputs)]

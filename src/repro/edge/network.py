@@ -45,10 +45,6 @@ def tc_capped_link() -> LinkModel:
     return LinkModel(bandwidth_bps=TC_CAP_BPS)
 
 
-def gigabit_link() -> LinkModel:
-    return LinkModel(bandwidth_bps=GIGABIT_BPS)
-
-
 def feature_bytes(embed_dim: int) -> int:
     """Bytes to ship one CLS feature vector (float32), Section V-D.
 
@@ -70,7 +66,6 @@ class StarTopology:
     """All devices attached to one switch; per-device dedicated links."""
 
     device_links: dict[str, LinkModel]
-    switch_latency_seconds: float = 0.0
 
     def link_of(self, device_id: str) -> LinkModel:
         if device_id not in self.device_links:
@@ -78,8 +73,7 @@ class StarTopology:
         return self.device_links[device_id]
 
     def transfer_seconds(self, device_id: str, num_bytes: int) -> float:
-        return (self.link_of(device_id).transfer_seconds(num_bytes)
-                + self.switch_latency_seconds)
+        return self.link_of(device_id).transfer_seconds(num_bytes)
 
 
 def uniform_star(device_ids: list[str],

@@ -11,7 +11,7 @@ store).  Four pieces:
 * :mod:`repro.obs.profile` — :class:`ProfilingBackend` timing the hot
   kernels of any wrapped ``ArrayBackend``;
 * :mod:`repro.obs.export` — JSONL span logs and Chrome
-  trace-event/Perfetto JSON (``repro trace --out trace.json``).
+  trace-event/Perfetto JSON (``repro serve --trace trace.json``).
 
 Typical use::
 

@@ -397,7 +397,6 @@ def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
                      seed: int = 0, throughputs: list[float] | None = None,
                      train_fusion: bool = False, fusion_epochs: int = 8,
                      time_scale: float = 0.0,
-                     config: PlannerConfig | None = None,
                      codec: str = "raw32",
                      transport: str = "multiprocess",
                      store: ArtifactStore | None = None,
@@ -456,33 +455,11 @@ def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
     # top of its own (the replanning headroom).
     max_size = max(m.size_bytes for m in submodels)
     max_flops = max(m.flops_per_sample for m in submodels)
-    select = codec == "auto"
-    if config is None:
-        planner_config = PlannerConfig(seed=seed,
-                                       codec="raw32" if select else codec)
-    elif not select and codec != "raw32" and config.codec != codec:
-        # An explicit codec argument must not be silently dropped just
-        # because an explicit PlannerConfig was also supplied.
-        if config.codec != "raw32":
-            raise ValueError(
-                f"conflicting codecs: codec={codec!r} vs "
-                f"PlannerConfig.codec={config.codec!r}")
-        planner_config = dataclasses.replace(config, codec=codec)
-    else:
-        planner_config = config
-    if planner_config.seed != seed:
-        # The models, partition, and training protocol are all seeded by
-        # the ``seed`` argument; the plan (and therefore every artifact
-        # recipe and the cold rebuild) records ``config.seed``.  A split
-        # seed would store weights under a recipe digest the rebuild
-        # cannot reproduce — keep one seed source.
-        planner_config = dataclasses.replace(planner_config, seed=seed)
     devices = [DeviceModel(device_id=f"edge-{index}",
                            macs_per_second=1e12 * factor,
                            memory_bytes=max(1, int(memory_headroom
                                                    * max_size)),
-                           energy_flops=3 * max_flops
-                           * max(1, planner_config.num_samples))
+                           energy_flops=3 * max_flops)
                for index, factor in enumerate(throughputs)]
     fusion_device = DeviceModel(device_id="fusion", macs_per_second=1e12)
     link = LinkModel(bandwidth_bps=1e9, overhead_seconds=0.0)
@@ -493,7 +470,9 @@ def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
             f"submodel-{index}": nn.state_dict_num_bytes(
                 nn.quantize_state_dict(model.state_dict()))
             for index, model in enumerate(models)}
-    planner = Planner(devices, fusion_device, link, planner_config)
+    select = codec == "auto"
+    planner = Planner(devices, fusion_device, link, PlannerConfig(
+        seed=seed, codec="raw32" if select else codec))
     # The plan is assembled from untrained models; its artifact recipes
     # are then the single source of truth for warm boot or training.
     plan = planner.plan_submodels(num_classes, partition, submodels,

@@ -39,7 +39,8 @@ FORMAT_VERSION = 1
 FUSION_ARTIFACT = "fusion"
 
 # The subset of DeploymentPlan.build that determines the trained weights.
-# Scoring knobs ("scoring", "codec_selection") and the wire codec change
+# Search records ("codec_selection"; "scoring" in plans written while the
+# DES scoring knobs were plan fields) and the wire codec change
 # predictions, not parameters, so they must not change artifact digests.
 _TRAIN_BUILD_KEYS = ("recipe", "model_kind", "image_size", "train_fusion",
                      "fusion_epochs")
@@ -289,7 +290,7 @@ class DeploymentPlan:
         Everything that determines the served weights — kind, exact
         config, head-pruning number, class group, per-model seed, the
         training protocol, and the quantization scheme — and nothing
-        that doesn't (codec, mapping, scoring), so a replanned or
+        that doesn't (codec, mapping, search records), so a replanned or
         re-scored plan keeps its artifacts.  The shape is
         :func:`repro.store.submodel_recipe`.  ``quant`` overrides
         the sub-model's recorded scheme, letting callers address a

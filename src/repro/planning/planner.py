@@ -9,15 +9,11 @@ assignment (:mod:`repro.assignment`), analytic profiling
 (:mod:`repro.edge.simulator`) — into one pipeline that emits a scored
 :class:`~repro.planning.plan.DeploymentPlan`.
 
-Candidate search: when the number of sub-models is not pinned, the planner
-builds one candidate plan per feasible group count, scores each with the
-DES simulator, and returns the plan with the lowest predicted mean
-latency — the paper's latency-vs-N trade-off, automated.
-
-Codec search: :meth:`Planner.select_codec` plays the same game over wire
-codecs — each candidate's *encoded* per-sample payload bytes flow into
-the DES link model, and the lowest-predicted-latency codec wins among
-those whose fused-accuracy cost stays within the configured bound.
+Codec search: :meth:`Planner.select_codec` scores every codec of
+:data:`DEFAULT_CANDIDATE_CODECS` — each candidate's *encoded* per-sample
+payload bytes flow into the DES link model, and the lowest-predicted-
+latency codec wins among those whose fused-accuracy cost stays within
+:data:`ACCURACY_DROP_BOUND`.
 """
 
 from __future__ import annotations
@@ -48,32 +44,33 @@ class PlanningError(RuntimeError):
     """No candidate plan satisfied the constraints."""
 
 
-# Codecs the planner tries when asked to pick one (see select_codec).
+# Codecs select_codec scores, and the most fused accuracy one may cost.
 DEFAULT_CANDIDATE_CODECS = ("raw32", "f16", "q8", "q8+zlib")
+ACCURACY_DROP_BOUND = 0.01
+
+# Workload sizing for assignment (Algorithm 3's L): one sample.
+NUM_SAMPLES = 1
+
+# How score_plan loads the DES: four samples arriving together.
+DES_SAMPLES = 4
+ARRIVAL_INTERVAL_S = 0.0
 
 
 @dataclasses.dataclass(frozen=True)
 class PlannerConfig:
-    """Knobs for plan construction and scoring."""
+    """What a plan is built for: its seed, wire codec and memory budget."""
 
-    num_samples: int = 1               # workload sizing for assignment (L)
-    des_samples: int = 4               # samples simulated when scoring
-    arrival_interval_s: float = 0.0    # 0 = batch arrivals in the DES run
-    candidate_groups: tuple[int, ...] | None = None  # group counts to try
     memory_budget_bytes: int | None = None  # None = fleet-wide sum
     seed: int = 0
     codec: str = "raw32"               # wire codec recorded in the plan
-    candidate_codecs: tuple[str, ...] | None = None  # select_codec pool
-    accuracy_drop_bound: float = 0.01  # max fused-accuracy cost of a codec
 
 
-def score_plan(plan: DeploymentPlan, des_samples: int = 4,
-               arrival_interval_s: float = 0.0,
+def score_plan(plan: DeploymentPlan,
                accuracy: float | None = None) -> PlanPrediction:
     """Predict latency/energy for ``plan`` with the DES simulator."""
     spec = plan.deployment_spec()
-    result = simulate_inference(spec, num_samples=des_samples,
-                                arrival_interval=arrival_interval_s)
+    result = simulate_inference(spec, num_samples=DES_SAMPLES,
+                                arrival_interval=ARRIVAL_INTERVAL_S)
     energy = sum(energy_report(spec, result).values())
     return PlanPrediction(latency_s=result.mean_latency,
                           max_latency_s=result.max_latency,
@@ -107,57 +104,33 @@ class Planner:
         return sum(d.memory_bytes for d in self.devices)
 
     # ------------------------------------------------------------------
-    def plan_vit(self, base: ViTConfig,
-                 num_groups: int | None = None) -> DeploymentPlan:
-        """Full analytic pipeline for a ViT split (Algorithm 1 + scoring).
+    def plan_vit(self, base: ViTConfig, num_groups: int) -> DeploymentPlan:
+        """Full analytic pipeline for a ViT split into ``num_groups``
+        sub-models (Algorithm 1 + scoring).
 
-        ``num_groups`` pins the number of sub-models; when ``None`` the
-        planner tries every count in ``config.candidate_groups`` (default:
-        2..len(devices)) and keeps the best-scoring feasible plan.
+        Raises :class:`PlanningError` when no head schedule fits the
+        fleet.
         """
-        if num_groups is not None:
-            counts: tuple[int, ...] = (num_groups,)
-        elif self.config.candidate_groups is not None:
-            counts = self.config.candidate_groups
-        else:
-            counts = tuple(range(2, len(self.devices) + 1)) or (1,)
-
-        best: DeploymentPlan | None = None
-        failures: list[str] = []
-        for count in counts:
-            try:
-                candidate = self._plan_vit_candidate(base, count)
-            except (ScheduleInfeasible, InfeasibleAssignment, ValueError) as exc:
-                failures.append(f"N={count}: {exc}")
-                continue
-            if best is None or (candidate.prediction.latency_s
-                                < best.prediction.latency_s):
-                best = candidate
-        if best is None:
+        rng = np.random.default_rng(self.config.seed)
+        try:
+            partition = balanced_class_partition(base.num_classes,
+                                                 num_groups, rng=rng)
+            schedule = plan_head_schedule(
+                base, partition, [d.to_spec() for d in self.devices],
+                self._memory_budget(), NUM_SAMPLES)
+            submodels = [PlannedSubModel.from_footprint(foot, group)
+                         for foot, group in zip(schedule.footprints,
+                                                partition)]
+            return self._assemble(base.num_classes, partition, submodels,
+                                  mapping=dict(schedule.plan.mapping))
+        except (ScheduleInfeasible, InfeasibleAssignment, ValueError) as exc:
             raise PlanningError(
-                "no feasible plan for any candidate group count: "
-                + "; ".join(failures))
-        return best
-
-    def _plan_vit_candidate(self, base: ViTConfig,
-                            num_groups: int) -> DeploymentPlan:
-        config = self.config
-        rng = np.random.default_rng(config.seed)
-        partition = balanced_class_partition(base.num_classes, num_groups,
-                                             rng=rng)
-        schedule = plan_head_schedule(
-            base, partition, [d.to_spec() for d in self.devices],
-            self._memory_budget(), config.num_samples)
-        submodels = [PlannedSubModel.from_footprint(foot, group)
-                     for foot, group in zip(schedule.footprints, partition)]
-        return self._assemble(base.num_classes, partition, submodels,
-                              mapping=dict(schedule.plan.mapping))
+                f"no feasible plan for N={num_groups}: {exc}") from exc
 
     # ------------------------------------------------------------------
     def plan_submodels(self, num_classes: int, partition: list[list[int]],
                        submodels: list[PlannedSubModel],
                        build: dict | None = None,
-                       accuracy: float | None = None,
                        quant: str | None = None,
                        int8_sizes: dict[str, int] | None = None,
                        ) -> DeploymentPlan:
@@ -174,10 +147,10 @@ class Planner:
         first and falls back to int8 only when the fp32 footprints do
         not fit the device memory budgets — the planner's knob for
         memory-constrained fleets.  ``int8_sizes`` supplies the exact
-        quantized byte sizes per model id (e.g. from
-        ``nn.state_dict_num_bytes(nn.quantize_state_dict(...))``);
-        without it a conservative ~3x shrink estimate stands in.  The
-        search is recorded in ``build["quant_selection"]``.
+        quantized byte size of every model id (e.g. from
+        ``nn.state_dict_num_bytes(nn.quantize_state_dict(...))``); it is
+        required whenever int8 is planned.  The search is recorded in
+        ``build["quant_selection"]``.
         """
         if quant not in (None, "fp32", "int8", "auto"):
             raise ValueError(f"unknown quant scheme {quant!r}; "
@@ -187,13 +160,15 @@ class Planner:
         attempts: list[dict] = []
         failure: InfeasibleAssignment | None = None
         for scheme in schemes:
-            candidates = submodels if scheme == "fp32" \
-                else [self._int8_variant(m, int8_sizes) for m in submodels]
+            candidates = submodels if scheme == "fp32" else [
+                dataclasses.replace(
+                    m, quant="int8",
+                    size_bytes=int((int8_sizes or {})[m.model_id]))
+                for m in submodels]
             try:
                 assignment = greedy_assign(
                     [d.to_spec() for d in self.devices],
-                    [m.to_spec() for m in candidates],
-                    self.config.num_samples)
+                    [m.to_spec() for m in candidates], NUM_SAMPLES)
             except InfeasibleAssignment as exc:
                 attempts.append({"quant": scheme, "feasible": False,
                                  "error": str(exc)})
@@ -207,35 +182,16 @@ class Planner:
                                             "attempts": attempts}
             return self._assemble(num_classes, partition, candidates,
                                   mapping=dict(assignment.mapping),
-                                  build=build, accuracy=accuracy)
+                                  build=build)
         raise failure
-
-    @staticmethod
-    def _int8_variant(sub: PlannedSubModel,
-                      int8_sizes: dict[str, int] | None) -> PlannedSubModel:
-        if int8_sizes is not None and sub.model_id in int8_sizes:
-            size = int(int8_sizes[sub.model_id])
-        else:
-            # Per-channel int8 keeps biases/norms and the scale vectors
-            # in fp32, so the true shrink is a bit under 4x; ~3x is a
-            # safe planning estimate when exact sizes are not supplied.
-            size = max(1, sub.size_bytes // 3)
-        return dataclasses.replace(sub, quant="int8", size_bytes=size)
 
     # ------------------------------------------------------------------
     def _assemble(self, num_classes: int, partition: list[list[int]],
                   submodels: list[PlannedSubModel], mapping: dict[str, str],
-                  build: dict | None = None,
-                  accuracy: float | None = None) -> DeploymentPlan:
-        config = self.config
+                  build: dict | None = None) -> DeploymentPlan:
         input_dim = sum(m.feature_dim for m in submodels)
         fusion_config = FusionConfig(input_dim=input_dim,
                                      num_classes=num_classes)
-        build = dict(build or {})
-        # Record the scoring knobs so replanning re-scores the recovered
-        # plan under the same load assumptions.
-        build["scoring"] = {"des_samples": config.des_samples,
-                            "arrival_interval_s": config.arrival_interval_s}
         plan = DeploymentPlan(
             num_classes=num_classes,
             partition=[list(group) for group in partition],
@@ -246,47 +202,40 @@ class Planner:
                                                     self.link),
             fusion_flops=float(fusion_flops(input_dim, num_classes)),
             fusion_config=fusion_config.to_dict(),
-            num_samples=config.num_samples,
-            seed=config.seed,
-            codec=config.codec,
-            build=build,
+            num_samples=NUM_SAMPLES,
+            seed=self.config.seed,
+            codec=self.config.codec,
+            build=dict(build or {}),
         )
         plan.validate()
-        plan.prediction = score_plan(plan, config.des_samples,
-                                     config.arrival_interval_s,
-                                     accuracy=accuracy)
+        plan.prediction = score_plan(plan)
         return plan
 
     # ------------------------------------------------------------------
     def select_codec(self, plan: DeploymentPlan,
-                     candidates: tuple[str, ...] | None = None,
                      measure_accuracy=None) -> DeploymentPlan:
         """Pick the wire codec with the best predicted latency.
 
-        Every candidate codec is scored through the DES simulator with
-        its *reduced* per-sample payload bytes; candidates whose fused
-        accuracy costs more than ``config.accuracy_drop_bound`` are
-        rejected.  The drop is measured by calling
-        ``measure_accuracy(codec_name) -> float`` (e.g. fused accuracy
-        with the codec's encode→decode round trip applied to the
-        features) against its ``raw32`` value; without a measurement
+        Every codec of :data:`DEFAULT_CANDIDATE_CODECS` is scored
+        through the DES simulator with its *reduced* per-sample payload
+        bytes; candidates whose fused accuracy costs more than
+        :data:`ACCURACY_DROP_BOUND` are rejected.  The drop is measured
+        by calling ``measure_accuracy(codec_name) -> float`` (e.g. fused
+        accuracy with the codec's encode→decode round trip applied to
+        the features) against its ``raw32`` value; without a measurement
         hook — untrained, analytic plans — each codec's
-        ``nominal_accuracy_drop`` stands in.
+        ``nominal_accuracy_drop`` stands in.  ``raw32`` is lossless, so
+        it is always admitted.
 
         Returns a rescored copy of ``plan`` carrying the winning codec
-        (``plan.build["codec_selection"]`` records the search); raises
-        :class:`PlanningError` if no candidate passes the bound.
+        (``plan.build["codec_selection"]`` records the search).
         """
-        config = self.config
-        candidates = tuple(candidates or config.candidate_codecs
-                           or DEFAULT_CANDIDATE_CODECS)
-        bound = config.accuracy_drop_bound
         baseline = (measure_accuracy("raw32")
                     if measure_accuracy is not None else None)
         best: DeploymentPlan | None = None
         considered: list[dict] = []
-        for name in candidates:
-            codec = get_codec(name)    # KeyError on unknown candidates
+        for name in DEFAULT_CANDIDATE_CODECS:
+            codec = get_codec(name)
             if baseline is not None:
                 accuracy = float(measure_accuracy(name))
                 drop = baseline - accuracy
@@ -296,22 +245,16 @@ class Planner:
                 drop = codec.nominal_accuracy_drop
             candidate = DeploymentPlan.from_dict(plan.to_dict())
             candidate.codec = name
-            candidate.prediction = score_plan(
-                candidate, config.des_samples, config.arrival_interval_s,
-                accuracy=accuracy)
+            candidate.prediction = score_plan(candidate, accuracy=accuracy)
+            admitted = bool(drop <= ACCURACY_DROP_BOUND + 1e-12)
             considered.append({"codec": name,
                                "latency_s": candidate.prediction.latency_s,
                                "accuracy_drop": drop,
-                               "admitted": bool(drop <= bound + 1e-12)})
-            if drop > bound + 1e-12:
-                continue
-            if best is None or (candidate.prediction.latency_s
-                                < best.prediction.latency_s):
+                               "admitted": admitted})
+            if admitted and (best is None or candidate.prediction.latency_s
+                             < best.prediction.latency_s):
                 best = candidate
-        if best is None:
-            raise PlanningError(
-                f"no candidate codec within accuracy drop bound {bound}: "
-                f"{considered}")
-        best.build["codec_selection"] = {"candidates": considered,
-                                         "accuracy_drop_bound": bound}
+        best.build["codec_selection"] = {
+            "candidates": considered,
+            "accuracy_drop_bound": ACCURACY_DROP_BOUND}
         return best

@@ -104,13 +104,7 @@ def replan_on_failure(plan: DeploymentPlan,
     )
     new_plan.validate()
     # The moved sub-models run on shared devices now; re-score so the plan
-    # is honest about the post-failure latency, under the same scoring
-    # knobs the original prediction used (recorded in the build recipe).
-    # Accuracy carries over: every feature slot is real again.
-    scoring = plan.build.get("scoring", {})
-    new_plan.prediction = score_plan(
-        new_plan,
-        des_samples=int(scoring.get("des_samples", 4)),
-        arrival_interval_s=float(scoring.get("arrival_interval_s", 0.0)),
-        accuracy=accuracy)
+    # is honest about the post-failure latency.  Accuracy carries over:
+    # every feature slot is real again.
+    new_plan.prediction = score_plan(new_plan, accuracy=accuracy)
     return new_plan

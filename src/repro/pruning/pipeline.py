@@ -33,14 +33,10 @@ class PruneConfig:
     head_adapt_epochs: int = 2      # retrain the new |C_i|-way head pre-pruning
     stage_finetune_epochs: int = 1  # finetune after each pruning stage
     retrain_epochs: int = 3         # Algorithm 2's final retrain
-    batch_size: int = 32
-    lr: float = 1e-3
     seed: int = 0
-    verbose: bool = False
 
     def train_config(self, epochs: int) -> TrainConfig:
-        return TrainConfig(epochs=epochs, batch_size=self.batch_size,
-                           lr=self.lr, seed=self.seed, verbose=self.verbose)
+        return TrainConfig(epochs=epochs, seed=self.seed)
 
 
 @dataclasses.dataclass

@@ -45,8 +45,6 @@ class LoadgenConfig:
     mode: str = "closed"               # "open" (Poisson), "closed", "trace"
     offered_rps: float = 100.0         # open loop: mean arrival rate
     concurrency: int = 4               # closed loop: in-flight clients
-    images_per_request: int = 1
-    request_timeout_s: float = 30.0
     seed: int = 0
     # Trace mode: absolute arrival offsets in seconds from run start
     # (sorted, non-negative — e.g. an ArrivalTrace's ``arrivals``).
@@ -54,7 +52,12 @@ class LoadgenConfig:
     arrivals: tuple[float, ...] | None = None
 
 
-# Supplies each request's input: (rng, images_per_request) -> array.
+# Every generated request carries one image, and a run waits this long
+# for any one request before counting it as an error.
+IMAGES_PER_REQUEST = 1
+REQUEST_TIMEOUT_S = 30.0
+
+# Supplies each request's input: (rng, image count) -> array.
 # Lets callers stream real data (e.g. labelled test images) through the
 # generator's arrival pacing instead of synthetic noise.
 MakeInput = Callable[["np.random.Generator", int], np.ndarray]
@@ -156,7 +159,7 @@ def _collect(server: InferenceServer, config: LoadgenConfig,
     errors = 0
     for k, future in enumerate(futures):
         try:
-            future.result(config.request_timeout_s)
+            future.result(REQUEST_TIMEOUT_S)
         except Exception:
             errors += 1
             continue
@@ -216,7 +219,7 @@ def _run_open_loop(server: InferenceServer, config: LoadgenConfig,
             next_arrival = start + offsets[k]
         # Build the payload before the sleep: its cost belongs to the
         # generator's idle time, not to the request's lateness.
-        x = make_input(rng, config.images_per_request)
+        x = make_input(rng, IMAGES_PER_REQUEST)
         delay = next_arrival - time.perf_counter()
         if delay > 0:
             time.sleep(delay)
@@ -228,7 +231,7 @@ def _run_open_loop(server: InferenceServer, config: LoadgenConfig,
             dropped += 1
     for future in futures:             # wall clock covers full drain
         try:
-            future.result(config.request_timeout_s)
+            future.result(REQUEST_TIMEOUT_S)
         except Exception:
             pass                       # recorded as an error during collect
     wall = time.perf_counter() - start
@@ -256,7 +259,7 @@ def _run_closed_loop(server: InferenceServer, config: LoadgenConfig,
                 counter["next"] += 1
             try:
                 future = server.submit(
-                    make_input(rng, config.images_per_request))
+                    make_input(rng, IMAGES_PER_REQUEST))
             except RequestError:
                 with futures_lock:
                     counter["dropped"] += 1
@@ -264,7 +267,7 @@ def _run_closed_loop(server: InferenceServer, config: LoadgenConfig,
             with futures_lock:
                 futures.append(future)
             try:
-                future.result(config.request_timeout_s)
+                future.result(REQUEST_TIMEOUT_S)
             except Exception:
                 pass                   # recorded as an error during collect
 

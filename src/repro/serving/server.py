@@ -63,6 +63,10 @@ from .batcher import (
 )
 from .telemetry import RequestTelemetry, ServingReport
 
+# How long a rolling swap waits for the old worker's in-flight batches
+# before retiring it anyway (those batches then zero-fill its slot).
+SWAP_DRAIN_TIMEOUT_S = 30.0
+
 
 @dataclasses.dataclass(frozen=True)
 class ServerConfig:
@@ -274,8 +278,7 @@ class InferenceServer:
         with self._hosting_lock:
             return dict(self._hosting)
 
-    def swap_worker(self, slot: str, spec: WorkerSpec,
-                    drain_timeout_s: float = 30.0) -> str:
+    def swap_worker(self, slot: str, spec: WorkerSpec) -> str:
         """Zero-downtime rolling swap: replace ``slot``'s hosting worker.
 
         The rolling-deployment primitive: boot ``spec`` (e.g. a worker
@@ -328,7 +331,7 @@ class InferenceServer:
             self._drained.wait_for(
                 lambda: not any(old in hosts
                                 for hosts in self._inflight_hosts.values()),
-                drain_timeout_s)
+                SWAP_DRAIN_TIMEOUT_S)
         self._cluster.mark_down(old, "retired by rolling swap")
         self._m_swaps.inc()
         return spec.worker_id

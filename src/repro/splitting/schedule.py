@@ -15,6 +15,7 @@ avoiding wasted retraining.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 from ..assignment import AssignmentPlan, DeviceSpec, SubModelSpec, try_greedy_assign
 from ..models.vit import ViTConfig
@@ -76,31 +77,19 @@ class HeadSchedule:
 
 def plan_head_schedule(base: ViTConfig, class_groups: list[list[int]],
                        devices: list[DeviceSpec], memory_budget_bytes: int,
-                       num_samples: int,
-                       initial_hp: list[int] | int | None = None,
-                       max_iterations: int = 10_000) -> HeadSchedule:
+                       num_samples: int) -> HeadSchedule:
     """Iterate head-pruning numbers until the fleet fits (Algorithm 1).
 
-    ``initial_hp`` defaults to ``h/2`` for every sub-model, which matches
-    the paper's observed single-device operating point (a ViT-Base pruned
-    to half its heads).  Raises :class:`ScheduleInfeasible` if the most
-    aggressive schedule (one effective head-worth of dims) still violates
-    the constraints.
+    Every sub-model starts at ``h/2``, which matches the paper's observed
+    single-device operating point (a ViT-Base pruned to half its heads).
+    Raises :class:`ScheduleInfeasible` if the most aggressive schedule
+    (one effective head-worth of dims) still violates the constraints.
     """
     n = len(class_groups)
     h = base.num_heads
-    if isinstance(initial_hp, int):
-        hps = [initial_hp] * n
-    elif initial_hp is not None:
-        if len(initial_hp) != n:
-            raise ValueError("initial_hp length must match the number of groups")
-        hps = list(initial_hp)
-    else:
-        hps = [h // 2] * n
-    if any(not 0 <= hp < h for hp in hps):
-        raise ValueError(f"initial hp values must be in [0, {h})")
-
-    for iteration in range(1, max_iterations + 1):
+    hps = [h // 2] * n
+    # Each pass prunes one more head or raises, so the loop terminates.
+    for iteration in itertools.count(1):
         feet = [footprint(base, i, hp, len(group))
                 for i, (hp, group) in enumerate(zip(hps, class_groups))]
         total = sum(f.size_bytes for f in feet)
@@ -132,5 +121,3 @@ def plan_head_schedule(base: ViTConfig, class_groups: list[list[int]],
                 f"pruning (total {total} B)")
         biggest = max(candidates, key=lambda i: sizes[i])
         hps[biggest] += 1
-
-    raise ScheduleInfeasible("schedule loop did not converge")

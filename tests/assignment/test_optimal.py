@@ -3,7 +3,8 @@
 import pytest
 
 from repro.assignment.greedy import greedy_assign
-from repro.assignment.optimal import brute_force_assign, optimal_assign
+from repro.assignment.optimal import optimal_assign
+from tests.oracles import brute_force_assign
 from repro.assignment.problem import DeviceSpec, InfeasibleAssignment, SubModelSpec, validate_plan
 
 

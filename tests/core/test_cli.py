@@ -79,6 +79,18 @@ class TestCLI:
                 "planned_gmacs"} <= set(header)
         assert "paper-implied total:" in out and "planned total:" in out
 
+    @pytest.mark.parametrize("command", ["schedule", "curve"])
+    def test_zero_budget_is_planned_not_replaced(self, command):
+        # An explicit 0 MB budget fits nothing: a one-line exit naming
+        # the planner's reason, not the paper's 180 MB nor a traceback.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--devices", "2", "--budget-mb", "0"]
+                 if command == "schedule" else
+                 [command, "--budget-mb", "0"])
+        assert str(exc.value.code).startswith("no feasible plan for N=")
+        assert "budget 0 B unreachable" in str(exc.value.code)
+        assert "\n" not in str(exc.value.code)
+
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
@@ -95,7 +107,7 @@ class TestCLI:
 
 
 class TestServingCommands:
-    """``serve`` / ``trace`` / ``loadgen`` on in-process workers."""
+    """``serve`` / ``loadgen`` on in-process workers."""
 
     SERVE = ("--transport", "inprocess", "--requests")
 
@@ -133,10 +145,16 @@ class TestServingCommands:
 
         path = tmp_path / "t.json"
         try:
-            run_cli(capsys, "trace", *self.SERVE, "10", "--out", str(path))
+            run_cli(capsys, "serve", *self.SERVE, "10", "--trace", str(path))
         finally:
             disable_tracing()
         json.loads(path.read_text())
+
+    def test_trace_is_not_a_command(self):
+        # A traced run is `serve --trace FILE`.
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", *self.SERVE, "10"])
+        assert exc.value.code == 2
 
     def test_loadgen_prints_one_row_per_rate(self, capsys):
         out = run_cli(capsys, "loadgen", *self.SERVE, "10",

@@ -65,12 +65,6 @@ class TestTrainClassifier:
         result = train_classifier(small_mlp(), x, y, TrainConfig(epochs=1))
         assert result.wall_seconds > 0
 
-    def test_grad_clip_disabled(self):
-        x, y = linear_problem()
-        result = train_classifier(small_mlp(), x, y,
-                                  TrainConfig(epochs=2, grad_clip=None))
-        assert np.isfinite(result.final_loss)
-
 
 class TestInference:
     def test_predict_logits_shape(self):

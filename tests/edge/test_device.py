@@ -6,7 +6,6 @@ from repro.edge.device import (
     JOULES_PER_MAC,
     DeviceModel,
     PI4B_MACS_PER_SECOND,
-    heterogeneous_fleet,
     make_fleet,
     raspberry_pi_4b,
 )
@@ -66,8 +65,3 @@ class TestFleets:
     def test_make_fleet_overrides(self):
         fleet = make_fleet(2, macs_per_second=123.0)
         assert all(d.macs_per_second == 123.0 for d in fleet)
-
-    def test_heterogeneous_fleet_scales_throughput(self):
-        fleet = heterogeneous_fleet([1.0, 2.0])
-        assert fleet[1].macs_per_second == pytest.approx(
-            2 * fleet[0].macs_per_second)

@@ -6,7 +6,7 @@ from repro.assignment import greedy_assign, optimal_assign
 from repro.edge.device import (
     DeviceModel,
     PI4B_MACS_PER_SECOND,
-    heterogeneous_fleet,
+    make_fleet,
     raspberry_pi_4b,
 )
 from repro.edge.simulator import DeploymentSpec, SubModelProfile, simulate_inference
@@ -72,15 +72,9 @@ class TestSimulationOnMixedFleet:
             self.make_spec({"m0": "fast", "m1": "slow"}), 1).max_latency
         assert with_slow > all_fast
 
-    def test_heterogeneous_fleet_helper(self):
-        fleet = heterogeneous_fleet([1.0, 2.0, 0.5])
-        assert len(fleet) == 3
-        latencies = [d.compute_seconds(1e9) for d in fleet]
-        assert latencies[1] < latencies[0] < latencies[2]
-
     def test_same_work_faster_on_faster_fleet(self):
-        slow_fleet = heterogeneous_fleet([1.0, 1.0])
-        fast_fleet = heterogeneous_fleet([3.0, 3.0])
+        slow_fleet = make_fleet(2)
+        fast_fleet = make_fleet(2, macs_per_second=3 * PI4B_MACS_PER_SECOND)
 
         def run(fleet):
             profiles = {"m0": SubModelProfile("m0", 2e9, 64),

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.edge.network import (
+    GIGABIT_BPS,
     LinkModel,
     RAW_IMAGE_BYTES,
     StarTopology,
     TC_CAP_BPS,
     communication_reduction,
     feature_bytes,
-    gigabit_link,
     tc_capped_link,
     uniform_star,
 )
@@ -52,7 +52,7 @@ class TestLinkModel:
 
     def test_gigabit_much_faster_than_capped(self):
         payload = 10_000
-        assert (gigabit_link().transfer_seconds(payload)
+        assert (LinkModel(GIGABIT_BPS).transfer_seconds(payload)
                 < tc_capped_link().transfer_seconds(payload))
 
     def test_tc_cap_value(self):
@@ -70,15 +70,8 @@ class TestTopology:
         with pytest.raises(KeyError):
             topo.transfer_seconds("ghost", 10)
 
-    def test_switch_latency_added(self):
-        base = uniform_star(["a"])
-        slow = StarTopology(device_links=base.device_links,
-                            switch_latency_seconds=0.5)
-        assert (slow.transfer_seconds("a", 100)
-                == pytest.approx(base.transfer_seconds("a", 100) + 0.5))
-
     def test_heterogeneous_links(self):
-        topo = StarTopology(device_links={"fast": gigabit_link(),
+        topo = StarTopology(device_links={"fast": LinkModel(GIGABIT_BPS),
                                           "slow": tc_capped_link()})
         assert (topo.transfer_seconds("fast", 1000)
                 < topo.transfer_seconds("slow", 1000))

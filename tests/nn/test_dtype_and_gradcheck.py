@@ -8,7 +8,7 @@ ruining numerical gradient checks.
 import numpy as np
 import pytest
 
-from repro.nn.gradcheck import check_gradient, numerical_gradient
+from tests.oracles import check_gradient, numerical_gradient
 from repro.nn.tensor import Tensor, concat
 
 

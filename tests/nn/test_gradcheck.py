@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.nn import ops
-from repro.nn.gradcheck import check_gradient
+from tests.oracles import check_gradient
 from repro.nn.tensor import Tensor, concat, stack, where
 
 RNG = np.random.default_rng(42)

@@ -1,12 +1,45 @@
-"""Numerical gradient checking for autograd correctness tests."""
+"""Reference implementations that tests compare the library against.
+
+``brute_force_assign`` enumerates every placement (tiny instances only)
+as the oracle for branch-and-bound and greedy assignment;
+``check_gradient`` compares autograd with central differences.
+"""
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
 import numpy as np
 
-from .tensor import Tensor
+from repro.assignment.problem import AssignmentPlan, DeviceSpec, SubModelSpec
+from repro.nn.tensor import Tensor
+
+
+def brute_force_assign(devices: list[DeviceSpec], submodels: list[SubModelSpec],
+                       num_samples: int) -> AssignmentPlan | None:
+    """Plain product enumeration (tiny instances only)."""
+    device_ids = [d.device_id for d in devices]
+    best: AssignmentPlan | None = None
+    for combo in itertools.product(device_ids, repeat=len(submodels)):
+        memory = {d.device_id: d.memory_bytes for d in devices}
+        energy = {d.device_id: float(d.energy_flops) for d in devices}
+        ok = True
+        for model, device_id in zip(submodels, combo):
+            need = model.workload_flops(num_samples)
+            if memory[device_id] < model.size_bytes or energy[device_id] < need:
+                ok = False
+                break
+            memory[device_id] -= model.size_bytes
+            energy[device_id] -= need
+        if not ok:
+            continue
+        plan = AssignmentPlan(
+            mapping={m.model_id: d for m, d in zip(submodels, combo)},
+            residual_memory=memory, residual_energy=energy)
+        if best is None or plan.objective > best.objective:
+            best = plan
+    return best
 
 
 def numerical_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray,

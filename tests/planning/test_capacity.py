@@ -112,8 +112,7 @@ class TestPlanCapacity:
         (pi4b, starved), _ = self._sweep_g5(monkeypatch, 2)
         assert pi4b.feasible
         assert not starved.feasible and starved.quant == "-"
-        assert starved.reason.startswith(
-            "no feasible plan for any candidate group count")
+        assert starved.reason.startswith("no feasible plan for N=5")
 
     def test_replicas_capped_by_trace_size(self):
         trace = poisson_trace(2, 1, seed=3)  # very few requests

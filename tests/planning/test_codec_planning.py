@@ -9,8 +9,6 @@ from repro.planning import (
     DeploymentPlan,
     PlannedSystem,
     Planner,
-    PlannerConfig,
-    PlanningError,
     plan_demo_system,
 )
 
@@ -71,8 +69,7 @@ class TestSelectCodec:
         system = plan_demo_system(num_workers=2)
         planner = Planner(
             [d.device_model() for d in system.plan.devices],
-            system.plan.fusion_device.device_model(),
-            config=PlannerConfig())
+            system.plan.fusion_device.device_model())
         best = planner.select_codec(system.plan)
         assert best.codec != "raw32"   # every lossy candidate ships less
         assert best.prediction.latency_s \
@@ -85,8 +82,7 @@ class TestSelectCodec:
         system = plan_demo_system(num_workers=2)
         planner = Planner(
             [d.device_model() for d in system.plan.devices],
-            system.plan.fusion_device.device_model(),
-            config=PlannerConfig(accuracy_drop_bound=0.01))
+            system.plan.fusion_device.device_model())
 
         def measure(codec_name):
             return 0.9 if codec_name in ("raw32", "f16") else 0.5
@@ -95,41 +91,15 @@ class TestSelectCodec:
         assert best.codec == "f16"     # q8 variants fail the measured bound
         assert best.prediction.accuracy == 0.9
 
-    def test_no_admissible_candidate_raises(self):
-        system = plan_demo_system(num_workers=2)
-        planner = Planner(
-            [d.device_model() for d in system.plan.devices],
-            system.plan.fusion_device.device_model(),
-            # Unsatisfiable bound: even raw32's zero drop is too much.
-            config=PlannerConfig(accuracy_drop_bound=-1.0))
-        with pytest.raises(PlanningError, match="no candidate codec"):
-            planner.select_codec(system.plan)
-
     def test_lossy_candidates_rejected_fall_back_to_raw32(self):
         system = plan_demo_system(num_workers=2)
         planner = Planner(
             [d.device_model() for d in system.plan.devices],
-            system.plan.fusion_device.device_model(),
-            config=PlannerConfig(accuracy_drop_bound=0.01))
+            system.plan.fusion_device.device_model())
         best = planner.select_codec(
             system.plan,
             measure_accuracy=lambda name: 1.0 if name == "raw32" else 0.0)
         assert best.codec == "raw32"
-
-    def test_explicit_config_still_honours_codec_argument(self):
-        system = plan_demo_system(num_workers=2, codec="q8",
-                                  config=PlannerConfig(seed=1))
-        assert system.plan.codec == "q8"
-
-    def test_conflicting_codec_and_config_raise(self):
-        with pytest.raises(ValueError, match="conflicting codecs"):
-            plan_demo_system(num_workers=2, codec="q8",
-                             config=PlannerConfig(codec="f16"))
-
-    def test_config_codec_alone_is_respected(self):
-        system = plan_demo_system(num_workers=2,
-                                  config=PlannerConfig(codec="f16"))
-        assert system.plan.codec == "f16"
 
     def test_auto_codec_in_plan_demo_system(self):
         system = plan_demo_system(num_workers=2, codec="auto")

@@ -5,7 +5,13 @@ import pytest
 
 from repro.edge.device import DeviceModel
 from repro.models.vit import ViTConfig
-from repro.planning import Planner, PlannerConfig, PlanningError, score_plan
+from repro.planning import (
+    Planner,
+    PlannedSubModel,
+    PlannerConfig,
+    PlanningError,
+    score_plan,
+)
 from repro.planning.execute import plan_demo_system
 
 
@@ -42,24 +48,45 @@ class TestPlanVit:
             assert config.num_classes == len(sub.classes)
             assert config.embed_dim == sub.feature_dim
 
-    def test_candidate_search_picks_lowest_latency(self):
-        planner = Planner(fleet(4), config=PlannerConfig(seed=0))
-        best = planner.plan_vit(small_base())
-        candidates = [planner.plan_vit(small_base(), num_groups=n)
-                      for n in range(2, 5)]
-        assert best.prediction.latency_s == pytest.approx(
-            min(c.prediction.latency_s for c in candidates))
-
     def test_infeasible_fleet_raises_planning_error(self):
         # Energy budget far below one sample's FLOPs at maximum pruning.
         planner = Planner(fleet(2, energy=10.0),
                           config=PlannerConfig(seed=0))
         with pytest.raises(PlanningError):
-            planner.plan_vit(small_base())
+            planner.plan_vit(small_base(), num_groups=2)
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError):
             Planner([])
+
+    def test_plan_records_no_scoring_knobs(self):
+        # The DES scoring knobs are module constants, not plan fields.
+        planner = Planner(fleet(2), config=PlannerConfig(seed=0))
+        plan = planner.plan_vit(small_base(), num_groups=2)
+        assert "scoring" not in plan.build
+        assert "scoring" not in plan_demo_system(num_workers=2,
+                                                 seed=0).plan.build
+
+
+class TestPlanSubmodels:
+    def submodels(self, size_bytes):
+        return [PlannedSubModel(model_id=f"submodel-{i}",
+                                classes=(2 * i, 2 * i + 1), hp=0,
+                                size_bytes=size_bytes, flops_per_sample=1e6,
+                                feature_dim=8, model_kind="vit",
+                                model_config={"image_size": 8,
+                                              "in_channels": 3})
+                for i in range(2)]
+
+    @pytest.mark.parametrize("quant", ["int8", "auto"])
+    def test_int8_without_its_size_is_a_key_error(self, quant):
+        # Larger than a device's 64 MiB, so "auto" falls back to int8 too;
+        # a missing quantized size is an error, never an estimate.
+        submodels = self.submodels(size_bytes=100 * 2 ** 20)
+        with pytest.raises(KeyError, match="submodel-1"):
+            Planner(fleet(2)).plan_submodels(
+                4, [[0, 1], [2, 3]], submodels, quant=quant,
+                int8_sizes={"submodel-0": 2 ** 20})
 
 
 class TestPlanDemoFleet:

@@ -1,9 +1,22 @@
 """Replanning: orphaned sub-models move into surviving residual capacity."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.planning import ReplanInfeasible, replan_on_failure, residual_capacity
+from repro.planning import (
+    ReplanInfeasible,
+    plan_artifact_digests,
+    replan_on_failure,
+    residual_capacity,
+    score_plan,
+)
 from repro.planning.plan import DeploymentPlan, PlannedDevice, PlannedSubModel
+
+# A two-worker demo plan in the format that recorded the DES scoring
+# knobs in ``build["scoring"]``.
+OLD_PLAN = Path(__file__).parent / "data" / "demo_plan_with_scoring.json"
 
 
 def make_plan(device_mem=(3000, 3000, 3000), device_energy=(1e7, 1e7, 1e7)):
@@ -125,3 +138,34 @@ class TestReplanOnFailure:
         plan = make_plan()
         with pytest.raises(KeyError):
             replan_on_failure(plan, {"ghost"})
+
+
+class TestOldPlans:
+    """A plan that carries ``build["scoring"]`` serves like one without."""
+
+    @staticmethod
+    def old_and_bare():
+        data = json.loads(OLD_PLAN.read_text())
+        assert data["build"]["scoring"] == {"des_samples": 4,
+                                            "arrival_interval_s": 0.0}
+        old = DeploymentPlan.from_dict(data)
+        del data["build"]["scoring"]
+        return old, DeploymentPlan.from_dict(data)
+
+    def test_loads_and_rescores_to_its_recorded_prediction(self):
+        old = DeploymentPlan.load(OLD_PLAN)
+        old.validate()
+        assert "scoring" in old.build
+        assert score_plan(old) == old.prediction
+
+    def test_scoring_key_changes_no_digest(self):
+        old, bare = self.old_and_bare()
+        assert plan_artifact_digests(old) == plan_artifact_digests(bare)
+
+    def test_replan_predicts_the_same_with_or_without_it(self):
+        old, bare = self.old_and_bare()
+        down = {old.mapping["submodel-0"]}
+        replanned = replan_on_failure(old, down)
+        assert replanned.prediction == replan_on_failure(bare,
+                                                         down).prediction
+        assert replanned.mapping["submodel-0"] != old.mapping["submodel-0"]

@@ -98,30 +98,6 @@ class TestScheduleLoop:
                                       num_samples=1)
         assert all(f.flops_per_sample <= 3e9 for f in schedule.footprints)
 
-    def test_explicit_initial_hp_list(self):
-        schedule = plan_head_schedule(self.base(), self.groups(2), pi_fleet(2),
-                                      memory_budget_bytes=1000 * MB,
-                                      num_samples=1, initial_hp=[8, 9])
-        assert schedule.hps == [8, 9]
-
-    def test_initial_hp_scalar(self):
-        schedule = plan_head_schedule(self.base(), self.groups(3), pi_fleet(3),
-                                      memory_budget_bytes=1000 * MB,
-                                      num_samples=1, initial_hp=9)
-        assert schedule.hps == [9, 9, 9]
-
-    def test_wrong_initial_hp_length_raises(self):
-        with pytest.raises(ValueError):
-            plan_head_schedule(self.base(), self.groups(3), pi_fleet(3),
-                               memory_budget_bytes=1000 * MB, num_samples=1,
-                               initial_hp=[6, 6])
-
-    def test_invalid_initial_hp_raises(self):
-        with pytest.raises(ValueError):
-            plan_head_schedule(self.base(), self.groups(2), pi_fleet(2),
-                               memory_budget_bytes=1000 * MB, num_samples=1,
-                               initial_hp=12)
-
     def test_plan_assigns_every_submodel(self):
         schedule = plan_head_schedule(self.base(), self.groups(5), pi_fleet(5),
                                       memory_budget_bytes=180 * MB,

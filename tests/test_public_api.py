@@ -27,7 +27,6 @@ SUBPACKAGES = [
 MODULES = SUBPACKAGES + [
     "repro.nn.tensor", "repro.nn.ops", "repro.nn.modules", "repro.nn.optim",
     "repro.nn.losses", "repro.nn.serialization", "repro.nn.init",
-    "repro.nn.gradcheck",
     "repro.models.vit", "repro.models.vgg", "repro.models.snn",
     "repro.models.fusion",
     "repro.profiling.flops", "repro.profiling.memory",

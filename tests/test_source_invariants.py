@@ -15,9 +15,13 @@ of what it flags and the nearest pattern it must leave alone:
   bytecode;
 * **wire protocol** (WIRE001/WIRE002): outside ``edge/wire.py`` no raw
   wire tuple (a command tag first, at an arity ``wire.ARITY`` allows)
-  and no ``message[0] == "<tag>"`` dispatch.
+  and no ``message[0] == "<tag>"`` dispatch;
+* **no unturned knobs** (KNOB001): every field of ``PlannerConfig``,
+  ``TrainConfig`` and ``PruneConfig`` is passed by keyword to its class
+  somewhere in ``src/``, ``examples/`` or ``benchmarks/`` outside tests
+  and outside the class's own body.  A value nothing sets is a constant.
 
-Pure ``ast`` walks over ~80 files; the whole module runs in about a
+Pure ``ast`` walks over ~130 files; the whole module runs in about a
 second.
 """
 
@@ -59,6 +63,21 @@ def source_trees():
     return {path.relative_to(SRC.parent).as_posix():
             ast.parse(path.read_text(encoding="utf-8"), str(path))
             for path in sorted(SRC.rglob("*.py"))}
+
+
+@functools.lru_cache(maxsize=None)
+def program_trees():
+    """Every non-test module a caller can set a knob from: ``src/``,
+    ``examples/`` and ``benchmarks/``, without their test files."""
+    trees = dict(source_trees())
+    for top in ("examples", "benchmarks"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            relative = path.relative_to(ROOT)
+            if "tests" in relative.parts or path.name.startswith("test_"):
+                continue
+            trees[relative.as_posix()] = ast.parse(
+                path.read_text(encoding="utf-8"), str(path))
+    return trees
 
 
 def scan(checker):
@@ -270,6 +289,47 @@ def wire_findings(tree, path):
     return findings
 
 
+KNOB_CLASSES = {"PlannerConfig", "TrainConfig", "PruneConfig"}
+
+
+def _knob_settings(node, found, inside=None):
+    """Keywords passed to a knob class's constructor, per class, outside
+    that class's own body."""
+    if isinstance(node, ast.ClassDef):
+        inside = node.name
+    if isinstance(node, ast.Call):
+        name = _name(node.func)
+        if name in KNOB_CLASSES and name != inside:
+            found[name].update(k.arg for k in node.keywords if k.arg)
+    for child in ast.iter_child_nodes(node):
+        _knob_settings(child, found, inside)
+
+
+def knob_fields(trees):
+    """``{class: [field, ...]}`` for every knob class defined in ``trees``."""
+    return {node.name: [stmt.target.id for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)]
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name in KNOB_CLASSES}
+
+
+def knob_findings(trees):
+    found = collections.defaultdict(set)
+    for tree in trees.values():
+        _knob_settings(tree, found)
+    return [Finding("KNOB001", f"{cls}.{field}",
+                    f"{cls}.{field} is set by no caller outside tests/")
+            for cls, fields in knob_fields(trees).items()
+            for field in fields if field not in found[cls]]
+
+
+def knob_snippet(*sources):
+    return [f.where for f in knob_findings(
+        {f"m{i}.py": ast.parse(textwrap.dedent(source))
+         for i, source in enumerate(sources)})]
+
+
 # -- the source -------------------------------------------------------------
 class TestSource:
     @pytest.mark.parametrize("checker", [lock_findings, hygiene_findings,
@@ -289,6 +349,17 @@ class TestSource:
         # Drop an entry once its code is gone: the allowlist only shrinks.
         found = {f.message for f in scan(lock_findings)}
         assert LOCK_READS_ALLOWED <= found
+
+    def test_every_knob_is_turned_by_a_caller(self):
+        findings = knob_findings(program_trees())
+        assert findings == [], "\n".join(f.message for f in findings)
+
+    def test_knob_scan_sees_the_classes_and_their_callers(self):
+        trees = program_trees()
+        assert set(knob_fields(trees)) == KNOB_CLASSES
+        assert {"examples/quickstart.py", "benchmarks/bench_ablations.py",
+                "repro/planning/capacity.py"} <= set(trees)
+        assert not any("tests" in Path(path).parts for path in trees)
 
     def test_no_bytecode_is_tracked(self):
         ignored = (ROOT / ".gitignore").read_text().split()
@@ -416,6 +487,31 @@ def test_hygiene_snippet(source, rules):
         "wire-command"])
 def test_wire_snippet(source, rules):
     assert snippet(wire_findings, source) == rules
+
+
+KNOB_CLASS = """
+    import dataclasses
+
+    @dataclasses.dataclass
+    class TrainConfig:
+        epochs: int = 10
+        lr: float = 1e-3
+
+        def faster(self):
+            return TrainConfig(lr=2 * self.lr)
+"""
+
+
+@pytest.mark.parametrize("caller, unset", [
+    ("TrainConfig(epochs=3, lr=0.1)", []),
+    ("core.TrainConfig(epochs=3)", ["TrainConfig.lr"]),
+    ("TrainConfig()", ["TrainConfig.epochs", "TrainConfig.lr"]),
+    # The keyword must go to the class itself, not to any call.
+    ("train(epochs=3, lr=0.1)", ["TrainConfig.epochs", "TrainConfig.lr"]),
+], ids=["both-set", "attribute-call", "defaults-only", "other-callee"])
+def test_knob_snippet(caller, unset):
+    # The class body's own TrainConfig(lr=...) never counts as a setter.
+    assert knob_snippet(KNOB_CLASS, caller) == unset
 
 
 def test_the_wire_module_may_build_raw_tuples():
