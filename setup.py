@@ -18,6 +18,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy", "networkx"],
-    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
+    install_requires=["numpy"],
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis",
+                             "scipy"]},
 )

@@ -68,9 +68,6 @@ class AssignmentPlan:
             pool = list(self.residual_energy.values())
         return min(pool)
 
-    def device_of(self, model_id: str) -> str:
-        return self.mapping[model_id]
-
     def models_on(self, device_id: str) -> list[str]:
         return [m for m, d in self.mapping.items() if d == device_id]
 

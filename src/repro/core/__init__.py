@@ -6,8 +6,8 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".edvit": ("EDViTConfig", "build_edvit"),
     ".inference": ("evaluate", "extract_features", "iter_batches", "predict",
-                   "predict_labels", "predict_logits",
-                   "predict_probabilities", "split_batch"),
+                   "predict_labels", "predict_probabilities",
+                   "split_batch"),
     ".metrics": ("format_mean_std", "format_table", "mean_std", "ratio"),
     ".training": ("TrainConfig", "TrainResult", "train_classifier"),
 })

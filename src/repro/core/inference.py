@@ -94,11 +94,6 @@ def split_batch(outputs: np.ndarray, sizes: "Iterable[int]") -> list[np.ndarray]
     return chunks
 
 
-def predict_logits(model: nn.Module, x, batch_size: int = 64) -> np.ndarray:
-    """Class logits for every sample (alias of :func:`predict`)."""
-    return predict(model, x, batch_size)
-
-
 def predict_labels(model: nn.Module, x, batch_size: int = 64) -> np.ndarray:
     """Argmax class predictions."""
     return predict(model, x, batch_size).argmax(axis=-1)

@@ -36,10 +36,6 @@ class TrainResult:
     wall_seconds: float
 
     @property
-    def final_loss(self) -> float:
-        return self.train_losses[-1]
-
-    @property
     def final_accuracy(self) -> float:
         return self.train_accuracies[-1]
 
@@ -84,7 +80,6 @@ def train_classifier(model: nn.Module, x: np.ndarray, y: np.ndarray,
 from .inference import (  # noqa: E402  (re-export)
     evaluate,
     extract_features,
-    predict_logits,
     predict_probabilities,
 )
 
@@ -93,7 +88,6 @@ __all__ = [
     "TrainResult",
     "evaluate",
     "extract_features",
-    "predict_logits",
     "predict_probabilities",
     "train_classifier",
 ]

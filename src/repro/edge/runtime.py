@@ -396,12 +396,6 @@ class InferenceTiming:
     wall_seconds: float
     per_worker: dict[str, dict[str, float]]
 
-    @property
-    def emulated_critical_path(self) -> float:
-        """Max over workers of emulated compute + transfer (the DES estimate)."""
-        return max(w["emulated_compute_s"] + w["emulated_transfer_s"]
-                   for w in self.per_worker.values())
-
 
 class EdgeCluster:
     """A fleet of emulated devices plus a local fusion stage.
@@ -677,9 +671,6 @@ class EdgeCluster:
             return False
         handle = self._handles.get(worker_id)
         return handle is not None and handle.alive()
-
-    def live_workers(self) -> list[str]:
-        return [wid for wid in self.worker_ids if self.is_alive(wid)]
 
     def mark_down(self, worker_id: str, reason: str = "marked down") -> None:
         """Retire a worker: close its channel and kill its worker."""

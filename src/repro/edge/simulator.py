@@ -104,11 +104,6 @@ class SimulationResult:
             total += min(finish, horizon) - start
         return total
 
-    def utilization(self, resource: str, horizon: float) -> float:
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_within(resource, horizon) / horizon)
-
 
 def _resolve_arrivals(num_samples: int, arrival_interval: float,
                       arrival_times: Sequence[float] | None) -> list[float]:
@@ -116,8 +111,11 @@ def _resolve_arrivals(num_samples: int, arrival_interval: float,
 
     ``arrival_times`` (e.g. a :class:`repro.serving.traffic.ArrivalTrace`'s
     arrivals) overrides the uniform ``num_samples`` × ``arrival_interval``
-    schedule; it must be non-empty, finite, non-negative and sorted.
+    schedule; it must be non-empty, finite, non-negative and sorted, and
+    so must the interval.
     """
+    if not (math.isfinite(arrival_interval) and arrival_interval >= 0):
+        raise ValueError("arrival_interval must be finite and non-negative")
     if arrival_times is not None:
         if arrival_interval:
             raise ValueError(

@@ -32,7 +32,7 @@ its handle by that id, in whatever order the children arrive) and sends
 each its ``SPEC``.  The child reads the spec off the channel and only
 then enters ``worker_main(spec, conn)``.  Whatever else a
 worker needs — its weights — the caller sends over the returned handle;
-a transport never sees them.  ``spawn`` is the one-worker case.
+a transport never sees them.
 
 A process child replays the parent's ``__main__`` only when the loop it
 runs says so (:func:`needs_main`): the built-in loop never does.
@@ -210,9 +210,6 @@ class Transport:
             except (BrokenPipeError, OSError):
                 pass
         return handles
-
-    def spawn(self, spec, worker_main: WorkerMain) -> WorkerHandle:
-        return self.launch([spec], worker_main)[0]
 
     def _start(self, specs: Sequence,
                worker_main: WorkerMain) -> list[WorkerHandle]:

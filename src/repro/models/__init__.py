@@ -6,10 +6,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".fusion": ("FusionConfig", "FusionMLP", "build_fusion_for"),
     ".snn": ("ConvSNN", "LIFConvLayer", "SNNConfig", "csnn_tiny_config",
              "spike_fn"),
-    ".vgg": ("VGG", "VGGConfig", "vgg11_tiny_config", "vgg16_config",
-             "vgg8_micro_config"),
+    ".vgg": ("VGG", "VGGConfig", "vgg11_tiny_config", "vgg8_micro_config"),
     ".vit": ("Block", "FeedForward", "MultiHeadSelfAttention", "PatchEmbed",
              "STANDARD_CONFIGS", "ViTConfig", "VisionTransformer",
-             "build_vit", "vit_base_config", "vit_large_config",
-             "vit_small_config", "vit_tiny_config"),
+             "vit_base_config", "vit_large_config", "vit_small_config",
+             "vit_tiny_config"),
 })

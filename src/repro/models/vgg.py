@@ -118,12 +118,6 @@ class VGG(nn.Module):
         return hidden_layer.out_features
 
 
-def vgg16_config(num_classes: int = 10, image_size: int = 224,
-                 width_scale: float = 1.0) -> VGGConfig:
-    return VGGConfig(plan="vgg16", image_size=image_size, num_classes=num_classes,
-                     width_scale=width_scale, name="vgg16")
-
-
 def vgg11_tiny_config(num_classes: int = 10, image_size: int = 32,
                       width_scale: float = 0.25) -> VGGConfig:
     """Scaled-down VGG for trained baseline experiments on synthetic data."""

@@ -396,13 +396,6 @@ class VisionTransformer(nn.Module):
     def feature_dim(self) -> int:
         return self.config.embed_dim
 
-    def replace_head(self, num_classes: int,
-                     rng: np.random.Generator | None = None) -> None:
-        """Swap the classification head (used when a sub-model serves a
-        class subset plus the implicit "other" bucket)."""
-        self.head = nn.Linear(self.config.embed_dim, num_classes, rng=rng)
-        self.config = dataclasses.replace(self.config, num_classes=num_classes)
-
 
 # ----------------------------------------------------------------------
 # Standard configurations (Table I of the paper)
@@ -449,11 +442,3 @@ STANDARD_CONFIGS = {
     "vit-large": vit_large_config,
     "vit-tiny": vit_tiny_config,
 }
-
-
-def build_vit(name: str, rng: np.random.Generator | None = None,
-              **overrides) -> VisionTransformer:
-    """Build a ViT by standard-config name (``vit-small``/``base``/``large``/``tiny``)."""
-    if name not in STANDARD_CONFIGS:
-        raise KeyError(f"unknown ViT config {name!r}; choose from {sorted(STANDARD_CONFIGS)}")
-    return VisionTransformer(STANDARD_CONFIGS[name](**overrides), rng=rng)

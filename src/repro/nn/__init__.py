@@ -19,25 +19,23 @@ Execution is layered:
   shape-keyed scratch buffers (:class:`~repro.nn.backend.Workspace`), so
   outputs may alias internal storage until the next forward call — copy
   what you keep (``repro.core.predict`` does).
-* **Array backend** (:mod:`repro.nn.backend`): all primitive array math
-  (matmul, einsum, im2col convolution, reductions, fused
-  softmax/layernorm/GELU kernels) is routed through the one
+* **Array backend** (:mod:`repro.nn.backend`): the nine kernels worth
+  timing (matmul, einsum, the fused linear family, softmax/log-softmax,
+  layer-norm, the im2col lowering) go through the one
   :class:`~repro.nn.backend.ArrayBackend`; ``nn.use_backend(...)``
   installs a subclass (e.g. :class:`repro.obs.ProfilingBackend`) for a
-  scope.
+  scope.  Everything else is plain numpy.
 """
 
 from . import init, ops
 from .backend import ArrayBackend, Workspace, get_backend, use_backend
-from .losses import accuracy, cross_entropy, kl_divergence, mse
+from .losses import accuracy, cross_entropy, kl_divergence
 from .modules import (
     AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dropout,
     Flatten,
-    GELU,
-    Identity,
     LayerNorm,
     Linear,
     MaxPool2d,
@@ -46,9 +44,8 @@ from .modules import (
     Parameter,
     ReLU,
     Sequential,
-    Tanh,
 )
-from .optim import Adam, DecayingLR, Optimizer, SGD, clip_grad_norm
+from .optim import Adam, DecayingLR, Optimizer, clip_grad_norm
 from .quantize import (
     QuantizedConv2d,
     QuantizedLinear,
@@ -89,8 +86,6 @@ __all__ = [
     "DecayingLR",
     "Dropout",
     "Flatten",
-    "GELU",
-    "Identity",
     "LayerNorm",
     "Linear",
     "MaxPool2d",
@@ -101,9 +96,7 @@ __all__ = [
     "QuantizedConv2d",
     "QuantizedLinear",
     "ReLU",
-    "SGD",
     "Sequential",
-    "Tanh",
     "Tensor",
     "Workspace",
     "accuracy",
@@ -121,7 +114,6 @@ __all__ = [
     "is_quantized",
     "kl_divergence",
     "load_checkpoint",
-    "mse",
     "no_grad",
     "ones",
     "ops",

@@ -1,14 +1,17 @@
-"""Array-ops backend layer: the seam between autograd and raw array math.
+"""Array-ops backend layer: the kernels worth knowing the cost of.
 
-Every numerical primitive the framework needs — matmuls, einsums, the
-im2col convolution lowering, reductions, elementwise transcendentals, RNG —
-is routed through an :class:`ArrayBackend` instance instead of calling
-``numpy`` directly from op code.  This mirrors the thin-wrapper design of
-the original ``autograd`` package (``autograd.numpy`` re-exports the array
-namespace and the differentiation machinery never touches it directly): the
-differentiation rules in :mod:`repro.nn.ops` compose *named primitives*, so
-a subclass that overrides some of them (:class:`repro.obs.ProfilingBackend`
-times the hot ones) sees every call the ops make.
+:class:`ArrayBackend` holds the nine kernels that dominate inference —
+``matmul``, ``einsum``, the fused ``linear`` family (``linear``,
+``linear_act``, ``linear_q8``), ``softmax``, ``log_softmax``,
+``layer_norm`` and the ``conv_im2col`` lowering — and nothing else.  They
+are the set :class:`repro.obs.ProfilingBackend` times
+(:data:`repro.obs.PROFILED_KERNELS`), which is the one reason the seam
+exists: ops and layers issue these kernels through the active backend so
+a profiler sees every call.  Everything else (elementwise math,
+reductions, reshapes, casts, RNG, the backward passes' scatters) is plain
+numpy at its call site.  :func:`apply_activation` is the in-place
+epilogue ``linear_act`` and ``linear_q8`` share — a function, not a plug
+point — and the only GELU kernel.
 
 Selection::
 
@@ -48,8 +51,8 @@ weight K-major (F-contiguous) once it serves, which makes that the NN GEMM
 here without a copy; a C-ordered weight is the NT GEMM.  Kernels must
 therefore not assume contiguity of ``weight``, nor of a row slice of it.
 
-The reference kernels worth knowing the cost of: ``layer_norm`` is four
-full-size passes (centre, scale, weight, bias) around two row reductions;
+What the reference kernels cost: ``layer_norm`` is four full-size passes
+(centre, scale, weight, bias) around two row reductions;
 ``apply_activation("gelu")`` is seven in-place passes, chunk by chunk;
 ``einsum("ok,nkp->nop")``, the conv lowering, is a broadcast ``matmul``.
 """
@@ -126,11 +129,6 @@ class Workspace:
         with self._lock:
             self._stores.pop(threading.get_ident(), None)
 
-    def clear_all(self) -> None:
-        """Release every thread's scratch storage."""
-        with self._lock:
-            self._stores.clear()
-
     def nbytes(self) -> int:
         """Total scratch bytes held across *all* threads that ever used
         this workspace (dead threads' stores stay counted until cleared —
@@ -179,42 +177,58 @@ def _gelu(buf: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return buf
 
 
+# Activations linear_act/linear_q8 may fuse as a post-GEMM epilogue.
+ACTIVATIONS = ("gelu", "relu", "sigmoid", "tanh")
+
+
+def apply_activation(name: str, buf: np.ndarray, tmp=None) -> np.ndarray:
+    """Apply a named activation to ``buf`` **in place**.
+
+    The epilogue :meth:`ArrayBackend.linear_act` and
+    :meth:`ArrayBackend.linear_q8` share, and the no-grad path of
+    :func:`repro.nn.ops.gelu`.  ``tmp`` is optional same-shape scratch;
+    only ``gelu`` needs it (its exponent must be built while ``buf`` still
+    holds x).  Without it, ``gelu`` walks a C-contiguous ``buf``
+    :data:`GELU_CHUNK` elements at a time through one scratch of at most
+    that length.
+    """
+    if name == "relu":
+        return np.maximum(buf, 0.0, out=buf)
+    if name == "sigmoid":
+        np.negative(buf, out=buf)
+        np.exp(buf, out=buf)
+        buf += 1.0
+        return np.divide(1.0, buf, out=buf)
+    if name == "tanh":
+        return np.tanh(buf, out=buf)
+    if name == "gelu":
+        if tmp is not None or not buf.flags.c_contiguous:
+            return _gelu(buf, np.empty_like(buf) if tmp is None else tmp)
+        # Elementwise, so a pass over GELU_CHUNK elements at a time
+        # gives the same bits with a bounded scratch.
+        flat = buf.reshape(-1)
+        tmp = np.empty(min(flat.size, GELU_CHUNK), dtype=buf.dtype)
+        for start in range(0, flat.size, GELU_CHUNK):
+            part = flat[start:start + GELU_CHUNK]
+            _gelu(part, tmp[:part.size])
+        return buf
+    raise ValueError(f"unknown activation {name!r}; "
+                     f"supported: {list(ACTIVATIONS)}")
+
+
 class ArrayBackend:
-    """The array-primitive surface and its one implementation: numpy with
+    """The kernels worth timing, and their one implementation: numpy with
     the fused kernels below.
 
-    Subclasses override a subset and inherit the rest.  Methods accept and
-    return plain ``np.ndarray`` — Tensors never cross this boundary.
+    Its public methods are exactly
+    :data:`repro.obs.profile.PROFILED_KERNELS`, the set
+    :class:`repro.obs.ProfilingBackend` overrides; every other array
+    operation is plain numpy at its call site.  Methods accept and return
+    plain ``np.ndarray`` — Tensors never cross this boundary.
     """
 
     name = "numpy"
 
-    # -- creation / casting ------------------------------------------------
-    def asarray(self, value, dtype=None) -> np.ndarray:
-        return np.asarray(value, dtype=dtype)
-
-    def empty(self, shape, dtype=np.float32) -> np.ndarray:
-        return np.empty(shape, dtype=dtype)
-
-    def zeros(self, shape, dtype=np.float32) -> np.ndarray:
-        return np.zeros(shape, dtype=dtype)
-
-    def ones(self, shape, dtype=np.float32) -> np.ndarray:
-        return np.ones(shape, dtype=dtype)
-
-    def zeros_like(self, x) -> np.ndarray:
-        return np.zeros_like(x)
-
-    def ones_like(self, x) -> np.ndarray:
-        return np.ones_like(x)
-
-    def arange(self, n, dtype=None) -> np.ndarray:
-        return np.arange(n, dtype=dtype)
-
-    def rng(self, seed=None) -> np.random.Generator:
-        return np.random.default_rng(seed)
-
-    # -- linear algebra ----------------------------------------------------
     def matmul(self, a, b, out=None) -> np.ndarray:
         return np.matmul(a, b, out=out)
 
@@ -240,47 +254,16 @@ class ArrayBackend:
             y += bias
         return y.reshape(lead + (weight.shape[0],))
 
-    # Activations linear_act/linear_q8 may fuse as a post-GEMM epilogue.
-    ACTIVATIONS = ("gelu", "relu", "sigmoid", "tanh")
-
-    def apply_activation(self, name: str, buf, tmp=None) -> np.ndarray:
-        """Apply a named activation to ``buf`` **in place**.
-
-        ``tmp`` is optional same-shape scratch; only ``gelu`` needs it
-        (its exponent must be built while ``buf`` still holds x).  Without
-        it, ``gelu`` walks a C-contiguous ``buf`` :data:`GELU_CHUNK`
-        elements at a time through one scratch of at most that length.
-        """
-        if name == "relu":
-            return np.maximum(buf, 0.0, out=buf)
-        if name == "sigmoid":
-            return self.sigmoid(buf, out=buf)
-        if name == "tanh":
-            return np.tanh(buf, out=buf)
-        if name == "gelu":
-            if tmp is not None or not buf.flags.c_contiguous:
-                return _gelu(buf, np.empty_like(buf) if tmp is None else tmp)
-            # Elementwise, so a pass over GELU_CHUNK elements at a time
-            # gives the same bits with a bounded scratch.
-            flat = buf.reshape(-1)
-            tmp = np.empty(min(flat.size, GELU_CHUNK), dtype=buf.dtype)
-            for start in range(0, flat.size, GELU_CHUNK):
-                part = flat[start:start + GELU_CHUNK]
-                _gelu(part, tmp[:part.size])
-            return buf
-        raise ValueError(f"unknown activation {name!r}; "
-                         f"supported: {list(self.ACTIVATIONS)}")
-
     def linear_act(self, x, weight, bias=None, activation=None,
                    out=None) -> np.ndarray:
         """:meth:`linear` with an optional fused activation epilogue.
 
-        The two are chained; the epilogue runs in place on the GEMM's
-        output.
+        The two are chained; the epilogue (:func:`apply_activation`) runs
+        in place on the GEMM's output.
         """
         y = self.linear(x, weight, bias, out=out)
         if activation is not None:
-            self.apply_activation(activation, y)
+            apply_activation(activation, y)
         return y
 
     def linear_q8(self, x, weight_q8, scale, bias=None, activation=None,
@@ -303,121 +286,9 @@ class ArrayBackend:
         if bias is not None:
             y += bias
         if activation is not None:
-            self.apply_activation(activation, y)
+            apply_activation(activation, y)
         return y.reshape(lead + (n_out,))
 
-    # -- elementwise -------------------------------------------------------
-    def exp(self, x, out=None) -> np.ndarray:
-        return np.exp(x, out=out)
-
-    def log(self, x, out=None) -> np.ndarray:
-        return np.log(x, out=out)
-
-    def sqrt(self, x, out=None) -> np.ndarray:
-        return np.sqrt(x, out=out)
-
-    def tanh(self, x, out=None) -> np.ndarray:
-        return np.tanh(x, out=out)
-
-    def sigmoid(self, x, out=None) -> np.ndarray:
-        out = np.negative(x, out=out)
-        np.exp(out, out=out)
-        out += 1.0
-        return np.divide(1.0, out, out=out)
-
-    def relu(self, x, out=None) -> np.ndarray:
-        return np.maximum(x, 0.0, out=out)
-
-    def abs(self, x) -> np.ndarray:
-        return np.abs(x)
-
-    def sign(self, x) -> np.ndarray:
-        return np.sign(x)
-
-    def clip(self, x, lo, hi) -> np.ndarray:
-        return np.clip(x, lo, hi)
-
-    def maximum(self, a, b) -> np.ndarray:
-        return np.maximum(a, b)
-
-    def where(self, cond, a, b) -> np.ndarray:
-        return np.where(cond, a, b)
-
-    def gelu(self, x, out=None) -> np.ndarray:
-        """Tanh-approximation GELU, fused and cube-by-multiplication.
-
-        ``x ** 3`` hits numpy's generic float pow (~70x slower than two
-        multiplies for float32), so the cube is computed as ``x*x*x``.
-        """
-        buf = np.multiply(x, x, out=out)
-        buf *= x
-        buf *= 0.044715
-        buf += x
-        buf *= _SQRT_2_OVER_PI
-        np.tanh(buf, out=buf)
-        buf += 1.0
-        buf *= x
-        buf *= 0.5
-        return buf
-
-    # -- reductions --------------------------------------------------------
-    def sum(self, x, axis=None, keepdims=False) -> np.ndarray:
-        return x.sum(axis=axis, keepdims=keepdims)
-
-    def mean(self, x, axis=None, keepdims=False) -> np.ndarray:
-        return x.mean(axis=axis, keepdims=keepdims)
-
-    def max(self, x, axis=None, keepdims=False) -> np.ndarray:
-        return x.max(axis=axis, keepdims=keepdims)
-
-    def argmax(self, x, axis=None) -> np.ndarray:
-        return x.argmax(axis=axis)
-
-    def prod(self, values) -> float:
-        return float(np.prod(values))
-
-    # -- shape / indexing --------------------------------------------------
-    def pad(self, x, pad_width) -> np.ndarray:
-        return np.pad(x, pad_width)
-
-    def concatenate(self, arrays, axis=0) -> np.ndarray:
-        return np.concatenate(arrays, axis=axis)
-
-    def stack(self, arrays, axis=0) -> np.ndarray:
-        return np.stack(arrays, axis=axis)
-
-    def split(self, x, sections, axis=0) -> list[np.ndarray]:
-        return np.split(x, sections, axis=axis)
-
-    def squeeze(self, x, axis=None) -> np.ndarray:
-        return np.squeeze(x, axis=axis)
-
-    def expand_dims(self, x, axis) -> np.ndarray:
-        return np.expand_dims(x, axis)
-
-    def broadcast_to(self, x, shape) -> np.ndarray:
-        return np.broadcast_to(x, shape)
-
-    def ascontiguous(self, x) -> np.ndarray:
-        return np.ascontiguousarray(x)
-
-    def take_along_axis(self, x, indices, axis) -> np.ndarray:
-        return np.take_along_axis(x, indices, axis=axis)
-
-    def put_along_axis(self, x, indices, values, axis) -> None:
-        np.put_along_axis(x, indices, values, axis=axis)
-
-    def index_add(self, target, key, values) -> None:
-        """Scatter-add ``values`` into ``target[key]`` (duplicate-safe)."""
-        np.add.at(target, key, values)
-
-    def one_hot(self, labels, num_classes: int, dtype=np.float32) -> np.ndarray:
-        labels = np.asarray(labels, dtype=np.int64)
-        out = np.zeros((labels.shape[0], num_classes), dtype=dtype)
-        out[np.arange(labels.shape[0]), labels] = 1.0
-        return out
-
-    # -- fused normalization / softmax kernels -----------------------------
     def softmax(self, x, axis=-1, out=None) -> np.ndarray:
         shifted = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
         np.exp(shifted, out=shifted)
@@ -447,10 +318,6 @@ class ArrayBackend:
         centered += bias
         return centered
 
-    def batch_norm_stats(self, x, axes) -> tuple[np.ndarray, np.ndarray]:
-        return x.mean(axis=axes, keepdims=True), x.var(axis=axes, keepdims=True)
-
-    # -- convolution lowering ----------------------------------------------
     def conv_im2col(self, x, kh: int, kw: int, stride: int, pad: int,
                     out=None) -> tuple[np.ndarray, int, int]:
         """Lower (N, C, H, W) to receptive-field columns.
@@ -479,22 +346,6 @@ class ArrayBackend:
         else:
             cols = np.ascontiguousarray(transposed).reshape(shape)
         return cols.reshape(shape), out_h, out_w
-
-    def col2im(self, cols, x_shape, kh: int, kw: int, stride: int,
-               pad: int) -> np.ndarray:
-        """Scatter-add columns back onto the input; inverse of conv_im2col."""
-        n, c, h, w = x_shape
-        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-        out_h = (h + 2 * pad - kh) // stride + 1
-        out_w = (w + 2 * pad - kw) // stride + 1
-        cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-        for i in range(kh):
-            for j in range(kw):
-                padded[:, :, i:i + stride * out_h:stride,
-                       j:j + stride * out_w:stride] += cols[:, :, i, j]
-        if pad:
-            return padded[:, :, pad:-pad, pad:-pad]
-        return padded
 
 
 _reference = ArrayBackend()

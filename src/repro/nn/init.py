@@ -31,13 +31,6 @@ def default_rng() -> np.random.Generator:
         return _default_rng
 
 
-def seed_all(seed: int) -> np.random.Generator:
-    """Reset the default generator; returns it for chaining."""
-    global _default_rng
-    _default_rng = np.random.default_rng(seed)
-    return _default_rng
-
-
 @contextlib.contextmanager
 def unwritten():
     """Build modules whose weights are allocated but never written.
@@ -79,13 +72,6 @@ def kaiming_uniform(rng: np.random.Generator | None, shape: tuple[int, ...],
         fan_in = shape[1] if len(shape) >= 2 else shape[0]
     gain = np.sqrt(2.0 / (1.0 + 5.0))  # leaky relu gain with a = sqrt(5)
     return uniform(rng, gain * np.sqrt(3.0 / fan_in), shape)
-
-
-def xavier_uniform(rng: np.random.Generator | None,
-                   shape: tuple[int, ...]) -> np.ndarray:
-    fan_in = shape[1] if len(shape) >= 2 else shape[0]
-    fan_out = shape[0]
-    return uniform(rng, np.sqrt(6.0 / (fan_in + fan_out)), shape)
 
 
 def trunc_normal(rng: np.random.Generator | None, shape: tuple[int, ...],

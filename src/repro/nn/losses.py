@@ -21,12 +21,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
     return nll.mean()
 
 
-def mse(pred: Tensor, target: np.ndarray | Tensor) -> Tensor:
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = pred - target
-    return (diff * diff).mean()
-
-
 def kl_divergence(p: np.ndarray, q: np.ndarray, eps: float = 1e-10,
                   axis: int = -1) -> np.ndarray:
     """KL(P || Q) between probability distributions along ``axis``.

@@ -188,13 +188,6 @@ class Module:
         return self.forward(*args, **kwargs)
 
 
-class Identity(Module):
-    """Pass-through layer (useful as a placeholder in rebuilt models)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
 class Linear(Module):
     """Affine layer storing weight as (out_features, in_features)."""
 
@@ -391,20 +384,6 @@ class ReLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class GELU(Module):
-    """Gaussian Error Linear Unit (tanh approximation)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.gelu(x)
-
-
-class Tanh(Module):
-    """Hyperbolic-tangent activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
 
 
 class Flatten(Module):

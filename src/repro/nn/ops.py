@@ -4,21 +4,24 @@ Each function takes and returns :class:`~repro.nn.tensor.Tensor` objects and
 registers an analytic backward rule.  Convolution and pooling use an
 im2col/col2im lowering so the heavy lifting stays inside backend matmuls.
 
-Array math never touches numpy directly: every primitive goes through the
-active :class:`~repro.nn.backend.ArrayBackend` (see :func:`repro.nn.use_backend`),
-so a subclass that instruments the kernels sees every call these rules
-make.  When gradients are disabled each op takes a **graph-free
-fast path**: no backward closure is allocated, and — under
-``inference_mode()`` — outputs and scratch live in the caller's shape-keyed
-:class:`~repro.nn.backend.Workspace`.
+The kernels worth timing (the GEMMs, softmax, layer-norm, the im2col
+lowering) go through the active :class:`~repro.nn.backend.ArrayBackend`
+(see :func:`repro.nn.use_backend`), so a profiler sees every call these
+rules make; everything else — elementwise math, the backward passes'
+scatters, ``col2im`` — is plain numpy.  When gradients are disabled each
+op takes a **graph-free fast path**: no backward closure is allocated,
+and — under ``inference_mode()`` — outputs and scratch live in the
+caller's shape-keyed :class:`~repro.nn.backend.Workspace`.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import init
-from .backend import Workspace, get_backend, scratch
+from .backend import Workspace, apply_activation, get_backend, scratch
 from .tensor import Tensor, is_grad_enabled, is_inference
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -38,14 +41,14 @@ def relu(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor, workspace: Workspace | None = None) -> Tensor:
     """Gaussian Error Linear Unit (tanh approximation, as used by ViT)."""
-    b = get_backend()
     if not is_grad_enabled():
-        out = b.gelu(x.data, out=scratch(_ws(workspace), "gelu", x.shape, x.dtype))
-        return Tensor._noback(out)
+        out = scratch(_ws(workspace), "gelu", x.shape, x.dtype)
+        np.copyto(out, x.data)
+        return Tensor._noback(apply_activation("gelu", out))
     data = x.data
     # x*x*x, not x**3: numpy's generic float pow is ~70x slower.
     inner = _SQRT_2_OVER_PI * (data + 0.044715 * (data * data * data))
-    tanh_inner = b.tanh(inner)
+    tanh_inner = np.tanh(inner)
     out_data = 0.5 * data * (1.0 + tanh_inner)
 
     def backward(grad):
@@ -57,15 +60,11 @@ def gelu(x: Tensor, workspace: Workspace | None = None) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-def softmax(x: Tensor, axis: int = -1,
-            workspace: Workspace | None = None) -> Tensor:
-    b = get_backend()
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
     if not is_grad_enabled():
-        out = b.softmax(x.data, axis=axis,
-                        out=scratch(_ws(workspace), "softmax", x.shape, x.dtype))
-        return Tensor._noback(out)
+        return Tensor._noback(get_backend().softmax(x.data, axis=axis))
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = b.exp(shifted)
+    exp = np.exp(shifted)
     out_data = exp / exp.sum(axis=axis, keepdims=True)
 
     def backward(grad):
@@ -76,18 +75,13 @@ def softmax(x: Tensor, axis: int = -1,
     return Tensor._make(out_data, (x,), backward)
 
 
-def log_softmax(x: Tensor, axis: int = -1,
-                workspace: Workspace | None = None) -> Tensor:
-    b = get_backend()
+def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     if not is_grad_enabled():
-        out = b.log_softmax(x.data, axis=axis,
-                            out=scratch(_ws(workspace), "log_softmax",
-                                        x.shape, x.dtype))
-        return Tensor._noback(out)
+        return Tensor._noback(get_backend().log_softmax(x.data, axis=axis))
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_sum = b.log(b.exp(shifted).sum(axis=axis, keepdims=True))
+    log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out_data = shifted - log_sum
-    soft = b.exp(out_data)
+    soft = np.exp(out_data)
 
     def backward(grad):
         return [(x, grad - soft * grad.sum(axis=axis, keepdims=True))]
@@ -128,7 +122,7 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5,
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / b.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + eps)
     normed = centered * inv_std
     out_data = normed * weight.data + bias.data
     d = x.shape[-1]
@@ -151,7 +145,6 @@ def batch_norm_2d(x: Tensor, weight: Tensor, bias: Tensor,
                   running_mean, running_var,
                   training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
     """2-D batch norm over (N, C, H, W); mutates running statistics in-place."""
-    b = get_backend()
     if training:
         mu = x.data.mean(axis=(0, 2, 3), keepdims=True)
         var = x.data.var(axis=(0, 2, 3), keepdims=True)
@@ -163,7 +156,7 @@ def batch_norm_2d(x: Tensor, weight: Tensor, bias: Tensor,
         mu = running_mean.reshape(1, -1, 1, 1)
         var = running_var.reshape(1, -1, 1, 1)
 
-    inv_std = 1.0 / b.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + eps)
     w = weight.data.reshape(1, -1, 1, 1)
     bias_col = bias.data.reshape(1, -1, 1, 1)
 
@@ -232,7 +225,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
         g = grad.reshape(x_shape[0], out_ch, -1)
         gw = b.einsum("nop,nkp->ok", g, cols).reshape(weight.shape)
         gcols = b.einsum("ok,nop->nkp", w_mat, g)
-        gx = b.col2im(gcols, x_shape, kh, kw, stride, padding)
+        gx = _col2im(gcols, x_shape, kh, kw, stride, padding)
         contributions = [(x, gx), (weight, gw)]
         if bias is not None:
             contributions.append((bias, g.sum(axis=(0, 2))))
@@ -266,14 +259,14 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None,
                                        kernel, kernel, stride, 0)
     cols = cols.reshape(n * c, kernel * kernel, out_h * out_w)
     arg = cols.argmax(axis=1)
-    out_data = b.take_along_axis(cols, arg[:, None, :], axis=1)[:, 0, :]
+    out_data = np.take_along_axis(cols, arg[:, None, :], axis=1)[:, 0, :]
     out_data = out_data.reshape(n, c, out_h, out_w)
 
     def backward(grad):
-        gcols = b.zeros_like(cols)
-        b.put_along_axis(gcols, arg[:, None, :],
-                         grad.reshape(n * c, 1, out_h * out_w), axis=1)
-        gx = b.col2im(gcols, (n * c, 1, h, w), kernel, kernel, stride, 0)
+        gcols = np.zeros_like(cols)
+        np.put_along_axis(gcols, arg[:, None, :],
+                          grad.reshape(n * c, 1, out_h * out_w), axis=1)
+        gx = _col2im(gcols, (n * c, 1, h, w), kernel, kernel, stride, 0)
         return [(x, gx.reshape(n, c, h, w))]
 
     return Tensor._make(out_data, (x,), backward)
@@ -306,18 +299,28 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None,
 
     def backward(grad):
         g = grad.reshape(n * c, 1, out_h * out_w) / k2
-        gcols = b.broadcast_to(g, (n * c, k2, out_h * out_w)).copy()
-        gx = b.col2im(gcols, (n * c, 1, h, w), kernel, kernel, stride, 0)
+        gcols = np.broadcast_to(g, (n * c, k2, out_h * out_w)).copy()
+        gx = _col2im(gcols, (n * c, 1, h, w), kernel, kernel, stride, 0)
         return [(x, gx.reshape(n, c, h, w))]
 
     return Tensor._make(out_data, (x,), backward)
 
 
-def adaptive_avg_pool2d(x: Tensor, output_size: int = 1) -> Tensor:
-    """Global average pooling when output_size == 1 (what VGG heads need)."""
-    if output_size != 1:
-        raise NotImplementedError("only global (1x1) adaptive pooling is supported")
-    return x.mean(axis=(2, 3), keepdims=True)
+def _col2im(cols, x_shape, kh: int, kw: int, stride: int,
+            pad: int) -> np.ndarray:
+    """Scatter-add columns back onto the input; inverse of ``conv_im2col``."""
+    n, c, h, w = x_shape
+    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    out_h = (h + 2 * pad - kh) // stride + 1
+    out_w = (w + 2 * pad - kw) // stride + 1
+    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
+    for i in range(kh):
+        for j in range(kw):
+            padded[:, :, i:i + stride * out_h:stride,
+                   j:j + stride * out_w:stride] += cols[:, :, i, j]
+    if pad:
+        return padded[:, :, pad:-pad, pad:-pad]
+    return padded
 
 
 # ----------------------------------------------------------------------
@@ -343,10 +346,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 
 def one_hot(labels, num_classes: int, dtype=None):
-    """One-hot encode integer labels as a plain backend array."""
-    b = get_backend()
-    return b.one_hot(labels, num_classes,
-                     dtype if dtype is not None else "float32")
+    """One-hot encode integer labels as a plain array."""
+    labels = np.asarray(labels, dtype=np.int64)
+    out = np.zeros((labels.shape[0], num_classes),
+                   dtype=dtype if dtype is not None else np.float32)
+    out[np.arange(labels.shape[0]), labels] = 1.0
+    return out
 
 
 def flatten(x: Tensor, start_dim: int = 1) -> Tensor:

@@ -1,8 +1,8 @@
 """Optimizers and learning-rate schedules.
 
 The paper trains with Adam at an initial LR of 1e-4 with decay; we provide
-Adam, SGD with momentum, and a multiplicative-decay schedule, plus global
-gradient-norm clipping (useful when finetuning pruned sub-models).
+Adam and a multiplicative-decay schedule, plus global gradient-norm
+clipping (useful when finetuning pruned sub-models).
 """
 
 from __future__ import annotations
@@ -38,32 +38,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-2,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                update = v
-            else:
-                update = grad
-            p.data = p.data - self.lr * update
 
 
 class Adam(Optimizer):

@@ -158,10 +158,6 @@ class Tensor:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{grad_flag})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (not a copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
@@ -415,16 +411,6 @@ class Tensor:
 
         def backward(grad):
             return [(self, grad * (1.0 - out_data ** 2))]
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-        if not _mode.grad_enabled:
-            return Tensor._noback(out_data)
-
-        def backward(grad):
-            return [(self, grad * out_data * (1.0 - out_data))]
 
         return Tensor._make(out_data, (self,), backward)
 

@@ -3,7 +3,9 @@
 The repo's fourth cross-cutting seam (after backend, transport, and
 store).  Four pieces:
 
-* :mod:`repro.obs.trace` — span API with cross-process trace-context
+* :mod:`repro.obs.trace` — spans emitted from intervals the code
+  already measured (one idiom: :meth:`Tracer.emit`, or
+  :func:`span_dict` in a worker), with cross-process trace-context
   propagation over the worker wire protocol; ~zero cost when disabled;
 * :mod:`repro.obs.metrics` — process-local counters/gauges/histograms
   with JSON-safe snapshots that :class:`repro.serving.ServingReport`
@@ -26,9 +28,9 @@ Typical use::
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".trace": ("NOOP_SPAN", "SpanRecord", "TRACE_SCHEMA_VERSION", "Tracer",
+    ".trace": ("SpanRecord", "TRACE_SCHEMA_VERSION", "Tracer",
                "disable_tracing", "enable_tracing", "get_tracer",
-               "new_span_id", "span", "span_dict", "tracing_enabled"),
+               "new_span_id", "span_dict", "tracing_enabled"),
     ".metrics": ("Counter", "DEFAULT_SECONDS_BOUNDS", "Gauge", "Histogram",
                  "METRICS_SCHEMA_VERSION", "MetricsRegistry", "get_registry"),
     ".profile": ("PROFILED_KERNELS", "ProfilingBackend"),

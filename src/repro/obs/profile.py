@@ -3,8 +3,8 @@
 :class:`ProfilingBackend` wraps an :class:`ArrayBackend` and records
 per-kernel wall time and bytes moved for the kernels that dominate
 transformer inference — matmul/einsum, the fused linear family,
-softmax/log-softmax, layer-norm, and the im2col lowering.  Every other
-primitive is inherited from :class:`ArrayBackend` unchanged.
+softmax/log-softmax, layer-norm, and the im2col lowering.  Those nine are
+all :class:`ArrayBackend` has, so the profiler overrides every one.
 
 Metrics land in the global :class:`~repro.obs.metrics.MetricsRegistry`
 as ``kernel.<op>_seconds{backend=<inner>}`` histograms and
@@ -33,8 +33,9 @@ import numpy as np
 from ..nn.backend import ArrayBackend
 from .metrics import get_registry
 
-# The kernels worth timing: everything else is glue (reshapes, casts,
-# elementwise ops already fused inside these, RNG).
+# The kernels worth timing, and ArrayBackend's whole public surface:
+# everything else is plain numpy glue (reshapes, casts, elementwise ops
+# already fused inside these, RNG).
 PROFILED_KERNELS = ("matmul", "einsum", "linear", "linear_act",
                     "linear_q8", "softmax", "log_softmax", "layer_norm",
                     "conv_im2col")

@@ -1,12 +1,16 @@
 """Structured tracing: lightweight spans with cross-process propagation.
 
 A **span** is one named, wall-clock-anchored interval of work (a batch
-serve, a worker forward, a codec decode) tagged with a ``trace_id`` that
-joins every span of one request together across threads *and* processes.
-The serving stack emits spans when tracing is enabled and pays ~nothing
-when it is not: :func:`span` checks one module-level flag and returns a
-shared no-op context manager, so the disabled fast path is a single
-branch with no allocation.
+serve, a worker forward, a codec decode, a store load) tagged with a
+``trace_id`` that joins every span of one request together across threads
+*and* processes.
+
+There is one way to make a span: time the work as the code already does,
+then hand the measured interval over after the fact — :meth:`Tracer.emit`
+in the serving process, :func:`span_dict` in a worker.  A span is never a
+second clock around the work.  Emitters branch on :func:`tracing_enabled`
+(one module-level flag) and skip all span work when it is off, so disabled
+tracing costs a single branch with no allocation.
 
 Timestamps are **wall clock** (``time.time()``), not ``perf_counter``:
 ``perf_counter`` has an arbitrary per-process epoch, so spans recorded in
@@ -92,68 +96,6 @@ def span_dict(name: str, trace_id, span_id: str, parent_id: str | None,
             "ts": ts, "duration_s": duration_s, "attrs": dict(attrs or {})}
 
 
-class _LiveSpan:
-    """Context manager recording one span into a tracer on exit."""
-
-    __slots__ = ("_tracer", "name", "trace_id", "parent_id", "span_id",
-                 "attrs", "_t0", "_ts")
-
-    def __init__(self, tracer: "Tracer", name: str, trace_id, attrs: dict):
-        self._tracer = tracer
-        self.name = name
-        self.trace_id = trace_id
-        self.parent_id: str | None = None
-        self.span_id = new_span_id()
-        self.attrs = attrs
-
-    def set(self, key: str, value) -> None:
-        """Attach an attribute discovered mid-span."""
-        self.attrs[key] = value
-
-    def __enter__(self) -> "_LiveSpan":
-        stack = self._tracer._stack()
-        if stack:
-            inherited_trace, parent = stack[-1]
-            if self.trace_id is None:
-                self.trace_id = inherited_trace
-            self.parent_id = parent
-        stack.append((self.trace_id, self.span_id))
-        self._ts = time.time()
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        duration = time.perf_counter() - self._t0
-        stack = self._tracer._stack()
-        if stack and stack[-1][1] == self.span_id:
-            stack.pop()
-        if exc_type is not None:
-            self.attrs["error"] = f"{exc_type.__name__}: {exc}"
-        self._tracer.emit(self.name, trace_id=self.trace_id,
-                          span_id=self.span_id, parent_id=self.parent_id,
-                          ts=self._ts, duration_s=duration,
-                          attrs=self.attrs)
-        return False
-
-
-class _NoopSpan:
-    """Shared do-nothing span: the entire cost of disabled tracing."""
-
-    __slots__ = ()
-
-    def set(self, key: str, value) -> None:
-        pass
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-NOOP_SPAN = _NoopSpan()
-
-
 class Tracer:
     """Thread-safe ring-buffered span collector for one process.
 
@@ -171,41 +113,19 @@ class Tracer:
         self._spans: list[SpanRecord] = []
         self._start = 0                # ring: index of the oldest span
         self._dropped = 0
-        self._local = threading.local()
-
-    # -- context stack (per thread) ------------------------------------
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def current_context(self) -> dict | None:
-        """The wire-shape trace context of the innermost open span."""
-        stack = self._stack()
-        if not stack:
-            return None
-        trace_id, span_id = stack[-1]
-        return {"trace_id": trace_id, "parent_id": span_id}
-
-    def activate(self, trace_id, parent_id: str | None = None) -> "_Activation":
-        """Adopt a propagated context so nested spans attach to it."""
-        return _Activation(self, trace_id, parent_id)
 
     # -- recording ------------------------------------------------------
-    def span(self, name: str, trace_id=None, **attrs) -> _LiveSpan:
-        return _LiveSpan(self, name, trace_id, attrs)
-
     def emit(self, name: str, trace_id=None, span_id: str | None = None,
              parent_id: str | None = None, ts: float | None = None,
              duration_s: float = 0.0, process: str | None = None,
              thread: str | None = None, attrs: dict | None = None,
              ) -> SpanRecord:
-        """Record one already-measured span (retroactive emission).
+        """Record one already-measured span.
 
-        The serving loop uses this to turn durations it measures anyway
-        (gather, fusion, per-request queueing) into spans without timing
-        anything twice.
+        The only emission path in the serving process: the serving loop,
+        the store and the cluster turn durations they measure anyway
+        (gather, fusion, per-request queueing, a checkpoint load) into
+        spans without timing anything twice.
         """
         record = SpanRecord(
             name=name, trace_id=trace_id,
@@ -260,26 +180,6 @@ class Tracer:
             return len(self._spans)
 
 
-class _Activation:
-    """Context manager installing a propagated trace context."""
-
-    __slots__ = ("_tracer", "_entry")
-
-    def __init__(self, tracer: Tracer, trace_id, parent_id: str | None):
-        self._tracer = tracer
-        self._entry = (trace_id, parent_id)
-
-    def __enter__(self) -> "_Activation":
-        self._tracer._stack().append(self._entry)
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        stack = self._tracer._stack()
-        if stack and stack[-1] is self._entry:
-            stack.pop()
-        return False
-
-
 # ----------------------------------------------------------------------
 # Global tracer: one switch for the whole process.  Hot paths branch on
 # ``tracing_enabled()`` (a module-global read) and skip all span work when
@@ -309,10 +209,3 @@ def tracing_enabled() -> bool:
 def get_tracer() -> Tracer:
     """The global tracer (its buffer survives :func:`disable_tracing`)."""
     return _tracer
-
-
-def span(name: str, trace_id=None, **attrs):
-    """Open a span on the global tracer; a shared no-op when disabled."""
-    if not _enabled:
-        return NOOP_SPAN
-    return _tracer.span(name, trace_id=trace_id, **attrs)

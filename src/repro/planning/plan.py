@@ -240,26 +240,8 @@ class DeploymentPlan:
             return self.fusion_device
         raise KeyError(f"unknown device {device_id!r}")
 
-    def device_of(self, model_id: str) -> str:
-        return self.mapping[model_id]
-
     def models_on(self, device_id: str) -> list[str]:
         return [m for m, d in self.mapping.items() if d == device_id]
-
-    # -- derived views -------------------------------------------------
-    def assignment_plan(self) -> AssignmentPlan:
-        """Residual-resource view of the mapping (Eq. 1 bookkeeping)."""
-        residual_memory = {d.device_id: d.memory_bytes for d in self.devices}
-        residual_energy = {d.device_id: float(d.energy_flops)
-                           for d in self.devices}
-        for model_id, device_id in self.mapping.items():
-            model = self.submodel(model_id)
-            residual_memory[device_id] -= model.size_bytes
-            residual_energy[device_id] -= (model.flops_per_sample
-                                           * self.num_samples)
-        return AssignmentPlan(mapping=dict(self.mapping),
-                              residual_memory=residual_memory,
-                              residual_energy=residual_energy)
 
     def deployment_spec(self) -> DeploymentSpec:
         """The DES-simulator view of this plan (for scoring/what-ifs)."""

@@ -9,12 +9,8 @@ The paper estimates energy as proportional to multiply-accumulate counts:
   this matches the paper's own numbers: a sub-model with half the heads of
   ViT-Base reports exactly ViT-Small's 4.25 GMACs).
 
-Two counters are provided:
-
-* :func:`paper_flops` — faithful Section III accounting (used for the
-  tables so ratios line up with the paper);
-* :func:`detailed_flops` — full accounting including the attention output
-  projection and final LayerNorm-free ops, for sanity cross-checks.
+:func:`paper_flops` is that Section III accounting (used for the tables
+so ratios line up with the paper).
 """
 
 from __future__ import annotations
@@ -31,20 +27,16 @@ class FlopsBreakdown:
     patch_embed: int
     attention_qkv: int
     attention_scores: int
-    attention_output_proj: int
     ffn: int
     head: int
 
     @property
     def total(self) -> int:
         return (self.patch_embed + self.attention_qkv + self.attention_scores
-                + self.attention_output_proj + self.ffn + self.head)
-
-    def as_dict(self) -> dict[str, int]:
-        return dataclasses.asdict(self) | {"total": self.total}
+                + self.ffn + self.head)
 
 
-def _breakdown(config: ViTConfig, include_output_proj: bool) -> FlopsBreakdown:
+def _breakdown(config: ViTConfig) -> FlopsBreakdown:
     p_img = config.num_patches            # patches from the image
     p = p_img + 1                         # +1 CLS token inside the blocks
     d = config.embed_dim
@@ -55,24 +47,14 @@ def _breakdown(config: ViTConfig, include_output_proj: bool) -> FlopsBreakdown:
     patch_embed = p_img * patch_dim * d
     qkv = config.depth * 3 * p * d * a
     scores = config.depth * 2 * p * p * a
-    out_proj = config.depth * p * a * d if include_output_proj else 0
     ffn = config.depth * 2 * p * d * c
     head = d * config.num_classes
-    return FlopsBreakdown(patch_embed, qkv, scores, out_proj, ffn, head)
+    return FlopsBreakdown(patch_embed, qkv, scores, ffn, head)
 
 
 def paper_flops(config: ViTConfig) -> int:
     """MAC count following Section III exactly (no attention output proj)."""
-    return _breakdown(config, include_output_proj=False).total
-
-
-def paper_flops_breakdown(config: ViTConfig) -> FlopsBreakdown:
-    return _breakdown(config, include_output_proj=False)
-
-
-def detailed_flops(config: ViTConfig) -> int:
-    """MAC count including the attention output projection."""
-    return _breakdown(config, include_output_proj=True).total
+    return _breakdown(config).total
 
 
 def mlp_flops(dims: list[int]) -> int:
@@ -155,7 +137,7 @@ def token_pruned_flops(config: ViTConfig, token_keep_ratio: float) -> int:
         raise ValueError("token_keep_ratio must be in (0, 1]")
     if config.depth < 2 or token_keep_ratio == 1.0:
         return paper_flops(config)
-    full = _breakdown(config, include_output_proj=False)
+    full = _breakdown(config)
     p_full = config.num_patches + 1
     kept = max(1, int(round(config.num_patches * token_keep_ratio))) + 1
     d, a, c = config.embed_dim, config.resolved_attn_dim, config.resolved_mlp_hidden

@@ -9,7 +9,6 @@ analytic counter — usable for the full-size configs without materializing
 
 from __future__ import annotations
 
-from ..models.vgg import VGGConfig
 from ..models.vit import ViTConfig
 from ..nn.modules import Module
 
@@ -39,28 +38,6 @@ def vit_param_count(config: ViTConfig) -> int:
     head = d * config.num_classes + config.num_classes
     return (patch_embed + cls_token + pos_embed
             + config.depth * per_block + final_norm + head)
-
-
-def vgg_param_count(config: VGGConfig) -> int:
-    """Analytic parameter count of a VGG (with optional batch norm)."""
-    total = 0
-    in_ch = config.in_channels
-    num_pools = 0
-    for entry in config.scaled_plan():
-        if entry == "M":
-            num_pools += 1
-            continue
-        total += in_ch * entry * 9 + entry          # conv 3x3 + bias
-        if config.batch_norm:
-            total += 2 * entry                       # gamma/beta
-        in_ch = entry
-    spatial = config.image_size // (2 ** num_pools)
-    flat = in_ch * spatial * spatial
-    hidden = max(8, int(round(config.classifier_hidden * config.width_scale)))
-    total += flat * hidden + hidden
-    total += hidden * hidden + hidden
-    total += hidden * config.num_classes + config.num_classes
-    return total
 
 
 def param_bytes(num_params: int) -> int:

@@ -52,8 +52,8 @@ def prune_vgg(model: VGG, keep_ratio: float, probe_x: np.ndarray) -> VGG:
         keeps.append(np.sort(np.argsort(act)[-count:]))
 
     # Build the pruned architecture via a plan override so the new model's
-    # config keeps describing the true widths (vgg_flops/vgg_param_count
-    # stay correct).  The classifier hidden width shrinks from the *actual*
+    # config keeps describing the true widths (vgg_flops stays
+    # correct).  The classifier hidden width shrinks from the *actual*
     # trained width by keep_ratio.
     width_iter = iter(len(k) for k in keeps)
     override = tuple(entry if entry == "M" else next(width_iter)

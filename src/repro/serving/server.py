@@ -224,9 +224,9 @@ class InferenceServer:
     def submit(self, x: np.ndarray) -> ServedFuture:
         """Enqueue one request (a small stack of images); never blocks.
 
-        Shape-mismatched requests are rejected here with a typed
-        :class:`RequestError`, so one bad client cannot poison the batch
-        its request would have been coalesced into.
+        Shape-mismatched and empty (zero-sample) requests are rejected
+        here with a typed :class:`RequestError`, so one bad client cannot
+        poison the batch its request would have been coalesced into.
         """
         if self._thread is None:
             raise RuntimeError("server not started; use start() or a with-block")
@@ -236,13 +236,13 @@ class InferenceServer:
         x = np.ascontiguousarray(x, dtype=np.float32)
         if x.ndim == 3:                # single image -> batch of one
             x = x[None]
-        if x.shape[1:] != self._input_shape:
+        if x.shape[1:] != self._input_shape or len(x) == 0:
             with self._lock:
                 self._dropped += 1
             self._m_dropped.inc()
             raise RequestError(
-                f"bad request shape {x.shape[1:]}; this fleet serves "
-                f"samples of shape {self._input_shape}")
+                f"bad request shape {x.shape}; this fleet serves a "
+                f"non-empty stack of samples of shape {self._input_shape}")
         telemetry = RequestTelemetry(request_id=self._cluster.next_request_id(),
                                      num_samples=len(x),
                                      enqueued_at=time.perf_counter(),

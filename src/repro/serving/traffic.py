@@ -88,12 +88,6 @@ class ArrivalTrace:
                 f"cannot split {self.num_requests} arrivals {n} ways")
         return [ArrivalTrace(self.arrivals[i::n]) for i in range(n)]
 
-    def rescaled(self, rate_factor: float) -> "ArrivalTrace":
-        """Scale the offered rate by ``rate_factor`` (times shrink by it)."""
-        if rate_factor <= 0:
-            raise ValueError("rate_factor must be positive")
-        return ArrivalTrace(tuple(t / rate_factor for t in self.arrivals))
-
     def to_jsonl(self, path: str | Path) -> None:
         header = {"format": TRACE_FORMAT, "num_requests": self.num_requests,
                   "duration_s": self.duration}

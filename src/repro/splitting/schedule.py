@@ -70,10 +70,6 @@ class HeadSchedule:
     plan: AssignmentPlan
     iterations: int
 
-    @property
-    def total_size_bytes(self) -> int:
-        return sum(f.size_bytes for f in self.footprints)
-
 
 def plan_head_schedule(base: ViTConfig, class_groups: list[list[int]],
                        devices: list[DeviceSpec], memory_budget_bytes: int,

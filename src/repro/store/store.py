@@ -37,7 +37,7 @@ import numpy as np
 from ..nn.modules import Module
 from ..nn.serialization import load_checkpoint, save_checkpoint
 from ..obs.metrics import get_registry
-from ..obs.trace import span
+from ..obs.trace import get_tracer, tracing_enabled
 
 MANIFEST_NAME = "manifest.json"
 OBJECTS_DIR = "objects"
@@ -134,6 +134,16 @@ def recipe_digest(recipe: dict) -> str:
     canonical = json.dumps(recipe, sort_keys=True, separators=(",", ":"),
                            allow_nan=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _emit_span(name: str, ts: float, elapsed: float, attrs: dict,
+               error: BaseException | None = None) -> None:
+    """Emit one store span from the interval the store already timed."""
+    if not tracing_enabled():
+        return
+    if error is not None:
+        attrs["error"] = f"{type(error).__name__}: {error}"
+    get_tracer().emit(name, ts=ts, duration_s=elapsed, attrs=attrs)
 
 
 def _file_sha256(path: Path) -> str:
@@ -264,8 +274,9 @@ class ArtifactStore:
         artifact alone suffices to rebuild the module; ``meta`` is
         free-form JSON shown by ``ls`` (e.g. the full rebuild recipe).
         """
-        t0 = time.perf_counter()
-        with span("store.put", digest=digest[:12], kind=kind):
+        ts, t0 = time.time(), time.perf_counter()
+        attrs = {"digest": digest[:12], "kind": kind}
+        try:
             path = save_checkpoint(model, self.object_path(digest),
                                    config=config)
             now = time.time()
@@ -274,7 +285,12 @@ class ArtifactStore:
                 content_sha256=_file_sha256(path), created_at=now,
                 last_used_at=now, meta=dict(meta or {}))
             self._save_manifest()
-        self._m_put_s.observe(time.perf_counter() - t0)
+        except BaseException as exc:
+            _emit_span("store.put", ts, time.perf_counter() - t0, attrs, exc)
+            raise
+        elapsed = time.perf_counter() - t0
+        self._m_put_s.observe(elapsed)
+        _emit_span("store.put", ts, elapsed, attrs)
         return self._artifacts[digest]
 
     def remove(self, digest: str) -> None:
@@ -308,8 +324,9 @@ class ArtifactStore:
         serving volume) must still warm-boot, so a failed manifest write
         only costs LRU freshness, never the load.
         """
-        t0 = time.perf_counter()
-        with span("store.get", digest=digest[:12]):
+        ts, t0 = time.time(), time.perf_counter()
+        attrs = {"digest": digest[:12]}
+        try:
             info = self.verify(digest)
             state, config = load_checkpoint(self.object_path(digest))
             info.last_used_at = time.time()
@@ -317,8 +334,13 @@ class ArtifactStore:
                 self._save_manifest()
             except OSError:
                 pass                   # read-only store: skip the LRU bump
+        except BaseException as exc:
+            _emit_span("store.get", ts, time.perf_counter() - t0, attrs, exc)
+            raise
+        elapsed = time.perf_counter() - t0
         self._m_hits.inc()
-        self._m_get_s.observe(time.perf_counter() - t0)
+        self._m_get_s.observe(elapsed)
+        _emit_span("store.get", ts, elapsed, attrs)
         return state, config
 
     # -- retention -----------------------------------------------------
@@ -331,30 +353,31 @@ class ArtifactStore:
         retention never breaks a deployed fleet's warm boot.  Returns the
         evicted digests, oldest first.
         """
+        ts, t0 = time.time(), time.perf_counter()
+        # Oldest-used first; pinned digests are never candidates.
+        candidates = [info.digest for info in reversed(self.ls())
+                      if info.digest not in keep]
+
+        def over_budget() -> bool:
+            if max_artifacts is not None and len(self) > max_artifacts:
+                return True
+            if max_bytes is not None and self.total_bytes > max_bytes:
+                return True
+            return False
+
         evicted: list[str] = []
-        with span("store.gc") as gc_span:
-            # Oldest-used first; pinned digests are never candidates.
-            candidates = [info.digest for info in reversed(self.ls())
-                          if info.digest not in keep]
-
-            def over_budget() -> bool:
-                if max_artifacts is not None and len(self) > max_artifacts:
-                    return True
-                if max_bytes is not None and self.total_bytes > max_bytes:
-                    return True
-                return False
-
-            for digest in candidates:
-                if not over_budget():
-                    break
-                self._artifacts.pop(digest, None)
-                try:
-                    self.object_path(digest).unlink()
-                except FileNotFoundError:
-                    pass
-                evicted.append(digest)
-            if evicted:
-                self._save_manifest()
-                self._m_evicted.inc(len(evicted))
-            gc_span.set("evicted", len(evicted))
+        for digest in candidates:
+            if not over_budget():
+                break
+            self._artifacts.pop(digest, None)
+            try:
+                self.object_path(digest).unlink()
+            except FileNotFoundError:
+                pass
+            evicted.append(digest)
+        if evicted:
+            self._save_manifest()
+            self._m_evicted.inc(len(evicted))
+        _emit_span("store.gc", ts, time.perf_counter() - t0,
+                   {"evicted": len(evicted)})
         return evicted

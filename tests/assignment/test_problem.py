@@ -44,10 +44,9 @@ class TestAssignmentPlan:
                               residual_energy={"a": 5.0, "b": 2.0})
         assert plan.objective == 2.0
 
-    def test_device_of_and_models_on(self):
+    def test_models_on(self):
         plan = plan_for({"m0": "d0", "m1": "d0", "m2": "d1"},
                         [device(0), device(1)])
-        assert plan.device_of("m1") == "d0"
         assert sorted(plan.models_on("d0")) == ["m0", "m1"]
 
 

@@ -8,10 +8,10 @@ from repro.core.training import (
     TrainConfig,
     evaluate,
     extract_features,
-    predict_logits,
     predict_probabilities,
     train_classifier,
 )
+from repro.core.inference import predict
 
 
 def linear_problem(n=80, dim=4, seed=0):
@@ -70,13 +70,13 @@ class TestInference:
     def test_predict_logits_shape(self):
         x, y = linear_problem()
         model = small_mlp()
-        assert predict_logits(model, x).shape == (len(x), 2)
+        assert predict(model, x).shape == (len(x), 2)
 
     def test_predict_batching_consistent(self):
         x, _ = linear_problem()
         model = small_mlp()
-        a = predict_logits(model, x, batch_size=7)
-        b = predict_logits(model, x, batch_size=64)
+        a = predict(model, x, batch_size=7)
+        b = predict(model, x, batch_size=64)
         np.testing.assert_allclose(a, b, atol=1e-5)
 
     def test_probabilities_normalized(self):

@@ -256,7 +256,7 @@ class TestTcpTransport:
         the peer's delayed ACK of the header, in each direction."""
         transport = TcpTransport()
         spec, _ = make_worker("echo")
-        handle = transport.spawn(spec, echo_worker)
+        handle, = transport.launch([spec], echo_worker)
         try:
             assert handle.poll(30.0)
             assert handle.recv() != 0              # worker (dialled) end

@@ -116,7 +116,7 @@ if __name__ == "__main__":
     transport, _, scenario = sys.argv[1:]
     x = np.ones((2, 3, 8, 8), dtype=np.float32)
     if scenario == "stand-in":
-        handle = get_transport(transport).spawn(specs()[0], stand_in)
+        handle, = get_transport(transport).launch(specs()[:1], stand_in)
         assert handle.poll(30)
         print("stand-in sees", handle.recv()[1])
         handle.join(timeout=10)

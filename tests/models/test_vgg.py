@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.models.vgg import VGG, VGGConfig, vgg11_tiny_config, vgg16_config
+from repro.models.vgg import VGG, VGGConfig, vgg11_tiny_config
 
 RNG = np.random.default_rng(0)
 
@@ -27,7 +27,7 @@ class TestConfig:
         assert min(e for e in cfg.scaled_plan() if e != "M") >= 1
 
     def test_dict_roundtrip(self):
-        cfg = vgg16_config(num_classes=7)
+        cfg = VGGConfig(plan="vgg16", num_classes=7, name="vgg16")
         assert VGGConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_too_small_image_raises(self):
@@ -65,19 +65,13 @@ class TestForward:
         missing = [n for n, p in model.named_parameters() if p.grad is None]
         assert not missing
 
-    def test_param_count_matches_analytic(self):
-        from repro.profiling import vgg_param_count
-
-        cfg = vgg11_tiny_config(num_classes=5, image_size=32, width_scale=0.25)
-        assert VGG(cfg).num_parameters() == vgg_param_count(cfg)
-
     def test_width_scale_shrinks_model(self):
         wide = VGG(vgg11_tiny_config(width_scale=0.5))
         narrow = VGG(vgg11_tiny_config(width_scale=0.25))
         assert narrow.num_parameters() < wide.num_parameters()
 
     def test_vgg16_plan_has_13_convs(self):
-        cfg = vgg16_config(image_size=32, width_scale=0.0625)
+        cfg = VGGConfig(plan="vgg16", image_size=32, width_scale=0.0625)
         model = VGG(cfg)
         convs = [m for m in model.features if isinstance(m, nn.Conv2d)]
         assert len(convs) == 13

@@ -13,7 +13,6 @@ from repro.models.vit import (
     STANDARD_CONFIGS,
     ViTConfig,
     VisionTransformer,
-    build_vit,
     vit_base_config,
     vit_large_config,
     vit_small_config,
@@ -112,13 +111,6 @@ class TestForward:
         x = nn.Tensor(RNG.normal(size=(2, 3, 8, 8)).astype(np.float32))
         assert model(x).shape == (2, 5)
 
-    def test_replace_head(self):
-        model = VisionTransformer(tiny_cfg(), rng=RNG)
-        model.replace_head(3)
-        assert model.config.num_classes == 3
-        x = nn.Tensor(RNG.normal(size=(1, 3, 8, 8)).astype(np.float32))
-        assert model(x).shape == (1, 3)
-
 
 class TestAttention:
     def test_attention_weights_are_distributions(self):
@@ -188,14 +180,6 @@ class TestAttention:
 
 
 class TestBuilders:
-    def test_build_by_name(self):
-        model = build_vit("vit-tiny", num_classes=4, image_size=16)
-        assert model.config.num_classes == 4
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            build_vit("vit-giant")
-
     def test_standard_configs_registered(self):
         assert set(STANDARD_CONFIGS) == {"vit-small", "vit-base", "vit-large",
                                          "vit-tiny"}

@@ -142,7 +142,7 @@ class TestServedWeightsAreNeverStale:
         model = _vit()
         x = _images(model, 3)
         before = _serve(model, x, backend)
-        optimizer = nn.SGD(model.parameters(), lr=0.5)
+        optimizer = nn.Adam(model.parameters(), lr=1e-2)
         model.train()
         loss = nn.cross_entropy(model(nn.Tensor(x)), np.array([0, 1, 2]))
         loss.backward()

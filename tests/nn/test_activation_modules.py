@@ -1,31 +1,20 @@
 """Activation-module wrappers and remaining module coverage."""
 
 import numpy as np
-import pytest
 
 from repro import nn
-from repro.nn import ops
 
 
 RNG = np.random.default_rng(3)
 
 
 class TestActivationModules:
-    def test_gelu_module_matches_functional(self):
-        x = nn.Tensor(RNG.normal(size=(4, 4)).astype(np.float32))
-        np.testing.assert_array_equal(nn.GELU()(x).data, ops.gelu(x).data)
-
     def test_relu_module_matches_method(self):
         x = nn.Tensor(RNG.normal(size=(4, 4)).astype(np.float32))
         np.testing.assert_array_equal(nn.ReLU()(x).data, x.relu().data)
 
-    def test_tanh_module_matches_numpy(self):
-        x = nn.Tensor(RNG.normal(size=(4,)).astype(np.float32))
-        np.testing.assert_allclose(nn.Tanh()(x).data, np.tanh(x.data),
-                                   rtol=1e-6)
-
     def test_activations_have_no_parameters(self):
-        for module in (nn.GELU(), nn.ReLU(), nn.Tanh(), nn.Identity()):
+        for module in (nn.ReLU(), nn.Flatten(), nn.Dropout(0.5)):
             assert module.num_parameters() == 0
 
 
@@ -63,18 +52,6 @@ class TestPoolModules:
         out = nn.MaxPool2d(2, stride=2)(x)
         assert out.shape == (1, 1, 3, 3)
 
-    def test_adaptive_avg_pool_global(self):
-        x = nn.Tensor(RNG.normal(size=(2, 3, 4, 4)).astype(np.float32))
-        out = ops.adaptive_avg_pool2d(x, 1)
-        assert out.shape == (2, 3, 1, 1)
-        np.testing.assert_allclose(out.data[..., 0, 0],
-                                   x.data.mean(axis=(2, 3)), rtol=1e-5)
-
-    def test_adaptive_avg_pool_non_global_unsupported(self):
-        x = nn.Tensor(np.zeros((1, 1, 4, 4)))
-        with pytest.raises(NotImplementedError):
-            ops.adaptive_avg_pool2d(x, 2)
-
 
 class TestInitializers:
     def test_trunc_normal_bounded(self):
@@ -82,19 +59,3 @@ class TestInitializers:
 
         out = trunc_normal(np.random.default_rng(0), (1000,), std=0.02)
         assert np.abs(out).max() <= 0.04 + 1e-6
-
-    def test_xavier_uniform_bounded(self):
-        from repro.nn.init import xavier_uniform
-
-        out = xavier_uniform(np.random.default_rng(0), (64, 64))
-        bound = np.sqrt(6.0 / 128)
-        assert np.abs(out).max() <= bound + 1e-6
-
-    def test_seed_all_resets_default(self):
-        from repro.nn.init import default_rng, seed_all
-
-        seed_all(123)
-        a = default_rng().normal(size=3)
-        seed_all(123)
-        b = default_rng().normal(size=3)
-        np.testing.assert_array_equal(a, b)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.nn import ops
 from repro.nn.backend import (
+    ACTIVATIONS,
     GELU_CHUNK,
     ArrayBackend,
     Workspace,
+    apply_activation,
     get_backend,
     scratch,
     use_backend,
@@ -201,8 +204,6 @@ def test_workspace_nbytes_totals_across_threads():
     assert threading.get_ident() in breakdown
     ws.clear()                                # current thread only
     assert ws.nbytes() == 64
-    ws.clear_all()
-    assert ws.nbytes() == 0 and ws.per_thread() == {}
 
 
 def test_scratch_without_workspace_allocates_fresh():
@@ -230,13 +231,18 @@ def b() -> ArrayBackend:
     return ArrayBackend()
 
 
-def test_gelu_kernel_matches_reference(b):
+def test_no_grad_gelu_is_the_epilogue_and_matches_reference():
+    """``ops.gelu`` without a graph runs the one GELU kernel,
+    ``apply_activation("gelu")``, on a copy of its input."""
     x = np.random.default_rng(0).normal(size=(5, 7)).astype(np.float32)
     ref = 0.5 * x * (1.0 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x ** 3)))
-    np.testing.assert_allclose(b.gelu(x), ref, rtol=1e-6, atol=1e-7)
+    with nn.no_grad():
+        out = ops.gelu(nn.Tensor(x)).data
+    np.testing.assert_array_equal(out, apply_activation("gelu", x.copy()))
+    np.testing.assert_allclose(out, ref, rtol=1e-6, atol=1e-7)
 
 
-def test_gelu_epilogue_matches_the_tanh_form_without_warnings(b):
+def test_gelu_epilogue_matches_the_tanh_form_without_warnings():
     """``apply_activation("gelu")`` is the sigmoid form x / (1 + exp(-2u))
     of the same function; far in the negative tail exp overflows to inf,
     which must come out as (minus) zero and raise no warning."""
@@ -248,8 +254,8 @@ def test_gelu_epilogue_matches_the_tanh_form_without_warnings(b):
     ref = 0.5 * x64 * (1.0 + np.tanh(np.sqrt(2 / np.pi)
                                       * (x64 + 0.044715 * x64 ** 3)))
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        out = b.apply_activation("gelu", x.copy())
-        out_tmp = b.apply_activation("gelu", x.copy(), tmp=np.empty_like(x))
+        out = apply_activation("gelu", x.copy())
+        out_tmp = apply_activation("gelu", x.copy(), tmp=np.empty_like(x))
     np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-6)
     np.testing.assert_array_equal(out, out_tmp)
 
@@ -261,21 +267,53 @@ def test_gelu_epilogue_matches_the_tanh_form_without_warnings(b):
     (2 * GELU_CHUNK + 5,),             # a ragged tail
     (3, 65, 768),                      # a batch-3 serving-shape hidden layer
 ])
-def test_gelu_without_scratch_equals_the_full_scratch_path(b, shape):
+def test_gelu_without_scratch_equals_the_full_scratch_path(shape):
     x = (np.random.default_rng(1).normal(size=shape) * 4.0).astype(
         np.float32)
-    full = b.apply_activation("gelu", x.copy(), tmp=np.empty_like(x))
-    chunked = b.apply_activation("gelu", x.copy())
+    full = apply_activation("gelu", x.copy(), tmp=np.empty_like(x))
+    chunked = apply_activation("gelu", x.copy())
     assert np.array_equal(chunked, full)
 
 
-def test_gelu_on_a_strided_view_is_applied_in_place(b):
+def test_gelu_on_a_strided_view_is_applied_in_place():
     x = np.random.default_rng(2).normal(size=(6, 8)).astype(np.float32)
-    expected = b.apply_activation("gelu", x[:, ::2].copy())
+    expected = apply_activation("gelu", x[:, ::2].copy())
     out = x.copy()
-    b.apply_activation("gelu", out[:, ::2])
+    apply_activation("gelu", out[:, ::2])
     assert np.array_equal(out[:, ::2], expected)
     assert np.array_equal(out[:, 1::2], x[:, 1::2])
+
+
+@pytest.mark.parametrize("name, reference", [
+    ("relu", lambda x: np.maximum(x, 0.0)),
+    ("sigmoid", lambda x: 1.0 / (1.0 + np.exp(-x))),
+    ("tanh", np.tanh),
+])
+def test_epilogue_activations_are_applied_in_place(name, reference):
+    x = np.random.default_rng(7).normal(size=(3, 11)).astype(np.float32)
+    buf = x.copy()
+    out = apply_activation(name, buf)
+    assert out is buf
+    np.testing.assert_allclose(buf, reference(x), rtol=1e-6, atol=1e-7)
+
+
+def test_unknown_epilogue_activation_raises():
+    with pytest.raises(ValueError, match="unknown activation"):
+        apply_activation("swish", np.zeros(3, dtype=np.float32))
+    assert "swish" not in ACTIVATIONS
+
+
+@pytest.mark.parametrize("activation", [None, *ACTIVATIONS])
+def test_linear_act_is_linear_then_the_epilogue(b, activation):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2, 4, 6)).astype(np.float32)
+    w = rng.normal(size=(5, 6)).astype(np.float32)
+    bias = rng.normal(size=5).astype(np.float32)
+    expected = b.linear(x, w, bias)
+    if activation is not None:
+        apply_activation(activation, expected)
+    np.testing.assert_array_equal(
+        b.linear_act(x, w, bias, activation=activation), expected)
 
 
 def test_conv_lowering_einsum_is_a_plain_matmul(b, monkeypatch):
@@ -341,6 +379,21 @@ def test_conv_im2col_roundtrip_shapes(b):
     assert cols2.base is buf or cols2 is buf
 
 
-def test_one_hot_kernel(b):
-    out = b.one_hot(np.array([0, 2, 1]), 3)
+@pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 0),
+                                            (2, 2, 0), (3, 2, 1)])
+def test_col2im_is_the_adjoint_of_im2col(b, k, stride, pad):
+    """The conv/pool backward scatter is the transpose of the forward
+    gather: <im2col(x), y> == <x, col2im(y)> for any x and y."""
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(2, 3, 7, 7))
+    cols, _, _ = b.conv_im2col(x, k, k, stride=stride, pad=pad)
+    y = rng.normal(size=cols.shape)
+    back = ops._col2im(y, x.shape, k, k, stride, pad)
+    assert back.shape == x.shape
+    np.testing.assert_allclose(np.vdot(cols, y), np.vdot(x, back),
+                               rtol=1e-10)
+
+
+def test_one_hot():
+    out = ops.one_hot(np.array([0, 2, 1]), 3)
     np.testing.assert_array_equal(out, np.eye(3, dtype=np.float32)[[0, 2, 1]])

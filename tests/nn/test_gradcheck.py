@@ -51,9 +51,6 @@ class TestElementwiseGrads:
     def test_tanh(self):
         _assert_grad(lambda t: t.tanh().sum(), RNG.normal(size=(3, 3)))
 
-    def test_sigmoid(self):
-        _assert_grad(lambda t: t.sigmoid().sum(), RNG.normal(size=(3, 3)))
-
     def test_relu_away_from_kink(self):
         x = RNG.normal(size=(4, 4))
         x[np.abs(x) < 0.1] = 0.5

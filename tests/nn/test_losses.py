@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.losses import accuracy, cross_entropy, kl_divergence, mse
+from repro.nn.losses import accuracy, cross_entropy, kl_divergence
 from repro.nn.tensor import Tensor
 
 
@@ -47,16 +47,6 @@ class TestCrossEntropy:
         logits = Tensor(np.array([[1e4, -1e4]], dtype=np.float32))
         loss = cross_entropy(logits, np.array([0]))
         assert np.isfinite(loss.item())
-
-
-class TestMSE:
-    def test_zero_for_identical(self):
-        pred = Tensor(np.ones((3, 2)))
-        assert mse(pred, np.ones((3, 2))).item() == pytest.approx(0.0)
-
-    def test_value(self):
-        pred = Tensor(np.zeros((1, 2)))
-        assert mse(pred, np.array([[2.0, 0.0]])).item() == pytest.approx(2.0)
 
 
 class TestKLDivergence:

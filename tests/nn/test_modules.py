@@ -170,10 +170,6 @@ class TestLayerForward:
     def test_flatten(self):
         assert nn.Flatten()(nn.Tensor(np.zeros((2, 3, 4)))).shape == (2, 12)
 
-    def test_identity(self):
-        x = nn.Tensor(np.ones(3))
-        assert nn.Identity()(x) is x
-
     def test_sequential_iteration_and_len(self):
         model = nn.Sequential(nn.Linear(2, 2), nn.ReLU())
         assert len(model) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.optim import Adam, DecayingLR, SGD, clip_grad_norm
+from repro.nn.optim import Adam, DecayingLR, clip_grad_norm
 
 
 def quadratic_param(value=5.0):
@@ -20,37 +20,16 @@ def step_quadratic(opt, param, steps):
     return float(param.data[0])
 
 
-class TestSGD:
-    def test_minimizes_quadratic(self):
-        p = quadratic_param()
-        final = step_quadratic(SGD([p], lr=0.1), p, 50)
-        assert abs(final) < 1e-3
-
-    def test_momentum_accelerates(self):
-        p1, p2 = quadratic_param(), quadratic_param()
-        plain = step_quadratic(SGD([p1], lr=0.01), p1, 20)
-        momentum = step_quadratic(SGD([p2], lr=0.01, momentum=0.9), p2, 20)
-        assert abs(momentum) < abs(plain)
-
-    def test_weight_decay_shrinks_param(self):
-        p = nn.Parameter(np.array([1.0], dtype=np.float32))
-        opt = SGD([p], lr=0.1, weight_decay=1.0)
-        # zero loss gradient; decay alone should shrink the weight
-        p.grad = np.zeros(1, dtype=np.float32)
-        opt.step()
-        assert p.data[0] < 1.0
-
+class TestAdam:
     def test_skips_params_without_grad(self):
         p = quadratic_param()
-        SGD([p], lr=0.1).step()  # no backward called; should not crash
+        Adam([p], lr=0.1).step()  # no backward called; should not crash
         assert p.data[0] == pytest.approx(5.0)
 
     def test_empty_params_raises(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
-
-class TestAdam:
     def test_minimizes_quadratic(self):
         p = quadratic_param()
         final = step_quadratic(Adam([p], lr=0.5), p, 200)
@@ -122,15 +101,17 @@ class TestSharedParameters:
 
     def test_duplicates_are_dropped_preserving_order(self):
         a, b = quadratic_param(1.0), quadratic_param(2.0)
-        opt = SGD([a, b, a, b, a], lr=0.1)
+        opt = Adam([a, b, a, b, a], lr=0.1)
         assert [id(p) for p in opt.params] == [id(a), id(b)]
 
-    def test_sgd_steps_shared_param_once(self):
+    def test_steps_shared_param_once(self):
         shared, solo = quadratic_param(5.0), quadratic_param(5.0)
         # Emulate concatenating sub-model and fusion param lists that
-        # share a module: the shared param appears twice.
-        opt_shared = SGD([shared, shared], lr=0.1)
-        opt_solo = SGD([solo], lr=0.1)
+        # share a module: the shared param appears twice.  Adam's first
+        # step moves a parameter by lr whatever its gradient, so a second
+        # step shows as a second lr.
+        opt_shared = Adam([shared, shared], lr=0.1)
+        opt_solo = Adam([solo], lr=0.1)
         for opt, p in ((opt_shared, shared), (opt_solo, solo)):
             loss = (p * p).sum()
             opt.zero_grad()
@@ -153,5 +134,5 @@ class TestSharedParameters:
 
     def test_equal_valued_distinct_params_both_kept(self):
         a, b = quadratic_param(3.0), quadratic_param(3.0)
-        opt = SGD([a, b], lr=0.1)
+        opt = Adam([a, b], lr=0.1)
         assert len(opt.params) == 2      # identity, not value, dedup

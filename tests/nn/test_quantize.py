@@ -56,7 +56,7 @@ def test_quantize_array_rejects_vectors():
 # Module surgery
 # ----------------------------------------------------------------------
 def _mlp(rng):
-    return nn.Sequential(nn.Linear(8, 16, rng=rng), nn.GELU(),
+    return nn.Sequential(nn.Linear(8, 16, rng=rng), nn.ReLU(),
                          nn.Linear(16, 4, rng=rng))
 
 

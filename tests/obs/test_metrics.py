@@ -28,7 +28,7 @@ class TestGauge:
         g = Gauge()
         g.set(5)
         g.inc(2)
-        g.dec(4)
+        g.inc(-4)
         assert g.value == 3.0
         assert g.snapshot()["type"] == "gauge"
 

@@ -5,14 +5,12 @@ import threading
 import pytest
 
 from repro.obs import (
-    NOOP_SPAN,
     SpanRecord,
     Tracer,
     disable_tracing,
     enable_tracing,
     get_tracer,
     new_span_id,
-    span,
     span_dict,
     tracing_enabled,
 )
@@ -35,94 +33,68 @@ class TestSpanIds:
 
 
 class TestGlobalSwitch:
-    def test_disabled_span_is_shared_noop(self):
-        assert not tracing_enabled()
-        s = span("anything", foo=1)
-        assert s is NOOP_SPAN
-        with s as inner:
-            inner.set("key", "value")   # must be a silent no-op
-
     def test_enable_returns_fresh_tracer(self):
         first = enable_tracing()
-        with span("a"):
-            pass
+        first.emit("a")
         second = enable_tracing()
         assert second is get_tracer() and second is not first
         assert len(second) == 0 and len(first) == 1
 
     def test_disable_keeps_spans_readable(self):
         enable_tracing()
-        with span("kept"):
-            pass
+        get_tracer().emit("kept")
         disable_tracing()
+        assert not tracing_enabled()
         assert [s.name for s in get_tracer().spans()] == ["kept"]
-        assert span("dropped") is NOOP_SPAN
 
 
-class TestLiveSpans:
-    def test_records_name_timing_attrs(self):
-        tracer = enable_tracing()
-        with span("work", trace_id=7, size=3) as live:
-            live.set("extra", True)
-        (record,) = tracer.spans()
-        assert record.name == "work" and record.trace_id == 7
-        assert record.attrs == {"size": 3, "extra": True}
-        assert record.process == "server"
-        assert record.duration_s >= 0 and record.ts > 0
-        assert record.parent_id is None
+class TestEmit:
+    def test_records_the_given_measurement(self):
+        tracer = Tracer()
+        attrs = {"samples": 2}
+        record = tracer.emit("batch.fuse", trace_id=7, span_id="s-9",
+                             parent_id="s-1", ts=1234.5, duration_s=0.125,
+                             process="w1", thread="t", attrs=attrs)
+        assert tracer.spans() == [record]
+        assert (record.name, record.trace_id, record.span_id,
+                record.parent_id) == ("batch.fuse", 7, "s-9", "s-1")
+        assert (record.process, record.thread) == ("w1", "t")
+        assert record.ts == 1234.5 and record.duration_s == 0.125
+        attrs["samples"] = 99                # the span keeps its own copy
+        assert record.attrs == {"samples": 2}
 
-    def test_nesting_sets_parent_and_inherits_trace(self):
-        tracer = enable_tracing()
-        with span("outer", trace_id=42) as outer:
-            with span("inner"):
-                pass
-        inner, recorded_outer = tracer.spans()
-        assert recorded_outer.span_id == outer.span_id
-        assert inner.parent_id == outer.span_id
-        assert inner.trace_id == 42      # inherited from the open parent
+    def test_thread_defaults_to_the_emitting_thread(self):
+        tracer = Tracer()
+        worker = threading.Thread(target=lambda: tracer.emit("a"),
+                                  name="emitter-1")
+        worker.start()
+        worker.join()
+        assert [s.thread for s in tracer.spans()] == ["emitter-1"]
 
-    def test_exception_captured_and_reraised(self):
-        tracer = enable_tracing()
-        with pytest.raises(ValueError):
-            with span("boom"):
-                raise ValueError("bad")
-        (record,) = tracer.spans()
-        assert record.attrs["error"] == "ValueError: bad"
+    def test_concurrent_emits_are_all_kept(self):
+        tracer = Tracer()
+        barrier = threading.Barrier(4)
 
-    def test_stacks_are_per_thread(self):
-        tracer = enable_tracing()
-        seen = {}
+        def emit_many(i):
+            barrier.wait()
+            for j in range(200):
+                tracer.emit(f"t{i}", attrs={"j": j})
 
-        def other():
-            with span("thread-span") as s:
-                seen["parent"] = s.parent_id
-
-        with span("main-span"):
-            t = threading.Thread(target=other)
+        threads = [threading.Thread(target=emit_many, args=(i,))
+                   for i in range(4)]
+        for t in threads:
             t.start()
+        for t in threads:
             t.join()
-        # The other thread must NOT parent onto this thread's open span.
-        assert seen["parent"] is None
-        assert len(tracer.spans()) == 2
+        spans = tracer.spans()
+        assert len(spans) == 800 and tracer.dropped == 0
+        assert len({s.span_id for s in spans}) == 800
+        for i in range(4):                   # each thread's order survives
+            assert [s.attrs["j"] for s in spans if s.name == f"t{i}"] == \
+                list(range(200))
 
 
 class TestPropagation:
-    def test_activate_adopts_remote_context(self):
-        tracer = enable_tracing()
-        with tracer.activate("trace-9", "remote-span"):
-            with span("child"):
-                pass
-        (child,) = tracer.spans()
-        assert child.trace_id == "trace-9"
-        assert child.parent_id == "remote-span"
-
-    def test_current_context_wire_shape(self):
-        tracer = enable_tracing()
-        assert tracer.current_context() is None
-        with span("open", trace_id=5) as live:
-            assert tracer.current_context() == \
-                {"trace_id": 5, "parent_id": live.span_id}
-
     def test_span_dict_roundtrip(self):
         tracer = enable_tracing()
         wire = span_dict("worker.forward", 3, "w-1", "s-1", "w0",
@@ -133,6 +105,20 @@ class TestPropagation:
         assert record.process == "w0" and record.parent_id == "s-1"
         assert record.ts == 1000.0 and record.duration_s == 0.25
         assert record.attrs == {"samples": 4}
+
+    def test_record_roundtrips_through_its_dict(self):
+        record = Tracer(process="w2").emit("worker.decode", trace_id="r-3",
+                                           parent_id="s-1", duration_s=0.5,
+                                           attrs={"bytes": 10})
+        assert SpanRecord.from_dict(record.to_dict()) == record
+
+    def test_from_dict_fills_optional_fields(self):
+        record = SpanRecord.from_dict({"name": "x", "span_id": 5, "ts": 1,
+                                       "duration_s": 2})
+        assert record.span_id == "5" and record.trace_id is None
+        assert record.parent_id is None and record.process == "server"
+        assert record.thread == "" and record.attrs == {}
+        assert record.ts == 1.0 and record.duration_s == 2.0
 
 
 class TestRingBuffer:
@@ -146,6 +132,14 @@ class TestRingBuffer:
             tracer.emit(f"s{i}")
         assert [s.name for s in tracer.spans()] == ["s2", "s3", "s4"]
         assert tracer.dropped == 2
+
+    def test_wrapped_ring_drains_oldest_first_and_refills(self):
+        tracer = Tracer(capacity=2)
+        for i in range(3):
+            tracer.emit(f"s{i}")
+        assert [s.name for s in tracer.drain()] == ["s1", "s2"]
+        tracer.emit("s3")
+        assert [s.name for s in tracer.spans()] == ["s3"]
 
     def test_drain_empties_buffer(self):
         tracer = Tracer()

@@ -53,12 +53,11 @@ class TestLookups:
         with pytest.raises(KeyError):
             plan.device("nope")
 
-    def test_models_on_and_device_of(self):
+    def test_models_on(self):
         plan = make_plan(num_devices=1,
                          mapping={"submodel-0": "edge-0",
                                   "submodel-1": "edge-0"})
         assert plan.models_on("edge-0") == ["submodel-0", "submodel-1"]
-        assert plan.device_of("submodel-1") == "edge-0"
 
     def test_feature_dims(self):
         assert make_plan().feature_dims() == {"submodel-0": 8,
@@ -132,12 +131,6 @@ class TestSerialization:
 
 
 class TestDerivedViews:
-    def test_assignment_plan_residuals(self):
-        plan = make_plan()
-        residuals = plan.assignment_plan()
-        assert residuals.residual_memory["edge-0"] == 10_000 - 1000
-        assert residuals.residual_energy["edge-1"] == pytest.approx(1e9 - 1e6)
-
     def test_deployment_spec_simulates(self):
         plan = make_plan()
         result = simulate_inference(plan.deployment_spec(), num_samples=2)

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.models.vit import ViTConfig, vit_base_config, vit_large_config, vit_small_config
-from repro.profiling.flops import (
-    detailed_flops,
-    fusion_flops,
-    mlp_flops,
-    paper_flops,
-    paper_flops_breakdown,
-)
+from repro.profiling.flops import _breakdown, fusion_flops, mlp_flops, paper_flops
 
 
 class TestPaperAnchors:
@@ -43,26 +37,14 @@ class TestPaperAnchors:
 
 class TestBreakdownStructure:
     def test_total_is_sum_of_parts(self):
-        bd = paper_flops_breakdown(vit_base_config())
+        bd = _breakdown(vit_base_config())
         parts = (bd.patch_embed + bd.attention_qkv + bd.attention_scores
-                 + bd.attention_output_proj + bd.ffn + bd.head)
-        assert bd.total == parts
-
-    def test_paper_mode_excludes_output_proj(self):
-        bd = paper_flops_breakdown(vit_base_config())
-        assert bd.attention_output_proj == 0
-
-    def test_detailed_exceeds_paper(self):
-        cfg = vit_base_config()
-        assert detailed_flops(cfg) > paper_flops(cfg)
+                 + bd.ffn + bd.head)
+        assert bd.total == parts == paper_flops(vit_base_config())
 
     def test_ffn_dominates_vit_base(self):
-        bd = paper_flops_breakdown(vit_base_config())
+        bd = _breakdown(vit_base_config())
         assert bd.ffn > bd.attention_qkv > bd.attention_scores
-
-    def test_as_dict_has_total(self):
-        d = paper_flops_breakdown(vit_base_config()).as_dict()
-        assert d["total"] == paper_flops(vit_base_config())
 
 
 class TestScaling:
@@ -77,7 +59,7 @@ class TestScaling:
     def test_linear_in_depth(self):
         d12 = paper_flops(vit_base_config())
         d24 = paper_flops(ViTConfig(depth=24, embed_dim=768, num_heads=12))
-        blocks12 = d12 - paper_flops_breakdown(vit_base_config()).patch_embed
+        blocks12 = d12 - _breakdown(vit_base_config()).patch_embed
         assert (d24 - d12) == pytest.approx(blocks12
                                             - vit_base_config().embed_dim * 1000,
                                             rel=1e-6)

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.models.vgg import VGG, vgg11_tiny_config
 from repro.models.vit import ViTConfig, VisionTransformer, vit_base_config, vit_large_config, vit_small_config
 from repro.profiling.memory import (
     module_param_count,
     module_size_mb,
     param_bytes,
     size_mb,
-    vgg_param_count,
     vit_param_count,
 )
 
@@ -53,17 +51,6 @@ class TestAnalyticMatchesInstantiated:
         cfg = ViTConfig(image_size=8, patch_size=4, num_classes=3, depth=2,
                         embed_dim=16, num_heads=2, attn_dim=8, mlp_hidden=24)
         assert VisionTransformer(cfg).num_parameters() == vit_param_count(cfg)
-
-    def test_vgg(self):
-        cfg = vgg11_tiny_config(num_classes=4, image_size=32, width_scale=0.25)
-        assert VGG(cfg).num_parameters() == vgg_param_count(cfg)
-
-    def test_vgg_without_batchnorm(self):
-        import dataclasses
-
-        cfg = dataclasses.replace(vgg11_tiny_config(image_size=32),
-                                  batch_norm=False)
-        assert VGG(cfg).num_parameters() == vgg_param_count(cfg)
 
     def test_module_helpers(self):
         cfg = ViTConfig(image_size=8, patch_size=4, num_classes=3, depth=1,

@@ -220,6 +220,19 @@ class TestBadRequests:
             np.testing.assert_array_equal(
                 good.result(30.0), system.local_fused_labels(good.x))
 
+    def test_empty_request_rejected_at_submit(self, system):
+        """A zero-sample request is refused at admission and counted as
+        dropped, not sent to every worker to fail after a round trip."""
+        from repro.serving import RequestError
+
+        with make_server(system) as server:
+            empty = np.zeros((0,) + server._input_shape, dtype=np.float32)
+            with pytest.raises(RequestError, match="non-empty"):
+                server.submit(empty)
+            assert server.dropped == 1
+            report = server.stats()
+        assert report.failed == 0
+
     def test_all_workers_erroring_fails_batch_but_not_fleet(self, system):
         from repro.serving import RequestError
 

@@ -44,14 +44,6 @@ class TestArrivalTrace:
         with pytest.raises(ValueError):
             trace.split_round_robin(0)
 
-    def test_rescaled(self):
-        trace = ArrivalTrace((0.0, 2.0, 4.0))
-        faster = trace.rescaled(2.0)
-        assert faster.arrivals == (0.0, 1.0, 2.0)
-        assert faster.mean_rps == pytest.approx(2 * trace.mean_rps)
-        with pytest.raises(ValueError):
-            trace.rescaled(0.0)
-
     def test_jsonl_round_trip(self, tmp_path):
         trace = poisson_trace(50, 5, seed=3)
         path = tmp_path / "trace.jsonl"

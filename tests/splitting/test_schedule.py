@@ -58,21 +58,21 @@ class TestScheduleLoop:
                                       memory_budget_bytes=180 * MB,
                                       num_samples=1)
         assert schedule.hps == [6, 6]
-        assert schedule.total_size_bytes <= 180 * MB
+        assert sum(f.size_bytes for f in schedule.footprints) <= 180 * MB
 
     def test_paper_budget_n3_prunes_more(self):
         schedule = plan_head_schedule(self.base(), self.groups(3), pi_fleet(3),
                                       memory_budget_bytes=180 * MB,
                                       num_samples=1)
         assert all(hp > 6 for hp in schedule.hps)
-        assert schedule.total_size_bytes <= 180 * MB
+        assert sum(f.size_bytes for f in schedule.footprints) <= 180 * MB
 
     def test_tight_budget_forces_aggressive_pruning(self):
         schedule = plan_head_schedule(self.base(), self.groups(10),
                                       pi_fleet(10),
                                       memory_budget_bytes=100 * MB,
                                       num_samples=1)
-        assert schedule.total_size_bytes <= 100 * MB
+        assert sum(f.size_bytes for f in schedule.footprints) <= 100 * MB
         assert len(schedule.hps) == 10
 
     def test_impossible_budget_raises(self):

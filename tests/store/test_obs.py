@@ -5,7 +5,12 @@ import pytest
 
 from repro import nn
 from repro.obs import disable_tracing, enable_tracing, get_registry, get_tracer
-from repro.store import ArtifactStore, recipe_digest
+from repro.store import (
+    ArtifactCorrupt,
+    ArtifactMissing,
+    ArtifactStore,
+    recipe_digest,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -83,3 +88,74 @@ class TestStoreSpans:
         disable_tracing()
         store.put(recipe_digest({"seed": 0}), small_model())
         assert len(get_tracer()) == 0
+
+    def test_get_span_is_the_histograms_measurement(self, tmp_path):
+        """One clock: the span's duration is the interval the
+        ``store.get_seconds`` histogram observed, not a second timing."""
+        store = ArtifactStore(tmp_path)
+        digest = recipe_digest({"seed": 0})
+        store.put(digest, small_model())
+        histogram = get_registry().histogram("store.get_seconds")
+        enable_tracing()
+        before = histogram.sum
+        store.get(digest)
+        (span,) = get_tracer().spans()
+        assert span.name == "store.get"
+        assert span.duration_s == pytest.approx(histogram.sum - before,
+                                                rel=0, abs=1e-12)
+
+    def test_corrupt_get_records_its_span_and_raises(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        digest = recipe_digest({"seed": 0})
+        store.put(digest, small_model())
+        store.object_path(digest).write_bytes(b"not a checkpoint")
+        enable_tracing()
+        with pytest.raises(ArtifactCorrupt):
+            store.get(digest)
+        (span,) = get_tracer().spans()
+        assert span.name == "store.get"
+        assert span.attrs["digest"] == digest[:12]
+        assert span.attrs["error"].startswith("ArtifactCorrupt")
+
+    def test_put_span_is_the_histograms_measurement(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        histogram = get_registry().histogram("store.put_seconds")
+        enable_tracing()
+        before = histogram.sum
+        store.put(recipe_digest({"seed": 0}), small_model())
+        (span,) = get_tracer().spans()
+        assert span.name == "store.put"
+        assert span.duration_s == pytest.approx(histogram.sum - before,
+                                                rel=0, abs=1e-12)
+
+    def test_missing_get_records_its_span_and_observes_nothing(self,
+                                                               tmp_path):
+        store = ArtifactStore(tmp_path)
+        digest = recipe_digest({"seed": 1})
+        histogram = get_registry().histogram("store.get_seconds")
+        count_before = histogram.count
+        enable_tracing()
+        with pytest.raises(ArtifactMissing):
+            store.get(digest)
+        (span,) = get_tracer().spans()
+        assert span.name == "store.get"
+        assert span.attrs["error"].startswith("ArtifactMissing")
+        assert histogram.count == count_before
+
+    def test_failed_put_records_its_span_and_raises(self, tmp_path,
+                                                    monkeypatch):
+        import repro.store.store as store_module
+
+        def refuse(*args, **kwargs):
+            raise OSError("disk full")
+
+        store = ArtifactStore(tmp_path)
+        monkeypatch.setattr(store_module, "save_checkpoint", refuse)
+        enable_tracing()
+        with pytest.raises(OSError, match="disk full"):
+            store.put(recipe_digest({"seed": 0}), small_model(), kind="mlp")
+        (span,) = get_tracer().spans()
+        assert span.name == "store.put"
+        assert span.attrs == {"digest": recipe_digest({"seed": 0})[:12],
+                              "kind": "mlp", "error": "OSError: disk full"}
+        assert len(store) == 0

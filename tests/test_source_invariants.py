@@ -19,7 +19,14 @@ of what it flags and the nearest pattern it must leave alone:
 * **no unturned knobs** (KNOB001): every field of ``PlannerConfig``,
   ``TrainConfig`` and ``PruneConfig`` is passed by keyword to its class
   somewhere in ``src/``, ``examples/`` or ``benchmarks/`` outside tests
-  and outside the class's own body.  A value nothing sets is a constant.
+  and outside the class's own body.  A value nothing sets is a constant;
+* **no unreached names** (REACH001): every public top-level function or
+  class of ``repro``, and every public method of such a class, appears as
+  a ``Name`` or ``Attribute`` in some module of ``src/``, ``examples/`` or
+  ``benchmarks/`` outside tests and outside its own definition.  Strings
+  (the lazy-export tables) and imports do not count.  It is a floor: a
+  name that collides with another attribute (``exp`` and ``np.exp``)
+  passes anyway.
 
 Pure ``ast`` walks over ~130 files; the whole module runs in about a
 second.
@@ -330,6 +337,69 @@ def knob_snippet(*sources):
          for i, source in enumerate(sources)})]
 
 
+# Public names nothing outside tests/ reaches, each kept for its reason.
+# The allowlist only shrinks.
+REACH_ALLOWED = {
+    "repro.models.vgg.vgg11_tiny_config":
+        "test fixture; moving it into tests/ would not remove anything",
+    "repro.models.snn.csnn_tiny_config":
+        "test fixture; moving it into tests/ would not remove anything",
+    "repro.nn.backend.Workspace.per_thread":
+        "how the tests check that concurrent inference gets its own "
+        "scratch per thread",
+    "repro.edge.runtime.EdgeCluster.infer_fused":
+        "the synchronous scatter-then-fuse path four test files serve "
+        "through",
+    "repro.edge.sim_core.FifoResource.utilization":
+        "leaves with edge/sim_core.py as a whole (ROADMAP item 14)",
+}
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _uses(node):
+    """How often each identifier appears as a ``Name`` or ``Attribute``."""
+    return collections.Counter(
+        child.id if isinstance(child, ast.Name) else child.attr
+        for child in ast.walk(node)
+        if isinstance(child, (ast.Name, ast.Attribute)))
+
+
+def public_definitions(trees):
+    """``(dotted name, node)`` for each public top-level function or class
+    of ``repro`` and each public method of such a class."""
+    for path, tree in trees.items():
+        if not path.startswith("repro/"):
+            continue
+        module = path[:-len(".py")].replace("/", ".")
+        for node in tree.body:
+            if not isinstance(node, DEFINITIONS) or node.name.startswith("_"):
+                continue
+            yield f"{module}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, DEFINITIONS[:2]) \
+                            and not method.name.startswith("_"):
+                        yield f"{module}.{node.name}.{method.name}", method
+
+
+def reach_findings(trees):
+    total = collections.Counter()
+    for tree in trees.values():
+        total.update(_uses(tree))
+    return [Finding("REACH001", where,
+                    f"{where} is reached by nothing outside tests/ and "
+                    f"its own definition")
+            for where, node in public_definitions(trees)
+            if total[node.name] == _uses(node)[node.name]]
+
+
+def reach_snippet(*sources):
+    return [f.where for f in reach_findings(
+        {f"repro/m{i}.py": ast.parse(textwrap.dedent(source))
+         for i, source in enumerate(sources)})]
+
+
 # -- the source -------------------------------------------------------------
 class TestSource:
     @pytest.mark.parametrize("checker", [lock_findings, hygiene_findings,
@@ -360,6 +430,16 @@ class TestSource:
         assert {"examples/quickstart.py", "benchmarks/bench_ablations.py",
                 "repro/planning/capacity.py"} <= set(trees)
         assert not any("tests" in Path(path).parts for path in trees)
+
+    def test_every_public_name_is_reached(self):
+        findings = [f for f in reach_findings(program_trees())
+                    if f.where not in REACH_ALLOWED]
+        assert findings == [], "\n".join(f.message for f in findings)
+
+    def test_unreached_names_allowed_are_still_there(self):
+        # Drop an entry once its code is gone or a caller reaches it.
+        found = {f.where for f in reach_findings(program_trees())}
+        assert set(REACH_ALLOWED) <= found
 
     def test_no_bytecode_is_tracked(self):
         ignored = (ROOT / ".gitignore").read_text().split()
@@ -517,3 +597,24 @@ def test_knob_snippet(caller, unset):
 def test_the_wire_module_may_build_raw_tuples():
     assert snippet(wire_findings, 'reply = ("ready", worker_id)',
                    path="repro/edge/wire.py") == []
+
+
+@pytest.mark.parametrize("sources, unreached", [
+    (["def used():\n    pass\n", "from m0 import used\nused()\n"], []),
+    (["def unused():\n    pass\n"], ["repro.m0.unused"]),
+    # Its own body (recursion) is not a caller.
+    (["def walk(n):\n    return walk(n - 1)\n"], ["repro.m0.walk"]),
+    # An import or a lazy-export string is not a use.
+    (["def f():\n    pass\n",
+      "from m0 import f\n__all__ = ['f']\nEXPORTS = {'.m0': ('f',)}\n"],
+     ["repro.m0.f"]),
+    # A method counts as reached through any attribute of its name.
+    (["class C:\n    def run(self):\n        pass\n\n\nC().run()\n"], []),
+    (["class C:\n    def run(self):\n        pass\n\n\nC()\n"],
+     ["repro.m0.C.run"]),
+    # Private names are not checked.
+    (["def _helper():\n    pass\n"], []),
+], ids=["called", "unused", "recursion-only", "import-and-strings",
+        "method-called", "method-unused", "private"])
+def test_reach_snippet(sources, unreached):
+    assert reach_snippet(*sources) == unreached
