@@ -2,7 +2,7 @@
 
 An emulated device's worker process imports ``repro.edge.runtime`` and
 ``repro.core.inference``; with eager ``__init__`` files that drags in
-every sibling of every package on the way (the planner, both simulators,
+every sibling of every package on the way (the planner, the simulator,
 training, the experiment harness).  A package that declares its exports
 through :func:`lazy_exports` keeps the same public surface — ``__all__``,
 ``dir()``, ``from pkg import name`` and ``from pkg import *`` all work —

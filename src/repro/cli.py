@@ -430,7 +430,10 @@ def _capacity_trace(args):
     from .serving import traffic
 
     if args.trace_file:
-        return traffic.ArrivalTrace.from_jsonl(args.trace_file)
+        try:
+            return traffic.ArrivalTrace.from_jsonl(args.trace_file)
+        except (OSError, ValueError) as exc:   # one line, no traceback
+            raise SystemExit(str(exc)) from None
     rps, peak = args.rps, args.peak_rps
     duration, seed = args.duration, args.seed
     if args.traffic == "poisson":

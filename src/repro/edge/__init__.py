@@ -14,7 +14,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                  "tc_capped_link", "uniform_star"),
     ".runtime": ("EdgeCluster", "InferenceTiming", "MODEL_KINDS",
                  "WorkerFailure", "WorkerSpec"),
-    ".sim_core": ("Barrier", "FifoResource", "Simulator"),
     ".transport": ("InProcessTransport", "MultiprocessTransport",
                    "TRANSPORTS", "TcpTransport", "Transport", "WorkerHandle",
                    "get_transport"),

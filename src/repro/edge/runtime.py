@@ -15,7 +15,7 @@ smaller codec is directly a faster fleet on the paper's 2 Mbps links.
 
 A worker only computes.  Emulated time lives in the cluster
 (:meth:`EdgeCluster._emulate`), keyed by ``spec.device.device_id``: as in
-the paper and both simulators, a device is one CPU and one uplink, FIFO
+the paper and the simulator's model, a device is one CPU and one uplink, FIFO
 resources every sub-model placed on it queues on (Alg. 3 with G > N, a
 replanned orphan, a rolling swap's two workers).  A device computes batch
 *k+1* while batch *k* is on the wire; transfers on one link never overlap.

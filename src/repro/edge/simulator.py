@@ -4,18 +4,15 @@ Models the paper's deployment (Fig. 3): N worker devices each hold one or
 more sub-models; for every input sample each worker runs its sub-models
 and ships the CLS features through its (tc-capped) link to the fusion
 device, which concatenates them and runs the fusion MLP.  Per-sample
-latency is the scatter→compute→transfer→fuse critical path; streams of
-samples pipeline naturally through the FIFO resources.
+latency is the compute→transfer→fuse critical path; streams of samples
+pipeline through each device's FIFO CPU and FIFO uplink.
 
-Two engines produce identical results: the event-loop DES (one Python
-callback per event — general, and the reference semantics) and the
-vectorized fast path (:mod:`repro.edge.fastsim`) that advances the whole
-fleet's FIFO recurrences with numpy — orders of magnitude faster at
-fleet scale and bit-identical where applicable.  ``engine="auto"`` (the
-default, and what :class:`repro.planning.Planner` scoring uses) picks the
-fast path automatically whenever the run is pure star-pattern — which it
-always is for ``simulate_inference``'s own workload unless inputs are
-shipped to workers on an open arrival stream.
+One model, two evaluations of it that return equal results:
+``engine="vector"`` (the default, and what :class:`repro.planning.Planner`
+scoring and the capacity sweep use) advances the whole fleet's FIFO
+recurrences with numpy (:mod:`repro.edge.fastsim`); ``engine="event"``
+is :func:`_simulate_reference`, the same model written one request at a
+time, against which the tests compare fastsim with ``==``.
 """
 
 from __future__ import annotations
@@ -25,13 +22,11 @@ import math
 import statistics
 from typing import Sequence
 
-from . import fastsim
 from .codec import get_codec
 from .device import JOULES_PER_MAC, DeviceModel
 from .network import StarTopology, uniform_star
-from .sim_core import Barrier, FifoResource, Simulator
 
-ENGINES = ("auto", "event", "vector")
+ENGINES = ("event", "vector")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,7 +54,6 @@ class DeploymentSpec:
     fusion_device: DeviceModel
     fusion_flops: float
     topology: StarTopology | None = None
-    input_bytes: int = 0                   # >0 to also ship inputs to workers
 
     def resolved_topology(self) -> StarTopology:
         if self.topology is not None:
@@ -72,14 +66,8 @@ class DeploymentSpec:
 class SimulationResult:
     latencies: list[float]                 # per-sample end-to-end seconds
     makespan: float
-    device_busy: dict[str, float]
-    link_busy: dict[str, float]
-    # Merged busy intervals per resource ("cpu:<id>" / "link:<id>"), the
-    # FifoResource segment semantics — lets callers compute horizon-clamped
-    # utilization after the run, regardless of which engine produced it.
-    busy_segments: dict[str, list[tuple[float, float]]] = \
-        dataclasses.field(default_factory=dict)
-    engine: str = "event"                  # which engine produced this run
+    device_busy: dict[str, float]          # service seconds per CPU
+    link_busy: dict[str, float]            # service seconds per uplink
 
     @property
     def mean_latency(self) -> float:
@@ -93,16 +81,6 @@ class SimulationResult:
     def throughput(self) -> float:
         """Completed samples per second over the whole run."""
         return len(self.latencies) / self.makespan if self.makespan > 0 else 0.0
-
-    def busy_within(self, resource: str, horizon: float) -> float:
-        """Service seconds booked on ``resource`` inside ``[0, horizon]``
-        (:meth:`repro.edge.sim_core.FifoResource.busy_within` semantics)."""
-        total = 0.0
-        for start, finish in self.busy_segments.get(resource, []):
-            if start >= horizon:
-                break
-            total += min(finish, horizon) - start
-        return total
 
 
 def _resolve_arrivals(num_samples: int, arrival_interval: float,
@@ -138,7 +116,7 @@ def simulate_inference(spec: DeploymentSpec, num_samples: int = 1,
                        arrival_interval: float = 0.0,
                        failed_devices: set[str] | frozenset[str] | None = None,
                        arrival_times: Sequence[float] | None = None,
-                       engine: str = "auto",
+                       engine: str = "vector",
                        ) -> SimulationResult:
     """Simulate inferences through the deployment.
 
@@ -154,11 +132,9 @@ def simulate_inference(spec: DeploymentSpec, num_samples: int = 1,
     :meth:`repro.planning.PlannedSystem.local_fused_labels` with
     ``zero_models``).
 
-    ``engine`` selects the scorer: ``"event"`` runs the callback event
-    loop, ``"vector"`` forces the numpy fast path (ValueError when its
-    star-pattern preconditions do not hold), and ``"auto"`` — the default —
-    uses the fast path whenever it is exact and falls back otherwise.
-    Both engines return bit-identical results.
+    ``engine`` picks the evaluation: ``"vector"`` (numpy over the fleet,
+    :func:`repro.edge.fastsim.simulate_star`) or ``"event"`` (one request
+    at a time, :func:`_simulate_reference`).  Both return equal results.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
@@ -167,116 +143,59 @@ def simulate_inference(spec: DeploymentSpec, num_samples: int = 1,
     known = {d.device_id for d in spec.devices}
     if not failed <= known:
         raise KeyError(f"failed devices not in fleet: {sorted(failed - known)}")
-
-    if engine != "event":
-        if fastsim.applicable(spec, arrivals):
-            run = fastsim.simulate_star(spec, arrivals, failed)
-            return SimulationResult(
-                latencies=run.latencies.tolist(),
-                makespan=run.makespan,
-                device_busy=run.device_busy,
-                link_busy=run.link_busy,
-                busy_segments=run.busy_segments,
-                engine="vector")
-        if engine == "vector":
-            raise ValueError(
-                "vector engine requires the star pattern to be static: "
-                "input_bytes == 0 or a single batch arrival instant")
-    return _simulate_event_loop(spec, arrivals, failed)
-
-
-def _simulate_event_loop(spec: DeploymentSpec, arrivals_schedule: list[float],
-                         failed: set[str]) -> SimulationResult:
-    """The reference callback-per-event DES."""
-    num_samples = len(arrivals_schedule)
-    sim = Simulator()
-    topology = spec.resolved_topology()
-
-    compute: dict[str, FifoResource] = {
-        d.device_id: FifoResource(sim, f"cpu:{d.device_id}") for d in spec.devices}
-    fusion_cpu = FifoResource(sim, f"cpu:{spec.fusion_device.device_id}")
-    uplinks: dict[str, FifoResource] = {
-        d.device_id: FifoResource(sim, f"link:{d.device_id}") for d in spec.devices}
-
-    device_by_id = {d.device_id: d for d in spec.devices}
-    models_on: dict[str, list[SubModelProfile]] = {d.device_id: [] for d in spec.devices}
+    models_on: dict[str, list[SubModelProfile]] = {d: [] for d in known}
     for model_id, device_id in spec.placement.items():
         if device_id not in models_on:
             raise KeyError(f"placement targets unknown device {device_id!r}")
         models_on[device_id].append(spec.profiles[model_id])
+    # The devices that deliver features, each with its sub-models in
+    # placement order: the lanes both evaluations walk.
+    lanes = [(d, models_on[d.device_id]) for d in spec.devices
+             if d.device_id not in failed and models_on[d.device_id]]
+    if engine == "event":
+        return _simulate_reference(spec, arrivals, lanes)
+    from .fastsim import simulate_star
+    return simulate_star(spec, arrivals, lanes)
 
-    latencies: dict[int, float] = {}
-    arrivals: dict[int, float] = {}
 
-    def start_sample(k: int) -> None:
-        arrivals[k] = sim.now
+def _simulate_reference(spec: DeploymentSpec, arrivals: list[float],
+                        lanes: list[tuple[DeviceModel, list[SubModelProfile]]],
+                        ) -> SimulationResult:
+    """The model, one request at a time.
 
-        def finish_fusion() -> None:
-            done = fusion_cpu.acquire(
-                spec.fusion_device.compute_seconds(spec.fusion_flops))
-            sim.schedule_at(done, lambda: latencies.__setitem__(
-                k, sim.now - arrivals[k]))
-
-        live = {d: profiles for d, profiles in models_on.items()
-                if d not in failed}
-        expected = sum(len(p) for p in live.values())
-        if expected == 0:
-            finish_fusion()
-            return
-        barrier = Barrier(expected=expected, callback=finish_fusion)
-
-        for device_id, profiles in live.items():
-            device = device_by_id[device_id]
+    Samples in arrival order; within one, each live device, then its
+    sub-models in placement order.  A sub-model takes the device's CPU,
+    then its uplink, each FIFO: ``finish = max(ready, free) + service``.
+    The fusion barrier is the sample's last feature delivery (its arrival
+    when nothing is live), then the fusion CPU, FIFO too.
+    """
+    topology = spec.resolved_topology()
+    cpu_free = {d.device_id: 0.0 for d, _ in lanes}
+    link_free = dict(cpu_free)
+    device_busy = {d.device_id: 0.0 for d in spec.devices}
+    link_busy = dict(device_busy)
+    fusion_service = spec.fusion_device.compute_seconds(spec.fusion_flops)
+    fusion_free = fusion_busy = 0.0
+    latencies = []
+    for arrival in arrivals:
+        barrier = arrival
+        for device, profiles in lanes:
+            d = device.device_id
             for profile in profiles:
-                _run_submodel(sim, device, profile, compute[device_id],
-                              uplinks[device_id], topology, spec.input_bytes,
-                              barrier)
-
-    for k in range(num_samples):
-        sim.schedule_at(arrivals_schedule[k], lambda k=k: start_sample(k))
-    sim.run()
-
-    if len(latencies) != num_samples:
-        raise RuntimeError("simulation ended with unfinished samples")
-    ordered = [latencies[k] for k in range(num_samples)]
-    makespan = max(arrivals[k] + latencies[k] for k in range(num_samples))
-    segments = {r.name: r.segments()
-                for r in [*compute.values(), *uplinks.values()]}
-    segments[fusion_cpu.name] = fusion_cpu.segments()
-    return SimulationResult(
-        latencies=ordered,
-        makespan=makespan,
-        device_busy={d: r.busy_seconds for d, r in compute.items()}
-        | {spec.fusion_device.device_id: fusion_cpu.busy_seconds},
-        link_busy={d: r.busy_seconds for d, r in uplinks.items()},
-        busy_segments=segments,
-        engine="event",
-    )
-
-
-def _run_submodel(sim: Simulator, device: DeviceModel, profile: SubModelProfile,
-                  cpu: FifoResource, uplink: FifoResource,
-                  topology: StarTopology, input_bytes: int,
-                  barrier: Barrier) -> None:
-    """Chain: (optional input receive) -> compute -> feature transfer -> barrier."""
-
-    def after_input() -> None:
-        compute_done = cpu.acquire(device.compute_seconds(profile.flops_per_sample))
-
-        def after_compute() -> None:
-            transfer = topology.transfer_seconds(device.device_id,
-                                                 profile.feature_bytes)
-            send_done = uplink.acquire(transfer)
-            sim.schedule_at(send_done, barrier.arrive)
-
-        sim.schedule_at(compute_done, after_compute)
-
-    if input_bytes > 0:
-        recv = uplink.acquire(topology.transfer_seconds(device.device_id,
-                                                        input_bytes))
-        sim.schedule_at(recv, after_input)
-    else:
-        after_input()
+                compute = device.compute_seconds(profile.flops_per_sample)
+                cpu_free[d] = max(arrival, cpu_free[d]) + compute
+                device_busy[d] += compute
+                send = topology.transfer_seconds(d, profile.feature_bytes)
+                link_free[d] = max(cpu_free[d], link_free[d]) + send
+                link_busy[d] += send
+                barrier = max(barrier, link_free[d])
+        fusion_free = max(barrier, fusion_free) + fusion_service
+        fusion_busy += fusion_service
+        latencies.append(fusion_free - arrival)
+    device_busy[spec.fusion_device.device_id] = fusion_busy
+    makespan = max(t + latency for t, latency in zip(arrivals, latencies))
+    return SimulationResult(latencies=latencies, makespan=makespan,
+                            device_busy=device_busy, link_busy=link_busy)
 
 
 def single_device_latency(device: DeviceModel, flops: float) -> float:

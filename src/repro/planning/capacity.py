@@ -5,10 +5,10 @@ of which class does a workload need to meet a latency SLO, and at what
 cost?*  A fleet is modelled as ``R`` independent ED-ViT replicas — each
 replica is ``G`` worker devices plus one fusion device of the same class
 — behind a round-robin front-end that deals the arrival trace across
-replicas.  Every replica is scored with the bit-exact vectorized DES
-(:mod:`repro.edge.fastsim` via ``engine="vector"``), which is what makes
-sweeping thousand-device fleets × traffic traces × codec/quant choices
-interactive instead of hours-long.
+replicas.  Every replica is scored with the vectorised DES
+(:mod:`repro.edge.fastsim`, ``simulate_inference``'s default engine),
+which is what makes sweeping thousand-device fleets × traffic traces ×
+codec/quant choices interactive instead of hours-long.
 
 :func:`plan_capacity` sweeps the configuration grid, plans each replica
 with :meth:`Planner.plan_vit` — the plan that would be served, so a
@@ -240,8 +240,7 @@ def _score_point(trace: ArrivalTrace, device_class: DeviceClass,
     makespan = 0.0
     busy = 0.0
     for shard in trace.split_round_robin(replicas):
-        result = simulate_inference(spec, arrival_times=shard.arrivals,
-                                    engine="vector")
+        result = simulate_inference(spec, arrival_times=shard.arrivals)
         latencies.extend(result.latencies)
         makespan = max(makespan, result.makespan)
         busy += sum(result.device_busy[d.device_id] for d in spec.devices)

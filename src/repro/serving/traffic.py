@@ -98,24 +98,56 @@ class ArrivalTrace:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ArrivalTrace":
-        with open(path, "r", encoding="utf-8") as fh:
-            header_line = fh.readline()
-            if not header_line.strip():
-                raise ValueError(f"{path}: empty trace file")
-            header = json.loads(header_line)
-            if header.get("format") != TRACE_FORMAT:
-                raise ValueError(
-                    f"{path}: expected format {TRACE_FORMAT!r}, "
-                    f"got {header.get('format')!r}")
-            arrivals = []
-            for line in fh:
-                if line.strip():
-                    arrivals.append(float(json.loads(line)["t"]))
+        """Read a trace :meth:`to_jsonl` wrote.  A malformed file raises
+        :class:`ValueError` naming ``path`` and, where one is to blame,
+        the line."""
+        arrivals: list[float] = []
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                header_line = fh.readline()
+                if not header_line.strip():
+                    raise ValueError(f"{path}: empty trace file")
+                header = _json_object(path, 1, header_line)
+                if header.get("format") != TRACE_FORMAT:
+                    raise ValueError(
+                        f"{path}:1: expected format {TRACE_FORMAT!r}, "
+                        f"got {header.get('format')!r}")
+                for lineno, line in enumerate(fh, start=2):
+                    if not line.strip():
+                        continue
+                    raw = _json_object(path, lineno, line).get("t")
+                    # type() rejects bools; the bound keeps a huge int
+                    # from overflowing float() and rejects inf and NaN.
+                    t = float(raw) if type(raw) in (int, float) \
+                        and abs(raw) < 1e308 else math.nan
+                    if not t >= (arrivals[-1] if arrivals else 0.0):
+                        raise ValueError(
+                            f"{path}:{lineno}: \"t\" must be a finite "
+                            f"number, not negative and not before the "
+                            f"previous arrival; got {raw!r}")
+                    arrivals.append(t)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
         if header.get("num_requests") != len(arrivals):
             raise ValueError(
                 f"{path}: header says {header.get('num_requests')} arrivals, "
                 f"file has {len(arrivals)}")
-        return cls(tuple(arrivals))
+        try:
+            return cls(tuple(arrivals))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _json_object(path: str | Path, lineno: int, line: str) -> dict:
+    """Line ``lineno`` of ``path`` parsed as one JSON object."""
+    try:
+        value = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: not JSON ({exc})") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}:{lineno}: expected a JSON object, "
+                         f"got {type(value).__name__}")
+    return value
 
 
 def poisson_trace(rate_rps: float, duration_s: float,

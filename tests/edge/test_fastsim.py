@@ -1,9 +1,9 @@
-"""Vectorized star-topology scorer: dispatch, exactness, and errors."""
+"""Vectorized star-topology scorer: equality with the reference loop,
+arrival schedules, and errors."""
 
 import numpy as np
 import pytest
 
-from repro.edge import fastsim
 from repro.edge.device import DeviceModel
 from repro.edge.simulator import (
     ENGINES,
@@ -13,8 +13,7 @@ from repro.edge.simulator import (
 )
 
 
-def build_spec(n_devices=4, models_per_device=1, input_bytes=0,
-               seed=7) -> DeploymentSpec:
+def build_spec(n_devices=4, models_per_device=1, seed=7) -> DeploymentSpec:
     rng = np.random.default_rng(seed)
     devices = [DeviceModel(f"d{i}", macs_per_second=float(rng.uniform(5e8, 2e9)))
                for i in range(n_devices)]
@@ -29,51 +28,15 @@ def build_spec(n_devices=4, models_per_device=1, input_bytes=0,
     return DeploymentSpec(devices=devices, placement=placement,
                           profiles=profiles,
                           fusion_device=DeviceModel("fusion"),
-                          fusion_flops=1e8, input_bytes=input_bytes)
-
-
-def assert_bit_identical(a, b):
-    assert a.latencies == b.latencies
-    assert a.makespan == b.makespan
-    assert a.device_busy == b.device_busy
-    assert a.link_busy == b.link_busy
-    assert a.busy_segments == b.busy_segments
+                          fusion_flops=1e8)
 
 
 class TestDispatch:
-    def test_auto_uses_vector_for_star_runs(self):
-        result = simulate_inference(build_spec(), num_samples=4,
-                                    arrival_interval=0.01)
-        assert result.engine == "vector"
-
-    def test_event_engine_is_forceable(self):
-        result = simulate_inference(build_spec(), num_samples=4,
-                                    engine="event")
-        assert result.engine == "event"
-
-    def test_auto_falls_back_on_streamed_input_shipping(self):
-        # Input shipping + staggered arrivals interleaves the uplink in a
-        # queue-dependent order: not closed-form, must use the event loop.
-        spec = build_spec(input_bytes=4096)
-        result = simulate_inference(spec, num_samples=4,
-                                    arrival_interval=0.01)
-        assert result.engine == "event"
-
-    def test_vector_forced_on_inapplicable_run_raises(self):
-        spec = build_spec(input_bytes=4096)
-        with pytest.raises(ValueError, match="star pattern"):
-            simulate_inference(spec, num_samples=4, arrival_interval=0.01,
-                               engine="vector")
-
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            simulate_inference(build_spec(), engine="warp")
-        assert ENGINES == ("auto", "event", "vector")
-
-    def test_batch_input_shipping_is_vectorizable(self):
-        spec = build_spec(input_bytes=4096)
-        assert fastsim.applicable(spec, [0.0, 0.0, 0.0])
-        assert not fastsim.applicable(spec, [0.0, 0.1])
+        for engine in ("warp", "auto"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                simulate_inference(build_spec(), engine=engine)
+        assert ENGINES == ("event", "vector")
 
 
 class TestExactEquivalence:
@@ -88,35 +51,24 @@ class TestExactEquivalence:
     def test_engines_bit_identical(self, n_devices, models_per_device,
                                    kwargs):
         spec = build_spec(n_devices, models_per_device)
-        event = simulate_inference(spec, engine="event", **kwargs)
-        vector = simulate_inference(spec, engine="vector", **kwargs)
-        assert vector.engine == "vector"
-        assert_bit_identical(event, vector)
-
-    def test_batch_input_shipping_bit_identical(self):
-        spec = build_spec(n_devices=3, models_per_device=2, input_bytes=8192)
-        event = simulate_inference(spec, num_samples=6, engine="event")
-        vector = simulate_inference(spec, num_samples=6, engine="vector")
-        assert_bit_identical(event, vector)
+        assert simulate_inference(spec, engine="vector", **kwargs) == \
+            simulate_inference(spec, engine="event", **kwargs)
 
     def test_failed_devices_bit_identical(self):
         spec = build_spec(n_devices=6)
         for failed in ({"d0"}, {"d0", "d4"},
                        {f"d{i}" for i in range(6)}):
-            event = simulate_inference(spec, num_samples=5,
-                                       arrival_interval=0.002,
-                                       failed_devices=failed, engine="event")
-            vector = simulate_inference(spec, num_samples=5,
-                                        arrival_interval=0.002,
-                                        failed_devices=failed,
-                                        engine="vector")
-            assert_bit_identical(event, vector)
+            kwargs = dict(num_samples=5, arrival_interval=0.002,
+                          failed_devices=failed)
+            assert simulate_inference(spec, engine="vector", **kwargs) == \
+                simulate_inference(spec, engine="event", **kwargs)
 
-    def test_unknown_placement_device_raises(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_unknown_placement_device_raises(self, engine):
         spec = build_spec(n_devices=2)
         spec.placement["ghost"] = "nope"
         with pytest.raises(KeyError):
-            simulate_inference(spec, engine="vector")
+            simulate_inference(spec, engine=engine)
 
 
 class TestArrivalTimes:
@@ -154,20 +106,3 @@ class TestArrivalTimes:
     def test_rejects_invalid_traces(self, times):
         with pytest.raises(ValueError):
             simulate_inference(build_spec(), arrival_times=times)
-
-
-class TestResultSegments:
-    def test_busy_within_matches_totals(self):
-        spec = build_spec(n_devices=3)
-        result = simulate_inference(spec, num_samples=4,
-                                    arrival_interval=0.003)
-        for device_id, busy in result.device_busy.items():
-            horizon = result.makespan + 1.0
-            assert result.busy_within(f"cpu:{device_id}", horizon) == \
-                pytest.approx(busy)
-
-    def test_merge_segments_drops_zero_length_and_joins_touching(self):
-        starts = np.array([0.0, 1.0, 2.0, 5.0])
-        finishes = np.array([1.0, 2.0, 2.0, 6.0])
-        assert fastsim._merge_segments(starts, finishes) == \
-            [(0.0, 2.0), (5.0, 6.0)]

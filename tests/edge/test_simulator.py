@@ -5,6 +5,7 @@ import pytest
 from repro.edge.device import DeviceModel, make_fleet, raspberry_pi_4b
 from repro.edge.network import LinkModel, StarTopology
 from repro.edge.simulator import (
+    ENGINES,
     DeploymentSpec,
     SubModelProfile,
     simulate_inference,
@@ -13,7 +14,7 @@ from repro.edge.simulator import (
 
 
 def make_spec(num_devices=2, flops=1e9, feature_dim=128, fusion_flops=1e6,
-              input_bytes=0, link_bps=2e6):
+              link_bps=2e6):
     devices = make_fleet(num_devices)
     profiles = {}
     placement = {}
@@ -29,8 +30,7 @@ def make_spec(num_devices=2, flops=1e9, feature_dim=128, fusion_flops=1e6,
     return DeploymentSpec(devices=devices, placement=placement,
                           profiles=profiles,
                           fusion_device=raspberry_pi_4b("pi-fusion"),
-                          fusion_flops=fusion_flops, topology=topo,
-                          input_bytes=input_bytes)
+                          fusion_flops=fusion_flops, topology=topo)
 
 
 class TestSingleSample:
@@ -55,12 +55,6 @@ class TestSingleSample:
         result = simulate_inference(spec, 1)
         assert result.latencies[0] > simulate_inference(
             make_spec(num_devices=2), 1).latencies[0]
-
-    def test_input_distribution_adds_time(self):
-        base = simulate_inference(make_spec(), 1).latencies[0]
-        with_input = simulate_inference(make_spec(input_bytes=150528),
-                                        1).latencies[0]
-        assert with_input > base + 0.5  # 150 kB at 2 Mbps is ~0.6 s
 
     def test_two_submodels_one_device_serialize(self):
         devices = make_fleet(1)
@@ -114,6 +108,95 @@ class TestStreams:
         r3 = simulate_inference(make_spec(num_devices=1, flops=1e9), 3)
         d = spec.devices[0].device_id
         assert r3.device_busy[d] == pytest.approx(3 * r1.device_busy[d])
+
+
+def timed_deployment(placed, fusion_s=0.0, idle=()):
+    """``placed`` maps model id -> (device id, compute s, transfer s): the
+    devices run 1 MAC/s, so a model's MACs are its compute seconds, and
+    each link carries its 16-float raw32 features in the transfer time
+    (one link per device, so co-hosted models share a transfer time)."""
+    device_ids = list(dict.fromkeys(d for d, _, _ in placed.values()))
+    transfer = {d: t for d, _, t in placed.values()}
+    return DeploymentSpec(
+        devices=[DeviceModel(d, macs_per_second=1.0)
+                 for d in [*device_ids, *idle]],
+        placement={m: d for m, (d, _, _) in placed.items()},
+        profiles={m: SubModelProfile(m, c, 16)
+                  for m, (_, c, _) in placed.items()},
+        fusion_device=DeviceModel("fusion", macs_per_second=1.0),
+        fusion_flops=fusion_s,
+        topology=StarTopology({
+            d: LinkModel(bandwidth_bps=8 * 4 * 16 / transfer[d],
+                         overhead_seconds=0.0) for d in device_ids}))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestTheModel:
+    """The FIFO model in closed form, on both evaluations of it."""
+
+    def test_a_cpu_slower_than_the_gap_queues(self, engine):
+        spec = timed_deployment({"m": ("d", 0.3, 0.1)})
+        result = simulate_inference(spec, 4, arrival_interval=0.2,
+                                    engine=engine)
+        # Sample k leaves the CPU at 0.3 (k + 1), the link 0.1 later.
+        assert result.latencies == pytest.approx([0.4, 0.5, 0.6, 0.7])
+
+    def test_a_link_slower_than_the_gap_queues(self, engine):
+        spec = timed_deployment({"m": ("d", 0.1, 0.3)})
+        result = simulate_inference(spec, 4, arrival_interval=0.2,
+                                    engine=engine)
+        # The link is free again at 0.4 + 0.3 k.
+        assert result.latencies == pytest.approx([0.4, 0.5, 0.6, 0.7])
+        assert result.makespan == pytest.approx(1.3)
+
+    def test_co_hosted_models_share_the_cpu_and_the_link(self, engine):
+        spec = timed_deployment({"a": ("d", 0.1, 0.2),
+                                 "b": ("d", 0.1, 0.2)})
+        result = simulate_inference(spec, 2, engine=engine)
+        # Sample 0: c + max(c, t) + t; sample 1 waits for both sends.
+        assert result.latencies == pytest.approx([0.5, 0.9])
+
+    def test_the_barrier_waits_for_the_last_delivery(self, engine):
+        spec = timed_deployment({"fast": ("d0", 0.1, 0.1),
+                                 "slow": ("d1", 0.3, 0.2)}, fusion_s=0.05)
+        result = simulate_inference(spec, 1, engine=engine)
+        assert result.latencies == pytest.approx([0.55])
+
+    def test_the_fusion_cpu_queues_in_arrival_order(self, engine):
+        spec = timed_deployment({"m": ("d", 0.05, 0.05)}, fusion_s=0.3)
+        result = simulate_inference(spec, 3, arrival_interval=0.1,
+                                    engine=engine)
+        assert result.latencies == pytest.approx([0.4, 0.6, 0.8])
+        assert result.device_busy["fusion"] == pytest.approx(0.9)
+
+    def test_a_failed_device_delivers_nothing(self, engine):
+        spec = timed_deployment({"fast": ("d0", 0.1, 0.1),
+                                 "slow": ("d1", 0.3, 0.2)})
+        result = simulate_inference(spec, 2, failed_devices={"d1"},
+                                    engine=engine)
+        assert result.latencies == pytest.approx([0.2, 0.3])
+        assert result.device_busy["d1"] == result.link_busy["d1"] == 0.0
+
+    def test_with_no_live_device_samples_go_straight_to_fusion(self, engine):
+        spec = timed_deployment({"m": ("d", 0.1, 0.1)}, fusion_s=0.05)
+        result = simulate_inference(spec, 2, arrival_interval=1.0,
+                                    failed_devices={"d"}, engine=engine)
+        assert result.latencies == pytest.approx([0.05, 0.05])
+        assert result.makespan == pytest.approx(1.05)
+
+    def test_a_device_without_models_stays_idle(self, engine):
+        spec = timed_deployment({"m": ("d", 0.1, 0.1)}, idle=("spare",))
+        result = simulate_inference(spec, 3, engine=engine)
+        assert result.device_busy["spare"] == result.link_busy["spare"] == 0.0
+
+    def test_busy_totals_count_every_service(self, engine):
+        spec = timed_deployment({"a": ("d", 0.1, 0.3),
+                                 "b": ("d", 0.2, 0.3)}, fusion_s=0.01)
+        result = simulate_inference(spec, 5, arrival_interval=0.05,
+                                    engine=engine)
+        assert result.device_busy == pytest.approx(
+            {"d": 1.5, "fusion": 0.05})
+        assert result.link_busy == pytest.approx({"d": 3.0})
 
 
 class TestPaperLatencyShape:

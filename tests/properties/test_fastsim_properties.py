@@ -1,7 +1,6 @@
-"""Property tests: the vectorized scorer agrees with the event-loop DES
-on randomized fleets and arrival traces."""
+"""Property tests: the vectorized scorer equals the per-request reference
+loop on randomized fleets and arrival traces."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,10 +11,8 @@ from repro.edge.simulator import (
     simulate_inference,
 )
 
-REL = 1e-12
 
-
-def build_spec(flops_list, feature_dims, speeds, input_bytes=0):
+def build_spec(flops_list, feature_dims, speeds):
     devices = [DeviceModel(f"d{i}", macs_per_second=speed * 1e9)
                for i, speed in enumerate(speeds)]
     profiles = {}
@@ -29,7 +26,7 @@ def build_spec(flops_list, feature_dims, speeds, input_bytes=0):
                           profiles=profiles,
                           fusion_device=DeviceModel("fusion",
                                                     macs_per_second=2e9),
-                          fusion_flops=5e6, input_bytes=input_bytes)
+                          fusion_flops=5e6)
 
 
 fleet_strategy = st.integers(min_value=1, max_value=5).flatmap(
@@ -43,19 +40,8 @@ fleet_strategy = st.integers(min_value=1, max_value=5).flatmap(
 
 
 def assert_engines_agree(spec, **kwargs):
-    event = simulate_inference(spec, engine="event", **kwargs)
-    vector = simulate_inference(spec, engine="vector", **kwargs)
-    assert vector.engine == "vector"
-    np.testing.assert_allclose(vector.latencies, event.latencies, rtol=REL)
-    assert vector.mean_latency == event.mean_latency
-    assert vector.max_latency == event.max_latency
-    assert vector.throughput == event.throughput
-    assert vector.makespan == event.makespan
-    horizon = event.makespan * 0.7 + 1e-9
-    for resource in event.busy_segments:
-        assert vector.busy_within(resource, horizon) == \
-            event.busy_within(resource, horizon), resource
-    return event, vector
+    assert simulate_inference(spec, engine="vector", **kwargs) == \
+        simulate_inference(spec, engine="event", **kwargs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -77,16 +63,6 @@ def test_vector_matches_event_on_random_traces(fleet, raw_times):
     flops, dims, speeds = fleet
     spec = build_spec(flops, dims, speeds)
     assert_engines_agree(spec, arrival_times=sorted(raw_times))
-
-
-@settings(max_examples=25, deadline=None)
-@given(fleet_strategy, st.integers(min_value=1, max_value=6),
-       st.integers(min_value=1, max_value=10 ** 5))
-def test_vector_matches_event_with_batch_input_shipping(fleet, samples,
-                                                        input_bytes):
-    flops, dims, speeds = fleet
-    spec = build_spec(flops, dims, speeds, input_bytes=input_bytes)
-    assert_engines_agree(spec, num_samples=samples)
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.serving.traffic import (
     ArrivalTrace,
     burst_trace,
@@ -12,6 +13,9 @@ from repro.serving.traffic import (
     mmpp_trace,
     poisson_trace,
 )
+
+
+HEADER = '{"format": "repro.arrivals.v1", "num_requests": 1}'
 
 
 class TestArrivalTrace:
@@ -62,6 +66,56 @@ class TestArrivalTrace:
                         '{"t": 0.0}\n')
         with pytest.raises(ValueError, match="arrivals"):
             ArrivalTrace.from_jsonl(path)
+
+
+    @pytest.mark.parametrize("lines, arrivals", [
+        ([HEADER, '{"t": 0}'], (0.0,)),
+        ([HEADER.replace("1}", "2}"), '{"t": 0.5}', '{"t": 0.5}'],
+         (0.5, 0.5)),
+        ([HEADER, "", '{"t": 2, "extra": "ignored"}', ""], (2.0,)),
+    ], ids=["int-t", "equal-times", "blank-lines-and-extra-keys"])
+    def test_jsonl_admits_what_a_trace_allows(self, tmp_path, lines,
+                                               arrivals):
+        path = tmp_path / "ok.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert ArrivalTrace.from_jsonl(path).arrivals == arrivals
+
+    @pytest.mark.parametrize("lines, where", [
+        (["[1]", '{"t": 0.0}'], ":1: expected a JSON object"),
+        (["{", '{"t": 0.0}'], ":1: not JSON"),
+        ([HEADER, '{"s": 0.0}'], ":2: "),
+        ([HEADER, "[0.5]"], ":2: expected a JSON object"),
+        ([HEADER, '{"t": null}'], ":2: "),
+        ([HEADER, '{"t": "0.5"}'], ":2: "),
+        ([HEADER, '{"t": true}'], ":2: "),
+        ([HEADER, '{"t": NaN}'], ":2: "),
+        ([HEADER, '{"t": -1.0}'], ":2: "),
+        ([HEADER, '{"t": 1' + "0" * 400 + "}"], ":2: "),
+        ([HEADER.replace("1}", "2}"), '{"t": 0.5}', '{"t": 0.25}'], ":3: "),
+        (['{"format": "repro.arrivals.v1", "num_requests": 0}'],
+         ": a trace must contain"),
+    ], ids=["list-header", "broken-json", "no-t", "list-line", "null-t",
+            "string-t", "bool-t", "nan-t", "negative-t", "huge-int-t",
+            "unsorted", "no-arrivals"])
+    def test_malformed_jsonl_names_the_file_and_line(self, tmp_path, capsys,
+                                                     lines, where):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            ArrivalTrace.from_jsonl(path)
+        message = str(exc.value)
+        assert message.startswith(f"{path}{where}")
+        # The CLI exits with that one line, not a traceback.
+        with pytest.raises(SystemExit) as exit_:
+            main(["capacity", "--trace-file", str(path)])
+        assert exit_.value.code == message
+
+    def test_capacity_exits_on_a_missing_trace_file(self, tmp_path):
+        path = tmp_path / "missing.jsonl"
+        with pytest.raises(SystemExit) as exit_:
+            main(["capacity", "--trace-file", str(path)])
+        assert exit_.value.code.endswith(f"No such file or directory: "
+                                         f"'{path}'")
 
 
 class TestGenerators:

@@ -38,8 +38,8 @@ MODULES = SUBPACKAGES + [
     "repro.splitting.fusion",
     "repro.assignment.problem", "repro.assignment.greedy",
     "repro.assignment.optimal",
-    "repro.edge.device", "repro.edge.network", "repro.edge.sim_core",
-    "repro.edge.simulator", "repro.edge.runtime",
+    "repro.edge.device", "repro.edge.network", "repro.edge.simulator",
+    "repro.edge.runtime",
     "repro.core.training", "repro.core.edvit", "repro.core.metrics",
     "repro.core.experiments",
     "repro.baselines.split",

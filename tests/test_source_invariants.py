@@ -350,8 +350,6 @@ REACH_ALLOWED = {
     "repro.edge.runtime.EdgeCluster.infer_fused":
         "the synchronous scatter-then-fuse path four test files serve "
         "through",
-    "repro.edge.sim_core.FifoResource.utilization":
-        "leaves with edge/sim_core.py as a whole (ROADMAP item 14)",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
