@@ -245,6 +245,11 @@ def cmd_serve(args) -> None:
     if args.swap_after is not None and not args.store:
         raise SystemExit("--swap-after needs --store (the replacement "
                          "worker boots from the plan's store artifact)")
+    try:
+        load = LoadgenConfig(num_requests=args.requests, mode="open",
+                             offered_rps=args.rps, seed=args.seed)
+    except ValueError as exc:          # one line, no traceback
+        raise SystemExit(str(exc)) from None
     _maybe_enable_tracing(args)
     system, server = _make_server(args)
     kill_timer = None
@@ -274,10 +279,7 @@ def cmd_serve(args) -> None:
             swap_timer.start()
             print(f"(will rolling-swap slot {slot} after "
                   f"{args.swap_after}s)", file=sys.stderr)
-        result = run_load(server, system.input_shape,
-                          LoadgenConfig(num_requests=args.requests,
-                                        mode="open", offered_rps=args.rps,
-                                        seed=args.seed))
+        result = run_load(server, system.input_shape, load)
         report = server.stats(include_metrics=args.json or args.metrics)
         hosting = server.hosting()
         for timer in (kill_timer, swap_timer):
@@ -386,20 +388,26 @@ def cmd_artifacts(args) -> None:
 def cmd_loadgen(args) -> None:
     from .serving import LoadgenConfig, run_load
 
+    # Validate before _make_server, as cmd_serve does.
+    try:
+        loads = [LoadgenConfig(num_requests=args.requests, mode="open",
+                               offered_rps=float(rate), seed=args.seed)
+                 for rate in args.rates.split(",") if rate]
+        closed = (LoadgenConfig(num_requests=args.requests, mode="closed",
+                                concurrency=args.concurrency, seed=args.seed)
+                  if args.compare_batching else None)
+    except ValueError as exc:          # one line, no traceback
+        raise SystemExit(str(exc)) from None
     _maybe_enable_tracing(args)
     system, server = _make_server(args)
     results = []
     with server:
-        rates = [float(r) for r in args.rates.split(",") if r]
-        for rate in rates:
+        for load in loads:
             # Per-rate progress on stderr: the stdout table stays the
             # only thing machine consumers have to parse.
-            print(f"# offered load {rate:g} rps "
+            print(f"# offered load {load.offered_rps:g} rps "
                   f"({args.requests} requests)...", file=sys.stderr)
-            results.append(run_load(
-                server, system.input_shape,
-                LoadgenConfig(num_requests=args.requests, mode="open",
-                              offered_rps=rate, seed=args.seed)))
+            results.append(run_load(server, system.input_shape, load))
     _export_observability(args)
     print(format_table([r.row() for r in results]))
     if args.metrics:
@@ -416,11 +424,7 @@ def cmd_loadgen(args) -> None:
             compare_args.batch, compare_args.max_wait_ms = batch, wait_ms
             system, server = _make_server(compare_args)
             with server:
-                result = run_load(server, system.input_shape,
-                                  LoadgenConfig(num_requests=args.requests,
-                                                mode="closed",
-                                                concurrency=args.concurrency,
-                                                seed=args.seed))
+                result = run_load(server, system.input_shape, closed)
             rows.append({"batching": label, **result.row()})
         print(format_table(rows))
 

@@ -50,7 +50,7 @@ which owns the protocol's shape table)::
     ("spec", spec)                      # once, first; sent by the transport
     ("weights", name, array)            # one per state-dict entry
     ("weights", None, None)             # end of the weights
-    ("infer", request_id, x[, trace])   # run forward_features over x
+    ("infer", request_id, x)            # run forward_features over x
     ("stop",)                           # drain and exit
 
 Messages worker -> parent::
@@ -66,13 +66,12 @@ Messages worker -> parent::
 :meth:`EdgeCluster.poll` decodes it back to a float32 array before
 handing the reply to callers, so consumers never see codec internals.
 
-The optional ``trace`` field is the propagated **trace context**
-(``{"trace_id", "parent_id"}``, see :mod:`repro.obs.trace`): when
-present the worker records spans for its forward and encode phases
-as plain dicts and piggybacks them on the reply under ``stats["_spans"]``;
-:meth:`EdgeCluster.poll` strips that key and merges the spans into the
-server-side tracer.  Absent trace context (tracing disabled), workers
-record nothing — the server's switch is the only switch.
+A worker traces nothing.  Its ``stats`` report the intervals it measured
+(``host_compute_s``, of which ``forward_s`` is the forward and the rest
+the encode); the cluster stamps when the reply was received
+(``received_at``), how long its decode took (``decode_s``) and its codec,
+and the serving layer emits the worker's spans from those on its own
+clock (:mod:`repro.serving.server`).
 """
 
 from __future__ import annotations
@@ -87,7 +86,6 @@ import numpy as np
 
 from .. import nn
 from ..obs.metrics import get_registry
-from ..obs.trace import get_tracer, new_span_id, span_dict, tracing_enabled
 from ..models.snn import ConvSNN, SNNConfig
 from ..models.vgg import VGG, VGGConfig
 from ..models.vit import ViTConfig, VisionTransformer
@@ -333,13 +331,8 @@ def _worker_main(spec: WorkerSpec, conn) -> None:
             continue
         request_id = wire.request_id(message)
         x = wire.payload(message)
-        # Propagated trace context (absent when tracing is off server-side
-        # or the parent predates the field): its presence is the worker's
-        # only tracing switch.
-        trace = wire.trace_context(message)
         try:
-            wall_anchor = time.time()
-            wall_start = time.perf_counter()
+            started = time.perf_counter()
             # Batched, graph-free, workspace-cached: repeated requests reuse
             # the same scratch buffers, which is exactly the long-lived-server
             # shape of an edge deployment.
@@ -349,31 +342,10 @@ def _worker_main(spec: WorkerSpec, conn) -> None:
             encoded = codec.encode(features)
             done = time.perf_counter()
             # Reply at once: EdgeCluster._emulate charges the device time.
-            stats = {"host_compute_s": done - wall_start,
+            stats = {"host_compute_s": done - started,
+                     "forward_s": forward_done - started,
                      "bytes_out": float(encoded.nbytes),
                      "bytes_in": float(np.asarray(x).nbytes)}
-            if trace is not None:
-                # Record this request's worker-side phases as plain span
-                # dicts (wall-clock anchored, so they align with server
-                # spans) and piggyback them on the reply.
-                tid = trace.get("trace_id")
-                wid = spec.worker_id
-                root = new_span_id()
-
-                def _child(name, t0, t1, attrs=None):
-                    return span_dict(name, tid, new_span_id(), root, wid,
-                                     wall_anchor + (t0 - wall_start),
-                                     t1 - t0, attrs)
-
-                stats["_spans"] = [
-                    span_dict("worker.request", tid, root,
-                              trace.get("parent_id"), wid, wall_anchor,
-                              done - wall_start, {"samples": len(x)}),
-                    _child("worker.forward", wall_start, forward_done),
-                    _child("codec.encode", forward_done, done,
-                           {"codec": spec.codec,
-                            "nbytes": int(encoded.nbytes)}),
-                ]
             conn.send(wire.features_message(request_id, encoded, stats))
         except Exception as exc:       # an infer error must not kill the loop
             conn.send(wire.error_message(
@@ -391,10 +363,10 @@ def await_delivery(stats: Iterable[dict]) -> None:
 
 @dataclasses.dataclass
 class InferenceTiming:
-    """Timing report for one ``EdgeCluster.infer`` call."""
+    """Timing report for one ``EdgeCluster.infer_features`` call."""
 
     wall_seconds: float
-    per_worker: dict[str, dict[str, float]]
+    per_worker: dict[str, dict]
 
 
 class EdgeCluster:
@@ -402,9 +374,9 @@ class EdgeCluster:
 
     Two client surfaces:
 
-    * the synchronous scatter/gather pair :meth:`infer_features` /
-      :meth:`infer_fused`, which raises :class:`WorkerFailure` on a dead,
-      erroring, or timed-out worker instead of hanging; and
+    * the synchronous scatter/gather :meth:`infer_features`, which raises
+      :class:`WorkerFailure` on a dead, erroring, or timed-out worker
+      instead of hanging; and
     * the primitives :meth:`submit` / :meth:`gather` / :meth:`mark_down`,
       which the serving layer (:mod:`repro.serving`) uses to drive all
       workers concurrently and keep answering in degraded mode when some
@@ -709,19 +681,13 @@ class EdgeCluster:
             return
         handle.kill()
 
-    def submit(self, worker_id: str, request_id: int, x: np.ndarray,
-               trace: dict | None = None) -> bool:
+    def submit(self, worker_id: str, request_id: int, x: np.ndarray) -> bool:
         """Dispatch one request without blocking on the reply.
 
         Inputs are canonicalized to contiguous float32 here — the dtype
         the workers compute in — so a float64 (or integer) caller cannot
         silently double the bytes crossing the worker boundary and the
         emulated transfer charged on them.
-
-        ``trace`` is an optional trace context (``{"trace_id",
-        "parent_id"}``) propagated on the wire so worker-side spans join
-        the server-side trace; when ``None`` the legacy 3-tuple is sent
-        and the worker records nothing.
 
         Returns ``False`` (after marking the worker down) when the worker
         cannot accept work — dead worker or closed channel.
@@ -736,7 +702,7 @@ class EdgeCluster:
             return False
         x = np.ascontiguousarray(x, dtype=np.float32)
         try:
-            handle.send(wire.infer_message(request_id, x, trace))
+            handle.send(wire.infer_message(request_id, x))
         except (BrokenPipeError, OSError):
             self.mark_down(worker_id, "pipe closed")
             return False
@@ -760,10 +726,10 @@ class EdgeCluster:
 
         ``c`` is ``samples`` × ``flops_per_sample`` on the spec's device,
         ``t`` the encoded bytes on its link.  Stamps ``stats`` with them
-        (``emulated_*_s``) and with each stage's end, length and wait on
-        the ``perf_counter`` clock: ``computed_at`` / ``compute_s`` /
-        ``compute_queued_s`` and ``delivered_at`` / ``transfer_s`` /
-        ``queued_s``.
+        (``emulated_*_s``), with ``received_at`` and with each stage's
+        end, length and wait on the ``perf_counter`` clock:
+        ``computed_at`` / ``compute_s`` / ``compute_queued_s`` and
+        ``delivered_at`` / ``transfer_s`` / ``queued_s``.
         """
         spec = self._specs[worker_id]
         scale = self._time_scale
@@ -778,7 +744,8 @@ class EdgeCluster:
         delivered = max(received, sending + transfer * scale)
         self._device_free[device] = (computed, delivered)
         stats.update(emulated_compute_s=compute, emulated_transfer_s=transfer,
-                     computed_at=computed, compute_s=compute * scale,
+                     received_at=received, computed_at=computed,
+                     compute_s=compute * scale,
                      compute_queued_s=computing - start,
                      delivered_at=delivered, transfer_s=transfer * scale,
                      queued_s=sending - computed)
@@ -786,11 +753,10 @@ class EdgeCluster:
     def _decode_reply(self, worker_id: str, message: tuple) -> tuple:
         """Decode a ``features`` reply's payload back to a float32 array.
 
-        Also the reply-side observability tap: per-worker reply/in-flight/
-        wire-bytes accounting, merging piggybacked worker spans into the
-        server-side tracer, and a ``codec.decode`` span (joined to the
-        batch trace by request id); and the emulated device, which stamps
-        the reply's compute and delivery instants (:meth:`_emulate`).
+        Also the reply-side accounting: per-worker reply/in-flight/
+        wire-bytes metrics; the reply's ``codec`` and ``decode_s`` stamped
+        into its stats; and the emulated device, which stamps the reply's
+        receive, compute and delivery instants (:meth:`_emulate`).
         """
         received = time.perf_counter()
         if wire.command(message) == wire.ERROR:
@@ -803,29 +769,15 @@ class EdgeCluster:
         self._note_reply(worker_id, nbytes=int(encoded.nbytes))
         stats = wire.stats(message)
         self._emulate(worker_id, stats, encoded.shape[0], received)
-        # Strip piggybacked spans unconditionally so consumers of the
-        # stats dict never see the private key, even if tracing was
-        # switched off between dispatch and reply.
-        spans = stats.pop("_spans", None)
-        traced = tracing_enabled()
-        if spans and traced:
-            get_tracer().record_dicts(spans)
         try:
-            t_wall = time.time()
             t0 = time.perf_counter()
             features = get_codec(encoded.codec).decode(encoded)
-            decode_s = time.perf_counter() - t0
+            stats.update(codec=encoded.codec,
+                         decode_s=time.perf_counter() - t0)
         except Exception as exc:       # corrupt payload: surface, don't die
             return wire.error_message(
                 wire.request_id(message),
                 f"feature decode failed: {type(exc).__name__}: {exc}")
-        if traced:
-            get_tracer().emit("codec.decode",
-                              trace_id=wire.request_id(message),
-                              ts=t_wall, duration_s=decode_s,
-                              attrs={"worker": worker_id,
-                                     "codec": encoded.codec,
-                                     "nbytes": int(encoded.nbytes)})
         return wire.features_message(wire.request_id(message), features,
                                      stats)
 
@@ -874,7 +826,7 @@ class EdgeCluster:
     # ------------------------------------------------------------------
     def gather(self, request_id: int, workers: Iterable[str],
                deadline: float | None,
-               ) -> tuple[dict[str, np.ndarray], dict[str, dict[str, float]],
+               ) -> tuple[dict[str, np.ndarray], dict[str, dict],
                           dict[str, str]]:
         """Collect what ``workers`` owe request ``request_id``.
 
@@ -963,17 +915,3 @@ class EdgeCluster:
         timing = InferenceTiming(wall_seconds=time.perf_counter() - start,
                                  per_worker=per_worker)
         return features, timing
-
-    def infer_fused(self, x: np.ndarray, fusion: nn.Module,
-                    timeout: float | None = 60.0) -> tuple[np.ndarray,
-                                                           InferenceTiming]:
-        """Full pipeline: scatter -> gather features -> fuse -> predictions."""
-        from ..core.inference import predict
-
-        features, timing = self.infer_features(x, timeout=timeout)
-        ordered = [features[worker_id] for worker_id in self._specs]
-        # Long-lived serving path: keep the fusion MLP's scratch warm across
-        # requests, mirroring the workers' keep_workspaces=True.
-        logits = predict(fusion, np.concatenate(ordered, axis=-1),
-                         keep_workspaces=True)
-        return logits.argmax(axis=-1), timing

@@ -2,10 +2,9 @@
 
 The parent↔worker messages (:mod:`repro.edge.runtime`) are plain tuples
 so every transport can ship them unchanged, but their *shape* is a
-contract four modules depend on: the worker loop, the cluster's
-dispatch/poll surface, the serving gather loop, and the trace-context
-propagation added in the observability layer.  This module is the single
-place that shape lives — everything else builds messages through the
+contract three modules depend on: the worker loop, the cluster's
+dispatch/poll surface, and the serving gather loop.  This module is the
+single place that shape lives — everything else builds messages through the
 ``*_message`` constructors and reads fields through the accessors, and
 a tier-1 test over the source (``tests/test_source_invariants.py``)
 flags raw tuple literals or ``message[0] == "..."`` string matching
@@ -20,8 +19,7 @@ Wire shapes (see :data:`ARITY` for the machine-readable form)::
         (WEIGHTS, name, array)             # one state-dict entry, in order
         (WEIGHTS, None, None)              # end of the weights
     parent -> worker:
-        (INFER, request_id, x)             # legacy 3-tuple, tracing off
-        (INFER, request_id, x, trace)      # trace context propagated
+        (INFER, request_id, x)             # run the sub-model over x
         (STOP,)
     worker -> parent:
         (READY, worker_id)                 # once, after the last WEIGHTS
@@ -52,12 +50,10 @@ COMMANDS = frozenset({SPEC, WEIGHTS, INFER, STOP,
                       HELLO, READY, FAILED, FEATURES, ERROR, STOPPED})
 
 # command -> (min_len, max_len) including the command element itself.
-# INFER's optional 4th element is the trace context; its absence keeps
-# the wire byte-identical to the pre-tracing protocol.
 ARITY: dict[str, tuple[int, int]] = {
     SPEC: (2, 2),
     WEIGHTS: (3, 3),
-    INFER: (3, 4),
+    INFER: (3, 3),
     STOP: (1, 1),
     HELLO: (2, 2),
     READY: (2, 2),
@@ -95,11 +91,9 @@ def weights_end_message() -> tuple:
     return (WEIGHTS, None, None)
 
 
-def infer_message(request_id: int, x, trace: dict | None = None) -> tuple:
-    """An inference dispatch; ``trace`` rides as the optional 4th element."""
-    if trace is None:
-        return (INFER, request_id, x)
-    return (INFER, request_id, x, trace)
+def infer_message(request_id: int, x) -> tuple:
+    """An inference dispatch: run the sub-model over ``x``."""
+    return (INFER, request_id, x)
 
 
 def stop_message() -> tuple:
@@ -165,11 +159,6 @@ def payload(message: tuple) -> Any:
 def stats(message: tuple) -> Any:
     """The per-request stats dict of a FEATURES message."""
     return message[3]
-
-
-def trace_context(message: tuple) -> dict | None:
-    """The propagated trace context of an INFER message, if present."""
-    return message[3] if len(message) > 3 else None
 
 
 def startup_detail(message: tuple) -> Any:

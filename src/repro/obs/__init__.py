@@ -4,9 +4,9 @@ The repo's fourth cross-cutting seam (after backend, transport, and
 store).  Four pieces:
 
 * :mod:`repro.obs.trace` — spans emitted from intervals the code
-  already measured (one idiom: :meth:`Tracer.emit`, or
-  :func:`span_dict` in a worker), with cross-process trace-context
-  propagation over the worker wire protocol; ~zero cost when disabled;
+  already measured (one idiom: :meth:`Tracer.emit`); a worker's spans
+  are emitted by the server from the intervals its reply reports;
+  ~zero cost when disabled;
 * :mod:`repro.obs.metrics` — process-local counters/gauges/histograms
   with JSON-safe snapshots that :class:`repro.serving.ServingReport`
   embeds;
@@ -30,7 +30,7 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".trace": ("SpanRecord", "TRACE_SCHEMA_VERSION", "Tracer",
                "disable_tracing", "enable_tracing", "get_tracer",
-               "new_span_id", "span_dict", "tracing_enabled"),
+               "new_span_id", "tracing_enabled"),
     ".metrics": ("Counter", "DEFAULT_SECONDS_BOUNDS", "Gauge", "Histogram",
                  "METRICS_SCHEMA_VERSION", "MetricsRegistry", "get_registry"),
     ".profile": ("PROFILED_KERNELS", "ProfilingBackend"),

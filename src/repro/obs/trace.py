@@ -1,31 +1,24 @@
-"""Structured tracing: lightweight spans with cross-process propagation.
+"""Structured tracing: lightweight spans emitted from measured intervals.
 
 A **span** is one named, wall-clock-anchored interval of work (a batch
 serve, a worker forward, a codec decode, a store load) tagged with a
-``trace_id`` that joins every span of one request together across threads
-*and* processes.
+``trace_id`` that joins every span of one request together; its
+``process`` says where the work ran (``"server"`` or a worker id).
 
 There is one way to make a span: time the work as the code already does,
-then hand the measured interval over after the fact — :meth:`Tracer.emit`
-in the serving process, :func:`span_dict` in a worker.  A span is never a
-second clock around the work.  Emitters branch on :func:`tracing_enabled`
-(one module-level flag) and skip all span work when it is off, so disabled
-tracing costs a single branch with no allocation.
+then hand the measured interval over after the fact with
+:meth:`Tracer.emit`.  A span is never a second clock around the work.
+Emitters branch on :func:`tracing_enabled` (one module-level flag) and
+skip all span work when it is off, so disabled tracing costs a single
+branch with no allocation.
 
-Timestamps are **wall clock** (``time.time()``), not ``perf_counter``:
-``perf_counter`` has an arbitrary per-process epoch, so spans recorded in
-a worker process could never be aligned with the server's on a shared
-timeline.  Durations are still measured with ``perf_counter`` for
-resolution; only the anchor is wall clock.
-
-Cross-process propagation works over the existing worker wire protocol:
-the server attaches a **trace context** (``{"trace_id", "parent_id"}``)
-to each ``infer`` message, the worker records its spans as plain dicts
-(:func:`span_dict` — no tracer object needed in the worker) and ships
-them back piggybacked on its reply, and :meth:`EdgeCluster.poll
-<repro.edge.runtime.EdgeCluster.poll>` merges them into the server-side
-collector.  A worker that receives no trace context records nothing, so
-enabling/disabling tracing in the server is the only switch.
+Timestamps are **wall clock** (``time.time()``), so exported spans line
+up with other logs; durations are measured with ``perf_counter`` for
+resolution, and an instant on it is placed on the wall clock by its
+offset from an anchor taken on both.  No span crosses a process
+boundary: a worker reports the intervals it measured in its reply's
+stats, and the server emits the worker's spans from them
+(:mod:`repro.serving.server`).
 
 Collected spans live in a thread-safe ring buffer (:class:`Tracer`) and
 export through :mod:`repro.obs.export` (JSONL and Chrome-trace/Perfetto).
@@ -38,7 +31,6 @@ import itertools
 import os
 import threading
 import time
-from typing import Iterable
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -46,8 +38,8 @@ _SPAN_COUNTER = itertools.count(1)
 
 
 def new_span_id() -> str:
-    """A process-unique span id (pid-prefixed so worker ids never collide
-    with the server's)."""
+    """A process-unique span id (pid-prefixed, so the ids of two
+    processes' exports never collide)."""
     return f"{os.getpid():x}-{next(_SPAN_COUNTER):x}"
 
 
@@ -81,21 +73,6 @@ class SpanRecord:
                           attrs=dict(data.get("attrs", {})))
 
 
-def span_dict(name: str, trace_id, span_id: str, parent_id: str | None,
-              process: str, ts: float, duration_s: float,
-              attrs: dict | None = None) -> dict:
-    """A span as a plain JSON-safe dict — the worker-side wire shape.
-
-    Workers build these without touching any tracer state and piggyback
-    them on their reply; the server re-hydrates them with
-    :meth:`Tracer.record_dicts`.
-    """
-    return {"name": name, "trace_id": trace_id, "span_id": span_id,
-            "parent_id": parent_id, "process": process,
-            "thread": threading.current_thread().name,
-            "ts": ts, "duration_s": duration_s, "attrs": dict(attrs or {})}
-
-
 class Tracer:
     """Thread-safe ring-buffered span collector for one process.
 
@@ -122,9 +99,9 @@ class Tracer:
              ) -> SpanRecord:
         """Record one already-measured span.
 
-        The only emission path in the serving process: the serving loop,
-        the store and the cluster turn durations they measure anyway
-        (gather, fusion, per-request queueing, a checkpoint load) into
+        The only emission path: the serving loop and the store turn
+        durations they measure anyway (gather, fusion, per-request
+        queueing, a worker's reported forward, a checkpoint load) into
         spans without timing anything twice.
         """
         record = SpanRecord(
@@ -146,11 +123,6 @@ class Tracer:
                 self._spans[self._start] = record
                 self._start = (self._start + 1) % self.capacity
                 self._dropped += 1
-
-    def record_dicts(self, spans: Iterable[dict]) -> None:
-        """Merge spans that crossed a process boundary as plain dicts."""
-        for data in spans:
-            self.record(SpanRecord.from_dict(data))
 
     # -- inspection -----------------------------------------------------
     def spans(self) -> list[SpanRecord]:

@@ -51,6 +51,21 @@ class LoadgenConfig:
     # Overrides num_requests/offered_rps.
     arrivals: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        if self.mode not in ("open", "closed", "trace"):
+            raise ValueError(f"unknown loadgen mode {self.mode!r}; "
+                             "choose 'open', 'closed' or 'trace'")
+        if self.num_requests < 1:
+            raise ValueError(f"num_requests must be at least 1, "
+                             f"not {self.num_requests}")
+        if self.mode == "open" and not (math.isfinite(self.offered_rps)
+                                        and self.offered_rps > 0):
+            raise ValueError(f"an open loop's offered_rps must be a finite "
+                             f"rate above 0, not {self.offered_rps}")
+        if self.mode == "closed" and self.concurrency < 1:
+            raise ValueError(f"a closed loop's concurrency must be at "
+                             f"least 1, not {self.concurrency}")
+
 
 # Every generated request carries one image, and a run waits this long
 # for any one request before counting it as an error.
@@ -138,12 +153,9 @@ def run_load(server: InferenceServer, input_shape: tuple[int, ...],
     if make_input is None:
         def make_input(rng, count):
             return _make_input(rng, input_shape, count)
-    if config.mode in ("open", "trace"):
-        return _run_open_loop(server, config, make_input)
     if config.mode == "closed":
         return _run_closed_loop(server, config, make_input)
-    raise ValueError(f"unknown loadgen mode {config.mode!r}; "
-                     "choose 'open', 'closed' or 'trace'")
+    return _run_open_loop(server, config, make_input)
 
 
 def _collect(server: InferenceServer, config: LoadgenConfig,

@@ -83,7 +83,6 @@ class _BatchContext:
     x: np.ndarray | None = None
     hosting: dict[str, str] = dataclasses.field(default_factory=dict)
     request_id: int | None = None      # dispatch id shared by every worker
-    span_id: str | None = None         # set only when the batch is traced
     dispatched_at: float | None = None  # None: never dispatched
     dispatched_wall: float = 0.0
     bytes_out: int = 0
@@ -446,19 +445,12 @@ class InferenceServer:
         with self._hosting_lock:
             ctx.hosting = dict(self._hosting)
             self._inflight_hosts[ctx.request_id] = set(ctx.hosting.values())
-        # The batch span id is minted *before* dispatch so worker-process
-        # spans can parent to it via the propagated trace context; the
-        # span itself is emitted retroactively once the batch resolves.
-        ctx.span_id = new_span_id() if tracing_enabled() else None
-        trace = None if ctx.span_id is None else {
-            "trace_id": ctx.request_id, "parent_id": ctx.span_id}
         # submit() detects dead processes / closed pipes itself and marks
         # the worker down, so no liveness pre-check here.
         pending = []
         for worker_id in sorted(set(ctx.hosting.values())):
             sent = time.perf_counter()
-            if self._cluster.submit(worker_id, ctx.request_id, ctx.x,
-                                    trace=trace):
+            if self._cluster.submit(worker_id, ctx.request_id, ctx.x):
                 pending.append(worker_id)
             ctx.send_s[worker_id] = time.perf_counter() - sent
         ctx.scatter_s = time.perf_counter() - ctx.dispatched_at
@@ -539,26 +531,55 @@ class InferenceServer:
             self._m_failed.inc(len(resolved))
         elif ctx.missing:
             self._m_degraded.inc(len(resolved))
-        if ctx.span_id is None:
+        if not tracing_enabled():
             return
         tracer = get_tracer()
         if not failed:
+            batch_span = new_span_id()
+
+            def wall(instant: float) -> float:
+                """A ``perf_counter`` instant of this batch, on the wall
+                clock."""
+                return ctx.dispatched_wall + (instant - ctx.dispatched_at)
+
             tracer.emit("batch.serve", trace_id=ctx.request_id,
-                        span_id=ctx.span_id, ts=ctx.dispatched_wall,
+                        span_id=batch_span, ts=ctx.dispatched_wall,
                         duration_s=completed_at - ctx.dispatched_at,
                         attrs={"requests": len(batch.requests),
                                "samples": batch.num_samples,
                                "workers": len(set(ctx.hosting.values())),
                                "degraded": bool(ctx.missing)})
             tracer.emit("batch.scatter", trace_id=ctx.request_id,
-                        parent_id=ctx.span_id, ts=ctx.dispatched_wall,
+                        parent_id=batch_span, ts=ctx.dispatched_wall,
                         duration_s=ctx.scatter_s,
                         attrs={"send_s": ctx.send_s})
             tracer.emit("batch.gather", trace_id=ctx.request_id,
-                        parent_id=ctx.span_id, ts=ctx.dispatched_wall,
+                        parent_id=batch_span, ts=ctx.dispatched_wall,
                         duration_s=ctx.gather_s)
-            # Per reply: its compute on its device's CPU, then its wire.
+            # Per reply: the worker's own intervals, which end when its
+            # reply was received, and its decode; then its compute on its
+            # device's CPU, then its wire.
             for worker, reply in ctx.stats.items():
+                host, forward = reply["host_compute_s"], reply["forward_s"]
+                started = wall(reply["received_at"] - host)
+                codec = {"codec": reply["codec"],
+                         "nbytes": int(reply["bytes_out"])}
+                handled = tracer.emit(
+                    "worker.request", trace_id=ctx.request_id,
+                    parent_id=batch_span, process=worker, ts=started,
+                    duration_s=host, attrs={"samples": batch.num_samples})
+                tracer.emit("worker.forward", trace_id=ctx.request_id,
+                            parent_id=handled.span_id, process=worker,
+                            ts=started, duration_s=forward)
+                tracer.emit("codec.encode", trace_id=ctx.request_id,
+                            parent_id=handled.span_id, process=worker,
+                            ts=started + forward, duration_s=host - forward,
+                            attrs=codec)
+                tracer.emit("codec.decode", trace_id=ctx.request_id,
+                            parent_id=batch_span,
+                            ts=wall(reply["received_at"]),
+                            duration_s=reply["decode_s"],
+                            attrs={"worker": worker, **codec})
                 for name, end, took, attrs in (
                         ("device.compute", "computed_at", "compute_s",
                          {"queued_s": reply["compute_queued_s"]}),
@@ -566,17 +587,13 @@ class InferenceServer:
                          {"nbytes": int(reply["bytes_out"]),
                           "queued_s": reply["queued_s"]})):
                     tracer.emit(name, trace_id=ctx.request_id,
-                                parent_id=ctx.span_id,
-                                ts=ctx.dispatched_wall + (
-                                    reply[end] - reply[took]
-                                    - ctx.dispatched_at),
+                                parent_id=batch_span,
+                                ts=wall(reply[end] - reply[took]),
                                 duration_s=reply[took],
                                 attrs={"worker": worker, took: reply[took],
                                        **attrs})
             tracer.emit("batch.fusion", trace_id=ctx.request_id,
-                        parent_id=ctx.span_id,
-                        ts=ctx.dispatched_wall
-                        + (ctx.fusion_start - ctx.dispatched_at),
+                        parent_id=batch_span, ts=wall(ctx.fusion_start),
                         duration_s=ctx.fusion_s)
         # Per-request spans, retroactively from the telemetry measured
         # anyway (no double timing).

@@ -138,6 +138,22 @@ class TestServingCommands:
         with pytest.raises(SystemExit, match="--store"):
             main(["serve", *self.SERVE, "10", "--swap-after", "0.05"])
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("serve", ("--rps", "0"), "offered_rps"),
+        ("loadgen", ("--rates", "10,-5"), "offered_rps"),
+        ("serve", ("--requests", "0"), "num_requests"),
+    ])
+    def test_bad_load_exits_with_one_line_before_the_fleet(
+            self, monkeypatch, command, flags, message):
+        import repro.cli
+
+        def no_fleet(args):
+            raise AssertionError("a fleet was built")
+        monkeypatch.setattr(repro.cli, "_make_server", no_fleet)
+        with pytest.raises(SystemExit, match=message) as exc:
+            main([command, *self.SERVE, "5", *flags])
+        assert "\n" not in str(exc.value.code)
+
     def test_trace_writes_json(self, capsys, tmp_path):
         import json
 

@@ -18,7 +18,6 @@ from repro.edge.simulator import (
     SubModelProfile,
     simulate_inference,
 )
-from repro.models.fusion import build_fusion_for
 from repro.models.vit import ViTConfig, VisionTransformer
 
 
@@ -85,15 +84,6 @@ class TestEdgeCluster:
         for report in timing.per_worker.values():
             assert report["emulated_compute_s"] > 0
             assert report["emulated_transfer_s"] > 0
-
-    def test_fused_inference(self, cluster_and_models):
-        cluster, models = cluster_and_models
-        fusion = build_fusion_for([m.feature_dim() for m in models],
-                                  num_classes=5)
-        x = np.zeros((4, 3, 8, 8), dtype=np.float32)
-        pred, _ = cluster.infer_fused(x, fusion)
-        assert pred.shape == (4,)
-        assert set(pred).issubset(set(range(5)))
 
     def test_multiple_inferences_same_cluster(self, cluster_and_models):
         cluster, _ = cluster_and_models

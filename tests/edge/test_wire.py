@@ -13,7 +13,6 @@ class TestConstructors:
             wire.weights_message("blocks.0.norm1.weight", b"array"),
             wire.weights_end_message(),
             wire.infer_message(7, "x"),
-            wire.infer_message(7, "x", {"trace_id": 9}),
             wire.stop_message(),
             wire.ready_message("w0"),
             wire.failed_message("w0", "boom"),
@@ -24,17 +23,11 @@ class TestConstructors:
         for message in messages:
             assert wire.check(message) is message
 
-    def test_infer_without_trace_is_the_legacy_3_tuple(self):
+    def test_infer_is_always_a_3_tuple(self):
         assert wire.infer_message(3, "x") == (wire.INFER, 3, "x")
-
-    def test_infer_with_trace_carries_it_as_4th_element(self):
-        trace = {"trace_id": 1, "parent_id": "a"}
-        message = wire.infer_message(3, "x", trace)
-        assert len(message) == 4
-        assert wire.trace_context(message) == trace
-
-    def test_trace_context_is_none_on_legacy_tuples(self):
-        assert wire.trace_context(wire.infer_message(3, "x")) is None
+        assert wire.ARITY[wire.INFER] == (3, 3)
+        with pytest.raises(wire.WireError):
+            wire.check((wire.INFER, 3, "x", {"trace_id": 3}))
 
 
 class TestBootMessages:

@@ -82,15 +82,16 @@ class TestResourceStory:
 class TestProcessEmulation:
     def test_emulated_cluster_matches_local_predictions(self, system_n2,
                                                         tiny_dataset):
-        """Ship the built sub-models into worker processes on their planned
-        devices and verify the distributed prediction equals the local
+        """Serve the built sub-models from worker processes on their
+        planned devices and verify the served prediction equals the local
         fused prediction."""
         x = tiny_dataset.x_test[:8]
         local = system_n2.local_fused_labels(x)
-        with system_n2.make_cluster() as cluster:
-            remote, timing = cluster.infer_fused(x, system_n2.fusion)
+        with system_n2.make_server() as server:
+            remote = server.infer(x)
+            report = server.stats()
         np.testing.assert_array_equal(local, remote)
-        assert timing.wall_seconds > 0
+        assert report.completed == 1 and report.degraded_requests == 0
 
 
 class TestDeviceCountSweep:

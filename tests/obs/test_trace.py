@@ -1,4 +1,4 @@
-"""Tracing unit tests: spans, propagation, ring buffer, global switch."""
+"""Tracing unit tests: spans, their dict form, ring buffer, global switch."""
 
 import threading
 
@@ -11,7 +11,6 @@ from repro.obs import (
     enable_tracing,
     get_tracer,
     new_span_id,
-    span_dict,
     tracing_enabled,
 )
 
@@ -94,18 +93,7 @@ class TestEmit:
                 list(range(200))
 
 
-class TestPropagation:
-    def test_span_dict_roundtrip(self):
-        tracer = enable_tracing()
-        wire = span_dict("worker.forward", 3, "w-1", "s-1", "w0",
-                         1000.0, 0.25, {"samples": 4})
-        tracer.record_dicts([wire])
-        (record,) = tracer.spans()
-        assert isinstance(record, SpanRecord)
-        assert record.process == "w0" and record.parent_id == "s-1"
-        assert record.ts == 1000.0 and record.duration_s == 0.25
-        assert record.attrs == {"samples": 4}
-
+class TestRecordDict:
     def test_record_roundtrips_through_its_dict(self):
         record = Tracer(process="w2").emit("worker.decode", trace_id="r-3",
                                            parent_id="s-1", duration_s=0.5,

@@ -134,8 +134,8 @@ def test_int8_plan_warm_boots_from_store(store, int8_system):
 def test_int8_fleet_serves_and_matches_local_reference(int8_system):
     x = np.random.default_rng(0).normal(
         size=(4, *int8_system.input_shape)).astype(np.float32)
-    with int8_system.make_cluster() as cluster:
-        labels, _ = cluster.infer_fused(x, int8_system.fusion)
+    with int8_system.make_server() as server:
+        labels = server.infer(x)
     np.testing.assert_array_equal(labels,
                                   int8_system.local_fused_labels(x))
 

@@ -11,7 +11,9 @@ chance level (0.1).
 import numpy as np
 import pytest
 
+from repro.edge.runtime import WorkerFailure
 from repro.planning import plan_demo_system
+from repro.serving import InferenceServer
 
 
 @pytest.fixture(scope="module")
@@ -29,20 +31,17 @@ def test_set(trained_system):
 def test_served_accuracy_degrades_gracefully(trained_system, test_set):
     x, y = test_set
     w0 = trained_system.plan.model_ids[0]
-    with trained_system.make_cluster() as cluster:
-        healthy, _ = cluster.infer_fused(x, trained_system.fusion)
-        healthy_acc = float((healthy == y).mean())
+    with trained_system.make_server() as server:
+        healthy = server.infer(x, timeout=60.0)
+    healthy_acc = float((healthy == y).mean())
 
+    with trained_system.make_cluster() as cluster:
         cluster.kill_worker(w0)
         # The sync path refuses (typed failure) ...
-        from repro.edge.runtime import WorkerFailure
-
         with pytest.raises(WorkerFailure):
-            cluster.infer_fused(x, trained_system.fusion, timeout=10.0)
+            cluster.infer_features(x, timeout=10.0)
 
     # ... while the serving layer degrades: zero-filled w0 features.
-    from repro.serving import InferenceServer
-
     with InferenceServer(trained_system.make_cluster(),
                          trained_system.fusion) as server:
         server.cluster.kill_worker(w0)

@@ -129,10 +129,25 @@ class TestOpenLoop:
             assert result.report.latency_p50_s is not None
 
 
-def test_unknown_mode_rejected(system):
-    with make_server(system) as server:
-        with pytest.raises(ValueError):
-            run_load(server, system.input_shape, LoadgenConfig(mode="sine"))
+@pytest.mark.parametrize("fields, message", [
+    ({"mode": "sine"}, "unknown loadgen mode"),
+    ({"num_requests": 0}, "num_requests"),
+    ({"mode": "trace", "arrivals": (0.0,), "num_requests": -1},
+     "num_requests"),
+    ({"mode": "open", "offered_rps": 0.0}, "offered_rps"),
+    ({"mode": "open", "offered_rps": -5.0}, "offered_rps"),
+    ({"mode": "open", "offered_rps": float("inf")}, "offered_rps"),
+    ({"mode": "open", "offered_rps": float("nan")}, "offered_rps"),
+    ({"mode": "closed", "concurrency": 0}, "concurrency"),
+])
+def test_bad_fields_rejected_at_construction(fields, message):
+    with pytest.raises(ValueError, match=message):
+        LoadgenConfig(**fields)
+
+
+def test_fields_a_mode_does_not_read_are_not_checked():
+    LoadgenConfig(mode="closed", offered_rps=0.0)
+    LoadgenConfig(mode="open", concurrency=0)
 
 
 class TestTraceMode:

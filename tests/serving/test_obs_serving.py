@@ -1,7 +1,8 @@
 """End-to-end observability over the serving stack.
 
-Covers the tentpole contract (worker-process spans joined to the
-server-side trace by the propagated context), the report schema fields,
+Covers the span tree of a served batch (the worker's spans, emitted by
+the server from the intervals its reply reports, under the batch span
+with the worker as their process), the report schema fields,
 the serving/edge metrics series, the vectorized aggregation, and the
 swap-attribution guarantee: a retired worker's series must not leak
 into its replacement's.
@@ -90,8 +91,9 @@ class TestSpanTree:
                  "worker.request", "codec.decode", "device.compute",
                  "link.transfer"}
 
-        # Worker spans are emitted in the worker and joined to the
-        # server-side batch span by the propagated trace context.
+        # Worker spans are emitted by the server from the intervals each
+        # reply reports, under the batch span, with the worker as their
+        # process; its forward and encode split its request.
         assert set(by_name) >= WORKER_SPAN_NAMES | {"codec.decode"}
         for s in by_name["worker.request"]:
             assert s.process in system.plan.model_ids
@@ -99,8 +101,25 @@ class TestSpanTree:
         for s in by_name["worker.forward"]:
             parent_ids = {w.span_id for w in by_name["worker.request"]}
             assert s.parent_id in parent_ids
+        for request in by_name["worker.request"]:
+            forward, encode = (
+                next(s for s in by_name[name]
+                     if s.parent_id == request.span_id)
+                for name in ("worker.forward", "codec.encode"))
+            assert forward.process == encode.process == request.process
+            assert forward.ts == request.ts
+            assert encode.ts == pytest.approx(forward.ts + forward.duration_s)
+            assert forward.duration_s + encode.duration_s == \
+                pytest.approx(request.duration_s)
         for s in by_name["codec.decode"]:
             assert s.process == "server"
+            assert s.parent_id == batch_spans[s.trace_id].span_id
+        # One decode per worker reply, in every batch.
+        for trace_id in batch_spans:
+            assert sorted(s.attrs["worker"] for s in by_name["codec.decode"]
+                          if s.trace_id == trace_id) == \
+                sorted(s.process for s in by_name["worker.request"]
+                       if s.trace_id == trace_id)
         # The scatter opens its batch and times one send per worker;
         # each worker starts on the batch after the scatter began, and the
         # gather ends after the scatter does.

@@ -347,9 +347,6 @@ REACH_ALLOWED = {
     "repro.nn.backend.Workspace.per_thread":
         "how the tests check that concurrent inference gets its own "
         "scratch per thread",
-    "repro.edge.runtime.EdgeCluster.infer_fused":
-        "the synchronous scatter-then-fuse path four test files serve "
-        "through",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
