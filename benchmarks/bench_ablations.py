@@ -19,11 +19,12 @@ from repro.core.edvit import EDViTConfig, build_edvit
 from repro.core.training import evaluate
 from repro.edge.device import make_fleet
 from repro.pruning.pipeline import PruneConfig, prune_submodel
+from repro.serving.demo import fused_labels
 from repro.splitting.class_assignment import (
     balanced_class_partition,
     unbalanced_class_partition,
 )
-from repro.splitting.fusion import fused_accuracy, train_fusion_mlp
+from repro.splitting.fusion import train_fusion_mlp
 
 MB = 2 ** 20
 
@@ -105,7 +106,8 @@ def test_ablation_balanced_vs_skewed_partition(benchmark, trained_vit,
                       for classes, hp in zip(groups, schedule.hps)]
             fusion = train_fusion_mlp(models, bench_dataset, epochs=12,
                                       lr=3e-3, seed=0)
-            results[name] = fused_accuracy(models, fusion, bench_dataset)
+            labels = fused_labels(models, fusion, bench_dataset.x_test)
+            results[name] = float((labels == bench_dataset.y_test).mean())
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -132,9 +134,11 @@ def test_ablation_fusion_shrink_sweep(benchmark, trained_vit, bench_dataset):
             fusion = train_fusion_mlp(system.models, bench_dataset,
                                       epochs=12, lr=3e-3, shrink=shrink,
                                       seed=0)
+            labels = fused_labels(system.models, fusion,
+                                  bench_dataset.x_test)
             rows.append({"lambda": shrink,
-                         "accuracy": fused_accuracy(system.models, fusion,
-                                                    bench_dataset),
+                         "accuracy": float(
+                             (labels == bench_dataset.y_test).mean()),
                          "fusion_hidden": fusion.config.hidden_dim})
         return rows
 

@@ -13,7 +13,6 @@ from repro.baselines import SplitConfig, build_split
 from repro.core.edvit import EDViTConfig, build_edvit
 from repro.edge.device import make_fleet
 from repro.pruning.pipeline import PruneConfig
-from repro.splitting.fusion import fused_accuracy
 
 MB = 2 ** 20
 
@@ -47,7 +46,7 @@ def build_split_system(trained_base, dataset, n: int, seed: int = 0,
 
 def system_accuracy(system, dataset) -> float:
     """Fused test accuracy of an ED-ViT, Split-CNN or Split-SNN system."""
-    return fused_accuracy(system.models, system.fusion, dataset)
+    return system.local_accuracy(dataset.x_test, dataset.y_test)
 
 
 def accuracy_over_trials(builder, dataset, n: int, trials: int) -> list[float]:

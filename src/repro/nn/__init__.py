@@ -53,7 +53,6 @@ from .quantize import (
     is_quantized,
     quantize_array,
     quantize_module,
-    quantize_state_dict,
 )
 from .serialization import (
     checkpoint_path,
@@ -119,7 +118,6 @@ __all__ = [
     "ops",
     "quantize_array",
     "quantize_module",
-    "quantize_state_dict",
     "save_checkpoint",
     "stack",
     "state_dict_from_bytes",

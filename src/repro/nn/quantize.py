@@ -85,8 +85,8 @@ class QuantizedLinear(Module):
 
     Drop-in for :class:`~repro.nn.modules.Linear` on the serving path:
     same state-dict slot names apart from ``weight`` becoming
-    ``weight_q8`` + ``weight_scale`` (which is exactly the rewrite
-    :func:`quantize_state_dict` applies to checkpoints).
+    ``weight_q8`` + ``weight_scale``, so an int8 artifact is the
+    ``state_dict()`` of a :func:`quantize_module`-rewritten model.
     """
 
     def __init__(self, in_features: int, out_features: int,
@@ -261,31 +261,6 @@ def quantize_module(module: Module, scheme: str = "int8") -> Module:
         else:
             quantize_module(child, scheme)
     return module
-
-
-def quantize_state_dict(state: dict[str, np.ndarray],
-                        scheme: str = "int8") -> dict[str, np.ndarray]:
-    """Rewrite an fp32 state dict into the quantized-module key schema.
-
-    Every >= 2-D float entry named ``*weight`` becomes ``*weight_q8`` +
-    ``*weight_scale``; everything else (biases, norms, buffers) passes
-    through.  The result loads into ``quantize_module(build())`` with
-    ``strict=True`` — this is the serialized form stored as the int8
-    artifact variant.
-    """
-    _check_scheme(scheme)
-    out: dict[str, np.ndarray] = {}
-    for name, value in state.items():
-        arr = np.asarray(value)
-        if (name.endswith("weight") and arr.ndim >= 2
-                and np.issubdtype(arr.dtype, np.floating)):
-            q8, scale = quantize_array(arr)
-            stem = name[: -len("weight")]
-            out[stem + "weight_q8"] = q8
-            out[stem + "weight_scale"] = scale
-        else:
-            out[name] = np.array(arr, copy=True)
-    return out
 
 
 def is_quantized(module: Module) -> bool:

@@ -191,11 +191,6 @@ class Tensor:
         return out
 
     @staticmethod
-    def inference_mode():
-        """Alias for :func:`repro.nn.tensor.inference_mode` (torch-style)."""
-        return inference_mode()
-
-    @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"],
               backward: Callable[[np.ndarray], None]) -> "Tensor":
         """Create a graph node whose gradient flows to ``parents``.

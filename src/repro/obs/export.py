@@ -23,13 +23,7 @@ from typing import Iterable
 from .trace import SpanRecord, TRACE_SCHEMA_VERSION
 
 
-def _as_record(span) -> SpanRecord:
-    if isinstance(span, SpanRecord):
-        return span
-    return SpanRecord.from_dict(span)
-
-
-def jsonl_lines(spans: Iterable[SpanRecord | dict]) -> list[str]:
+def jsonl_lines(spans: Iterable[SpanRecord]) -> list[str]:
     """Render spans as JSONL lines (no trailing newlines).
 
     Every line carries ``schema_version`` and ``started_at`` (the span's
@@ -37,8 +31,7 @@ def jsonl_lines(spans: Iterable[SpanRecord | dict]) -> list[str]:
     split from the file and correlatable across processes.
     """
     lines = []
-    for span in spans:
-        record = _as_record(span)
+    for record in spans:
         data = record.to_dict()
         data["schema_version"] = TRACE_SCHEMA_VERSION
         data["started_at"] = record.ts
@@ -49,7 +42,7 @@ def jsonl_lines(spans: Iterable[SpanRecord | dict]) -> list[str]:
     return lines
 
 
-def write_jsonl(spans: Iterable[SpanRecord | dict], path: str) -> int:
+def write_jsonl(spans: Iterable[SpanRecord], path: str) -> int:
     """Write spans to ``path`` as JSONL; returns the number of lines."""
     lines = jsonl_lines(spans)
     with open(path, "w", encoding="utf-8") as fh:
@@ -59,14 +52,14 @@ def write_jsonl(spans: Iterable[SpanRecord | dict], path: str) -> int:
     return len(lines)
 
 
-def chrome_trace(spans: Iterable[SpanRecord | dict]) -> dict:
+def chrome_trace(spans: Iterable[SpanRecord]) -> dict:
     """Spans as a Chrome trace-event ``{"traceEvents": [...]}`` dict.
 
     Timestamps are microseconds relative to the earliest span (Perfetto
     renders absolute unix-epoch µs poorly), with the absolute anchor
     preserved in ``otherData.started_at``.
     """
-    records = [_as_record(s) for s in spans]
+    records = list(spans)
     events: list[dict] = []
     pids: dict[str, int] = {}
     tids: dict[tuple[str, str], int] = {}
@@ -108,8 +101,7 @@ def chrome_trace(spans: Iterable[SpanRecord | dict]) -> dict:
                           "span_count": len(records)}}
 
 
-def write_chrome_trace(spans: Iterable[SpanRecord | dict],
-                       path: str) -> int:
+def write_chrome_trace(spans: Iterable[SpanRecord], path: str) -> int:
     """Write a Perfetto-openable trace JSON; returns the span count."""
     trace = chrome_trace(spans)
     with open(path, "w", encoding="utf-8") as fh:

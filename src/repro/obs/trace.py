@@ -60,18 +60,6 @@ class SpanRecord:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @staticmethod
-    def from_dict(data: dict) -> "SpanRecord":
-        return SpanRecord(name=str(data["name"]),
-                          trace_id=data.get("trace_id"),
-                          span_id=str(data["span_id"]),
-                          parent_id=data.get("parent_id"),
-                          process=str(data.get("process", "server")),
-                          thread=str(data.get("thread", "")),
-                          ts=float(data["ts"]),
-                          duration_s=float(data["duration_s"]),
-                          attrs=dict(data.get("attrs", {})))
-
 
 class Tracer:
     """Thread-safe ring-buffered span collector for one process.

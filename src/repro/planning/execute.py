@@ -40,26 +40,28 @@ from ..serving.demo import (
 )
 from ..serving.server import InferenceServer, ServerConfig
 from ..splitting.class_assignment import balanced_class_partition
-from ..store import ArtifactStore, recipe_digest, warm_load
+from ..store import ArtifactStore, recipe_digest
 from .plan import FUSION_ARTIFACT, DeploymentPlan, PlannedSubModel
 from .planner import Planner, PlannerConfig
 from .replan import replan_on_failure
 
 
-def _build_submodel(plan: DeploymentPlan, index: int) -> nn.Module:
-    """Fresh module for one planned sub-model, in its serving scheme.
+def _build_submodel(plan: DeploymentPlan, index: int,
+                    quant: str) -> nn.Module:
+    """Fresh module for planned sub-model ``index`` in weight scheme
+    ``quant``: built from its plan config with the plan-seeded rng.
 
-    A quantized sub-model gets its module surgery applied *before* any
-    state load: :func:`repro.nn.quantize_module` renames the weight
-    buffers (``weight`` → ``weight_q8``/``weight_scale``), so the module
-    must already be quantized for an int8 artifact's state dict to load
+    A quantized module gets its surgery *before* any state load:
+    :func:`repro.nn.quantize_module` renames the weight buffers
+    (``weight`` → ``weight_q8``/``weight_scale``), so the module must
+    already be quantized for an int8 artifact's state dict to load
     strictly.
     """
     sub = plan.submodels[index]
     model = build_model(sub.model_kind, sub.model_config,
                         np.random.default_rng(plan.seed + index))
-    if sub.quant != "fp32":
-        model = nn.quantize_module(model, scheme=sub.quant)
+    if quant != "fp32":
+        model = nn.quantize_module(model, scheme=quant)
     return model
 
 
@@ -69,47 +71,20 @@ def plan_artifact_digests(plan: DeploymentPlan) -> dict[str, str]:
             for name, recipe in plan.artifact_recipes().items()}
 
 
-def _warm_boot_from_store(plan: DeploymentPlan, store: ArtifactStore,
-                          digests: dict[str, str],
-                          ) -> tuple[list[nn.Module], FusionMLP] | None:
-    """Checkpoint-load every module of ``plan`` from ``store``.
-
-    Returns ``None`` when any artifact is missing (caller falls back to
-    the deterministic rebuild); integrity failures raise
-    :class:`repro.store.ArtifactCorrupt` rather than silently retraining
-    over a tampered store.
-    """
-    if not all(store.has(digest) for digest in digests.values()):
-        return None
-    models = [_build_submodel(plan, index)
-              for index in range(len(plan.submodels))]
-    fusion = FusionMLP(FusionConfig.from_dict(dict(plan.fusion_config)),
-                       rng=np.random.default_rng(plan.seed + 1000))
-    modules: dict[str, nn.Module] = {
-        sub.model_id: model
-        for sub, model in zip(plan.submodels, models)}
-    modules[FUSION_ARTIFACT] = fusion
-    if not warm_load(store, digests, modules):
-        return None                    # pragma: no cover - raced removal
-    return models, fusion
-
-
-def _populate_store(plan: DeploymentPlan, store: ArtifactStore,
-                    digests: dict[str, str], models: list[nn.Module],
-                    fusion: FusionMLP) -> None:
-    """Write every module of a cold-built system into the store."""
-    recipes = plan.artifact_recipes()
-    for sub, model in zip(plan.submodels, models):
-        store.put(digests[sub.model_id], model,
-                  config=dict(sub.model_config), kind=sub.model_kind,
-                  meta={"model_id": sub.model_id,
-                        "quant": sub.quant,
-                        "recipe": recipes[sub.model_id]})
-    store.put(digests[FUSION_ARTIFACT], fusion,
-              config=dict(plan.fusion_config), kind=FUSION_ARTIFACT,
-              meta={"model_id": FUSION_ARTIFACT,
-                    "quant": "fp32",
-                    "recipe": recipes[FUSION_ARTIFACT]})
+def _put(store: ArtifactStore, plan: DeploymentPlan, name: str,
+         module: nn.Module, quant: str) -> None:
+    """Store artifact ``name`` of ``plan`` (a sub-model in scheme
+    ``quant``, or the fusion MLP) under its recipe digest, with the
+    recipe as its meta."""
+    if name == FUSION_ARTIFACT:
+        recipe, kind, config = (plan.fusion_recipe(), FUSION_ARTIFACT,
+                                plan.fusion_config)
+    else:
+        sub = plan.submodel(name)
+        recipe, kind, config = (plan.submodel_recipe(name, quant=quant),
+                                sub.model_kind, sub.model_config)
+    store.put(recipe_digest(recipe), module, config=dict(config), kind=kind,
+              meta={"model_id": name, "quant": quant, "recipe": recipe})
 
 
 def quantize_plan_artifacts(plan: DeploymentPlan, store: ArtifactStore,
@@ -117,13 +92,13 @@ def quantize_plan_artifacts(plan: DeploymentPlan, store: ArtifactStore,
     """Derive quantized store artifacts from a plan's fp32 artifacts.
 
     For every sub-model the fp32 checkpoint is loaded from ``store``
-    (by the plan's recorded ref or the fp32 recipe digest), its weights
-    are per-channel quantized, and the result is stored under the
-    quantized recipe's own digest — so fp32 and int8 variants coexist
-    and dedup independently.  Existing quantized artifacts are kept
-    (the derivation is deterministic).  Returns one report row per
-    sub-model with both digests and byte sizes; raises ``KeyError``
-    when a needed fp32 artifact is absent.
+    (by the plan's recorded ref or the fp32 recipe digest) into an fp32
+    module, :func:`repro.nn.quantize_module` rewrites it per channel,
+    and the result is stored under the quantized recipe's own digest —
+    so fp32 and int8 variants coexist and dedup independently.  Existing
+    quantized artifacts are kept (the derivation is deterministic).
+    Returns one report row per sub-model with both digests and byte
+    sizes; raises ``KeyError`` when a needed fp32 artifact is absent.
     """
     rows: list[dict] = []
     for index, sub in enumerate(plan.submodels):
@@ -131,30 +106,25 @@ def quantize_plan_artifacts(plan: DeploymentPlan, store: ArtifactStore,
             plan.submodel_recipe(sub.model_id, quant="fp32"))
         if sub.quant == "fp32" and plan.artifacts.get(sub.model_id):
             fp32_digest = plan.artifacts[sub.model_id]
-        quant_recipe = plan.submodel_recipe(sub.model_id, quant=scheme)
-        quant_digest = recipe_digest(quant_recipe)
+        quant_digest = recipe_digest(
+            plan.submodel_recipe(sub.model_id, quant=scheme))
         if not store.has(fp32_digest):
             raise KeyError(
                 f"store has no fp32 artifact for {sub.model_id!r} "
                 f"(digest {fp32_digest[:12]}); run the plan against the "
                 "store first to populate it")
-        state, config = store.get(fp32_digest)
-        qstate = nn.quantize_state_dict(state)
+        state, _ = store.get(fp32_digest)
+        model = _build_submodel(plan, index, "fp32")
+        model.load_state_dict(state)
+        model = nn.quantize_module(model, scheme=scheme)
         if not store.has(quant_digest):
-            model = build_model(sub.model_kind, config or sub.model_config,
-                                np.random.default_rng(plan.seed + index))
-            model = nn.quantize_module(model, scheme=scheme)
-            model.load_state_dict(qstate)
-            store.put(quant_digest, model,
-                      config=dict(config or sub.model_config),
-                      kind=sub.model_kind,
-                      meta={"model_id": sub.model_id, "quant": scheme,
-                            "recipe": quant_recipe})
+            _put(store, plan, sub.model_id, model, scheme)
         rows.append({"model_id": sub.model_id,
                      "fp32_digest": fp32_digest,
                      "quant_digest": quant_digest,
                      "fp32_bytes": nn.state_dict_num_bytes(state),
-                     "quant_bytes": nn.state_dict_num_bytes(qstate)})
+                     "quant_bytes": nn.state_dict_num_bytes(
+                         model.state_dict())})
     return rows
 
 
@@ -280,13 +250,12 @@ class PlannedSystem:
     # -- rolling deployment --------------------------------------------
     def swap_from_store(self, server: InferenceServer, model_id: str,
                         store: ArtifactStore,
-                        digest: str | None = None,
                         quant: str | None = None) -> str:
         """Zero-downtime rolling swap of one sub-model from an artifact.
 
-        Boots a fresh worker for ``model_id`` from the store artifact
-        (``digest`` defaults to the plan's recorded ref, falling back to
-        the recipe digest), then hands it to
+        Boots a fresh worker for ``model_id`` from its store artifact
+        (the plan's recorded ref, falling back to the recipe digest),
+        then hands it to
         :meth:`~repro.serving.server.InferenceServer.swap_worker`, which
         drains in-flight batches and atomically retargets the fusion
         slot — no request is dropped.  Returns the new worker id.
@@ -304,16 +273,10 @@ class PlannedSystem:
             sub = dataclasses.replace(sub, quant=quant)
             self.plan.submodels[index] = sub
             self.plan.artifacts.pop(model_id, None)  # old variant's ref
-            if digest is None:
-                digest = recipe_digest(self.plan.submodel_recipe(model_id))
-        if digest is None:
-            digest = self.plan.artifacts.get(model_id) \
-                or recipe_digest(self.plan.submodel_recipe(model_id))
-        state, config = store.get(digest)
-        model = build_model(sub.model_kind, config or sub.model_config,
-                            np.random.default_rng(self.plan.seed + index))
-        if sub.quant != "fp32":
-            model = nn.quantize_module(model, scheme=sub.quant)
+        digest = self.plan.artifacts.get(model_id) \
+            or recipe_digest(self.plan.submodel_recipe(model_id))
+        state, _ = store.get(digest)
+        model = _build_submodel(self.plan, index, sub.quant)
         model.load_state_dict(state)
         size = nn.state_dict_num_bytes(state)
         if size != sub.size_bytes:     # keep assignment bookkeeping honest
@@ -353,43 +316,50 @@ class PlannedSystem:
         results populate the store.  Either way ``plan.artifacts``
         records the refs afterwards.
         """
-        digests: dict[str, str] = {}
-        if store is not None:
-            digests = plan_artifact_digests(plan)
-            loaded = _warm_boot_from_store(plan, store, digests)
-            if loaded is not None:
-                models, fusion = loaded
-                plan.artifacts = dict(digests)
-                return PlannedSystem(plan=plan, models=models, fusion=fusion,
-                                     time_scale=time_scale,
-                                     transport=transport, warm_booted=True)
+        digests = plan_artifact_digests(plan) if store is not None else {}
+        warm = store is not None \
+            and all(store.has(digest) for digest in digests.values())
         build = plan.build
-        if build.get("recipe", DEMO_RECIPE) != DEMO_RECIPE:
+        if not warm and build.get("recipe", DEMO_RECIPE) != DEMO_RECIPE:
             # Only the demo recipe retrains from the plan alone; any other
             # recipe would come back with untrained weights.
             raise ValueError(f"cannot rebuild the weights of training "
                              f"recipe {build['recipe']!r} from a plan")
-        # Cold rebuild always trains in fp32; quantized serving schemes
-        # are applied afterwards (quantization is post-training, and the
-        # shared fusion artifact is defined over fp32 features).
-        models = [build_model(sub.model_kind, sub.model_config,
-                              np.random.default_rng(plan.seed + index))
-                  for index, sub in enumerate(plan.submodels)]
         fusion = FusionMLP(FusionConfig.from_dict(dict(plan.fusion_config)),
                            rng=np.random.default_rng(plan.seed + 1000))
-        if build.get("train_fusion"):
-            train_demo_system(models, fusion,
-                              image_size=int(build["image_size"]),
-                              seed=plan.seed,
-                              fusion_epochs=int(build.get("fusion_epochs", 8)))
-        models = [nn.quantize_module(model, scheme=sub.quant)
-                  if sub.quant != "fp32" else model
-                  for sub, model in zip(plan.submodels, models)]
+        if warm:
+            # A present-but-corrupt artifact raises ArtifactCorrupt here
+            # rather than silently retraining over a tampered store.
+            models = [_build_submodel(plan, index, sub.quant)
+                      for index, sub in enumerate(plan.submodels)]
+            for name, module in zip((*plan.model_ids, FUSION_ARTIFACT),
+                                    (*models, fusion)):
+                state, _ = store.get(digests[name])
+                module.load_state_dict(state)
+        else:
+            # Cold rebuild always trains in fp32; quantized serving
+            # schemes are applied afterwards (quantization is
+            # post-training, and the shared fusion artifact is defined
+            # over fp32 features).
+            models = [_build_submodel(plan, index, "fp32")
+                      for index in range(len(plan.submodels))]
+            if build.get("train_fusion"):
+                train_demo_system(
+                    models, fusion, image_size=int(build["image_size"]),
+                    seed=plan.seed,
+                    fusion_epochs=int(build.get("fusion_epochs", 8)))
+            models = [nn.quantize_module(model, scheme=sub.quant)
+                      if sub.quant != "fp32" else model
+                      for sub, model in zip(plan.submodels, models)]
+            if store is not None:
+                for sub, model in zip(plan.submodels, models):
+                    _put(store, plan, sub.model_id, model, sub.quant)
+                _put(store, plan, FUSION_ARTIFACT, fusion, "fp32")
         if store is not None:
-            _populate_store(plan, store, digests, models, fusion)
             plan.artifacts = dict(digests)
         return PlannedSystem(plan=plan, models=models, fusion=fusion,
-                             time_scale=time_scale, transport=transport)
+                             time_scale=time_scale, transport=transport,
+                             warm_booted=warm)
 
 
 def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
@@ -466,9 +436,11 @@ def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
 
     int8_sizes = None
     if quant in ("int8", "auto"):
+        # Rewrites the untrained models in place: only their int8 byte
+        # counts are used past this point.
         int8_sizes = {
             f"submodel-{index}": nn.state_dict_num_bytes(
-                nn.quantize_state_dict(model.state_dict()))
+                nn.quantize_module(model).state_dict())
             for index, model in enumerate(models)}
     select = codec == "auto"
     planner = Planner(devices, fusion_device, link, PlannerConfig(

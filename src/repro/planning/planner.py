@@ -148,9 +148,9 @@ class Planner:
         not fit the device memory budgets — the planner's knob for
         memory-constrained fleets.  ``int8_sizes`` supplies the exact
         quantized byte size of every model id (e.g. from
-        ``nn.state_dict_num_bytes(nn.quantize_state_dict(...))``); it is
-        required whenever int8 is planned.  The search is recorded in
-        ``build["quant_selection"]``.
+        ``nn.state_dict_num_bytes(nn.quantize_module(m).state_dict())``);
+        it is required whenever int8 is planned.  The search is recorded
+        in ``build["quant_selection"]``.
         """
         if quant not in (None, "fp32", "int8", "auto"):
             raise ValueError(f"unknown quant scheme {quant!r}; "

@@ -21,6 +21,7 @@ from ..models.fusion import FusionMLP
 from ..models.snn import ConvSNN, SNNConfig
 from ..models.vgg import VGG, VGGConfig
 from ..models.vit import ViTConfig, VisionTransformer
+from ..splitting.fusion import collect_features
 
 # Name of the deterministic demo training protocol; recorded in plan
 # ``build`` dicts and artifact recipes so a digest pins the exact
@@ -105,8 +106,7 @@ def train_demo_system(models: list[nn.Module], fusion: FusionMLP,
         train_classifier(model, dataset.x_train, dataset.y_train,
                          TrainConfig(epochs=fusion_epochs, lr=3e-3,
                                      seed=seed + index))
-    features = np.concatenate(
-        [extract_features(m, dataset.x_train) for m in models], axis=-1)
-    train_classifier(fusion, features, dataset.y_train,
+    train_classifier(fusion, collect_features(models, dataset.x_train),
+                     dataset.y_train,
                      TrainConfig(epochs=2 * fusion_epochs, lr=3e-3,
                                  seed=seed))

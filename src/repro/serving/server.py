@@ -557,8 +557,9 @@ class InferenceServer:
                         parent_id=batch_span, ts=ctx.dispatched_wall,
                         duration_s=ctx.gather_s)
             # Per reply: the worker's own intervals, which end when its
-            # reply was received, and its decode; then its compute on its
-            # device's CPU, then its wire.
+            # reply was received, on one thread track named after the
+            # worker, and its decode; then its compute on its device's
+            # CPU, then its wire.
             for worker, reply in ctx.stats.items():
                 host, forward = reply["host_compute_s"], reply["forward_s"]
                 started = wall(reply["received_at"] - host)
@@ -566,15 +567,16 @@ class InferenceServer:
                          "nbytes": int(reply["bytes_out"])}
                 handled = tracer.emit(
                     "worker.request", trace_id=ctx.request_id,
-                    parent_id=batch_span, process=worker, ts=started,
-                    duration_s=host, attrs={"samples": batch.num_samples})
+                    parent_id=batch_span, process=worker, thread=worker,
+                    ts=started, duration_s=host,
+                    attrs={"samples": batch.num_samples})
                 tracer.emit("worker.forward", trace_id=ctx.request_id,
                             parent_id=handled.span_id, process=worker,
-                            ts=started, duration_s=forward)
+                            thread=worker, ts=started, duration_s=forward)
                 tracer.emit("codec.encode", trace_id=ctx.request_id,
                             parent_id=handled.span_id, process=worker,
-                            ts=started + forward, duration_s=host - forward,
-                            attrs=codec)
+                            thread=worker, ts=started + forward,
+                            duration_s=host - forward, attrs=codec)
                 tracer.emit("codec.decode", trace_id=ctx.request_id,
                             parent_id=batch_span,
                             ts=wall(reply["received_at"]),

@@ -8,8 +8,6 @@ from .class_assignment import (
 from .fusion import (
     collect_features,
     entire_retrain,
-    fused_accuracy,
-    fused_predict,
     softmax_average_accuracy,
     softmax_average_predict,
     train_fusion_mlp,
@@ -31,8 +29,6 @@ __all__ = [
     "collect_features",
     "entire_retrain",
     "footprint",
-    "fused_accuracy",
-    "fused_predict",
     "plan_head_schedule",
     "softmax_average_accuracy",
     "softmax_average_predict",

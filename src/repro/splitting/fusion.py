@@ -46,24 +46,6 @@ def train_fusion_mlp(models: list[nn.Module], dataset: Dataset,
     return fusion
 
 
-def fused_predict(models: list[nn.Module], fusion: FusionMLP,
-                  x: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Full-pipeline class predictions for a batch of inputs.
-
-    The degraded variant, with crashed sub-models' feature slots
-    zero-filled, is :meth:`repro.planning.PlannedSystem.local_fused_labels`
-    with ``zero_models``.
-    """
-    features = collect_features(models, x, batch_size)
-    return fusion.predict(features, batch_size).argmax(axis=-1)
-
-
-def fused_accuracy(models: list[nn.Module], fusion: FusionMLP,
-                   dataset: Dataset, batch_size: int = 64) -> float:
-    pred = fused_predict(models, fusion, dataset.x_test, batch_size)
-    return float((pred == dataset.y_test).mean())
-
-
 def softmax_average_predict(models: list[nn.Module],
                             groups: list[list[int]], num_classes: int,
                             x: np.ndarray, batch_size: int = 64) -> np.ndarray:

@@ -20,7 +20,6 @@ from .store import (
     fusion_recipe,
     recipe_digest,
     submodel_recipe,
-    warm_load,
 )
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "fusion_recipe",
     "recipe_digest",
     "submodel_recipe",
-    "warm_load",
 ]

@@ -106,23 +106,6 @@ def fusion_recipe(config: dict, seed: int, train: dict,
             "submodels": list(submodels)}
 
 
-def warm_load(store: "ArtifactStore", digests: dict[str, str],
-              modules: dict[str, Module]) -> bool:
-    """Checkpoint-load every module from its artifact; the warm boot.
-
-    ``digests`` and ``modules`` share keys.  Returns ``False`` without
-    touching any module when *any* artifact is missing (callers fall
-    back to the cold rebuild); a present-but-corrupt artifact raises
-    :class:`ArtifactCorrupt` instead of silently retraining.
-    """
-    if not all(store.has(digest) for digest in digests.values()):
-        return False
-    for name, module in modules.items():
-        state, _ = store.get(digests[name])
-        module.load_state_dict(state)
-    return True
-
-
 def recipe_digest(recipe: dict) -> str:
     """SHA-256 over the canonical JSON encoding of a rebuild recipe.
 
@@ -244,7 +227,8 @@ class ArtifactStore:
         present = digest in self._artifacts \
             and self.object_path(digest).exists()
         if not present:
-            # Every miss here is a cold rebuild decision (warm_load probes
+            # Every miss here is a cold rebuild or an int8 derivation
+            # (PlannedSystem.from_plan and quantize_plan_artifacts probe
             # via has()), which is exactly the cache-efficiency signal.
             self._m_misses.inc()
         return present

@@ -124,12 +124,6 @@ def test_no_grad_suspends_workspace_reuse_inside_inference_mode():
     assert not np.shares_memory(first, second)      # first stays valid
 
 
-def test_tensor_inference_mode_alias():
-    with nn.Tensor.inference_mode():
-        assert nn.is_inference() and not nn.is_grad_enabled()
-    assert not nn.is_inference()
-
-
 def test_tensors_created_graph_free_never_require_grad():
     with nn.inference_mode():
         t = nn.Tensor([1.0, 2.0], requires_grad=True)

@@ -11,7 +11,6 @@ from repro.nn.quantize import (
     is_quantized,
     quantize_array,
     quantize_module,
-    quantize_state_dict,
 )
 
 
@@ -99,30 +98,27 @@ def test_quantized_forward_requires_no_grad():
         q(x)                                  # graph-free path works
 
 
-def test_quantize_state_dict_matches_module_surgery():
-    """state-dict-level quantization must load strict into a quantized
-    module — that is how workers and warm boots rebuild int8 models."""
+def test_int8_state_dict_loads_strict_into_a_fresh_quantized_module():
+    """A quantized module's state dict (the int8 artifact) must load
+    strict into a freshly built, quantized module — that is how workers
+    and warm boots rebuild int8 models."""
     rng = np.random.default_rng(4)
-    model = _mlp(rng)
-    qstate = quantize_state_dict(model.state_dict())
+    direct = quantize_module(_mlp(rng))
     rebuilt = quantize_module(_mlp(np.random.default_rng(99)))
-    rebuilt.load_state_dict(qstate)           # strict: keys must align
-    direct = quantize_module(model)
+    rebuilt.load_state_dict(direct.state_dict())   # strict: keys must align
     x = rng.normal(size=(2, 8)).astype(np.float32)
     with nn.inference_mode():
         np.testing.assert_array_equal(rebuilt(nn.Tensor(x)).data,
                                       direct(nn.Tensor(x)).data)
 
 
-def test_quantize_state_dict_shrinks_vit():
+def test_int8_state_dict_shrinks_vit():
     from repro.models.vit import VisionTransformer, vit_tiny_config
 
     model = VisionTransformer(vit_tiny_config(),
                               rng=np.random.default_rng(5))
-    state = model.state_dict()
-    qstate = quantize_state_dict(state)
-    fp32 = nn.state_dict_num_bytes(state)
-    int8 = nn.state_dict_num_bytes(qstate)
+    fp32 = nn.state_dict_num_bytes(model.state_dict())
+    int8 = nn.state_dict_num_bytes(quantize_module(model).state_dict())
     assert fp32 >= 2 * int8, (fp32, int8)     # the artifact-size gate
 
 

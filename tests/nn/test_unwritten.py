@@ -39,8 +39,8 @@ BUILDERS = {
 
 
 def trained_state(kind, quantized):
-    state = BUILDERS[kind](np.random.default_rng(3)).state_dict()
-    return nn.quantize_state_dict(state) if quantized else state
+    model = BUILDERS[kind](np.random.default_rng(3))
+    return (nn.quantize_module(model) if quantized else model).state_dict()
 
 
 def loaded(kind, quantized, state, unwritten):

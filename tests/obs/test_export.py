@@ -39,11 +39,6 @@ class TestJsonl:
             assert data["name"] == span.name
             assert data["trace_id"] == span.trace_id
 
-    def test_accepts_plain_dicts(self):
-        wire = make_spans()[1].to_dict()
-        (line,) = jsonl_lines([wire])
-        assert json.loads(line)["process"] == "w0"
-
     def test_write_roundtrip(self, tmp_path):
         path = tmp_path / "spans.jsonl"
         count = write_jsonl(make_spans(), str(path))

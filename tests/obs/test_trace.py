@@ -1,15 +1,18 @@
 """Tracing unit tests: spans, their dict form, ring buffer, global switch."""
 
+import json
 import threading
 
 import pytest
 
 from repro.obs import (
     SpanRecord,
+    TRACE_SCHEMA_VERSION,
     Tracer,
     disable_tracing,
     enable_tracing,
     get_tracer,
+    jsonl_lines,
     new_span_id,
     tracing_enabled,
 )
@@ -98,15 +101,12 @@ class TestRecordDict:
         record = Tracer(process="w2").emit("worker.decode", trace_id="r-3",
                                            parent_id="s-1", duration_s=0.5,
                                            attrs={"bytes": 10})
-        assert SpanRecord.from_dict(record.to_dict()) == record
-
-    def test_from_dict_fills_optional_fields(self):
-        record = SpanRecord.from_dict({"name": "x", "span_id": 5, "ts": 1,
-                                       "duration_s": 2})
-        assert record.span_id == "5" and record.trace_id is None
-        assert record.parent_id is None and record.process == "server"
-        assert record.thread == "" and record.attrs == {}
-        assert record.ts == 1.0 and record.duration_s == 2.0
+        (line,) = jsonl_lines([record])
+        data = json.loads(line)
+        assert data.pop("schema_version") == TRACE_SCHEMA_VERSION
+        assert data.pop("started_at") == record.ts
+        assert data == record.to_dict()
+        assert SpanRecord(**data) == record
 
 
 class TestRingBuffer:

@@ -93,7 +93,7 @@ class TestSpanTree:
 
         # Worker spans are emitted by the server from the intervals each
         # reply reports, under the batch span, with the worker as their
-        # process; its forward and encode split its request.
+        # process and thread; its forward and encode split its request.
         assert set(by_name) >= WORKER_SPAN_NAMES | {"codec.decode"}
         for s in by_name["worker.request"]:
             assert s.process in system.plan.model_ids
@@ -107,6 +107,10 @@ class TestSpanTree:
                      if s.parent_id == request.span_id)
                 for name in ("worker.forward", "codec.encode"))
             assert forward.process == encode.process == request.process
+            # One thread track per worker, named after it, not after the
+            # server thread that emitted its spans.
+            assert forward.thread == encode.thread == request.thread \
+                == request.process
             assert forward.ts == request.ts
             assert encode.ts == pytest.approx(forward.ts + forward.duration_s)
             assert forward.duration_s + encode.duration_s == \
