@@ -1,12 +1,16 @@
 """Planner-selectable int8 artifacts: digests, fallback, boot, rollout."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.assignment import InfeasibleAssignment
+from repro.edge.runtime import MODEL_KINDS, build_model
 from repro.planning import (
     DeploymentPlan,
+    PlannedSystem,
     plan_demo_system,
     quantize_plan_artifacts,
 )
@@ -113,6 +117,57 @@ def test_int8_artifacts_are_at_least_2x_smaller(fp32_system, int8_system,
         int8_bytes = nn.state_dict_num_bytes(int8_state)
         assert fp32_bytes >= 2 * int8_bytes, (model_id, fp32_bytes,
                                               int8_bytes)
+
+
+def test_cold_int8_artifacts_equal_their_derivation_from_fp32(
+        fp32_system, int8_system, store):
+    """The int8 artifacts a cold int8 build stores are exactly what
+    deriving them from the fp32 artifacts gives: one rewrite, one path."""
+    rows = quantize_plan_artifacts(fp32_system.plan, store)
+    for index, row in enumerate(rows):
+        sub = fp32_system.plan.submodels[index]
+        assert row["quant_digest"] \
+            == int8_system.plan.artifacts[row["model_id"]]
+        fp32_state, _ = store.get(row["fp32_digest"])
+        model = build_model(sub.model_kind, sub.model_config,
+                            np.random.default_rng(0))
+        model.load_state_dict(fp32_state)
+        derived = nn.quantize_module(model).state_dict()
+        stored, _ = store.get(row["quant_digest"])
+        assert set(stored) == set(derived)
+        for key in stored:
+            np.testing.assert_array_equal(stored[key], derived[key])
+        assert row["quant_bytes"] == nn.state_dict_num_bytes(stored)
+        assert store.info(row["quant_digest"]).meta["quant"] == "int8"
+
+
+def test_planned_int8_size_is_the_stored_artifact_size(int8_system, store):
+    for sub in int8_system.plan.submodels:
+        state, _ = store.get(int8_system.plan.artifacts[sub.model_id])
+        assert sub.size_bytes == nn.state_dict_num_bytes(state)
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_derived_int8_artifacts_warm_boot_for_every_kind(kind, tmp_path):
+    """``quantize`` then an int8 boot: the derived artifacts load strict
+    into freshly built quantized modules, with the rewrite's weights."""
+    store = ArtifactStore(tmp_path)
+    fp32 = plan_demo_system(num_workers=2, model_kind=kind, store=store,
+                            transport="inprocess")
+    quantize_plan_artifacts(fp32.plan, store)
+    plan = DeploymentPlan.from_json(fp32.plan.to_json())
+    plan.submodels = [dataclasses.replace(sub, quant="int8")
+                      for sub in plan.submodels]
+    plan.artifacts = {}
+    int8 = PlannedSystem.from_plan(plan, transport="inprocess", store=store)
+    assert int8.warm_booted
+    for model, served in zip(fp32.models, int8.models):
+        assert nn.is_quantized(served)
+        expected = nn.quantize_module(model).state_dict()
+        state = served.state_dict()
+        assert set(state) == set(expected)
+        for key in state:
+            np.testing.assert_array_equal(state[key], expected[key])
 
 
 def test_int8_accuracy_within_one_point(fp32_system, int8_system):

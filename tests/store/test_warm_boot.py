@@ -11,7 +11,7 @@ from repro.planning import (
     plan_artifact_digests,
     plan_demo_system,
 )
-from repro.store import ArtifactCorrupt, ArtifactStore
+from repro.store import ArtifactCorrupt, ArtifactStore, recipe_digest
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,18 @@ class TestPlanArtifacts:
     def test_recipes_match_recorded_refs(self, populated):
         system, _ = populated
         assert plan_artifact_digests(system.plan) == system.plan.artifacts
+
+    def test_every_artifact_records_its_recipe_as_meta(self, populated):
+        system, store = populated
+        quants = {sub.model_id: sub.quant for sub in system.plan.submodels}
+        kinds = {sub.model_id: sub.model_kind
+                 for sub in system.plan.submodels}
+        for name, digest in system.plan.artifacts.items():
+            info = store.info(digest)
+            assert info.kind == kinds.get(name, FUSION_ARTIFACT)
+            assert info.meta["model_id"] == name
+            assert info.meta["quant"] == quants.get(name, "fp32")
+            assert recipe_digest(info.meta["recipe"]) == digest
 
     def test_codec_and_scoring_do_not_change_digests(self, populated):
         system, _ = populated
