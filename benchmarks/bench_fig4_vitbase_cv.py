@@ -8,9 +8,11 @@ held roughly flat in N; latency falls from 9.63 s (N=1) to 1.28 s (N=10)
 against the 36.94 s unsplit baseline; memory peaks at N=2 and falls to
 ~96 MB total at N=10 (9.60 MB per sub-model).
 
-Panels (b)/(c) are regenerated at full scale via the calibrated simulator;
-panel (a) at trained reproduction scale (tiny ViT on synthetic analogues,
-so absolute accuracies are lower but flat-in-N should hold).
+Panels (b)/(c) are regenerated at full scale via the calibrated simulator
+on the plan :meth:`repro.planning.Planner.plan_vit` makes, whose
+Algorithm-1 loop lands on the paper's schedule (hp 6/6/8/9/10); panel (a)
+at trained reproduction scale (tiny ViT on synthetic analogues, so
+absolute accuracies are lower but flat-in-N should hold).
 """
 
 from benchmarks.conftest import IMAGE, TEST_PER_CLASS, TRAIN_PER_CLASS, print_table

@@ -2,7 +2,9 @@
 
 Paper anchors: GTZAN accuracy >84%, Speech Command >90%; latency falls
 from 9.55 s to 1.28 s (25.13x vs the 32.16 s original); sub-model size
-reaches 9.35 MB at N=10 under the 180 MB budget.
+reaches 9.35 MB at N=10 under the 180 MB budget.  Panels (b)/(c) are
+read off the plan :meth:`repro.planning.Planner.plan_vit` makes (hp
+6/6/8/9/10, as for Fig. 4).
 """
 
 from benchmarks.conftest import (

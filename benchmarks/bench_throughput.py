@@ -20,7 +20,7 @@ from repro.serving import (
     run_load,
     sweep_offered_load,
 )
-from repro.core.experiments import PAPER_BUDGETS_MB, split_plans
+from repro.core.experiments import PAPER_BUDGETS_MB, split_plan
 from repro.edge.simulator import energy_report, simulate_inference, utilization_report
 from repro.models.vit import vit_base_config
 
@@ -33,9 +33,8 @@ def test_throughput_vs_devices(benchmark):
     def run():
         rows = []
         for n in (1, 2, 3, 5, 10):
-            paper_implied, _ = split_plans(base, n,
-                                           PAPER_BUDGETS_MB["vit-base"])
-            spec = paper_implied.deployment_spec()
+            spec = split_plan(base, n, PAPER_BUDGETS_MB["vit-base"]
+                              ).deployment_spec()
             result = simulate_inference(spec, num_samples=FRAMES)
             util = utilization_report(result)
             energy = energy_report(spec, result)
@@ -69,8 +68,7 @@ def test_throughput_vs_devices(benchmark):
 def test_open_stream_stability(benchmark):
     """An arrival rate below capacity keeps latency flat (no queue growth)."""
     base = vit_base_config(num_classes=10)
-    paper_implied, _ = split_plans(base, 5, PAPER_BUDGETS_MB["vit-base"])
-    spec = paper_implied.deployment_spec()
+    spec = split_plan(base, 5, PAPER_BUDGETS_MB["vit-base"]).deployment_spec()
 
     def run():
         probe = simulate_inference(spec, num_samples=1)

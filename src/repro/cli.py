@@ -23,10 +23,11 @@ Usage::
     python -m repro.cli artifacts ls --store ./artifacts
     python -m repro.cli artifacts gc --store ./artifacts --max-mb 64
 
-``flops``, ``curve``, ``communication`` and ``schedule`` print two
-column sets: the paper-implied head schedule, and beside it the
-``planned`` one that the planner produces and ``serve`` would run
-(:func:`repro.core.experiments.split_plans`).
+``flops``, ``curve``, ``communication`` and ``schedule`` print one
+column set, read off the plan :meth:`repro.planning.Planner.plan_vit`
+makes (:func:`repro.core.experiments.split_plan`).  ``--budget-mb`` is
+the fleet memory budget in decimal MB (10**6 B), as the paper states its
+budgets; sub-model sizes print in MiB, as the paper reports them.
 
 ``plan`` runs the deployment planner (:mod:`repro.planning`) over a small
 heterogeneous demo fleet and emits the scored
@@ -60,7 +61,7 @@ from .core.experiments import (
     PAPER_BUDGETS_MB,
     communication_rows,
     latency_memory_curve,
-    split_plans,
+    split_plan,
     table1_rows,
     table2_rows,
 )
@@ -86,7 +87,8 @@ def cmd_flops(_args) -> None:
 
 
 def _budget_mb(args) -> float:
-    """``--budget-mb`` as given (0 included), else the paper's budget."""
+    """``--budget-mb`` (decimal MB) as given (0 included), else the
+    paper's budget for ``--model``."""
     if args.budget_mb is None:
         return PAPER_BUDGETS_MB[args.model]
     return args.budget_mb
@@ -156,24 +158,18 @@ def cmd_communication(_args) -> None:
 
 def cmd_schedule(args) -> None:
     budget = _budget_mb(args)
-    paper_implied, planned = split_plans(
-        _model_config(args.model, args.channels), args.devices, budget)
-    rows = [{
-        "sub-model": paper.model_id,
-        "hp": paper.hp,
-        "embed_dim": paper.feature_dim,
-        "size_mb": paper.size_bytes / 2 ** 20,
-        "gmacs": paper.flops_per_sample / 1e9,
-        "planned_hp": ours.hp,
-        "planned_size_mb": ours.size_bytes / 2 ** 20,
-        "planned_gmacs": ours.flops_per_sample / 1e9,
-    } for paper, ours in zip(paper_implied.submodels, planned.submodels)]
-    print(format_table(rows))
-    for label, plan in (("paper-implied", paper_implied),
-                        ("planned", planned)):
-        total = sum(sub.size_bytes for sub in plan.submodels) / 2 ** 20
-        print(f"{label} total: {total:.2f} MB across {args.devices} "
-              f"devices (budget {budget} MB)")
+    plan = split_plan(_model_config(args.model, args.channels), args.devices,
+                      budget)
+    print(format_table([{
+        "sub-model": sub.model_id,
+        "hp": sub.hp,
+        "embed_dim": sub.feature_dim,
+        "size_mb": sub.size_bytes / 2 ** 20,
+        "gmacs": sub.flops_per_sample / 1e9,
+    } for sub in plan.submodels]))
+    total = sum(sub.size_bytes for sub in plan.submodels) / 2 ** 20
+    print(f"total: {total:.2f} MiB across {args.devices} devices "
+          f"(budget {budget} MB)")
 
 
 def _make_server(args):
@@ -561,6 +557,10 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
                              "embedded in --json output)")
 
 
+_BUDGET_HELP = ("fleet memory budget in decimal MB (10**6 B; default: the "
+                "paper's budget for --model); sizes print in MiB")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="ED-ViT reproduction — analytic harness")
@@ -575,7 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = sub.add_parser("curve", help="latency/memory curve (Figs. 4-6)")
     p_curve.add_argument("--model", choices=_FULL_SIZE_MODELS,
                          default="vit-base")
-    p_curve.add_argument("--budget-mb", type=float, default=None)
+    p_curve.add_argument("--budget-mb", type=float, default=None,
+                         help=_BUDGET_HELP)
     p_curve.add_argument("--channels", type=int, default=3)
     p_curve.set_defaults(func=cmd_curve)
 
@@ -624,7 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--model", choices=_FULL_SIZE_MODELS,
                          default="vit-base")
     p_sched.add_argument("--devices", type=int, default=5)
-    p_sched.add_argument("--budget-mb", type=float, default=None)
+    p_sched.add_argument("--budget-mb", type=float, default=None,
+                         help=_BUDGET_HELP)
     p_sched.add_argument("--channels", type=int, default=3)
     p_sched.set_defaults(func=cmd_schedule)
 

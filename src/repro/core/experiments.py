@@ -7,18 +7,14 @@ architectures come from the head schedule, latency from the calibrated
 discrete-event simulator.  The trained panels (accuracy, baselines,
 retraining) are the ``benchmarks/bench_*`` scripts.
 
-Every row is read off two plans from one :class:`~repro.planning.Planner`
-(:func:`split_plans`).  The plain columns are the *paper-implied* split:
-the uniform per-N head schedule implied by the paper's reported
-sub-model sizes/FLOPs (e.g. ViT-Base keeps 6/4/3/2 of 12 heads at
-N=2/3/5/10, :func:`paper_hp`).  The ``planned`` columns are what the
-planner plans and the repo serves: Algorithm 1's increment-the-largest
-loop, which prunes less than that schedule at N ≥ 3.
+Every row is read off one plan, :func:`split_plan`:
+:meth:`~repro.planning.Planner.plan_vit` over N Pi 4Bs under the paper's
+fleet budget, whose head schedule is Algorithm 1's loop
+(:func:`repro.splitting.schedule.plan_head_schedule`).  For ViT-Base it
+plans the paper's hp 6/6/8/9/10 at N = 1/2/3/5/10.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..edge.device import make_fleet, raspberry_pi_4b
 from ..edge.network import (
@@ -34,36 +30,26 @@ from ..models.vit import (
     vit_large_config,
     vit_small_config,
 )
-from ..planning import DeploymentPlan, PlannedSubModel, Planner, PlannerConfig
+from ..planning import DeploymentPlan, Planner, PlannerConfig
 from ..profiling import paper_flops, size_mb, vit_param_count
-from ..splitting.class_assignment import balanced_class_partition
-from ..splitting.schedule import footprint
 
+# Sub-model sizes are MiB, as :func:`repro.profiling.size_mb` and the
+# paper report them.
 MB = 2 ** 20
 
 # Device counts evaluated throughout Section V.
 PAPER_DEVICE_COUNTS = (1, 2, 3, 5, 10)
 
-# Memory budgets per model family (Section V-B / V-E).
+# Fleet memory budgets per model family (Section V-B / V-E), in decimal
+# MB (10**6 B; :func:`budget_bytes`): the one reading of the paper's
+# "180 MB" under which Algorithm 1 plans hp 8, not 7, for ViT-Base at
+# N = 3, as the paper's reported sizes and FLOPs imply.
 PAPER_BUDGETS_MB = {"vit-small": 50, "vit-base": 180, "vit-large": 600}
 
-# Heads *kept* per sub-model at each N, as implied by the paper's reported
-# sizes/FLOPs for ViT-Base (6/4/3/2 of 12) and generalized by ratio.
-_PAPER_KEPT_FRACTION = {1: 1 / 2, 2: 1 / 2, 3: 1 / 3, 5: 1 / 4, 10: 1 / 6}
 
-
-def paper_kept_heads(num_heads: int, num_devices: int) -> int:
-    if num_devices in _PAPER_KEPT_FRACTION:
-        fraction = _PAPER_KEPT_FRACTION[num_devices]
-    else:
-        fraction = 1.0 / max(1.0, num_devices * 0.6)
-    # Floor, not round: the paper's ViT-Large N=10 sub-models keep
-    # floor(16/6)=2 heads (18.73 MB), not round(16/6)=3.
-    return max(1, int(num_heads * fraction))
-
-
-def paper_hp(num_heads: int, num_devices: int) -> int:
-    return num_heads - paper_kept_heads(num_heads, num_devices)
+def budget_bytes(budget_mb: float) -> int:
+    """A fleet memory budget given in decimal MB, in bytes."""
+    return int(budget_mb * 10 ** 6)
 
 
 # ----------------------------------------------------------------------
@@ -94,48 +80,16 @@ def table1_rows(num_classes: int = 1000) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# The two plans behind every analytic row
+# The plan behind every analytic row
 # ----------------------------------------------------------------------
-def split_plans(base: ViTConfig, num_devices: int,
-                budget_mb: float) -> tuple[DeploymentPlan, DeploymentPlan]:
-    """``(paper_implied, planned)`` splits of ``base`` over N Pi 4Bs.
-
-    One :class:`~repro.planning.Planner` over ``make_fleet(num_devices)``
-    places both.  ``planned`` is the plan the repo serves:
-    :meth:`~repro.planning.Planner.plan_vit`, Algorithm 1's head schedule
-    under the ``budget_mb`` fleet budget.  ``paper_implied`` runs the
-    uniform ``paper_hp`` schedule on the class partition ``plan_vit``
-    draws (same seed) through
-    :meth:`~repro.planning.Planner.plan_submodels`.
-    """
+def split_plan(base: ViTConfig, num_devices: int,
+               budget_mb: float) -> DeploymentPlan:
+    """``base`` split over ``make_fleet(num_devices)`` Pi 4Bs:
+    :meth:`~repro.planning.Planner.plan_vit` under a fleet budget of
+    ``budget_mb`` decimal MB."""
     planner = Planner(make_fleet(num_devices), config=PlannerConfig(
-        memory_budget_bytes=int(budget_mb * MB)))
-    groups = balanced_class_partition(
-        base.num_classes, num_devices,
-        np.random.default_rng(planner.config.seed))
-    hp = paper_hp(base.num_heads, num_devices)
-    paper_implied = planner.plan_submodels(base.num_classes, groups, [
-        PlannedSubModel.from_footprint(footprint(base, i, hp, len(group)),
-                                       group)
-        for i, group in enumerate(groups)])
-    return paper_implied, planner.plan_vit(base, num_groups=num_devices)
-
-
-def _latency_s(plan: DeploymentPlan) -> float:
-    """Single-sample DES latency of ``plan`` (the paper's latency axis)."""
-    return simulate_inference(plan.deployment_spec(), num_samples=1).max_latency
-
-
-def _total_mb(plan: DeploymentPlan) -> float:
-    return sum(sub.size_bytes for sub in plan.submodels) / MB
-
-
-def _hps(plan: DeploymentPlan) -> tuple[int, ...]:
-    return tuple(sub.hp for sub in plan.submodels)
-
-
-def _max_gflops(plan: DeploymentPlan) -> float:
-    return max(sub.flops_per_sample for sub in plan.submodels) / 1e9
+        memory_budget_bytes=budget_bytes(budget_mb)))
+    return planner.plan_vit(base, num_groups=num_devices)
 
 
 # ----------------------------------------------------------------------
@@ -145,14 +99,12 @@ def table2_rows() -> list[dict]:
     rows = []
     for dataset, channels in [("CIFAR-10", 3), ("GTZAN", 1)]:
         base = vit_base_config(num_classes=10, in_channels=channels)
-        plans = {n: split_plans(base, n, PAPER_BUDGETS_MB["vit-base"])
-                 for n in (2, 3, 5, 10)}
         row: dict = {"Dataset": dataset,
                      "Original (G)": paper_flops(base) / 1e9}
-        row.update({f"N={n} (G)": _max_gflops(paper_implied)
-                    for n, (paper_implied, _) in plans.items()})
-        row.update({f"N={n} planned (G)": _max_gflops(planned)
-                    for n, (_, planned) in plans.items()})
+        for n in (2, 3, 5, 10):
+            plan = split_plan(base, n, PAPER_BUDGETS_MB["vit-base"])
+            row[f"N={n} (G)"] = max(
+                sub.flops_per_sample for sub in plan.submodels) / 1e9
         rows.append(row)
     return rows
 
@@ -168,21 +120,21 @@ def latency_memory_curve(base: ViTConfig, budget_mb: float,
                                              paper_flops(base))
     rows = []
     for n in device_counts:
-        paper_implied, planned = split_plans(base, n, budget_mb)
-        latency = _latency_s(paper_implied)
-        hps = _hps(paper_implied)
+        plan = split_plan(base, n, budget_mb)
+        # Single-sample DES latency: the paper's latency axis.
+        latency = simulate_inference(plan.deployment_spec(),
+                                     num_samples=1).max_latency
+        hps = tuple(sub.hp for sub in plan.submodels)
         rows.append({
             "devices": n,
             "latency_s": latency,
             "original_latency_s": original_latency,
             "speedup_vs_original": original_latency / latency,
-            "total_memory_mb": _total_mb(paper_implied),
-            "per_model_mb": paper_implied.submodels[0].size_bytes / MB,
+            "total_memory_mb": sum(sub.size_bytes
+                                   for sub in plan.submodels) / MB,
+            "per_model_mb": plan.submodels[0].size_bytes / MB,
             "hps": hps,
             "kept_heads": tuple(base.num_heads - hp for hp in hps),
-            "planned_latency_s": _latency_s(planned),
-            "planned_total_memory_mb": _total_mb(planned),
-            "planned_hps": _hps(planned),
         })
     return rows
 
@@ -197,16 +149,13 @@ def communication_rows(base: ViTConfig | None = None,
     link = tc_capped_link()
     rows = []
     for n in device_counts:
-        paper_implied, planned = split_plans(base, n,
-                                             PAPER_BUDGETS_MB["vit-base"])
-        fbytes = feature_bytes(paper_implied.submodels[0].feature_dim)
+        plan = split_plan(base, n, PAPER_BUDGETS_MB["vit-base"])
+        fbytes = feature_bytes(plan.submodels[0].feature_dim)
         rows.append({
             "devices": n,
             "feature_bytes": fbytes,
             "image_bytes": RAW_IMAGE_BYTES,
             "reduction_x": communication_reduction(fbytes),
             "transfer_ms": link.transfer_seconds(fbytes) * 1e3,
-            "planned_feature_bytes": feature_bytes(
-                planned.submodels[0].feature_dim),
         })
     return rows

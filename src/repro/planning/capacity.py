@@ -179,10 +179,10 @@ def plan_capacity(trace: ArrivalTrace,
             raise KeyError(f"unknown device class {name!r}; "
                            f"choose from {sorted(DEVICE_CLASSES)}")
     # Lazy: core.experiments plans through this package.
-    from ..core.experiments import MB, PAPER_BUDGETS_MB
+    from ..core.experiments import PAPER_BUDGETS_MB, budget_bytes
 
     base = vit_base_config(num_classes=num_classes)
-    budget = PAPER_BUDGETS_MB["vit-base"] * MB
+    budget = budget_bytes(PAPER_BUDGETS_MB["vit-base"])
     points: list[CapacityPoint] = []
     for class_name in device_classes:
         device_class = DEVICE_CLASSES[class_name]

@@ -22,6 +22,7 @@ cold-rebuild it.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -87,45 +88,56 @@ def _put(store: ArtifactStore, plan: DeploymentPlan, name: str,
               meta={"model_id": name, "quant": quant, "recipe": recipe})
 
 
+def _derive_quantized(plan: DeploymentPlan, store: ArtifactStore, index: int,
+                      scheme: str) -> dict:
+    """Store sub-model ``index``'s ``scheme`` artifact, derived from its
+    fp32 one, unless the store already has it; its report row."""
+    sub = plan.submodels[index]
+    fp32_digest = recipe_digest(
+        plan.submodel_recipe(sub.model_id, quant="fp32"))
+    if sub.quant == "fp32" and plan.artifacts.get(sub.model_id):
+        fp32_digest = plan.artifacts[sub.model_id]
+    quant_digest = recipe_digest(
+        plan.submodel_recipe(sub.model_id, quant=scheme))
+    if not store.has(fp32_digest):
+        raise KeyError(
+            f"store has no fp32 artifact for {sub.model_id!r} "
+            f"(digest {fp32_digest[:12]}); run the plan against the "
+            "store first to populate it")
+    state, _ = store.get(fp32_digest)
+    if store.has(quant_digest):
+        quant_state, _ = store.get(quant_digest)
+    else:
+        with nn.init.unwritten():      # the load overwrites every slot
+            model = _build_submodel(plan, index, "fp32")
+        model.load_state_dict(state)
+        model = nn.quantize_module(model, scheme=scheme)
+        _put(store, plan, sub.model_id, model, scheme)
+        quant_state = model.state_dict()
+    return {"model_id": sub.model_id,
+            "fp32_digest": fp32_digest,
+            "quant_digest": quant_digest,
+            "fp32_bytes": nn.state_dict_num_bytes(state),
+            "quant_bytes": nn.state_dict_num_bytes(quant_state)}
+
+
 def quantize_plan_artifacts(plan: DeploymentPlan, store: ArtifactStore,
                             scheme: str = "int8") -> list[dict]:
     """Derive quantized store artifacts from a plan's fp32 artifacts.
 
-    For every sub-model the fp32 checkpoint is loaded from ``store``
-    (by the plan's recorded ref or the fp32 recipe digest) into an fp32
-    module, :func:`repro.nn.quantize_module` rewrites it per channel,
-    and the result is stored under the quantized recipe's own digest —
-    so fp32 and int8 variants coexist and dedup independently.  Existing
-    quantized artifacts are kept (the derivation is deterministic).
-    Returns one report row per sub-model with both digests and byte
-    sizes; raises ``KeyError`` when a needed fp32 artifact is absent.
+    For every sub-model whose quantized artifact the store lacks, the
+    fp32 checkpoint is loaded from ``store`` (by the plan's recorded ref
+    or the fp32 recipe digest) into an fp32 module,
+    :func:`repro.nn.quantize_module` rewrites it per channel, and the
+    result is stored under the quantized recipe's own digest — so fp32
+    and int8 variants coexist and dedup independently.  Existing
+    quantized artifacts are kept, not rebuilt (the derivation is
+    deterministic).  Returns one report row per sub-model with both
+    digests and byte sizes; raises ``KeyError`` when a needed fp32
+    artifact is absent.
     """
-    rows: list[dict] = []
-    for index, sub in enumerate(plan.submodels):
-        fp32_digest = recipe_digest(
-            plan.submodel_recipe(sub.model_id, quant="fp32"))
-        if sub.quant == "fp32" and plan.artifacts.get(sub.model_id):
-            fp32_digest = plan.artifacts[sub.model_id]
-        quant_digest = recipe_digest(
-            plan.submodel_recipe(sub.model_id, quant=scheme))
-        if not store.has(fp32_digest):
-            raise KeyError(
-                f"store has no fp32 artifact for {sub.model_id!r} "
-                f"(digest {fp32_digest[:12]}); run the plan against the "
-                "store first to populate it")
-        state, _ = store.get(fp32_digest)
-        model = _build_submodel(plan, index, "fp32")
-        model.load_state_dict(state)
-        model = nn.quantize_module(model, scheme=scheme)
-        if not store.has(quant_digest):
-            _put(store, plan, sub.model_id, model, scheme)
-        rows.append({"model_id": sub.model_id,
-                     "fp32_digest": fp32_digest,
-                     "quant_digest": quant_digest,
-                     "fp32_bytes": nn.state_dict_num_bytes(state),
-                     "quant_bytes": nn.state_dict_num_bytes(
-                         model.state_dict())})
-    return rows
+    return [_derive_quantized(plan, store, index, scheme)
+            for index in range(len(plan.submodels))]
 
 
 @dataclasses.dataclass
@@ -262,21 +274,23 @@ class PlannedSystem:
 
         ``quant`` retargets the slot to another weight scheme mid-flight
         (the live fp32→int8 rollout): the plan's sub-model entry is
-        switched to the scheme, and a missing quantized artifact is
-        derived on demand from the fp32 one in the store.
+        switched to the scheme, and a missing quantized artifact of this
+        sub-model (only) is derived on demand from its fp32 one in the
+        store.
         """
         index = self.plan.model_ids.index(model_id)
         sub = self.plan.submodels[index]
         if quant is not None and quant != sub.quant:
             if quant != "fp32":
-                quantize_plan_artifacts(self.plan, store, scheme=quant)
+                _derive_quantized(self.plan, store, index, quant)
             sub = dataclasses.replace(sub, quant=quant)
             self.plan.submodels[index] = sub
             self.plan.artifacts.pop(model_id, None)  # old variant's ref
         digest = self.plan.artifacts.get(model_id) \
             or recipe_digest(self.plan.submodel_recipe(model_id))
         state, _ = store.get(digest)
-        model = _build_submodel(self.plan, index, sub.quant)
+        with nn.init.unwritten():
+            model = _build_submodel(self.plan, index, sub.quant)
         model.load_state_dict(state)
         size = nn.state_dict_num_bytes(state)
         if size != sub.size_bytes:     # keep assignment bookkeeping honest
@@ -316,50 +330,74 @@ class PlannedSystem:
         results populate the store.  Either way ``plan.artifacts``
         records the refs afterwards.
         """
-        digests = plan_artifact_digests(plan) if store is not None else {}
-        warm = store is not None \
-            and all(store.has(digest) for digest in digests.values())
-        build = plan.build
-        if not warm and build.get("recipe", DEMO_RECIPE) != DEMO_RECIPE:
-            # Only the demo recipe retrains from the plan alone; any other
-            # recipe would come back with untrained weights.
-            raise ValueError(f"cannot rebuild the weights of training "
-                             f"recipe {build['recipe']!r} from a plan")
-        fusion = FusionMLP(FusionConfig.from_dict(dict(plan.fusion_config)),
-                           rng=np.random.default_rng(plan.seed + 1000))
-        if warm:
-            # A present-but-corrupt artifact raises ArtifactCorrupt here
-            # rather than silently retraining over a tampered store.
+        return _boot(plan, None, time_scale, transport, store)
+
+
+def _boot(plan: DeploymentPlan, models: list[nn.Module] | None,
+          time_scale: float, transport: str,
+          store: ArtifactStore | None) -> PlannedSystem:
+    """:meth:`PlannedSystem.from_plan`, given the plan's fp32 sub-models
+    as ``_build_submodel(plan, index, "fp32")`` builds them
+    (:func:`plan_demo_system` built them to measure them), or ``None`` to
+    build them here — so no sub-model is built twice."""
+    digests = plan_artifact_digests(plan) if store is not None else {}
+    warm = store is not None \
+        and all(store.has(digest) for digest in digests.values())
+    build = plan.build
+    if not warm and build.get("recipe", DEMO_RECIPE) != DEMO_RECIPE:
+        # Only the demo recipe retrains from the plan alone; any other
+        # recipe would come back with untrained weights.
+        raise ValueError(f"cannot rebuild the weights of training "
+                         f"recipe {build['recipe']!r} from a plan")
+    if warm:
+        # The store overwrites every slot, so nothing built here is
+        # drawn.  A present-but-corrupt artifact raises ArtifactCorrupt
+        # below rather than silently retraining over a tampered store.
+        with nn.init.unwritten():
+            fusion = _build_fusion(plan)
             models = [_build_submodel(plan, index, sub.quant)
-                      for index, sub in enumerate(plan.submodels)]
-            for name, module in zip((*plan.model_ids, FUSION_ARTIFACT),
-                                    (*models, fusion)):
-                state, _ = store.get(digests[name])
-                module.load_state_dict(state)
-        else:
-            # Cold rebuild always trains in fp32; quantized serving
-            # schemes are applied afterwards (quantization is
-            # post-training, and the shared fusion artifact is defined
-            # over fp32 features).
+                      for index, sub in enumerate(plan.submodels)] \
+                if models is None else _quantize_planned(plan, models)
+        for name, module in zip((*plan.model_ids, FUSION_ARTIFACT),
+                                (*models, fusion)):
+            state, _ = store.get(digests[name])
+            module.load_state_dict(state)
+    else:
+        # Cold rebuild always trains in fp32; quantized serving schemes
+        # are applied afterwards (quantization is post-training, and the
+        # shared fusion artifact is defined over fp32 features).
+        fusion = _build_fusion(plan)
+        if models is None:
             models = [_build_submodel(plan, index, "fp32")
                       for index in range(len(plan.submodels))]
-            if build.get("train_fusion"):
-                train_demo_system(
-                    models, fusion, image_size=int(build["image_size"]),
-                    seed=plan.seed,
-                    fusion_epochs=int(build.get("fusion_epochs", 8)))
-            models = [nn.quantize_module(model, scheme=sub.quant)
-                      if sub.quant != "fp32" else model
-                      for sub, model in zip(plan.submodels, models)]
-            if store is not None:
-                for sub, model in zip(plan.submodels, models):
-                    _put(store, plan, sub.model_id, model, sub.quant)
-                _put(store, plan, FUSION_ARTIFACT, fusion, "fp32")
+        if build.get("train_fusion"):
+            train_demo_system(
+                models, fusion, image_size=int(build["image_size"]),
+                seed=plan.seed,
+                fusion_epochs=int(build.get("fusion_epochs", 8)))
+        models = _quantize_planned(plan, models)
         if store is not None:
-            plan.artifacts = dict(digests)
-        return PlannedSystem(plan=plan, models=models, fusion=fusion,
-                             time_scale=time_scale, transport=transport,
-                             warm_booted=warm)
+            for sub, model in zip(plan.submodels, models):
+                _put(store, plan, sub.model_id, model, sub.quant)
+            _put(store, plan, FUSION_ARTIFACT, fusion, "fp32")
+    if store is not None:
+        plan.artifacts = dict(digests)
+    return PlannedSystem(plan=plan, models=models, fusion=fusion,
+                         time_scale=time_scale, transport=transport,
+                         warm_booted=warm)
+
+
+def _build_fusion(plan: DeploymentPlan) -> FusionMLP:
+    return FusionMLP(FusionConfig.from_dict(dict(plan.fusion_config)),
+                     rng=np.random.default_rng(plan.seed + 1000))
+
+
+def _quantize_planned(plan: DeploymentPlan,
+                      models: list[nn.Module]) -> list[nn.Module]:
+    """``models`` in the weight schemes ``plan`` serves them in."""
+    return [nn.quantize_module(model, scheme=sub.quant)
+            if sub.quant != "fp32" else model
+            for sub, model in zip(plan.submodels, models)]
 
 
 def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
@@ -436,11 +474,10 @@ def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
 
     int8_sizes = None
     if quant in ("int8", "auto"):
-        # Rewrites the untrained models in place: only their int8 byte
-        # counts are used past this point.
+        # On copies: the fp32 models are the ones the fleet boots.
         int8_sizes = {
             f"submodel-{index}": nn.state_dict_num_bytes(
-                nn.quantize_module(model).state_dict())
+                nn.quantize_module(copy.deepcopy(model)).state_dict())
             for index, model in enumerate(models)}
     select = codec == "auto"
     planner = Planner(devices, fusion_device, link, PlannerConfig(
@@ -452,8 +489,7 @@ def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
                                   quant=None if quant == "fp32" else quant,
                                   int8_sizes=int8_sizes)
 
-    system = PlannedSystem.from_plan(plan, time_scale=time_scale,
-                                     transport=transport, store=store)
+    system = _boot(plan, models, time_scale, transport, store)
     if train_fusion:
         dataset = demo_dataset(image_size, seed)
 

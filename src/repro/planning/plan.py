@@ -28,7 +28,7 @@ from ..edge.codec import get_codec
 from ..edge.device import DeviceModel
 from ..edge.network import DEFAULT_OVERHEAD_S, LinkModel, StarTopology, TC_CAP_BPS
 from ..edge.simulator import DeploymentSpec, SubModelProfile
-from ..profiling import model_flops, module_param_count, param_bytes
+from ..profiling import model_flops
 from ..splitting.class_assignment import validate_partition
 from .. import store as store_recipes
 
@@ -77,12 +77,15 @@ class PlannedSubModel:
     def from_module(model_id: str, module, kind: str, classes,
                     hp: int = 0) -> "PlannedSubModel":
         """The sub-model a built ``kind`` module is, covering ``classes``:
-        size, FLOPs, feature width and config measured on the module."""
+        size, FLOPs, feature width and config measured on the module.
+        Its size is the bytes of its parameters *and* buffers, what its
+        ``state_dict()`` (and so its worker and its artifact) holds."""
         return PlannedSubModel(
             model_id=model_id,
             classes=tuple(int(c) for c in classes),
             hp=hp,
-            size_bytes=param_bytes(module_param_count(module)),
+            size_bytes=sum(p.data.nbytes for _, p in module.named_parameters())
+            + sum(b.nbytes for _, b in module.named_buffers()),
             flops_per_sample=float(model_flops(kind, module.config)),
             feature_dim=int(module.feature_dim()),
             model_kind=kind,

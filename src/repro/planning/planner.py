@@ -95,7 +95,7 @@ class Planner:
         self.config = config or PlannerConfig()
 
     # ------------------------------------------------------------------
-    def _planned_devices(self) -> list[PlannedDevice]:
+    def _plan_devices(self) -> list[PlannedDevice]:
         return [PlannedDevice.from_device(d, self.link) for d in self.devices]
 
     def _memory_budget(self) -> int:
@@ -196,7 +196,7 @@ class Planner:
             num_classes=num_classes,
             partition=[list(group) for group in partition],
             submodels=list(submodels),
-            devices=self._planned_devices(),
+            devices=self._plan_devices(),
             mapping=mapping,
             fusion_device=PlannedDevice.from_device(self.fusion_device,
                                                     self.link),

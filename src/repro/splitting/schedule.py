@@ -2,7 +2,15 @@
 
 Algorithm 1 prunes all sub-models with the current head numbers, checks the
 fleet memory budget, attempts a greedy assignment, and — on failure —
-increments the pruning head number of the largest sub-model and repeats.
+prunes one more head and repeats.  Here every sub-model moves up one head
+*together*: uniform increments fit the paper's reported ViT-Base numbers
+(hp 6/6/8/9/10 at N = 1/2/3/5/10; at N = 10, 9.64 MiB and 1.31 s per
+sub-model against the paper's 9.60 MB and 1.28 s), where the earlier
+reading — one more head on the largest sub-model per pass — did not: it
+planned (7,7,7), (9,8,8,8,8) and (10,10,10,9×7), twice the paper's
+latency at N = 10.  It also reproduces ViT-Small's reported N = 10 size;
+ViT-Large's (18.73 MB, hp 14) is reached by no fleet-budget reading (the
+loop stops at hp 13 under 600 MB).
 
 The memory size and FLOPs of a sub-model depend only on its ``hp`` (the
 class subset changes the head layer by a negligible amount), so we run this
@@ -15,7 +23,6 @@ avoiding wasted retraining.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 from ..assignment import AssignmentPlan, DeviceSpec, SubModelSpec, try_greedy_assign
 from ..models.vit import ViTConfig
@@ -68,52 +75,48 @@ class HeadSchedule:
     hps: list[int]
     footprints: list[SubModelFootprint]
     plan: AssignmentPlan
-    iterations: int
 
 
 def plan_head_schedule(base: ViTConfig, class_groups: list[list[int]],
                        devices: list[DeviceSpec], memory_budget_bytes: int,
                        num_samples: int) -> HeadSchedule:
-    """Iterate head-pruning numbers until the fleet fits (Algorithm 1).
+    """Raise every sub-model's ``hp`` together until the fleet fits
+    (Algorithm 1).
 
-    Every sub-model starts at ``h/2``, which matches the paper's observed
-    single-device operating point (a ViT-Base pruned to half its heads).
+    Every sub-model starts at ``h/2``, the paper's single-device
+    operating point (a ViT-Base pruned to half its heads), and all of
+    them gain one pruned head per pass until their total size is within
+    ``memory_budget_bytes`` and :func:`repro.assignment.try_greedy_assign`
+    places them.  ``memory_budget_bytes`` is in bytes; the paper's
+    budgets are decimal MB (``180 MB`` is ``180 * 10**6`` B, see
+    :data:`repro.core.experiments.PAPER_BUDGETS_MB`), while sub-model
+    sizes are reported in MiB (:func:`repro.profiling.size_mb`).
     Raises :class:`ScheduleInfeasible` if the most aggressive schedule
-    (one effective head-worth of dims) still violates the constraints.
+    (one head kept) still violates the constraints.
     """
     n = len(class_groups)
     h = base.num_heads
-    hps = [h // 2] * n
-    # Each pass prunes one more head or raises, so the loop terminates.
-    for iteration in itertools.count(1):
+    for hp in range(h // 2, h):
         feet = [footprint(base, i, hp, len(group))
-                for i, (hp, group) in enumerate(zip(hps, class_groups))]
+                for i, group in enumerate(class_groups)]
         total = sum(f.size_bytes for f in feet)
-        plan = None
         if total <= memory_budget_bytes:
-            specs = [f.to_spec(tuple(group))
-                     for f, group in zip(feet, class_groups)]
-            plan = try_greedy_assign(devices, specs, num_samples)
-        if plan is not None:
-            return HeadSchedule(hps=hps, footprints=feet, plan=plan,
-                                iterations=iteration)
-        # Line 18: prune one more head from the largest sub-model.
-        sizes = [f.size_bytes for f in feet]
-        candidates = [i for i in range(n) if hps[i] < h - 1]
-        if not candidates:
-            # Two distinct terminal failures hide behind "infeasible":
-            # the fleet budget itself is unreachable, or the budget holds
-            # but greedy per-device assignment still finds no placement.
-            # Operators debug different constraints for each, so say which.
-            if total <= memory_budget_bytes:
-                raise ScheduleInfeasible(
-                    f"greedy assignment failed at maximum pruning: total "
-                    f"{total} B fits the fleet budget "
-                    f"{memory_budget_bytes} B, but no per-device placement "
-                    "satisfies the memory/energy constraints "
-                    f"({len(devices)} devices, {n} sub-models)")
-            raise ScheduleInfeasible(
-                f"budget {memory_budget_bytes} B unreachable even at maximum "
-                f"pruning (total {total} B)")
-        biggest = max(candidates, key=lambda i: sizes[i])
-        hps[biggest] += 1
+            plan = try_greedy_assign(
+                devices, [f.to_spec(tuple(group))
+                          for f, group in zip(feet, class_groups)],
+                num_samples)
+            if plan is not None:
+                return HeadSchedule(hps=[hp] * n, footprints=feet, plan=plan)
+    # Two distinct terminal failures hide behind "infeasible": the fleet
+    # budget itself is unreachable, or the budget holds but greedy
+    # per-device assignment still finds no placement.  Operators debug
+    # different constraints for each, so say which.
+    if total <= memory_budget_bytes:
+        raise ScheduleInfeasible(
+            f"greedy assignment failed at maximum pruning: total {total} B "
+            f"fits the fleet budget {memory_budget_bytes} B, but no "
+            "per-device placement satisfies the memory/energy constraints "
+            f"({len(devices)} devices, {n} sub-models)")
+    raise ScheduleInfeasible(
+        f"budget {memory_budget_bytes} B unreachable even at maximum "
+        f"pruning (total {total} B)")

@@ -20,9 +20,11 @@ class TestCLI:
         out = run_cli(capsys, "flops")
         assert "CIFAR-10" in out and "GTZAN" in out
 
-    def test_flops_algorithm1(self, capsys):
+    def test_flops_prints_one_column_set(self, capsys):
         out = run_cli(capsys, "flops")
-        assert "N=10 (G)" in out and "N=10 planned (G)" in out
+        assert out.splitlines()[0].split() == [
+            "Dataset", "Original", "(G)", "N=2", "(G)", "N=3", "(G)", "N=5",
+            "(G)", "N=10", "(G)"]
 
     def test_flops_has_no_mode_flag(self):
         with pytest.raises(SystemExit) as exc:
@@ -72,12 +74,14 @@ class TestCLI:
         out = run_cli(capsys, "schedule", "--devices", "3")
         assert "total:" in out
 
-    def test_schedule_algorithm1(self, capsys):
+    def test_schedule_prints_one_column_set(self, capsys):
         out = run_cli(capsys, "schedule", "--devices", "3")
         header = out.splitlines()[0].split()
-        assert {"hp", "size_mb", "gmacs", "planned_hp", "planned_size_mb",
-                "planned_gmacs"} <= set(header)
-        assert "paper-implied total:" in out and "planned total:" in out
+        assert header == ["sub-model", "hp", "embed_dim", "size_mb", "gmacs"]
+        # The paper's schedule at N=3: hp 8, 36.91 MiB per sub-model.
+        assert [line.split()[1] for line in out.splitlines()[2:5]] == \
+            ["8"] * 3
+        assert "total: 110.74 MiB across 3 devices (budget 180 MB)" in out
 
     @pytest.mark.parametrize("command", ["schedule", "curve"])
     def test_zero_budget_is_planned_not_replaced(self, command):

@@ -3,34 +3,15 @@
 import pytest
 
 from repro.core.experiments import (
-    MB,
     PAPER_BUDGETS_MB,
-    PAPER_DEVICE_COUNTS,
+    budget_bytes,
     communication_rows,
     latency_memory_curve,
-    paper_hp,
-    paper_kept_heads,
-    split_plans,
+    split_plan,
     table1_rows,
     table2_rows,
 )
 from repro.models.vit import vit_base_config, vit_small_config
-
-
-class TestPaperSchedule:
-    def test_vit_base_kept_heads(self):
-        # Implied by the paper's sizes/FLOPs: 6/6/4/3/2 of 12 heads.
-        assert [paper_kept_heads(12, n) for n in PAPER_DEVICE_COUNTS] == \
-            [6, 6, 4, 3, 2]
-
-    def test_vit_small_ten_devices_keeps_one(self):
-        assert paper_kept_heads(6, 10) == 1
-
-    def test_hp_complements_kept(self):
-        assert paper_hp(12, 10) == 10
-
-    def test_fallback_for_unlisted_n(self):
-        assert 1 <= paper_kept_heads(12, 7) < 12
 
 
 class TestTable1:
@@ -70,26 +51,22 @@ class TestTable2:
         assert gtzan["Original (G)"] < cifar["Original (G)"]
 
 
-class TestSplitPlans:
+class TestSplitPlan:
     @pytest.fixture(scope="class")
-    def plans(self):
-        return split_plans(vit_base_config(num_classes=10), 5,
-                           PAPER_BUDGETS_MB["vit-base"])
+    def plan(self):
+        return split_plan(vit_base_config(num_classes=10), 5,
+                          PAPER_BUDGETS_MB["vit-base"])
 
-    def test_paper_implied_uniform_hps(self, plans):
-        paper_implied, _ = plans
-        assert {sub.hp for sub in paper_implied.submodels} == {paper_hp(12, 5)}
+    def test_uniform_hps(self, plan):
+        assert [sub.hp for sub in plan.submodels] == [9] * 5
 
-    def test_planned_respects_budget(self, plans):
-        _, planned = plans
-        total = sum(sub.size_bytes for sub in planned.submodels)
-        assert total <= PAPER_BUDGETS_MB["vit-base"] * MB
+    def test_respects_budget_in_decimal_mb(self, plan):
+        total = sum(sub.size_bytes for sub in plan.submodels)
+        assert total <= budget_bytes(PAPER_BUDGETS_MB["vit-base"])
+        assert budget_bytes(180) == 180 * 10 ** 6
 
-    def test_same_partition_one_submodel_per_device(self, plans):
-        paper_implied, planned = plans
-        assert paper_implied.partition == planned.partition
-        for plan in plans:
-            assert len(set(plan.mapping.values())) == 5
+    def test_one_submodel_per_device(self, plan):
+        assert len(set(plan.mapping.values())) == 5
 
 
 class TestLatencyMemoryCurve:

@@ -103,16 +103,17 @@ class TestFig6ModelSizeAnchors:
         # Paper: 2.58 MB (32.06x reduction).
         assert rows[0]["per_model_mb"] == pytest.approx(2.58, rel=0.12)
 
-    def test_vit_large_n10(self):
-        rows = latency_memory_curve(vit_large_config(num_classes=10),
-                                    budget_mb=600, device_counts=(10,))
-        # Paper: 18.73 MB (61.77x reduction).
-        assert rows[0]["per_model_mb"] == pytest.approx(18.73, rel=0.12)
-
-    def test_vit_large_reduction_factor(self):
-        rows = latency_memory_curve(vit_large_config(num_classes=10),
-                                    budget_mb=600, device_counts=(10,))
-        assert 1157 / rows[0]["per_model_mb"] == pytest.approx(61.77, rel=0.12)
+    def test_vit_large_n10_diverges(self):
+        """The one pinned divergence.  Paper: 18.73 MB (61.77x reduction)
+        per sub-model, which needs hp 14 (2 of 16 heads kept).  Algorithm
+        1 stops at hp 13 as soon as the fleet fits the 600 MB budget
+        (10 x 41.44 MiB); hp 14 would need a budget below 434.5 MB, so no
+        reading of the paper's 600 MB reaches the paper's size."""
+        (row,) = latency_memory_curve(vit_large_config(num_classes=10),
+                                      budget_mb=600, device_counts=(10,))
+        assert row["hps"] == (13,) * 10
+        assert round(row["per_model_mb"], 2) == 41.44          # paper: 18.73
+        assert round(1157 / row["per_model_mb"], 2) == 27.92   # paper: 61.77
 
 
 class TestCommunicationAnchors:
@@ -125,30 +126,18 @@ class TestCommunicationAnchors:
 
 
 class TestPlannedSchedule:
-    """The planner's own Algorithm-1 schedule — the one the repo serves —
-    beside the paper-implied rows above.  It prunes less at N >= 3, so its
-    latencies sit well above the paper's; this pins the divergence."""
+    """The served plan is the paper's: Algorithm 1's loop, raising every
+    sub-model's hp together under the 180 MB budget, lands on the
+    schedule the paper's ViT-Base sizes imply and on its latencies."""
 
-    @pytest.mark.parametrize("devices, hps, latency_s", [
-        (3, (7, 7, 7), 6.91),
-        (5, (9, 8, 8, 8, 8), 4.51),
-        (10, (10, 10, 10) + (9,) * 7, 2.67),
+    @pytest.mark.parametrize("devices, hp, latency_s", [
+        (1, 6, 9.72),
+        (2, 6, 9.72),
+        (3, 8, 4.51),
+        (5, 9, 2.67),
+        (10, 10, 1.31),
     ])
-    def test_vit_base(self, fig4_rows, devices, hps, latency_s):
+    def test_vit_base(self, fig4_rows, devices, hp, latency_s):
         row = next(r for r in fig4_rows if r["devices"] == devices)
-        assert row["planned_hps"] == hps
-        assert row["planned_latency_s"] == pytest.approx(latency_s, rel=0.01)
-        assert row["planned_latency_s"] > row["latency_s"]
-
-    def test_vit_large_n10(self):
-        (row,) = latency_memory_curve(vit_large_config(num_classes=10),
-                                      budget_mb=600, device_counts=(10,))
-        assert row["planned_latency_s"] == pytest.approx(8.97, rel=0.01)
-
-    @pytest.mark.parametrize("devices", [1, 2])
-    def test_planned_equals_paper_implied_below_three(self, fig4_rows,
-                                                      devices):
-        row = next(r for r in fig4_rows if r["devices"] == devices)
-        assert row["planned_hps"] == row["hps"]
-        assert row["planned_latency_s"] == row["latency_s"]
-        assert row["planned_total_memory_mb"] == row["total_memory_mb"]
+        assert row["hps"] == (hp,) * devices
+        assert row["latency_s"] == pytest.approx(latency_s, rel=0.01)

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.edge.runtime import EdgeCluster, WorkerSpec
-from repro.planning import DeploymentPlan, PlannedSystem, plan_demo_system
+from repro import nn
+from repro.edge.runtime import MODEL_KINDS, EdgeCluster, WorkerSpec
+from repro.planning import (
+    DeploymentPlan,
+    PlannedSystem,
+    execute,
+    plan_demo_system,
+)
+from repro.store import ArtifactStore
 
 
 def states_equal(a, b):
@@ -49,6 +56,61 @@ class TestFromPlan:
         system.plan.build = {}
         with pytest.raises(ValueError):
             system.eval_dataset()
+
+
+class TestOneBuildPerSubModel:
+    """``plan_demo_system`` boots the modules it measured to plan: every
+    sub-model is built once per call, cold or warm, and a warm boot from
+    a plan file builds on unwritten storage the store then fills."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """``(builder, unwritten?)`` for every sub-model module built."""
+        calls = []
+        for name in ("_tiny_model", "build_model"):
+            real = getattr(execute, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append((_name, nn.init.is_unwritten()))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(execute, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("quant", ["fp32", "int8"])
+    @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+    def test_cold_and_warm_boots_build_each_submodel_once(
+            self, builds, tmp_path, kind, quant):
+        store = ArtifactStore(tmp_path)
+        cold = plan_demo_system(num_workers=3, model_kind=kind, quant=quant,
+                                store=store, transport="inprocess")
+        assert not cold.warm_booted and len(builds) == 3
+        builds.clear()
+        warm = plan_demo_system(num_workers=3, model_kind=kind, quant=quant,
+                                store=store, transport="inprocess")
+        assert warm.warm_booted and len(builds) == 3
+        for system in (cold, warm):
+            for sub, model in zip(system.plan.submodels, system.models):
+                assert sub.quant == quant
+                assert sub.size_bytes \
+                    == nn.state_dict_num_bytes(model.state_dict())
+        for a, b in zip(cold.models + [cold.fusion],
+                        warm.models + [warm.fusion]):
+            assert states_equal(a.state_dict(), b.state_dict())
+
+    def test_warm_plan_file_boot_builds_unwritten(self, builds, tmp_path):
+        store = ArtifactStore(tmp_path)
+        system = plan_demo_system(num_workers=2, seed=4, store=store,
+                                  transport="inprocess")
+        builds.clear()
+        again = PlannedSystem.from_plan(
+            DeploymentPlan.from_json(system.plan.to_json()),
+            transport="inprocess", store=store)
+        assert again.warm_booted
+        assert builds == [("build_model", True)] * 2
+        for a, b in zip(system.models + [system.fusion],
+                        again.models + [again.fusion]):
+            assert states_equal(a.state_dict(), b.state_dict())
 
 
 class TestWorkerSpecFromPlan:

@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.edge.runtime import build_model
 from repro.planning import DeploymentPlan
-from repro.profiling import model_flops, module_param_count, param_bytes
+from repro.profiling import model_flops
 from repro.serving import BatchingConfig, ServerConfig
 
 METHODS = {"edvit": "edvit_system", "split-cnn": "split_cnn_system",
@@ -29,7 +30,9 @@ def system(request):
 def test_plan_describes_the_pruned_modules(system):
     for sub, model in zip(system.plan.submodels, system.models):
         assert sub.model_config == model.config.to_dict()
-        assert sub.size_bytes == param_bytes(module_param_count(model))
+        # Parameters and buffers (Split-CNN's batch-norm statistics):
+        # the bytes its worker holds and its artifact stores.
+        assert sub.size_bytes == nn.state_dict_num_bytes(model.state_dict())
         assert sub.flops_per_sample == model_flops(sub.model_kind,
                                                    model.config)
         assert sub.feature_dim == model.feature_dim()

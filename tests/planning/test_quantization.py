@@ -11,6 +11,7 @@ from repro.edge.runtime import MODEL_KINDS, build_model
 from repro.planning import (
     DeploymentPlan,
     PlannedSystem,
+    execute,
     plan_demo_system,
     quantize_plan_artifacts,
 )
@@ -235,6 +236,32 @@ def test_rolling_swap_to_int8(store):
     assert nn.is_quantized(system.models[0])
     # The tiny demo system's labels survive int8 quantization.
     np.testing.assert_array_equal(before, after)
+
+
+def test_a_swap_derives_only_its_own_int8_artifact(tmp_path):
+    store = ArtifactStore(tmp_path)
+    system = plan_demo_system(num_workers=2, store=store,
+                              transport="inprocess")
+    with system.make_server() as server:
+        system.swap_from_store(server, "submodel-0", store, quant="int8")
+    int8 = [info.meta["model_id"] for info in store.ls()
+            if info.meta.get("quant") == "int8"]
+    assert int8 == ["submodel-0"]
+
+
+def test_a_repeat_derivation_builds_and_quantizes_nothing(tmp_path,
+                                                          monkeypatch):
+    store = ArtifactStore(tmp_path)
+    system = plan_demo_system(num_workers=2, store=store,
+                              transport="inprocess")
+    first = quantize_plan_artifacts(system.plan, store)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("an existing int8 artifact was derived again")
+
+    monkeypatch.setattr(execute, "_build_submodel", rebuilt)
+    monkeypatch.setattr(nn, "quantize_module", rebuilt)
+    assert quantize_plan_artifacts(system.plan, store) == first
 
 
 def test_worker_spec_detects_quantized_model():

@@ -50,7 +50,6 @@ class TestScheduleLoop:
                                       memory_budget_bytes=1000 * MB,
                                       num_samples=1)
         assert schedule.hps == [6, 6]  # default initial hp = h/2
-        assert schedule.iterations == 1
 
     def test_paper_budget_n2(self):
         # 180 MB fits two half-pruned sub-models (2 x ~82 MB).
