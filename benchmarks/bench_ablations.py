@@ -9,15 +9,10 @@
 import numpy as np
 
 from benchmarks.conftest import print_table
-from repro.assignment import (
-    DeviceSpec,
-    SubModelSpec,
-    greedy_assign,
-    optimal_assign,
-)
+from repro.assignment import PlannedSubModel, greedy_assign, optimal_assign
 from repro.core.edvit import EDViTConfig, build_edvit
 from repro.core.training import evaluate
-from repro.edge.device import make_fleet
+from repro.edge.device import DeviceModel, make_fleet
 from repro.pruning.pipeline import PruneConfig, prune_submodel
 from repro.serving.demo import fused_labels
 from repro.splitting.class_assignment import (
@@ -58,12 +53,14 @@ def test_ablation_greedy_vs_optimal_gap(benchmark):
         rng = np.random.default_rng(42)
         gaps = []
         for _ in range(20):
-            devices = [DeviceSpec(f"d{i}", memory_bytes=200,
-                                  energy_flops=float(rng.integers(80, 200)))
+            devices = [DeviceModel(f"d{i}", memory_bytes=200,
+                                   energy_flops=float(rng.integers(80, 200)))
                        for i in range(4)]
-            models = [SubModelSpec(f"m{j}", size_bytes=20,
-                                   flops_per_sample=float(rng.integers(10, 60)))
-                      for j in range(5)]
+            # Synthetic sub-models: Algorithm 3 reads only size and FLOPs.
+            models = [PlannedSubModel(
+                f"m{j}", classes=(), hp=0, size_bytes=20,
+                flops_per_sample=float(rng.integers(10, 60)), feature_dim=1,
+                model_kind="vit", model_config={}) for j in range(5)]
             try:
                 greedy = greedy_assign(devices, models, 1).objective
                 optimal = optimal_assign(devices, models, 1).objective
@@ -84,7 +81,7 @@ def test_ablation_balanced_vs_skewed_partition(benchmark, trained_vit,
     heavily skewed ones (and usually win, since no sub-model is starved)."""
 
     def run():
-        fleet = [d.to_spec() for d in make_fleet(3)]
+        fleet = make_fleet(3)
         results = {}
         for name, groups in [
                 ("balanced", balanced_class_partition(
@@ -101,9 +98,9 @@ def test_ablation_balanced_vs_skewed_partition(benchmark, trained_vit,
             cfg = PruneConfig(probe_size=12, head_adapt_epochs=2,
                               stage_finetune_epochs=0, retrain_epochs=3,
                               backend="magnitude", seed=0)
-            models = [prune_submodel(trained_vit, bench_dataset, classes, hp,
-                                     config=cfg).model
-                      for classes, hp in zip(groups, schedule.hps)]
+            models = [prune_submodel(trained_vit, bench_dataset, classes,
+                                     sub.hp, config=cfg).model
+                      for classes, sub in zip(groups, schedule.submodels)]
             fusion = train_fusion_mlp(models, bench_dataset, epochs=12,
                                       lr=3e-3, seed=0)
             labels = fused_labels(models, fusion, bench_dataset.x_test)

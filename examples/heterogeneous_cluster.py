@@ -44,22 +44,19 @@ def main() -> None:
     # Six sub-models with a mixed pruning schedule: the first two keep more
     # heads (for the fast boards), the rest are pruned harder.
     hps = [8, 8, 9, 9, 10, 10]
-    feet = [footprint(base, i, hp, len(g))
-            for i, (hp, g) in enumerate(zip(hps, groups))]
-    specs = [f.to_spec(tuple(g)) for f, g in zip(feet, groups)]
-    device_specs = [d.to_spec() for d in fleet]
+    submodels = [footprint(base, i, hp, g)
+                 for i, (hp, g) in enumerate(zip(hps, groups))]
+    profiles = {m.model_id: SubModelProfile(
+        model_id=m.model_id, flops_per_sample=m.flops_per_sample,
+        feature_dim=m.feature_dim) for m in submodels}
 
     plans = {
-        "greedy (Alg. 3)": greedy_assign(device_specs, specs, num_samples=1),
-        "optimal (B&B)": optimal_assign(device_specs, specs, num_samples=1),
+        "greedy (Alg. 3)": greedy_assign(fleet, submodels, num_samples=1),
+        "optimal (B&B)": optimal_assign(fleet, submodels, num_samples=1),
     }
 
     rows = []
     for name, plan in plans.items():
-        profiles = {f.to_spec(()).model_id: SubModelProfile(
-            model_id=f"submodel-{f.index}",
-            flops_per_sample=f.flops_per_sample,
-            feature_dim=f.config.embed_dim) for f in feet}
         deployment = DeploymentSpec(
             devices=fleet, placement=dict(plan.mapping), profiles=profiles,
             fusion_device=raspberry_pi_4b("fusion"), fusion_flops=1e6)

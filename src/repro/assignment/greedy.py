@@ -17,10 +17,12 @@ have room for a later, smaller one — sub-models are visited largest-first
 
 from __future__ import annotations
 
-from .problem import AssignmentPlan, DeviceSpec, InfeasibleAssignment, SubModelSpec
+from ..edge.device import DeviceModel
+from .problem import AssignmentPlan, InfeasibleAssignment, PlannedSubModel
 
 
-def greedy_assign(devices: list[DeviceSpec], submodels: list[SubModelSpec],
+def greedy_assign(devices: list[DeviceModel],
+                  submodels: list[PlannedSubModel],
                   num_samples: int) -> AssignmentPlan:
     """Run Algorithm 3; raises :class:`InfeasibleAssignment` on failure."""
     if not devices:
@@ -34,7 +36,7 @@ def greedy_assign(devices: list[DeviceSpec], submodels: list[SubModelSpec],
     order = sorted(submodels, key=lambda m: m.flops_per_sample, reverse=True)
 
     for model in order:
-        need_energy = model.workload_flops(num_samples)
+        need_energy = model.flops_per_sample * num_samples
         placed = False
         # Candidates are skipped per sub-model, never dropped globally: a
         # device too small for this sub-model can still host a later one.
@@ -62,7 +64,8 @@ def greedy_assign(devices: list[DeviceSpec], submodels: list[SubModelSpec],
                           residual_energy=residual_energy)
 
 
-def try_greedy_assign(devices: list[DeviceSpec], submodels: list[SubModelSpec],
+def try_greedy_assign(devices: list[DeviceModel],
+                      submodels: list[PlannedSubModel],
                       num_samples: int) -> AssignmentPlan | None:
     """Algorithm 3 returning ``None`` instead of raising (Algorithm 1's MA=∅)."""
     try:

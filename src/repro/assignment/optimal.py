@@ -9,11 +9,12 @@ gap (an ablation DESIGN.md calls out).
 
 from __future__ import annotations
 
-from .problem import AssignmentPlan, DeviceSpec, InfeasibleAssignment, SubModelSpec
+from ..edge.device import DeviceModel
+from .problem import AssignmentPlan, InfeasibleAssignment, PlannedSubModel
 
 
-def optimal_assign(devices: list[DeviceSpec], submodels: list[SubModelSpec],
-                   num_samples: int,
+def optimal_assign(devices: list[DeviceModel],
+                   submodels: list[PlannedSubModel], num_samples: int,
                    max_states: int = 2_000_000) -> AssignmentPlan:
     """Exact search over assignments maximizing the minimum residual energy.
 
@@ -51,7 +52,7 @@ def optimal_assign(devices: list[DeviceSpec], submodels: list[SubModelSpec],
             best_plan = plan
             return
         model = order[idx]
-        need = model.workload_flops(num_samples)
+        need = model.flops_per_sample * num_samples
         # Deduplicate symmetric devices (same residual state) to cut search.
         seen: set[tuple[int, float]] = set()
         for device_id in device_ids:

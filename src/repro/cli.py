@@ -112,19 +112,23 @@ def _artifact_store(args):
 def cmd_plan(args) -> None:
     from .planning import plan_demo_system
 
-    throughputs = None
-    if args.throughputs:
-        throughputs = [float(t) for t in args.throughputs.split(",") if t]
-    system = plan_demo_system(num_workers=args.workers,
-                              model_kind=args.model_kind,
-                              seed=args.seed,
-                              throughputs=throughputs,
-                              train_fusion=args.train_fusion,
-                              fusion_epochs=args.fusion_epochs,
-                              codec=args.codec,
-                              store=_artifact_store(args),
-                              quant=args.quant,
-                              memory_headroom=args.memory_headroom)
+    try:
+        throughputs = None
+        if args.throughputs:
+            throughputs = [float(t) for t in args.throughputs.split(",")
+                           if t]
+        system = plan_demo_system(num_workers=args.workers,
+                                  model_kind=args.model_kind,
+                                  seed=args.seed,
+                                  throughputs=throughputs,
+                                  train_fusion=args.train_fusion,
+                                  fusion_epochs=args.fusion_epochs,
+                                  codec=args.codec,
+                                  store=_artifact_store(args),
+                                  quant=args.quant,
+                                  memory_headroom=args.memory_headroom)
+    except ValueError as exc:          # one line, no traceback
+        raise SystemExit(str(exc)) from None
     plan = system.plan
     if args.store:
         boot = "warm-booted from" if system.warm_booted else "populated"

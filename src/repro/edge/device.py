@@ -12,8 +12,8 @@ to the paper's measured 36.94 s; ViT-Small and ViT-Large then land at
 from __future__ import annotations
 
 import dataclasses
+import math
 
-from ..assignment.problem import DeviceSpec
 from ..models.vit import vit_base_config
 from ..profiling import paper_flops
 
@@ -38,23 +38,29 @@ JOULES_PER_MAC = 1.1e-8
 
 @dataclasses.dataclass(frozen=True)
 class DeviceModel:
-    """A simulated edge device: compute throughput + resource budgets."""
+    """A simulated edge device: compute throughput plus the memory and
+    energy budgets (the paper's M_i and E_i) Algorithm 3 places into."""
 
     device_id: str
     macs_per_second: float = PI4B_MACS_PER_SECOND
     memory_bytes: int = PI4B_MEMORY_BYTES
     energy_flops: float = PI4B_ENERGY_FLOPS
 
+    def __post_init__(self):
+        if not (math.isfinite(self.macs_per_second)
+                and self.macs_per_second > 0):
+            raise ValueError(f"macs_per_second must be a finite rate above "
+                             f"0, not {self.macs_per_second}")
+        if self.memory_bytes <= 0:
+            raise ValueError("memory_bytes must be positive")
+        if self.energy_flops <= 0:
+            raise ValueError("energy_flops must be positive")
+
     def compute_seconds(self, macs: float) -> float:
         """Wall-clock seconds to execute ``macs`` multiply-accumulates."""
         if macs < 0:
             raise ValueError("macs must be non-negative")
         return macs / self.macs_per_second
-
-    def to_spec(self) -> DeviceSpec:
-        return DeviceSpec(device_id=self.device_id,
-                          memory_bytes=self.memory_bytes,
-                          energy_flops=self.energy_flops)
 
 
 def raspberry_pi_4b(device_id: str) -> DeviceModel:

@@ -91,7 +91,9 @@ def _put(store: ArtifactStore, plan: DeploymentPlan, name: str,
 def _derive_quantized(plan: DeploymentPlan, store: ArtifactStore, index: int,
                       scheme: str) -> dict:
     """Store sub-model ``index``'s ``scheme`` artifact, derived from its
-    fp32 one, unless the store already has it; its report row."""
+    fp32 one, unless the store already has it; its report row.  The fp32
+    artifact is read only to derive: its byte size is measured on an
+    unwritten fp32 build, which depends only on shapes."""
     sub = plan.submodels[index]
     fp32_digest = recipe_digest(
         plan.submodel_recipe(sub.model_id, quant="fp32"))
@@ -104,12 +106,14 @@ def _derive_quantized(plan: DeploymentPlan, store: ArtifactStore, index: int,
             f"store has no fp32 artifact for {sub.model_id!r} "
             f"(digest {fp32_digest[:12]}); run the plan against the "
             "store first to populate it")
-    state, _ = store.get(fp32_digest)
+    with nn.init.unwritten():          # measured, and loaded to derive
+        model = _build_submodel(plan, index, "fp32")
+    fp32_bytes = PlannedSubModel.from_module(
+        sub.model_id, model, sub.model_kind, sub.classes).size_bytes
     if store.has(quant_digest):
         quant_state, _ = store.get(quant_digest)
     else:
-        with nn.init.unwritten():      # the load overwrites every slot
-            model = _build_submodel(plan, index, "fp32")
+        state, _ = store.get(fp32_digest)
         model.load_state_dict(state)
         model = nn.quantize_module(model, scheme=scheme)
         _put(store, plan, sub.model_id, model, scheme)
@@ -117,7 +121,7 @@ def _derive_quantized(plan: DeploymentPlan, store: ArtifactStore, index: int,
     return {"model_id": sub.model_id,
             "fp32_digest": fp32_digest,
             "quant_digest": quant_digest,
-            "fp32_bytes": nn.state_dict_num_bytes(state),
+            "fp32_bytes": fp32_bytes,
             "quant_bytes": nn.state_dict_num_bytes(quant_state)}
 
 
@@ -337,9 +341,10 @@ def _boot(plan: DeploymentPlan, models: list[nn.Module] | None,
           time_scale: float, transport: str,
           store: ArtifactStore | None) -> PlannedSystem:
     """:meth:`PlannedSystem.from_plan`, given the plan's fp32 sub-models
-    as ``_build_submodel(plan, index, "fp32")`` builds them
-    (:func:`plan_demo_system` built them to measure them), or ``None`` to
-    build them here — so no sub-model is built twice."""
+    as ``_build_submodel(plan, index, "fp32")`` builds them under
+    :func:`repro.nn.init.unwritten` (:func:`plan_demo_system` built them
+    to measure them), or ``None``.  A warm boot loads into them; a cold
+    boot draws each sub-model once, here."""
     digests = plan_artifact_digests(plan) if store is not None else {}
     warm = store is not None \
         and all(store.has(digest) for digest in digests.values())
@@ -367,9 +372,8 @@ def _boot(plan: DeploymentPlan, models: list[nn.Module] | None,
         # are applied afterwards (quantization is post-training, and the
         # shared fusion artifact is defined over fp32 features).
         fusion = _build_fusion(plan)
-        if models is None:
-            models = [_build_submodel(plan, index, "fp32")
-                      for index in range(len(plan.submodels))]
+        models = [_build_submodel(plan, index, "fp32")
+                  for index in range(len(plan.submodels))]
         if build.get("train_fusion"):
             train_demo_system(
                 models, fusion, image_size=int(build["image_size"]),
@@ -445,9 +449,21 @@ def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
     if len(throughputs) != num_workers:
         raise ValueError("need one throughput multiplier per worker")
 
-    models = [_tiny_model(model_kind, num_classes, image_size,
-                          np.random.default_rng(seed + index))
-              for index in range(num_workers)]
+    # Sizes, FLOPs, feature widths and int8 sizes depend only on shapes,
+    # so the modules planned on are unwritten: a warm boot loads into
+    # them, and a cold boot draws each sub-model once.
+    with nn.init.unwritten():
+        models = [_tiny_model(model_kind, num_classes, image_size,
+                              np.random.default_rng(seed + index))
+                  for index in range(num_workers)]
+        int8_sizes = None
+        if quant in ("int8", "auto"):
+            # On copies: the planned modules stay fp32 until the boot
+            # quantizes the ones the plan serves in int8.
+            int8_sizes = {
+                f"submodel-{index}": nn.state_dict_num_bytes(
+                    nn.quantize_module(copy.deepcopy(model)).state_dict())
+                for index, model in enumerate(models)}
     build = {"recipe": DEMO_RECIPE, "model_kind": model_kind,
              "image_size": image_size, "train_fusion": bool(train_fusion),
              "fusion_epochs": fusion_epochs}
@@ -472,13 +488,6 @@ def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
     fusion_device = DeviceModel(device_id="fusion", macs_per_second=1e12)
     link = LinkModel(bandwidth_bps=1e9, overhead_seconds=0.0)
 
-    int8_sizes = None
-    if quant in ("int8", "auto"):
-        # On copies: the fp32 models are the ones the fleet boots.
-        int8_sizes = {
-            f"submodel-{index}": nn.state_dict_num_bytes(
-                nn.quantize_module(copy.deepcopy(model)).state_dict())
-            for index, model in enumerate(models)}
     select = codec == "auto"
     planner = Planner(devices, fusion_device, link, PlannerConfig(
         seed=seed, codec="raw32" if select else codec))

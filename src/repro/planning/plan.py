@@ -17,18 +17,11 @@ import dataclasses
 import json
 from pathlib import Path
 
-from ..assignment import (
-    AssignmentPlan,
-    DeviceSpec,
-    InfeasibleAssignment,
-    SubModelSpec,
-    validate_plan,
-)
+from ..assignment import PlannedSubModel, validate_plan
 from ..edge.codec import get_codec
 from ..edge.device import DeviceModel
 from ..edge.network import DEFAULT_OVERHEAD_S, LinkModel, StarTopology, TC_CAP_BPS
 from ..edge.simulator import DeploymentSpec, SubModelProfile
-from ..profiling import model_flops
 from ..splitting.class_assignment import validate_partition
 from .. import store as store_recipes
 
@@ -44,82 +37,6 @@ FUSION_ARTIFACT = "fusion"
 # predictions, not parameters, so they must not change artifact digests.
 _TRAIN_BUILD_KEYS = ("recipe", "model_kind", "image_size", "train_fusion",
                      "fusion_epochs")
-
-
-@dataclasses.dataclass(frozen=True)
-class PlannedSubModel:
-    """One sub-model's identity, footprint, and rebuild recipe."""
-
-    model_id: str
-    classes: tuple[int, ...]           # class subset this sub-model covers
-    hp: int                            # head-pruning number (0 = unpruned)
-    size_bytes: int
-    flops_per_sample: float
-    feature_dim: int                   # width of forward_features output
-    model_kind: str                    # repro.edge.runtime.MODEL_KINDS key
-    model_config: dict                 # exact config dict to rebuild the module
-    quant: str = "fp32"                # weight scheme served ("fp32"/"int8")
-
-    @staticmethod
-    def from_footprint(foot, classes) -> "PlannedSubModel":
-        """The ViT sub-model a :class:`~repro.splitting.schedule.
-        SubModelFootprint` describes, covering ``classes``."""
-        return PlannedSubModel(model_id=f"submodel-{foot.index}",
-                               classes=tuple(classes),
-                               hp=foot.hp,
-                               size_bytes=foot.size_bytes,
-                               flops_per_sample=foot.flops_per_sample,
-                               feature_dim=foot.config.embed_dim,
-                               model_kind="vit",
-                               model_config=foot.config.to_dict())
-
-    @staticmethod
-    def from_module(model_id: str, module, kind: str, classes,
-                    hp: int = 0) -> "PlannedSubModel":
-        """The sub-model a built ``kind`` module is, covering ``classes``:
-        size, FLOPs, feature width and config measured on the module.
-        Its size is the bytes of its parameters *and* buffers, what its
-        ``state_dict()`` (and so its worker and its artifact) holds."""
-        return PlannedSubModel(
-            model_id=model_id,
-            classes=tuple(int(c) for c in classes),
-            hp=hp,
-            size_bytes=sum(p.data.nbytes for _, p in module.named_parameters())
-            + sum(b.nbytes for _, b in module.named_buffers()),
-            flops_per_sample=float(model_flops(kind, module.config)),
-            feature_dim=int(module.feature_dim()),
-            model_kind=kind,
-            model_config=module.config.to_dict())
-
-    def to_spec(self) -> SubModelSpec:
-        """The assignment-problem view of this sub-model."""
-        return SubModelSpec(model_id=self.model_id,
-                            size_bytes=self.size_bytes,
-                            flops_per_sample=self.flops_per_sample,
-                            classes=self.classes)
-
-    def profile(self, codec: str = "raw32") -> SubModelProfile:
-        """The DES-simulator view of this sub-model.
-
-        ``codec`` sets the wire codec the profile's per-sample feature
-        bytes are estimated under, so DES scoring sees the same payload
-        reduction the live fleet would.
-        """
-        return SubModelProfile(model_id=self.model_id,
-                               flops_per_sample=self.flops_per_sample,
-                               feature_dim=self.feature_dim,
-                               codec=codec)
-
-    def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["classes"] = list(self.classes)
-        return data
-
-    @staticmethod
-    def from_dict(data: dict) -> "PlannedSubModel":
-        data = dict(data)
-        data["classes"] = tuple(int(c) for c in data["classes"])
-        return PlannedSubModel(**data)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,11 +59,6 @@ class PlannedDevice:
     def link_model(self) -> LinkModel:
         return LinkModel(bandwidth_bps=self.link_bandwidth_bps,
                          overhead_seconds=self.link_overhead_s)
-
-    def to_spec(self) -> DeviceSpec:
-        return DeviceSpec(device_id=self.device_id,
-                          memory_bytes=self.memory_bytes,
-                          energy_flops=self.energy_flops)
 
     @staticmethod
     def from_device(device: DeviceModel,
@@ -253,8 +165,12 @@ class DeploymentPlan:
         return DeploymentSpec(
             devices=[d.device_model() for d in self.devices],
             placement=dict(self.mapping),
-            profiles={m.model_id: m.profile(codec=self.codec)
-                      for m in self.submodels},
+            # The codec sets the per-sample feature bytes the DES sends,
+            # so scoring sees the payload the live fleet would.
+            profiles={m.model_id: SubModelProfile(
+                model_id=m.model_id, flops_per_sample=m.flops_per_sample,
+                feature_dim=m.feature_dim, codec=self.codec)
+                for m in self.submodels},
             fusion_device=self.fusion_device.device_model(),
             fusion_flops=self.fusion_flops,
             topology=StarTopology(device_links=links))
@@ -316,20 +232,8 @@ class DeploymentPlan:
         """Raise if the plan is internally inconsistent or over capacity."""
         validate_partition(self.partition, self.num_classes)
         get_codec(self.codec)          # KeyError on an unknown codec name
-        if sorted(self.mapping) != sorted(self.model_ids):
-            raise InfeasibleAssignment(
-                "mapping must place every sub-model exactly once")
-        known = set(self.device_ids)
-        for model_id, device_id in self.mapping.items():
-            if device_id not in known:
-                raise InfeasibleAssignment(
-                    f"sub-model {model_id!r} mapped to unknown device "
-                    f"{device_id!r}")
-        plan = AssignmentPlan(mapping=dict(self.mapping),
-                              residual_memory={}, residual_energy={})
-        validate_plan(plan, [d.to_spec() for d in self.devices],
-                      [m.to_spec() for m in self.submodels],
-                      num_samples=self.num_samples)
+        validate_plan(self.mapping, [d.device_model() for d in self.devices],
+                      self.submodels, num_samples=self.num_samples)
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:

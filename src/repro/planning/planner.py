@@ -115,13 +115,10 @@ class Planner:
         try:
             partition = balanced_class_partition(base.num_classes,
                                                  num_groups, rng=rng)
-            schedule = plan_head_schedule(
-                base, partition, [d.to_spec() for d in self.devices],
-                self._memory_budget(), NUM_SAMPLES)
-            submodels = [PlannedSubModel.from_footprint(foot, group)
-                         for foot, group in zip(schedule.footprints,
-                                                partition)]
-            return self._assemble(base.num_classes, partition, submodels,
+            schedule = plan_head_schedule(base, partition, self.devices,
+                                          self._memory_budget(), NUM_SAMPLES)
+            return self._assemble(base.num_classes, partition,
+                                  schedule.submodels,
                                   mapping=dict(schedule.plan.mapping))
         except (ScheduleInfeasible, InfeasibleAssignment, ValueError) as exc:
             raise PlanningError(
@@ -166,9 +163,8 @@ class Planner:
                     size_bytes=int((int8_sizes or {})[m.model_id]))
                 for m in submodels]
             try:
-                assignment = greedy_assign(
-                    [d.to_spec() for d in self.devices],
-                    [m.to_spec() for m in candidates], NUM_SAMPLES)
+                assignment = greedy_assign(self.devices, candidates,
+                                           NUM_SAMPLES)
             except InfeasibleAssignment as exc:
                 attempts.append({"quant": scheme, "feasible": False,
                                  "error": str(exc)})

@@ -12,7 +12,10 @@ fusion recovers real features instead of zeros.
 
 from __future__ import annotations
 
-from ..assignment import DeviceSpec, InfeasibleAssignment, greedy_assign
+import dataclasses
+
+from ..assignment import InfeasibleAssignment, greedy_assign
+from ..edge.device import DeviceModel
 from .plan import DeploymentPlan
 from .planner import score_plan
 
@@ -22,14 +25,14 @@ class ReplanInfeasible(RuntimeError):
 
 
 def residual_capacity(plan: DeploymentPlan,
-                      down_devices: set[str]) -> list[DeviceSpec]:
+                      down_devices: set[str]) -> list[DeviceModel]:
     """Surviving devices' capacity after the sub-models they already host.
 
     Devices with nothing left to give (zero or negative residual on either
-    axis) are omitted — :class:`~repro.assignment.DeviceSpec` requires
+    axis) are omitted — :class:`~repro.edge.device.DeviceModel` requires
     positive budgets, and they could never host an orphan anyway.
     """
-    specs: list[DeviceSpec] = []
+    residual: list[DeviceModel] = []
     for device in plan.devices:
         if device.device_id in down_devices:
             continue
@@ -38,10 +41,10 @@ def residual_capacity(plan: DeploymentPlan,
         energy = device.energy_flops - sum(
             m.flops_per_sample * plan.num_samples for m in hosted)
         if memory > 0 and energy > 0:
-            specs.append(DeviceSpec(device_id=device.device_id,
-                                    memory_bytes=memory,
-                                    energy_flops=energy))
-    return specs
+            residual.append(dataclasses.replace(
+                device.device_model(), memory_bytes=memory,
+                energy_flops=energy))
+    return residual
 
 
 def replan_on_failure(plan: DeploymentPlan,
@@ -71,8 +74,7 @@ def replan_on_failure(plan: DeploymentPlan,
     orphans = [plan.submodel(m) for m, dev in sorted(plan.mapping.items())
                if dev in down]
     try:
-        moved = greedy_assign(residual_capacity(plan, down),
-                              [m.to_spec() for m in orphans],
+        moved = greedy_assign(residual_capacity(plan, down), orphans,
                               plan.num_samples)
     except InfeasibleAssignment as exc:
         raise ReplanInfeasible(

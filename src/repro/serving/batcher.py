@@ -60,6 +60,10 @@ LINGER_S = 0.002
 # asks for the next batch; completion gives it back.
 MAX_INFLIGHT_BATCHES = 2
 
+# Admission-control bound on pending requests: beyond it, submit raises
+# QueueFullError instead of growing latency without bound.
+QUEUE_CAPACITY = 4096
+
 
 class RequestError(RuntimeError):
     """The server failed (or refused) to serve a request."""
@@ -128,7 +132,6 @@ class Batch:
 class BatchingConfig:
     max_batch_samples: int = 16    # never coalesce past this many images
     max_wait_s: float = 0.0        # hold every short batch open this long
-    queue_capacity: int = 4096     # admission-control bound on pending requests
 
 
 class DynamicBatcher:
@@ -151,9 +154,8 @@ class DynamicBatcher:
         with self._cond:
             if self._closed:
                 raise RequestError("server is shut down")
-            if len(self._pending) >= self.config.queue_capacity:
-                raise QueueFullError(
-                    f"queue at capacity ({self.config.queue_capacity})")
+            if len(self._pending) >= QUEUE_CAPACITY:
+                raise QueueFullError(f"queue at capacity ({QUEUE_CAPACITY})")
             self._pending.append(future)
             self._cond.notify()
 

@@ -67,12 +67,15 @@ from .telemetry import RequestTelemetry, ServingReport
 # before retiring it anyway (those batches then zero-fill its slot).
 SWAP_DRAIN_TIMEOUT_S = 30.0
 
+# Telemetry records a server keeps: a ring buffer, so a long-lived server
+# does not grow without bound.
+MAX_RECORDS = 100_000
+
 
 @dataclasses.dataclass(frozen=True)
 class ServerConfig:
     batching: BatchingConfig = dataclasses.field(default_factory=BatchingConfig)
     worker_timeout_s: float = 5.0      # per-batch gather deadline
-    max_records: int = 100_000         # telemetry ring-buffer bound
 
 
 @dataclasses.dataclass
@@ -117,9 +120,8 @@ class InferenceServer:
         self._completer: threading.Thread | None = None
         self._pipeline = threading.Semaphore(MAX_INFLIGHT_BATCHES)
         self._lock = threading.Lock()
-        # Ring buffer: a long-lived server must not grow without bound.
         self._records: "collections.deque[RequestTelemetry]" = \
-            collections.deque(maxlen=self.config.max_records)
+            collections.deque(maxlen=MAX_RECORDS)
         self._dropped = 0
         self._started_at = 0.0
         self._stopped_at: float | None = None

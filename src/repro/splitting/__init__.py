@@ -15,7 +15,6 @@ from .fusion import (
 from .schedule import (
     HeadSchedule,
     ScheduleInfeasible,
-    SubModelFootprint,
     footprint,
     plan_head_schedule,
     submodel_config,
@@ -24,7 +23,6 @@ from .schedule import (
 __all__ = [
     "HeadSchedule",
     "ScheduleInfeasible",
-    "SubModelFootprint",
     "balanced_class_partition",
     "collect_features",
     "entire_retrain",

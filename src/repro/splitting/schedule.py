@@ -17,14 +17,18 @@ class subset changes the head layer by a negligible amount), so we run this
 loop *analytically* using :func:`repro.pruning.structured.pruned_dims` and
 only execute the expensive weight-level pruning once, after the schedule
 converges.  This is semantically identical to the paper's loop while
-avoiding wasted retraining.
+avoiding wasted retraining.  Each candidate is a
+:class:`~repro.assignment.PlannedSubModel` — the type Algorithm 3
+places and a deployment plan records — so the converged schedule is the
+plan's sub-models as they stand.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from ..assignment import AssignmentPlan, DeviceSpec, SubModelSpec, try_greedy_assign
+from ..assignment import AssignmentPlan, PlannedSubModel, try_greedy_assign
+from ..edge.device import DeviceModel
 from ..models.vit import ViTConfig
 from ..profiling import paper_flops, param_bytes, vit_param_count
 from ..pruning.structured import pruned_dims
@@ -32,23 +36,6 @@ from ..pruning.structured import pruned_dims
 
 class ScheduleInfeasible(Exception):
     """No head schedule satisfies the budget/assignment constraints."""
-
-
-@dataclasses.dataclass(frozen=True)
-class SubModelFootprint:
-    """Analytic footprint of one sub-model under a candidate ``hp``."""
-
-    index: int
-    hp: int
-    config: ViTConfig
-    size_bytes: int
-    flops_per_sample: float
-
-    def to_spec(self, classes: tuple[int, ...]) -> SubModelSpec:
-        return SubModelSpec(model_id=f"submodel-{self.index}",
-                            size_bytes=self.size_bytes,
-                            flops_per_sample=self.flops_per_sample,
-                            classes=classes)
 
 
 def submodel_config(base: ViTConfig, hp: int, num_classes: int) -> ViTConfig:
@@ -61,24 +48,30 @@ def submodel_config(base: ViTConfig, hp: int, num_classes: int) -> ViTConfig:
 
 
 def footprint(base: ViTConfig, index: int, hp: int,
-              num_classes: int) -> SubModelFootprint:
-    cfg = submodel_config(base, hp, num_classes)
-    return SubModelFootprint(index=index, hp=hp, config=cfg,
-                             size_bytes=param_bytes(vit_param_count(cfg)),
-                             flops_per_sample=float(paper_flops(cfg)))
+              classes) -> PlannedSubModel:
+    """Sub-model ``index`` of a ``base`` split: ``base`` pruned with
+    ``hp`` to cover ``classes``, sized analytically."""
+    cfg = submodel_config(base, hp, len(classes))
+    return PlannedSubModel(model_id=f"submodel-{index}",
+                           classes=tuple(classes),
+                           hp=hp,
+                           size_bytes=param_bytes(vit_param_count(cfg)),
+                           flops_per_sample=float(paper_flops(cfg)),
+                           feature_dim=cfg.embed_dim,
+                           model_kind="vit",
+                           model_config=cfg.to_dict())
 
 
 @dataclasses.dataclass
 class HeadSchedule:
     """The converged output of Algorithm 1's scheduling loop."""
 
-    hps: list[int]
-    footprints: list[SubModelFootprint]
+    submodels: list[PlannedSubModel]
     plan: AssignmentPlan
 
 
 def plan_head_schedule(base: ViTConfig, class_groups: list[list[int]],
-                       devices: list[DeviceSpec], memory_budget_bytes: int,
+                       devices: list[DeviceModel], memory_budget_bytes: int,
                        num_samples: int) -> HeadSchedule:
     """Raise every sub-model's ``hp`` together until the fleet fits
     (Algorithm 1).
@@ -97,16 +90,13 @@ def plan_head_schedule(base: ViTConfig, class_groups: list[list[int]],
     n = len(class_groups)
     h = base.num_heads
     for hp in range(h // 2, h):
-        feet = [footprint(base, i, hp, len(group))
-                for i, group in enumerate(class_groups)]
-        total = sum(f.size_bytes for f in feet)
+        submodels = [footprint(base, i, hp, group)
+                     for i, group in enumerate(class_groups)]
+        total = sum(m.size_bytes for m in submodels)
         if total <= memory_budget_bytes:
-            plan = try_greedy_assign(
-                devices, [f.to_spec(tuple(group))
-                          for f, group in zip(feet, class_groups)],
-                num_samples)
+            plan = try_greedy_assign(devices, submodels, num_samples)
             if plan is not None:
-                return HeadSchedule(hps=[hp] * n, footprints=feet, plan=plan)
+                return HeadSchedule(submodels=submodels, plan=plan)
     # Two distinct terminal failures hide behind "infeasible": the fleet
     # budget itself is unreachable, or the budget holds but greedy
     # per-device assignment still finds no placement.  Operators debug

@@ -3,20 +3,17 @@
 import pytest
 
 from repro.assignment.greedy import greedy_assign, try_greedy_assign
-from repro.assignment.problem import (
-    DeviceSpec,
-    InfeasibleAssignment,
-    SubModelSpec,
-    validate_plan,
-)
+from repro.assignment.problem import InfeasibleAssignment, validate_plan
+from repro.edge.device import DeviceModel
+from tests.oracles import sized_submodel
 
 
 def device(i, mem=100, energy=100.0):
-    return DeviceSpec(device_id=f"d{i}", memory_bytes=mem, energy_flops=energy)
+    return DeviceModel(device_id=f"d{i}", memory_bytes=mem, energy_flops=energy)
 
 
 def submodel(i, size=10, flops=10.0):
-    return SubModelSpec(model_id=f"m{i}", size_bytes=size, flops_per_sample=flops)
+    return sized_submodel(f"m{i}", size, flops)
 
 
 class TestGreedyAssign:
@@ -25,7 +22,7 @@ class TestGreedyAssign:
         models = [submodel(0, flops=60.0), submodel(1, flops=60.0)]
         plan = greedy_assign(devices, models, num_samples=1)
         assert set(plan.mapping.values()) == {"d0", "d1"}
-        validate_plan(plan, devices, models, num_samples=1)
+        validate_plan(plan.mapping, devices, models, num_samples=1)
 
     def test_heaviest_model_goes_to_strongest_device(self):
         devices = [device(0, energy=50.0), device(1, energy=200.0)]
@@ -101,7 +98,7 @@ class TestGreedyAssign:
                   submodel(1, size=10, flops=30.0)]
         plan = greedy_assign(devices, models, num_samples=1)
         assert plan.mapping == {"m0": "d1", "m1": "d0"}
-        validate_plan(plan, devices, models, num_samples=1)
+        validate_plan(plan.mapping, devices, models, num_samples=1)
 
     def test_per_model_skip_keeps_device_for_every_later_model(self):
         # One memory-tight device must absorb all the small tail models
@@ -113,7 +110,7 @@ class TestGreedyAssign:
         plan = greedy_assign(devices, models, num_samples=1)
         assert plan.mapping["m0"] == "d1"
         assert all(plan.mapping[f"m{i}"] == "d0" for i in range(1, 5))
-        validate_plan(plan, devices, models, num_samples=1)
+        validate_plan(plan.mapping, devices, models, num_samples=1)
 
 
 class TestTryGreedyAssign:

@@ -4,16 +4,17 @@ import pytest
 
 from repro.assignment.greedy import greedy_assign
 from repro.assignment.optimal import optimal_assign
-from tests.oracles import brute_force_assign
-from repro.assignment.problem import DeviceSpec, InfeasibleAssignment, SubModelSpec, validate_plan
+from tests.oracles import brute_force_assign, sized_submodel
+from repro.assignment.problem import InfeasibleAssignment, validate_plan
+from repro.edge.device import DeviceModel
 
 
 def device(i, mem=100, energy=100.0):
-    return DeviceSpec(device_id=f"d{i}", memory_bytes=mem, energy_flops=energy)
+    return DeviceModel(device_id=f"d{i}", memory_bytes=mem, energy_flops=energy)
 
 
 def submodel(i, size=10, flops=10.0):
-    return SubModelSpec(model_id=f"m{i}", size_bytes=size, flops_per_sample=flops)
+    return sized_submodel(f"m{i}", size, flops)
 
 
 class TestOptimalAssign:
@@ -32,7 +33,7 @@ class TestOptimalAssign:
         plan = optimal_assign(devices, models, num_samples=1)
         # Optimal puts them on different devices: min residual = 40.
         assert plan.objective == pytest.approx(40.0)
-        validate_plan(plan, devices, models, num_samples=1)
+        validate_plan(plan.mapping, devices, models, num_samples=1)
 
     def test_optimal_at_least_as_good_as_greedy(self):
         devices = [device(0, energy=90.0), device(1, energy=60.0),

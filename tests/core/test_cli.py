@@ -66,6 +66,20 @@ class TestCLI:
         assert len(plan.devices) == 3
         assert plan.prediction is not None
 
+    @pytest.mark.parametrize("throughputs, reason", [
+        ("1,0", "macs_per_second"),
+        ("1,-1", "macs_per_second"),
+        ("1", "one throughput multiplier per worker"),
+    ])
+    def test_plan_rejects_bad_throughputs_in_one_line(self, tmp_path,
+                                                      throughputs, reason):
+        path = tmp_path / "plan.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--throughputs", throughputs, "--out", str(path)])
+        assert reason in str(exc.value.code)
+        assert "\n" not in str(exc.value.code)
+        assert not path.exists()
+
     def test_communication(self, capsys):
         out = run_cli(capsys, "communication")
         assert "feature_bytes" in out

@@ -50,11 +50,19 @@ class TestDeviceModel:
         with pytest.raises(ValueError):
             raspberry_pi_4b("pi").compute_seconds(-1)
 
-    def test_to_spec_roundtrip(self):
-        dev = raspberry_pi_4b("pi-3")
-        spec = dev.to_spec()
-        assert spec.device_id == "pi-3"
-        assert spec.memory_bytes == dev.memory_bytes
+    def test_device_rejects_nonpositive_memory(self):
+        with pytest.raises(ValueError):
+            DeviceModel("x", memory_bytes=0, energy_flops=1.0)
+
+    def test_device_rejects_nonpositive_energy(self):
+        with pytest.raises(ValueError):
+            DeviceModel("x", memory_bytes=1, energy_flops=0.0)
+
+    @pytest.mark.parametrize("rate", [0.0, -1e12, float("inf"),
+                                      float("nan")])
+    def test_device_rejects_a_rate_not_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="macs_per_second"):
+            DeviceModel("x", macs_per_second=rate)
 
 
 class TestFleets:

@@ -10,6 +10,7 @@ from repro.edge.device import (
     raspberry_pi_4b,
 )
 from repro.edge.simulator import DeploymentSpec, SubModelProfile, simulate_inference
+from tests.oracles import sized_submodel
 
 GB = 2 ** 30
 
@@ -25,30 +26,27 @@ def mixed_fleet():
     ]
 
 
-def submodel_specs(flops_list):
-    from repro.assignment import SubModelSpec
-
-    return [SubModelSpec(f"m{i}", size_bytes=10 * 2 ** 20,
-                         flops_per_sample=float(f))
+def submodels(flops_list):
+    return [sized_submodel(f"m{i}", 10 * 2 ** 20, float(f))
             for i, f in enumerate(flops_list)]
 
 
 class TestAssignmentOnMixedFleet:
     def test_greedy_prefers_high_energy_device(self):
-        fleet = [d.to_spec() for d in mixed_fleet()]
-        plan = greedy_assign(fleet, submodel_specs([4e9]), num_samples=1)
+        fleet = mixed_fleet()
+        plan = greedy_assign(fleet, submodels([4e9]), num_samples=1)
         assert plan.mapping["m0"] == "fast"
 
     def test_energy_constraint_excludes_slow_device(self):
-        fleet = [d.to_spec() for d in mixed_fleet()]
+        fleet = mixed_fleet()
         # 6 GFLOPs workload exceeds the slow device's 5e9 budget.
-        plan = greedy_assign(fleet, submodel_specs([6e9, 6e9, 6e9]),
+        plan = greedy_assign(fleet, submodels([6e9, 6e9, 6e9]),
                              num_samples=1)
         assert "slow" not in plan.mapping.values()
 
     def test_optimal_balances_across_fast_devices(self):
-        fleet = [d.to_spec() for d in mixed_fleet()]
-        plan = optimal_assign(fleet, submodel_specs([10e9, 10e9]),
+        fleet = mixed_fleet()
+        plan = optimal_assign(fleet, submodels([10e9, 10e9]),
                               num_samples=1)
         # Packing both on "fast" leaves it at 30e9 (the hosted min);
         # splitting fast/pi leaves min(40e9, 10e9) = 10e9 — so the optimum

@@ -1,7 +1,8 @@
 """Reference implementations that tests compare the library against.
 
 ``brute_force_assign`` enumerates every placement (tiny instances only)
-as the oracle for branch-and-bound and greedy assignment;
+as the oracle for branch-and-bound and greedy assignment, over sub-models
+that ``sized_submodel`` builds;
 ``check_gradient`` compares autograd with central differences.
 """
 
@@ -12,11 +13,22 @@ from typing import Callable
 
 import numpy as np
 
-from repro.assignment.problem import AssignmentPlan, DeviceSpec, SubModelSpec
+from repro.assignment.problem import AssignmentPlan, PlannedSubModel
+from repro.edge.device import DeviceModel
 from repro.nn.tensor import Tensor
 
 
-def brute_force_assign(devices: list[DeviceSpec], submodels: list[SubModelSpec],
+def sized_submodel(model_id: str, size_bytes: int,
+                   flops_per_sample: float) -> PlannedSubModel:
+    """A sub-model that is only its size and FLOPs: all Algorithm 3 reads."""
+    return PlannedSubModel(model_id=model_id, classes=(), hp=0,
+                           size_bytes=size_bytes,
+                           flops_per_sample=flops_per_sample, feature_dim=1,
+                           model_kind="vit", model_config={})
+
+
+def brute_force_assign(devices: list[DeviceModel],
+                       submodels: list[PlannedSubModel],
                        num_samples: int) -> AssignmentPlan | None:
     """Plain product enumeration (tiny instances only)."""
     device_ids = [d.device_id for d in devices]
@@ -26,7 +38,7 @@ def brute_force_assign(devices: list[DeviceSpec], submodels: list[SubModelSpec],
         energy = {d.device_id: float(d.energy_flops) for d in devices}
         ok = True
         for model, device_id in zip(submodels, combo):
-            need = model.workload_flops(num_samples)
+            need = model.flops_per_sample * num_samples
             if memory[device_id] < model.size_bytes or energy[device_id] < need:
                 ok = False
                 break

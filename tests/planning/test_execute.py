@@ -58,37 +58,45 @@ class TestFromPlan:
             system.eval_dataset()
 
 
-class TestOneBuildPerSubModel:
-    """``plan_demo_system`` boots the modules it measured to plan: every
-    sub-model is built once per call, cold or warm, and a warm boot from
-    a plan file builds on unwritten storage the store then fills."""
+class TestOneDrawPerSubModel:
+    """``plan_demo_system`` plans on unwritten modules: a warm call draws
+    no weight at all (the store fills the modules it planned on), a cold
+    call draws each sub-model exactly once, and a warm boot from a plan
+    file builds on unwritten storage too."""
 
     @pytest.fixture
-    def builds(self, monkeypatch):
-        """``(builder, unwritten?)`` for every sub-model module built."""
+    def draws(self, monkeypatch):
+        """The name of each sub-model constructor that drew weights, and
+        ``"init"`` for every initializer call that drew."""
         calls = []
-        for name in ("_tiny_model", "build_model"):
-            real = getattr(execute, name)
+        for owner, name in ((execute, "_tiny_model"),
+                            (execute, "build_model"),
+                            (nn.init, "uniform"), (nn.init, "trunc_normal")):
+            real = getattr(owner, name)
+            label = "init" if owner is nn.init else name
 
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls.append((_name, nn.init.is_unwritten()))
+            def counted(*args, _real=real, _label=label, **kwargs):
+                if not nn.init.is_unwritten():
+                    calls.append(_label)
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(execute, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         return calls
 
     @pytest.mark.parametrize("quant", ["fp32", "int8"])
     @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
-    def test_cold_and_warm_boots_build_each_submodel_once(
-            self, builds, tmp_path, kind, quant):
+    def test_a_warm_call_draws_nothing_and_a_cold_one_each_submodel_once(
+            self, draws, tmp_path, kind, quant):
         store = ArtifactStore(tmp_path)
         cold = plan_demo_system(num_workers=3, model_kind=kind, quant=quant,
                                 store=store, transport="inprocess")
-        assert not cold.warm_booted and len(builds) == 3
-        builds.clear()
+        assert not cold.warm_booted
+        assert [c for c in draws if c != "init"] == ["build_model"] * 3
+        draws.clear()
         warm = plan_demo_system(num_workers=3, model_kind=kind, quant=quant,
                                 store=store, transport="inprocess")
-        assert warm.warm_booted and len(builds) == 3
+        assert warm.warm_booted and draws == []
+        assert warm.plan.to_dict() == cold.plan.to_dict()
         for system in (cold, warm):
             for sub, model in zip(system.plan.submodels, system.models):
                 assert sub.quant == quant
@@ -98,16 +106,15 @@ class TestOneBuildPerSubModel:
                         warm.models + [warm.fusion]):
             assert states_equal(a.state_dict(), b.state_dict())
 
-    def test_warm_plan_file_boot_builds_unwritten(self, builds, tmp_path):
+    def test_warm_plan_file_boot_builds_unwritten(self, draws, tmp_path):
         store = ArtifactStore(tmp_path)
         system = plan_demo_system(num_workers=2, seed=4, store=store,
                                   transport="inprocess")
-        builds.clear()
+        draws.clear()
         again = PlannedSystem.from_plan(
             DeploymentPlan.from_json(system.plan.to_json()),
             transport="inprocess", store=store)
-        assert again.warm_booted
-        assert builds == [("build_model", True)] * 2
+        assert again.warm_booted and draws == []
         for a, b in zip(system.models + [system.fusion],
                         again.models + [again.fusion]):
             assert states_equal(a.state_dict(), b.state_dict())

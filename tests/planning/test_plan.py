@@ -73,6 +73,13 @@ class TestValidate:
         with pytest.raises(InfeasibleAssignment):
             plan.validate()
 
+    def test_duplicate_model_ids_rejected(self):
+        plan = make_plan(submodels=[make_submodel(0, classes=(0, 1)),
+                                    make_submodel(0, classes=(2, 3))],
+                         mapping={"submodel-0": "edge-0"})
+        with pytest.raises(InfeasibleAssignment, match="exactly once"):
+            plan.validate()
+
     def test_unknown_device_rejected(self):
         plan = make_plan(mapping={"submodel-0": "edge-0",
                                   "submodel-1": "ghost"})

@@ -216,6 +216,8 @@ def test_quantize_plan_artifacts_derives_planned_digests(fp32_system,
         assert store.has(digest)
     for row in rows:
         assert row["fp32_bytes"] >= 2 * row["quant_bytes"]
+        state, _ = store.get(row["fp32_digest"])
+        assert row["fp32_bytes"] == nn.state_dict_num_bytes(state)
 
 
 def test_rolling_swap_to_int8(store):
@@ -249,18 +251,29 @@ def test_a_swap_derives_only_its_own_int8_artifact(tmp_path):
     assert int8 == ["submodel-0"]
 
 
-def test_a_repeat_derivation_builds_and_quantizes_nothing(tmp_path,
-                                                          monkeypatch):
+def test_a_repeat_derivation_reads_no_fp32_artifact_and_quantizes_nothing(
+        tmp_path, monkeypatch):
     store = ArtifactStore(tmp_path)
     system = plan_demo_system(num_workers=2, store=store,
                               transport="inprocess")
     first = quantize_plan_artifacts(system.plan, store)
+    fp32_digests = {row["fp32_digest"] for row in first}
+    real_get, real_build = store.get, execute._build_submodel
 
-    def rebuilt(*args, **kwargs):
+    def get(digest):
+        assert digest not in fp32_digests, "an fp32 artifact was read"
+        return real_get(digest)
+
+    def build(*args, **kwargs):
+        assert nn.init.is_unwritten(), "a sub-model's weights were drawn"
+        return real_build(*args, **kwargs)
+
+    def quantized(*args, **kwargs):
         raise AssertionError("an existing int8 artifact was derived again")
 
-    monkeypatch.setattr(execute, "_build_submodel", rebuilt)
-    monkeypatch.setattr(nn, "quantize_module", rebuilt)
+    monkeypatch.setattr(store, "get", get)
+    monkeypatch.setattr(execute, "_build_submodel", build)
+    monkeypatch.setattr(nn, "quantize_module", quantized)
     assert quantize_plan_artifacts(system.plan, store) == first
 
 

@@ -57,6 +57,8 @@ class TestResidualCapacity:
         assert set(specs) == {"edge-1", "edge-2"}
         assert specs["edge-1"].memory_bytes == 3000 - 1000
         assert specs["edge-1"].energy_flops == pytest.approx(1e7 - 1e6)
+        assert specs["edge-1"].macs_per_second \
+            == plan.device("edge-1").macs_per_second
 
     def test_exhausted_devices_omitted(self):
         plan = make_plan(device_mem=(3000, 1000, 3000))

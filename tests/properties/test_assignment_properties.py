@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 
 from repro.assignment.greedy import try_greedy_assign
 from repro.assignment.optimal import optimal_assign
-from repro.assignment.problem import (
-    DeviceSpec,
-    InfeasibleAssignment,
-    SubModelSpec,
-    validate_plan,
-)
+from repro.assignment.problem import InfeasibleAssignment, validate_plan
+from repro.edge.device import DeviceModel
+from tests.oracles import sized_submodel
 
 
 @st.composite
@@ -20,16 +17,15 @@ def instances(draw):
     num_devices = draw(st.integers(min_value=1, max_value=4))
     num_models = draw(st.integers(min_value=1, max_value=5))
     devices = [
-        DeviceSpec(device_id=f"d{i}",
-                   memory_bytes=draw(st.integers(min_value=10, max_value=200)),
-                   energy_flops=float(draw(st.integers(min_value=10,
-                                                       max_value=300))))
+        DeviceModel(device_id=f"d{i}",
+                    memory_bytes=draw(st.integers(min_value=10, max_value=200)),
+                    energy_flops=float(draw(st.integers(min_value=10,
+                                                        max_value=300))))
         for i in range(num_devices)]
     models = [
-        SubModelSpec(model_id=f"m{j}",
-                     size_bytes=draw(st.integers(min_value=1, max_value=80)),
-                     flops_per_sample=float(draw(st.integers(min_value=1,
-                                                             max_value=100))))
+        sized_submodel(f"m{j}",
+                       draw(st.integers(min_value=1, max_value=80)),
+                       float(draw(st.integers(min_value=1, max_value=100))))
         for j in range(num_models)]
     return devices, models
 
@@ -40,7 +36,7 @@ def test_greedy_plans_are_always_feasible(instance):
     devices, models = instance
     plan = try_greedy_assign(devices, models, num_samples=1)
     if plan is not None:
-        validate_plan(plan, devices, models, num_samples=1)
+        validate_plan(plan.mapping, devices, models, num_samples=1)
 
 
 @settings(max_examples=50, deadline=None)
@@ -51,7 +47,7 @@ def test_optimal_dominates_greedy(instance):
     if greedy is None:
         return
     optimal = optimal_assign(devices, models, num_samples=1)
-    validate_plan(optimal, devices, models, num_samples=1)
+    validate_plan(optimal.mapping, devices, models, num_samples=1)
     assert optimal.objective >= greedy.objective - 1e-9
 
 
@@ -74,13 +70,13 @@ def test_greedy_finds_plan_when_optimal_does(instance):
 # Greedy feasibility is not monotone in the workload: here Alg. 3 finds no
 # plan for 1 sample but finds one for 2 (and 3).
 _NON_MONOTONE = (
-    [DeviceSpec("d0", memory_bytes=66, energy_flops=12.0),
-     DeviceSpec("d1", memory_bytes=10, energy_flops=10.0),
-     DeviceSpec("d2", memory_bytes=10, energy_flops=10.0)],
-    [SubModelSpec("m0", size_bytes=1, flops_per_sample=1.0),
-     SubModelSpec("m1", size_bytes=11, flops_per_sample=1.0),
-     SubModelSpec("m2", size_bytes=11, flops_per_sample=1.0),
-     SubModelSpec("m3", size_bytes=44, flops_per_sample=2.0)])
+    [DeviceModel("d0", memory_bytes=66, energy_flops=12.0),
+     DeviceModel("d1", memory_bytes=10, energy_flops=10.0),
+     DeviceModel("d2", memory_bytes=10, energy_flops=10.0)],
+    [sized_submodel("m0", 1, 1.0),
+     sized_submodel("m1", 11, 1.0),
+     sized_submodel("m2", 11, 1.0),
+     sized_submodel("m3", 44, 2.0)])
 
 
 def test_greedy_feasibility_is_not_monotone_in_workload():
@@ -98,4 +94,4 @@ def test_a_plan_for_more_samples_is_feasible_for_one(instance, num_samples):
     devices, models = instance
     plan = try_greedy_assign(devices, models, num_samples=num_samples)
     if plan is not None:
-        validate_plan(plan, devices, models, num_samples=1)
+        validate_plan(plan.mapping, devices, models, num_samples=1)

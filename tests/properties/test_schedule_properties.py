@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.assignment import DeviceSpec, try_greedy_assign
+from repro.assignment import try_greedy_assign
+from repro.edge.device import DeviceModel
 from repro.models.vit import ViTConfig
 from repro.splitting.class_assignment import balanced_class_partition
 from repro.splitting.schedule import (
@@ -19,7 +20,7 @@ from repro.splitting.schedule import (
 
 
 def _feet(base, groups, hp):
-    return [footprint(base, i, hp, len(group))
+    return [footprint(base, i, hp, group)
             for i, group in enumerate(groups)]
 
 
@@ -28,8 +29,7 @@ def _fits(base, groups, devices, budget, hp) -> bool:
     feet = _feet(base, groups, hp)
     if sum(f.size_bytes for f in feet) > budget:
         return False
-    specs = [f.to_spec(tuple(group)) for f, group in zip(feet, groups)]
-    return try_greedy_assign(devices, specs, num_samples=1) is not None
+    return try_greedy_assign(devices, feet, num_samples=1) is not None
 
 
 @st.composite
@@ -50,7 +50,7 @@ def instances(draw):
     high = max(f.size_bytes for f in largest)
     cheap = min(f.flops_per_sample for f in smallest)
     costly = max(f.flops_per_sample for f in largest)
-    devices = [DeviceSpec(
+    devices = [DeviceModel(
         device_id=f"d{i}",
         memory_bytes=draw(st.integers(low // 2 + 1, 2 * high)),
         energy_flops=float(draw(st.integers(int(cheap) // 2 + 1,
@@ -76,10 +76,9 @@ def test_the_schedule_is_the_least_uniform_hp_that_fits(instance):
         assert not any(_fits(base, groups, devices, budget, hp)
                        for hp in range(base.num_heads // 2, base.num_heads))
         return
-    (hp,) = set(schedule.hps)
-    assert len(schedule.hps) == len(groups)
-    assert [f.hp for f in schedule.footprints] == schedule.hps
-    assert sum(f.size_bytes for f in schedule.footprints) <= budget
+    (hp,) = {m.hp for m in schedule.submodels}
+    assert len(schedule.submodels) == len(groups)
+    assert sum(m.size_bytes for m in schedule.submodels) <= budget
     assert sorted(schedule.plan.mapping) == [
         f"submodel-{i}" for i in range(len(groups))]
     # One head fewer breaks the budget or the placement.
@@ -96,7 +95,7 @@ def test_a_larger_budget_never_prunes_more(instance, extra):
     except ScheduleInfeasible:
         return
     loose = _schedule(base, groups, devices, budget + extra)
-    assert loose.hps[0] <= tight.hps[0]
+    assert loose.submodels[0].hp <= tight.submodels[0].hp
 
 
 @settings(max_examples=80, deadline=None)

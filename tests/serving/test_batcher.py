@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.inference import split_batch
+from repro.serving import batcher as batcher_module
 from repro.serving.batcher import (
     LINGER_S,
     BatchingConfig,
@@ -176,8 +177,9 @@ class TestIdleLoopDispatch:
 
 
 class TestAdmissionAndShutdown:
-    def test_queue_capacity_rejects_with_typed_error(self):
-        batcher = DynamicBatcher(BatchingConfig(queue_capacity=2))
+    def test_queue_capacity_rejects_with_typed_error(self, monkeypatch):
+        monkeypatch.setattr(batcher_module, "QUEUE_CAPACITY", 2)
+        batcher = DynamicBatcher(BatchingConfig())
         batcher.submit(make_future(0))
         batcher.submit(make_future(1))
         with pytest.raises(QueueFullError):

@@ -15,6 +15,7 @@ from repro.serving import (
     run_load,
     sweep_offered_load,
 )
+from repro.serving import server as server_module
 from repro.serving.batcher import ServedFuture
 from repro.serving.telemetry import RequestTelemetry
 
@@ -109,13 +110,14 @@ class TestOpenLoop:
             assert result.report.completed == 25
 
     def test_report_covers_the_run_once_the_telemetry_ring_is_full(
-            self, system):
-        """The server keeps its last ``max_records`` records; a run's
+            self, system, monkeypatch):
+        """The server keeps its last ``MAX_RECORDS`` records; a run's
         report is built from that run's own requests, so a full ring
         (whose length no longer grows) does not empty it."""
+        monkeypatch.setattr(server_module, "MAX_RECORDS", 8)
         server = InferenceServer(
             system.make_cluster(), system.fusion,
-            ServerConfig(max_records=8, batching=BatchingConfig(
+            ServerConfig(batching=BatchingConfig(
                 max_batch_samples=16, max_wait_s=0.002)))
         with server:
             results = [run_load(server, system.input_shape,

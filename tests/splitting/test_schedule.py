@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.assignment import DeviceSpec
+from repro.edge.device import DeviceModel
 from repro.models.vit import vit_base_config, ViTConfig
 from repro.profiling import size_mb, vit_param_count
 from repro.splitting.class_assignment import balanced_class_partition
@@ -18,9 +18,9 @@ MB = 2 ** 20
 
 
 def pi_fleet(n, memory_gb=4.0, energy=1e12):
-    return [DeviceSpec(device_id=f"pi-{i}",
-                       memory_bytes=int(memory_gb * 2 ** 30),
-                       energy_flops=energy) for i in range(n)]
+    return [DeviceModel(device_id=f"pi-{i}",
+                        memory_bytes=int(memory_gb * 2 ** 30),
+                        energy_flops=energy) for i in range(n)]
 
 
 class TestSubmodelConfig:
@@ -32,10 +32,13 @@ class TestSubmodelConfig:
         assert cfg.num_classes == 5
 
     def test_footprint_consistent_with_analytics(self):
-        foot = footprint(vit_base_config(num_classes=10), 0, hp=10,
-                         num_classes=1)
-        assert foot.size_bytes == vit_param_count(foot.config) * 4
-        assert foot.flops_per_sample > 0
+        sub = footprint(vit_base_config(num_classes=10), 0, hp=10,
+                        classes=[3])
+        config = ViTConfig.from_dict(sub.model_config)
+        assert sub.size_bytes == vit_param_count(config) * 4
+        assert sub.flops_per_sample > 0
+        assert (sub.model_id, sub.classes, sub.hp) == ("submodel-0", (3,), 10)
+        assert sub.feature_dim == config.embed_dim
 
 
 class TestScheduleLoop:
@@ -49,30 +52,30 @@ class TestScheduleLoop:
         schedule = plan_head_schedule(self.base(), self.groups(2), pi_fleet(2),
                                       memory_budget_bytes=1000 * MB,
                                       num_samples=1)
-        assert schedule.hps == [6, 6]  # default initial hp = h/2
+        assert [m.hp for m in schedule.submodels] == [6, 6]  # h/2
 
     def test_paper_budget_n2(self):
         # 180 MB fits two half-pruned sub-models (2 x ~82 MB).
         schedule = plan_head_schedule(self.base(), self.groups(2), pi_fleet(2),
                                       memory_budget_bytes=180 * MB,
                                       num_samples=1)
-        assert schedule.hps == [6, 6]
-        assert sum(f.size_bytes for f in schedule.footprints) <= 180 * MB
+        assert [m.hp for m in schedule.submodels] == [6, 6]
+        assert sum(f.size_bytes for f in schedule.submodels) <= 180 * MB
 
     def test_paper_budget_n3_prunes_more(self):
         schedule = plan_head_schedule(self.base(), self.groups(3), pi_fleet(3),
                                       memory_budget_bytes=180 * MB,
                                       num_samples=1)
-        assert all(hp > 6 for hp in schedule.hps)
-        assert sum(f.size_bytes for f in schedule.footprints) <= 180 * MB
+        assert all(m.hp > 6 for m in schedule.submodels)
+        assert sum(f.size_bytes for f in schedule.submodels) <= 180 * MB
 
     def test_tight_budget_forces_aggressive_pruning(self):
         schedule = plan_head_schedule(self.base(), self.groups(10),
                                       pi_fleet(10),
                                       memory_budget_bytes=100 * MB,
                                       num_samples=1)
-        assert sum(f.size_bytes for f in schedule.footprints) <= 100 * MB
-        assert len(schedule.hps) == 10
+        assert sum(f.size_bytes for f in schedule.submodels) <= 100 * MB
+        assert len(schedule.submodels) == 10
 
     def test_impossible_budget_raises(self):
         with pytest.raises(ScheduleInfeasible):
@@ -86,7 +89,7 @@ class TestScheduleLoop:
                                       pi_fleet(5, memory_gb=20 / 1024),
                                       memory_budget_bytes=1000 * MB,
                                       num_samples=1)
-        assert all(f.size_bytes <= 20 * MB for f in schedule.footprints)
+        assert all(f.size_bytes <= 20 * MB for f in schedule.submodels)
 
     def test_energy_constraint_respected(self):
         # Per-device energy of 3 GFLOPs rules out the 4.25 G half-pruned
@@ -95,7 +98,7 @@ class TestScheduleLoop:
                                       pi_fleet(2, energy=3e9),
                                       memory_budget_bytes=1000 * MB,
                                       num_samples=1)
-        assert all(f.flops_per_sample <= 3e9 for f in schedule.footprints)
+        assert all(f.flops_per_sample <= 3e9 for f in schedule.submodels)
 
     def test_plan_assigns_every_submodel(self):
         schedule = plan_head_schedule(self.base(), self.groups(5), pi_fleet(5),
@@ -110,7 +113,7 @@ class TestScheduleLoop:
                                       pi_fleet(10),
                                       memory_budget_bytes=180 * MB,
                                       num_samples=1)
-        sizes_mb = [f.size_bytes / MB for f in schedule.footprints]
+        sizes_mb = [f.size_bytes / MB for f in schedule.submodels]
         assert max(sizes_mb) < 25
 
 
@@ -128,9 +131,9 @@ class TestInfeasibleMessages:
         # Fleet budget is huge (the total trivially fits) but each
         # device has almost no energy, so greedy assignment can never
         # place anything: the message must blame placement, not budget.
-        devices = [DeviceSpec(device_id=f"pi-{i}",
-                              memory_bytes=4 * 2 ** 30,
-                              energy_flops=1.0)
+        devices = [DeviceModel(device_id=f"pi-{i}",
+                               memory_bytes=4 * 2 ** 30,
+                               energy_flops=1.0)
                    for i in range(3)]
         with pytest.raises(ScheduleInfeasible,
                            match="assignment failed at maximum pruning"):
