@@ -11,7 +11,7 @@ import numpy as np
 from benchmarks.conftest import print_table
 from repro.assignment import PlannedSubModel, greedy_assign, optimal_assign
 from repro.core.edvit import EDViTConfig, build_edvit
-from repro.core.training import evaluate
+from repro.core.inference import evaluate
 from repro.edge.device import DeviceModel, make_fleet
 from repro.pruning.pipeline import PruneConfig, prune_submodel
 from repro.serving.demo import fused_labels

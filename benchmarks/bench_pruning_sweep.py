@@ -10,7 +10,7 @@
 
 from benchmarks.conftest import print_table
 from repro import nn
-from repro.core.training import evaluate
+from repro.core.inference import evaluate
 from repro.models.vit import vit_base_config
 from repro.profiling import paper_flops, size_mb, token_pruned_flops, vit_param_count
 from repro.pruning.pipeline import PruneConfig, prune_submodel

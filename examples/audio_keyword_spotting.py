@@ -14,8 +14,9 @@ Run:  python examples/audio_keyword_spotting.py
 import numpy as np
 
 from repro.core.edvit import EDViTConfig, build_edvit
+from repro.core.inference import evaluate
 from repro.core.metrics import format_table
-from repro.core.training import TrainConfig, evaluate, train_classifier
+from repro.core.training import TrainConfig, train_classifier
 from repro.data import gtzan_like, speech_command_like
 from repro.edge.device import make_fleet
 from repro.edge.network import communication_reduction, feature_bytes, tc_capped_link

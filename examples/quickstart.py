@@ -17,8 +17,9 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.core.edvit import EDViTConfig, build_edvit
+from repro.core.inference import evaluate
 from repro.core.metrics import format_table
-from repro.core.training import TrainConfig, evaluate, train_classifier
+from repro.core.training import TrainConfig, train_classifier
 from repro.data import cifar10_like
 from repro.edge.device import make_fleet, raspberry_pi_4b
 from repro.edge.simulator import simulate_inference

@@ -13,8 +13,9 @@ Run:  python examples/video_analytics.py
 import numpy as np
 
 from repro.core.edvit import EDViTConfig, build_edvit
+from repro.core.inference import evaluate
 from repro.core.metrics import format_table
-from repro.core.training import TrainConfig, evaluate, train_classifier
+from repro.core.training import TrainConfig, train_classifier
 from repro.data import cifar10_like
 from repro.edge.device import make_fleet
 from repro.edge.simulator import simulate_inference

@@ -109,6 +109,15 @@ def _artifact_store(args):
     return ArtifactStore(path)
 
 
+def _load_plan(path):
+    from .planning import DeploymentPlan
+
+    try:
+        return DeploymentPlan.load(path)
+    except ValueError as exc:          # one line, no traceback
+        raise SystemExit(str(exc)) from None
+
+
 def cmd_plan(args) -> None:
     from .planning import plan_demo_system
 
@@ -177,7 +186,7 @@ def cmd_schedule(args) -> None:
 
 
 def _make_server(args):
-    from .planning import DeploymentPlan, PlannedSystem, plan_demo_system
+    from .planning import PlannedSystem, plan_demo_system
     from .serving import BatchingConfig, ServerConfig
 
     # No --max-wait-ms: BatchingConfig's own default decides the policy.
@@ -191,7 +200,7 @@ def _make_server(args):
     if plan_path:
         # The plan file carries the codec; only the transport (and the
         # artifact store to warm-boot from) is a runtime choice.
-        system = PlannedSystem.from_plan(DeploymentPlan.load(plan_path),
+        system = PlannedSystem.from_plan(_load_plan(plan_path),
                                          time_scale=args.time_scale,
                                          transport=args.transport,
                                          store=store)
@@ -316,10 +325,10 @@ def cmd_serve(args) -> None:
 def cmd_quantize(args) -> None:
     import dataclasses as _dc
 
-    from .planning import DeploymentPlan, quantize_plan_artifacts
+    from .planning import quantize_plan_artifacts
     from .store import ArtifactStore
 
-    plan = DeploymentPlan.load(args.plan)
+    plan = _load_plan(args.plan)
     store = ArtifactStore(args.store)
     rows = quantize_plan_artifacts(plan, store, scheme=args.scheme)
     print(format_table([{

@@ -73,21 +73,3 @@ def train_classifier(model: nn.Module, x: np.ndarray, y: np.ndarray,
         accuracies.append(correct / max(1, seen))
     model.eval()
     return TrainResult(losses, accuracies, time.perf_counter() - start)
-
-
-# Batched graph-free inference lives in repro.core.inference; these
-# re-exports keep the original training-module surface intact.
-from .inference import (  # noqa: E402  (re-export)
-    evaluate,
-    extract_features,
-    predict_probabilities,
-)
-
-__all__ = [
-    "TrainConfig",
-    "TrainResult",
-    "evaluate",
-    "extract_features",
-    "predict_probabilities",
-    "train_classifier",
-]

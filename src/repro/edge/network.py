@@ -10,6 +10,7 @@ that configuration.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 BITS_PER_BYTE = 8
 
@@ -31,6 +32,15 @@ class LinkModel:
 
     bandwidth_bps: float = TC_CAP_BPS
     overhead_seconds: float = DEFAULT_OVERHEAD_S
+
+    def __post_init__(self):
+        if not (math.isfinite(self.bandwidth_bps) and self.bandwidth_bps > 0):
+            raise ValueError(f"bandwidth_bps must be a finite rate above 0, "
+                             f"not {self.bandwidth_bps}")
+        if not (math.isfinite(self.overhead_seconds)
+                and self.overhead_seconds >= 0):
+            raise ValueError(f"overhead_seconds must be finite and at "
+                             f"least 0, not {self.overhead_seconds}")
 
     def transfer_seconds(self, num_bytes: int) -> float:
         if num_bytes < 0:

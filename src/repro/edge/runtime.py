@@ -227,9 +227,10 @@ class WorkerSpec:
 
         ``plan`` is a :class:`repro.planning.DeploymentPlan` (duck-typed
         here to keep the edge layer free of planning imports): the
-        sub-model's kind/config/footprint and the hosting device's
-        compute/link parameters all come from the plan, the weights from
-        the concrete ``model``.  ``worker_id`` defaults to the model id,
+        sub-model's kind/config/footprint, the hosting ``DeviceModel``
+        (``plan.device``) and its uplink (``plan.topology.link_of``) all
+        come from the plan, the weights from the concrete ``model``.
+        ``worker_id`` defaults to the model id,
         so plan-booted clusters address workers by sub-model.
         """
         sub = plan.submodel(model_id)
@@ -240,8 +241,8 @@ class WorkerSpec:
             model_config=dict(sub.model_config),
             state=_state_views(model),
             flops_per_sample=sub.flops_per_sample,
-            device=device.device_model(),
-            link=device.link_model(),
+            device=device,
+            link=plan.topology.link_of(device.device_id),
             batch_size=batch_size,
             feature_dim=int(sub.feature_dim),
             codec=plan.codec,

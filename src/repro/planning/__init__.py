@@ -37,7 +37,6 @@ from .plan import (
     FUSION_ARTIFACT,
     DeploymentPlan,
     PlanPrediction,
-    PlannedDevice,
     PlannedSubModel,
 )
 from .planner import (
@@ -58,7 +57,6 @@ __all__ = [
     "DeviceClass",
     "FUSION_ARTIFACT",
     "PlanPrediction",
-    "PlannedDevice",
     "PlannedSubModel",
     "PlannedSystem",
     "Planner",

@@ -92,8 +92,8 @@ def _derive_quantized(plan: DeploymentPlan, store: ArtifactStore, index: int,
                       scheme: str) -> dict:
     """Store sub-model ``index``'s ``scheme`` artifact, derived from its
     fp32 one, unless the store already has it; its report row.  The fp32
-    artifact is read only to derive: its byte size is measured on an
-    unwritten fp32 build, which depends only on shapes."""
+    artifact is read only to derive: both byte sizes are measured on
+    unwritten builds, which depend only on shapes."""
     sub = plan.submodels[index]
     fp32_digest = recipe_digest(
         plan.submodel_recipe(sub.model_id, quant="fp32"))
@@ -108,21 +108,20 @@ def _derive_quantized(plan: DeploymentPlan, store: ArtifactStore, index: int,
             "store first to populate it")
     with nn.init.unwritten():          # measured, and loaded to derive
         model = _build_submodel(plan, index, "fp32")
+        quant_bytes = nn.state_dict_num_bytes(
+            _build_submodel(plan, index, scheme).state_dict())
     fp32_bytes = PlannedSubModel.from_module(
         sub.model_id, model, sub.model_kind, sub.classes).size_bytes
-    if store.has(quant_digest):
-        quant_state, _ = store.get(quant_digest)
-    else:
+    if not store.has(quant_digest):
         state, _ = store.get(fp32_digest)
         model.load_state_dict(state)
-        model = nn.quantize_module(model, scheme=scheme)
-        _put(store, plan, sub.model_id, model, scheme)
-        quant_state = model.state_dict()
+        _put(store, plan, sub.model_id,
+             nn.quantize_module(model, scheme=scheme), scheme)
     return {"model_id": sub.model_id,
             "fp32_digest": fp32_digest,
             "quant_digest": quant_digest,
             "fp32_bytes": fp32_bytes,
-            "quant_bytes": nn.state_dict_num_bytes(quant_state)}
+            "quant_bytes": quant_bytes}
 
 
 def quantize_plan_artifacts(plan: DeploymentPlan, store: ArtifactStore,

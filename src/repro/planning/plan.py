@@ -20,7 +20,7 @@ from pathlib import Path
 from ..assignment import PlannedSubModel, validate_plan
 from ..edge.codec import get_codec
 from ..edge.device import DeviceModel
-from ..edge.network import DEFAULT_OVERHEAD_S, LinkModel, StarTopology, TC_CAP_BPS
+from ..edge.network import LinkModel, StarTopology
 from ..edge.simulator import DeploymentSpec, SubModelProfile
 from ..splitting.class_assignment import validate_partition
 from .. import store as store_recipes
@@ -39,44 +39,28 @@ _TRAIN_BUILD_KEYS = ("recipe", "model_kind", "image_size", "train_fusion",
                      "fusion_epochs")
 
 
-@dataclasses.dataclass(frozen=True)
-class PlannedDevice:
-    """One device's resource envelope plus its uplink parameters."""
+# A device entry of the plan JSON: the DeviceModel's fields, then its
+# uplink's under these keys, flat.
+_DEVICE_FIELDS = tuple(f.name for f in dataclasses.fields(DeviceModel))
+_LINK_KEYS = ("link_bandwidth_bps", "link_overhead_s")
 
-    device_id: str
-    macs_per_second: float
-    memory_bytes: int
-    energy_flops: float
-    link_bandwidth_bps: float = TC_CAP_BPS
-    link_overhead_s: float = DEFAULT_OVERHEAD_S
 
-    def device_model(self) -> DeviceModel:
-        return DeviceModel(device_id=self.device_id,
-                           macs_per_second=self.macs_per_second,
-                           memory_bytes=self.memory_bytes,
-                           energy_flops=self.energy_flops)
-
-    def link_model(self) -> LinkModel:
-        return LinkModel(bandwidth_bps=self.link_bandwidth_bps,
-                         overhead_seconds=self.link_overhead_s)
-
-    @staticmethod
-    def from_device(device: DeviceModel,
-                    link: LinkModel | None = None) -> "PlannedDevice":
-        link = link or LinkModel()
-        return PlannedDevice(device_id=device.device_id,
-                             macs_per_second=device.macs_per_second,
-                             memory_bytes=device.memory_bytes,
-                             energy_flops=device.energy_flops,
-                             link_bandwidth_bps=link.bandwidth_bps,
-                             link_overhead_s=link.overhead_seconds)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(data: dict) -> "PlannedDevice":
-        return PlannedDevice(**data)
+def _read_device(entry: dict, where: str) -> tuple[DeviceModel, LinkModel]:
+    """The device and uplink of one plan JSON device entry, its values
+    kept as JSON gave them; a ``ValueError`` naming ``where`` if the
+    entry is malformed."""
+    keys = _DEVICE_FIELDS + _LINK_KEYS
+    try:
+        missing = [key for key in keys if key not in entry]
+        unknown = [key for key in entry if key not in keys]
+        if missing or unknown:
+            raise ValueError(f"missing keys {missing}, unknown keys {unknown}")
+        device = DeviceModel(**{key: entry[key] for key in _DEVICE_FIELDS})
+        link = LinkModel(*(entry[key] for key in _LINK_KEYS))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"plan {where} {entry.get('device_id')!r}: "
+                         f"{exc}") from None
+    return device, link
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,9 +98,10 @@ class DeploymentPlan:
     num_classes: int
     partition: list[list[int]]
     submodels: list[PlannedSubModel]
-    devices: list[PlannedDevice]
+    devices: list[DeviceModel]
     mapping: dict[str, str]            # model_id -> device_id
-    fusion_device: PlannedDevice
+    fusion_device: DeviceModel
+    topology: StarTopology             # every device's uplink, fusion's too
     fusion_flops: float
     fusion_config: dict                # repro.models.fusion.FusionConfig dict
     num_samples: int = 1               # workload sizing used for assignment
@@ -147,7 +132,7 @@ class DeploymentPlan:
                 return model
         raise KeyError(f"unknown sub-model {model_id!r}")
 
-    def device(self, device_id: str) -> PlannedDevice:
+    def device(self, device_id: str) -> DeviceModel:
         for dev in self.devices:
             if dev.device_id == device_id:
                 return dev
@@ -160,10 +145,8 @@ class DeploymentPlan:
 
     def deployment_spec(self) -> DeploymentSpec:
         """The DES-simulator view of this plan (for scoring/what-ifs)."""
-        links = {d.device_id: d.link_model() for d in self.devices}
-        links[self.fusion_device.device_id] = self.fusion_device.link_model()
         return DeploymentSpec(
-            devices=[d.device_model() for d in self.devices],
+            devices=self.devices,
             placement=dict(self.mapping),
             # The codec sets the per-sample feature bytes the DES sends,
             # so scoring sees the payload the live fleet would.
@@ -171,9 +154,9 @@ class DeploymentPlan:
                 model_id=m.model_id, flops_per_sample=m.flops_per_sample,
                 feature_dim=m.feature_dim, codec=self.codec)
                 for m in self.submodels},
-            fusion_device=self.fusion_device.device_model(),
+            fusion_device=self.fusion_device,
             fusion_flops=self.fusion_flops,
-            topology=StarTopology(device_links=links))
+            topology=self.topology)
 
     def feature_dims(self) -> dict[str, int]:
         return {m.model_id: m.feature_dim for m in self.submodels}
@@ -232,19 +215,24 @@ class DeploymentPlan:
         """Raise if the plan is internally inconsistent or over capacity."""
         validate_partition(self.partition, self.num_classes)
         get_codec(self.codec)          # KeyError on an unknown codec name
-        validate_plan(self.mapping, [d.device_model() for d in self.devices],
-                      self.submodels, num_samples=self.num_samples)
+        validate_plan(self.mapping, self.devices, self.submodels,
+                      num_samples=self.num_samples)
 
     # -- serialization -------------------------------------------------
+    def _device_entry(self, device: DeviceModel) -> dict:
+        link = self.topology.link_of(device.device_id)
+        return {**dataclasses.asdict(device), **dict(zip(
+            _LINK_KEYS, (link.bandwidth_bps, link.overhead_seconds)))}
+
     def to_dict(self) -> dict:
         return {
             "format_version": self.format_version,
             "num_classes": self.num_classes,
             "partition": [list(group) for group in self.partition],
             "submodels": [m.to_dict() for m in self.submodels],
-            "devices": [d.to_dict() for d in self.devices],
+            "devices": [self._device_entry(d) for d in self.devices],
             "mapping": dict(self.mapping),
-            "fusion_device": self.fusion_device.to_dict(),
+            "fusion_device": self._device_entry(self.fusion_device),
             "fusion_flops": self.fusion_flops,
             "fusion_config": dict(self.fusion_config),
             "num_samples": self.num_samples,
@@ -263,13 +251,18 @@ class DeploymentPlan:
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported plan format_version {version!r}")
         prediction = data.get("prediction")
+        fleet = [_read_device(entry, f"devices[{i}]")
+                 for i, entry in enumerate(data["devices"])]
+        fusion = _read_device(data["fusion_device"], "fusion_device")
         return DeploymentPlan(
             num_classes=int(data["num_classes"]),
             partition=[[int(c) for c in group] for group in data["partition"]],
             submodels=[PlannedSubModel.from_dict(m) for m in data["submodels"]],
-            devices=[PlannedDevice.from_dict(d) for d in data["devices"]],
+            devices=[device for device, _ in fleet],
             mapping={str(m): str(d) for m, d in data["mapping"].items()},
-            fusion_device=PlannedDevice.from_dict(data["fusion_device"]),
+            fusion_device=fusion[0],
+            topology=StarTopology(device_links={
+                device.device_id: link for device, link in fleet + [fusion]}),
             fusion_flops=float(data["fusion_flops"]),
             fusion_config=dict(data["fusion_config"]),
             num_samples=int(data.get("num_samples", 1)),

@@ -25,7 +25,7 @@ import numpy as np
 from ..assignment import InfeasibleAssignment, greedy_assign
 from ..edge.codec import get_codec
 from ..edge.device import DeviceModel
-from ..edge.network import LinkModel, tc_capped_link
+from ..edge.network import LinkModel, uniform_star
 from ..edge.simulator import energy_report, simulate_inference
 from ..models.fusion import FusionConfig
 from ..models.vit import ViTConfig
@@ -35,7 +35,6 @@ from ..splitting.schedule import ScheduleInfeasible, plan_head_schedule
 from .plan import (
     DeploymentPlan,
     PlanPrediction,
-    PlannedDevice,
     PlannedSubModel,
 )
 
@@ -91,13 +90,13 @@ class Planner:
             raise ValueError("need at least one device")
         self.devices = list(devices)
         self.fusion_device = fusion_device or DeviceModel(device_id="fusion")
-        self.link = link or tc_capped_link()
+        # Every device's uplink, the fusion device's included, is ``link``.
+        self.topology = uniform_star(
+            [d.device_id for d in self.devices]
+            + [self.fusion_device.device_id], link)
         self.config = config or PlannerConfig()
 
     # ------------------------------------------------------------------
-    def _plan_devices(self) -> list[PlannedDevice]:
-        return [PlannedDevice.from_device(d, self.link) for d in self.devices]
-
     def _memory_budget(self) -> int:
         if self.config.memory_budget_bytes is not None:
             return self.config.memory_budget_bytes
@@ -192,10 +191,10 @@ class Planner:
             num_classes=num_classes,
             partition=[list(group) for group in partition],
             submodels=list(submodels),
-            devices=self._plan_devices(),
+            devices=list(self.devices),
             mapping=mapping,
-            fusion_device=PlannedDevice.from_device(self.fusion_device,
-                                                    self.link),
+            fusion_device=self.fusion_device,
+            topology=self.topology,
             fusion_flops=float(fusion_flops(input_dim, num_classes)),
             fusion_config=fusion_config.to_dict(),
             num_samples=NUM_SAMPLES,

@@ -16,6 +16,7 @@ import dataclasses
 
 from ..assignment import InfeasibleAssignment, greedy_assign
 from ..edge.device import DeviceModel
+from ..edge.network import StarTopology
 from .plan import DeploymentPlan
 from .planner import score_plan
 
@@ -42,7 +43,7 @@ def residual_capacity(plan: DeploymentPlan,
             m.flops_per_sample * plan.num_samples for m in hosted)
         if memory > 0 and energy > 0:
             residual.append(dataclasses.replace(
-                device.device_model(), memory_bytes=memory,
+                device, memory_bytes=memory,
                 energy_flops=energy))
     return residual
 
@@ -96,6 +97,9 @@ def replan_on_failure(plan: DeploymentPlan,
         devices=survivors,
         mapping=mapping,
         fusion_device=plan.fusion_device,
+        topology=StarTopology(device_links={
+            d.device_id: plan.topology.link_of(d.device_id)
+            for d in survivors + [plan.fusion_device]}),
         fusion_flops=plan.fusion_flops,
         fusion_config=dict(plan.fusion_config),
         num_samples=plan.num_samples,

@@ -19,7 +19,7 @@ import dataclasses
 
 import numpy as np
 
-from ..core.training import predict_probabilities
+from ..core.inference import predict_probabilities
 from ..models.vit import VisionTransformer
 from ..nn.losses import kl_divergence
 from ..nn.modules import Parameter

@@ -1,8 +1,14 @@
 """CLI smoke tests: every subcommand runs and prints a table."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+# A plan file written by an earlier version of `repro plan`.
+OLD_PLAN = (Path(__file__).parents[1] / "planning" / "data"
+            / "demo_plan_with_scoring.json")
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +176,41 @@ class TestServingCommands:
         monkeypatch.setattr(repro.cli, "_make_server", no_fleet)
         with pytest.raises(SystemExit, match=message) as exc:
             main([command, *self.SERVE, "5", *flags])
+        assert "\n" not in str(exc.value.code)
+
+    @pytest.mark.parametrize("entry, edit, message", [
+        ("devices", lambda d: d.pop("memory_bytes"),
+         r"devices\[0\] 'edge-0': missing keys \['memory_bytes'\]"),
+        ("devices", lambda d: d.update(gpu=1),
+         r"devices\[0\] 'edge-0': .*unknown keys \['gpu'\]"),
+        ("devices", lambda d: d.update(memory_bytes=-1),
+         r"devices\[0\] 'edge-0': memory_bytes must be positive"),
+        ("fusion_device", lambda d: d.update(link_bandwidth_bps=0),
+         r"fusion_device 'fusion': bandwidth_bps must be"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ("serve", "--transport", "inprocess", "--requests", "5"),
+        ("quantize", "--store", "S"),
+    ])
+    def test_a_bad_plan_file_exits_with_one_line_naming_its_entry(
+            self, tmp_path, monkeypatch, command, entry, edit, message):
+        import json
+
+        import repro.planning
+
+        data = json.loads(OLD_PLAN.read_text())
+        device = data[entry] if entry == "fusion_device" else data[entry][0]
+        edit(device)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+
+        def no_fleet(*args, **kwargs):
+            raise AssertionError("a fleet was built")
+        monkeypatch.setattr(repro.planning.PlannedSystem, "from_plan",
+                            no_fleet)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=message) as exc:
+            main([command[0], "--plan", str(path), *command[1:]])
         assert "\n" not in str(exc.value.code)
 
     def test_trace_writes_json(self, capsys, tmp_path):

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core.training import (
-    TrainConfig,
+from repro.core.inference import (
     evaluate,
     extract_features,
+    predict,
     predict_probabilities,
-    train_classifier,
 )
-from repro.core.inference import predict
+from repro.core.training import TrainConfig, train_classifier
 
 
 def linear_problem(n=80, dim=4, seed=0):

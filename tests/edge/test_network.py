@@ -59,6 +59,18 @@ class TestLinkModel:
         assert TC_CAP_BPS == 2_000_000
         assert tc_capped_link().bandwidth_bps == TC_CAP_BPS
 
+    @pytest.mark.parametrize("bps", [0, -1, float("inf"), float("nan")])
+    def test_bandwidth_must_be_a_finite_rate_above_zero(self, bps):
+        # A zero-bandwidth link would fail every transfer with a
+        # division by zero, long after the link was accepted.
+        with pytest.raises(ValueError, match="bandwidth_bps"):
+            LinkModel(bandwidth_bps=bps)
+
+    @pytest.mark.parametrize("seconds", [-1e-3, float("inf"), float("nan")])
+    def test_overhead_must_be_finite_and_not_negative(self, seconds):
+        with pytest.raises(ValueError, match="overhead_seconds"):
+            LinkModel(overhead_seconds=seconds)
+
 
 class TestTopology:
     def test_uniform_star_links_all_devices(self):

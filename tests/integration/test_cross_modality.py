@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.core.edvit import EDViTConfig, build_edvit
-from repro.core.training import TrainConfig, evaluate, train_classifier
+from repro.core.inference import evaluate
+from repro.core.training import TrainConfig, train_classifier
 from repro.edge.device import make_fleet
 from repro.edge.network import feature_bytes
 from repro.models.vit import ViTConfig, VisionTransformer

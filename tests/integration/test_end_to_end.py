@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.edvit import EDViTConfig, build_edvit
-from repro.core.training import evaluate
+from repro.core.inference import evaluate
 from repro.edge.device import make_fleet, raspberry_pi_4b
 from repro.edge.simulator import simulate_inference
 from repro.profiling import paper_flops

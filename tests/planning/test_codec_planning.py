@@ -67,9 +67,7 @@ class TestPlanCarriesCodec:
 class TestSelectCodec:
     def test_picks_a_smaller_codec_on_a_slow_link(self):
         system = plan_demo_system(num_workers=2)
-        planner = Planner(
-            [d.device_model() for d in system.plan.devices],
-            system.plan.fusion_device.device_model())
+        planner = Planner(system.plan.devices, system.plan.fusion_device)
         best = planner.select_codec(system.plan)
         assert best.codec != "raw32"   # every lossy candidate ships less
         assert best.prediction.latency_s \
@@ -80,9 +78,7 @@ class TestSelectCodec:
 
     def test_measured_accuracy_gates_candidates(self):
         system = plan_demo_system(num_workers=2)
-        planner = Planner(
-            [d.device_model() for d in system.plan.devices],
-            system.plan.fusion_device.device_model())
+        planner = Planner(system.plan.devices, system.plan.fusion_device)
 
         def measure(codec_name):
             return 0.9 if codec_name in ("raw32", "f16") else 0.5
@@ -93,9 +89,7 @@ class TestSelectCodec:
 
     def test_lossy_candidates_rejected_fall_back_to_raw32(self):
         system = plan_demo_system(num_workers=2)
-        planner = Planner(
-            [d.device_model() for d in system.plan.devices],
-            system.plan.fusion_device.device_model())
+        planner = Planner(system.plan.devices, system.plan.fusion_device)
         best = planner.select_codec(
             system.plan,
             measure_accuracy=lambda name: 1.0 if name == "raw32" else 0.0)

@@ -129,9 +129,8 @@ class TestWorkerSpecFromPlan:
         spec = WorkerSpec.from_plan(plan, model_id, system.models[0])
         device = plan.device(plan.mapping[model_id])
         assert spec.worker_id == model_id
-        assert spec.device.device_id == device.device_id
-        assert spec.device.macs_per_second == device.macs_per_second
-        assert spec.link.bandwidth_bps == device.link_bandwidth_bps
+        assert spec.device is device
+        assert spec.link is plan.topology.link_of(device.device_id)
         assert spec.feature_dim == plan.submodel(model_id).feature_dim
         assert spec.flops_per_sample == \
             plan.submodel(model_id).flops_per_sample

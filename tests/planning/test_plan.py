@@ -1,10 +1,22 @@
 """DeploymentPlan data model: lookups, validation, JSON round trip."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.assignment import InfeasibleAssignment
+from repro.edge.device import DeviceModel
+from repro.edge.network import LinkModel, uniform_star
 from repro.edge.simulator import simulate_inference
-from repro.planning import DeploymentPlan, PlannedDevice, PlannedSubModel
+from repro.planning import (
+    DeploymentPlan,
+    PlannedSubModel,
+    plan_demo_system,
+    replan_on_failure,
+)
+
+# A two-worker demo plan written by an earlier version of `repro plan`.
+OLD_PLAN = Path(__file__).parent / "data" / "demo_plan_with_scoring.json"
 
 
 def make_submodel(i, size=1000, flops=1e6, classes=(0, 1), dim=8):
@@ -15,15 +27,16 @@ def make_submodel(i, size=1000, flops=1e6, classes=(0, 1), dim=8):
 
 
 def make_device(i, mem=10_000, energy=1e9, macs=1e12):
-    return PlannedDevice(device_id=f"edge-{i}", macs_per_second=macs,
-                         memory_bytes=mem, energy_flops=energy,
-                         link_bandwidth_bps=1e9, link_overhead_s=0.0)
+    return DeviceModel(device_id=f"edge-{i}", macs_per_second=macs,
+                       memory_bytes=mem, energy_flops=energy)
 
 
 def make_plan(num_devices=2, **overrides):
     submodels = [make_submodel(0, classes=(0, 1)),
                  make_submodel(1, classes=(2, 3))]
     devices = [make_device(i) for i in range(num_devices)]
+    fusion = DeviceModel(device_id="fusion", macs_per_second=1e12,
+                         memory_bytes=10_000, energy_flops=1e9)
     defaults = dict(
         num_classes=4,
         partition=[[0, 1], [2, 3]],
@@ -31,9 +44,10 @@ def make_plan(num_devices=2, **overrides):
         devices=devices,
         mapping={"submodel-0": "edge-0",
                  "submodel-1": devices[-1].device_id},
-        fusion_device=PlannedDevice(
-            device_id="fusion", macs_per_second=1e12, memory_bytes=10_000,
-            energy_flops=1e9, link_bandwidth_bps=1e9, link_overhead_s=0.0),
+        fusion_device=fusion,
+        topology=uniform_star([d.device_id for d in devices + [fusion]],
+                              LinkModel(bandwidth_bps=1e9,
+                                        overhead_seconds=0.0)),
         fusion_flops=1e4,
         fusion_config={"input_dim": 16, "num_classes": 4, "shrink": 0.5,
                        "name": "fusion-mlp"},
@@ -122,6 +136,32 @@ class TestSerialization:
         again = DeploymentPlan.load(path)
         assert again.to_dict() == plan.to_dict()
         again.validate()
+
+    def test_a_committed_plan_file_reserializes_byte_for_byte(self):
+        assert DeploymentPlan.load(OLD_PLAN).to_json() + "\n" \
+            == OLD_PLAN.read_text()
+
+    def test_json_values_keep_their_types(self):
+        text = OLD_PLAN.read_text().replace(
+            '"macs_per_second": 1000000000000.0',
+            '"macs_per_second": 1000000000000')
+        assert DeploymentPlan.from_json(text).to_json() + "\n" == text
+
+    def test_the_des_sees_the_plans_own_fleet(self):
+        # A heterogeneous fleet, and the same fleet after one device went
+        # down: the DES reads the plan's devices and links as they are,
+        # and a replanned plan carries only the links of its devices.
+        plan = plan_demo_system(num_workers=3, throughputs=[1.0, 2.0, 4.0],
+                                transport="inprocess").plan
+        replanned = replan_on_failure(plan, {"edge-0"})
+        assert set(replanned.topology.device_links) \
+            == {"edge-1", "edge-2", "fusion"}
+        for each in (plan, replanned):
+            spec = each.deployment_spec()
+            assert spec.devices is each.devices
+            assert spec.fusion_device is each.fusion_device
+            assert spec.topology is each.topology
+            assert DeploymentPlan.from_json(each.to_json()) == each
 
     def test_unsupported_version_rejected(self):
         data = make_plan().to_dict()

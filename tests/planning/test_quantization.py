@@ -257,19 +257,19 @@ def test_a_repeat_derivation_reads_no_fp32_artifact_and_quantizes_nothing(
     system = plan_demo_system(num_workers=2, store=store,
                               transport="inprocess")
     first = quantize_plan_artifacts(system.plan, store)
-    fp32_digests = {row["fp32_digest"] for row in first}
-    real_get, real_build = store.get, execute._build_submodel
+    real_build, real_quantize = execute._build_submodel, nn.quantize_module
 
     def get(digest):
-        assert digest not in fp32_digests, "an fp32 artifact was read"
-        return real_get(digest)
+        raise AssertionError("an artifact was read")
 
     def build(*args, **kwargs):
         assert nn.init.is_unwritten(), "a sub-model's weights were drawn"
         return real_build(*args, **kwargs)
 
     def quantized(*args, **kwargs):
-        raise AssertionError("an existing int8 artifact was derived again")
+        assert nn.init.is_unwritten(), \
+            "an existing int8 artifact was derived again"
+        return real_quantize(*args, **kwargs)
 
     monkeypatch.setattr(store, "get", get)
     monkeypatch.setattr(execute, "_build_submodel", build)

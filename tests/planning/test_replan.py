@@ -12,7 +12,9 @@ from repro.planning import (
     residual_capacity,
     score_plan,
 )
-from repro.planning.plan import DeploymentPlan, PlannedDevice, PlannedSubModel
+from repro.edge.device import DeviceModel
+from repro.edge.network import LinkModel, uniform_star
+from repro.planning.plan import DeploymentPlan, PlannedSubModel
 
 # A two-worker demo plan in the format that recorded the DES scoring
 # knobs in ``build["scoring"]``.
@@ -28,20 +30,22 @@ def make_plan(device_mem=(3000, 3000, 3000), device_energy=(1e7, 1e7, 1e7)):
                         model_config={"image_size": 8, "in_channels": 3})
         for i in range(3)]
     devices = [
-        PlannedDevice(device_id=f"edge-{i}", macs_per_second=1e12,
-                      memory_bytes=device_mem[i],
-                      energy_flops=device_energy[i],
-                      link_bandwidth_bps=1e9, link_overhead_s=0.0)
+        DeviceModel(device_id=f"edge-{i}", macs_per_second=1e12,
+                    memory_bytes=device_mem[i],
+                    energy_flops=device_energy[i])
         for i in range(3)]
+    fusion = DeviceModel(device_id="fusion", macs_per_second=1e12,
+                         memory_bytes=3000, energy_flops=1e7)
     plan = DeploymentPlan(
         num_classes=6,
         partition=[[0, 1], [2, 3], [4, 5]],
         submodels=submodels,
         devices=devices,
         mapping={f"submodel-{i}": f"edge-{i}" for i in range(3)},
-        fusion_device=PlannedDevice(
-            device_id="fusion", macs_per_second=1e12, memory_bytes=3000,
-            energy_flops=1e7, link_bandwidth_bps=1e9, link_overhead_s=0.0),
+        fusion_device=fusion,
+        topology=uniform_star([d.device_id for d in devices + [fusion]],
+                              LinkModel(bandwidth_bps=1e9,
+                                        overhead_seconds=0.0)),
         fusion_flops=1e4,
         fusion_config={"input_dim": 24, "num_classes": 6, "shrink": 0.5,
                        "name": "fusion-mlp"},

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.training import evaluate
+from repro.core.inference import evaluate
 from repro.pruning.pipeline import PruneConfig, prune_submodel
 from repro.pruning.structured import pruned_dims
 
@@ -94,7 +94,7 @@ class TestOneVsRest:
 
     def test_binary_submodel_detects_its_class(self, trained_tiny_vit,
                                                tiny_dataset):
-        from repro.core.training import predict_probabilities
+        from repro.core.inference import predict_probabilities
         from repro.pruning.pipeline import PruneConfig
 
         cfg = PruneConfig(probe_size=12, head_adapt_epochs=2,

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.edge.network import LinkModel, StarTopology
 from repro.edge.runtime import WorkerSpec
 from repro.obs import disable_tracing, enable_tracing, get_tracer
 from repro.planning import DeploymentPlan, plan_demo_system
@@ -35,9 +36,13 @@ def system(base):
     plan = DeploymentPlan.from_json(base.plan.to_json())
     sub = plan.submodels[0]
     plan.devices = [dataclasses.replace(
-        device, macs_per_second=sub.flops_per_sample / COMPUTE_S,
-        link_bandwidth_bps=8 * 4 * sub.feature_dim / TRANSFER_S,
-        link_overhead_s=0.0) for device in plan.devices]
+        device, macs_per_second=sub.flops_per_sample / COMPUTE_S)
+        for device in plan.devices]
+    link = LinkModel(bandwidth_bps=8 * 4 * sub.feature_dim / TRANSFER_S,
+                     overhead_seconds=0.0)
+    plan.topology = StarTopology(device_links={
+        **plan.topology.device_links,
+        **{device.device_id: link for device in plan.devices}})
     enable_tracing()
     get_tracer().clear()
     yield dataclasses.replace(base, plan=plan, time_scale=1.0)
