@@ -18,8 +18,9 @@ from repro.core.inference import evaluate
 from repro.core.metrics import format_table
 from repro.core.training import TrainConfig, train_classifier
 from repro.data import gtzan_like, speech_command_like
+from repro.edge.codec import get_codec
 from repro.edge.device import make_fleet
-from repro.edge.network import communication_reduction, feature_bytes, tc_capped_link
+from repro.edge.network import communication_reduction, tc_capped_link
 from repro.models.vit import ViTConfig, VisionTransformer
 from repro.pruning.pipeline import PruneConfig
 
@@ -55,7 +56,7 @@ def main() -> None:
                                  train_per_class=48, test_per_class=16))]:
         model, system = build_for(dataset)
         subs = system.plan.submodels
-        fdim = subs[0].feature_dim
+        fbytes = get_codec("raw32").estimate_bytes(subs[0].feature_dim)
         x = dataset.x_test
         with system.make_server() as server:
             served = server.infer(x)
@@ -65,9 +66,9 @@ def main() -> None:
             "original acc": evaluate(model, dataset.x_test, dataset.y_test),
             "served acc": float((served == dataset.y_test).mean()),
             "total size (MB)": sum(s.size_bytes for s in subs) / MB,
-            "feature (B)": feature_bytes(fdim),
-            "vs raw image": f"{communication_reduction(feature_bytes(fdim)):.0f}x",
-            "transfer (ms)": link.transfer_seconds(feature_bytes(fdim)) * 1e3,
+            "feature (B)": fbytes,
+            "vs raw image": f"{communication_reduction(fbytes):.0f}x",
+            "transfer (ms)": link.transfer_seconds(fbytes) * 1e3,
         })
     print(format_table(rows))
     print("\nFeatures replace raw spectrogram frames on the 2 Mbps uplink, "

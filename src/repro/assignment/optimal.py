@@ -12,16 +12,19 @@ from __future__ import annotations
 from ..edge.device import DeviceModel
 from .problem import AssignmentPlan, InfeasibleAssignment, PlannedSubModel
 
+# Search states explored before the exact search gives up.
+MAX_STATES = 2_000_000
+
 
 def optimal_assign(devices: list[DeviceModel],
-                   submodels: list[PlannedSubModel], num_samples: int,
-                   max_states: int = 2_000_000) -> AssignmentPlan:
+                   submodels: list[PlannedSubModel],
+                   num_samples: int) -> AssignmentPlan:
     """Exact search over assignments maximizing the minimum residual energy.
 
     Branch-and-bound over sub-models in decreasing workload order; prunes
     branches whose (optimistic) objective cannot beat the incumbent.
     Raises :class:`InfeasibleAssignment` when no feasible assignment exists
-    or the state limit is exceeded.
+    or ``MAX_STATES`` is exceeded.
     """
     if not devices:
         raise InfeasibleAssignment("no devices available")
@@ -38,7 +41,7 @@ def optimal_assign(devices: list[DeviceModel],
                 mapping: dict[str, str]) -> None:
         nonlocal best_plan, best_objective, states
         states += 1
-        if states > max_states:
+        if states > MAX_STATES:
             raise InfeasibleAssignment("optimal search exceeded state limit")
         hosting = set(mapping.values())
         current_min = min((energy[d] for d in hosting), default=float("inf"))

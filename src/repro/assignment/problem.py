@@ -100,8 +100,7 @@ class InfeasibleAssignment(Exception):
 
 
 def validate_plan(mapping: dict[str, str], devices: list[DeviceModel],
-                  submodels: list[PlannedSubModel], num_samples: int,
-                  memory_budget: int | None = None) -> None:
+                  submodels: list[PlannedSubModel], num_samples: int) -> None:
     """Raise ``InfeasibleAssignment`` if ``mapping`` (model id → device
     id) violates any constraint."""
     device_by_id = {d.device_id: d for d in devices}
@@ -110,11 +109,6 @@ def validate_plan(mapping: dict[str, str], devices: list[DeviceModel],
     if sorted(mapping) != sorted(m.model_id for m in submodels):
         raise InfeasibleAssignment(
             "mapping must place every sub-model exactly once")
-    if memory_budget is not None:
-        total = sum(m.size_bytes for m in submodels)
-        if total > memory_budget:
-            raise InfeasibleAssignment(
-                f"total sub-model size {total} exceeds budget {memory_budget}")
     mem_used: dict[str, int] = {d: 0 for d in device_by_id}
     energy_used: dict[str, float] = {d: 0.0 for d in device_by_id}
     for model_id, device_id in mapping.items():

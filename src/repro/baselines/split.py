@@ -49,9 +49,13 @@ class SplitConfig:
     adapt_epochs: int = 2
     finetune_epochs: int = 3
     fusion_epochs: int = 5
-    probe_size: int = 32
-    lr: float = 1e-3
     seed: int = 0
+
+
+# Probe images the channel pruner scores on, and the learning rate of
+# head adaptation and finetuning.
+PROBE_SIZE = 32
+SPLIT_LR = 1e-3
 
 
 def _adapt_head(base: Module, num_classes: int,
@@ -85,10 +89,10 @@ def build_split(base: VGG | ConvSNN, dataset: Dataset,
         if config.adapt_epochs > 0:
             train_classifier(model, subset.x_train, subset.y_train,
                              TrainConfig(epochs=config.adapt_epochs,
-                                         lr=config.lr, seed=config.seed))
+                                         lr=SPLIT_LR, seed=config.seed))
         if config.keep_ratio < 1.0:
             probe_idx = rng.choice(len(subset.x_train),
-                                   size=min(config.probe_size,
+                                   size=min(PROBE_SIZE,
                                             len(subset.x_train)),
                                    replace=False)
             model = prune(model, config.keep_ratio,
@@ -96,7 +100,7 @@ def build_split(base: VGG | ConvSNN, dataset: Dataset,
         if config.finetune_epochs > 0:
             train_classifier(model, subset.x_train, subset.y_train,
                              TrainConfig(epochs=config.finetune_epochs,
-                                         lr=config.lr, seed=config.seed))
+                                         lr=SPLIT_LR, seed=config.seed))
         models.append(model)
 
     submodels = [PlannedSubModel.from_module(f"submodel-{index}", model,

@@ -110,12 +110,17 @@ def _artifact_store(args):
 
 
 def _load_plan(path):
+    """The plan at ``path``, validated; a malformed or inconsistent plan
+    exits with one line, no traceback."""
+    from .assignment import InfeasibleAssignment
     from .planning import DeploymentPlan
 
     try:
-        return DeploymentPlan.load(path)
-    except ValueError as exc:          # one line, no traceback
-        raise SystemExit(str(exc)) from None
+        plan = DeploymentPlan.load(path)
+        plan.validate()
+    except (ValueError, KeyError, InfeasibleAssignment) as exc:
+        raise SystemExit(str(exc.args[0])) from None
+    return plan
 
 
 def cmd_plan(args) -> None:

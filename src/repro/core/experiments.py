@@ -16,14 +16,14 @@ plans the paper's hp 6/6/8/9/10 at N = 1/2/3/5/10.
 
 from __future__ import annotations
 
+from ..edge.codec import get_codec
 from ..edge.device import make_fleet, raspberry_pi_4b
 from ..edge.network import (
     RAW_IMAGE_BYTES,
     communication_reduction,
-    feature_bytes,
     tc_capped_link,
 )
-from ..edge.simulator import simulate_inference, single_device_latency
+from ..edge.simulator import simulate_inference
 from ..models.vit import (
     ViTConfig,
     vit_base_config,
@@ -72,7 +72,7 @@ def table1_rows(num_classes: int = 1000) -> list[dict]:
             "Heads": heads,
             "Params (M)": params / 1e6,
             "Flops (G)": flops / 1e9,
-            "Latency (ms)": single_device_latency(device, flops) * 1e3,
+            "Latency (ms)": device.compute_seconds(flops) * 1e3,
             "Mem Size (MB)": size_mb(vit_param_count(
                 factory(num_classes=10))),
         })
@@ -116,8 +116,9 @@ def latency_memory_curve(base: ViTConfig, budget_mb: float,
                          device_counts: tuple[int, ...] = PAPER_DEVICE_COUNTS,
                          ) -> list[dict]:
     """Panels (b) and (c) of Figs. 4–6 for one model/dataset."""
-    original_latency = single_device_latency(raspberry_pi_4b("pi-ref"),
-                                             paper_flops(base))
+    # One monolithic model on one Pi: the dotted lines of Figs. 4–5.
+    original_latency = raspberry_pi_4b("pi-ref").compute_seconds(
+        paper_flops(base))
     rows = []
     for n in device_counts:
         plan = split_plan(base, n, budget_mb)
@@ -142,15 +143,16 @@ def latency_memory_curve(base: ViTConfig, budget_mb: float,
 # ----------------------------------------------------------------------
 # Section V-D — communication overhead
 # ----------------------------------------------------------------------
-def communication_rows(base: ViTConfig | None = None,
-                       device_counts: tuple[int, ...] = PAPER_DEVICE_COUNTS,
-                       ) -> list[dict]:
-    base = base or vit_base_config(num_classes=10)
+def communication_rows() -> list[dict]:
+    """ViT-Base's float32 CLS feature per device count against the raw
+    image: 1536 B at N = 1 and 512 B (294x smaller) at N = 10."""
+    base = vit_base_config(num_classes=10)
+    raw32 = get_codec("raw32")
     link = tc_capped_link()
     rows = []
-    for n in device_counts:
+    for n in PAPER_DEVICE_COUNTS:
         plan = split_plan(base, n, PAPER_BUDGETS_MB["vit-base"])
-        fbytes = feature_bytes(plan.submodels[0].feature_dim)
+        fbytes = raw32.estimate_bytes(plan.submodels[0].feature_dim)
         rows.append({
             "devices": n,
             "feature_bytes": fbytes,

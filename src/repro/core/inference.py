@@ -94,14 +94,14 @@ def split_batch(outputs: np.ndarray, sizes: "Iterable[int]") -> list[np.ndarray]
     return chunks
 
 
-def predict_labels(model: nn.Module, x, batch_size: int = 64) -> np.ndarray:
+def predict_labels(model: nn.Module, x) -> np.ndarray:
     """Argmax class predictions."""
-    return predict(model, x, batch_size).argmax(axis=-1)
+    return predict(model, x).argmax(axis=-1)
 
 
-def predict_probabilities(model: nn.Module, x, batch_size: int = 64) -> np.ndarray:
+def predict_probabilities(model: nn.Module, x) -> np.ndarray:
     """Softmax class probabilities (computed in numpy, stable-shifted)."""
-    logits = predict(model, x, batch_size)
+    logits = predict(model, x)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=-1, keepdims=True)
@@ -115,6 +115,6 @@ def extract_features(model, x, batch_size: int = 64,
                    keep_workspaces=keep_workspaces)
 
 
-def evaluate(model: nn.Module, x, y: np.ndarray, batch_size: int = 64) -> float:
+def evaluate(model: nn.Module, x, y: np.ndarray) -> float:
     """Top-1 test accuracy."""
-    return float((predict_labels(model, x, batch_size) == np.asarray(y)).mean())
+    return float((predict_labels(model, x) == np.asarray(y)).mean())

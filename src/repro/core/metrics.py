@@ -8,25 +8,24 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
+# How a float cell renders.
+FLOAT_FORMAT = ".4g"
 
-def format_table(rows: Sequence[dict[str, Any]],
-                 columns: Sequence[str] | None = None,
-                 floatfmt: str = ".4g") -> str:
-    """Render dict-rows as an aligned text table."""
+
+def format_table(rows: Sequence[dict[str, Any]]) -> str:
+    """Render dict-rows as an aligned text table, one column per key in
+    first-seen order."""
     if not rows:
         return "(empty table)"
-    if columns is None:
-        columns = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
-    else:
-        columns = list(columns)
+    columns: list[str] = []
+    for row in rows:
+        for key in row:
+            if key not in columns:
+                columns.append(key)
 
     def cell(value: Any) -> str:
         if isinstance(value, float):
-            return format(value, floatfmt)
+            return format(value, FLOAT_FORMAT)
         return str(value)
 
     rendered = [[cell(row.get(col, "")) for col in columns] for row in rows]
@@ -49,11 +48,10 @@ def mean_std(values: Sequence[float]) -> tuple[float, float]:
     return mean, var ** 0.5
 
 
-def format_mean_std(values: Sequence[float], scale: float = 100.0,
-                    digits: int = 2) -> str:
+def format_mean_std(values: Sequence[float]) -> str:
     """Render trials as the paper's ``mean±std`` percentage format."""
     mean, std = mean_std(values)
-    return f"{mean * scale:.{digits}f}±{std * scale:.{digits}f}"
+    return f"{mean * 100:.2f}±{std * 100:.2f}"
 
 
 def ratio(reference: float, value: float) -> float:

@@ -29,49 +29,45 @@ def cifar10_like(image_size: int = DEFAULT_IMAGE_SIZE,
 
 def mnist_like(image_size: int = DEFAULT_IMAGE_SIZE,
                train_per_class: int = DEFAULT_TRAIN_PER_CLASS,
-               test_per_class: int = DEFAULT_TEST_PER_CLASS,
-               noise_std: float = 0.4, seed: int = 8) -> Dataset:
+               test_per_class: int = DEFAULT_TEST_PER_CLASS) -> Dataset:
     """10-class grayscale digit analogue (MNIST): cleaner than CIFAR-like."""
     spec = SyntheticSpec(num_classes=10, image_size=image_size, channels=1,
-                         noise_std=noise_std, prototypes_per_class=2,
+                         noise_std=0.4, prototypes_per_class=2,
                          class_seed=202)
     return make_image_dataset("mnist-like", spec, train_per_class,
-                              test_per_class, seed)
+                              test_per_class, seed=8)
 
 
 def caltech_like(num_classes: int = 16, image_size: int = DEFAULT_IMAGE_SIZE,
                  train_per_class: int = 32,
-                 test_per_class: int = 12,
-                 noise_std: float = 0.5, seed: int = 9) -> Dataset:
+                 test_per_class: int = 12) -> Dataset:
     """Many-class object analogue (Caltech256, scaled to ``num_classes``)."""
     spec = SyntheticSpec(num_classes=num_classes, image_size=image_size,
-                         channels=3, noise_std=noise_std,
+                         channels=3, noise_std=0.5,
                          prototypes_per_class=3, class_seed=303)
     return make_image_dataset("caltech-like", spec, train_per_class,
-                              test_per_class, seed)
+                              test_per_class, seed=9)
 
 
 def gtzan_like(image_size: int = DEFAULT_IMAGE_SIZE,
                train_per_class: int = DEFAULT_TRAIN_PER_CLASS,
-               test_per_class: int = DEFAULT_TEST_PER_CLASS,
-               noise_std: float = 0.35, seed: int = 10) -> Dataset:
+               test_per_class: int = DEFAULT_TEST_PER_CLASS) -> Dataset:
     """10-genre audio-spectrogram analogue (GTZAN), single channel."""
     spec = SyntheticSpec(num_classes=10, image_size=image_size, channels=1,
-                         noise_std=noise_std, class_seed=404)
+                         noise_std=0.35, class_seed=404)
     return make_spectrogram_dataset("gtzan-like", spec, train_per_class,
-                                    test_per_class, seed)
+                                    test_per_class, seed=10)
 
 
 def speech_command_like(num_classes: int = 12,
                         image_size: int = DEFAULT_IMAGE_SIZE,
                         train_per_class: int = DEFAULT_TRAIN_PER_CLASS,
-                        test_per_class: int = DEFAULT_TEST_PER_CLASS,
-                        noise_std: float = 0.3, seed: int = 11) -> Dataset:
+                        test_per_class: int = DEFAULT_TEST_PER_CLASS) -> Dataset:
     """Spoken-keyword spectrogram analogue (Speech Commands)."""
     spec = SyntheticSpec(num_classes=num_classes, image_size=image_size,
-                         channels=1, noise_std=noise_std, class_seed=505)
+                         channels=1, noise_std=0.3, class_seed=505)
     return make_spectrogram_dataset("speech-command-like", spec,
-                                    train_per_class, test_per_class, seed)
+                                    train_per_class, test_per_class, seed=11)
 
 
 DATASET_FACTORIES = {

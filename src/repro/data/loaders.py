@@ -15,8 +15,7 @@ class DataLoader:
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, batch_size: int = 32,
-                 shuffle: bool = True, rng: np.random.Generator | None = None,
-                 drop_last: bool = False):
+                 shuffle: bool = True, rng: np.random.Generator | None = None):
         if len(x) != len(y):
             raise ValueError(f"x and y lengths differ: {len(x)} vs {len(y)}")
         if batch_size < 1:
@@ -25,21 +24,16 @@ class DataLoader:
         self.y = y
         self.batch_size = batch_size
         self.shuffle = shuffle
-        self.drop_last = drop_last
         self.rng = rng or np.random.default_rng(0)
 
     def __len__(self) -> int:
-        n = len(self.x)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.x) + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         n = len(self.x)
         order = np.arange(n)
         if self.shuffle:
             self.rng.shuffle(order)
-        stop = (n // self.batch_size) * self.batch_size if self.drop_last else n
-        for start in range(0, stop, self.batch_size):
+        for start in range(0, n, self.batch_size):
             idx = order[start:start + self.batch_size]
             yield self.x[idx], self.y[idx]

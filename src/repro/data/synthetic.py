@@ -23,6 +23,11 @@ import dataclasses
 
 import numpy as np
 
+# Largest random roll, in pixels, applied to each image sample.
+SHIFT_PIXELS = 1
+# Low-frequency Fourier modes summed into one prototype field.
+FIELD_MODES = 4
+
 
 @dataclasses.dataclass(frozen=True)
 class SyntheticSpec:
@@ -33,18 +38,17 @@ class SyntheticSpec:
     channels: int = 3
     prototypes_per_class: int = 2
     noise_std: float = 0.35
-    shift_pixels: int = 1
     class_seed: int = 1234
 
 
-def _lowfreq_field(rng: np.random.Generator, size: int, channels: int,
-                   num_modes: int = 4) -> np.ndarray:
+def _lowfreq_field(rng: np.random.Generator, size: int,
+                   channels: int) -> np.ndarray:
     """A smooth random field built from a few low-frequency Fourier modes."""
     ys, xs = np.meshgrid(np.linspace(0, 2 * np.pi, size),
                          np.linspace(0, 2 * np.pi, size), indexing="ij")
     field = np.zeros((channels, size, size), dtype=np.float64)
     for c in range(channels):
-        for _ in range(num_modes):
+        for _ in range(FIELD_MODES):
             fy, fx = rng.integers(1, 4, size=2)
             phase_y, phase_x = rng.uniform(0, 2 * np.pi, size=2)
             amp = rng.uniform(0.4, 1.0)
@@ -95,8 +99,8 @@ class ImagePrototypeBank:
         proto_idx = rng.integers(0, spec.prototypes_per_class, size=n)
         base = self.prototypes[labels, proto_idx]
         out = base + rng.normal(0.0, spec.noise_std, size=base.shape)
-        if spec.shift_pixels > 0:
-            shifts = rng.integers(-spec.shift_pixels, spec.shift_pixels + 1, size=(n, 2))
+        if SHIFT_PIXELS > 0:
+            shifts = rng.integers(-SHIFT_PIXELS, SHIFT_PIXELS + 1, size=(n, 2))
             for i in range(n):
                 out[i] = np.roll(out[i], shift=tuple(shifts[i]), axis=(1, 2))
         return out.astype(np.float32)
@@ -156,13 +160,11 @@ class Dataset:
     def image_shape(self) -> tuple[int, int, int]:
         return tuple(self.x_train.shape[1:])
 
-    def subset_of_classes(self, classes: list[int],
-                          remap: bool = True) -> "Dataset":
+    def subset_of_classes(self, classes: list[int]) -> "Dataset":
         """Restrict to a class subset — the ``resample`` of Algorithm 2.
 
-        With ``remap=True`` labels are renumbered 0..len(classes)-1 in the
-        order given, which is how each sub-model sees its classification
-        problem.
+        Labels are renumbered 0..len(classes)-1 in the order given, which
+        is how each sub-model sees its classification problem.
         """
         classes = list(classes)
         mapping = {cls: i for i, cls in enumerate(classes)}
@@ -170,14 +172,13 @@ class Dataset:
         test_mask = np.isin(self.y_test, classes)
         y_tr = self.y_train[train_mask]
         y_te = self.y_test[test_mask]
-        if remap:
-            y_tr = np.vectorize(mapping.get)(y_tr) if y_tr.size else y_tr
-            y_te = np.vectorize(mapping.get)(y_te) if y_te.size else y_te
+        y_tr = np.vectorize(mapping.get)(y_tr) if y_tr.size else y_tr
+        y_te = np.vectorize(mapping.get)(y_te) if y_te.size else y_te
         return Dataset(
             name=f"{self.name}[{','.join(map(str, classes))}]",
             x_train=self.x_train[train_mask], y_train=y_tr,
             x_test=self.x_test[test_mask], y_test=y_te,
-            num_classes=len(classes) if remap else self.num_classes)
+            num_classes=len(classes))
 
 
 def make_image_dataset(name: str, spec: SyntheticSpec, train_per_class: int,
@@ -211,8 +212,7 @@ def make_spectrogram_dataset(name: str, spec: SyntheticSpec, train_per_class: in
 
 
 def one_vs_rest_dataset(dataset: Dataset, positive_class: int,
-                        rng: np.random.Generator,
-                        negative_ratio: float = 1.0) -> Dataset:
+                        rng: np.random.Generator) -> Dataset:
     """Binary task for a single-class sub-model: own class vs the rest.
 
     A sub-model whose class subset is a singleton cannot be trained or
@@ -224,7 +224,7 @@ def one_vs_rest_dataset(dataset: Dataset, positive_class: int,
     def _make(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pos = np.flatnonzero(y == positive_class)
         neg = np.flatnonzero(y != positive_class)
-        take = min(len(neg), max(1, int(round(len(pos) * negative_ratio))))
+        take = min(len(neg), max(1, len(pos)))
         neg = rng.choice(neg, size=take, replace=False)
         idx = np.concatenate([pos, neg])
         rng.shuffle(idx)

@@ -31,6 +31,8 @@ import zlib
 import numpy as np
 
 FLOAT32_BYTES = 4
+# DEFLATE level of the ``+zlib`` codecs.
+ZLIB_LEVEL = 6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,10 +75,11 @@ class FeatureCodec:
         return np.frombuffer(encoded.payload, dtype=np.float32).reshape(
             encoded.shape).copy()
 
-    def estimate_bytes(self, feature_dim: int, num_samples: int = 1) -> int:
-        """A-priori wire bytes (what the planner's DES scoring uses)."""
-        per_row = self.bytes_per_value * feature_dim + self.row_overhead_bytes
-        return int(math.ceil(per_row * num_samples))
+    def estimate_bytes(self, feature_dim: int) -> int:
+        """A-priori wire bytes of one sample's features (what the planner's
+        DES scoring uses)."""
+        return int(math.ceil(self.bytes_per_value * feature_dim
+                             + self.row_overhead_bytes))
 
 
 class F16Codec(FeatureCodec):
@@ -132,9 +135,8 @@ class Q8Codec(FeatureCodec):
 class ZlibCodec(FeatureCodec):
     """Wraps any base codec's payload in DEFLATE (``<base>+zlib``)."""
 
-    def __init__(self, base: FeatureCodec, level: int = 6):
+    def __init__(self, base: FeatureCodec):
         self.base = base
-        self.level = level
         self.name = f"{base.name}+zlib"
         # Compression is data-dependent; estimates stay conservative.
         self.bytes_per_value = base.bytes_per_value
@@ -144,7 +146,7 @@ class ZlibCodec(FeatureCodec):
     def encode(self, features: np.ndarray) -> EncodedFeatures:
         encoded = self.base.encode(features)
         return EncodedFeatures(self.name, encoded.shape,
-                               zlib.compress(encoded.payload, self.level))
+                               zlib.compress(encoded.payload, ZLIB_LEVEL))
 
     def decode(self, encoded: EncodedFeatures) -> np.ndarray:
         inner = EncodedFeatures(self.base.name, encoded.shape,

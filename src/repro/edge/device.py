@@ -67,7 +67,7 @@ def raspberry_pi_4b(device_id: str) -> DeviceModel:
     return DeviceModel(device_id=device_id)
 
 
-def make_fleet(count: int, prefix: str = "pi", **overrides) -> list[DeviceModel]:
-    """A homogeneous fleet of Raspberry-Pi-class devices."""
-    return [DeviceModel(device_id=f"{prefix}-{i}", **overrides)
+def make_fleet(count: int, **overrides) -> list[DeviceModel]:
+    """A homogeneous fleet of Raspberry-Pi-class devices ``pi-0`` ..."""
+    return [DeviceModel(device_id=f"pi-{i}", **overrides)
             for i in range(count)]

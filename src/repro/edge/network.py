@@ -23,7 +23,6 @@ DEFAULT_OVERHEAD_S = 0.0002
 
 # Section V-D constants.
 RAW_IMAGE_BYTES = 224 * 224 * 3  # = 150528, the paper's per-image payload
-FLOAT32_BYTES = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,20 +54,9 @@ def tc_capped_link() -> LinkModel:
     return LinkModel(bandwidth_bps=TC_CAP_BPS)
 
 
-def feature_bytes(embed_dim: int) -> int:
-    """Bytes to ship one CLS feature vector (float32), Section V-D.
-
-    With ViT-Base pruned to half its heads (the single-device deployment)
-    the feature is 384 floats = 1536 B; at ten devices it is 128 floats =
-    512 B — both match the paper's reported sizes.
-    """
-    return embed_dim * FLOAT32_BYTES
-
-
-def communication_reduction(num_feature_bytes: int,
-                            image_bytes: int = RAW_IMAGE_BYTES) -> float:
+def communication_reduction(num_feature_bytes: int) -> float:
     """How much smaller the transmitted feature is than the raw image."""
-    return image_bytes / num_feature_bytes
+    return RAW_IMAGE_BYTES / num_feature_bytes
 
 
 @dataclasses.dataclass(frozen=True)

@@ -99,6 +99,12 @@ from .transport import Transport, WorkerHandle, get_transport, reap
 # Longest single wait of EdgeCluster.gather: bounds how late it notices a
 # worker that died without a word (a reply ends the wait at once).
 _GATHER_STEP_S = 0.02
+# Seconds a booting worker has to answer READY.
+READY_TIMEOUT_S = 30.0
+# Seconds infer_features waits for every worker's features.
+INFER_TIMEOUT_S = 60.0
+# Forward chunk size inside a worker.
+WORKER_BATCH = 64
 
 
 class WorkerFailure(RuntimeError):
@@ -173,7 +179,6 @@ class WorkerSpec:
     device: DeviceModel
     link: LinkModel
     feature_dim: int                   # width of forward_features output
-    batch_size: int = 64               # forward chunk size inside the worker
     codec: str = "raw32"               # repro.edge.codec name for features
     quant: str = "fp32"                # weight scheme of state
 
@@ -194,17 +199,15 @@ class WorkerSpec:
     @staticmethod
     def from_model(worker_id: str, model: nn.Module, kind: str,
                    flops_per_sample: float, device: DeviceModel,
-                   link: LinkModel | None = None,
-                   batch_size: int = 64,
-                   codec: str = "raw32") -> "WorkerSpec":
-        """Spec for a concrete module of any model kind.
+                   link: LinkModel | None = None) -> "WorkerSpec":
+        """Spec for a concrete module of any model kind, shipping raw32
+        features.
 
         A quantized module is detected here (its state carries int8
         weight buffers), so the worker knows to apply the same module
         surgery before loading.
         """
         _kind(kind)                    # fail fast on unknown names
-        get_codec(codec)
         return WorkerSpec(
             worker_id=worker_id,
             model_kind=kind,
@@ -213,15 +216,12 @@ class WorkerSpec:
             flops_per_sample=flops_per_sample,
             device=device,
             link=link or tc_capped_link(),
-            batch_size=batch_size,
             feature_dim=int(model.feature_dim()),
-            codec=codec,
             quant="int8" if nn.is_quantized(model) else "fp32",
         )
 
     @staticmethod
     def from_plan(plan, model_id: str, model: nn.Module,
-                  batch_size: int = 64,
                   worker_id: str | None = None) -> "WorkerSpec":
         """Spec for one planned sub-model, on its plan-assigned device.
 
@@ -243,7 +243,6 @@ class WorkerSpec:
             flops_per_sample=sub.flops_per_sample,
             device=device,
             link=plan.topology.link_of(device.device_id),
-            batch_size=batch_size,
             feature_dim=int(sub.feature_dim),
             codec=plan.codec,
             quant=sub.quant,
@@ -337,7 +336,7 @@ def _worker_main(spec: WorkerSpec, conn) -> None:
             # Batched, graph-free, workspace-cached: repeated requests reuse
             # the same scratch buffers, which is exactly the long-lived-server
             # shape of an edge deployment.
-            features = extract_features(model, x, spec.batch_size,
+            features = extract_features(model, x, WORKER_BATCH,
                                         keep_workspaces=True)
             forward_done = time.perf_counter()
             encoded = codec.encode(features)
@@ -452,7 +451,6 @@ class EdgeCluster:
     @classmethod
     def from_plan(cls, plan, models: list[nn.Module],
                   time_scale: float = 0.0,
-                  batch_size: int = 64,
                   transport: str | Transport = "multiprocess",
                   ) -> "EdgeCluster":
         """Boot a cluster straight from a deployment plan.
@@ -465,8 +463,7 @@ class EdgeCluster:
             raise ValueError(
                 f"plan has {len(plan.submodels)} sub-models but "
                 f"{len(models)} models were supplied")
-        specs = [WorkerSpec.from_plan(plan, sub.model_id, model,
-                                      batch_size=batch_size)
+        specs = [WorkerSpec.from_plan(plan, sub.model_id, model)
                  for sub, model in zip(plan.submodels, models)]
         return cls(specs, time_scale=time_scale, transport=transport)
 
@@ -504,27 +501,27 @@ class EdgeCluster:
             return self._request_counter
 
     # ------------------------------------------------------------------
-    def start(self, ready_timeout: float = 30.0) -> None:
+    def start(self) -> None:
         """Boot the whole fleet; on any failure nothing is left running
         (no worker, no listener) and the cluster can be started again."""
         if self._started:
             raise RuntimeError("cluster already started")
         try:
-            handles = self._boot(self.specs, ready_timeout)
+            handles = self._boot(self.specs)
         except BaseException:
             self._transport.close()
             raise
         self._handles = {handle.worker_id: handle for handle in handles}
         self._started = True
 
-    def add_worker(self, spec: WorkerSpec, ready_timeout: float = 30.0) -> None:
+    def add_worker(self, spec: WorkerSpec) -> None:
         """Register one more worker; boot it immediately if running.
 
         This is the replanning primitive: after a device failure the
         planning layer reassigns the orphaned sub-models and adds fresh
         workers for them on surviving devices, while the cluster keeps
         serving.  Raises ``RuntimeError`` (and marks the worker down) if
-        the new worker fails to report ready within ``ready_timeout``.
+        the new worker fails to report ready within ``READY_TIMEOUT_S``.
         """
         if spec.worker_id in self._specs:
             raise ValueError(f"duplicate worker id {spec.worker_id!r}")
@@ -536,14 +533,13 @@ class EdgeCluster:
         # would race this handshake for the channel and could consume
         # the "ready" message itself.
         try:
-            handle, = self._boot([spec], ready_timeout)
+            handle, = self._boot([spec])
         except RuntimeError as exc:
             self._down[spec.worker_id] = str(exc)
             raise
         self._handles[spec.worker_id] = handle
 
-    def _boot(self, specs: list[WorkerSpec],
-              ready_timeout: float) -> list[WorkerHandle]:
+    def _boot(self, specs: list[WorkerSpec]) -> list[WorkerHandle]:
         """The one start-up handshake: launch the batch, stream each
         worker its weights, wait for every READY.  Returns the handles in
         the order of ``specs``; tears all of them down if any step fails.
@@ -553,22 +549,21 @@ class EdgeCluster:
         try:
             for handle, spec in zip(handles, specs):
                 _send_weights(handle, spec)
-            self._await_ready(handles, ready_timeout)
+            self._await_ready(handles)
         except BaseException:
             reap(handles)
             raise
         return handles
 
-    def _await_ready(self, handles: list[WorkerHandle],
-                     ready_timeout: float) -> None:
+    def _await_ready(self, handles: list[WorkerHandle]) -> None:
         """Block until every handle has answered READY with its own id.
 
         Raises ``RuntimeError`` naming the worker on a FAILED (or any
         other) reply, on a child that died without one (EOF, or not alive
-        with nothing buffered), and when ``ready_timeout`` seconds pass
+        with nothing buffered), and when ``READY_TIMEOUT_S`` seconds pass
         with a worker still silent.
         """
-        deadline = time.monotonic() + ready_timeout
+        deadline = time.monotonic() + READY_TIMEOUT_S
         pending = {handle.worker_id: handle for handle in handles}
         while pending:
             remaining = deadline - time.monotonic()
@@ -594,7 +589,7 @@ class EdgeCluster:
             if pending and remaining <= 0:
                 raise RuntimeError(
                     f"worker {sorted(pending)[0]} not ready within "
-                    f"{ready_timeout}s")
+                    f"{READY_TIMEOUT_S}s")
 
     def shutdown(self) -> None:
         """Stop all workers.  Idempotent, and tolerant of dead workers."""
@@ -886,7 +881,7 @@ class EdgeCluster:
                 pending.clear()
         return features, stats, failed
 
-    def infer_features(self, x: np.ndarray, timeout: float | None = 60.0,
+    def infer_features(self, x: np.ndarray,
                        ) -> tuple[dict[str, np.ndarray], InferenceTiming]:
         """Scatter ``x`` to all workers; gather per-worker feature arrays,
         returning once every one has been delivered over its link.
@@ -894,8 +889,7 @@ class EdgeCluster:
         Raises :class:`WorkerFailure` for the first worker, in spec order,
         that is already down or fails the :meth:`gather` — dies
         mid-request, replies with an error, or does not answer within
-        ``timeout`` seconds (``None`` disables the deadline but dead
-        processes are still detected).
+        ``INFER_TIMEOUT_S`` seconds.
         """
         if not self._started:
             raise RuntimeError("cluster not started; use start() or a with-block")
@@ -907,8 +901,7 @@ class EdgeCluster:
                 raise WorkerFailure(worker_id,
                                     self._down.get(worker_id, "dispatch failed"))
         features, per_worker, failed = self.gather(
-            request_id, self.worker_ids,
-            None if timeout is None else start + timeout)
+            request_id, self.worker_ids, start + INFER_TIMEOUT_S)
         for worker_id in self.worker_ids:
             if worker_id in failed:
                 raise WorkerFailure(worker_id, failed[worker_id])

@@ -198,12 +198,6 @@ def _simulate_reference(spec: DeploymentSpec, arrivals: list[float],
                             device_busy=device_busy, link_busy=link_busy)
 
 
-def single_device_latency(device: DeviceModel, flops: float) -> float:
-    """Latency of running one monolithic model on one device (the paper's
-    dotted baseline lines in Figs. 4–5)."""
-    return device.compute_seconds(flops)
-
-
 def utilization_report(result: SimulationResult) -> dict[str, float]:
     """Per-device compute utilization over the run's makespan."""
     if result.makespan <= 0:

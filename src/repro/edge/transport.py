@@ -371,12 +371,12 @@ class TcpTransport(_ConnectionTransport):
     # Longest wait for any one message of a connection's opening exchange
     # (challenge, response, greeting).
     _GREETING_TIMEOUT_S = 5.0
+    # Longest wait of a launch for all its children to dial back.
+    _ACCEPT_TIMEOUT_S = 30.0
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 accept_timeout_s: float = 30.0):
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self._host = host
         self._port = port
-        self._accept_timeout_s = accept_timeout_s
         self._authkey = os.urandom(16)
         self._listener: socket.socket | None = None
         self._launch_lock = threading.Lock()
@@ -403,7 +403,7 @@ class TcpTransport(_ConnectionTransport):
         socket is ours only because ``Listener`` has no timeouts.
         """
         if timeout is None:
-            timeout = self._accept_timeout_s
+            timeout = self._ACCEPT_TIMEOUT_S
         listener.settimeout(max(timeout, 0.0))
         try:
             sock, _ = listener.accept()
@@ -456,13 +456,13 @@ class TcpTransport(_ConnectionTransport):
         """Yield ``(worker_id, connection)`` as each launched child dials
         back and greets; ``RuntimeError`` if one cannot."""
         waiting = set(processes)
-        deadline = time.monotonic() + self._accept_timeout_s
+        deadline = time.monotonic() + self._ACCEPT_TIMEOUT_S
         while waiting:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise RuntimeError(
                     f"workers {sorted(waiting)} never connected back over "
-                    f"TCP: no dial-back within {self._accept_timeout_s}s")
+                    f"TCP: no dial-back within {self._ACCEPT_TIMEOUT_S}s")
             try:
                 conn = self._accept(listener,
                                     min(remaining, self._LIVENESS_STEP_S))

@@ -21,9 +21,11 @@ import numpy as np
 from .. import nn
 from ..nn.tensor import Tensor, is_grad_enabled
 
+# Steepness of the fast-sigmoid surrogate gradient.
+SURROGATE_SCALE = 5.0
 
-def spike_fn(membrane: Tensor, threshold: float = 1.0,
-             surrogate_scale: float = 5.0) -> Tensor:
+
+def spike_fn(membrane: Tensor, threshold: float = 1.0) -> Tensor:
     """Heaviside spike with fast-sigmoid surrogate gradient.
 
     Forward: ``spike = 1[v >= threshold]``.
@@ -35,7 +37,7 @@ def spike_fn(membrane: Tensor, threshold: float = 1.0,
         # Graph-free path: no surrogate, no closure.
         return Tensor._noback(spikes)
     diff = np.abs(v - threshold)
-    surrogate = surrogate_scale / (1.0 + surrogate_scale * diff) ** 2
+    surrogate = SURROGATE_SCALE / (1.0 + SURROGATE_SCALE * diff) ** 2
 
     def backward(grad):
         return [(membrane, grad * surrogate)]

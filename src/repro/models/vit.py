@@ -400,40 +400,38 @@ class VisionTransformer(nn.Module):
 # ----------------------------------------------------------------------
 # Standard configurations (Table I of the paper)
 # ----------------------------------------------------------------------
-def vit_small_config(num_classes: int = 1000, image_size: int = 224,
+def vit_small_config(num_classes: int = 1000,
                      in_channels: int = 3) -> ViTConfig:
-    return ViTConfig(image_size=image_size, patch_size=16, in_channels=in_channels,
+    return ViTConfig(image_size=224, patch_size=16, in_channels=in_channels,
                      num_classes=num_classes, depth=12, embed_dim=384, num_heads=6,
                      name="vit-small")
 
 
-def vit_base_config(num_classes: int = 1000, image_size: int = 224,
+def vit_base_config(num_classes: int = 1000,
                     in_channels: int = 3) -> ViTConfig:
-    return ViTConfig(image_size=image_size, patch_size=16, in_channels=in_channels,
+    return ViTConfig(image_size=224, patch_size=16, in_channels=in_channels,
                      num_classes=num_classes, depth=12, embed_dim=768, num_heads=12,
                      name="vit-base")
 
 
-def vit_large_config(num_classes: int = 1000, image_size: int = 224,
+def vit_large_config(num_classes: int = 1000,
                      in_channels: int = 3) -> ViTConfig:
-    return ViTConfig(image_size=image_size, patch_size=16, in_channels=in_channels,
+    return ViTConfig(image_size=224, patch_size=16, in_channels=in_channels,
                      num_classes=num_classes, depth=24, embed_dim=1024, num_heads=16,
                      name="vit-large")
 
 
-def vit_tiny_config(num_classes: int = 10, image_size: int = 32,
-                    in_channels: int = 3, depth: int = 4, embed_dim: int = 64,
-                    num_heads: int = 4, patch_size: int = 8) -> ViTConfig:
+def vit_tiny_config(num_classes: int = 10,
+                    in_channels: int = 3) -> ViTConfig:
     """Scaled-down ViT used for *trained* experiments on synthetic data.
 
     The full-size configs above are exercised analytically (FLOPs, memory,
     device latency); this config keeps end-to-end training tractable on CPU
     while preserving every structural element the pruner touches.
     """
-    return ViTConfig(image_size=image_size, patch_size=patch_size,
-                     in_channels=in_channels, num_classes=num_classes,
-                     depth=depth, embed_dim=embed_dim, num_heads=num_heads,
-                     name="vit-tiny")
+    return ViTConfig(image_size=32, patch_size=8, in_channels=in_channels,
+                     num_classes=num_classes, depth=4, embed_dim=64,
+                     num_heads=4, name="vit-tiny")
 
 
 STANDARD_CONFIGS = {

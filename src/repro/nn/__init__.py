@@ -70,7 +70,6 @@ from .tensor import (
     is_grad_enabled,
     is_inference,
     no_grad,
-    ones,
     stack,
     where,
     zeros,
@@ -114,7 +113,6 @@ __all__ = [
     "kl_divergence",
     "load_checkpoint",
     "no_grad",
-    "ones",
     "ops",
     "quantize_array",
     "quantize_module",

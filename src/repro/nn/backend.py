@@ -181,16 +181,15 @@ def _gelu(buf: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 ACTIVATIONS = ("gelu", "relu", "sigmoid", "tanh")
 
 
-def apply_activation(name: str, buf: np.ndarray, tmp=None) -> np.ndarray:
+def apply_activation(name: str, buf: np.ndarray) -> np.ndarray:
     """Apply a named activation to ``buf`` **in place**.
 
     The epilogue :meth:`ArrayBackend.linear_act` and
     :meth:`ArrayBackend.linear_q8` share, and the no-grad path of
-    :func:`repro.nn.ops.gelu`.  ``tmp`` is optional same-shape scratch;
-    only ``gelu`` needs it (its exponent must be built while ``buf`` still
-    holds x).  Without it, ``gelu`` walks a C-contiguous ``buf``
-    :data:`GELU_CHUNK` elements at a time through one scratch of at most
-    that length.
+    :func:`repro.nn.ops.gelu`.  Only ``gelu`` needs scratch (its exponent
+    must be built while ``buf`` still holds x): it walks a C-contiguous
+    ``buf`` :data:`GELU_CHUNK` elements at a time through one scratch of
+    at most that length, and a strided ``buf`` through one of its size.
     """
     if name == "relu":
         return np.maximum(buf, 0.0, out=buf)
@@ -202,8 +201,8 @@ def apply_activation(name: str, buf: np.ndarray, tmp=None) -> np.ndarray:
     if name == "tanh":
         return np.tanh(buf, out=buf)
     if name == "gelu":
-        if tmp is not None or not buf.flags.c_contiguous:
-            return _gelu(buf, np.empty_like(buf) if tmp is None else tmp)
+        if not buf.flags.c_contiguous:
+            return _gelu(buf, np.empty_like(buf))
         # Elementwise, so a pass over GELU_CHUNK elements at a time
         # gives the same bits with a bounded scratch.
         flat = buf.reshape(-1)
@@ -295,8 +294,8 @@ class ArrayBackend:
         shifted /= shifted.sum(axis=axis, keepdims=True)
         return shifted
 
-    def log_softmax(self, x, axis=-1, out=None) -> np.ndarray:
-        shifted = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    def log_softmax(self, x, axis=-1) -> np.ndarray:
+        shifted = np.subtract(x, x.max(axis=axis, keepdims=True))
         log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
         shifted -= log_sum
         return shifted

@@ -74,12 +74,13 @@ def kaiming_uniform(rng: np.random.Generator | None, shape: tuple[int, ...],
     return uniform(rng, gain * np.sqrt(3.0 / fan_in), shape)
 
 
-def trunc_normal(rng: np.random.Generator | None, shape: tuple[int, ...],
-                 std: float = 0.02, bound: float = 2.0) -> np.ndarray:
-    """Truncated normal used by ViT for token/positional embeddings."""
+def trunc_normal(rng: np.random.Generator | None,
+                 shape: tuple[int, ...]) -> np.ndarray:
+    """N(0, 0.02) clipped at two standard deviations: ViT's token and
+    positional embeddings."""
     if is_unwritten():
         return np.empty(shape, dtype=np.float32)
     rng = rng or default_rng()
-    out = rng.normal(0.0, std, size=shape)
-    np.clip(out, -bound * std, bound * std, out=out)
+    out = rng.normal(0.0, 0.02, size=shape)
+    np.clip(out, -0.04, 0.04, out=out)
     return out.astype(np.float32)

@@ -17,11 +17,17 @@ from .backend import Workspace
 from .tensor import Tensor
 
 
+# Variance floor of LayerNorm and BatchNorm2d.
+NORM_EPS = 1e-5
+# Weight of the newest batch in BatchNorm2d's running statistics.
+BN_MOMENTUM = 0.1
+
+
 class Parameter(Tensor):
     """A tensor registered as a trainable leaf of a module."""
 
-    def __init__(self, data, name: str | None = None):
-        super().__init__(data, requires_grad=True, name=name)
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
 
 
 class Module:
@@ -74,26 +80,27 @@ class Module:
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
-        for name, param in self._parameters.items():
-            yield prefix + name, param
+    def named_parameters(self) -> Iterator[tuple[str, Parameter]]:
+        yield from self._parameters.items()
         for name, module in self._modules.items():
-            yield from module.named_parameters(prefix + name + ".")
+            for sub, param in module.named_parameters():
+                yield f"{name}.{sub}", param
 
     def parameters(self) -> Iterator[Parameter]:
         for _, param in self.named_parameters():
             yield param
 
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        for name, buf in self._buffers.items():
-            yield prefix + name, buf
+    def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
+        yield from self._buffers.items()
         for name, module in self._modules.items():
-            yield from module.named_buffers(prefix + name + ".")
+            for sub, buf in module.named_buffers():
+                yield f"{name}.{sub}", buf
 
-    def named_modules(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
-        yield prefix.rstrip("."), self
+    def named_modules(self) -> Iterator[tuple[str, "Module"]]:
+        yield "", self
         for name, module in self._modules.items():
-            yield from module.named_modules(prefix + name + ".")
+            for sub, child in module.named_modules():
+                yield f"{name}.{sub}" if sub else name, child
 
     def modules(self) -> Iterator["Module"]:
         for _, module in self.named_modules():
@@ -191,17 +198,14 @@ class Module:
 class Linear(Module):
     """Affine layer storing weight as (out_features, in_features)."""
 
-    def __init__(self, in_features: int, out_features: int, bias: bool = True,
+    def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator | None = None):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init.kaiming_uniform(rng, (out_features, in_features)))
-        if bias:
-            self.bias = Parameter(
-                init.uniform(rng, 1.0 / np.sqrt(in_features), out_features))
-        else:
-            self.bias = None
+        self.bias = Parameter(
+            init.uniform(rng, 1.0 / np.sqrt(in_features), out_features))
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.linear(x, self.weight, self.bias, self.workspace)
@@ -239,10 +243,10 @@ class Linear(Module):
         schedule works unchanged on int8-surgered modules.
         """
         weight = self.kmajor_weight()
-        bias = self.bias.data if self.bias is not None else None
+        bias = self.bias.data
         if rows is not None:
             weight = weight[rows]
-            bias = bias[rows] if bias is not None else None
+            bias = bias[rows]
         return backend.linear_act(x, weight, bias, activation=activation,
                                   out=out)
 
@@ -253,20 +257,19 @@ class Linear(Module):
 class LayerNorm(Module):
     """Layer normalization over the last dimension with affine params."""
 
-    def __init__(self, normalized_shape: int, eps: float = 1e-5):
+    def __init__(self, normalized_shape: int):
         super().__init__()
         self.normalized_shape = normalized_shape
-        self.eps = eps
         self.weight = Parameter(np.ones(normalized_shape, dtype=np.float32))
         self.bias = Parameter(np.zeros(normalized_shape, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.layer_norm(x, self.weight, self.bias, self.eps, self.workspace)
+        return ops.layer_norm(x, self.weight, self.bias, NORM_EPS, self.workspace)
 
     def infer(self, backend, x: np.ndarray, out=None) -> np.ndarray:
         """Raw-array fast path (cf. ``Linear.infer``)."""
         return backend.layer_norm(x, self.weight.data, self.bias.data,
-                                  self.eps, out=out)
+                                  NORM_EPS, out=out)
 
     def __repr__(self):
         return f"LayerNorm({self.normalized_shape})"
@@ -276,7 +279,7 @@ class Conv2d(Module):
     """2-D convolution over (N, C, H, W) inputs, lowered to im2col matmuls."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, padding: int = 0, bias: bool = True,
+                 stride: int = 1, padding: int = 0,
                  rng: np.random.Generator | None = None):
         super().__init__()
         self.in_channels = in_channels
@@ -288,11 +291,8 @@ class Conv2d(Module):
         self.weight = Parameter(
             init.kaiming_uniform(rng, (out_channels, in_channels, kernel_size, kernel_size),
                                  fan_in=fan_in))
-        if bias:
-            self.bias = Parameter(
-                init.uniform(rng, 1.0 / np.sqrt(fan_in), out_channels))
-        else:
-            self.bias = None
+        self.bias = Parameter(
+            init.uniform(rng, 1.0 / np.sqrt(fan_in), out_channels))
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.conv2d(x, self.weight, self.bias, self.stride, self.padding,
@@ -306,8 +306,7 @@ class Conv2d(Module):
         result is ``(N, out_channels)`` with the bias added.  Polymorphic
         with ``QuantizedConv2d.infer_patches``.
         """
-        return patch_gemm(backend, fields, self.weight.data,
-                          self.bias.data if self.bias is not None else None,
+        return patch_gemm(backend, fields, self.weight.data, self.bias.data,
                           out)
 
     def __repr__(self):
@@ -327,11 +326,9 @@ def patch_gemm(backend, fields: np.ndarray, kernel: np.ndarray,
 class BatchNorm2d(Module):
     """Batch normalization over (N, C, H, W) with running statistics."""
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, num_features: int):
         super().__init__()
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
         self.weight = Parameter(np.ones(num_features, dtype=np.float32))
         self.bias = Parameter(np.zeros(num_features, dtype=np.float32))
         self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
@@ -340,31 +337,31 @@ class BatchNorm2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops.batch_norm_2d(x, self.weight, self.bias,
                                  self.running_mean, self.running_var,
-                                 self.training, self.momentum, self.eps)
+                                 self.training, BN_MOMENTUM, NORM_EPS)
 
 
 class MaxPool2d(Module):
-    """Max pooling with square kernels."""
+    """Max pooling with square, non-overlapping kernels."""
 
-    def __init__(self, kernel_size: int, stride: int | None = None):
+    def __init__(self, kernel_size: int):
         super().__init__()
         self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.max_pool2d(x, self.kernel_size, self.stride, self.workspace)
+        return ops.max_pool2d(x, self.kernel_size, self.kernel_size,
+                              self.workspace)
 
 
 class AvgPool2d(Module):
-    """Average pooling with square kernels."""
+    """Average pooling with square, non-overlapping kernels."""
 
-    def __init__(self, kernel_size: int, stride: int | None = None):
+    def __init__(self, kernel_size: int):
         super().__init__()
         self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.avg_pool2d(x, self.kernel_size, self.stride, self.workspace)
+        return ops.avg_pool2d(x, self.kernel_size, self.kernel_size,
+                              self.workspace)
 
 
 class Dropout(Module):
@@ -387,14 +384,10 @@ class ReLU(Module):
 
 
 class Flatten(Module):
-    """Flatten trailing dimensions from ``start_dim`` onward."""
-
-    def __init__(self, start_dim: int = 1):
-        super().__init__()
-        self.start_dim = start_dim
+    """Flatten every dimension after the batch one."""
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.flatten(x, self.start_dim)
+        return ops.flatten(x, 1)
 
 
 class Sequential(Module):

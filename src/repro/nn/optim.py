@@ -40,37 +40,37 @@ class Optimizer:
         raise NotImplementedError
 
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
+ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
+ADAM_EPS = 1e-8
+# Floor DecayingLR never decays the learning rate below.
+MIN_LR = 1e-6
+
+
 class Adam(Optimizer):
     """Adam (Kingma & Ba, 2014) with bias correction."""
 
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: Iterable[Parameter], lr: float = 1e-4):
         super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
 
     def step(self) -> None:
         self._t += 1
-        bc1 = 1.0 - self.beta1 ** self._t
-        bc2 = 1.0 - self.beta2 ** self._t
+        bc1 = 1.0 - ADAM_BETA1 ** self._t
+        bc2 = 1.0 - ADAM_BETA2 ** self._t
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
             m_hat = m / bc1
             v_hat = v / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class DecayingLR:
@@ -80,13 +80,12 @@ class DecayingLR:
     initialized to 1e-4" setup.
     """
 
-    def __init__(self, optimizer: Optimizer, decay: float = 0.95, min_lr: float = 1e-6):
+    def __init__(self, optimizer: Optimizer, decay: float = 0.95):
         self.optimizer = optimizer
         self.decay = decay
-        self.min_lr = min_lr
 
     def step(self) -> None:
-        self.optimizer.lr = max(self.optimizer.lr * self.decay, self.min_lr)
+        self.optimizer.lr = max(self.optimizer.lr * self.decay, MIN_LR)
 
 
 def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:

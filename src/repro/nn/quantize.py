@@ -89,8 +89,7 @@ class QuantizedLinear(Module):
     ``state_dict()`` of a :func:`quantize_module`-rewritten model.
     """
 
-    def __init__(self, in_features: int, out_features: int,
-                 bias: bool = True):
+    def __init__(self, in_features: int, out_features: int):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
@@ -98,23 +97,17 @@ class QuantizedLinear(Module):
             "weight_q8", np.zeros((out_features, in_features), dtype=np.int8))
         self.register_buffer(
             "weight_scale", np.ones(out_features, dtype=np.float32))
-        if bias:
-            self.register_buffer(
-                "bias", np.zeros(out_features, dtype=np.float32))
-        else:
-            object.__setattr__(self, "bias", None)
+        self.register_buffer("bias", np.zeros(out_features, dtype=np.float32))
 
     @staticmethod
     def from_linear(linear: Linear) -> "QuantizedLinear":
-        q = QuantizedLinear(linear.in_features, linear.out_features,
-                            bias=linear.bias is not None)
+        q = QuantizedLinear(linear.in_features, linear.out_features)
         if init.is_unwritten():
             return q                   # garbage in: the int8 state loads next
         q8, scale = quantize_array(linear.weight.data)
         np.copyto(q.weight_q8, q8)
         np.copyto(q.weight_scale, scale)
-        if linear.bias is not None:
-            np.copyto(q.bias, linear.bias.data)
+        np.copyto(q.bias, linear.bias.data)
         return q
 
     def train(self, mode: bool = True) -> "Module":
@@ -138,7 +131,7 @@ class QuantizedLinear(Module):
         weight, scale, bias = self.kmajor_weight(), self.weight_scale, self.bias
         if rows is not None:
             weight, scale = weight[rows], scale[rows]
-            bias = bias[rows] if bias is not None else None
+            bias = bias[rows]
         return backend.linear_q8(x, weight, scale, bias=bias,
                                  activation=activation, out=out)
 
@@ -168,7 +161,7 @@ class QuantizedConv2d(Module):
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, padding: int = 0, bias: bool = True):
+                 stride: int = 1, padding: int = 0):
         super().__init__()
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -181,24 +174,19 @@ class QuantizedConv2d(Module):
                      dtype=np.int8))
         self.register_buffer(
             "weight_scale", np.ones(out_channels, dtype=np.float32))
-        if bias:
-            self.register_buffer(
-                "bias", np.zeros(out_channels, dtype=np.float32))
-        else:
-            object.__setattr__(self, "bias", None)
+        self.register_buffer("bias", np.zeros(out_channels, dtype=np.float32))
 
     @staticmethod
     def from_conv(conv: Conv2d) -> "QuantizedConv2d":
         q = QuantizedConv2d(conv.in_channels, conv.out_channels,
                             conv.kernel_size, stride=conv.stride,
-                            padding=conv.padding, bias=conv.bias is not None)
+                            padding=conv.padding)
         if init.is_unwritten():
             return q                   # see QuantizedLinear.from_linear
         q8, scale = quantize_array(conv.weight.data)
         np.copyto(q.weight_q8, q8)
         np.copyto(q.weight_scale, scale)
-        if conv.bias is not None:
-            np.copyto(q.bias, conv.bias.data)
+        np.copyto(q.bias, conv.bias.data)
         return q
 
     def forward(self, x: Tensor) -> Tensor:
@@ -207,8 +195,8 @@ class QuantizedConv2d(Module):
                 "QuantizedConv2d is inference-only; run it under "
                 "no_grad()/inference_mode() or keep the fp32 model for "
                 "training")
-        bias = Tensor._noback(self.bias) if self.bias is not None else None
-        return ops.conv2d(x, Tensor._noback(self._dequantized()), bias,
+        return ops.conv2d(x, Tensor._noback(self._dequantized()),
+                          Tensor._noback(self.bias),
                           self.stride, self.padding, self.workspace)
 
     def _dequantized(self) -> np.ndarray:

@@ -87,13 +87,11 @@ def is_inference() -> bool:
     return _mode.inference
 
 
-def _as_array(value, dtype=None) -> np.ndarray:
+def _as_array(value) -> np.ndarray:
     if isinstance(value, Tensor):
         raise TypeError("expected raw data, got Tensor")
-    arr = np.asarray(value, dtype=dtype if dtype is not None else None)
-    if arr.dtype == np.float64 and dtype is None:
-        arr = arr.astype(DEFAULT_DTYPE)
-    if arr.dtype.kind not in {"f", "i", "u", "b"}:
+    arr = np.asarray(value)
+    if arr.dtype == np.float64 or arr.dtype.kind not in {"f", "i", "u", "b"}:
         arr = arr.astype(DEFAULT_DTYPE)
     return arr
 
@@ -116,17 +114,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A numpy-backed array node in a dynamically-built autograd graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     __array_priority__ = 100  # numpy defers binary ops to Tensor
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, name: str | None = None):
-        self.data = _as_array(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _mode.grad_enabled
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self.name = name
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -187,7 +184,6 @@ class Tensor:
         out.requires_grad = False
         out._backward = None
         out._parents = ()
-        out.name = None
         return out
 
     @staticmethod
@@ -204,7 +200,6 @@ class Tensor:
         out.data = np.asarray(data)
         out.grad = None
         out.requires_grad = requires
-        out.name = None
         if requires:
             out._parents = tuple(parents)
             out._backward = backward
@@ -219,18 +214,13 @@ class Tensor:
         else:
             self.grad = self.grad + grad
 
-    def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor through the graph.
-
-        ``grad`` defaults to ones (a scalar loss needs no argument).
-        """
+    def backward(self) -> None:
+        """Backpropagate from this scalar (a loss) through the graph."""
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
-        if grad is None:
-            if self.data.size != 1:
-                raise RuntimeError("backward() without gradient argument requires scalar output")
-            grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=self.data.dtype)
+        if self.data.size != 1:
+            raise RuntimeError("backward() requires a scalar output")
+        grad = np.ones_like(self.data)
 
         # Topological order via iterative DFS (avoids recursion limits on
         # deep transformer graphs).
@@ -589,11 +579,11 @@ class Tensor:
         return self.matmul(other)
 
 
-def as_tensor(value, dtype=None) -> Tensor:
+def as_tensor(value) -> Tensor:
     """Coerce ``value`` to a :class:`Tensor` (zero-copy for Tensors)."""
     if isinstance(value, Tensor):
         return value
-    return Tensor(value, dtype=dtype)
+    return Tensor(value)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -616,16 +606,15 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, tuple(tensors), backward)
 
 
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient routing."""
+def stack(tensors: Iterable[Tensor]) -> Tensor:
+    """Stack tensors along a new leading axis with gradient routing."""
     tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
+    out_data = np.stack([t.data for t in tensors])
     if not _mode.grad_enabled:
         return Tensor._noback(out_data)
 
     def backward(grad):
-        pieces = np.split(grad, len(tensors), axis=axis)
-        return [(t, np.squeeze(p, axis=axis)) for t, p in zip(tensors, pieces)]
+        return [(t, g) for t, g in zip(tensors, grad)]
 
     return Tensor._make(out_data, tuple(tensors), backward)
 
@@ -645,9 +634,6 @@ def where(condition: np.ndarray, x: Tensor, y: Tensor) -> Tensor:
     return Tensor._make(out_data, (x, y), backward)
 
 
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
 
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
+def zeros(shape) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=DEFAULT_DTYPE))

@@ -212,21 +212,16 @@ class MetricsRegistry:
         return instrument
 
     # -- aggregation ----------------------------------------------------
-    def snapshot(self, prefix: str = "") -> dict:
-        """JSON-safe ``{series_key: instrument snapshot}``, sorted.
-
-        ``prefix`` filters to one namespace (e.g. ``"serving."``) so a
-        report can embed just its own slice.
-        """
+    def snapshot(self) -> dict:
+        """JSON-safe ``{series_key: instrument snapshot}``, sorted."""
         with self._lock:
             items = sorted(self._instruments.items())
-        return {key: instrument.snapshot() for key, instrument in items
-                if key.startswith(prefix)}
+        return {key: instrument.snapshot() for key, instrument in items}
 
-    def render_text(self, prefix: str = "") -> str:
+    def render_text(self) -> str:
         """Human-readable dump (the CLI's ``--metrics`` output)."""
         lines = []
-        for key, snap in self.snapshot(prefix).items():
+        for key, snap in self.snapshot().items():
             if snap["type"] == "histogram":
                 if snap["count"] == 0:
                     continue

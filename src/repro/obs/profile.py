@@ -17,7 +17,7 @@ Install it for a scope::
     from repro import nn, obs
     with nn.use_backend(obs.ProfilingBackend(nn.get_backend())):
         ...
-    print(obs.get_registry().render_text("kernel."))
+    print(obs.get_registry().render_text())   # the kernel.* rows
 
 Kernel metrics are per-process: only kernels run in the process that
 installed the profiler are recorded, so fleet-wide kernel rollups require
@@ -117,9 +117,9 @@ class ProfilingBackend(ArrayBackend):
         self._observe("softmax", t0, _nbytes(x, y))
         return y
 
-    def log_softmax(self, x, axis=-1, out=None) -> np.ndarray:
+    def log_softmax(self, x, axis=-1) -> np.ndarray:
         t0 = time.perf_counter()
-        y = self.inner.log_softmax(x, axis=axis, out=out)
+        y = self.inner.log_softmax(x, axis=axis)
         self._observe("log_softmax", t0, _nbytes(x, y))
         return y
 

@@ -33,6 +33,8 @@ import threading
 import time
 
 TRACE_SCHEMA_VERSION = 1
+# Spans a tracer retains before the oldest fall off.
+TRACE_CAPACITY = 65536
 
 _SPAN_COUNTER = itertools.count(1)
 
@@ -64,16 +66,13 @@ class SpanRecord:
 class Tracer:
     """Thread-safe ring-buffered span collector for one process.
 
-    The ring bound (``capacity``) keeps a long-lived traced server from
-    growing without limit — the oldest spans fall off, exactly like the
-    serving telemetry ring buffer.
+    The ring bound (``TRACE_CAPACITY`` spans) keeps a long-lived traced
+    server from growing without limit — the oldest spans fall off,
+    exactly like the serving telemetry ring buffer.
     """
 
-    def __init__(self, capacity: int = 65536, process: str = "server"):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.process = process
+    def __init__(self):
+        self.capacity = TRACE_CAPACITY
         self._lock = threading.Lock()
         self._spans: list[SpanRecord] = []
         self._start = 0                # ring: index of the oldest span
@@ -95,7 +94,7 @@ class Tracer:
         record = SpanRecord(
             name=name, trace_id=trace_id,
             span_id=span_id or new_span_id(), parent_id=parent_id,
-            process=process or self.process,
+            process=process or "server",
             thread=thread if thread is not None
             else threading.current_thread().name,
             ts=time.time() if ts is None else ts,
@@ -148,10 +147,10 @@ _enabled = False
 _tracer = Tracer()
 
 
-def enable_tracing(capacity: int = 65536, process: str = "server") -> Tracer:
+def enable_tracing() -> Tracer:
     """Turn on span collection; returns the fresh global tracer."""
     global _enabled, _tracer
-    _tracer = Tracer(capacity=capacity, process=process)
+    _tracer = Tracer()
     _enabled = True
     return _tracer
 

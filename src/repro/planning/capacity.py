@@ -164,8 +164,7 @@ def plan_capacity(trace: ArrivalTrace,
                   device_classes: Sequence[str] = ("pi4b", "pi5"),
                   fleet_sizes: Sequence[int] = (12, 60, 300, 1000),
                   group_counts: Sequence[int] = (2, 3, 5),
-                  codecs: Sequence[str] = ("raw32", "q8"),
-                  num_classes: int = 10) -> CapacityReport:
+                  codecs: Sequence[str] = ("raw32", "q8")) -> CapacityReport:
     """Sweep fleet configurations against ``trace``; score every point.
 
     Each (class, fleet size, group count, codec) combination carves the
@@ -181,7 +180,7 @@ def plan_capacity(trace: ArrivalTrace,
     # Lazy: core.experiments plans through this package.
     from ..core.experiments import PAPER_BUDGETS_MB, budget_bytes
 
-    base = vit_base_config(num_classes=num_classes)
+    base = vit_base_config(num_classes=10)
     budget = budget_bytes(PAPER_BUDGETS_MB["vit-base"])
     points: list[CapacityPoint] = []
     for class_name in device_classes:

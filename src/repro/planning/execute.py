@@ -33,6 +33,7 @@ from ..edge.network import LinkModel
 from ..edge.runtime import EdgeCluster, WorkerSpec, build_model
 from ..models.fusion import FusionConfig, FusionMLP
 from ..serving.demo import (
+    DEMO_CLASSES,
     DEMO_RECIPE,
     _tiny_model,
     demo_dataset,
@@ -332,7 +333,11 @@ class PlannedSystem:
         (warm boot, no training); otherwise the cold rebuild runs and its
         results populate the store.  Either way ``plan.artifacts``
         records the refs afterwards.
+
+        The plan is validated first, so a mapping onto a device the plan
+        does not hold fails naming that device, before anything is built.
         """
+        plan.validate()
         return _boot(plan, None, time_scale, transport, store)
 
 
@@ -404,7 +409,7 @@ def _quantize_planned(plan: DeploymentPlan,
 
 
 def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
-                     num_classes: int = 10, image_size: int = 8,
+                     image_size: int = 8,
                      seed: int = 0, throughputs: list[float] | None = None,
                      train_fusion: bool = False, fusion_epochs: int = 8,
                      time_scale: float = 0.0,
@@ -415,10 +420,11 @@ def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
                      memory_headroom: float = 3.0) -> PlannedSystem:
     """Plan a small (optionally heterogeneous) serveable demo fleet.
 
-    Builds one tiny sub-model per class group, profiles them, sizes a
-    fleet of ``num_workers`` devices with per-device ``throughputs``
-    multipliers, and runs the :class:`~repro.planning.planner.Planner`
-    (greedy assignment + DES scoring) to produce an executable
+    Builds one tiny sub-model per group of the ``DEMO_CLASSES`` classes,
+    profiles them, sizes a fleet of ``num_workers`` devices with
+    per-device ``throughputs`` multipliers, and runs the
+    :class:`~repro.planning.planner.Planner` (greedy assignment + DES
+    scoring) to produce an executable
     :class:`DeploymentPlan`.  Device budgets leave enough residual memory
     and energy that one failed device's sub-model fits on a survivor —
     the replanning path is exercisable out of the box.
@@ -452,7 +458,7 @@ def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
     # so the modules planned on are unwritten: a warm boot loads into
     # them, and a cold boot draws each sub-model once.
     with nn.init.unwritten():
-        models = [_tiny_model(model_kind, num_classes, image_size,
+        models = [_tiny_model(model_kind, DEMO_CLASSES, image_size,
                               np.random.default_rng(seed + index))
                   for index in range(num_workers)]
         int8_sizes = None
@@ -467,7 +473,7 @@ def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
              "image_size": image_size, "train_fusion": bool(train_fusion),
              "fusion_epochs": fusion_epochs}
 
-    partition = balanced_class_partition(num_classes, num_workers,
+    partition = balanced_class_partition(DEMO_CLASSES, num_workers,
                                          rng=np.random.default_rng(seed))
     submodels = [
         PlannedSubModel.from_module(f"submodel-{index}", model, model_kind,
@@ -492,7 +498,7 @@ def plan_demo_system(num_workers: int = 2, model_kind: str = "vit",
         seed=seed, codec="raw32" if select else codec))
     # The plan is assembled from untrained models; its artifact recipes
     # are then the single source of truth for warm boot or training.
-    plan = planner.plan_submodels(num_classes, partition, submodels,
+    plan = planner.plan_submodels(DEMO_CLASSES, partition, submodels,
                                   build=build,
                                   quant=None if quant == "fp32" else quant,
                                   int8_sizes=int8_sizes)

@@ -26,6 +26,9 @@ from ..splitting.class_assignment import validate_partition
 from .. import store as store_recipes
 
 FORMAT_VERSION = 1
+# Top-level keys a plan JSON cannot do without (the rest have defaults).
+_REQUIRED_KEYS = ("num_classes", "partition", "submodels", "devices",
+                  "mapping", "fusion_device", "fusion_flops", "fusion_config")
 
 # Key under which the fusion MLP's artifact ref is recorded in
 # DeploymentPlan.artifacts (sub-models are keyed by their model_id).
@@ -250,6 +253,9 @@ class DeploymentPlan:
         version = data.get("format_version")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported plan format_version {version!r}")
+        missing = [key for key in _REQUIRED_KEYS if key not in data]
+        if missing:
+            raise ValueError(f"plan is missing required keys {missing}")
         prediction = data.get("prediction")
         fleet = [_read_device(entry, f"devices[{i}]")
                  for i, entry in enumerate(data["devices"])]
@@ -276,10 +282,10 @@ class DeploymentPlan:
             history=[dict(event) for event in data.get("history", [])],
         )
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         # allow_nan=False: a NaN prediction field would otherwise ship as
         # the non-standard `NaN` token and break strict JSON readers.
-        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
     @staticmethod
     def from_json(text: str) -> "DeploymentPlan":

@@ -33,9 +33,8 @@ class Probe:
     reference: np.ndarray  # (N, num_classes) probabilities
 
     @staticmethod
-    def from_model(model: VisionTransformer, x: np.ndarray,
-                   batch_size: int = 64) -> "Probe":
-        return Probe(x=x, reference=predict_probabilities(model, x, batch_size))
+    def from_model(model: VisionTransformer, x: np.ndarray) -> "Probe":
+        return Probe(x=x, reference=predict_probabilities(model, x))
 
 
 @contextlib.contextmanager

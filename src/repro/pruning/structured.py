@@ -26,8 +26,8 @@ def pruning_factor(num_heads: int, hp: int) -> float:
     return (num_heads - hp) / num_heads
 
 
-def _target_count(original: int, s: float, minimum: int = 1) -> int:
-    return max(minimum, int(round(original * s)))
+def _target_count(original: int, s: float) -> int:
+    return max(1, int(round(original * s)))
 
 
 def prune_short_connection(model: VisionTransformer, hp: int,

@@ -27,6 +27,8 @@ from ..splitting.fusion import collect_features
 # ``build`` dicts and artifact recipes so a digest pins the exact
 # protocol the weights came from.
 DEMO_RECIPE = "demo-v1"
+# Classes of the demo dataset, split across the demo fleet's sub-models.
+DEMO_CLASSES = 10
 
 
 def demo_dataset(image_size: int, seed: int):

@@ -71,6 +71,8 @@ class LoadgenConfig:
 # for any one request before counting it as an error.
 IMAGES_PER_REQUEST = 1
 REQUEST_TIMEOUT_S = 30.0
+# Root of the per-rate seeds of sweep_offered_load.
+SWEEP_SEED = 0
 
 # Supplies each request's input: (rng, image count) -> array.
 # Lets callers stream real data (e.g. labelled test images) through the
@@ -298,18 +300,19 @@ def _run_closed_loop(server: InferenceServer, config: LoadgenConfig,
 
 
 def sweep_offered_load(server: InferenceServer, input_shape: tuple[int, ...],
-                       rates_rps: list[float], num_requests: int = 100,
-                       seed: int = 0) -> list[LoadgenResult]:
+                       rates_rps: list[float],
+                       num_requests: int = 100) -> list[LoadgenResult]:
     """Open-loop latency-vs-offered-load curve (one result per rate).
 
-    Determinism contract: one child seed per rate is derived from ``seed``
-    via ``np.random.SeedSequence(seed).spawn``, so the same (seed, rates)
-    pair always replays the identical sweep, while every rate's arrival
-    jitter and payloads are statistically independent of every other
-    rate's.  (Reusing ``seed`` verbatim at each rate — the old behaviour —
-    made all points of the curve share one correlated random stream.)
+    Determinism contract: one child seed per rate is derived from
+    ``SWEEP_SEED`` via ``np.random.SeedSequence(SWEEP_SEED).spawn``, so
+    the same rates always replay the identical sweep, while every rate's
+    arrival jitter and payloads are statistically independent of every
+    other rate's.  (Reusing one seed verbatim at each rate — the old
+    behaviour — made all points of the curve share one correlated random
+    stream.)
     """
-    children = np.random.SeedSequence(seed).spawn(len(rates_rps))
+    children = np.random.SeedSequence(SWEEP_SEED).spawn(len(rates_rps))
     results = []
     for rate, child in zip(rates_rps, children):
         config = LoadgenConfig(num_requests=num_requests, mode="open",

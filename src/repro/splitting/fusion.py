@@ -23,6 +23,12 @@ from ..data.loaders import DataLoader
 from ..data.synthetic import Dataset
 from ..models.fusion import FusionMLP, build_fusion_for
 
+# Mini-batch of the fusion MLP's training and of its feature collection.
+FUSION_BATCH = 32
+# Learning rate and shuffle seed of the entire-retrain ablation.
+RETRAIN_LR = 5e-4
+RETRAIN_SEED = 0
+
 
 def collect_features(models: list[nn.Module], x: np.ndarray,
                      batch_size: int = 64) -> np.ndarray:
@@ -32,23 +38,23 @@ def collect_features(models: list[nn.Module], x: np.ndarray,
 
 
 def train_fusion_mlp(models: list[nn.Module], dataset: Dataset,
-                     epochs: int = 5, lr: float = 1e-3, batch_size: int = 32,
+                     epochs: int = 5, lr: float = 1e-3,
                      shrink: float = 0.5, seed: int = 0) -> FusionMLP:
     """Train the tower MLP on frozen concatenated sub-model features."""
     rng = np.random.default_rng(seed)
     fusion = build_fusion_for([model.feature_dim() for model in models],
                               num_classes=dataset.num_classes, shrink=shrink,
                               rng=rng)
-    features = collect_features(models, dataset.x_train, batch_size)
+    features = collect_features(models, dataset.x_train, FUSION_BATCH)
     train_classifier(fusion, features, dataset.y_train,
-                     TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr,
+                     TrainConfig(epochs=epochs, batch_size=FUSION_BATCH, lr=lr,
                                  seed=seed))
     return fusion
 
 
 def softmax_average_predict(models: list[nn.Module],
                             groups: list[list[int]], num_classes: int,
-                            x: np.ndarray, batch_size: int = 64) -> np.ndarray:
+                            x: np.ndarray) -> np.ndarray:
     """The "(w/o) retrain" fusion: concatenated per-subset softmax scores.
 
     ``groups[i]`` is the class subset ``models[i]`` covers.  A singleton
@@ -58,7 +64,7 @@ def softmax_average_predict(models: list[nn.Module],
     """
     scores = np.zeros((len(x), num_classes), dtype=np.float64)
     for model, classes in zip(models, groups):
-        probs = predict_probabilities(model, x, batch_size)
+        probs = predict_probabilities(model, x)
         if len(classes) == 1:
             scores[:, classes[0]] = probs[:, 1]
         else:
@@ -68,16 +74,15 @@ def softmax_average_predict(models: list[nn.Module],
 
 
 def softmax_average_accuracy(models: list[nn.Module],
-                             groups: list[list[int]], dataset: Dataset,
-                             batch_size: int = 64) -> float:
+                             groups: list[list[int]], dataset: Dataset) -> float:
     pred = softmax_average_predict(models, groups, dataset.num_classes,
-                                   dataset.x_test, batch_size)
+                                   dataset.x_test)
     return float((pred == dataset.y_test).mean())
 
 
 def entire_retrain(models: list[nn.Module], fusion: FusionMLP,
-                   dataset: Dataset, epochs: int = 2, lr: float = 5e-4,
-                   batch_size: int = 32, seed: int = 0) -> None:
+                   dataset: Dataset, epochs: int = 2,
+                   batch_size: int = 32) -> None:
     """The "(w/) entire retrain" ablation: joint end-to-end finetuning.
 
     Gradients flow through the fusion MLP *and* every sub-model.  The paper
@@ -89,8 +94,8 @@ def entire_retrain(models: list[nn.Module], fusion: FusionMLP,
         params.extend(model.parameters())
         model.train()
     fusion.train()
-    optimizer = nn.Adam(params, lr=lr)
-    rng = np.random.default_rng(seed)
+    optimizer = nn.Adam(params, lr=RETRAIN_LR)
+    rng = np.random.default_rng(RETRAIN_SEED)
     loader = DataLoader(dataset.x_train, dataset.y_train,
                         batch_size=batch_size, shuffle=True, rng=rng)
     for _ in range(epochs):

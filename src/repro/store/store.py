@@ -329,18 +329,13 @@ class ArtifactStore:
 
     # -- retention -----------------------------------------------------
     def gc(self, max_bytes: int | None = None,
-           max_artifacts: int | None = None,
-           keep: set[str] | frozenset[str] = frozenset()) -> list[str]:
+           max_artifacts: int | None = None) -> list[str]:
         """Evict least-recently-used artifacts until within the bounds.
 
-        ``keep`` pins digests (e.g. those referenced by a live plan) so
-        retention never breaks a deployed fleet's warm boot.  Returns the
-        evicted digests, oldest first.
+        Returns the evicted digests, oldest first.
         """
         ts, t0 = time.time(), time.perf_counter()
-        # Oldest-used first; pinned digests are never candidates.
-        candidates = [info.digest for info in reversed(self.ls())
-                      if info.digest not in keep]
+        candidates = [info.digest for info in reversed(self.ls())]
 
         def over_budget() -> bool:
             if max_artifacts is not None and len(self) > max_artifacts:

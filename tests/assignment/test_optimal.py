@@ -3,6 +3,7 @@
 import pytest
 
 from repro.assignment.greedy import greedy_assign
+from repro.assignment import optimal
 from repro.assignment.optimal import optimal_assign
 from tests.oracles import brute_force_assign, sized_submodel
 from repro.assignment.problem import InfeasibleAssignment, validate_plan
@@ -57,11 +58,12 @@ class TestOptimalAssign:
         with pytest.raises(InfeasibleAssignment):
             optimal_assign([], [submodel(0)], 1)
 
-    def test_state_limit_guard(self):
+    def test_state_limit_guard(self, monkeypatch):
+        monkeypatch.setattr(optimal, "MAX_STATES", 10)
         devices = [device(i) for i in range(6)]
         models = [submodel(i, size=1, flops=1.0) for i in range(8)]
         with pytest.raises(InfeasibleAssignment):
-            optimal_assign(devices, models, num_samples=1, max_states=10)
+            optimal_assign(devices, models, num_samples=1)
 
 
 class TestBruteForce:

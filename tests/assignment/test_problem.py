@@ -73,14 +73,6 @@ class TestValidatePlan:
         with pytest.raises(InfeasibleAssignment):
             validate_plan(mapping, devices, models, num_samples=2)
 
-    def test_rejects_fleet_budget_overflow(self):
-        devices = [device(0)]
-        models = [submodel(0, size=60)]
-        mapping = {"m0": "d0"}
-        with pytest.raises(InfeasibleAssignment):
-            validate_plan(mapping, devices, models, num_samples=1,
-                          memory_budget=50)
-
     def test_accepts_multiple_models_per_device(self):
         devices = [device(0, mem=100, energy=100.0)]
         models = [submodel(0, size=10, flops=10.0),

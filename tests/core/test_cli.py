@@ -178,29 +178,33 @@ class TestServingCommands:
             main([command, *self.SERVE, "5", *flags])
         assert "\n" not in str(exc.value.code)
 
-    @pytest.mark.parametrize("entry, edit, message", [
-        ("devices", lambda d: d.pop("memory_bytes"),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["devices"][0].pop("memory_bytes"),
          r"devices\[0\] 'edge-0': missing keys \['memory_bytes'\]"),
-        ("devices", lambda d: d.update(gpu=1),
+        (lambda d: d["devices"][0].update(gpu=1),
          r"devices\[0\] 'edge-0': .*unknown keys \['gpu'\]"),
-        ("devices", lambda d: d.update(memory_bytes=-1),
+        (lambda d: d["devices"][0].update(memory_bytes=-1),
          r"devices\[0\] 'edge-0': memory_bytes must be positive"),
-        ("fusion_device", lambda d: d.update(link_bandwidth_bps=0),
+        (lambda d: d["fusion_device"].update(link_bandwidth_bps=0),
          r"fusion_device 'fusion': bandwidth_bps must be"),
-    ])
+        (lambda d: d.pop("mapping"), r"missing required keys \['mapping'\]"),
+        (lambda d: d["mapping"].update({d["submodels"][0]["model_id"]:
+                                        "ghost"}),
+         r"mapped to unknown device 'ghost'"),
+    ], ids=["device-missing-key", "device-unknown-key", "device-bad-value",
+            "fusion-bad-link", "no-mapping", "ghost-device"])
     @pytest.mark.parametrize("command", [
         ("serve", "--transport", "inprocess", "--requests", "5"),
         ("quantize", "--store", "S"),
     ])
-    def test_a_bad_plan_file_exits_with_one_line_naming_its_entry(
-            self, tmp_path, monkeypatch, command, entry, edit, message):
+    def test_a_bad_plan_file_exits_with_one_line(
+            self, tmp_path, monkeypatch, command, edit, message):
         import json
 
         import repro.planning
 
         data = json.loads(OLD_PLAN.read_text())
-        device = data[entry] if entry == "fusion_device" else data[entry][0]
-        edit(device)
+        edit(data)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
 

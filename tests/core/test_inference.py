@@ -107,7 +107,7 @@ def test_predict_labels_and_evaluate(model, data):
 
 def test_predict_probabilities_normalized(model, data):
     x, _ = data
-    probs = inference.predict_probabilities(model, x, batch_size=4)
+    probs = inference.predict_probabilities(model, x)
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-5)
     assert (probs >= 0).all()
 

@@ -17,10 +17,6 @@ class TestDataLoader:
         x, y = make_data(10)
         assert len(DataLoader(x, y, batch_size=3)) == 4
 
-    def test_batch_count_with_drop_last(self):
-        x, y = make_data(10)
-        assert len(DataLoader(x, y, batch_size=3, drop_last=True)) == 3
-
     def test_covers_all_samples(self):
         x, y = make_data(10)
         seen = []
@@ -28,12 +24,6 @@ class TestDataLoader:
                                  rng=np.random.default_rng(0)):
             seen.extend(yb.tolist())
         assert sorted(seen) == list(range(10))
-
-    def test_drop_last_truncates(self):
-        x, y = make_data(10)
-        total = sum(len(yb) for _, yb in DataLoader(x, y, batch_size=3,
-                                                    drop_last=True))
-        assert total == 9
 
     def test_x_y_stay_aligned(self):
         x, y = make_data(20)

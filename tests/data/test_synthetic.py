@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data import synthetic
 from repro.data.synthetic import (
     Dataset,
     ImagePrototypeBank,
@@ -36,8 +37,9 @@ class TestImageBank:
         assert x.shape == (3, 3, 16, 16)
         assert x.dtype == np.float32
 
-    def test_same_class_samples_closer_than_cross_class(self):
-        spec = small_spec(noise_std=0.1, shift_pixels=0, prototypes_per_class=1)
+    def test_same_class_samples_closer_than_cross_class(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "SHIFT_PIXELS", 0)
+        spec = small_spec(noise_std=0.1, prototypes_per_class=1)
         bank = ImagePrototypeBank(spec)
         rng = np.random.default_rng(0)
         a1 = bank.sample(rng, np.zeros(8, dtype=int))
@@ -110,11 +112,6 @@ class TestSubsetOfClasses:
         original = ds.y_train[np.isin(ds.y_train, [1, 3])]
         np.testing.assert_array_equal(sub.y_train == 0, original == 3)
 
-    def test_no_remap_keeps_labels(self):
-        sub = self.make().subset_of_classes([1, 3], remap=False)
-        assert set(np.unique(sub.y_train)) == {1, 3}
-        assert sub.num_classes == 4
-
     def test_num_classes_after_remap(self):
         assert self.make().subset_of_classes([0, 2]).num_classes == 2
 
@@ -157,10 +154,3 @@ class TestOneVsRestDataset:
         for x in ds.x_train[ds.y_train == 1]:
             assert any(np.array_equal(x, p) for p in pool)
 
-    def test_negative_ratio(self):
-        import numpy as np
-        from repro.data.synthetic import one_vs_rest_dataset
-
-        ds = one_vs_rest_dataset(self.make(), 0, np.random.default_rng(0),
-                                 negative_ratio=2.0)
-        assert int((ds.y_train == 0).sum()) == 2 * int((ds.y_train == 1).sum())

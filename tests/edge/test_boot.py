@@ -232,11 +232,12 @@ class TestStartIsBounded:
 
     def boot(self, monkeypatch, transport, worker_main, ready_timeout):
         monkeypatch.setattr(runtime, "_worker_main", worker_main)
+        monkeypatch.setattr(runtime, "READY_TIMEOUT_S", ready_timeout)
         specs = [make_worker(f"w{i}", seed=i)[0] for i in range(2)]
         cluster = EdgeCluster(specs, transport=transport)
         start = time.monotonic()
         with pytest.raises(RuntimeError) as info:
-            cluster.start(ready_timeout=ready_timeout)
+            cluster.start()
         elapsed = time.monotonic() - start
         assert not cluster.started
         assert_nothing_left_behind(cluster.transport)
@@ -260,10 +261,11 @@ class TestStartIsBounded:
         spec, model = make_worker("w0")
         with EdgeCluster([spec], transport=transport) as cluster:
             monkeypatch.setattr(runtime, "_worker_main", mute_worker)
+            monkeypatch.setattr(runtime, "READY_TIMEOUT_S", 0.3)
             late, _ = make_worker("late", seed=1)
             with pytest.raises(RuntimeError,
                                match="worker late not ready within 0.3s"):
-                cluster.add_worker(late, ready_timeout=0.3)
+                cluster.add_worker(late)
             assert "late" in cluster.down_workers
             assert not cluster.is_alive("late")
             # The fleet that was running is untouched.
@@ -328,7 +330,8 @@ class DelayedDialBack:
 
 
 def tcp_with_dial_back_delays(delays_s):
-    transport = TcpTransport(accept_timeout_s=10.0)
+    transport = TcpTransport()
+    transport._ACCEPT_TIMEOUT_S = 10.0
     transport._process_class = \
         lambda worker_main: DelayedDialBack(delays_s).Process
     return transport
@@ -568,7 +571,7 @@ def test_booted_worker_loads_the_modules_state_dict(monkeypatch, transport,
     assert spec.quant == quant
     monkeypatch.setattr(runtime, "_worker_main", state_echo_worker)
     cluster = EdgeCluster([spec], transport=transport)
-    handle, = cluster._boot([spec], ready_timeout=30.0)
+    handle, = cluster._boot([spec])
     try:
         assert handle.poll(30.0)
         loaded = handle.recv()

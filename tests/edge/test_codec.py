@@ -19,7 +19,7 @@ class TestRaw32:
     def test_bytes_are_4_per_value(self):
         encoded = get_codec("raw32").encode(FEATURES)
         assert encoded.nbytes == FEATURES.size * 4
-        assert get_codec("raw32").estimate_bytes(33, 17) == encoded.nbytes
+        assert 17 * get_codec("raw32").estimate_bytes(33) == encoded.nbytes
 
     def test_non_float32_input_is_canonicalized(self):
         codec = get_codec("raw32")
@@ -57,7 +57,7 @@ class TestQ8:
         encoded = get_codec("q8").encode(FEATURES)
         n, d = FEATURES.shape
         assert encoded.nbytes == n * (d + 8)
-        assert get_codec("q8").estimate_bytes(d, n) == encoded.nbytes
+        assert n * get_codec("q8").estimate_bytes(d) == encoded.nbytes
 
     def test_strictly_smaller_than_f16_and_raw32(self):
         sizes = {name: get_codec(name).encode(FEATURES).nbytes
@@ -80,8 +80,8 @@ class TestZlibWrapper:
             < get_codec("raw32").encode(redundant).nbytes
 
     def test_estimate_is_the_conservative_base_size(self):
-        assert get_codec("q8+zlib").estimate_bytes(33, 17) \
-            == get_codec("q8").estimate_bytes(33, 17)
+        assert get_codec("q8+zlib").estimate_bytes(33) \
+            == get_codec("q8").estimate_bytes(33)
 
 
 class TestRegistry:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.edge.codec import get_codec
 from repro.edge.network import (
     GIGABIT_BPS,
     LinkModel,
@@ -9,10 +10,13 @@ from repro.edge.network import (
     StarTopology,
     TC_CAP_BPS,
     communication_reduction,
-    feature_bytes,
     tc_capped_link,
     uniform_star,
 )
+
+
+def feature_bytes(dim):
+    return get_codec("raw32").estimate_bytes(dim)
 
 
 class TestPaperAnchors:

@@ -12,6 +12,7 @@ import pytest
 
 from repro.edge.device import DeviceModel
 from repro.edge.network import LinkModel
+from repro.edge import runtime
 from repro.edge.runtime import EdgeCluster, WorkerFailure, WorkerSpec
 from repro.models.vit import ViTConfig, VisionTransformer
 
@@ -34,12 +35,18 @@ def make_worker(worker_id, seed=0, macs_per_second=1e12):
 X = np.zeros((2, 3, 8, 8), dtype=np.float32)
 
 
+@pytest.fixture(autouse=True)
+def bounded_infer(monkeypatch):
+    """A failure that should be typed surfaces well inside 10 s."""
+    monkeypatch.setattr(runtime, "INFER_TIMEOUT_S", 10.0)
+
+
 class TestWorkerCrash:
     def test_dead_worker_raises_instead_of_hanging(self):
         with EdgeCluster([make_worker("a"), make_worker("b", seed=1)]) as cluster:
             cluster.kill_worker("a")
             with pytest.raises(WorkerFailure) as info:
-                cluster.infer_features(X, timeout=10.0)
+                cluster.infer_features(X)
             assert info.value.worker_id == "a"
             assert "a" in cluster.down_workers
 
@@ -48,7 +55,7 @@ class TestWorkerCrash:
             healthy, _ = cluster.infer_features(X)
             cluster.kill_worker("a")
             with pytest.raises(WorkerFailure):
-                cluster.infer_features(X, timeout=10.0)
+                cluster.infer_features(X)
             # The non-blocking primitives keep working on the survivor.
             request_id = cluster.next_request_id()
             assert cluster.submit("b", request_id, X)
@@ -65,7 +72,7 @@ class TestWorkerCrash:
             np.testing.assert_allclose(reply[2], healthy["b"])
 
     @pytest.mark.parametrize("transport", ["inprocess", "multiprocess", "tcp"])
-    def test_slow_worker_times_out(self, transport):
+    def test_slow_worker_times_out(self, transport, monkeypatch):
         # A hung worker is alive but silent: 2 x 1.5e6 MACs at 1e6 MACs/s
         # is 3 s of emulated compute, which time_scale=1 sleeps — far past
         # the deadline, yet short enough that an in-process worker thread
@@ -73,17 +80,19 @@ class TestWorkerCrash:
         spec = make_worker("slow", macs_per_second=1e6)
         spec.flops_per_sample = 1.5e6
         timeout = 0.3
+        monkeypatch.setattr(runtime, "INFER_TIMEOUT_S", timeout)
         with EdgeCluster([spec], time_scale=1.0,
                          transport=transport) as cluster:
             start = time.perf_counter()
             with pytest.raises(WorkerFailure) as info:
-                cluster.infer_features(X, timeout=timeout)
+                cluster.infer_features(X)
             assert time.perf_counter() - start < timeout + 0.5
             assert info.value.worker_id == "slow"
             assert info.value.reason.startswith("no reply within")
             assert "slow" in cluster.down_workers
 
-    def test_timeout_marks_every_late_worker_down(self):
+    def test_timeout_marks_every_late_worker_down(self, monkeypatch):
+        monkeypatch.setattr(runtime, "INFER_TIMEOUT_S", 0.3)
         late = []
         for worker_id in ("a", "b"):
             spec = make_worker(worker_id, macs_per_second=1e6)
@@ -92,7 +101,7 @@ class TestWorkerCrash:
         with EdgeCluster(late + [make_worker("c", seed=1)], time_scale=1.0,
                          transport="inprocess") as cluster:
             with pytest.raises(WorkerFailure) as info:
-                cluster.infer_features(X, timeout=0.3)
+                cluster.infer_features(X)
             assert info.value.worker_id == "a"        # first in spec order
             assert set(cluster.down_workers) == {"a", "b"}
 
@@ -112,7 +121,7 @@ class TestBadReplies:
         with EdgeCluster([make_worker("a")]) as cluster:
             bad = np.zeros((1, 5, 8, 8), dtype=np.float32)   # wrong channels
             with pytest.raises(WorkerFailure):
-                cluster.infer_features(bad, timeout=10.0)
+                cluster.infer_features(bad)
             assert cluster.is_alive("a")
             features, _ = cluster.infer_features(X)
             assert features["a"].shape[0] == len(X)
@@ -124,8 +133,8 @@ class TestBadReplies:
         with EdgeCluster([make_worker("a"), make_worker("b", seed=1)]) as cluster:
             bad = np.zeros((1, 5, 8, 8), dtype=np.float32)
             with pytest.raises(WorkerFailure):
-                cluster.infer_features(bad, timeout=10.0)
-            features, _ = cluster.infer_features(X, timeout=10.0)
+                cluster.infer_features(bad)
+            features, _ = cluster.infer_features(X)
             assert set(features) == {"a", "b"}
 
 

@@ -9,7 +9,6 @@ from repro.edge.simulator import (
     DeploymentSpec,
     SubModelProfile,
     simulate_inference,
-    single_device_latency,
 )
 
 
@@ -209,12 +208,12 @@ class TestPaperLatencyShape:
                                     budget_mb=180, device_counts=(10,))
         assert rows[0]["latency_s"] == pytest.approx(1.28, rel=0.15)
 
-    def test_single_device_latency_helper(self):
+    def test_single_device_latency(self):
         from repro.models.vit import vit_base_config
         from repro.profiling import paper_flops
 
-        latency = single_device_latency(raspberry_pi_4b("pi"),
-                                        paper_flops(vit_base_config()))
+        latency = raspberry_pi_4b("pi").compute_seconds(
+            paper_flops(vit_base_config()))
         assert latency == pytest.approx(36.94, abs=0.01)
 
 

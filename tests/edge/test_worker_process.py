@@ -86,6 +86,7 @@ import sys
 with open(sys.argv[2], "a") as log:    # once per execution of this file
     log.write("executed\\n")
 
+import dataclasses
 import multiprocessing
 import numpy as np
 from repro.edge.device import DeviceModel
@@ -104,12 +105,12 @@ def stand_in(spec, conn):
 def specs(codec="raw32"):
     config = ViTConfig(image_size=8, patch_size=4, num_classes=3, depth=1,
                        embed_dim=8, num_heads=2)
-    return [WorkerSpec.from_model(
+    return [dataclasses.replace(WorkerSpec.from_model(
         f"w{i}", VisionTransformer(config, rng=np.random.default_rng(i)),
-        "vit", flops_per_sample=1e6, codec=codec,
+        "vit", flops_per_sample=1e6,
         device=DeviceModel(device_id=f"d{i}", macs_per_second=1e12),
-        link=LinkModel(bandwidth_bps=1e9, overhead_seconds=0.0))
-        for i in range(2)]
+        link=LinkModel(bandwidth_bps=1e9, overhead_seconds=0.0)),
+        codec=codec) for i in range(2)]
 
 
 if __name__ == "__main__":

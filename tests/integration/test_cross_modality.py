@@ -8,7 +8,7 @@ from repro.core.edvit import EDViTConfig, build_edvit
 from repro.core.inference import evaluate
 from repro.core.training import TrainConfig, train_classifier
 from repro.edge.device import make_fleet
-from repro.edge.network import feature_bytes
+from repro.edge.codec import get_codec
 from repro.models.vit import ViTConfig, VisionTransformer
 from repro.pruning.pipeline import PruneConfig
 
@@ -46,7 +46,7 @@ class TestAudioPipeline:
                                      tiny_audio_dataset.y_test) > 0.15
         # Audio sub-models transmit the same tiny CLS features.
         for sub in system.plan.submodels:
-            assert feature_bytes(sub.feature_dim) < 200
+            assert get_codec("raw32").estimate_bytes(sub.feature_dim) < 200
 
     def test_single_channel_patch_embedding_cheaper(self):
         """The Table II CIFAR-vs-GTZAN delta comes only from channels."""

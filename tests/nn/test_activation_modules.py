@@ -49,7 +49,7 @@ class TestPoolModules:
 
     def test_maxpool_custom_stride(self):
         x = nn.Tensor(np.arange(36, dtype=np.float32).reshape(1, 1, 6, 6))
-        out = nn.MaxPool2d(2, stride=2)(x)
+        out = nn.MaxPool2d(2)(x)
         assert out.shape == (1, 1, 3, 3)
 
 
@@ -57,5 +57,5 @@ class TestInitializers:
     def test_trunc_normal_bounded(self):
         from repro.nn.init import trunc_normal
 
-        out = trunc_normal(np.random.default_rng(0), (1000,), std=0.02)
+        out = trunc_normal(np.random.default_rng(0), (1000,))
         assert np.abs(out).max() <= 0.04 + 1e-6

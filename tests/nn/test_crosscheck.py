@@ -9,6 +9,7 @@ import scipy.special
 from repro.nn import ops
 from repro.nn.backend import apply_activation
 from repro.nn.tensor import Tensor
+from tests.oracles import f64
 
 RNG = np.random.default_rng(7)
 
@@ -18,7 +19,7 @@ class TestConvAgainstScipy:
     def test_conv2d_matches_scipy_correlate(self, pad):
         x = RNG.normal(size=(2, 3, 7, 7)).astype(np.float64)
         w = RNG.normal(size=(4, 3, 3, 3)).astype(np.float64)
-        out = ops.conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64), None, stride=1,
+        out = ops.conv2d(f64(x), f64(w), None, stride=1,
                          padding=pad).data
 
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
@@ -35,7 +36,7 @@ class TestConvAgainstScipy:
     def test_strided_conv_subsamples_scipy_result(self):
         x = RNG.normal(size=(1, 1, 8, 8)).astype(np.float64)
         w = RNG.normal(size=(1, 1, 2, 2)).astype(np.float64)
-        ours = ops.conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64), None, stride=2).data
+        ours = ops.conv2d(f64(x), f64(w), None, stride=2).data
         dense = scipy.signal.correlate2d(x[0, 0], w[0, 0], mode="valid")
         np.testing.assert_allclose(ours[0, 0], dense[::2, ::2], rtol=1e-10)
 
@@ -43,13 +44,13 @@ class TestConvAgainstScipy:
 class TestActivationsAgainstScipy:
     def test_softmax_matches_scipy(self):
         x = RNG.normal(size=(4, 9)).astype(np.float64)
-        ours = ops.softmax(Tensor(x, dtype=np.float64), axis=-1).data
+        ours = ops.softmax(f64(x), axis=-1).data
         np.testing.assert_allclose(ours, scipy.special.softmax(x, axis=-1),
                                    rtol=1e-10)
 
     def test_log_softmax_matches_scipy(self):
         x = RNG.normal(size=(4, 9)).astype(np.float64)
-        ours = ops.log_softmax(Tensor(x, dtype=np.float64), axis=-1).data
+        ours = ops.log_softmax(f64(x), axis=-1).data
         np.testing.assert_allclose(ours, scipy.special.log_softmax(x, axis=-1),
                                    rtol=1e-10)
 
@@ -61,7 +62,7 @@ class TestActivationsAgainstScipy:
     def test_gelu_tanh_close_to_exact_erf_gelu(self):
         # Our tanh approximation should track the exact erf GELU closely.
         x = np.linspace(-4, 4, 200)
-        ours = ops.gelu(Tensor(x, dtype=np.float64)).data
+        ours = ops.gelu(f64(x)).data
         exact = 0.5 * x * (1.0 + scipy.special.erf(x / np.sqrt(2.0)))
         assert np.abs(ours - exact).max() < 5e-3
 
@@ -82,8 +83,8 @@ class TestLayerNormAgainstNumpy:
         x = RNG.normal(size=(3, 5, 8)).astype(np.float64)
         weight = RNG.uniform(0.5, 1.5, size=8)
         bias = RNG.normal(size=8)
-        ours = ops.layer_norm(Tensor(x, dtype=np.float64), Tensor(weight, dtype=np.float64),
-                              Tensor(bias, dtype=np.float64), eps=1e-5).data
+        ours = ops.layer_norm(f64(x), f64(weight),
+                              f64(bias), eps=1e-5).data
         mu = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
         expected = (x - mu) / np.sqrt(var + 1e-5) * weight + bias

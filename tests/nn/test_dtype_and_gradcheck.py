@@ -8,26 +8,26 @@ ruining numerical gradient checks.
 import numpy as np
 import pytest
 
-from tests.oracles import check_gradient, numerical_gradient
+from tests.oracles import check_gradient, f64, numerical_gradient
 from repro.nn.tensor import Tensor, concat
 
 
 class TestDtypePropagation:
     def test_float64_survives_arithmetic(self):
-        t = Tensor(np.zeros((2, 2)), dtype=np.float64)
+        t = f64(np.zeros((2, 2)))
         assert (t + 1.0).dtype == np.float64
         assert (t * 2.0).dtype == np.float64
         assert (t - t).dtype == np.float64
 
     def test_float64_survives_reductions(self):
-        t = Tensor(np.ones((3, 4)), dtype=np.float64)
+        t = f64(np.ones((3, 4)))
         assert t.sum(axis=0).dtype == np.float64
         assert t.mean(axis=-1).dtype == np.float64
         assert t.var(axis=-1).dtype == np.float64
 
     def test_float64_survives_matmul_and_shape_ops(self):
-        a = Tensor(np.ones((2, 3)), dtype=np.float64)
-        b = Tensor(np.ones((3, 4)), dtype=np.float64)
+        a = f64(np.ones((2, 3)))
+        b = f64(np.ones((3, 4)))
         assert (a @ b).dtype == np.float64
         assert a.reshape(6).dtype == np.float64
         assert a.transpose().dtype == np.float64
@@ -35,7 +35,7 @@ class TestDtypePropagation:
     def test_float64_survives_nn_ops(self):
         from repro.nn import ops
 
-        t = Tensor(np.ones((2, 8)), dtype=np.float64)
+        t = f64(np.ones((2, 8)))
         assert ops.softmax(t).dtype == np.float64
         assert ops.gelu(t).dtype == np.float64
 
@@ -45,8 +45,8 @@ class TestDtypePropagation:
         assert out.dtype == np.float32
 
     def test_concat_mixed_inputs(self):
-        a = Tensor(np.ones(2), dtype=np.float64)
-        b = Tensor(np.ones(2), dtype=np.float64)
+        a = f64(np.ones(2))
+        b = f64(np.ones(2))
         assert concat([a, b]).dtype == np.float64
 
 

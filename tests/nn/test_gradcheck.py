@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.nn import ops
-from tests.oracles import check_gradient
+from tests.oracles import check_gradient, f64
 from repro.nn.tensor import Tensor, concat, stack, where
 
 RNG = np.random.default_rng(42)
@@ -25,15 +25,15 @@ class TestElementwiseGrads:
         _assert_grad(lambda t: (t + 2.0).sum(), RNG.normal(size=(3, 4)))
 
     def test_mul_by_constant_tensor(self):
-        c = Tensor(RNG.normal(size=(3, 4)), dtype=np.float64)
+        c = f64(RNG.normal(size=(3, 4)))
         _assert_grad(lambda t: (t * c).sum(), RNG.normal(size=(3, 4)))
 
     def test_div(self):
-        c = Tensor(RNG.uniform(1.0, 2.0, size=(3, 4)), dtype=np.float64)
+        c = f64(RNG.uniform(1.0, 2.0, size=(3, 4)))
         _assert_grad(lambda t: (t / c).sum(), RNG.normal(size=(3, 4)))
 
     def test_div_denominator(self):
-        c = Tensor(RNG.normal(size=(3, 4)), dtype=np.float64)
+        c = f64(RNG.normal(size=(3, 4)))
         _assert_grad(lambda t: (c / t).sum(), RNG.uniform(1.0, 2.0, size=(3, 4)))
 
     def test_pow(self):
@@ -86,7 +86,7 @@ class TestReductionGrads:
         _assert_grad(lambda t: t.max(axis=1).sum(), x)
 
     def test_weighted_sum(self):
-        w = Tensor(RNG.normal(size=(2, 3)), dtype=np.float64)
+        w = f64(RNG.normal(size=(2, 3)))
         _assert_grad(lambda t: (t * w).sum(), RNG.normal(size=(2, 3)))
 
 
@@ -109,96 +109,96 @@ class TestShapeGrads:
                      RNG.normal(size=(2, 2)))
 
     def test_concat(self):
-        other = Tensor(RNG.normal(size=(2, 3)), dtype=np.float64)
+        other = f64(RNG.normal(size=(2, 3)))
         _assert_grad(lambda t: (concat([t, other], axis=0) ** 2).sum(),
                      RNG.normal(size=(2, 3)))
 
     def test_stack(self):
-        other = Tensor(RNG.normal(size=(3,)), dtype=np.float64)
+        other = f64(RNG.normal(size=(3,)))
         _assert_grad(lambda t: (stack([t, other]) ** 2).sum(),
                      RNG.normal(size=(3,)))
 
     def test_where(self):
         cond = np.array([[True, False, True]])
-        other = Tensor(RNG.normal(size=(1, 3)), dtype=np.float64)
+        other = f64(RNG.normal(size=(1, 3)))
         _assert_grad(lambda t: (where(cond, t, other) ** 2).sum(),
                      RNG.normal(size=(1, 3)))
 
 
 class TestMatmulGrads:
     def test_matmul_2d_left(self):
-        b = Tensor(RNG.normal(size=(3, 4)), dtype=np.float64)
+        b = f64(RNG.normal(size=(3, 4)))
         _assert_grad(lambda t: (t @ b).sum(), RNG.normal(size=(2, 3)))
 
     def test_matmul_2d_right(self):
-        a = Tensor(RNG.normal(size=(2, 3)), dtype=np.float64)
+        a = f64(RNG.normal(size=(2, 3)))
         _assert_grad(lambda t: (a @ t).sum(), RNG.normal(size=(3, 4)))
 
     def test_matmul_batched(self):
-        b = Tensor(RNG.normal(size=(5, 3, 4)), dtype=np.float64)
+        b = f64(RNG.normal(size=(5, 3, 4)))
         _assert_grad(lambda t: (t @ b).sum(), RNG.normal(size=(5, 2, 3)))
 
     def test_matmul_broadcast_batch(self):
-        b = Tensor(RNG.normal(size=(3, 4)), dtype=np.float64)
+        b = f64(RNG.normal(size=(3, 4)))
         _assert_grad(lambda t: (t @ b).sum(), RNG.normal(size=(5, 2, 3)))
 
     def test_matmul_vector_right(self):
-        v = Tensor(RNG.normal(size=(3,)), dtype=np.float64)
+        v = f64(RNG.normal(size=(3,)))
         _assert_grad(lambda t: (t @ v).sum(), RNG.normal(size=(2, 3)))
 
     def test_matmul_vector_left(self):
-        m = Tensor(RNG.normal(size=(3, 4)), dtype=np.float64)
+        m = f64(RNG.normal(size=(3, 4)))
         _assert_grad(lambda t: (t @ m).sum(), RNG.normal(size=(3,)))
 
 
 class TestNNOpsGrads:
     def test_softmax(self):
-        w = Tensor(RNG.normal(size=(2, 5)), dtype=np.float64)
+        w = f64(RNG.normal(size=(2, 5)))
         _assert_grad(lambda t: (ops.softmax(t) * w).sum(), RNG.normal(size=(2, 5)))
 
     def test_log_softmax(self):
-        w = Tensor(RNG.normal(size=(2, 5)), dtype=np.float64)
+        w = f64(RNG.normal(size=(2, 5)))
         _assert_grad(lambda t: (ops.log_softmax(t) * w).sum(),
                      RNG.normal(size=(2, 5)))
 
     def test_layer_norm_input(self):
-        weight = Tensor(RNG.uniform(0.5, 1.5, size=6), dtype=np.float64)
-        bias = Tensor(RNG.normal(size=6), dtype=np.float64)
+        weight = f64(RNG.uniform(0.5, 1.5, size=6))
+        bias = f64(RNG.normal(size=6))
         _assert_grad(lambda t: (ops.layer_norm(t, weight, bias) ** 2).sum(),
                      RNG.normal(size=(2, 3, 6)), rtol=2e-2)
 
     def test_layer_norm_weight(self):
-        x = Tensor(RNG.normal(size=(2, 6)), dtype=np.float64)
-        bias = Tensor(np.zeros(6), dtype=np.float64)
+        x = f64(RNG.normal(size=(2, 6)))
+        bias = f64(np.zeros(6))
         _assert_grad(lambda t: (ops.layer_norm(x, t, bias) ** 2).sum(),
                      RNG.uniform(0.5, 1.5, size=6))
 
     def test_layer_norm_bias(self):
-        x = Tensor(RNG.normal(size=(2, 6)), dtype=np.float64)
-        weight = Tensor(np.ones(6), dtype=np.float64)
+        x = f64(RNG.normal(size=(2, 6)))
+        weight = f64(np.ones(6))
         _assert_grad(lambda t: (ops.layer_norm(x, weight, t) ** 2).sum(),
                      RNG.normal(size=6))
 
     def test_conv2d_input(self):
-        w = Tensor(RNG.normal(size=(2, 3, 3, 3)), dtype=np.float64)
-        b = Tensor(RNG.normal(size=2), dtype=np.float64)
+        w = f64(RNG.normal(size=(2, 3, 3, 3)))
+        b = f64(RNG.normal(size=2))
         _assert_grad(lambda t: (ops.conv2d(t, w, b, stride=1, padding=1) ** 2).sum(),
                      RNG.normal(size=(2, 3, 5, 5)))
 
     def test_conv2d_weight(self):
-        x = Tensor(RNG.normal(size=(2, 3, 5, 5)), dtype=np.float64)
-        b = Tensor(np.zeros(2), dtype=np.float64)
+        x = f64(RNG.normal(size=(2, 3, 5, 5)))
+        b = f64(np.zeros(2))
         _assert_grad(lambda t: (ops.conv2d(x, t, b) ** 2).sum(),
                      RNG.normal(size=(2, 3, 3, 3)))
 
     def test_conv2d_bias(self):
-        x = Tensor(RNG.normal(size=(1, 2, 4, 4)), dtype=np.float64)
-        w = Tensor(RNG.normal(size=(3, 2, 3, 3)), dtype=np.float64)
+        x = f64(RNG.normal(size=(1, 2, 4, 4)))
+        w = f64(RNG.normal(size=(3, 2, 3, 3)))
         _assert_grad(lambda t: (ops.conv2d(x, w, t) ** 2).sum(),
                      RNG.normal(size=3))
 
     def test_conv2d_strided(self):
-        w = Tensor(RNG.normal(size=(2, 1, 2, 2)), dtype=np.float64)
+        w = f64(RNG.normal(size=(2, 1, 2, 2)))
         _assert_grad(lambda t: (ops.conv2d(t, w, None, stride=2) ** 2).sum(),
                      RNG.normal(size=(1, 1, 6, 6)))
 
@@ -212,16 +212,16 @@ class TestNNOpsGrads:
                      RNG.normal(size=(1, 2, 4, 4)))
 
     def test_linear(self):
-        w = Tensor(RNG.normal(size=(4, 3)), dtype=np.float64)
-        b = Tensor(RNG.normal(size=4), dtype=np.float64)
+        w = f64(RNG.normal(size=(4, 3)))
+        b = f64(RNG.normal(size=4))
         _assert_grad(lambda t: (ops.linear(t, w, b) ** 2).sum(),
                      RNG.normal(size=(2, 3)))
 
 
 class TestBatchNormGrad:
     def test_batch_norm_train_input(self):
-        weight = Tensor(RNG.uniform(0.5, 1.5, size=2), dtype=np.float64)
-        bias = Tensor(RNG.normal(size=2), dtype=np.float64)
+        weight = f64(RNG.uniform(0.5, 1.5, size=2))
+        bias = f64(RNG.normal(size=2))
 
         def fn(t):
             rm = np.zeros(2)
@@ -232,8 +232,8 @@ class TestBatchNormGrad:
         _assert_grad(fn, RNG.normal(size=(3, 2, 4, 4)), rtol=3e-2, atol=1e-3)
 
     def test_batch_norm_eval_input(self):
-        weight = Tensor(np.ones(2), dtype=np.float64)
-        bias = Tensor(np.zeros(2), dtype=np.float64)
+        weight = f64(np.ones(2))
+        bias = f64(np.zeros(2))
         rm = RNG.normal(size=2)
         rv = RNG.uniform(0.5, 1.5, size=2)
 

@@ -35,14 +35,6 @@ class TestCrossEntropy:
         expected[0, 2] -= 1.0
         np.testing.assert_allclose(logits.grad, expected, rtol=1e-4)
 
-    def test_label_smoothing_raises_floor(self):
-        logits = np.full((1, 4), -30.0, dtype=np.float32)
-        logits[:, 0] = 30.0
-        plain = cross_entropy(Tensor(logits), np.array([0])).item()
-        smoothed = cross_entropy(Tensor(logits), np.array([0]),
-                                 label_smoothing=0.1).item()
-        assert smoothed > plain
-
     def test_numerically_stable_with_large_logits(self):
         logits = Tensor(np.array([[1e4, -1e4]], dtype=np.float32))
         loss = cross_entropy(logits, np.array([0]))

@@ -21,10 +21,6 @@ class TestModuleRegistration:
         layer = nn.Linear(3, 4)
         assert layer.num_parameters() == 3 * 4 + 4
 
-    def test_linear_without_bias(self):
-        layer = nn.Linear(3, 4, bias=False)
-        assert layer.num_parameters() == 12
-
     def test_modules_traversal_includes_self(self):
         model = nn.Sequential(nn.Linear(2, 2))
         assert model in list(model.modules())

@@ -44,13 +44,6 @@ class TestAdam:
         opt.step()
         assert p.data[0] == pytest.approx(100.0 - 0.1, abs=1e-4)
 
-    def test_weight_decay(self):
-        p = nn.Parameter(np.array([1.0], dtype=np.float32))
-        opt = Adam([p], lr=0.01, weight_decay=10.0)
-        p.grad = np.zeros(1, dtype=np.float32)
-        opt.step()
-        assert p.data[0] < 1.0
-
     def test_trains_small_net_to_fit(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(64, 3)).astype(np.float32)
@@ -77,7 +70,7 @@ class TestSchedulesAndClipping:
 
     def test_decaying_lr_floor(self):
         opt = Adam([quadratic_param()], lr=1e-5)
-        sched = DecayingLR(opt, decay=0.1, min_lr=1e-6)
+        sched = DecayingLR(opt, decay=0.1)
         for _ in range(10):
             sched.step()
         assert opt.lr == pytest.approx(1e-6)

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.obs import trace
 from repro.obs import (
     SpanRecord,
     TRACE_SCHEMA_VERSION,
@@ -98,9 +99,9 @@ class TestEmit:
 
 class TestRecordDict:
     def test_record_roundtrips_through_its_dict(self):
-        record = Tracer(process="w2").emit("worker.decode", trace_id="r-3",
-                                           parent_id="s-1", duration_s=0.5,
-                                           attrs={"bytes": 10})
+        record = Tracer().emit("worker.decode", trace_id="r-3",
+                               parent_id="s-1", duration_s=0.5,
+                               process="w2", attrs={"bytes": 10})
         (line,) = jsonl_lines([record])
         data = json.loads(line)
         assert data.pop("schema_version") == TRACE_SCHEMA_VERSION
@@ -110,19 +111,17 @@ class TestRecordDict:
 
 
 class TestRingBuffer:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Tracer(capacity=0)
-
-    def test_overflow_drops_oldest(self):
-        tracer = Tracer(capacity=3)
+    def test_overflow_drops_oldest(self, monkeypatch):
+        monkeypatch.setattr(trace, "TRACE_CAPACITY", 3)
+        tracer = Tracer()
         for i in range(5):
             tracer.emit(f"s{i}")
         assert [s.name for s in tracer.spans()] == ["s2", "s3", "s4"]
         assert tracer.dropped == 2
 
-    def test_wrapped_ring_drains_oldest_first_and_refills(self):
-        tracer = Tracer(capacity=2)
+    def test_wrapped_ring_drains_oldest_first_and_refills(self, monkeypatch):
+        monkeypatch.setattr(trace, "TRACE_CAPACITY", 2)
+        tracer = Tracer()
         for i in range(3):
             tracer.emit(f"s{i}")
         assert [s.name for s in tracer.drain()] == ["s1", "s2"]
@@ -137,8 +136,8 @@ class TestRingBuffer:
         assert len(tracer) == 0 and tracer.spans() == []
 
     def test_emit_defaults(self):
-        tracer = Tracer(process="w3")
+        tracer = Tracer()
         record = tracer.emit("x")
-        assert record.process == "w3"
+        assert record.process == "server"
         assert record.span_id and record.parent_id is None
         assert record.ts > 0 and record.duration_s == 0.0

@@ -3,7 +3,8 @@
 ``brute_force_assign`` enumerates every placement (tiny instances only)
 as the oracle for branch-and-bound and greedy assignment, over sub-models
 that ``sized_submodel`` builds;
-``check_gradient`` compares autograd with central differences.
+``check_gradient`` compares autograd with central differences, over
+the float64 leaves ``f64`` builds.
 """
 
 from __future__ import annotations
@@ -16,6 +17,14 @@ import numpy as np
 from repro.assignment.problem import AssignmentPlan, PlannedSubModel
 from repro.edge.device import DeviceModel
 from repro.nn.tensor import Tensor
+
+
+def f64(x, requires_grad: bool = False) -> Tensor:
+    """A float64 leaf tensor, the precision gradient checks need (the
+    public constructor casts float64 input down to float32)."""
+    tensor = Tensor(np.zeros(0), requires_grad=requires_grad)
+    tensor.data = np.asarray(x, dtype=np.float64)
+    return tensor
 
 
 def sized_submodel(model_id: str, size_bytes: int,
@@ -81,7 +90,7 @@ def check_gradient(fn: Callable[[Tensor], Tensor], x: np.ndarray,
     (ok, max_abs_error).
     """
     x64 = np.asarray(x, dtype=np.float64)
-    tensor = Tensor(x64.copy(), requires_grad=True, dtype=np.float64)
+    tensor = f64(x64.copy(), requires_grad=True)
     out = fn(tensor)
     if out.size != 1:
         raise ValueError("fn must return a scalar")
@@ -89,7 +98,7 @@ def check_gradient(fn: Callable[[Tensor], Tensor], x: np.ndarray,
     analytic = tensor.grad.astype(np.float64)
 
     def scalar_fn(arr: np.ndarray) -> float:
-        return float(fn(Tensor(arr.copy(), dtype=np.float64)).data)
+        return float(fn(f64(arr.copy())).data)
 
     numeric = numerical_gradient(scalar_fn, x64.copy(), eps)
     err = np.abs(analytic - numeric)

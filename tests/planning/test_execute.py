@@ -37,6 +37,19 @@ class TestFromPlan:
         np.testing.assert_array_equal(system.local_fused_labels(x),
                                       rebuilt.local_fused_labels(x))
 
+    def test_a_plan_mapped_to_an_unknown_device_fails_before_any_spec(
+            self, monkeypatch):
+        from repro.assignment import InfeasibleAssignment
+
+        plan = plan_demo_system(num_workers=2, transport="inprocess").plan
+        plan.mapping[plan.model_ids[0]] = "ghost"
+
+        def no_spec(*args, **kwargs):
+            raise AssertionError("a worker spec was built")
+        monkeypatch.setattr(WorkerSpec, "from_plan", no_spec)
+        with pytest.raises(InfeasibleAssignment, match="device 'ghost'"):
+            PlannedSystem.from_plan(plan)
+
     @pytest.mark.parametrize("build", [
         {"recipe": "mystery", "train_fusion": True},
         # No training step to run, yet the weights were trained elsewhere:

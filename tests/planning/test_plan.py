@@ -169,6 +169,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             DeploymentPlan.from_dict(data)
 
+    @pytest.mark.parametrize("key", [
+        "num_classes", "partition", "submodels", "devices", "mapping",
+        "fusion_device", "fusion_flops", "fusion_config"])
+    def test_a_missing_required_key_is_named(self, key):
+        data = make_plan().to_dict()
+        del data[key]
+        with pytest.raises(ValueError,
+                           match=rf"missing required keys \['{key}'\]"):
+            DeploymentPlan.from_dict(data)
+
     def test_history_and_build_survive(self):
         plan = make_plan(build={"recipe": "demo-v1", "image_size": 8},
                          history=[{"kind": "replan", "down_devices": ["x"]}])

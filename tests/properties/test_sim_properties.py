@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.edge.device import DeviceModel
-from repro.edge.network import LinkModel, feature_bytes
+from repro.edge.codec import get_codec
+from repro.edge.network import LinkModel
 from repro.edge.simulator import (
     DeploymentSpec,
     SubModelProfile,
@@ -69,7 +70,7 @@ def test_transfer_time_monotone_in_bytes(a, b):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=4096))
 def test_feature_bytes_is_4x_dim(dim):
-    assert feature_bytes(dim) == 4 * dim
+    assert get_codec("raw32").estimate_bytes(dim) == 4 * dim
 
 
 @settings(max_examples=30, deadline=None)

@@ -295,14 +295,14 @@ class TestSweepSeeds:
             return "sentinel"
 
         monkeypatch.setattr(loadgen, "run_load", fake_run_load)
+        monkeypatch.setattr(loadgen, "SWEEP_SEED", 7)
         results = loadgen.sweep_offered_load(None, (3, 8, 8),
-                                             [50.0, 100.0, 200.0], seed=7)
+                                             [50.0, 100.0, 200.0])
         assert results == ["sentinel"] * 3
         seeds = [c.seed for c in seen]
         assert len(set(seeds)) == 3          # pairwise independent streams
         assert seeds != [7, 7, 7]
 
         seen.clear()
-        loadgen.sweep_offered_load(None, (3, 8, 8), [50.0, 100.0, 200.0],
-                                   seed=7)
+        loadgen.sweep_offered_load(None, (3, 8, 8), [50.0, 100.0, 200.0])
         assert [c.seed for c in seen] == seeds   # deterministic contract

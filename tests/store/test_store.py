@@ -166,13 +166,6 @@ class TestRetention:
         assert len(store) <= 2 and len(evicted) == 2
         assert store.total_bytes <= 2 * one + 1
 
-    def test_gc_keep_pins_artifacts(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        digests = self.fill(store, 3)
-        evicted = store.gc(max_artifacts=1, keep={digests[0]})
-        assert store.has(digests[0])
-        assert digests[0] not in evicted
-
     def test_ls_most_recent_first(self, tmp_path):
         store = ArtifactStore(tmp_path)
         digests = self.fill(store, 3)

@@ -17,11 +17,22 @@ of what it flags and the nearest pattern it must leave alone:
   wire tuple (a command tag first, at an arity ``wire.ARITY`` allows)
   and no ``message[0] == "<tag>"`` dispatch;
 * **no unturned knobs** (KNOB001): every field of ``PlannerConfig``,
-  ``TrainConfig``, ``PruneConfig``, ``ServerConfig``, ``BatchingConfig``
-  and ``LoadgenConfig`` is passed by keyword to its class somewhere in
+  ``TrainConfig``, ``PruneConfig``, ``ServerConfig``, ``BatchingConfig``,
+  ``LoadgenConfig``, ``SplitConfig``, ``EDViTConfig`` and
+  ``SyntheticSpec`` is passed by keyword to its class somewhere in
   ``src/``, ``examples/`` or ``benchmarks/`` outside tests and outside
   the class's own body.  A value nothing sets is a constant
   (``KNOB_ALLOWED`` names the one exception and its reason);
+* **no unturned keywords** (KNOB002): every parameter with a default of
+  every ``def`` of ``repro`` (module-level functions and methods,
+  private ones and ``__init__`` too; nested functions are out) is passed,
+  by keyword or by position, at some call outside tests and outside the
+  function's own body.  Calls are matched by name (``__init__`` by its
+  class's); a call through a dispatch table (``TABLE[key](...)``) counts
+  for every function the table holds, and a function passed as an
+  argument (a callback, ``partial``) escapes the check.  It is a floor,
+  as REACH001 is: two functions of one name share their callers.
+  ``KNOB2_ALLOWED`` names the exceptions and their reasons;
 * **no unreached names** (REACH001): every public top-level function or
   class of ``repro``, and every public method of such a class, appears as
   a ``Name`` or ``Attribute`` in some module of ``src/``, ``examples/`` or
@@ -299,7 +310,8 @@ def wire_findings(tree, path):
 
 
 KNOB_CLASSES = {"PlannerConfig", "TrainConfig", "PruneConfig",
-                "ServerConfig", "BatchingConfig", "LoadgenConfig"}
+                "ServerConfig", "BatchingConfig", "LoadgenConfig",
+                "SplitConfig", "EDViTConfig", "SyntheticSpec"}
 
 # Fields nothing outside tests/ sets, each kept for its reason.  The
 # allowlist only shrinks.
@@ -347,6 +359,149 @@ def knob_snippet(*sources):
     return [f.where for f in knob_findings(
         {f"m{i}.py": ast.parse(textwrap.dedent(source))
          for i, source in enumerate(sources)})]
+
+
+# Keywords nothing outside tests/ passes, each kept for its reason.  The
+# allowlist only shrinks; an entry names a function and its parameters.
+KNOB2_ALLOWED = {
+    "repro.edge.transport.TcpTransport.__init__(host, port)":
+        "deployment settings: a multi-host fleet binds its listener to a "
+        "routable address and a fixed port",
+    "repro.cli.main(argv)":
+        "the CLI's test seam: tests run main() on an argument list",
+    "repro.models.vgg.vgg11_tiny_config(num_classes, image_size, "
+    "width_scale)":
+        "test fixture (REACH_ALLOWED): each test sizes its own tiny VGG",
+    "repro.models.snn.csnn_tiny_config(num_classes, image_size, "
+    "width_scale, time_steps)":
+        "test fixture (REACH_ALLOWED): each test sizes its own tiny SNN",
+}
+
+TYPE_CHECKS = {"isinstance", "issubclass"}
+
+
+def knob2_allowed():
+    """``KNOB2_ALLOWED`` as one ``function(parameter)`` per parameter."""
+    found = set()
+    for entry in KNOB2_ALLOWED:
+        function, params = entry[:-1].split("(")
+        found.update(f"{function}({p.strip()})" for p in params.split(","))
+    return found
+
+
+def _defaulted(args):
+    """``(position or None, name)`` of each parameter with a default."""
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return [(i, a.arg) for i, a in enumerate(positional) if i >= first] + \
+        [(None, a.arg) for a, default in zip(args.kwonlyargs,
+                                             args.kw_defaults)
+         if default is not None]
+
+
+def keyword_definitions(trees):
+    """``(dotted name, called as, self offset, node)`` for every module-level
+    function and method of ``repro``; ``__init__`` is called as its class,
+    and any other method as an attribute (``called`` is ``".name"``)."""
+    for path, tree in trees.items():
+        if not path.startswith("repro/"):
+            continue
+        module = path[:-len(".py")].replace("/", ".")
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS[:2]):
+                yield f"{module}.{node.name}", node.name, 0, node
+            elif isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if not isinstance(method, DEFINITIONS[:2]):
+                        continue
+                    static = any(_name(d) == "staticmethod"
+                                 for d in method.decorator_list)
+                    called = node.name if method.name == "__init__" \
+                        else f".{method.name}"
+                    yield (f"{module}.{node.name}.{method.name}", called,
+                           0 if static else 1, method)
+
+
+def _call_sites(trees):
+    """Calls by callee name; ``TABLE[key](...)`` under ``"TABLE[]"``."""
+    sites = collections.defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Subscript) \
+                    and isinstance(func.value, ast.Name):
+                sites[f"{func.value.id}[]"].append(node)
+            else:
+                sites[_name(func)].append(node)
+    return sites
+
+
+def _escapes(trees):
+    """``(passed, tables)``: the node types under which each name is passed
+    as a call argument, and the dispatch tables (a dict bound to a name)
+    each name is a value of."""
+    passed = collections.defaultdict(set)
+    tables = collections.defaultdict(set)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) \
+                    and isinstance(node.value, ast.Dict):
+                for target in node.targets:
+                    for value in node.value.values:
+                        if isinstance(target, ast.Name) and \
+                                isinstance(value, (ast.Name, ast.Attribute)):
+                            tables[_name(value)].add(target.id)
+            elif isinstance(node, ast.Call) \
+                    and _name(node.func) not in TYPE_CHECKS:
+                for value in node.args + [k.value for k in node.keywords]:
+                    if isinstance(value, (ast.Name, ast.Attribute)):
+                        passed[_name(value)].add(type(value))
+    return passed, tables
+
+
+def _passes(call, index, param, offset):
+    """Whether ``call`` passes ``param`` (at ``index``, or keyword-only)."""
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True                    # by name, or through **kwargs
+    if index is None:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args) \
+        or index - offset < len(call.args)
+
+
+def knob2_findings(trees):
+    sites = _call_sites(trees)
+    passed, tables = _escapes(trees)
+    findings = []
+    for where, called, offset, node in keyword_definitions(trees):
+        name = called.lstrip(".")
+        # A method escapes only as an attribute (``self.run``): a local
+        # variable of its name does not hide it.
+        escaped = passed[name] & ({ast.Attribute} if called != name
+                                  else {ast.Name, ast.Attribute})
+        if escaped:
+            continue
+        own = {id(child) for child in ast.walk(node)}
+        calls = [c for c in sites[name] if id(c) not in own]
+        for table in tables[name]:
+            calls += sites[f"{table}[]"]
+        for index, param in _defaulted(node.args):
+            if not any(_passes(c, index, param, offset) for c in calls):
+                findings.append(Finding(
+                    "KNOB002", f"{where}({param})",
+                    f"{where}({param}) is passed by no caller outside "
+                    f"tests/"))
+    return findings
+
+
+def knob2_snippet(*sources, paths=None):
+    paths = paths or [f"repro/m{i}.py" for i in range(len(sources))]
+    trees = {path: ast.parse(textwrap.dedent(source))
+             for path, source in zip(paths, sources)}
+    return [f.where for f in knob2_findings(trees)
+            if f.where not in knob2_allowed()]
 
 
 # Public names nothing outside tests/ reaches, each kept for its reason.
@@ -440,6 +595,17 @@ class TestSource:
             cls, field = where.split(".")
             assert field in knob_fields(program_trees())[cls]
             assert field not in found[cls], where
+
+    def test_every_keyword_is_passed_by_a_caller(self):
+        findings = [f for f in knob2_findings(program_trees())
+                    if f.where not in knob2_allowed()]
+        assert findings == [], "\n".join(f.message for f in findings)
+
+    def test_allowed_keywords_are_still_unset(self):
+        # Drop an entry once a caller passes it or its code is gone: the
+        # allowlist only shrinks.
+        found = {f.where for f in knob2_findings(program_trees())}
+        assert knob2_allowed() <= found
 
     def test_knob_scan_sees_the_classes_and_their_callers(self):
         trees = program_trees()
@@ -609,6 +775,57 @@ KNOB_CLASS = """
 def test_knob_snippet(caller, unset):
     # The class body's own TrainConfig(lr=...) never counts as a setter.
     assert knob_snippet(KNOB_CLASS, caller) == unset
+
+
+KNOB2_FUNCTION = "def scale(x, factor=2, *, offset=0):\n    return x\n"
+KNOB2_METHOD = """
+    class Pool:
+        def __init__(self, size=4):
+            self.size = size
+
+        def get(self, timeout=1.0):
+            return self.size
+"""
+
+
+@pytest.mark.parametrize("sources, unset", [
+    ([KNOB2_FUNCTION, "scale(1)"],
+     ["repro.m0.scale(factor)", "repro.m0.scale(offset)"]),
+    ([KNOB2_FUNCTION, "scale(1, 3, offset=1)"], []),
+    ([KNOB2_FUNCTION, "scale(1, factor=3, offset=1)"], []),
+    ([KNOB2_FUNCTION, "scale(*args, **kwargs)"], []),
+    # ``__init__`` is called as its class; ``self`` takes no position.
+    ([KNOB2_METHOD, "Pool(8).get(timeout=2.0)"], []),
+    ([KNOB2_METHOD, "pool = Pool()\npool.get(5.0)"],
+     ["repro.m0.Pool.__init__(size)"]),
+    # A dispatch table's calls count for every function it holds.
+    ([KNOB2_FUNCTION, "OPS = {'scale': scale}\nOPS['scale'](1, 3, offset=1)"],
+     []),
+    ([KNOB2_FUNCTION, "OPS = {'scale': scale}\nOPS['scale'](1, offset=1)"],
+     ["repro.m0.scale(factor)"]),
+    # A function passed as a value escapes; a method only as an attribute.
+    ([KNOB2_FUNCTION, "functools.partial(scale, 1)"], []),
+    ([KNOB2_METHOD, "Pool(8)\nthreading.Thread(target=Pool(8).get)"], []),
+    ([KNOB2_METHOD, "get = 1\nprint(get)\nPool(8).get()"],
+     ["repro.m0.Pool.get(timeout)"]),
+    # Its own body is no caller, nor is a nested function checked.
+    (["def walk(n, depth=0):\n    return walk(n, depth=depth + 1)\n",
+      "walk(1)"], ["repro.m0.walk(depth)"]),
+    (["def outer():\n    def inner(k=1):\n        return k\n"
+      "    return inner()\n", "outer()"], []),
+], ids=["unset", "by-position", "by-keyword", "splat", "class-call",
+        "method-unset", "dispatch", "dispatch-unset", "partial",
+        "callback-method", "local-name-is-no-escape", "recursion-only",
+        "nested"])
+def test_knob2_snippet(sources, unset):
+    assert knob2_snippet(*sources) == unset
+
+
+def test_knob2_allowlisted_keyword_is_left_alone():
+    source = "def main(argv=None):\n    return argv\n"
+    assert knob2_snippet(source, "main()",
+                         paths=["repro/cli.py", "repro/__main__.py"]) == []
+    assert knob2_snippet(source, "main()") == ["repro.m0.main(argv)"]
 
 
 def test_the_wire_module_may_build_raw_tuples():
