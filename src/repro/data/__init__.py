@@ -1,7 +1,6 @@
 """Synthetic dataset substrate (stands in for the paper's five benchmarks)."""
 
 from .datasets import (
-    DATASET_FACTORIES,
     caltech_like,
     cifar10_like,
     gtzan_like,
@@ -20,7 +19,6 @@ from .synthetic import (
 )
 
 __all__ = [
-    "DATASET_FACTORIES",
     "DataLoader",
     "Dataset",
     "ImagePrototypeBank",

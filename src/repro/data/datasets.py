@@ -68,13 +68,3 @@ def speech_command_like(num_classes: int = 12,
                          channels=1, noise_std=0.3, class_seed=505)
     return make_spectrogram_dataset("speech-command-like", spec,
                                     train_per_class, test_per_class, seed=11)
-
-
-DATASET_FACTORIES = {
-    "cifar10": cifar10_like,
-    "mnist": mnist_like,
-    "caltech": caltech_like,
-    "gtzan": gtzan_like,
-    "speech-command": speech_command_like,
-}
-

@@ -18,8 +18,12 @@ The fixed table :data:`CODECS` holds every codec a name may select
   the row's min/scale), max abs error half a quantization step;
 
 and each one's ``+zlib`` wrapper (e.g. ``q8+zlib``), which DEFLATEs the
-payload — data-dependent, so its *estimated* bytes (used by the
-planner's DES scoring) conservatively equal the base codec's.
+payload.  Its *estimated* bytes (used by the planner's DES scoring)
+equal the base codec's, which is **not** an upper bound: noise-like
+features barely compress, and zlib's framing (up to zlib's
+``compressBound``, 11 B on a small payload) is then sent on top — a
+5×37 normal array goes out as 381 B under ``f16+zlib`` against 370 B
+estimated.  For the base codecs the estimate is exact.
 """
 
 from __future__ import annotations
@@ -138,7 +142,7 @@ class ZlibCodec(FeatureCodec):
     def __init__(self, base: FeatureCodec):
         self.base = base
         self.name = f"{base.name}+zlib"
-        # Compression is data-dependent; estimates stay conservative.
+        # Compression is data-dependent; the estimate is the base size.
         self.bytes_per_value = base.bytes_per_value
         self.row_overhead_bytes = base.row_overhead_bytes
         self.nominal_accuracy_drop = base.nominal_accuracy_drop

@@ -35,9 +35,13 @@ through the active ``ArrayBackend``:
 * **CLS-only tail.**  ``forward_features`` reads one row of the last
   block, so that block runs with a query-row restriction: K and V for
   every token, everything else for the CLS row.
-* **One arena.**  Blocks run in sequence and share the model's per-thread
-  ``Workspace`` (under ``inference_mode()``; fresh arrays otherwise).  The
-  residual stream is updated in place inside it.
+* **One arena, bounded in bytes.**  Blocks run in sequence and share the
+  model's per-thread ``Workspace`` (under ``inference_mode()``; fresh
+  arrays otherwise).  The residual stream is updated in place inside it.
+  The batch runs in passes of as many images as fit :data:`ARENA_BYTES`
+  (at least one), so the arena is a property of the model, not of the
+  caller's batch: 18 images of the 32 px depth-6 dim-192 sub-model
+  (0.44 MiB each) per pass, one image of ViT-Base/16 (6.39 MiB).
 * **Aliasing.**  The arena is scratch only.  What ``forward_features`` and
   ``Block.forward`` return is always a fresh array, and ``Block.forward``
   copies its input before the in-place schedule runs on it.
@@ -54,6 +58,13 @@ from .. import nn
 from ..nn import ops
 from ..nn.backend import get_backend, scratch
 from ..nn.tensor import Tensor, concat, is_grad_enabled, is_inference
+
+# Most scratch one graph-free ViT forward holds: the batch runs in passes
+# of ``ARENA_BYTES // per-image arena`` images.  Per-image forward time of
+# the 32 px depth-6 dim-192 sub-model is flat from 8 to 64 images, so
+# larger passes buy nothing; 8 MiB still runs its largest served batch
+# (16 images, 7.08 MiB) as one pass.
+ARENA_BYTES = 8 << 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -313,19 +324,49 @@ class VisionTransformer(nn.Module):
         tokens = concat([cls, tokens], axis=1)
         return self.dropout(tokens + self.pos_embed)
 
+    def _arena_bytes_per_image(self, dtype) -> int:
+        """Scratch one image needs in the arena's seven tags, each at its
+        largest request (:meth:`PatchEmbed.infer`, :func:`_block_forward`)."""
+        cfg = self.config
+        p = cfg.num_patches + 1
+        d, a = cfg.embed_dim, cfg.resolved_attn_dim
+        values = (cfg.num_patches * cfg.in_channels * cfg.patch_size ** 2
+                  + 2 * p * d                                # tokens, branch
+                  + p * max(3 * a, cfg.resolved_mlp_hidden)  # qkv
+                  + a                                        # query
+                  + cfg.num_heads * p * p                    # scores
+                  + p * a)                                   # context
+        return values * np.dtype(dtype).itemsize
+
     def _infer_features(self, x: np.ndarray,
                         token_keep_ratio: float | None) -> np.ndarray:
         """Graph-free ``forward_features`` on raw arrays.
 
         One arena (this module's workspace, per thread, under
         ``inference_mode()``; fresh allocations otherwise) serves the
-        embedding and every block.  The residual stream lives in its
-        ``"tokens"`` buffer and is updated in place; the last block runs
-        for the CLS row only, which is all the final norm reads.  The
-        returned ``(B, D)`` array is always fresh.
+        embedding and every block, for as many images per pass as fit
+        :data:`ARENA_BYTES`.  Each pass's CLS rows are normalized straight
+        into the returned ``(B, D)`` array, which is always fresh.
         """
         bk = get_backend()
         ws = self.workspace if is_inference() else None
+        dtype = np.result_type(x.dtype, np.float32)
+        step = max(1, ARENA_BYTES // self._arena_bytes_per_image(dtype))
+        features = np.empty((len(x), self.config.embed_dim), dtype)
+        for start in range(0, len(x), step):
+            cls = self._infer_cls(bk, x[start:start + step], ws,
+                                  token_keep_ratio)
+            self.norm.infer(bk, cls, out=features[start:start + step, None])
+        return features
+
+    def _infer_cls(self, bk, x: np.ndarray, ws,
+                   token_keep_ratio: float | None) -> np.ndarray:
+        """One pass of the schedule: the last block's ``(B, 1, D)`` CLS rows.
+
+        The residual stream lives in the arena's ``"tokens"`` buffer and
+        is updated in place; the last block runs for the CLS row only,
+        which is all the final norm reads.
+        """
         pos = self.pos_embed.data
         patches = self.patch_embed.infer(bk, x, ws)
         tokens = scratch(ws, "tokens", (x.shape[0],) + pos.shape[1:],
@@ -342,7 +383,7 @@ class VisionTransformer(nn.Module):
                 tokens = self._prune_tokens(Tensor._noback(tokens),
                                             token_keep_ratio,
                                             next_block=self.blocks[1]).data
-        return self.norm.infer(bk, tokens[:, :1])[:, 0]
+        return tokens[:, :1]
 
     def forward_features(self, x: Tensor,
                          token_keep_ratio: float | None = None) -> Tensor:

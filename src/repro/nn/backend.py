@@ -42,6 +42,8 @@ while :func:`repro.nn.tensor.is_inference` is true.  Invariants:
 The ViT's graph-free schedule (:mod:`repro.models.vit`) uses one workspace
 as an **arena** for the whole model — blocks run in sequence, so they
 share its tags — and hands none of it out: its results are fresh arrays.
+It runs a batch in passes, so the arena never exceeds
+:data:`repro.models.vit.ARENA_BYTES` (or one image, if that is larger).
 
 Weight layout
 -------------

@@ -70,10 +70,6 @@ class Gauge:
         with self._lock:
             self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
     @property
     def value(self) -> float:
         with self._lock:

@@ -50,6 +50,16 @@ class TestGreedyAssign:
         with pytest.raises(InfeasibleAssignment):
             greedy_assign(devices, models, num_samples=4)
 
+    def test_exact_fit_is_placed(self):
+        """Alg. 3's checks are ``>=``: a device whose residual memory and
+        energy equal the sub-model's need hosts it, down to zero."""
+        devices = [device(0, mem=30, energy=100.0)]
+        models = [submodel(0, size=30, flops=50.0)]
+        plan = greedy_assign(devices, models, num_samples=2)
+        assert plan.mapping["m0"] == "d0"
+        assert plan.residual_memory["d0"] == 0
+        assert plan.residual_energy["d0"] == 0.0
+
     def test_residual_bookkeeping(self):
         devices = [device(0, mem=100, energy=100.0)]
         models = [submodel(0, size=30, flops=40.0)]

@@ -5,23 +5,39 @@ import pytest
 from repro.edge import wire
 
 
+# One message from every constructor: the shapes the protocol sends.
+MESSAGES = [
+    wire.hello_message("w0"),
+    wire.spec_message(object()),
+    wire.weights_message("blocks.0.norm1.weight", b"array"),
+    wire.weights_end_message(),
+    wire.infer_message(7, "x"),
+    wire.stop_message(),
+    wire.ready_message("w0"),
+    wire.failed_message("w0", "boom"),
+    wire.features_message(7, b"data", {"t": 1.0}),
+    wire.error_message(7, "bad"),
+    wire.stopped_message("w0"),
+]
+
+
 class TestConstructors:
     def test_every_constructor_matches_declared_arity(self):
-        messages = [
-            wire.hello_message("w0"),
-            wire.spec_message(object()),
-            wire.weights_message("blocks.0.norm1.weight", b"array"),
-            wire.weights_end_message(),
-            wire.infer_message(7, "x"),
-            wire.stop_message(),
-            wire.ready_message("w0"),
-            wire.failed_message("w0", "boom"),
-            wire.features_message(7, b"data", {"t": 1.0}),
-            wire.error_message(7, "bad"),
-            wire.stopped_message("w0"),
-        ]
-        for message in messages:
+        for message in MESSAGES:
             assert wire.check(message) is message
+
+    def test_constructors_cover_every_command(self):
+        assert {message[0] for message in MESSAGES} == set(wire.ARITY)
+
+    @pytest.mark.parametrize("message", MESSAGES,
+                             ids=lambda message: message[0])
+    def test_one_element_short_or_long_is_rejected(self, message):
+        """Each command's bounds are its constructor's length, at both
+        ends: ``ARITY`` admits nothing the constructors do not send."""
+        with pytest.raises(wire.WireError):
+            wire.check(message[:-1])
+        with pytest.raises(wire.WireError):
+            wire.check(message + (None,))
 
     def test_infer_is_always_a_3_tuple(self):
         assert wire.infer_message(3, "x") == (wire.INFER, 3, "x")

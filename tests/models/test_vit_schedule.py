@@ -8,6 +8,7 @@ are the one graph-free path every server runs.
 """
 
 import copy
+import dataclasses
 import io
 import sys
 import threading
@@ -19,8 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn, obs
-from repro.core.inference import extract_features
-from repro.models.vit import ViTConfig, VisionTransformer
+from repro.core.inference import extract_features, predict
+from repro.models import vit
+from repro.models.vit import (
+    ARENA_BYTES,
+    ViTConfig,
+    VisionTransformer,
+    vit_base_config,
+)
 from repro.pruning.surgery import prune_ffn_hidden
 from repro.store import ArtifactStore, recipe_digest
 
@@ -232,6 +239,71 @@ def test_serving_shape_arena_after_batch_8_stays_under_4_mib():
     arena = sum(m.workspace.nbytes() for m in model.modules()
                 if "_workspace" in m.__dict__)
     assert arena <= 4 << 20, f"{arena / 2**20:.2f} MiB"
+
+
+def _arena(model) -> int:
+    return sum(m.workspace.nbytes() for m in model.modules()
+               if "_workspace" in m.__dict__)
+
+
+def _serving_shape() -> VisionTransformer:
+    model = _vit(depth=6, embed_dim=192, heads=6, head_dim=32,
+                 mlp_hidden=768, image_size=32)
+    model.eval()
+    return model
+
+
+def test_serving_shape_arena_after_batch_64_stays_under_arena_bytes():
+    """A one-shot 64-image pass runs as passes of 18 images (0.44 MiB
+    each): 7.96 MiB of arena where the whole batch at once held 28.31."""
+    model = _serving_shape()
+    extract_features(model, _images(model, 64), keep_workspaces=True)
+    arena = _arena(model)
+    assert arena <= ARENA_BYTES, f"{arena / 2**20:.2f} MiB"
+    # The largest served batch (16 images) is still a single pass.
+    model.clear_workspaces()
+    extract_features(model, _images(model, 16), keep_workspaces=True)
+    assert _arena(model) == 16 * model._arena_bytes_per_image(np.float32)
+
+
+def test_passes_equal_the_unsplit_schedule(monkeypatch):
+    model = _serving_shape()
+    x = _images(model, 64)
+    split = extract_features(model, x)
+    split_labels = predict(model, x).argmax(axis=-1)
+    monkeypatch.setattr(vit, "ARENA_BYTES", 1 << 40)       # one pass
+    whole = extract_features(model, x)
+    np.testing.assert_allclose(split, whole, rtol=1e-5, atol=1e-6)
+    np.testing.assert_array_equal(split_labels,
+                                  predict(model, x).argmax(axis=-1))
+
+
+@pytest.mark.parametrize("keep_ratio", [None, 0.5])
+def test_one_image_passes_equal_the_autograd_forward(monkeypatch,
+                                                     keep_ratio):
+    """The smallest pass: every image alone, token pruning included."""
+    model = _vit(depth=3)
+    model.eval()
+    x = _images(model, 5)
+    reference = model.forward_features(nn.Tensor(x), keep_ratio).data
+    monkeypatch.setattr(vit, "ARENA_BYTES", 1)
+    with nn.inference_mode():
+        served = model.forward_features(nn.Tensor(x), keep_ratio).data
+    np.testing.assert_allclose(served, reference, **TOL)
+
+
+def test_vit_base_arena_is_one_image_at_a_time():
+    """ViT-Base/16 at 224 px needs 6.39 MiB of arena per image, so a
+    batch of 2 runs as two passes.  Depth 2 is the shallowest config
+    whose first block runs for every token, so it asks for the whole
+    per-image arena while its weights stay near 60 MB."""
+    config = dataclasses.replace(vit_base_config(num_classes=10), depth=2)
+    model = VisionTransformer(config, rng=np.random.default_rng(0))
+    model.eval()
+    per_image = model._arena_bytes_per_image(np.float32)
+    assert round(per_image / 2**20, 2) == 6.39
+    extract_features(model, _images(model, 2), keep_workspaces=True)
+    assert _arena(model) == per_image <= ARENA_BYTES
 
 
 def test_kmajor_rebind_happens_at_eval_not_on_a_request():

@@ -62,6 +62,20 @@ class TestScheduleLoop:
         assert [m.hp for m in schedule.submodels] == [6, 6]
         assert sum(f.size_bytes for f in schedule.submodels) <= 180 * MB
 
+    def test_budget_equal_to_the_total_fits_exactly(self):
+        """Alg. 1 stops once the total is *within* the budget: a budget of
+        exactly the h/2 fleet's bytes keeps h/2, one byte less does not."""
+        base, groups = self.base(), self.groups(2)
+        total = sum(footprint(base, i, base.num_heads // 2, g).size_bytes
+                    for i, g in enumerate(groups))
+        exact = plan_head_schedule(base, groups, pi_fleet(2),
+                                   memory_budget_bytes=total, num_samples=1)
+        assert [m.hp for m in exact.submodels] == [6, 6]
+        short = plan_head_schedule(base, groups, pi_fleet(2),
+                                   memory_budget_bytes=total - 1,
+                                   num_samples=1)
+        assert all(m.hp == 7 for m in short.submodels)
+
     def test_paper_budget_n3_prunes_more(self):
         schedule = plan_head_schedule(self.base(), self.groups(3), pi_fleet(3),
                                       memory_budget_bytes=180 * MB,
