@@ -1,18 +1,15 @@
-"""Pruning-ratio sweeps (supporting analysis for Fig. 2 / Section IV-C).
+"""Pruning-ratio sweeps, two panels (supporting analysis for Fig. 2 / § IV-C).
 
 1. Head-count sweep: size/FLOPs of a ViT-Base sub-model as ``hp`` grows —
    the quadratic size collapse that drives the paper's 34x reduction.
 2. Accuracy-vs-hp on a trained model: how hard each pruning level hits
    subset accuracy before/after retraining.
-3. Token pruning (the orthogonal extension): accuracy and FLOPs at
-   inference-time token keep ratios, composed with structural pruning.
 """
 
 from benchmarks.conftest import print_table
-from repro import nn
 from repro.core.inference import evaluate
 from repro.models.vit import vit_base_config
-from repro.profiling import paper_flops, size_mb, token_pruned_flops, vit_param_count
+from repro.profiling import paper_flops, size_mb, vit_param_count
 from repro.pruning.pipeline import PruneConfig, prune_submodel
 from repro.splitting.schedule import submodel_config
 
@@ -65,30 +62,3 @@ def test_accuracy_vs_pruning_level(benchmark, trained_vit, bench_dataset):
     params = [r["params"] for r in rows]
     assert params == sorted(params, reverse=True)
     assert all(r["subset_acc"] > 0.2 for r in rows)
-
-
-def test_token_pruning_tradeoff(benchmark, trained_vit, bench_dataset):
-    """Inference-time token pruning composes with structural pruning."""
-
-    def run():
-        rows = []
-        x = bench_dataset.x_test
-        for ratio in (1.0, 0.5, 0.25):
-            with nn.no_grad():
-                logits = trained_vit(nn.Tensor(x), token_keep_ratio=ratio)
-            acc = float((logits.data.argmax(-1) == bench_dataset.y_test).mean())
-            rows.append({
-                "keep_ratio": ratio,
-                "accuracy": acc,
-                "gmacs_vit_base_equiv": token_pruned_flops(
-                    vit_base_config(num_classes=10), ratio) / 1e9,
-            })
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_table("Token-pruning tradeoff (trained tiny ViT + ViT-Base FLOPs)",
-                rows)
-    flops = [r["gmacs_vit_base_equiv"] for r in rows]
-    assert flops == sorted(flops, reverse=True)
-    # Full-token accuracy should be best or tied.
-    assert rows[0]["accuracy"] >= max(r["accuracy"] for r in rows) - 0.05

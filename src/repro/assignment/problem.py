@@ -91,9 +91,6 @@ class AssignmentPlan:
             pool = list(self.residual_energy.values())
         return min(pool)
 
-    def models_on(self, device_id: str) -> list[str]:
-        return [m for m, d in self.mapping.items() if d == device_id]
-
 
 class InfeasibleAssignment(Exception):
     """Raised when no assignment satisfies the constraints."""

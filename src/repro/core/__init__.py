@@ -8,6 +8,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".inference": ("evaluate", "extract_features", "iter_batches", "predict",
                    "predict_labels", "predict_probabilities",
                    "split_batch"),
-    ".metrics": ("format_mean_std", "format_table", "mean_std", "ratio"),
+    ".metrics": ("format_mean_std", "format_table", "mean_std"),
     ".training": ("TrainConfig", "TrainResult", "train_classifier"),
 })

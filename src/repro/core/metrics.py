@@ -52,10 +52,3 @@ def format_mean_std(values: Sequence[float]) -> str:
     """Render trials as the paper's ``mean±std`` percentage format."""
     mean, std = mean_std(values)
     return f"{mean * 100:.2f}±{std * 100:.2f}"
-
-
-def ratio(reference: float, value: float) -> float:
-    """Reduction factor "X times" as the paper reports (reference / value)."""
-    if value == 0:
-        raise ZeroDivisionError("cannot compute a reduction over zero")
-    return reference / value

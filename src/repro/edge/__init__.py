@@ -8,7 +8,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".device": ("DeviceModel", "JOULES_PER_MAC", "PI4B_ENERGY_FLOPS",
                 "PI4B_MACS_PER_SECOND", "PI4B_MEMORY_BYTES",
                 "make_fleet", "raspberry_pi_4b"),
-    ".network": ("GIGABIT_BPS", "LinkModel", "RAW_IMAGE_BYTES",
+    ".network": ("LinkModel", "RAW_IMAGE_BYTES",
                  "StarTopology", "TC_CAP_BPS", "communication_reduction",
                  "tc_capped_link", "uniform_star"),
     ".runtime": ("EdgeCluster", "InferenceTiming", "MODEL_KINDS",

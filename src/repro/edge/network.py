@@ -16,8 +16,6 @@ BITS_PER_BYTE = 8
 
 # Section V-A: "The maximum bandwidth between devices is capped at 2 Mbps".
 TC_CAP_BPS = 2_000_000
-# The switch itself (Huawei S1720-52GWR) is gigabit.
-GIGABIT_BPS = 1_000_000_000
 # Per-message protocol/propagation overhead through one switch hop.
 DEFAULT_OVERHEAD_S = 0.0002
 

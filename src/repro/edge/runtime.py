@@ -321,7 +321,11 @@ def _worker_main(spec: WorkerSpec, conn) -> None:
             message = conn.recv()
         except (EOFError, OSError):
             return                     # parent went away; nothing to reply to
-        command = wire.command(message)
+        try:
+            command = wire.command(wire.check(message))
+        except wire.WireError as exc:  # malformed: say so, keep serving
+            conn.send(wire.error_message(None, str(exc)))
+            continue
         if command == wire.STOP:
             conn.send(wire.stopped_message(spec.worker_id))
             return
@@ -782,7 +786,8 @@ class EdgeCluster:
 
         Waits on all live channels at once (``Transport.wait``) so one
         slow worker never serializes the gather.  A channel that hits EOF
-        (worker crashed) marks that worker down instead of raising.
+        (worker crashed) or delivers a message :func:`wire.check` rejects
+        marks that worker down instead of raising.
         Encoded feature payloads are decoded here, so callers always see
         plain float32 arrays.
         """
@@ -811,9 +816,12 @@ class EdgeCluster:
                 if not has_more:
                     break
                 try:
-                    message = handle.recv()
+                    message = wire.check(handle.recv())
                 except (EOFError, OSError):
                     self.mark_down(worker_id, "process died (pipe EOF)")
+                    break
+                except wire.WireError as exc:
+                    self.mark_down(worker_id, str(exc))
                     break
                 replies.append((worker_id, self._decode_reply(worker_id,
                                                               message)))

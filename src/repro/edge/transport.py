@@ -381,11 +381,6 @@ class TcpTransport(_ConnectionTransport):
         self._listener: socket.socket | None = None
         self._launch_lock = threading.Lock()
 
-    @property
-    def address(self) -> tuple[str, int] | None:
-        listener = self._listener
-        return None if listener is None else listener.getsockname()
-
     def _ensure_listener(self) -> socket.socket:
         if self._listener is None:
             self._listener = socket.create_server((self._host, self._port))

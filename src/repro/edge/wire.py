@@ -174,7 +174,9 @@ def check(message: tuple) -> tuple:
     """Validate a message against :data:`ARITY`; returns it unchanged.
 
     Raises :class:`WireError` on an unknown command or arity drift.
-    Debug/ingress guard — the hot paths trust their own constructors.
+    The ingress guard: the worker loop checks each command it receives
+    and ``EdgeCluster.poll`` each reply, so a malformed message is a
+    typed error there, never an ``IndexError`` in an accessor.
     """
     if not isinstance(message, tuple) or not message:
         raise WireError(f"not a wire message: {message!r}")

@@ -186,16 +186,6 @@ class MultiHeadSelfAttention(nn.Module):
         out = out.transpose(0, 2, 1, 3).reshape(b, p, h * dh)
         return self.proj(out)
 
-    def attention_weights(self, x: Tensor) -> np.ndarray:
-        """Return softmax attention maps (B, H, P, P) without building a graph."""
-        with nn.no_grad():
-            b, p, _ = x.shape
-            h, dh = self.num_heads, self.head_dim
-            qkv = self.qkv(x).reshape(b, p, 3, h, dh).transpose(2, 0, 3, 1, 4)
-            q, k = qkv[0], qkv[1]
-            attn = q.matmul(k.swapaxes(-1, -2)) * self.scale
-            return ops.softmax(attn, axis=-1).data
-
 
 class FeedForward(nn.Module):
     """Two-layer MLP with GELU (the FFN of a transformer block)."""
@@ -338,8 +328,7 @@ class VisionTransformer(nn.Module):
                   + p * a)                                   # context
         return values * np.dtype(dtype).itemsize
 
-    def _infer_features(self, x: np.ndarray,
-                        token_keep_ratio: float | None) -> np.ndarray:
+    def _infer_features(self, x: np.ndarray) -> np.ndarray:
         """Graph-free ``forward_features`` on raw arrays.
 
         One arena (this module's workspace, per thread, under
@@ -354,13 +343,11 @@ class VisionTransformer(nn.Module):
         step = max(1, ARENA_BYTES // self._arena_bytes_per_image(dtype))
         features = np.empty((len(x), self.config.embed_dim), dtype)
         for start in range(0, len(x), step):
-            cls = self._infer_cls(bk, x[start:start + step], ws,
-                                  token_keep_ratio)
+            cls = self._infer_cls(bk, x[start:start + step], ws)
             self.norm.infer(bk, cls, out=features[start:start + step, None])
         return features
 
-    def _infer_cls(self, bk, x: np.ndarray, ws,
-                   token_keep_ratio: float | None) -> np.ndarray:
+    def _infer_cls(self, bk, x: np.ndarray, ws) -> np.ndarray:
         """One pass of the schedule: the last block's ``(B, 1, D)`` CLS rows.
 
         The residual stream lives in the arena's ``"tokens"`` buffer and
@@ -378,60 +365,24 @@ class VisionTransformer(nn.Module):
         last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):
             tokens = _block_forward(block, bk, tokens, ws, cls_only=i == last)
-            if (token_keep_ratio is not None and token_keep_ratio < 1.0
-                    and i == 0 and last > 0):
-                tokens = self._prune_tokens(Tensor._noback(tokens),
-                                            token_keep_ratio,
-                                            next_block=self.blocks[1]).data
         return tokens[:, :1]
 
-    def forward_features(self, x: Tensor,
-                         token_keep_ratio: float | None = None) -> Tensor:
+    def forward_features(self, x: Tensor) -> Tensor:
         """Return the normalized CLS embedding (B, embed_dim).
 
         This is the feature each edge device transmits to the fusion device
         (Section IV-E): its byte size is what Section V-D's communication
         accounting measures.
-
-        ``token_keep_ratio`` enables inference-time token pruning (the
-        orthogonal "token reduction" direction the paper cites): after the
-        first block, only the patches the CLS token attends to most are
-        kept — an EViT/Evo-ViT-style speedup that composes with ED-ViT's
-        structural pruning.  ``None`` or ``1.0`` disables it.
         """
         if not is_grad_enabled():
-            return Tensor._noback(self._infer_features(x.data,
-                                                       token_keep_ratio))
+            return Tensor._noback(self._infer_features(x.data))
         tokens = self._embed(x)
-        for i, block in enumerate(self.blocks):
+        for block in self.blocks:
             tokens = block(tokens)
-            if (token_keep_ratio is not None and token_keep_ratio < 1.0
-                    and i == 0 and len(self.blocks) > 1):
-                tokens = self._prune_tokens(tokens, token_keep_ratio,
-                                            next_block=self.blocks[1])
         return self.norm(tokens)[:, 0, :]
 
-    def _prune_tokens(self, tokens: Tensor, keep_ratio: float,
-                      next_block: "Block") -> Tensor:
-        """Keep the CLS token plus the most-attended patch tokens."""
-        if not 0.0 < keep_ratio <= 1.0:
-            raise ValueError("token_keep_ratio must be in (0, 1]")
-        b, p, _ = tokens.shape
-        num_patches = p - 1
-        keep = max(1, int(round(num_patches * keep_ratio)))
-        # CLS -> patch attention of the *next* block scores token utility.
-        attn = next_block.attn.attention_weights(next_block.norm1(tokens))
-        cls_attention = attn.mean(axis=1)[:, 0, 1:]      # (B, patches)
-        top = np.argsort(cls_attention, axis=-1)[:, -keep:]
-        top = np.sort(top, axis=-1) + 1                  # +1 skips CLS
-        index = np.concatenate(
-            [np.zeros((b, 1), dtype=np.int64), top], axis=1)
-        rows = np.arange(b, dtype=np.int64)[:, None]
-        return tokens[rows, index]
-
-    def forward(self, x: Tensor,
-                token_keep_ratio: float | None = None) -> Tensor:
-        return self.head(self.forward_features(x, token_keep_ratio))
+    def forward(self, x: Tensor) -> Tensor:
+        return self.head(self.forward_features(x))
 
     # ------------------------------------------------------------------
     def feature_dim(self) -> int:

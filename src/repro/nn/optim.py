@@ -36,9 +36,6 @@ class Optimizer:
         for p in self.params:
             p.zero_grad()
 
-    def step(self) -> None:
-        raise NotImplementedError
-
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
 ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999

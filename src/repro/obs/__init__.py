@@ -32,7 +32,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                "disable_tracing", "enable_tracing", "get_tracer",
                "new_span_id", "tracing_enabled"),
     ".metrics": ("Counter", "DEFAULT_SECONDS_BOUNDS", "Gauge", "Histogram",
-                 "METRICS_SCHEMA_VERSION", "MetricsRegistry", "get_registry"),
+                 "MetricsRegistry", "get_registry"),
     ".profile": ("PROFILED_KERNELS", "ProfilingBackend"),
     ".export": ("chrome_trace", "jsonl_lines", "write_chrome_trace",
                 "write_jsonl"),

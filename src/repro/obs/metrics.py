@@ -30,8 +30,6 @@ import threading
 # and a cold model rebuild on the same scale.
 DEFAULT_SECONDS_BOUNDS = tuple(1e-6 * 4 ** i for i in range(13))
 
-METRICS_SCHEMA_VERSION = 1
-
 
 class Counter:
     """Monotonic counter; ``inc`` only."""
@@ -231,11 +229,6 @@ class MetricsRegistry:
                     round(value, 6)
                 lines.append(f"{key}  {shown}")
         return "\n".join(lines)
-
-    def reset(self) -> None:
-        """Drop every instrument (test isolation / fresh runs)."""
-        with self._lock:
-            self._instruments.clear()
 
     def __len__(self) -> int:
         with self._lock:

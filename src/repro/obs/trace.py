@@ -76,7 +76,6 @@ class Tracer:
         self._lock = threading.Lock()
         self._spans: list[SpanRecord] = []
         self._start = 0                # ring: index of the oldest span
-        self._dropped = 0
 
     # -- recording ------------------------------------------------------
     def emit(self, name: str, trace_id=None, span_id: str | None = None,
@@ -109,7 +108,6 @@ class Tracer:
             else:                      # ring: overwrite the oldest
                 self._spans[self._start] = record
                 self._start = (self._start + 1) % self.capacity
-                self._dropped += 1
 
     # -- inspection -----------------------------------------------------
     def spans(self) -> list[SpanRecord]:
@@ -127,12 +125,6 @@ class Tracer:
 
     def clear(self) -> None:
         self.drain()
-
-    @property
-    def dropped(self) -> int:
-        """Spans evicted by the ring bound since the last construction."""
-        with self._lock:
-            return self._dropped
 
     def __len__(self) -> int:
         with self._lock:

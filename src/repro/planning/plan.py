@@ -161,9 +161,6 @@ class DeploymentPlan:
             fusion_flops=self.fusion_flops,
             topology=self.topology)
 
-    def feature_dims(self) -> dict[str, int]:
-        return {m.model_id: m.feature_dim for m in self.submodels}
-
     # -- artifact rebuild recipes --------------------------------------
     def train_recipe(self) -> dict:
         """The weight-determining slice of ``build`` (digest-stable)."""

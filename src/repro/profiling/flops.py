@@ -124,26 +124,3 @@ def model_flops(kind: str, config) -> int:
     from ..edge.runtime import MODEL_KINDS  # deferred: avoids an import cycle
 
     return MODEL_KINDS[kind].flops(config)
-
-
-def token_pruned_flops(config: ViTConfig, token_keep_ratio: float) -> int:
-    """MACs with inference-time token pruning after the first block.
-
-    Block 1 sees all ``p+1`` tokens; blocks 2..depth see ``k+1`` tokens
-    where ``k = round(num_patches * keep_ratio)``.  Composes with the
-    structural pruning encoded in ``config`` itself.
-    """
-    if not 0.0 < token_keep_ratio <= 1.0:
-        raise ValueError("token_keep_ratio must be in (0, 1]")
-    if config.depth < 2 or token_keep_ratio == 1.0:
-        return paper_flops(config)
-    full = _breakdown(config)
-    p_full = config.num_patches + 1
-    kept = max(1, int(round(config.num_patches * token_keep_ratio))) + 1
-    d, a, c = config.embed_dim, config.resolved_attn_dim, config.resolved_mlp_hidden
-
-    def block_cost(p: int) -> int:
-        return 3 * p * d * a + 2 * p * p * a + 2 * p * d * c
-
-    blocks = block_cost(p_full) + (config.depth - 1) * block_cost(kept)
-    return full.patch_embed + blocks + full.head

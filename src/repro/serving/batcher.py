@@ -170,10 +170,6 @@ class DynamicBatcher:
         with self._cond:
             return self._closed
 
-    def pending(self) -> int:
-        with self._cond:
-            return len(self._pending)
-
     def drain(self) -> list[ServedFuture]:
         """Remove and return everything still queued (used at shutdown)."""
         with self._cond:

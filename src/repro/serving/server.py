@@ -122,7 +122,6 @@ class InferenceServer:
         self._lock = threading.Lock()
         self._records: "collections.deque[RequestTelemetry]" = \
             collections.deque(maxlen=MAX_RECORDS)
-        self._dropped = 0
         self._started_at = 0.0
         self._stopped_at: float | None = None
         self._health_snapshot: dict[str, str] | None = None
@@ -238,8 +237,6 @@ class InferenceServer:
         if x.ndim == 3:                # single image -> batch of one
             x = x[None]
         if x.shape[1:] != self._input_shape or len(x) == 0:
-            with self._lock:
-                self._dropped += 1
             self._m_dropped.inc()
             raise RequestError(
                 f"bad request shape {x.shape}; this fleet serves a "
@@ -252,8 +249,6 @@ class InferenceServer:
         try:
             self._batcher.submit(future)
         except RequestError:
-            with self._lock:
-                self._dropped += 1
             self._m_dropped.inc()
             raise
         self._m_requests.inc()
@@ -343,12 +338,6 @@ class InferenceServer:
             return dict(self._health_snapshot)
         down = self._cluster.down_workers
         return {wid: down.get(wid, "up") for wid in self._cluster.worker_ids}
-
-    @property
-    def dropped(self) -> int:
-        """Requests rejected at admission (queue full)."""
-        with self._lock:
-            return self._dropped
 
     def records(self) -> list[RequestTelemetry]:
         with self._lock:

@@ -25,11 +25,6 @@ class TestAssignmentPlan:
                               residual_energy={"a": 5.0, "b": 2.0})
         assert plan.objective == 2.0
 
-    def test_models_on(self):
-        plan = AssignmentPlan(mapping={"m0": "d0", "m1": "d0", "m2": "d1"},
-                              residual_memory={}, residual_energy={})
-        assert sorted(plan.models_on("d0")) == ["m0", "m1"]
-
 
 class TestValidatePlan:
     def test_accepts_feasible(self):

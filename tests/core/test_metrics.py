@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import metrics
-from repro.core.metrics import format_mean_std, format_table, mean_std, ratio
+from repro.core.metrics import format_mean_std, format_table, mean_std
 
 
 class TestFormatTable:
@@ -49,10 +49,3 @@ class TestStats:
         out = format_mean_std([0.8911, 0.8909, 0.8913])
         assert out.startswith("89.1")
         assert "±" in out
-
-    def test_ratio(self):
-        assert ratio(36.94, 1.28) == pytest.approx(28.9, abs=0.1)
-
-    def test_ratio_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            ratio(1.0, 0.0)

@@ -86,7 +86,7 @@ def assert_nothing_left_behind(transport, address=None):
     assert multiprocessing.active_children() == []
     assert worker_threads() == []
     if isinstance(transport, TcpTransport):
-        assert transport.address is None
+        assert transport._listener is None
         if address is not None:
             with pytest.raises(OSError):
                 socket.create_connection(address, timeout=1.0).close()
@@ -342,7 +342,7 @@ def greet_as(transport, worker_id, delay_s, seen):
     records whether the parent hung up on it."""
     def run():
         time.sleep(delay_s)
-        conn = mp_connection.Client(transport.address,
+        conn = mp_connection.Client(transport._listener.getsockname(),
                                     authkey=transport._authkey)
         conn.send(wire.hello_message(worker_id))
         try:

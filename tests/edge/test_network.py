@@ -4,7 +4,6 @@ import pytest
 
 from repro.edge.codec import get_codec
 from repro.edge.network import (
-    GIGABIT_BPS,
     LinkModel,
     RAW_IMAGE_BYTES,
     StarTopology,
@@ -13,6 +12,9 @@ from repro.edge.network import (
     tc_capped_link,
     uniform_star,
 )
+
+# The switch itself (Huawei S1720-52GWR) is gigabit.
+GIGABIT_BPS = 1_000_000_000
 
 
 def feature_bytes(dim):

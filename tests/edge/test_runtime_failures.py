@@ -12,7 +12,7 @@ import pytest
 
 from repro.edge.device import DeviceModel
 from repro.edge.network import LinkModel
-from repro.edge import runtime
+from repro.edge import runtime, wire
 from repro.edge.runtime import EdgeCluster, WorkerFailure, WorkerSpec
 from repro.models.vit import ViTConfig, VisionTransformer
 
@@ -112,8 +112,21 @@ class TestBadReplies:
             cluster._handles["a"].send(("bogus",))
             replies = cluster.poll(5.0)
             assert replies and replies[0][1][0] == "error"
-            assert "unknown command" in replies[0][1][2]
+            assert "unknown wire command" in replies[0][1][2]
             # The worker survives a bad command and keeps serving.
+            features, _ = cluster.infer_features(X)
+            assert features["a"].shape[0] == len(X)
+
+    def test_short_command_is_an_error_reply_and_the_worker_survives(self):
+        """An INFER one element short is answered with the ``wire.check``
+        text (no request id to carry) instead of ending the worker loop."""
+        with EdgeCluster([make_worker("a")], transport="inprocess") as cluster:
+            cluster._handles["a"].send(wire.infer_message(7, X)[:2])
+            replies = cluster.poll(5.0)
+            assert [wire.command(m) for _, m in replies] == [wire.ERROR]
+            (_, reply), = replies
+            assert wire.request_id(reply) is None
+            assert "'infer' message has 2 elements" in wire.payload(reply)
             features, _ = cluster.infer_features(X)
             assert features["a"].shape[0] == len(X)
 

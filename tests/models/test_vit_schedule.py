@@ -73,10 +73,10 @@ def _dequantized_twin(model, qmodel) -> VisionTransformer:
        mlp_hidden=st.sampled_from([3, 5, 9, 13]), batch=st.integers(1, 5),
        image_size=st.sampled_from([8, 12]),
        backend=st.sampled_from(BACKENDS),
-       quantized=st.booleans(), keep_ratio=st.sampled_from([None, 0.5]))
+       quantized=st.booleans())
 def test_flat_path_equals_autograd_forward(depth, heads, head_dim, embed_dim,
                                            mlp_hidden, batch, image_size,
-                                           backend, quantized, keep_ratio):
+                                           backend, quantized):
     model = _vit(depth, embed_dim, heads, head_dim, mlp_hidden, image_size)
     model.eval()
     served = model
@@ -85,18 +85,18 @@ def test_flat_path_equals_autograd_forward(depth, heads, head_dim, embed_dim,
         model = _dequantized_twin(model, served)
     x = nn.Tensor(_images(model, batch))
 
-    reference = model.forward_features(x, keep_ratio)
+    reference = model.forward_features(x)
     assert reference.requires_grad              # a graph was built
     tokens = model._embed(x)
     block_reference = model.blocks[0](tokens)
 
     with nn.use_backend(backend):
         with nn.no_grad():
-            fresh = served.forward_features(x, keep_ratio).data
+            fresh = served.forward_features(x).data
             block_out = served.blocks[0](nn.Tensor(tokens.data)).data
         with nn.inference_mode():
-            cold = served.forward_features(x, keep_ratio).data.copy()
-            warm = served.forward_features(x, keep_ratio).data.copy()
+            cold = served.forward_features(x).data.copy()
+            warm = served.forward_features(x).data.copy()
     for out in (fresh, cold, warm):
         np.testing.assert_allclose(out, reference.data, **TOL)
     np.testing.assert_allclose(block_out, block_reference.data, **TOL)
@@ -278,17 +278,15 @@ def test_passes_equal_the_unsplit_schedule(monkeypatch):
                                   predict(model, x).argmax(axis=-1))
 
 
-@pytest.mark.parametrize("keep_ratio", [None, 0.5])
-def test_one_image_passes_equal_the_autograd_forward(monkeypatch,
-                                                     keep_ratio):
-    """The smallest pass: every image alone, token pruning included."""
+def test_one_image_passes_equal_the_autograd_forward(monkeypatch):
+    """The smallest pass: every image alone."""
     model = _vit(depth=3)
     model.eval()
     x = _images(model, 5)
-    reference = model.forward_features(nn.Tensor(x), keep_ratio).data
+    reference = model.forward_features(nn.Tensor(x)).data
     monkeypatch.setattr(vit, "ARENA_BYTES", 1)
     with nn.inference_mode():
-        served = model.forward_features(nn.Tensor(x), keep_ratio).data
+        served = model.forward_features(nn.Tensor(x)).data
     np.testing.assert_allclose(served, reference, **TOL)
 
 

@@ -110,12 +110,5 @@ class TestRegistry:
         assert "empty.seconds" not in text
         assert "n.total  3" in text
 
-    def test_reset(self):
-        reg = MetricsRegistry()
-        reg.counter("a.total").inc()
-        reg.reset()
-        assert len(reg) == 0
-        assert reg.counter("a.total").value == 0.0
-
     def test_global_registry_is_singleton(self):
         assert get_registry() is get_registry()

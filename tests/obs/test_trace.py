@@ -90,7 +90,7 @@ class TestEmit:
         for t in threads:
             t.join()
         spans = tracer.spans()
-        assert len(spans) == 800 and tracer.dropped == 0
+        assert len(spans) == 800
         assert len({s.span_id for s in spans}) == 800
         for i in range(4):                   # each thread's order survives
             assert [s.attrs["j"] for s in spans if s.name == f"t{i}"] == \
@@ -117,7 +117,6 @@ class TestRingBuffer:
         for i in range(5):
             tracer.emit(f"s{i}")
         assert [s.name for s in tracer.spans()] == ["s2", "s3", "s4"]
-        assert tracer.dropped == 2
 
     def test_wrapped_ring_drains_oldest_first_and_refills(self, monkeypatch):
         monkeypatch.setattr(trace, "TRACE_CAPACITY", 2)

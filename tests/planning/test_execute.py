@@ -160,7 +160,8 @@ class TestClusterFromPlan:
         system = plan_demo_system(num_workers=3, seed=0)
         cluster = system.make_cluster()
         assert cluster.worker_ids == system.plan.model_ids
-        assert cluster.feature_dims() == system.plan.feature_dims()
+        assert cluster.feature_dims() == {
+            m.model_id: m.feature_dim for m in system.plan.submodels}
 
     def test_model_count_mismatch_rejected(self):
         system = plan_demo_system(num_workers=2, seed=0)

@@ -73,10 +73,6 @@ class TestLookups:
                                   "submodel-1": "edge-0"})
         assert plan.models_on("edge-0") == ["submodel-0", "submodel-1"]
 
-    def test_feature_dims(self):
-        assert make_plan().feature_dims() == {"submodel-0": 8,
-                                              "submodel-1": 8}
-
 
 class TestValidate:
     def test_valid_plan_passes(self):

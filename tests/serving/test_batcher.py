@@ -235,7 +235,7 @@ class TestAdmissionAndShutdown:
         batcher.submit(make_future(0))
         batcher.submit(make_future(1))
         assert [f.request_id for f in batcher.drain()] == [0, 1]
-        assert batcher.pending() == 0
+        assert batcher.drain() == []
 
 
 class TestServedFuture:

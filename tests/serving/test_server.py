@@ -211,12 +211,13 @@ class TestBadRequests:
     def test_shape_mismatch_rejected_at_submit(self, system):
         from repro.serving import RequestError
 
+        dropped_before = counter("dropped")
         with make_server(system) as server:
             good = server.submit(inputs(system, 2))
             with pytest.raises(RequestError, match="bad request shape"):
                 server.submit(np.zeros((1, 3, 16, 16), dtype=np.float32))
             # The offender is counted as dropped; innocents still resolve.
-            assert server.dropped == 1
+            assert counter("dropped") == dropped_before + 1
             np.testing.assert_array_equal(
                 good.result(30.0), system.local_fused_labels(good.x))
 
@@ -225,11 +226,12 @@ class TestBadRequests:
         dropped, not sent to every worker to fail after a round trip."""
         from repro.serving import RequestError
 
+        dropped_before = counter("dropped")
         with make_server(system) as server:
             empty = np.zeros((0,) + server._input_shape, dtype=np.float32)
             with pytest.raises(RequestError, match="non-empty"):
                 server.submit(empty)
-            assert server.dropped == 1
+            assert counter("dropped") == dropped_before + 1
             report = server.stats()
         assert report.failed == 0
 

@@ -149,6 +149,54 @@ def silent_or_real_worker(spec, conn):
     conn.send(wire.stopped_message(spec.worker_id))
 
 
+# A stand-in whose worker named MALFORMED answers every INFER with a
+# FEATURES reply one element short (no stats).
+MALFORMED = "malformed"
+
+
+def malformed_or_real_worker(spec, conn):
+    if spec.worker_id != MALFORMED:
+        return real_worker_main(spec, conn)
+    for _ in runtime._received_weights(conn):
+        pass
+    conn.send(wire.ready_message(spec.worker_id))
+    try:
+        while wire.command(message := conn.recv()) != wire.STOP:
+            conn.send(wire.features_message(wire.request_id(message), None,
+                                            {})[:3])
+    except (EOFError, OSError):
+        pass                           # marked down: the channel closed
+
+
+@pytest.mark.parametrize("transport", ["inprocess", "multiprocess", "tcp"])
+def test_malformed_reply_degrades_within_the_gather_deadline(transport,
+                                                             monkeypatch):
+    """The reply is rejected by ``wire.check`` where ``poll`` receives it:
+    its worker is marked down with that text at once, and the request is
+    served degraded instead of an ``IndexError`` reaching the gather."""
+    system = plan_demo_system(num_workers=2, transport=transport)
+    specs = system.make_cluster().specs
+    malformed = dataclasses.replace(specs[0], worker_id=MALFORMED)
+    monkeypatch.setattr(runtime, "_worker_main", malformed_or_real_worker)
+    timeout = 2.0
+    server = InferenceServer(
+        EdgeCluster([malformed, *specs[1:]], transport=transport),
+        system.fusion, ServerConfig(worker_timeout_s=timeout))
+    with server:
+        start = time.perf_counter()
+        future = server.submit(X)
+        labels = future.result(timeout=15.0)
+        elapsed = time.perf_counter() - start
+        health = server.worker_health()
+    assert elapsed < timeout
+    assert future.telemetry.workers_down == (MALFORMED,)
+    np.testing.assert_array_equal(
+        labels, system.local_fused_labels(X, zero_models=(0,)))
+    assert health[MALFORMED] == ("'features' message has 3 elements; "
+                                 "protocol allows 4")
+    assert health[specs[1].worker_id] == "up"
+
+
 class TestWireTelemetry:
     def test_request_bytes_match_codec_exactly(self):
         # 2 workers x 6 samples x 8 features: raw32 = 4 B/value.

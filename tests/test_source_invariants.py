@@ -33,13 +33,20 @@ of what it flags and the nearest pattern it must leave alone:
   argument (a callback, ``partial``) escapes the check.  It is a floor,
   as REACH001 is: two functions of one name share their callers.
   ``KNOB2_ALLOWED`` names the exceptions and their reasons;
-* **no unreached names** (REACH001): every public top-level function or
-  class of ``repro``, and every public method of such a class, appears as
-  a ``Name`` or ``Attribute`` in some module of ``src/``, ``examples/`` or
-  ``benchmarks/`` outside tests and outside its own definition.  Strings
-  (the lazy-export tables) and imports do not count.  It is a floor: a
-  name that collides with another attribute (``exp`` and ``np.exp``)
-  passes anyway.
+* **no unreached names** (REACH001): every public top-level function,
+  class or assigned name (a module table or constant) of ``repro``, and
+  every public method of such a class, is used in some module of
+  ``src/``, ``examples/`` or ``benchmarks/`` outside tests and outside its
+  own definition.  A bare name is a use only in a module that defines it
+  at top level in ``repro`` or imports it from ``repro`` (a script's own
+  ``check`` or a local variable ``pending`` is not one).  An attribute
+  ``x.m`` is a use of every ``m``, except when ``x`` is a known instance
+  of a class that defines ``m`` (``self`` in it, a parameter annotated
+  with it, a name or plain-object attribute assigned from its
+  constructor): then it is a use of that class's ``m`` and its bases'.
+  Strings (the lazy-export tables) and imports do not count.  It is a
+  floor: a name that collides with another attribute (``exp`` and
+  ``np.exp``) on an unknown receiver passes anyway.
 
 Pure ``ast`` walks over ~130 files; the whole module runs in about a
 second.
@@ -519,47 +526,221 @@ REACH_ALLOWED = {
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _uses(node):
-    """How often each identifier appears as a ``Name`` or ``Attribute``."""
-    return collections.Counter(
-        child.id if isinstance(child, ast.Name) else child.attr
-        for child in ast.walk(node)
-        if isinstance(child, (ast.Name, ast.Attribute)))
+def _bound(stmt):
+    """The names an assignment statement binds to plain names."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [node.id for target in targets
+            for node in (target.elts if isinstance(target, ast.Tuple)
+                         else [target])
+            if isinstance(node, ast.Name)]
 
 
 def public_definitions(trees):
-    """``(dotted name, node)`` for each public top-level function or class
-    of ``repro`` and each public method of such a class."""
+    """``(dotted name, name, class, node)`` for each public top-level
+    function, class or assigned name of ``repro`` and each public method of
+    such a class (``class`` is the method's, ``None`` at top level)."""
     for path, tree in trees.items():
         if not path.startswith("repro/"):
             continue
         module = path[:-len(".py")].replace("/", ".")
         for node in tree.body:
+            for name in _bound(node):
+                if not name.startswith("_"):
+                    yield f"{module}.{name}", name, None, node
             if not isinstance(node, DEFINITIONS) or node.name.startswith("_"):
                 continue
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", node.name, None, node
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
                     if isinstance(method, DEFINITIONS[:2]) \
                             and not method.name.startswith("_"):
-                        yield f"{module}.{node.name}.{method.name}", method
+                        yield (f"{module}.{node.name}.{method.name}",
+                               method.name, node.name, method)
+
+
+def _members(trees):
+    """``{class: names its body defines}`` for every class of ``repro``:
+    methods and class-level assignments (dataclass fields)."""
+    return {node.name: {stmt.name for stmt in node.body
+                        if isinstance(stmt, DEFINITIONS[:2])}
+            | {name for stmt in node.body for name in _bound(stmt)}
+            for path, tree in trees.items() if path.startswith("repro/")
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+
+def _from_repro(path, tree):
+    """The bare names a module takes from ``repro``: those a ``repro``
+    module defines at top level, and any name imported from ``repro``."""
+    inside = path.startswith("repro/")
+    names = set()
+    if inside:
+        for stmt in tree.body:
+            names.update(_bound(stmt))
+            if isinstance(stmt, DEFINITIONS):
+                names.add(stmt.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level and inside
+                or (node.module or "").split(".")[0] == "repro"):
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def _scope_nodes(body):
+    """Every node of a scope's body outside the functions it defines (their
+    decorators, defaults and annotations belong to it)."""
+    stack = list(body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, DEFINITIONS[:2]):
+            stack += node.decorator_list + [node.args]
+            stack += [node.returns] if node.returns else []
+        else:
+            stack += ast.iter_child_nodes(node)
+
+
+def _instance_of(expr, env, members):
+    """The ``repro`` class ``expr`` is a known instance of, or None: a call
+    ``B(...)``, or a name or ``self`` attribute ``env`` knows."""
+    if isinstance(expr, ast.Call) and _name(expr.func) in members:
+        return _name(expr.func)
+    if isinstance(expr, ast.Name):
+        return env.get(expr.id)
+    if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
+        return env.get(f"{expr.value.id}.{expr.attr}")
+    return None
+
+
+def _scopes(tree, members, lineage):
+    """``[(nodes, env)]`` for the module and each function in it: ``env``
+    maps each name (and ``self.attr``) known to hold one ``repro`` class's
+    instance to that class.  Known means ``self`` in a method of the class,
+    a parameter annotated with it, or every assignment a call of it (or a
+    name already known); any other binding makes a name unknown."""
+    methods = {id(stmt): node.name for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for stmt in node.body}
+    attrs = collections.defaultdict(lambda: collections.defaultdict(set))
+    scopes = []
+
+    def visit(scope, env):
+        nodes = list(_scope_nodes(scope.body))
+        env, bound = dict(env), collections.defaultdict(set)
+        for i, arg in enumerate(_arguments(scope)):
+            annotation = arg.annotation
+            hint = annotation.value if isinstance(annotation, ast.Constant) \
+                else _name(annotation) if annotation else None
+            if i == 0 and arg.arg == "self" and id(scope) in methods:
+                hint = methods[id(scope)]
+            bound[arg.arg].add(hint if hint in members else None)
+        env.update(_known(bound))
+        assigned = {}
+        for node in nodes:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                assigned[id(node.targets[0])] = _instance_of(
+                    node.value, env, members)
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                assigned[id(node.target)] = _instance_of(node.value, env,
+                                                         members)
+        for node in nodes:
+            if not isinstance(getattr(node, "ctx", None), ast.Store):
+                continue
+            if isinstance(node, ast.Name):
+                bound[node.id].add(assigned.get(id(node)))
+            elif isinstance(node, ast.Attribute) and env.get("self") \
+                    and _name(node.value) == "self":
+                # ``quantize_module`` and the pruning surgery swap a
+                # module's children in place, so only an attribute holding
+                # a plain object keeps the class it was assigned.
+                hint = assigned.get(id(node))
+                attrs[env["self"]][node.attr].add(
+                    None if "Module" in lineage.get(hint, ()) else hint)
+        env.update(_known(bound))
+        scopes.append((nodes, env))
+        for node in nodes:
+            if isinstance(node, DEFINITIONS[:2]):
+                visit(node, env)
+
+    visit(tree, {})
+    for nodes, env in scopes:
+        env.update({f"self.{attr}": hint for attr, hint
+                    in _known(attrs[env.get("self")]).items()})
+    return scopes
+
+
+def _known(bound):
+    """``{name: class}`` from each name's set of bound classes: the one
+    class when every binding agrees, ``None`` (unknown) otherwise."""
+    return {name: next(iter(hints)) if len(hints) == 1 else None
+            for name, hints in bound.items()}
+
+
+def _arguments(scope):
+    """Every parameter of a function; none for the module."""
+    args = getattr(scope, "args", None)
+    if args is None:
+        return []
+    return [a for a in args.posonlyargs + args.args + args.kwonlyargs
+            + [args.vararg, args.kwarg] if a is not None]
+
+
+def reach_uses(path, tree, members, lineage):
+    """``(name, class, node)`` for each use of a name in ``tree``: a bare
+    name only where the module takes it from ``repro``, an attribute always,
+    with ``class`` the receiver's when it is a known instance of a class
+    that defines the attribute (``None`` otherwise)."""
+    scoped = _from_repro(path, tree)
+    for nodes, env in _scopes(tree, members, lineage):
+        for node in nodes:
+            if isinstance(node, ast.Name) and node.id in scoped:
+                yield node.id, None, node
+            elif isinstance(node, ast.Attribute):
+                cls = _instance_of(node.value, env, members)
+                yield (node.attr,
+                       cls if node.attr in members.get(cls, ()) else None,
+                       node)
+
+
+def _lineage(trees):
+    """``{class: itself and every repro class it derives from}``."""
+    bases = {node.name: [_name(base) for base in node.bases]
+             for path, tree in trees.items() if path.startswith("repro/")
+             for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+    def up(cls):
+        return {cls}.union(*(up(base) for base in bases.get(cls, ())
+                             if base != cls))
+    return {cls: up(cls) for cls in bases}
 
 
 def reach_findings(trees):
-    total = collections.Counter()
-    for tree in trees.values():
-        total.update(_uses(tree))
-    return [Finding("REACH001", where,
-                    f"{where} is reached by nothing outside tests/ and "
-                    f"its own definition")
-            for where, node in public_definitions(trees)
-            if total[node.name] == _uses(node)[node.name]]
+    members, lineage = _members(trees), _lineage(trees)
+    uses = collections.defaultdict(list)
+    for path, tree in trees.items():
+        for name, cls, node in reach_uses(path, tree, members, lineage):
+            uses[name].append((cls, id(node)))
+    findings = []
+    for where, name, cls, node in public_definitions(trees):
+        # A known instance of one of its bases may be one of this class.
+        own = {id(child) for child in ast.walk(node)}
+        if not any((owner is None or owner in lineage.get(cls, ()))
+                   and use not in own for owner, use in uses[name]):
+            findings.append(Finding(
+                "REACH001", where, f"{where} is reached by nothing outside "
+                f"tests/ and its own definition"))
+    return findings
 
 
-def reach_snippet(*sources):
+def reach_snippet(*sources, paths=None):
+    paths = paths or [f"repro/m{i}.py" for i in range(len(sources))]
     return [f.where for f in reach_findings(
-        {f"repro/m{i}.py": ast.parse(textwrap.dedent(source))
-         for i, source in enumerate(sources)})]
+        {path: ast.parse(textwrap.dedent(source))
+         for path, source in zip(paths, sources)})]
 
 
 # -- the source -------------------------------------------------------------
@@ -834,13 +1015,13 @@ def test_the_wire_module_may_build_raw_tuples():
 
 
 @pytest.mark.parametrize("sources, unreached", [
-    (["def used():\n    pass\n", "from m0 import used\nused()\n"], []),
+    (["def used():\n    pass\n", "from .m0 import used\nused()\n"], []),
     (["def unused():\n    pass\n"], ["repro.m0.unused"]),
     # Its own body (recursion) is not a caller.
     (["def walk(n):\n    return walk(n - 1)\n"], ["repro.m0.walk"]),
     # An import or a lazy-export string is not a use.
     (["def f():\n    pass\n",
-      "from m0 import f\n__all__ = ['f']\nEXPORTS = {'.m0': ('f',)}\n"],
+      "from .m0 import f\n__all__ = ['f']\n_EXPORTS = {'.m0': ('f',)}\n"],
      ["repro.m0.f"]),
     # A method counts as reached through any attribute of its name.
     (["class C:\n    def run(self):\n        pass\n\n\nC().run()\n"], []),
@@ -852,3 +1033,124 @@ def test_the_wire_module_may_build_raw_tuples():
         "method-called", "method-unused", "private"])
 def test_reach_snippet(sources, unreached):
     assert reach_snippet(*sources) == unreached
+
+
+# (a) Scope: a bare name is a use only where it means the repro name.
+WIRE_CHECK = "def check(message):\n    return message\n"
+
+
+@pytest.mark.parametrize("caller, path, unreached", [
+    # A script's own function of the same name calls itself, not repro's.
+    ("def check(x):\n    return x\n\n\ncheck(1)\n", "benchmarks/b.py",
+     ["repro.m0.check"]),
+    # So does a nested function or a local variable inside repro.
+    ("def run():\n    def check(x):\n        return x\n"
+     "    return check(1)\n\n\nrun()\n", "repro/m1.py", ["repro.m0.check"]),
+    ("def run():\n    check = 1\n    return check\n\n\nrun()\n",
+     "repro/m1.py", ["repro.m0.check"]),
+    # Imported from repro (absolute or relative), or reached through its
+    # module, it is a use.
+    ("from repro.m0 import check\ncheck(1)\n", "benchmarks/b.py", []),
+    ("from .m0 import check\ncheck(1)\n", "repro/m1.py", []),
+    ("from repro import m0\nm0.check(1)\n", "benchmarks/b.py", []),
+], ids=["same-name-script", "nested-same-name", "local-variable",
+        "absolute-import", "relative-import", "through-module"])
+def test_reach_scope_snippet(caller, path, unreached):
+    assert reach_snippet(WIRE_CHECK, caller,
+                         paths=["repro/m0.py", path]) == unreached
+
+
+# (b) Module tables: a public module-level assignment is a public name.
+@pytest.mark.parametrize("sources, unreached", [
+    (["LIMIT = 3\n"], ["repro.m0.LIMIT"]),
+    (["LOW, HIGH = 0, 1\nprint(LOW)\n"], ["repro.m0.HIGH"]),
+    (["LIMIT: int = 3\n", "from .m0 import LIMIT\nprint(LIMIT)\n"], []),
+    (["LIMIT = 3\n\n\ndef cap(x):\n    return min(x, LIMIT)\n\n\n"
+      "cap(1)\n"], []),
+    (["_PRIVATE = 1\n__all__ = []\n"], []),
+], ids=["unused", "one-of-a-tuple", "imported", "used-in-module",
+        "private-and-dunder"])
+def test_reach_table_snippet(sources, unreached):
+    assert reach_snippet(*sources) == unreached
+
+
+# (c) Receivers: a known instance of another class that defines the method
+# reaches that class's method, not this one.
+RESETTERS = """
+    class Registry:
+        def reset(self):
+            pass
+
+    class State:
+        def reset(self):
+            pass
+
+    Registry()
+"""
+
+
+@pytest.mark.parametrize("caller, unreached", [
+    ("State().reset()\n", ["repro.m0.Registry.reset"]),
+    ("state = State()\nstate.reset()\n", ["repro.m0.Registry.reset"]),
+    ("def clear(state: State):\n    state.reset()\n\n\nclear(None)\n",
+     ["repro.m0.Registry.reset"]),
+    ("def clear(state: 'State'):\n    state.reset()\n\n\nclear(State())\n",
+     ["repro.m0.Registry.reset"]),
+    # ``self`` in the other class, and an attribute assigned from its
+    # constructor or from an annotated parameter.
+    ("class Layer:\n    def reset(self):\n        pass\n\n"
+     "    def step(self):\n        self.reset()\n\n\nLayer().step()\n"
+     "State().reset()\n", ["repro.m0.Registry.reset"]),
+    ("class Layer:\n    def __init__(self):\n        self.state = State()\n"
+     "\n    def step(self):\n        self.state.reset()\n\n\n"
+     "Layer().step()\n", ["repro.m0.Registry.reset"]),
+    ("class Server:\n    def __init__(self, state: State):\n"
+     "        self._state = state\n\n    def start(self):\n"
+     "        self._state.reset()\n\n\nServer(None).start()\n",
+     ["repro.m0.Registry.reset"]),
+    # Unknown or ambiguous receivers reach every class's method.
+    ("def clear(thing):\n    thing.reset()\n\n\nclear(State())\n", []),
+    ("x = State()\nx = Registry()\nx.reset()\n", []),
+    # An instance of a subclass is one of its base too, and a class that
+    # only inherits the method passes the use on.
+    ("class Layer(Registry):\n    def step(self):\n        self.reset()\n"
+     "\n\nLayer().step()\nState().reset()\n", []),
+    # An override in a subclass hides the base's method from its instances.
+    ("class Layer(State):\n    def reset(self):\n        pass\n\n"
+     "    def step(self):\n        self.reset()\n\n\nLayer().step()\n",
+     ["repro.m0.Registry.reset", "repro.m0.State.reset"]),
+], ids=["constructor-call", "name-from-constructor", "annotated-parameter",
+        "string-annotation", "self", "attribute-from-constructor",
+        "attribute-from-parameter", "unknown", "ambiguous", "inherited",
+        "override"])
+def test_reach_receiver_snippet(caller, unreached):
+    caller = "from .m0 import Registry, State\n" + caller
+    assert reach_snippet(RESETTERS, caller) == unreached
+
+
+def test_reach_swappable_module_attribute_is_unknown():
+    """``quantize_module`` swaps a module's children in place, so a child
+    assigned from one module class may be another by the time it runs."""
+    modules = """
+        class Module:
+            pass
+
+        class Conv(Module):
+            def infer(self):
+                pass
+
+        class QuantConv(Module):
+            def infer(self):
+                pass
+
+        class Embed(Module):
+            def __init__(self):
+                self.proj = Conv()
+
+            def run(self):
+                self.proj.infer()
+
+        Embed().run()
+        QuantConv()
+    """
+    assert reach_snippet(modules) == []
