@@ -273,7 +273,7 @@ def _received_weights(conn):
     """The ``(name, array)`` pairs a booting worker is sent, as they
     arrive, up to the end marker."""
     while True:
-        message = conn.recv()
+        message = wire.check(conn.recv())
         if wire.command(message) != wire.WEIGHTS:
             raise wire.WireError(
                 f"expected weights, got {wire.command(message)!r}")
@@ -580,6 +580,11 @@ class EdgeCluster:
                 except (EOFError, OSError) as exc:
                     raise RuntimeError(f"worker {worker_id} died during "
                                        f"startup") from exc
+                try:
+                    wire.check(message)
+                except wire.WireError as exc:
+                    raise RuntimeError(f"worker {worker_id} failed to "
+                                       f"start: {exc}") from exc
                 if wire.command(message) != wire.READY \
                         or wire.worker_id(message) != worker_id:
                     raise RuntimeError(

@@ -73,6 +73,11 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # scratch: the one temporary it allocates is at most this long.
 GELU_CHUNK = 1 << 16
 
+# Bytes of fp32 weight ArrayBackend.linear_q8 widens at once: it widens and
+# multiplies the int8 weight in blocks of output rows this large, so its
+# transient is one block, not an fp32 copy of the weight int8 saves.
+Q8_BLOCK_BYTES = 1 << 20
+
 
 class Workspace:
     """Cache of pre-allocated scratch storage for the inference fast path.
@@ -276,13 +281,25 @@ class ArrayBackend:
         :mod:`repro.nn.quantize`).  Because the scale is per *output*
         channel it folds into the GEMM result's columns
         (``(x @ q.T) * scale == x @ (q * scale[:, None]).T``), so the
-        weight itself only needs a dtype widen, never a scaled copy.
+        weight itself only needs a dtype widen, never a scaled copy.  The
+        widen runs :data:`Q8_BLOCK_BYTES` of weight at a time, each block
+        multiplied straight into its columns of the output.
         """
         lead = x.shape[:-1]
-        n_out = weight_q8.shape[0]
-        x2 = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
-        out2 = out.reshape(-1, n_out) if out is not None else None
-        y = np.matmul(x2, weight_q8.astype(np.float32).T, out=out2)
+        n_out, n_in = weight_q8.shape
+        x2 = np.ascontiguousarray(x.reshape(-1, n_in))
+        y = out.reshape(-1, n_out) if out is not None else np.empty(
+            (len(x2), n_out), np.result_type(x2.dtype, np.float32))
+        # Whole 64-row panels: the blocks split the output where the GEMM
+        # kernel's own panels do, so a ViT layer's product is bit for bit
+        # the unblocked one.
+        rows = max(64, Q8_BLOCK_BYTES // (4 * n_in) // 64 * 64)
+        # In the weight's own layout, so the widen is a straight copy.
+        widened = np.empty_like(weight_q8[:rows], dtype=np.float32)
+        for start in range(0, n_out, rows):
+            block = widened[:min(rows, n_out - start)]
+            np.copyto(block, weight_q8[start:start + rows])
+            np.matmul(x2, block.T, out=y[:, start:start + rows])
         y *= scale
         if bias is not None:
             y += bias

@@ -32,9 +32,12 @@ down; it may spawn replacement workers (``EdgeCluster.add_worker``) and
 return a new slot→worker hosting map, after which fusion recovers real
 features for the failed slots instead of zero-filling them forever.
 
-Every request carries a :class:`~repro.serving.telemetry.RequestTelemetry`
-breakdown; :meth:`InferenceServer.stats` aggregates them into a
-:class:`~repro.serving.telemetry.ServingReport`.
+Each completed batch is booked once, as one frozen
+:class:`~repro.serving.telemetry.BatchRecord`: its requests'
+:class:`~repro.serving.telemetry.RequestTelemetry` share its summary, the
+``serving.*_total`` counters read its outcome, and every span of the
+batch is drawn from it.  :meth:`InferenceServer.stats` aggregates the
+request records into a :class:`~repro.serving.telemetry.ServingReport`.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import numpy as np
 from ..core.inference import predict, split_batch
 from ..edge.runtime import EdgeCluster, WorkerSpec, await_delivery
 from ..obs.metrics import get_registry
-from ..obs.trace import get_tracer, new_span_id, tracing_enabled
+from ..obs.trace import get_tracer, tracing_enabled
 from .batcher import (
     MAX_INFLIGHT_BATCHES,
     Batch,
@@ -61,7 +64,13 @@ from .batcher import (
     RequestError,
     ServedFuture,
 )
-from .telemetry import RequestTelemetry, ServingReport
+from .telemetry import (
+    BatchRecord,
+    BatchSummary,
+    RequestTelemetry,
+    ServingReport,
+    emit_spans,
+)
 
 # How long a rolling swap waits for the old worker's in-flight batches
 # before retiring it anyway (those batches then zero-fill its slot).
@@ -83,7 +92,6 @@ class _BatchContext:
     """One batch from scatter to completion; each serve step fills its part."""
 
     batch: Batch
-    x: np.ndarray | None = None
     hosting: dict[str, str] = dataclasses.field(default_factory=dict)
     request_id: int | None = None      # dispatch id shared by every worker
     dispatched_at: float | None = None  # None: never dispatched
@@ -427,7 +435,7 @@ class InferenceServer:
         id; returns the workers that took it."""
         ctx.dispatched_at = time.perf_counter()
         ctx.dispatched_wall = time.time()
-        ctx.x = ctx.batch.concatenated()
+        x = ctx.batch.concatenated()
         ctx.request_id = self._cluster.next_request_id()
         # Snapshot the hosting map for this whole batch: a rolling swap
         # landing mid-batch must not change which worker's features fill
@@ -441,11 +449,11 @@ class InferenceServer:
         pending = []
         for worker_id in sorted(set(ctx.hosting.values())):
             sent = time.perf_counter()
-            if self._cluster.submit(worker_id, ctx.request_id, ctx.x):
+            if self._cluster.submit(worker_id, ctx.request_id, x):
                 pending.append(worker_id)
             ctx.send_s[worker_id] = time.perf_counter() - sent
         ctx.scatter_s = time.perf_counter() - ctx.dispatched_at
-        ctx.bytes_out = ctx.x.nbytes * len(pending)
+        ctx.bytes_out = x.nbytes * len(pending)
         return pending
 
     def _fuse(self, ctx: _BatchContext) -> np.ndarray:
@@ -461,7 +469,8 @@ class InferenceServer:
                 ordered.append(ctx.features[host])
             else:
                 ordered.append(np.zeros(
-                    (len(ctx.x), self._slot_dims[slot]), dtype=np.float32))
+                    (ctx.batch.num_samples, self._slot_dims[slot]),
+                    dtype=np.float32))
         ctx.fusion_start = time.perf_counter()
         logits = predict(self._fusion, np.concatenate(ordered, axis=-1),
                          keep_workspaces=True)
@@ -470,140 +479,67 @@ class InferenceServer:
 
     def _complete(self, ctx: _BatchContext, outcome: np.ndarray | str) -> None:
         """Answer every unanswered request of the batch with its slice of
-        the labels, or with ``RequestError(outcome)``: the one place that
-        writes telemetry, resolves futures, appends records, counts failed
-        and degraded requests and emits spans, so each request is answered
-        and recorded once.  Spans go out after the futures resolve, while
-        closed-loop clients resubmit."""
+        the labels, or with ``RequestError(outcome)``, and book the batch:
+        the one place that does, so each request is answered and recorded
+        once.  Telemetry, records, counters and spans all read the one
+        record; spans go out after the futures resolve, while closed-loop
+        clients resubmit."""
         batch = ctx.batch
-        failed = isinstance(outcome, str)
-        answers = itertools.repeat(outcome) if failed \
+        error = outcome if isinstance(outcome, str) else None
+        labels = itertools.repeat(None) if error is not None \
             else split_batch(outcome, batch.sizes)
-        stats = ctx.stats.values()
-        emulated_compute = max((s["emulated_compute_s"] for s in stats),
-                               default=0.0)
-        emulated_transfer = max((s["emulated_transfer_s"] for s in stats),
-                                default=0.0)
-        # Wire accounting: inputs out to every dispatched worker, encoded
-        # features back from every answering one — apportioned to the
-        # coalesced requests by their share of the batch's samples.
-        wire_in = int(sum(s.get("bytes_out", 0.0) for s in stats))
-        completed_at = time.perf_counter()
-        resolved = []
-        for future, answer in zip(batch.requests, answers):
-            if future.done():
-                continue
-            telemetry = future.telemetry
-            telemetry.completed_at = completed_at
-            if ctx.dispatched_at is not None:
-                telemetry.dispatched_at = ctx.dispatched_at
-                telemetry.queue_s = ctx.dispatched_at - telemetry.enqueued_at
-                telemetry.batch_requests = len(batch.requests)
-                telemetry.batch_samples = batch.num_samples
-                telemetry.gather_s = ctx.gather_s
-                telemetry.workers_down = ctx.missing
-            if failed:
-                future.set_error(RequestError(answer))
-            else:
-                telemetry.fusion_s = ctx.fusion_s
-                telemetry.emulated_compute_s = emulated_compute
-                telemetry.emulated_transfer_s = emulated_transfer
-                share = telemetry.num_samples / max(batch.num_samples, 1)
-                telemetry.bytes_out = int(round(ctx.bytes_out * share))
-                telemetry.bytes_in = int(round(wire_in * share))
-                telemetry.degraded = bool(ctx.missing)
+        unanswered = [(future, answer) for future, answer
+                      in zip(batch.requests, labels) if not future.done()]
+        if not unanswered:
+            return
+        record = self._record(
+            ctx, error, tuple(future.telemetry for future, _ in unanswered))
+        for future, answer in unanswered:
+            future.telemetry.batch = record.summary
+            if error is None:
                 future.set_result(answer.copy())
-            with self._lock:
-                self._records.append(telemetry)
-            resolved.append(telemetry)
-        if not resolved:
-            return
-        if failed:
-            self._m_failed.inc(len(resolved))
-        elif ctx.missing:
-            self._m_degraded.inc(len(resolved))
-        if not tracing_enabled():
-            return
-        tracer = get_tracer()
-        if not failed:
-            batch_span = new_span_id()
+            else:
+                future.set_error(RequestError(error))
+        with self._lock:
+            self._records.extend(record.requests)
+        if error is not None:
+            self._m_failed.inc(len(unanswered))
+        elif record.summary.degraded:
+            self._m_degraded.inc(len(unanswered))
+        if tracing_enabled():
+            emit_spans(record, get_tracer())
 
-            def wall(instant: float) -> float:
-                """A ``perf_counter`` instant of this batch, on the wall
-                clock."""
-                return ctx.dispatched_wall + (instant - ctx.dispatched_at)
-
-            tracer.emit("batch.serve", trace_id=ctx.request_id,
-                        span_id=batch_span, ts=ctx.dispatched_wall,
-                        duration_s=completed_at - ctx.dispatched_at,
-                        attrs={"requests": len(batch.requests),
-                               "samples": batch.num_samples,
-                               "workers": len(set(ctx.hosting.values())),
-                               "degraded": bool(ctx.missing)})
-            tracer.emit("batch.scatter", trace_id=ctx.request_id,
-                        parent_id=batch_span, ts=ctx.dispatched_wall,
-                        duration_s=ctx.scatter_s,
-                        attrs={"send_s": ctx.send_s})
-            tracer.emit("batch.gather", trace_id=ctx.request_id,
-                        parent_id=batch_span, ts=ctx.dispatched_wall,
-                        duration_s=ctx.gather_s)
-            # Per reply: the worker's own intervals, which end when its
-            # reply was received, on one thread track named after the
-            # worker, and its decode; then its compute on its device's
-            # CPU, then its wire.
-            for worker, reply in ctx.stats.items():
-                host, forward = reply["host_compute_s"], reply["forward_s"]
-                started = wall(reply["received_at"] - host)
-                codec = {"codec": reply["codec"],
-                         "nbytes": int(reply["bytes_out"])}
-                handled = tracer.emit(
-                    "worker.request", trace_id=ctx.request_id,
-                    parent_id=batch_span, process=worker, thread=worker,
-                    ts=started, duration_s=host,
-                    attrs={"samples": batch.num_samples})
-                tracer.emit("worker.forward", trace_id=ctx.request_id,
-                            parent_id=handled.span_id, process=worker,
-                            thread=worker, ts=started, duration_s=forward)
-                tracer.emit("codec.encode", trace_id=ctx.request_id,
-                            parent_id=handled.span_id, process=worker,
-                            thread=worker, ts=started + forward,
-                            duration_s=host - forward, attrs=codec)
-                tracer.emit("codec.decode", trace_id=ctx.request_id,
-                            parent_id=batch_span,
-                            ts=wall(reply["received_at"]),
-                            duration_s=reply["decode_s"],
-                            attrs={"worker": worker, **codec})
-                for name, end, took, attrs in (
-                        ("device.compute", "computed_at", "compute_s",
-                         {"queued_s": reply["compute_queued_s"]}),
-                        ("link.transfer", "delivered_at", "transfer_s",
-                         {"nbytes": int(reply["bytes_out"]),
-                          "queued_s": reply["queued_s"]})):
-                    tracer.emit(name, trace_id=ctx.request_id,
-                                parent_id=batch_span,
-                                ts=wall(reply[end] - reply[took]),
-                                duration_s=reply[took],
-                                attrs={"worker": worker, took: reply[took],
-                                       **attrs})
-            tracer.emit("batch.fusion", trace_id=ctx.request_id,
-                        parent_id=batch_span, ts=wall(ctx.fusion_start),
-                        duration_s=ctx.fusion_s)
-        # Per-request spans, retroactively from the telemetry measured
-        # anyway (no double timing).
-        for telemetry in resolved:
-            root = new_span_id()
-            attrs = {"batch_id": ctx.request_id,
-                     "samples": telemetry.num_samples}
-            if telemetry.degraded:
-                attrs["degraded"] = True
-            if telemetry.error is not None:
-                attrs["error"] = telemetry.error
-            tracer.emit("request", trace_id=telemetry.request_id,
-                        span_id=root, ts=telemetry.enqueued_wall,
-                        duration_s=telemetry.total_s, attrs=attrs)
-            tracer.emit("request.queue", trace_id=telemetry.request_id,
-                        parent_id=root, ts=telemetry.enqueued_wall,
-                        duration_s=telemetry.queue_s)
+    @staticmethod
+    def _record(ctx: _BatchContext, error: str | None,
+                requests: tuple[RequestTelemetry, ...]) -> BatchRecord:
+        """The batch as booked: ``ctx`` and its outcome, frozen.  A failed
+        batch books its dispatch and none of its answer."""
+        batch, completed_at = ctx.batch, time.perf_counter()
+        if ctx.dispatched_at is None:
+            return BatchRecord(BatchSummary(completed_at=completed_at),
+                               requests, error)
+        answered = {}
+        if error is None:
+            replies = ctx.stats.values()
+            answered = dict(
+                fusion_s=ctx.fusion_s,
+                emulated_compute_s=max(
+                    (s["emulated_compute_s"] for s in replies), default=0.0),
+                emulated_transfer_s=max(
+                    (s["emulated_transfer_s"] for s in replies), default=0.0),
+                bytes_out=ctx.bytes_out,
+                bytes_in=int(sum(s.get("bytes_out", 0.0) for s in replies)),
+                degraded=bool(ctx.missing))
+        summary = BatchSummary(
+            ctx.dispatched_at, completed_at, len(batch.requests),
+            batch.num_samples, ctx.gather_s, workers_down=ctx.missing,
+            **answered)
+        return BatchRecord(
+            summary, requests, error, batch_id=ctx.request_id,
+            dispatched_wall=ctx.dispatched_wall,
+            workers=len(set(ctx.hosting.values())), scatter_s=ctx.scatter_s,
+            send_s=ctx.send_s, replies=ctx.stats,
+            fusion_start=ctx.fusion_start)
 
     def _maybe_replan(self) -> None:
         """Invoke the replanner once per newly-down hosting worker.

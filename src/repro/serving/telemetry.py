@@ -1,19 +1,26 @@
-"""Per-request telemetry and aggregate serving statistics.
+"""One record per served batch, and the statistics read off it.
 
-Every request that passes through :class:`repro.serving.InferenceServer`
-gets a :class:`RequestTelemetry` record with the full latency breakdown
-(queue wait, scatter/gather, emulated compute and transfer, fusion), and
-:class:`ServingReport` aggregates a run's records into throughput,
-p50/p95/p99 latency, and per-worker health — the numbers a serving
-dashboard would plot.
+:class:`repro.serving.InferenceServer` books each batch once, when it
+completes, as one frozen :class:`BatchRecord`: dispatch, scatter, each
+worker reply's stage intervals, gather, fusion, the slots answered
+without features and the outcome.  The rest is read off that record:
+each request's :class:`RequestTelemetry` keeps only what differs per
+request plus the record's slim :class:`BatchSummary`, the server's
+counters read its outcome, and :func:`emit_spans` draws every span of
+the batch.  :class:`ServingReport` aggregates a run's request records
+into throughput, p50/p95/p99 latency, and per-worker health — the
+numbers a serving dashboard would plot.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from ..obs.trace import new_span_id
 
 # Version stamp on every exported report dict; bump on breaking shape
 # changes so downstream consumers of `repro serve --json` can dispatch.
@@ -41,20 +48,21 @@ def _round(value: float | None, digits: int, scale: float = 1.0):
     return round(value * scale, digits)
 
 
-@dataclasses.dataclass
-class RequestTelemetry:
-    """Latency breakdown for one served request (all durations seconds)."""
+@dataclasses.dataclass(frozen=True, slots=True)
+class BatchSummary:
+    """What every request of one batch shares (durations in seconds).
 
-    request_id: int
-    num_samples: int                   # images in this request
-    enqueued_at: float                 # perf_counter timestamps
-    enqueued_wall: float = 0.0         # wall clock (unix s): aligns spans
-    dispatched_at: float = 0.0
+    The server's ring of request records keeps one alive per batch, so it
+    holds no arrays, futures or reply dicts.  A batch that failed keeps
+    its dispatch values and zeroes the rest; one never dispatched keeps
+    only ``completed_at``.
+    """
+
+    dispatched_at: float = 0.0         # perf_counter; 0.0: never dispatched
     completed_at: float = 0.0
-    batch_requests: int = 0            # requests coalesced into its batch
-    batch_samples: int = 0             # images in that batch
-    queue_s: float = 0.0               # enqueue -> dispatch
-    gather_s: float = 0.0              # scatter -> last worker reply
+    batch_requests: int = 0            # requests coalesced into the batch
+    batch_samples: int = 0             # images in it
+    gather_s: float = 0.0              # scatter -> last feature delivered
     fusion_s: float = 0.0              # fusion forward
     emulated_compute_s: float = 0.0    # critical-path worker compute
     emulated_transfer_s: float = 0.0   # critical-path feature transfer
@@ -62,7 +70,61 @@ class RequestTelemetry:
     bytes_in: int = 0                  # encoded feature bytes gathered
     degraded: bool = False             # zero-filled features were used
     workers_down: tuple[str, ...] = ()
+
+
+def _shared(name: str) -> property:
+    """A :class:`RequestTelemetry` attribute its batch's summary holds."""
+    return property(operator.attrgetter(f"batch.{name}"))
+
+
+def _apportioned(name: str) -> property:
+    """A byte count of the batch, apportioned to each of its requests by
+    the request's share of the batch's samples."""
+    def share(telemetry: RequestTelemetry) -> int:
+        batch = telemetry.batch
+        return int(round(getattr(batch, name) * (
+            telemetry.num_samples / max(batch.batch_samples, 1))))
+    return property(share)
+
+
+@dataclasses.dataclass(slots=True)
+class RequestTelemetry:
+    """Latency breakdown for one served request (all durations seconds).
+
+    It stores what differs per request; what its batch shares is read
+    from ``batch``, which the server sets once, when the batch completes.
+    """
+
+    request_id: int
+    num_samples: int                   # images in this request
+    enqueued_at: float                 # perf_counter timestamps
+    enqueued_wall: float = 0.0         # wall clock (unix s): aligns spans
     error: str | None = None
+    batch: BatchSummary = BatchSummary()
+
+    dispatched_at = _shared("dispatched_at")
+    batch_requests = _shared("batch_requests")
+    batch_samples = _shared("batch_samples")
+    gather_s = _shared("gather_s")
+    fusion_s = _shared("fusion_s")
+    emulated_compute_s = _shared("emulated_compute_s")
+    emulated_transfer_s = _shared("emulated_transfer_s")
+    degraded = _shared("degraded")
+    workers_down = _shared("workers_down")
+    bytes_out = _apportioned("bytes_out")
+    bytes_in = _apportioned("bytes_in")
+
+    def _stamp(self, completed_at: float) -> None:
+        # A stand-in server that forms no batches stamps completion here.
+        self.batch = dataclasses.replace(self.batch, completed_at=completed_at)
+
+    completed_at = property(operator.attrgetter("batch.completed_at"), _stamp)
+
+    @property
+    def queue_s(self) -> float:
+        """Enqueue -> dispatch; 0.0 for a request never dispatched."""
+        dispatched = self.batch.dispatched_at
+        return dispatched - self.enqueued_at if dispatched else 0.0
 
     @property
     def total_s(self) -> float:
@@ -71,6 +133,94 @@ class RequestTelemetry:
     @property
     def service_s(self) -> float:
         return self.completed_at - self.dispatched_at
+
+
+@dataclasses.dataclass(frozen=True)
+class BatchRecord:
+    """One batch as booked when it completes (``perf_counter`` instants).
+
+    ``replies`` maps each worker that answered to its reply's stage
+    intervals: ``host_compute_s``, ``forward_s``, ``received_at``,
+    ``decode_s``, ``compute_s`` / ``computed_at`` / ``compute_queued_s``
+    on its device, ``transfer_s`` / ``delivered_at`` / ``queued_s`` on its
+    link, ``bytes_out`` and ``codec``."""
+
+    summary: BatchSummary
+    requests: tuple[RequestTelemetry, ...]  # those this completion answers
+    error: str | None = None           # None: answered with labels
+    batch_id: int | None = None        # each worker's request id: the trace
+    dispatched_wall: float = 0.0
+    workers: int = 0                   # distinct hosting workers
+    scatter_s: float = 0.0
+    send_s: dict[str, float] = dataclasses.field(default_factory=dict)
+    replies: dict[str, dict] = dataclasses.field(default_factory=dict)
+    fusion_start: float = 0.0
+
+
+def emit_spans(record: BatchRecord, tracer) -> None:
+    """Draw every span of one batch from its record alone: the batch tree
+    when it was answered, then a ``request`` / ``request.queue`` pair per
+    request it answered."""
+    summary, trace = record.summary, record.batch_id
+    if record.error is None:
+        batch = new_span_id()
+        # `wall +` a perf_counter instant of this batch: the same instant
+        # on the wall clock the spans share.
+        wall = record.dispatched_wall - summary.dispatched_at
+
+        def emit(name, ts, took, attrs=None, parent=batch, worker=None):
+            """One span of the batch; a worker's own on its own track."""
+            return tracer.emit(name, trace_id=trace, parent_id=parent, ts=ts,
+                               duration_s=took, process=worker,
+                               thread=worker, attrs=attrs).span_id
+
+        tracer.emit("batch.serve", trace_id=trace, span_id=batch,
+                    ts=record.dispatched_wall,
+                    duration_s=summary.completed_at - summary.dispatched_at,
+                    attrs={"requests": summary.batch_requests,
+                           "samples": summary.batch_samples,
+                           "workers": record.workers,
+                           "degraded": summary.degraded})
+        emit("batch.scatter", record.dispatched_wall, record.scatter_s,
+             {"send_s": record.send_s})
+        emit("batch.gather", record.dispatched_wall, summary.gather_s)
+        # Per reply: the worker's own intervals, which end when its reply
+        # was received, and its decode; then its compute on its device's
+        # CPU, then its wire.
+        for worker, reply in record.replies.items():
+            host, forward = reply["host_compute_s"], reply["forward_s"]
+            started = wall + (reply["received_at"] - host)
+            codec = {"codec": reply["codec"], "nbytes": int(reply["bytes_out"])}
+            handled = emit("worker.request", started, host,
+                           {"samples": summary.batch_samples}, worker=worker)
+            emit("worker.forward", started, forward, parent=handled,
+                 worker=worker)
+            emit("codec.encode", started + forward, host - forward, codec,
+                 parent=handled, worker=worker)
+            emit("codec.decode", wall + reply["received_at"],
+                 reply["decode_s"], {"worker": worker, **codec})
+            for name, end, took, attrs in (
+                    ("device.compute", "computed_at", "compute_s",
+                     {"queued_s": reply["compute_queued_s"]}),
+                    ("link.transfer", "delivered_at", "transfer_s",
+                     {"nbytes": codec["nbytes"],
+                      "queued_s": reply["queued_s"]})):
+                emit(name, wall + (reply[end] - reply[took]), reply[took],
+                     {"worker": worker, took: reply[took], **attrs})
+        emit("batch.fusion", wall + record.fusion_start, summary.fusion_s)
+    for request in record.requests:
+        root = new_span_id()
+        attrs = {"batch_id": trace, "samples": request.num_samples}
+        if request.degraded:
+            attrs["degraded"] = True
+        if request.error is not None:
+            attrs["error"] = request.error
+        tracer.emit("request", trace_id=request.request_id, span_id=root,
+                    ts=request.enqueued_wall, duration_s=request.total_s,
+                    attrs=attrs)
+        tracer.emit("request.queue", trace_id=request.request_id,
+                    parent_id=root, ts=request.enqueued_wall,
+                    duration_s=request.queue_s)
 
 
 @dataclasses.dataclass

@@ -156,6 +156,40 @@ def state_echo_worker(spec, conn):
     mute_worker(spec, conn)
 
 
+def short_ready_worker(spec, conn):
+    """Takes its weights, then answers a READY one element short."""
+    for _ in runtime._received_weights(conn):
+        pass
+    conn.send(wire.ready_message(spec.worker_id)[:1])
+    mute_worker(spec, conn)
+
+
+class FirstMessageShort:
+    """A worker's end of the channel whose first message arrives one
+    element short; everything else passes through."""
+
+    def __init__(self, conn):
+        self._conn, self._first = conn, True
+
+    def recv(self):
+        message = self._conn.recv()
+        if self._first:
+            self._first = False
+            return message[:-1]
+        return message
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+REAL_WORKER_MAIN = runtime._worker_main
+
+
+def short_weights_worker(spec, conn):
+    """The real worker, sent a first WEIGHTS entry one element short."""
+    REAL_WORKER_MAIN(spec, FirstMessageShort(conn))
+
+
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("transport", TRANSPORTS)
 class TestFailedStartLeavesNothing:
@@ -278,6 +312,32 @@ class TestStartIsBounded:
             assert wire.request_id(reply) == request_id
             np.testing.assert_allclose(wire.payload(reply),
                                        local_features(model, X), atol=1e-5)
+
+
+class TestBootMessagesAreChecked:
+    """Both ends of the handshake check each boot message against the
+    wire protocol: a malformed one is a typed start-up failure that names
+    the worker, never an ``IndexError`` out of ``start()``."""
+
+    def boot_fails(self, monkeypatch, worker_main):
+        monkeypatch.setattr(runtime, "_worker_main", worker_main)
+        cluster = EdgeCluster([make_worker("w0")[0]], transport="inprocess")
+        with pytest.raises(RuntimeError) as info:
+            cluster.start()
+        assert not cluster.started
+        assert_nothing_left_behind(cluster.transport)
+        return str(info.value)
+
+    def test_a_short_ready_is_a_typed_start_failure(self, monkeypatch):
+        assert self.boot_fails(monkeypatch, short_ready_worker) == (
+            "worker w0 failed to start: 'ready' message has 1 elements; "
+            "protocol allows 2")
+
+    def test_a_short_weights_entry_is_failed_with_the_wire_text(
+            self, monkeypatch):
+        assert self.boot_fails(monkeypatch, short_weights_worker) == (
+            "worker w0 failed to start: WireError: 'weights' message has "
+            "2 elements; protocol allows 3")
 
 
 # ----------------------------------------------------------------------

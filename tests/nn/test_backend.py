@@ -1,5 +1,7 @@
 """Backend layer: selection, workspaces, fused-kernel correctness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -366,6 +368,45 @@ def test_linear_kernel_and_out_buffer(b):
     out = b.linear(x, w, bias, out=buf)
     assert out.base is buf or out is buf
     np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-6)
+
+
+def q8_operands(order):
+    """A 3072x768 int8 weight (ViT-Base's fc1) and its operands: 10
+    blocks of output rows, the last one short."""
+    rng = np.random.default_rng(6)
+    q8 = np.asarray(rng.integers(-127, 128, size=(3072, 768)), np.int8,
+                    order=order)
+    scale = rng.uniform(1e-3, 1e-2, size=3072).astype(np.float32)
+    bias = rng.normal(size=3072).astype(np.float32)
+    x = rng.normal(size=(2, 5, 768)).astype(np.float32)
+    return x, q8, scale, bias
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_linear_q8_equals_the_unblocked_product(b, order):
+    x, q8, scale, bias = q8_operands(order)
+    ref = (x.reshape(-1, 768) @ q8.astype(np.float32).T) * scale + bias
+    ref = ref.reshape(2, 5, 3072)
+    np.testing.assert_allclose(b.linear_q8(x, q8, scale, bias), ref,
+                               rtol=1e-6)
+    buf = np.empty((2, 5, 3072), dtype=np.float32)
+    out = b.linear_q8(x, q8, scale, bias, activation="relu", out=buf)
+    assert out.base is buf or out is buf
+    np.testing.assert_allclose(out, np.maximum(ref, 0.0), rtol=1e-6)
+
+
+def test_linear_q8_widens_one_block_at_a_time(b):
+    """The fp32 transient of one call is one block of the weight, not a
+    second, fp32 copy of all of it (9.4 MB here)."""
+    x, q8, scale, bias = q8_operands("F")
+    b.linear_q8(x, q8, scale, bias)              # warm numpy's own caches
+    tracemalloc.start()
+    try:
+        y = b.linear_q8(x, q8, scale, bias)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= backend.Q8_BLOCK_BYTES + y.nbytes + (64 << 10)
 
 
 def test_conv_im2col_roundtrip_shapes(b):

@@ -26,6 +26,7 @@ from repro.obs import (
 from repro.planning import plan_demo_system
 from repro.serving import BatchingConfig, InferenceServer, ServerConfig
 from repro.serving.telemetry import (
+    BatchSummary,
     RequestTelemetry,
     SERVING_SCHEMA_VERSION,
     ServingReport,
@@ -313,16 +314,18 @@ class TestVectorizedAggregation:
         for i in range(n):
             enq = float(rng.uniform(0, 1))
             total = float(rng.uniform(0.001, 0.2))
+            samples = int(rng.integers(1, 5))
             records.append(RequestTelemetry(
-                request_id=i, num_samples=int(rng.integers(1, 5)),
-                enqueued_at=enq, dispatched_at=enq + total / 3,
-                completed_at=enq + total,
-                batch_requests=int(rng.integers(1, 8)),
-                queue_s=total / 3, gather_s=total / 4, fusion_s=total / 10,
-                bytes_out=int(rng.integers(100, 5000)),
-                bytes_in=int(rng.integers(100, 5000)),
-                degraded=bool(i % 5 == 0),
-                error="boom" if i % 11 == 10 else None))
+                request_id=i, num_samples=samples, enqueued_at=enq,
+                error="boom" if i % 11 == 10 else None,
+                batch=BatchSummary(
+                    dispatched_at=enq + total / 3, completed_at=enq + total,
+                    batch_requests=int(rng.integers(1, 8)),
+                    batch_samples=samples,
+                    gather_s=total / 4, fusion_s=total / 10,
+                    bytes_out=int(rng.integers(100, 5000)),
+                    bytes_in=int(rng.integers(100, 5000)),
+                    degraded=bool(i % 5 == 0))))
         return records
 
     def test_matches_naive_reference(self):
@@ -363,8 +366,8 @@ class TestVectorizedAggregation:
 
     def test_all_failed_window(self):
         records = [RequestTelemetry(request_id=i, num_samples=1,
-                                    enqueued_at=0.0, completed_at=0.1,
-                                    error="dead")
+                                    enqueued_at=0.0, error="dead",
+                                    batch=BatchSummary(completed_at=0.1))
                    for i in range(4)]
         report = ServingReport.from_records(records, wall_seconds=1.0)
         assert report.completed == 0 and report.failed == 4
