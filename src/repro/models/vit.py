@@ -35,13 +35,17 @@ through the active ``ArrayBackend``:
 * **CLS-only tail.**  ``forward_features`` reads one row of the last
   block, so that block runs with a query-row restriction: K and V for
   every token, everything else for the CLS row.
-* **One arena, bounded in bytes.**  Blocks run in sequence and share the
-  model's per-thread ``Workspace`` (under ``inference_mode()``; fresh
-  arrays otherwise).  The residual stream is updated in place inside it.
-  The batch runs in passes of as many images as fit :data:`ARENA_BYTES`
-  (at least one), so the arena is a property of the model, not of the
-  caller's batch: 18 images of the 32 px depth-6 dim-192 sub-model
-  (0.44 MiB each) per pass, one image of ViT-Base/16 (6.39 MiB).
+* **One arena block per pass, bounded in bytes.**  Blocks run in
+  sequence and share the model's per-thread ``Workspace`` (under
+  ``inference_mode()``; fresh arrays otherwise).  The batch runs in passes
+  of as many images as fit :data:`ARENA_BYTES` (at least one), so the
+  arena is a property of the model, not of the caller's batch: 18 images
+  of the 32 px depth-6 dim-192 sub-model (0.44 MiB each) per pass, one
+  image of ViT-Base/16 (6.39 MiB).  Each pass takes one workspace buffer
+  of ``n`` times the per-image table (:meth:`VisionTransformer._arena_table`,
+  the seven tags each at its largest request) and cuts it into one fixed
+  region per tag, so a pass allocates its scratch once, at its final
+  size.  The residual stream is updated in place in its region.
 * **Aliasing.**  The arena is scratch only.  What ``forward_features`` and
   ``Block.forward`` return is always a fresh array, and ``Block.forward``
   copies its input before the in-place schedule runs on it.
@@ -130,24 +134,25 @@ class PatchEmbed(nn.Module):
         b, d = feat.shape[0], feat.shape[1]
         return feat.reshape(b, d, -1).swapaxes(1, 2)
 
-    def infer(self, bk, x: np.ndarray, ws) -> np.ndarray:
+    def infer(self, bk, x: np.ndarray, fields: np.ndarray,
+              rows: np.ndarray) -> np.ndarray:
         """Graph-free ``forward`` on raw arrays: ``(B, P, D)`` patch rows.
 
         The patches do not overlap (stride == kernel, no padding), so
         gathering the receptive fields is one reshaped copy and the whole
-        convolution one GEMM whose rows are already in token order.
+        convolution one GEMM whose rows are already in token order.  The
+        fields and the rows are written into the flat arena regions
+        ``fields`` and ``rows``.
         """
         b, c, h, w = x.shape
         ps = self.config.patch_size
         gh, gw = h // ps, w // ps
-        fields = scratch(ws, "fields", (b, gh, gw, c, ps, ps), x.dtype)
+        fields = _take(fields, b, gh, gw, c, ps, ps)
         np.copyto(fields, x.reshape(b, c, gh, ps, gw, ps)
                   .transpose(0, 2, 4, 1, 3, 5))
-        dtype = np.result_type(x.dtype, np.float32)
         rows = self.proj.infer_patches(
             bk, fields.reshape(b * gh * gw, c * ps * ps),
-            out=scratch(ws, "branch", (b * gh * gw, self.config.embed_dim),
-                        dtype))
+            out=_take(rows, b * gh * gw, self.config.embed_dim))
         return rows.reshape(b, gh * gw, self.config.embed_dim)
 
 
@@ -206,6 +211,7 @@ class Block(nn.Module):
     def __init__(self, config: ViTConfig,
                  rng: np.random.Generator | None = None):
         super().__init__()
+        self.config = config
         self.norm1 = nn.LayerNorm(config.embed_dim)
         self.attn = MultiHeadSelfAttention(config.embed_dim, config.num_heads,
                                            config.resolved_attn_dim, rng=rng)
@@ -217,26 +223,66 @@ class Block(nn.Module):
             ws = self.workspace if is_inference() else None
             # The schedule updates the residual stream in place; the
             # caller's input stays its own and the output is fresh.
+            stream = x.data.copy()
+            b, p, _ = stream.shape
+            regions = _regions(ws, _block_table(self.config, p), b,
+                               stream.dtype)
             return Tensor._noback(
-                _block_forward(self, get_backend(), x.data.copy(), ws))
+                _block_forward(self, get_backend(), stream, regions))
         x = x + self.attn(self.norm1(x))
         x = x + self.mlp(self.norm2(x))
         return x
 
 
-def _block_forward(block: Block, bk, x: np.ndarray, ws,
+def _block_table(cfg: ViTConfig, p: int) -> dict[str, int]:
+    """Per-image elements of the five arena tags one block of ``p`` tokens
+    uses, each at its largest request in :func:`_block_forward`."""
+    a = cfg.resolved_attn_dim
+    return {
+        "branch": p * cfg.embed_dim,    # LayerNorm outputs, branch results
+        "qkv": p * max(3 * a, cfg.resolved_mlp_hidden),   # then MLP hidden
+        "query": a,                     # the CLS-only tail's query row
+        "scores": cfg.num_heads * p * p,
+        "context": p * a,
+    }
+
+
+def _regions(ws, table: dict[str, int], n: int,
+             dtype) -> dict[str, np.ndarray]:
+    """One arena block for ``n`` images, cut into each tag's flat region.
+
+    The block is one ``Workspace`` buffer (a fresh array when ``ws`` is
+    ``None``) of ``n`` times the table's sum; each tag owns the next
+    ``n`` times its entry, in table order, so regions never overlap and
+    a pass asks the workspace for its scratch once, at its final size.
+    """
+    block = scratch(ws, "arena", (n * sum(table.values()),), dtype)
+    regions, start = {}, 0
+    for tag, count in table.items():
+        regions[tag] = block[start:start + n * count]
+        start += n * count
+    return regions
+
+
+def _take(region: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading ``shape`` of a flat arena region, as a contiguous view."""
+    return region[:math.prod(shape)].reshape(shape)
+
+
+def _block_forward(block: Block, bk, x: np.ndarray,
+                   regions: dict[str, np.ndarray],
                    cls_only: bool = False) -> np.ndarray:
     """The graph-free schedule of one pre-norm block, flat on raw arrays.
 
     ``x`` is the ``(B, P, D)`` residual stream and is updated **in
-    place**; every other array is scratch from the arena ``ws`` (fresh
-    allocations when ``ws`` is ``None``) whose tags are shared by all
-    blocks, since blocks run one after another.  ``"branch"`` holds each
-    LayerNorm output and then, once the GEMM reading it is done, that
-    residual branch's result; ``"qkv"`` holds the projections and then,
-    once attention has read them, the MLP's hidden layer.  Every kernel is
-    issued through the backend ``bk`` (the layers' ``infer`` methods;
-    ``QuantizedLinear`` has the same one as ``Linear``).
+    place**; every other array is a view of one of the flat arena
+    ``regions`` (:func:`_regions`), which all blocks share, since blocks
+    run one after another.  ``"branch"`` holds each LayerNorm output and
+    then, once the GEMM reading it is done, that residual branch's
+    result; ``"qkv"`` holds the projections and then, once attention has
+    read them, the MLP's hidden layer.  Every kernel is issued through
+    the backend ``bk`` (the layers' ``infer`` methods; ``QuantizedLinear``
+    has the same one as ``Linear``).
 
     With ``cls_only`` the block is evaluated for the CLS query row alone:
     K and V still cover every token, but Q, the scores, the context,
@@ -248,45 +294,40 @@ def _block_forward(block: Block, bk, x: np.ndarray, ws,
     b, p, d = x.shape
     nh, dh, a = attn.num_heads, attn.head_dim, attn.attn_dim
     nq = 1 if cls_only else p
-    dtype = x.dtype
+    branch, qkv = regions["branch"], regions["qkv"]
 
-    normed = block.norm1.infer(bk, x,
-                               out=scratch(ws, "branch", (b, p, d), dtype))
+    normed = block.norm1.infer(bk, x, out=_take(branch, b, p, d))
     if cls_only:
         q = attn.qkv.infer(bk, normed[:, :1], rows=slice(0, a),
-                           out=scratch(ws, "query", (b, 1, a), dtype))
+                           out=_take(regions["query"], b, 1, a))
         kv = attn.qkv.infer(bk, normed, rows=slice(a, 3 * a),
-                            out=scratch(ws, "qkv", (b, p, 2 * a), dtype))
+                            out=_take(qkv, b, p, 2 * a))
         kv = kv.reshape(b, p, 2, nh, dh)
         k, v = kv[:, :, 0], kv[:, :, 1]
     else:
-        qkv = attn.qkv.infer(bk, normed,
-                             out=scratch(ws, "qkv", (b, p, 3 * a), dtype))
-        qkv = qkv.reshape(b, p, 3, nh, dh)
-        q, k, v = qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]
+        projected = attn.qkv.infer(bk, normed, out=_take(qkv, b, p, 3 * a))
+        projected = projected.reshape(b, p, 3, nh, dh)
+        q, k, v = projected[:, :, 0], projected[:, :, 1], projected[:, :, 2]
     q = q.reshape(b, nq, nh, dh)
     q *= attn.scale                     # on P x dh per head, not P x P
     scores = bk.matmul(q.transpose(0, 2, 1, 3), k.transpose(0, 2, 3, 1),
-                       out=scratch(ws, "scores", (b, nh, nq, p), dtype))
+                       out=_take(regions["scores"], b, nh, nq, p))
     bk.softmax(scores, axis=-1, out=scores)
     # Written head-interleaved, so (B, nq, h * dh) is a plain reshape.
-    context = scratch(ws, "context", (b, nq, nh, dh), dtype)
+    context = _take(regions["context"], b, nq, nh, dh)
     bk.matmul(scores, v.transpose(0, 2, 1, 3),
               out=context.transpose(0, 2, 1, 3))
-    branch = attn.proj.infer(bk, context.reshape(b, nq, a),
-                             out=scratch(ws, "branch", (b, nq, d), dtype))
+    out = attn.proj.infer(bk, context.reshape(b, nq, a),
+                          out=_take(branch, b, nq, d))
     if cls_only:
-        x = x[:, :1] + branch
+        x = x[:, :1] + out
     else:
-        x += branch
+        x += out
 
-    normed = block.norm2.infer(bk, x,
-                               out=scratch(ws, "branch", (b, nq, d), dtype))
-    hidden = mlp.fc1.infer(
-        bk, normed, activation="gelu",
-        out=scratch(ws, "qkv", (b, nq, mlp.fc1.out_features), dtype))
-    x += mlp.fc2.infer(bk, hidden,
-                       out=scratch(ws, "branch", (b, nq, d), dtype))
+    normed = block.norm2.infer(bk, x, out=_take(branch, b, nq, d))
+    hidden = mlp.fc1.infer(bk, normed, activation="gelu",
+                           out=_take(qkv, b, nq, mlp.fc1.out_features))
+    x += mlp.fc2.infer(bk, hidden, out=_take(branch, b, nq, d))
     return x
 
 
@@ -314,19 +355,22 @@ class VisionTransformer(nn.Module):
         tokens = concat([cls, tokens], axis=1)
         return self.dropout(tokens + self.pos_embed)
 
-    def _arena_bytes_per_image(self, dtype) -> int:
-        """Scratch one image needs in the arena's seven tags, each at its
-        largest request (:meth:`PatchEmbed.infer`, :func:`_block_forward`)."""
+    def _arena_table(self) -> dict[str, int]:
+        """Per-image elements of each of the arena's seven tags at its
+        largest request (:meth:`PatchEmbed.infer`, :meth:`_infer_cls`,
+        :func:`_block_forward`), in layout order: the one source of the
+        arena's size."""
         cfg = self.config
         p = cfg.num_patches + 1
-        d, a = cfg.embed_dim, cfg.resolved_attn_dim
-        values = (cfg.num_patches * cfg.in_channels * cfg.patch_size ** 2
-                  + 2 * p * d                                # tokens, branch
-                  + p * max(3 * a, cfg.resolved_mlp_hidden)  # qkv
-                  + a                                        # query
-                  + cfg.num_heads * p * p                    # scores
-                  + p * a)                                   # context
-        return values * np.dtype(dtype).itemsize
+        return {
+            "fields": cfg.num_patches * cfg.in_channels * cfg.patch_size ** 2,
+            "tokens": p * cfg.embed_dim,        # the residual stream
+            **_block_table(cfg, p),             # the patch rows in "branch"
+        }
+
+    def _arena_bytes_per_image(self, dtype) -> int:
+        """Scratch one image needs in the arena: the table's sum."""
+        return sum(self._arena_table().values()) * np.dtype(dtype).itemsize
 
     def _infer_features(self, x: np.ndarray) -> np.ndarray:
         """Graph-free ``forward_features`` on raw arrays.
@@ -334,37 +378,44 @@ class VisionTransformer(nn.Module):
         One arena (this module's workspace, per thread, under
         ``inference_mode()``; fresh allocations otherwise) serves the
         embedding and every block, for as many images per pass as fit
-        :data:`ARENA_BYTES`.  Each pass's CLS rows are normalized straight
-        into the returned ``(B, D)`` array, which is always fresh.
+        :data:`ARENA_BYTES`: each pass takes one block of ``n`` times the
+        per-image table and cuts it into the tags' regions.  Each pass's
+        CLS rows are normalized straight into the returned ``(B, D)``
+        array, which is always fresh.
         """
         bk = get_backend()
         ws = self.workspace if is_inference() else None
         dtype = np.result_type(x.dtype, np.float32)
+        table = self._arena_table()
         step = max(1, ARENA_BYTES // self._arena_bytes_per_image(dtype))
         features = np.empty((len(x), self.config.embed_dim), dtype)
         for start in range(0, len(x), step):
-            cls = self._infer_cls(bk, x[start:start + step], ws)
+            images = x[start:start + step]
+            regions = _regions(ws, table, len(images), dtype)
+            cls = self._infer_cls(bk, images, regions)
             self.norm.infer(bk, cls, out=features[start:start + step, None])
         return features
 
-    def _infer_cls(self, bk, x: np.ndarray, ws) -> np.ndarray:
+    def _infer_cls(self, bk, x: np.ndarray,
+                   regions: dict[str, np.ndarray]) -> np.ndarray:
         """One pass of the schedule: the last block's ``(B, 1, D)`` CLS rows.
 
-        The residual stream lives in the arena's ``"tokens"`` buffer and
+        The residual stream lives in the arena's ``"tokens"`` region and
         is updated in place; the last block runs for the CLS row only,
         which is all the final norm reads.
         """
         pos = self.pos_embed.data
-        patches = self.patch_embed.infer(bk, x, ws)
-        tokens = scratch(ws, "tokens", (x.shape[0],) + pos.shape[1:],
-                         patches.dtype)
+        patches = self.patch_embed.infer(bk, x, regions["fields"],
+                                         regions["branch"])
+        tokens = _take(regions["tokens"], x.shape[0], *pos.shape[1:])
         np.add(self.cls_token.data, pos[:, :1], out=tokens[:, :1])
         np.add(patches, pos[:, 1:], out=tokens[:, 1:])
         if self.dropout.training and self.dropout.p > 0.0:
             tokens = self.dropout(Tensor._noback(tokens)).data
         last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):
-            tokens = _block_forward(block, bk, tokens, ws, cls_only=i == last)
+            tokens = _block_forward(block, bk, tokens, regions,
+                                    cls_only=i == last)
         return tokens[:, :1]
 
     def forward_features(self, x: Tensor) -> Tensor:

@@ -40,9 +40,10 @@ while :func:`repro.nn.tensor.is_inference` is true.  Invariants:
   is freshly allocated, so seed semantics are unchanged.
 
 The ViT's graph-free schedule (:mod:`repro.models.vit`) uses one workspace
-as an **arena** for the whole model — blocks run in sequence, so they
-share its tags — and hands none of it out: its results are fresh arrays.
-It runs a batch in passes, so the arena never exceeds
+as an **arena** for the whole model — one buffer per pass, cut into a
+region per tag that every block shares, since blocks run in sequence —
+and hands none of it out: its results are fresh arrays.  It runs a batch
+in passes, so the arena never exceeds
 :data:`repro.models.vit.ARENA_BYTES` (or one image, if that is larger).
 
 Weight layout
@@ -77,6 +78,9 @@ GELU_CHUNK = 1 << 16
 # multiplies the int8 weight in blocks of output rows this large, so its
 # transient is one block, not an fp32 copy of the weight int8 saves.
 Q8_BLOCK_BYTES = 1 << 20
+
+# What a growing Workspace tag holds while its larger storage is allocated.
+_EMPTY = np.empty(0, dtype=np.uint8)
 
 
 class Workspace:
@@ -118,6 +122,8 @@ class Workspace:
 
         Views handed out for the same tag share (and overwrite) the same
         storage — valid only until the owner's next request for that tag.
+        A growing tag lets go of its old storage before the larger one is
+        allocated, so it never holds both.
         """
         dt = np.dtype(dtype)
         key = (tag, dt.str)
@@ -127,8 +133,10 @@ class Workspace:
         store = self._storage()
         flat = store.get(key)
         if flat is None or flat.size < need:
-            flat = np.empty(need, dtype=dt)
-            store[key] = flat
+            # An empty stand-in, not a pop: a concurrent nbytes() may be
+            # iterating this store, so its size must not change.
+            flat = store[key] = _EMPTY
+            flat = store[key] = np.empty(need, dtype=dt)
         return flat[:need].reshape(shape)
 
     def clear(self) -> None:

@@ -18,6 +18,11 @@ import threading
 import numpy as np
 
 _DEFAULT_SEED = 0x5EED
+# float64 values an initializer draws at once: it fills its float32 result
+# chunk by chunk, so the only temporary is one chunk (512 KiB), not a
+# float64 twin of the weight.  Draws are sequential either way, so the
+# values and the generator's next draw do not depend on it.
+DRAW_CHUNK = 1 << 16
 _default_rng = None
 _default_rng_lock = threading.Lock()
 _local = threading.local()         # .unwritten: this thread builds to load
@@ -56,13 +61,25 @@ def is_unwritten() -> bool:
     return getattr(_local, "unwritten", False)
 
 
+def _drawn(shape: int | tuple[int, ...], draw) -> np.ndarray:
+    """A float32 array of ``shape`` filled in C order from ``draw(k)``,
+    which returns the next ``k`` float64 samples, :data:`DRAW_CHUNK` at a
+    time."""
+    out = np.empty(shape, dtype=np.float32)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, DRAW_CHUNK):
+        chunk = flat[start:start + DRAW_CHUNK]
+        chunk[...] = draw(chunk.size)
+    return out
+
+
 def uniform(rng: np.random.Generator | None, bound: float,
             shape: int | tuple[int, ...]) -> np.ndarray:
     """Float32 samples of U(-bound, bound)."""
     if is_unwritten():
         return np.empty(shape, dtype=np.float32)
     rng = rng or default_rng()
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+    return _drawn(shape, lambda k: rng.uniform(-bound, bound, size=k))
 
 
 def kaiming_uniform(rng: np.random.Generator | None, shape: tuple[int, ...],
@@ -81,6 +98,8 @@ def trunc_normal(rng: np.random.Generator | None,
     if is_unwritten():
         return np.empty(shape, dtype=np.float32)
     rng = rng or default_rng()
-    out = rng.normal(0.0, 0.02, size=shape)
-    np.clip(out, -0.04, 0.04, out=out)
-    return out.astype(np.float32)
+
+    def draw(k: int) -> np.ndarray:
+        values = rng.normal(0.0, 0.02, size=k)
+        return np.clip(values, -0.04, 0.04, out=values)
+    return _drawn(shape, draw)

@@ -250,10 +250,6 @@ class ServingReport:
     started_at: float | None = None    # wall clock (unix s) the window began
     metrics: dict | None = None        # registry snapshot, when requested
 
-    # Packed column layout for the single-pass aggregation below.
-    _COLS = ("total", "queue", "gather", "fusion", "samples",
-             "batch_requests", "bytes_out", "bytes_in", "ok", "degraded")
-
     @staticmethod
     def from_records(records: Iterable[RequestTelemetry],
                      wall_seconds: float,
@@ -261,38 +257,57 @@ class ServingReport:
                      started_at: float | None = None,
                      metrics: dict | None = None,
                      ) -> "ServingReport":
-        # One python pass packs every record into a (n, 10) float64 matrix;
-        # all aggregation (masking, sums, means, percentiles) then runs as
-        # numpy column reductions.  At loadgen scale this path executes per
-        # report per rate point, so it must not re-walk the records once
-        # per field.
+        # One python pass reads what differs per request and numbers each
+        # distinct batch summary; one more reads each summary once.  Every
+        # per-request value the properties of RequestTelemetry derive from
+        # the summary (latency, queue wait, apportioned bytes) is then
+        # computed as numpy columns, with the properties' arithmetic.  At
+        # loadgen scale this path executes per report per rate point.
         records = list(records)
         n = len(records)
-        cols = np.empty((n, len(ServingReport._COLS)), dtype=np.float64)
+        rows: dict[int, int] = {}          # id(summary) -> its batch row
+        summaries: list[BatchSummary] = []
+        which = np.empty(n, dtype=np.intp)
+        enqueued = np.empty(n)
+        samples = np.empty(n)
+        ok = np.empty(n, dtype=bool)
         for i, r in enumerate(records):
-            cols[i] = (r.completed_at - r.enqueued_at, r.queue_s, r.gather_s,
-                       r.fusion_s, r.num_samples, r.batch_requests,
-                       r.bytes_out, r.bytes_in, r.error is None, r.degraded)
-        ok = cols[:, 8].astype(bool) if n else np.zeros(0, dtype=bool)
-        done = cols[ok]
-        completed = int(done.shape[0])
+            batch = r.batch
+            row = rows.get(id(batch))
+            if row is None:
+                row = rows[id(batch)] = len(summaries)
+                summaries.append(batch)
+            which[i] = row
+            enqueued[i] = r.enqueued_at
+            samples[i] = r.num_samples
+            ok[i] = r.error is None
+        batches = np.array(
+            [(s.dispatched_at, s.completed_at, s.gather_s, s.fusion_s,
+              s.batch_requests, s.batch_samples, s.bytes_out, s.bytes_in,
+              s.degraded) for s in summaries],
+            dtype=np.float64).reshape(-1, 9)[which[ok]]
+        enqueued, samples = enqueued[ok], samples[ok]
+        dispatched, completed_at = batches[:, 0], batches[:, 1]
+        completed = int(ok.sum())
         failed = n - completed
         wall = max(wall_seconds, 1e-12)
 
         if completed:
-            totals = done[:, 0]
+            totals = completed_at - enqueued
+            queues = np.where(dispatched != 0.0, dispatched - enqueued, 0.0)
             p50, p95, p99 = (float(v) for v in
                              np.percentile(totals, (50, 95, 99)))
-            means = done[:, :4].mean(axis=0)
-            lat_mean, queue_mean, gather_mean, fusion_mean = \
-                (float(v) for v in means)
-            batch_mean = float(done[:, 5].mean())
+            lat_mean, queue_mean = float(totals.mean()), float(queues.mean())
+            gather_mean, fusion_mean, batch_mean = \
+                (float(v) for v in batches[:, 2:5].mean(axis=0))
         else:
             p50 = p95 = p99 = lat_mean = None
             queue_mean = gather_mean = fusion_mean = batch_mean = None
-        sums = done[:, (4, 6, 7, 9)].sum(axis=0) if completed else \
-            np.zeros(4)
-        samples, wire_out, wire_in, degraded = (float(v) for v in sums)
+        # Each request's share of its batch's bytes, rounded per request.
+        share = samples / np.maximum(batches[:, 5], 1.0)
+        wire_out, wire_in = (int(np.rint(batches[:, col] * share).sum())
+                             for col in (6, 7))
+        samples = float(samples.sum())
 
         return ServingReport(
             completed=completed,
@@ -308,10 +323,10 @@ class ServingReport:
             gather_mean_s=gather_mean,
             fusion_mean_s=fusion_mean,
             mean_batch_requests=batch_mean,
-            degraded_requests=int(degraded),
+            degraded_requests=int(batches[:, 8].sum()),
             worker_health=dict(worker_health or {}),
-            wire_bytes_out=int(wire_out),
-            wire_bytes_in=int(wire_in),
+            wire_bytes_out=wire_out,
+            wire_bytes_in=wire_in,
             effective_bw_mbps=wire_in * 8 / 1e6 / wall,
             started_at=started_at,
             metrics=metrics,

@@ -12,6 +12,7 @@ import dataclasses
 import io
 import sys
 import threading
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -264,6 +265,44 @@ def test_serving_shape_arena_after_batch_64_stays_under_arena_bytes():
     model.clear_workspaces()
     extract_features(model, _images(model, 16), keep_workspaces=True)
     assert _arena(model) == 16 * model._arena_bytes_per_image(np.float32)
+
+
+@pytest.mark.parametrize("batch", [8, 16])
+def test_a_first_forward_allocates_its_scratch_once(batch):
+    """A pass takes its arena as one block at its final size: the first
+    forward of the serving shape peaks at its ``n * per_image`` plus the
+    GELU chunk and the result.  With a buffer per tag, ``qkv`` and
+    ``branch`` were asked for smaller first and grown mid-forward: +1.8
+    MiB at batch 8 and +3.3 MiB at batch 16 above the arena."""
+    model = _serving_shape()
+    x = nn.Tensor(_images(model, batch))
+    per_image = model._arena_bytes_per_image(np.float32)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with nn.inference_mode():
+            model.forward_features(x)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert _arena(model) == batch * per_image
+    excess = peak - batch * per_image
+    assert excess <= 512 << 10, f"{excess / 2**20:.2f} MiB over the arena"
+
+
+def test_the_arena_is_the_pass_times_the_per_image_table():
+    """Resident scratch is ``min(batch, pass) * per_image`` after every
+    forward, and the per-image size is the sum of the seven tags'."""
+    model = _serving_shape()
+    table = model._arena_table()
+    assert list(table) == ["fields", "tokens", "branch", "qkv", "query",
+                           "scores", "context"]
+    per_image = model._arena_bytes_per_image(np.float32)
+    assert per_image == 4 * sum(table.values())
+    step = ARENA_BYTES // per_image
+    for batch in (1, 8, 16, 64):
+        extract_features(model, _images(model, batch), keep_workspaces=True)
+        assert _arena(model) == min(batch, step) * per_image, batch
 
 
 def test_passes_equal_the_unsplit_schedule(monkeypatch):

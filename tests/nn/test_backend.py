@@ -146,6 +146,22 @@ def test_workspace_grow_and_slice_bounds_memory_across_shapes():
     assert small.flags["C_CONTIGUOUS"]
 
 
+def test_workspace_growing_a_tag_never_holds_both_storages():
+    """A tag grown from 4 to 8 MiB lets go of the 4 MiB before it
+    allocates the 8 (the two were held together, a 12 MiB peak)."""
+    ws = Workspace()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ws.buffer("x", (1 << 20,), np.float32)
+        ws.buffer("x", (2 << 20,), np.float32)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert ws.nbytes() == 8 << 20
+    assert peak <= (8 << 20) + (64 << 10), peak / 2**20
+
+
 def test_workspace_distinguishes_tag_and_dtype():
     ws = Workspace()
     base = ws.buffer("x", (3, 4), np.float32)

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from repro.planning import plan_demo_system
 from repro.serving import (
@@ -81,6 +82,70 @@ class TestPopulatedWindow:
         assert report.completed == 10
         assert isinstance(report.latency_p50_s, float)
         assert np.isclose(report.latency_p50_s, 0.055)
+        json.dumps(report.to_dict(), allow_nan=False)
+
+
+class TestReportEqualsTheRecordsProperties:
+    """``from_records`` reads each batch summary once into numpy columns;
+    every field must still be what the per-request properties give."""
+
+    @staticmethod
+    def records() -> list[RequestTelemetry]:
+        rng = np.random.default_rng(5)
+        out = []
+        for b in range(40):
+            samples = rng.integers(1, 4, size=int(rng.integers(1, 6)))
+            summary = BatchSummary(
+                dispatched_at=0.0 if b % 9 == 4 else 10.0 + b,
+                completed_at=10.5 + b + rng.random(),
+                batch_requests=len(samples),
+                batch_samples=int(samples.sum()),
+                gather_s=rng.random() / 10, fusion_s=rng.random() / 100,
+                bytes_out=int(rng.integers(0, 50_000)),
+                bytes_in=int(rng.integers(0, 7_000)),
+                degraded=b % 5 == 1, workers_down=("w1",) * (b % 5 == 1))
+            for j, n in enumerate(samples):
+                # Batches 4, 13, 22 and 31 were never dispatched, every
+                # third batch has a failed request, every fifth degraded.
+                error = "boom" if b % 3 == 2 and j == 0 else None
+                if summary.dispatched_at == 0.0:
+                    error = "server stopped"
+                out.append(RequestTelemetry(
+                    request_id=len(out), num_samples=int(n),
+                    enqueued_at=9.9 + b - rng.random() / 10, error=error,
+                    batch=summary))
+        return out
+
+    def test_every_field_equals_the_properties(self):
+        records = self.records()
+        done = [r for r in records if r.error is None]
+        assert len(done) < len(records)
+        assert any(r.degraded for r in done)
+        assert any(r.queue_s == 0.0 for r in records)
+        report = ServingReport.from_records(records, wall_seconds=2.0)
+
+        totals = [r.total_s for r in done]
+        assert report.completed == len(done)
+        assert report.failed == len(records) - len(done)
+        assert report.throughput_rps == len(done) / 2.0
+        assert report.throughput_sps == sum(r.num_samples for r in done) / 2.0
+        for q, value in ((50, report.latency_p50_s),
+                         (95, report.latency_p95_s),
+                         (99, report.latency_p99_s)):
+            assert value == pytest.approx(percentile(totals, q), rel=1e-12)
+        for value, column in (
+                (report.latency_mean_s, totals),
+                (report.queue_mean_s, [r.queue_s for r in done]),
+                (report.gather_mean_s, [r.gather_s for r in done]),
+                (report.fusion_mean_s, [r.fusion_s for r in done]),
+                (report.mean_batch_requests,
+                 [r.batch_requests for r in done])):
+            assert value == pytest.approx(float(np.mean(column)), rel=1e-12)
+        assert report.degraded_requests == sum(r.degraded for r in done)
+        assert report.wire_bytes_out == sum(r.bytes_out for r in done)
+        assert report.wire_bytes_in == sum(r.bytes_in for r in done)
+        assert report.effective_bw_mbps == pytest.approx(
+            sum(r.bytes_in for r in done) * 8 / 1e6 / 2.0, rel=1e-12)
         json.dumps(report.to_dict(), allow_nan=False)
 
 
